@@ -339,7 +339,7 @@ pub fn repro_score(store: &RunStore, entry: &IndexEntry) -> ReproScore {
     let record = std::fs::read_to_string(run_dir.join("record.json")).unwrap_or_default();
     let journal_digest = journal::parse_flat_object(record.trim())
         .ok()
-        .and_then(|map| journal::get_str(&map, "journal_digest").ok().map(|d| !d.is_empty()))
+        .and_then(|map| journal::get::<String>(&map, "journal_digest").ok().map(|d| !d.is_empty()))
         .unwrap_or(false);
     if journal_digest {
         readiness += 20;

@@ -198,7 +198,7 @@ pub struct GraphIndexEntry {
 impl GraphIndexEntry {
     pub(crate) fn to_json(&self) -> String {
         let mut w = JsonLine::object("digest", &self.digest);
-        w.num("seq", self.seq as i64)
+        w.field("seq", &self.seq)
             .str("kind", self.kind.as_str())
             .str("payload", &self.payload_digest);
         w.finish()
@@ -207,15 +207,15 @@ impl GraphIndexEntry {
     pub(crate) fn parse(line: &str) -> Result<GraphIndexEntry> {
         let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt graph index: {i}"));
         let map = journal::parse_flat_object(line).map_err(bad)?;
-        let kind_name = journal::get_str(&map, "kind").map_err(bad)?;
-        let kind = NodeKind::parse(kind_name).ok_or_else(|| {
+        let kind_name: String = journal::get(&map, "kind").map_err(bad)?;
+        let kind = NodeKind::parse(&kind_name).ok_or_else(|| {
             FexError::Data(format!("corrupt graph index: unknown kind `{kind_name}`"))
         })?;
         Ok(GraphIndexEntry {
-            seq: journal::get_u64(&map, "seq").map_err(bad)?,
-            digest: journal::get_str(&map, "digest").map_err(bad)?.to_string(),
+            seq: journal::get(&map, "seq").map_err(bad)?,
+            digest: journal::get(&map, "digest").map_err(bad)?,
             kind,
-            payload_digest: journal::get_str(&map, "payload").map_err(bad)?.to_string(),
+            payload_digest: journal::get(&map, "payload").map_err(bad)?,
         })
     }
 }
@@ -271,21 +271,7 @@ impl ArtifactGraph {
     /// Reads a graph index with per-line fault isolation: every parseable
     /// entry plus one warning per skipped line.
     pub fn scan_at(root: &Path) -> (Vec<GraphIndexEntry>, Vec<String>) {
-        let Ok(text) = fs::read_to_string(root.join("index.json")) else {
-            return (Vec::new(), Vec::new());
-        };
-        let mut entries = Vec::new();
-        let mut warnings = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match GraphIndexEntry::parse(line) {
-                Ok(e) => entries.push(e),
-                Err(e) => warnings.push(format!("skipping graph index line {}: {e}", i + 1)),
-            }
-        }
-        (entries, warnings)
+        crate::lab::scan_index(&root.join("index.json"), "graph index", GraphIndexEntry::parse)
     }
 
     /// Warnings accumulated while opening (corrupt index lines).
@@ -373,15 +359,7 @@ impl ArtifactGraph {
             kind,
             payload_digest: digest_bytes(payload.as_bytes()).to_string(),
         };
-        let mut index = fs::read_to_string(self.index_path()).unwrap_or_default();
-        if !index.is_empty() && !index.ends_with('\n') {
-            // A previous append was torn mid-line (crash); seal the torn
-            // fragment onto its own line so the new entry stays parseable.
-            index.push('\n');
-        }
-        index.push_str(&entry.to_json());
-        index.push('\n');
-        fs::write(self.index_path(), index).map_err(io)?;
+        crate::lab::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
         self.index.insert(digest.0, kind);
         self.next_seq += 1;
         Ok(())
@@ -450,36 +428,36 @@ fn run_to_json(run: &RunResult) -> String {
     let c = &run.counters;
     let h = &run.heap;
     let mut w = JsonLine::object("node", NodeKind::RunUnit.as_str());
-    w.num("exit", run.exit)
+    w.field("exit", &run.exit)
         .str("stdout", &run.stdout)
-        .num("elapsed_cycles", run.elapsed_cycles as i64)
-        .num("wall_seconds_bits", run.wall_seconds.to_bits() as i64)
-        .num("maxrss_bytes", run.maxrss_bytes as i64)
-        .num("ctr_instructions", c.instructions as i64)
-        .num("ctr_cycles", c.cycles as i64)
-        .num("ctr_loads", c.loads as i64)
-        .num("ctr_stores", c.stores as i64)
-        .num("ctr_branches", c.branches as i64)
-        .num("ctr_branch_mispredicts", c.branch_mispredicts as i64)
-        .num("ctr_l1_misses", c.l1_misses as i64)
-        .num("ctr_l2_misses", c.l2_misses as i64)
-        .num("ctr_llc_misses", c.llc_misses as i64)
-        .num("ctr_l1_accesses", c.l1_accesses as i64)
-        .num("ctr_calls", c.calls as i64)
-        .num("ctr_allocs", c.allocs as i64)
-        .num("ctr_alloc_bytes", c.alloc_bytes as i64)
-        .num("ctr_asan_checks", c.asan_checks as i64)
-        .num("heap_allocs", h.allocs as i64)
-        .num("heap_frees", h.frees as i64)
-        .num("heap_payload_bytes", h.payload_bytes as i64)
-        .num("heap_redzone_bytes", h.redzone_bytes as i64)
-        .num("heap_peak_reserved", h.peak_reserved as i64)
-        .num("l1_accesses", run.l1.accesses as i64)
-        .num("l1_hits", run.l1.hits as i64)
-        .num("l2_accesses", run.l2.accesses as i64)
-        .num("l2_hits", run.l2.hits as i64)
-        .num("llc_accesses", run.llc.accesses as i64)
-        .num("llc_hits", run.llc.hits as i64);
+        .field("elapsed_cycles", &run.elapsed_cycles)
+        .field("wall_seconds_bits", &run.wall_seconds.to_bits())
+        .field("maxrss_bytes", &run.maxrss_bytes)
+        .field("ctr_instructions", &c.instructions)
+        .field("ctr_cycles", &c.cycles)
+        .field("ctr_loads", &c.loads)
+        .field("ctr_stores", &c.stores)
+        .field("ctr_branches", &c.branches)
+        .field("ctr_branch_mispredicts", &c.branch_mispredicts)
+        .field("ctr_l1_misses", &c.l1_misses)
+        .field("ctr_l2_misses", &c.l2_misses)
+        .field("ctr_llc_misses", &c.llc_misses)
+        .field("ctr_l1_accesses", &c.l1_accesses)
+        .field("ctr_calls", &c.calls)
+        .field("ctr_allocs", &c.allocs)
+        .field("ctr_alloc_bytes", &c.alloc_bytes)
+        .field("ctr_asan_checks", &c.asan_checks)
+        .field("heap_allocs", &h.allocs)
+        .field("heap_frees", &h.frees)
+        .field("heap_payload_bytes", &h.payload_bytes)
+        .field("heap_redzone_bytes", &h.redzone_bytes)
+        .field("heap_peak_reserved", &h.peak_reserved)
+        .field("l1_accesses", &run.l1.accesses)
+        .field("l1_hits", &run.l1.hits)
+        .field("l2_accesses", &run.l2.accesses)
+        .field("l2_hits", &run.l2.hits)
+        .field("llc_accesses", &run.llc.accesses)
+        .field("llc_hits", &run.llc.hits);
     w.finish()
 }
 
@@ -487,11 +465,10 @@ fn run_to_json(run: &RunResult) -> String {
 /// treats that as a miss and re-executes.
 fn run_from_json(line: &str) -> Option<RunResult> {
     let map = journal::parse_flat_object(line).ok()?;
-    let int = |k: &str| journal::get_i64(&map, k).ok();
-    let uint = |k: &str| journal::get_u64(&map, k).ok();
+    let uint = |k: &str| journal::get(&map, k).ok();
     Some(RunResult {
-        exit: int("exit")?,
-        stdout: journal::get_str(&map, "stdout").ok()?.to_string(),
+        exit: journal::get(&map, "exit").ok()?,
+        stdout: journal::get(&map, "stdout").ok()?,
         counters: PerfCounters {
             instructions: uint("ctr_instructions")?,
             cycles: uint("ctr_cycles")?,
@@ -510,7 +487,7 @@ fn run_from_json(line: &str) -> Option<RunResult> {
         },
         per_core: Vec::new(),
         elapsed_cycles: uint("elapsed_cycles")?,
-        wall_seconds: f64::from_bits(int("wall_seconds_bits")? as u64),
+        wall_seconds: f64::from_bits(uint("wall_seconds_bits")?),
         heap: HeapStats {
             allocs: uint("heap_allocs")?,
             frees: uint("heap_frees")?,

@@ -42,6 +42,8 @@ use std::time::Instant;
 
 use fex_vm::{RunResult, UnitCounters};
 
+use crate::error::FexError;
+
 /// Journal format version, recorded in the `experiment_start` event so
 /// future readers can dispatch on schema changes.
 ///
@@ -53,255 +55,324 @@ use fex_vm::{RunResult, UnitCounters};
 /// `fex serve` daemon's own journal.
 pub const JOURNAL_VERSION: u64 = 4;
 
-/// One typed journal event. Field names match the JSON keys.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalEvent {
-    /// The experiment began: identity and effective scheduler width.
-    ExperimentStart {
-        /// Experiment name (`-n`).
-        name: String,
-        /// Effective worker count (`--jobs` after auto resolution).
-        jobs: usize,
-        /// Experiment seed.
-        seed: u64,
-        /// Journal schema version ([`JOURNAL_VERSION`]).
-        version: u64,
-    },
-    /// One benchmark × type compilation finished.
-    Build {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type.
-        build_type: String,
-        /// Content digest of the artifact (cache key).
-        digest: String,
-        /// Whether the artifact came out of the build cache
-        /// (`--no-build`) instead of a fresh compile.
-        cache_hit: bool,
-        /// Wall time of the build step (volatile; normalized in golden
-        /// snapshots).
-        wall_ns: u64,
-    },
-    /// A worker claimed an executable run unit.
-    UnitClaim {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type.
-        build_type: String,
-        /// Thread (core) count.
-        threads: usize,
-        /// Repetition index; `None` for benchmark-level units (dry runs).
-        rep: Option<usize>,
-        /// Worker index that ran the unit (0 in the sequential loop;
-        /// volatile across `--jobs`, normalized in differential tests).
-        worker: usize,
-    },
-    /// The VM executed a run unit successfully: the measured counters.
-    VmExec {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type.
-        build_type: String,
-        /// Thread (core) count.
-        threads: usize,
-        /// Repetition index; `None` for dry runs.
-        rep: Option<usize>,
-        /// Retired instructions.
-        instructions: u64,
-        /// Elapsed cycles on the main timeline.
-        cycles: u64,
-        /// L1D misses.
-        l1_misses: u64,
-        /// LLC misses.
-        llc_misses: u64,
-        /// Mispredicted branches.
-        branch_mispredicts: u64,
-        /// Security/fault events the machine observed during the run.
-        faults: u64,
-        /// Entry-function exit value.
-        exit: i64,
-    },
-    /// One faulted attempt of a run unit (the retry/backoff trail).
-    RunFault {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type.
-        build_type: String,
-        /// Thread (core) count.
-        threads: usize,
-        /// Repetition index; `None` for benchmark-level units.
-        rep: Option<usize>,
-        /// 0-based attempt index that faulted.
-        attempt: u64,
-        /// The attempt's error message.
-        error: String,
-    },
-    /// A run unit settled: the final resilience verdict.
-    UnitOutcome {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type.
-        build_type: String,
-        /// Thread (core) count.
-        threads: usize,
-        /// Repetition index; `None` for benchmark-level units.
-        rep: Option<usize>,
-        /// `clean`, `recovered`, `failed` or `quarantined`.
-        outcome: String,
-        /// Attempts spent (1 = clean first try).
-        attempts: usize,
-        /// Simulated backoff cycles charged between attempts.
-        backoff_cycles: u64,
-    },
-    /// A quarantined benchmark was skipped for a whole build type.
-    QuarantineSkip {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type whose runs were skipped.
-        build_type: String,
-    },
-    /// The artifact graph served this run unit's cached result; the VM
-    /// was not entered. Whether a unit hits or misses is cache state, not
-    /// behaviour, so `normalize()` rewrites hits to misses — warm and
-    /// cold normalized streams are byte-identical.
-    GraphHit {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type.
-        build_type: String,
-        /// Thread (core) count.
-        threads: usize,
-        /// Repetition index; `None` for dry runs.
-        rep: Option<usize>,
-    },
-    /// The artifact graph had no node for this run unit; it executed on
-    /// the VM (and, when clean, was stored for the next warm run).
-    GraphMiss {
-        /// Benchmark name.
-        benchmark: String,
-        /// Build type.
-        build_type: String,
-        /// Thread (core) count.
-        threads: usize,
-        /// Repetition index; `None` for dry runs.
-        rep: Option<usize>,
-    },
-    /// Decoded-artifact cache accounting for the whole experiment.
-    DecodeCache {
-        /// Decode passes performed.
-        decodes: usize,
-        /// Run-unit executions served a pre-decoded program.
-        served: usize,
-    },
-    /// The completed experiment was archived into the result store.
-    StoreWrite {
-        /// Experiment name.
-        experiment: String,
-        /// Content-addressed run id (`fex256:…`).
-        run_id: String,
-        /// Monotonic sequence number assigned by the store index.
-        seq: u64,
-    },
-    /// A tenant's experiment submission arrived over the serve socket.
-    ServeSubmit {
-        /// Tenant identity, as claimed by the client (volatile across
-        /// runs; normalized).
-        tenant: String,
-        /// Daemon-assigned submission sequence number (volatile;
-        /// normalized).
-        submission: u64,
-        /// Content-addressed submission key (`fex256:…` over the suite
-        /// sources and every config axis).
-        key: String,
-    },
-    /// The submission entered the bounded priority/FIFO queue.
-    ServeEnqueue {
-        /// Submission sequence number (volatile; normalized).
-        submission: u64,
-        /// Client-requested priority (higher dispatches first).
-        priority: i64,
-        /// Queue depth after insertion (volatile; normalized).
-        depth: usize,
-    },
-    /// A serve worker pulled the submission off the queue.
-    ServeDispatch {
-        /// Submission sequence number (volatile; normalized).
-        submission: u64,
-        /// Worker index that claimed it (volatile; normalized).
-        worker: usize,
-        /// Queue latency: enqueue → dispatch wall time (volatile;
-        /// normalized).
-        wait_ns: u64,
-    },
-    /// The submission's result stream went back to its client, with the
-    /// per-tenant cache accounting.
-    ServeStream {
-        /// Tenant identity (volatile; normalized).
-        tenant: String,
-        /// Submission sequence number (volatile; normalized).
-        submission: u64,
-        /// Journal events streamed live over the connection.
-        events: usize,
-        /// Run units the shared artifact graph served from cache
-        /// (cache state, not behaviour; normalized).
-        graph_hits: usize,
-        /// Run units the graph had to execute (cache state; normalized).
-        graph_misses: usize,
-        /// Whether the whole submission was served from the store layer
-        /// without running anything (cache state; normalized).
-        store_hit: bool,
-    },
-    /// A submission was evicted instead of queued (bounded queue
-    /// overflow, or the daemon was draining).
-    ServeEvict {
-        /// Submission sequence number (volatile; normalized).
-        submission: u64,
-        /// Why it was turned away.
-        reason: String,
-    },
-    /// A pipeline phase finished.
-    PhaseEnd {
-        /// Phase name (`run`, `collect`).
-        phase: String,
-        /// Wall time of the phase (volatile).
-        wall_ns: u64,
-    },
-    /// The experiment finished.
-    ExperimentEnd {
-        /// Rows in the results frame.
-        rows: usize,
-        /// Records in the failure report.
-        failure_records: usize,
-        /// Wall time of the whole experiment (volatile).
-        wall_ns: u64,
-    },
+/// Declares the journal schema once. Each entry names a variant, its
+/// `"event"` wire name and its fields in JSON key order; a field marked
+/// `[volatile]` legitimately differs between observationally identical
+/// runs and [`JournalEvent::normalize`] resets it to its default. The
+/// macro generates the enum, `kind`, `to_json`, [`parse_line`] and the
+/// volatile reset from that one table, so they cannot drift apart.
+macro_rules! journal_schema {
+    (
+        $(#[$enum_meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident = $wire:literal {
+                    $(
+                        $(#[$field_meta:meta])*
+                        $([$volatile:ident])? $field:ident: $ty:ty
+                    ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$enum_meta])*
+        pub enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant { $( $(#[$field_meta])* $field: $ty, )* },
+            )*
+        }
+
+        impl $name {
+            /// The event's `"event"` discriminator string.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $wire, )*
+                }
+            }
+
+            /// Serializes the event as one JSON line (no trailing newline).
+            pub fn to_json(&self) -> String {
+                let mut w = JsonLine::new(self.kind());
+                match self {
+                    $( $name::$variant { $($field),* } => {
+                        $( w.field(stringify!($field), $field); )*
+                    } )*
+                }
+                w.finish()
+            }
+
+            /// Resets every `[volatile]` field to its type's default.
+            fn reset_volatile(&mut self) {
+                match self {
+                    $( $name::$variant { $($field),* } => {
+                        $( reset_if_volatile!($($volatile)? $field); )*
+                    } )*
+                }
+            }
+        }
+
+        /// Parses one `journal.jsonl` line back into an event. Every field
+        /// is required except `Option` ones, which read a missing key as
+        /// `None`.
+        ///
+        /// # Errors
+        ///
+        /// [`ParseIssue::Malformed`] on broken JSON or missing fields,
+        /// [`ParseIssue::UnknownEvent`] on an unrecognized `"event"` value.
+        pub fn parse_line(line: &str) -> std::result::Result<$name, ParseIssue> {
+            let map = parse_flat_object(line)?;
+            let kind: String = get(&map, "event")?;
+            Ok(match kind.as_str() {
+                $( $wire => $name::$variant { $( $field: get(&map, stringify!($field))?, )* }, )*
+                other => return Err(ParseIssue::UnknownEvent(other.to_string())),
+            })
+        }
+    };
+}
+
+/// One field of [`journal_schema!`]'s volatile reset: zero it when it is
+/// marked `[volatile]`, leave it alone otherwise.
+macro_rules! reset_if_volatile {
+    (volatile $field:ident) => {
+        *$field = Default::default()
+    };
+    ($field:ident) => {
+        let _ = $field;
+    };
+}
+
+journal_schema! {
+    /// One typed journal event. Field names match the JSON keys.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalEvent {
+        /// The experiment began: identity and effective scheduler width.
+        ExperimentStart = "experiment_start" {
+            /// Experiment name (`-n`).
+            name: String,
+            /// Effective worker count (`--jobs` after auto resolution).
+            [volatile] jobs: usize,
+            /// Experiment seed.
+            seed: u64,
+            /// Journal schema version ([`JOURNAL_VERSION`]).
+            version: u64,
+        },
+        /// One benchmark × type compilation finished.
+        Build = "build" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type.
+            build_type: String,
+            /// Content digest of the artifact (cache key).
+            digest: String,
+            /// Whether the artifact came out of the build cache
+            /// (`--no-build`) instead of a fresh compile.
+            cache_hit: bool,
+            /// Wall time of the build step.
+            [volatile] wall_ns: u64,
+        },
+        /// A worker claimed an executable run unit.
+        UnitClaim = "unit_claim" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type.
+            build_type: String,
+            /// Thread (core) count.
+            threads: usize,
+            /// Repetition index; `None` for benchmark-level units (dry runs).
+            rep: Option<usize>,
+            /// Worker index that ran the unit (0 in the sequential loop;
+            /// varies with `--jobs`).
+            [volatile] worker: usize,
+        },
+        /// The VM executed a run unit successfully: the measured counters.
+        VmExec = "vm_exec" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type.
+            build_type: String,
+            /// Thread (core) count.
+            threads: usize,
+            /// Repetition index; `None` for dry runs.
+            rep: Option<usize>,
+            /// Retired instructions.
+            instructions: u64,
+            /// Elapsed cycles on the main timeline.
+            cycles: u64,
+            /// L1D misses.
+            l1_misses: u64,
+            /// LLC misses.
+            llc_misses: u64,
+            /// Mispredicted branches.
+            branch_mispredicts: u64,
+            /// Security/fault events the machine observed during the run.
+            faults: u64,
+            /// Entry-function exit value.
+            exit: i64,
+        },
+        /// One faulted attempt of a run unit (the retry/backoff trail).
+        RunFault = "run_fault" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type.
+            build_type: String,
+            /// Thread (core) count.
+            threads: usize,
+            /// Repetition index; `None` for benchmark-level units.
+            rep: Option<usize>,
+            /// 0-based attempt index that faulted.
+            attempt: u64,
+            /// The attempt's error message.
+            error: String,
+        },
+        /// A run unit settled: the final resilience verdict.
+        UnitOutcome = "unit_outcome" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type.
+            build_type: String,
+            /// Thread (core) count.
+            threads: usize,
+            /// Repetition index; `None` for benchmark-level units.
+            rep: Option<usize>,
+            /// `clean`, `recovered`, `failed` or `quarantined`.
+            outcome: String,
+            /// Attempts spent (1 = clean first try).
+            attempts: usize,
+            /// Simulated backoff cycles charged between attempts.
+            backoff_cycles: u64,
+        },
+        /// A quarantined benchmark was skipped for a whole build type.
+        QuarantineSkip = "quarantine_skip" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type whose runs were skipped.
+            build_type: String,
+        },
+        /// The artifact graph served this run unit's cached result; the VM
+        /// was not entered. Whether a unit hits or misses is cache state, not
+        /// behaviour, so `normalize()` rewrites hits to misses — warm and
+        /// cold normalized streams are byte-identical.
+        GraphHit = "graph_hit" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type.
+            build_type: String,
+            /// Thread (core) count.
+            threads: usize,
+            /// Repetition index; `None` for dry runs.
+            rep: Option<usize>,
+        },
+        /// The artifact graph had no node for this run unit; it executed on
+        /// the VM (and, when clean, was stored for the next warm run).
+        GraphMiss = "graph_miss" {
+            /// Benchmark name.
+            benchmark: String,
+            /// Build type.
+            build_type: String,
+            /// Thread (core) count.
+            threads: usize,
+            /// Repetition index; `None` for dry runs.
+            rep: Option<usize>,
+        },
+        /// Decoded-artifact cache accounting for the whole experiment.
+        DecodeCache = "decode_cache" {
+            /// Decode passes performed.
+            decodes: usize,
+            /// Run-unit executions served a pre-decoded program.
+            served: usize,
+        },
+        /// The completed experiment was archived into the result store.
+        StoreWrite = "store_write" {
+            /// Experiment name.
+            experiment: String,
+            /// Content-addressed run id (`fex256:…`).
+            run_id: String,
+            /// Monotonic sequence number assigned by the store index. Where
+            /// in the index the run landed is history, not run behaviour: an
+            /// archival rerun appends at a later position while producing
+            /// identical artifacts.
+            [volatile] seq: u64,
+        },
+        // Serve-side nondeterminism: tenant identity, the daemon's
+        // submission counter, queue depth/latency and worker ids are all
+        // scheduling history, and cache accounting is cache state — two
+        // clients submitting the same work in any order, served hot or
+        // cold, must normalize to the same events.
+        /// A tenant's experiment submission arrived over the serve socket.
+        ServeSubmit = "serve_submit" {
+            /// Tenant identity, as claimed by the client.
+            [volatile] tenant: String,
+            /// Daemon-assigned submission sequence number.
+            [volatile] submission: u64,
+            /// Content-addressed submission key (`fex256:…` over the suite
+            /// sources and every config axis).
+            key: String,
+        },
+        /// The submission entered the bounded priority/FIFO queue.
+        ServeEnqueue = "serve_enqueue" {
+            /// Submission sequence number.
+            [volatile] submission: u64,
+            /// Client-requested priority (higher dispatches first).
+            priority: i64,
+            /// Queue depth after insertion.
+            [volatile] depth: usize,
+        },
+        /// A serve worker pulled the submission off the queue.
+        ServeDispatch = "serve_dispatch" {
+            /// Submission sequence number.
+            [volatile] submission: u64,
+            /// Worker index that claimed it.
+            [volatile] worker: usize,
+            /// Queue latency: enqueue → dispatch wall time.
+            [volatile] wait_ns: u64,
+        },
+        /// The submission's result stream went back to its client, with the
+        /// per-tenant cache accounting.
+        ServeStream = "serve_stream" {
+            /// Tenant identity.
+            [volatile] tenant: String,
+            /// Submission sequence number.
+            [volatile] submission: u64,
+            /// Journal events streamed live over the connection.
+            [volatile] events: usize,
+            /// Run units the shared artifact graph served from cache.
+            [volatile] graph_hits: usize,
+            /// Run units the graph had to execute.
+            [volatile] graph_misses: usize,
+            /// Whether the whole submission was served from the store layer
+            /// without running anything.
+            [volatile] store_hit: bool,
+        },
+        /// A submission was evicted instead of queued (bounded queue
+        /// overflow, or the daemon was draining).
+        ServeEvict = "serve_evict" {
+            /// Submission sequence number.
+            [volatile] submission: u64,
+            /// Why it was turned away.
+            reason: String,
+        },
+        /// A pipeline phase finished.
+        PhaseEnd = "phase_end" {
+            /// Phase name (`run`, `collect`).
+            phase: String,
+            /// Wall time of the phase.
+            [volatile] wall_ns: u64,
+        },
+        /// The experiment finished.
+        ExperimentEnd = "experiment_end" {
+            /// Rows in the results frame.
+            rows: usize,
+            /// Records in the failure report.
+            failure_records: usize,
+            /// Wall time of the whole experiment.
+            [volatile] wall_ns: u64,
+        },
+    }
 }
 
 impl JournalEvent {
-    /// The event's `"event"` discriminator string.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JournalEvent::ExperimentStart { .. } => "experiment_start",
-            JournalEvent::Build { .. } => "build",
-            JournalEvent::UnitClaim { .. } => "unit_claim",
-            JournalEvent::VmExec { .. } => "vm_exec",
-            JournalEvent::RunFault { .. } => "run_fault",
-            JournalEvent::UnitOutcome { .. } => "unit_outcome",
-            JournalEvent::QuarantineSkip { .. } => "quarantine_skip",
-            JournalEvent::GraphHit { .. } => "graph_hit",
-            JournalEvent::GraphMiss { .. } => "graph_miss",
-            JournalEvent::DecodeCache { .. } => "decode_cache",
-            JournalEvent::StoreWrite { .. } => "store_write",
-            JournalEvent::ServeSubmit { .. } => "serve_submit",
-            JournalEvent::ServeEnqueue { .. } => "serve_enqueue",
-            JournalEvent::ServeDispatch { .. } => "serve_dispatch",
-            JournalEvent::ServeStream { .. } => "serve_stream",
-            JournalEvent::ServeEvict { .. } => "serve_evict",
-            JournalEvent::PhaseEnd { .. } => "phase_end",
-            JournalEvent::ExperimentEnd { .. } => "experiment_end",
-        }
-    }
-
     /// A `vm_exec` event from a run unit's measured result, with the
     /// counters exported by [`fex_vm::UnitCounters`].
     pub fn vm_exec(
@@ -328,204 +399,23 @@ impl JournalEvent {
     }
 
     /// Zeroes the fields that legitimately differ between observationally
-    /// identical runs — wall times, worker ids and the effective job
-    /// count — so differential tests can compare full event streams.
+    /// identical runs — the schema's `[volatile]` fields: wall times,
+    /// worker ids, the effective job count, store and serve bookkeeping —
+    /// so differential tests can compare full event streams.
     pub fn normalize(&mut self) {
-        match self {
-            JournalEvent::ExperimentStart { jobs, .. } => *jobs = 0,
-            JournalEvent::Build { wall_ns, .. } => *wall_ns = 0,
-            JournalEvent::UnitClaim { worker, .. } => *worker = 0,
-            JournalEvent::PhaseEnd { wall_ns, .. } => *wall_ns = 0,
-            JournalEvent::ExperimentEnd { wall_ns, .. } => *wall_ns = 0,
-            // The store sequence number records where in the index the
-            // run landed — history, not run behaviour: an archival rerun
-            // appends at a later position while producing identical
-            // artifacts.
-            JournalEvent::StoreWrite { seq, .. } => *seq = 0,
-            // Hit-vs-miss is artifact-cache state, not run behaviour: a
-            // warm run that serves a unit from the graph is
-            // observationally identical to the cold run that computed it,
-            // so normalized streams erase the distinction.
-            JournalEvent::GraphHit { benchmark, build_type, threads, rep } => {
-                *self = JournalEvent::GraphMiss {
-                    benchmark: std::mem::take(benchmark),
-                    build_type: std::mem::take(build_type),
-                    threads: *threads,
-                    rep: *rep,
-                };
-            }
-            // Serve-side nondeterminism: tenant identity, the daemon's
-            // submission counter, queue depth/latency and worker ids are
-            // all scheduling history, not run behaviour — two clients
-            // submitting the same work in any order must normalize to the
-            // same event, the same way StoreWrite's seq is zeroed.
-            JournalEvent::ServeSubmit { tenant, submission, .. } => {
-                tenant.clear();
-                *submission = 0;
-            }
-            JournalEvent::ServeEnqueue { submission, depth, .. } => {
-                *submission = 0;
-                *depth = 0;
-            }
-            JournalEvent::ServeDispatch { submission, worker, wait_ns } => {
-                *submission = 0;
-                *worker = 0;
-                *wait_ns = 0;
-            }
-            // Cache accounting is cache state, not behaviour (a warm
-            // serve is observationally identical to the cold run that
-            // populated it), mirroring the GraphHit→GraphMiss rewrite.
-            JournalEvent::ServeStream {
-                tenant,
-                submission,
-                events,
-                graph_hits,
-                graph_misses,
-                store_hit,
-            } => {
-                tenant.clear();
-                *submission = 0;
-                *events = 0;
-                *graph_hits = 0;
-                *graph_misses = 0;
-                *store_hit = false;
-            }
-            JournalEvent::ServeEvict { submission, .. } => *submission = 0,
-            _ => {}
+        self.reset_volatile();
+        // Hit-vs-miss is artifact-cache state, not run behaviour: a warm
+        // run that serves a unit from the graph is observationally
+        // identical to the cold run that computed it, so normalized
+        // streams erase the distinction.
+        if let JournalEvent::GraphHit { benchmark, build_type, threads, rep } = self {
+            *self = JournalEvent::GraphMiss {
+                benchmark: std::mem::take(benchmark),
+                build_type: std::mem::take(build_type),
+                threads: *threads,
+                rep: *rep,
+            };
         }
-    }
-
-    /// Serializes the event as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonLine::new(self.kind());
-        match self {
-            JournalEvent::ExperimentStart { name, jobs, seed, version } => {
-                w.str("name", name)
-                    .num("jobs", *jobs as i64)
-                    .num("seed", *seed as i64)
-                    .num("version", *version as i64);
-            }
-            JournalEvent::Build { benchmark, build_type, digest, cache_hit, wall_ns } => {
-                w.str("benchmark", benchmark)
-                    .str("build_type", build_type)
-                    .str("digest", digest)
-                    .bool("cache_hit", *cache_hit)
-                    .num("wall_ns", *wall_ns as i64);
-            }
-            JournalEvent::UnitClaim { benchmark, build_type, threads, rep, worker } => {
-                w.str("benchmark", benchmark)
-                    .str("build_type", build_type)
-                    .num("threads", *threads as i64)
-                    .opt_num("rep", rep.map(|r| r as i64))
-                    .num("worker", *worker as i64);
-            }
-            JournalEvent::VmExec {
-                benchmark,
-                build_type,
-                threads,
-                rep,
-                instructions,
-                cycles,
-                l1_misses,
-                llc_misses,
-                branch_mispredicts,
-                faults,
-                exit,
-            } => {
-                w.str("benchmark", benchmark)
-                    .str("build_type", build_type)
-                    .num("threads", *threads as i64)
-                    .opt_num("rep", rep.map(|r| r as i64))
-                    .num("instructions", *instructions as i64)
-                    .num("cycles", *cycles as i64)
-                    .num("l1_misses", *l1_misses as i64)
-                    .num("llc_misses", *llc_misses as i64)
-                    .num("branch_mispredicts", *branch_mispredicts as i64)
-                    .num("faults", *faults as i64)
-                    .num("exit", *exit);
-            }
-            JournalEvent::RunFault { benchmark, build_type, threads, rep, attempt, error } => {
-                w.str("benchmark", benchmark)
-                    .str("build_type", build_type)
-                    .num("threads", *threads as i64)
-                    .opt_num("rep", rep.map(|r| r as i64))
-                    .num("attempt", *attempt as i64)
-                    .str("error", error);
-            }
-            JournalEvent::UnitOutcome {
-                benchmark,
-                build_type,
-                threads,
-                rep,
-                outcome,
-                attempts,
-                backoff_cycles,
-            } => {
-                w.str("benchmark", benchmark)
-                    .str("build_type", build_type)
-                    .num("threads", *threads as i64)
-                    .opt_num("rep", rep.map(|r| r as i64))
-                    .str("outcome", outcome)
-                    .num("attempts", *attempts as i64)
-                    .num("backoff_cycles", *backoff_cycles as i64);
-            }
-            JournalEvent::QuarantineSkip { benchmark, build_type } => {
-                w.str("benchmark", benchmark).str("build_type", build_type);
-            }
-            JournalEvent::GraphHit { benchmark, build_type, threads, rep }
-            | JournalEvent::GraphMiss { benchmark, build_type, threads, rep } => {
-                w.str("benchmark", benchmark)
-                    .str("build_type", build_type)
-                    .num("threads", *threads as i64)
-                    .opt_num("rep", rep.map(|r| r as i64));
-            }
-            JournalEvent::DecodeCache { decodes, served } => {
-                w.num("decodes", *decodes as i64).num("served", *served as i64);
-            }
-            JournalEvent::StoreWrite { experiment, run_id, seq } => {
-                w.str("experiment", experiment).str("run_id", run_id).num("seq", *seq as i64);
-            }
-            JournalEvent::ServeSubmit { tenant, submission, key } => {
-                w.str("tenant", tenant).num("submission", *submission as i64).str("key", key);
-            }
-            JournalEvent::ServeEnqueue { submission, priority, depth } => {
-                w.num("submission", *submission as i64)
-                    .num("priority", *priority)
-                    .num("depth", *depth as i64);
-            }
-            JournalEvent::ServeDispatch { submission, worker, wait_ns } => {
-                w.num("submission", *submission as i64)
-                    .num("worker", *worker as i64)
-                    .num("wait_ns", *wait_ns as i64);
-            }
-            JournalEvent::ServeStream {
-                tenant,
-                submission,
-                events,
-                graph_hits,
-                graph_misses,
-                store_hit,
-            } => {
-                w.str("tenant", tenant)
-                    .num("submission", *submission as i64)
-                    .num("events", *events as i64)
-                    .num("graph_hits", *graph_hits as i64)
-                    .num("graph_misses", *graph_misses as i64)
-                    .bool("store_hit", *store_hit);
-            }
-            JournalEvent::ServeEvict { submission, reason } => {
-                w.num("submission", *submission as i64).str("reason", reason);
-            }
-            JournalEvent::PhaseEnd { phase, wall_ns } => {
-                w.str("phase", phase).num("wall_ns", *wall_ns as i64);
-            }
-            JournalEvent::ExperimentEnd { rows, failure_records, wall_ns } => {
-                w.num("rows", *rows as i64)
-                    .num("failure_records", *failure_records as i64)
-                    .num("wall_ns", *wall_ns as i64);
-            }
-        }
-        w.finish()
     }
 }
 
@@ -549,130 +439,15 @@ impl std::fmt::Display for ParseIssue {
     }
 }
 
-/// Parses one `journal.jsonl` line back into an event.
-///
-/// # Errors
-///
-/// [`ParseIssue::Malformed`] on broken JSON or missing fields,
-/// [`ParseIssue::UnknownEvent`] on an unrecognized `"event"` value.
-pub fn parse_line(line: &str) -> std::result::Result<JournalEvent, ParseIssue> {
-    let map = parse_flat_object(line)?;
-    let kind = get_str(&map, "event")?;
-    let ev = match kind {
-        "experiment_start" => JournalEvent::ExperimentStart {
-            name: get_str(&map, "name")?.to_string(),
-            jobs: get_u64(&map, "jobs")? as usize,
-            seed: get_u64(&map, "seed")?,
-            version: get_u64(&map, "version")?,
-        },
-        "build" => JournalEvent::Build {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-            digest: get_str(&map, "digest")?.to_string(),
-            cache_hit: get_bool(&map, "cache_hit")?,
-            wall_ns: get_u64(&map, "wall_ns")?,
-        },
-        "unit_claim" => JournalEvent::UnitClaim {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-            threads: get_u64(&map, "threads")? as usize,
-            rep: get_opt_u64(&map, "rep")?.map(|r| r as usize),
-            worker: get_u64(&map, "worker")? as usize,
-        },
-        "vm_exec" => JournalEvent::VmExec {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-            threads: get_u64(&map, "threads")? as usize,
-            rep: get_opt_u64(&map, "rep")?.map(|r| r as usize),
-            instructions: get_u64(&map, "instructions")?,
-            cycles: get_u64(&map, "cycles")?,
-            l1_misses: get_u64(&map, "l1_misses")?,
-            llc_misses: get_u64(&map, "llc_misses")?,
-            branch_mispredicts: get_u64(&map, "branch_mispredicts")?,
-            faults: get_u64(&map, "faults")?,
-            exit: get_i64(&map, "exit")?,
-        },
-        "run_fault" => JournalEvent::RunFault {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-            threads: get_u64(&map, "threads")? as usize,
-            rep: get_opt_u64(&map, "rep")?.map(|r| r as usize),
-            attempt: get_u64(&map, "attempt")?,
-            error: get_str(&map, "error")?.to_string(),
-        },
-        "unit_outcome" => JournalEvent::UnitOutcome {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-            threads: get_u64(&map, "threads")? as usize,
-            rep: get_opt_u64(&map, "rep")?.map(|r| r as usize),
-            outcome: get_str(&map, "outcome")?.to_string(),
-            attempts: get_u64(&map, "attempts")? as usize,
-            backoff_cycles: get_u64(&map, "backoff_cycles")?,
-        },
-        "quarantine_skip" => JournalEvent::QuarantineSkip {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-        },
-        "graph_hit" => JournalEvent::GraphHit {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-            threads: get_u64(&map, "threads")? as usize,
-            rep: get_opt_u64(&map, "rep")?.map(|r| r as usize),
-        },
-        "graph_miss" => JournalEvent::GraphMiss {
-            benchmark: get_str(&map, "benchmark")?.to_string(),
-            build_type: get_str(&map, "build_type")?.to_string(),
-            threads: get_u64(&map, "threads")? as usize,
-            rep: get_opt_u64(&map, "rep")?.map(|r| r as usize),
-        },
-        "decode_cache" => JournalEvent::DecodeCache {
-            decodes: get_u64(&map, "decodes")? as usize,
-            served: get_u64(&map, "served")? as usize,
-        },
-        "store_write" => JournalEvent::StoreWrite {
-            experiment: get_str(&map, "experiment")?.to_string(),
-            run_id: get_str(&map, "run_id")?.to_string(),
-            seq: get_u64(&map, "seq")?,
-        },
-        "serve_submit" => JournalEvent::ServeSubmit {
-            tenant: get_str(&map, "tenant")?.to_string(),
-            submission: get_u64(&map, "submission")?,
-            key: get_str(&map, "key")?.to_string(),
-        },
-        "serve_enqueue" => JournalEvent::ServeEnqueue {
-            submission: get_u64(&map, "submission")?,
-            priority: get_i64(&map, "priority")?,
-            depth: get_u64(&map, "depth")? as usize,
-        },
-        "serve_dispatch" => JournalEvent::ServeDispatch {
-            submission: get_u64(&map, "submission")?,
-            worker: get_u64(&map, "worker")? as usize,
-            wait_ns: get_u64(&map, "wait_ns")?,
-        },
-        "serve_stream" => JournalEvent::ServeStream {
-            tenant: get_str(&map, "tenant")?.to_string(),
-            submission: get_u64(&map, "submission")?,
-            events: get_u64(&map, "events")? as usize,
-            graph_hits: get_u64(&map, "graph_hits")? as usize,
-            graph_misses: get_u64(&map, "graph_misses")? as usize,
-            store_hit: get_bool(&map, "store_hit")?,
-        },
-        "serve_evict" => JournalEvent::ServeEvict {
-            submission: get_u64(&map, "submission")?,
-            reason: get_str(&map, "reason")?.to_string(),
-        },
-        "phase_end" => JournalEvent::PhaseEnd {
-            phase: get_str(&map, "phase")?.to_string(),
-            wall_ns: get_u64(&map, "wall_ns")?,
-        },
-        "experiment_end" => JournalEvent::ExperimentEnd {
-            rows: get_u64(&map, "rows")? as usize,
-            failure_records: get_u64(&map, "failure_records")? as usize,
-            wall_ns: get_u64(&map, "wall_ns")?,
-        },
-        other => return Err(ParseIssue::UnknownEvent(other.to_string())),
-    };
-    Ok(ev)
+/// A bad field in a protocol line that shares the journal's flat-JSON
+/// grammar (the serve wire format) is a configuration error naming it.
+impl From<ParseIssue> for FexError {
+    fn from(issue: ParseIssue) -> Self {
+        match issue {
+            ParseIssue::Malformed(m) => FexError::Config(m),
+            other => FexError::Config(other.to_string()),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1148,23 +923,10 @@ impl JsonLine {
         self
     }
 
-    pub(crate) fn num(&mut self, key: &str, val: i64) -> &mut Self {
-        let _ = write!(self.buf, ", {}: {}", json_str(key), val);
-        self
-    }
-
-    pub(crate) fn opt_num(&mut self, key: &str, val: Option<i64>) -> &mut Self {
-        match val {
-            Some(v) => self.num(key, v),
-            None => {
-                let _ = write!(self.buf, ", {}: null", json_str(key));
-                self
-            }
-        }
-    }
-
-    pub(crate) fn bool(&mut self, key: &str, val: bool) -> &mut Self {
-        let _ = write!(self.buf, ", {}: {}", json_str(key), val);
+    /// Appends one typed field.
+    pub(crate) fn field<T: Field>(&mut self, key: &str, val: &T) -> &mut Self {
+        let _ = write!(self.buf, ", {}: ", json_str(key));
+        val.write(&mut self.buf);
         self
     }
 
@@ -1178,7 +940,9 @@ impl JsonLine {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Json {
     Str(String),
-    Int(i64),
+    /// An integer in `i64::MIN..=u64::MAX`, so both signed and unsigned
+    /// 64-bit fields round-trip.
+    Int(i128),
     Bool(bool),
     Null,
 }
@@ -1291,60 +1055,126 @@ fn parse_value(
             while chars.peek().is_some_and(|c| *c == '-' || c.is_ascii_digit()) {
                 num.push(chars.next().expect("peeked"));
             }
-            num.parse::<i64>().map(Json::Int).map_err(|_| malformed(format!("bad number `{num}`")))
+            match num.parse::<i128>() {
+                Ok(n) if (i128::from(i64::MIN)..=i128::from(u64::MAX)).contains(&n) => {
+                    Ok(Json::Int(n))
+                }
+                _ => Err(malformed(format!("bad number `{num}`"))),
+            }
         }
         other => Err(malformed(format!("unexpected value start {other:?}"))),
     }
 }
 
-pub(crate) fn get_str<'m>(
-    map: &'m BTreeMap<String, Json>,
-    key: &str,
-) -> std::result::Result<&'m str, ParseIssue> {
-    match map.get(key) {
-        Some(Json::Str(s)) => Ok(s),
-        Some(_) => Err(malformed(format!("field `{key}` is not a string"))),
-        None => Err(malformed(format!("missing field `{key}`"))),
+/// One field type of the flat-JSON grammar: how a value is written into
+/// a [`JsonLine`] and read back out of a parsed object.
+pub(crate) trait Field: Sized {
+    /// Appends the value's JSON text.
+    fn write(&self, out: &mut String);
+
+    /// Decodes the present value of field `key`.
+    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue>;
+
+    /// The value of an absent field; required fields are malformed.
+    fn absent(key: &str) -> std::result::Result<Self, ParseIssue> {
+        Err(malformed(format!("missing field `{key}`")))
     }
 }
 
-pub(crate) fn get_i64(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-) -> std::result::Result<i64, ParseIssue> {
-    match map.get(key) {
-        Some(Json::Int(n)) => Ok(*n),
-        Some(_) => Err(malformed(format!("field `{key}` is not a number"))),
-        None => Err(malformed(format!("missing field `{key}`"))),
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json_str(self));
     }
-}
 
-pub(crate) fn get_u64(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-) -> std::result::Result<u64, ParseIssue> {
-    let n = get_i64(map, key)?;
-    u64::try_from(n).map_err(|_| malformed(format!("field `{key}` is negative")))
-}
-
-fn get_opt_u64(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-) -> std::result::Result<Option<u64>, ParseIssue> {
-    match map.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(Json::Int(n)) => {
-            u64::try_from(*n).map(Some).map_err(|_| malformed(format!("field `{key}` is negative")))
+    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
+        match value {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(malformed(format!("field `{key}` is not a string"))),
         }
-        Some(_) => Err(malformed(format!("field `{key}` is not a number or null"))),
     }
 }
 
-fn get_bool(map: &BTreeMap<String, Json>, key: &str) -> std::result::Result<bool, ParseIssue> {
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
+        match value {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(malformed(format!("field `{key}` is not a bool"))),
+        }
+    }
+}
+
+/// Reads an integer field, narrowing it to `T`.
+fn read_int<T: TryFrom<i128>>(value: &Json, key: &str) -> std::result::Result<T, ParseIssue> {
+    match value {
+        Json::Int(n) => T::try_from(*n).map_err(|_| {
+            let why = if *n < 0 { "negative" } else { "out of range" };
+            malformed(format!("field `{key}` is {why}"))
+        }),
+        _ => Err(malformed(format!("field `{key}` is not a number"))),
+    }
+}
+
+macro_rules! int_field {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
+                read_int(value, key)
+            }
+        }
+    )*};
+}
+
+int_field!(u64, u32, usize, i64);
+
+/// `null` or absent reads as `None`.
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
+        match value {
+            Json::Null => Ok(None),
+            v => T::read(v, key).map(Some),
+        }
+    }
+
+    fn absent(_key: &str) -> std::result::Result<Self, ParseIssue> {
+        Ok(None)
+    }
+}
+
+/// Reads field `key` of a parsed flat object.
+pub(crate) fn get<T: Field>(
+    map: &BTreeMap<String, Json>,
+    key: &str,
+) -> std::result::Result<T, ParseIssue> {
     match map.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(malformed(format!("field `{key}` is not a bool"))),
-        None => Err(malformed(format!("missing field `{key}`"))),
+        Some(v) => T::read(v, key),
+        None => T::absent(key),
+    }
+}
+
+/// Reads an optional field: absent or `null` yields `default`.
+pub(crate) fn get_or<T: Field>(
+    map: &BTreeMap<String, Json>,
+    key: &str,
+    default: T,
+) -> std::result::Result<T, ParseIssue> {
+    match map.get(key) {
+        None | Some(Json::Null) => Ok(default),
+        Some(v) => T::read(v, key),
     }
 }
 
@@ -1431,7 +1261,13 @@ mod tests {
 
     #[test]
     fn every_event_round_trips_through_json() {
-        for e in sample_events() {
+        let max_seed = JournalEvent::ExperimentStart {
+            name: "micro".into(),
+            jobs: 1,
+            seed: u64::MAX,
+            version: JOURNAL_VERSION,
+        };
+        for e in sample_events().into_iter().chain([max_seed]) {
             let line = e.to_json();
             let back = parse_line(&line).unwrap_or_else(|i| panic!("{i} for {line}"));
             assert_eq!(e, back, "round trip of {line}");
@@ -1476,10 +1312,66 @@ mod tests {
             "{\"event\": \"build\"}",                // missing fields
             "{\"event\": \"phase_end\", \"phase\": \"run\", \"wall_ns\": \"soon\"}", // mistyped
             "{\"event\": \"phase_end\", \"phase\": \"run\", \"wall_ns\": -5}", // negative
+            "{\"event\": \"phase_end\", \"phase\": \"run\", \"wall_ns\": 18446744073709551616}",
         ] {
             match parse_line(bad) {
                 Err(ParseIssue::Malformed(_)) => {}
                 other => panic!("expected Malformed for {bad:?}, got {other:?}"),
+            }
+        }
+    }
+
+    /// Re-emits a parsed flat object without `key`.
+    fn line_without(map: &BTreeMap<String, Json>, key: &str) -> String {
+        let fields: Vec<String> = map
+            .iter()
+            .filter(|(k, _)| k.as_str() != key)
+            .map(|(k, v)| {
+                let v = match v {
+                    Json::Str(s) => json_str(s),
+                    Json::Int(n) => n.to_string(),
+                    Json::Bool(b) => b.to_string(),
+                    Json::Null => "null".into(),
+                };
+                format!("{}: {v}", json_str(k))
+            })
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    #[test]
+    fn every_field_is_required_except_options() {
+        let rest = [
+            JournalEvent::GraphHit {
+                benchmark: "fft".into(),
+                build_type: "gcc_native".into(),
+                threads: 2,
+                rep: Some(1),
+            },
+            JournalEvent::StoreWrite {
+                experiment: "micro".into(),
+                run_id: "fex256:00000000000000000000000000abcdef".into(),
+                seq: 7,
+            },
+        ];
+        let events: Vec<JournalEvent> =
+            sample_events().into_iter().chain(serve_events()).chain(rest).collect();
+        let kinds: std::collections::BTreeSet<&str> = events.iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds.len(), 18, "every event kind is exercised: {kinds:?}");
+        for e in &events {
+            let map = parse_flat_object(&e.to_json()).unwrap();
+            for key in map.keys() {
+                let line = line_without(&map, key);
+                match parse_line(&line) {
+                    // `rep` is the schema's only `Option` field.
+                    Ok(back) if key == "rep" => {
+                        assert!(back.to_json().contains("\"rep\": null"), "{line}");
+                    }
+                    Err(ParseIssue::Malformed(m)) => {
+                        assert!(m.contains(&format!("`{key}`")), "{m} for {line}");
+                    }
+                    other => panic!("dropping `{key}` from {line} gave {other:?}"),
+                }
             }
         }
     }

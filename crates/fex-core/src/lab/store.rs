@@ -64,25 +64,24 @@ pub struct IndexEntry {
 impl IndexEntry {
     pub(crate) fn to_json(&self) -> String {
         let mut w = JsonLine::object("run_id", &self.run_id);
-        w.num("seq", self.seq as i64)
+        w.field("seq", &self.seq)
             .str("experiment", &self.experiment)
             .str("key", &self.key)
-            .num("rows", self.rows as i64)
-            .num("failures", self.failures as i64);
+            .field("rows", &self.rows)
+            .field("failures", &self.failures);
         w.finish()
     }
 
     pub(crate) fn parse(line: &str) -> Result<IndexEntry> {
         let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt store index: {i}"));
         let map = journal::parse_flat_object(line).map_err(bad)?;
-        let get = |k| journal::get_str(&map, k).map(str::to_string).map_err(bad);
         Ok(IndexEntry {
-            seq: journal::get_u64(&map, "seq").map_err(bad)?,
-            run_id: get("run_id")?,
-            experiment: get("experiment")?,
-            key: get("key")?,
-            rows: journal::get_u64(&map, "rows").map_err(bad)? as usize,
-            failures: journal::get_u64(&map, "failures").map_err(bad)? as usize,
+            seq: journal::get(&map, "seq").map_err(bad)?,
+            run_id: journal::get(&map, "run_id").map_err(bad)?,
+            experiment: journal::get(&map, "experiment").map_err(bad)?,
+            key: journal::get(&map, "key").map_err(bad)?,
+            rows: journal::get(&map, "rows").map_err(bad)?,
+            failures: journal::get(&map, "failures").map_err(bad)?,
         })
     }
 }
@@ -174,22 +173,14 @@ impl RunStore {
         }
         let mut record = JsonLine::object("run_id", &run_id);
         record
-            .num("seq", entry.seq as i64)
+            .field("seq", &entry.seq)
             .str("experiment", &entry.experiment)
             .str("key", &entry.key)
-            .num("rows", entry.rows as i64)
-            .num("failures", entry.failures as i64)
+            .field("rows", &entry.rows)
+            .field("failures", &entry.failures)
             .str("journal_digest", art.journal_digest.unwrap_or(""));
         fs::write(dir.join("record.json"), record.finish() + "\n").map_err(io)?;
-        let mut index = fs::read_to_string(self.index_path()).unwrap_or_default();
-        if !index.is_empty() && !index.ends_with('\n') {
-            // A previous append was torn mid-line (crash); seal the torn
-            // fragment onto its own line so the new entry stays parseable.
-            index.push('\n');
-        }
-        index.push_str(&entry.to_json());
-        index.push('\n');
-        fs::write(self.index_path(), index).map_err(io)?;
+        super::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
         Ok(entry)
     }
 
@@ -211,21 +202,7 @@ impl RunStore {
     /// the journal reader. A store whose last append was torn by a crash
     /// stays listable, resolvable and appendable.
     pub fn scan(&self) -> (Vec<IndexEntry>, Vec<String>) {
-        let Ok(text) = fs::read_to_string(self.index_path()) else {
-            return (Vec::new(), Vec::new());
-        };
-        let mut entries = Vec::new();
-        let mut warnings = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match IndexEntry::parse(line) {
-                Ok(e) => entries.push(e),
-                Err(e) => warnings.push(format!("skipping index line {}: {e}", i + 1)),
-            }
-        }
-        (entries, warnings)
+        super::scan_index(&self.index_path(), "index", IndexEntry::parse)
     }
 
     /// Resolves a selector to an index entry: `latest` (newest entry),
@@ -361,14 +338,14 @@ impl RunStore {
         for e in entries {
             let score = crate::diag::repro_score(self, e);
             let mut w = JsonLine::object("run_id", &e.run_id);
-            w.num("seq", e.seq as i64)
+            w.field("seq", &e.seq)
                 .str("experiment", &e.experiment)
                 .str("key", &e.key)
-                .num("rows", e.rows as i64)
-                .num("failures", e.failures as i64)
-                .num("repro", score.total() as i64)
-                .num("readiness", score.readiness as i64)
-                .num("outcome", score.outcome as i64);
+                .field("rows", &e.rows)
+                .field("failures", &e.failures)
+                .field("repro", &score.total())
+                .field("readiness", &score.readiness)
+                .field("outcome", &score.outcome);
             s.push_str(&w.finish());
             s.push('\n');
         }

@@ -186,20 +186,20 @@ impl Submission {
             .str("benchmark", self.benchmark.as_deref().unwrap_or(""))
             .str("types", &self.build_types.join(","))
             .str("threads", &join_nums(&self.threads))
-            .num("reps", self.reps as i64)
-            .num("max_reps", self.max_reps as i64)
-            .num("precision_permille", self.precision_permille as i64)
-            .num("seed", self.seed as i64)
-            .num("jobs", self.jobs as i64)
-            .num("budget", self.budget as i64)
+            .field("reps", &self.reps)
+            .field("max_reps", &self.max_reps)
+            .field("precision_permille", &self.precision_permille)
+            .field("seed", &self.seed)
+            .field("jobs", &self.jobs)
+            .field("budget", &self.budget)
             .str("input", &self.input)
             .str("tool", &self.tool)
-            .num("priority", self.priority)
-            .bool("stream", self.stream)
-            .num("fleet", self.fleet as i64)
+            .field("priority", &self.priority)
+            .field("stream", &self.stream)
+            .field("fleet", &self.fleet)
             .str("fleet_kill", &self.fleet_kill.join(","))
-            .num("fleet_mtbf", self.fleet_mtbf as i64)
-            .num("fleet_seed", self.fleet_seed as i64);
+            .field("fleet_mtbf", &self.fleet_mtbf)
+            .field("fleet_seed", &self.fleet_seed);
         for (name, source) in &self.programs {
             w.str(&format!("program.{name}"), source);
         }
@@ -210,47 +210,42 @@ impl Submission {
     /// names the offending field — the message is relayed verbatim in
     /// the daemon's `error` reply.
     pub(crate) fn parse(map: &BTreeMap<String, Json>) -> Result<Submission> {
-        let mut sub = Submission::new(req_str(map, "tenant")?, req_str(map, "suite")?);
+        let mut sub = Submission::new(
+            journal::get::<String>(map, "tenant")?,
+            journal::get::<String>(map, "suite")?,
+        );
         if sub.tenant.is_empty() {
             return Err(FexError::Config("submission needs a non-empty tenant".into()));
         }
-        if let Some(b) = opt_str(map, "benchmark")? {
-            if !b.is_empty() {
-                sub.benchmark = Some(b);
-            }
+        let non_empty = |key| -> Result<Option<String>> {
+            Ok(journal::get::<Option<String>>(map, key)?.filter(|s| !s.is_empty()))
+        };
+        if let Some(b) = non_empty("benchmark")? {
+            sub.benchmark = Some(b);
         }
-        if let Some(t) = opt_str(map, "types")? {
-            if !t.is_empty() {
-                sub.build_types = t.split(',').map(str::to_string).collect();
-            }
+        if let Some(t) = non_empty("types")? {
+            sub.build_types = t.split(',').map(str::to_string).collect();
         }
-        if let Some(t) = opt_str(map, "threads")? {
-            if !t.is_empty() {
-                sub.threads = split_nums(&t, "threads")?;
-            }
+        if let Some(t) = non_empty("threads")? {
+            sub.threads = split_nums(&t, "threads")?;
         }
-        sub.reps = opt_u64(map, "reps", sub.reps as u64)? as usize;
-        sub.max_reps = opt_u64(map, "max_reps", sub.max_reps as u64)? as usize;
-        sub.precision_permille = opt_u64(map, "precision_permille", 0)?;
-        sub.seed = opt_u64(map, "seed", sub.seed)?;
-        sub.jobs = opt_u64(map, "jobs", 0)? as usize;
-        sub.budget = opt_u64(map, "budget", 0)?;
-        if let Some(i) = opt_str(map, "input")? {
-            sub.input = i;
+        sub.reps = journal::get_or(map, "reps", sub.reps)?;
+        sub.max_reps = journal::get_or(map, "max_reps", sub.max_reps)?;
+        sub.precision_permille =
+            journal::get_or(map, "precision_permille", sub.precision_permille)?;
+        sub.seed = journal::get_or(map, "seed", sub.seed)?;
+        sub.jobs = journal::get_or(map, "jobs", sub.jobs)?;
+        sub.budget = journal::get_or(map, "budget", sub.budget)?;
+        sub.input = journal::get_or(map, "input", sub.input)?;
+        sub.tool = journal::get_or(map, "tool", sub.tool)?;
+        sub.priority = journal::get_or(map, "priority", sub.priority)?;
+        sub.stream = journal::get_or(map, "stream", sub.stream)?;
+        sub.fleet = journal::get_or(map, "fleet", sub.fleet)?;
+        if let Some(k) = non_empty("fleet_kill")? {
+            sub.fleet_kill = k.split(',').map(str::to_string).collect();
         }
-        if let Some(t) = opt_str(map, "tool")? {
-            sub.tool = t;
-        }
-        sub.priority = opt_i64(map, "priority", 0)?;
-        sub.stream = opt_bool(map, "stream", true)?;
-        sub.fleet = opt_u64(map, "fleet", 0)? as usize;
-        if let Some(k) = opt_str(map, "fleet_kill")? {
-            if !k.is_empty() {
-                sub.fleet_kill = k.split(',').map(str::to_string).collect();
-            }
-        }
-        sub.fleet_mtbf = opt_u64(map, "fleet_mtbf", 0)?;
-        sub.fleet_seed = opt_u64(map, "fleet_seed", 0)?;
+        sub.fleet_mtbf = journal::get_or(map, "fleet_mtbf", sub.fleet_mtbf)?;
+        sub.fleet_seed = journal::get_or(map, "fleet_seed", sub.fleet_seed)?;
         for (k, v) in map {
             if let Some(name) = k.strip_prefix("program.") {
                 match v {
@@ -906,7 +901,7 @@ fn handle_connection(stream: UnixStream, inner: &Arc<Inner>) {
 fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Result<bool> {
     let map = journal::parse_flat_object(line)
         .map_err(|e| FexError::Config(format!("malformed submission: {e}")))?;
-    let op = req_str(&map, "op")?;
+    let op: String = journal::get(&map, "op")?;
     match op.as_str() {
         "submit" => {
             let sub = Submission::parse(&map)?;
@@ -950,7 +945,7 @@ fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Re
             let mut accepted = JsonLine::object("reply", "accepted");
             accepted
                 .str("tenant", &sub.tenant)
-                .num("submission", submission as i64)
+                .field("submission", &submission)
                 .str("key", &sub.key());
             write_line(writer, &accepted.finish())?;
             match rx.recv() {
@@ -958,7 +953,7 @@ fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Re
                     if sub.stream {
                         for jline in &executed.journal_lines {
                             let mut ev = JsonLine::object("reply", "event");
-                            ev.num("submission", submission as i64).str("line", jline);
+                            ev.field("submission", &submission).str("line", jline);
                             write_line(writer, &ev.finish())?;
                         }
                     }
@@ -976,19 +971,19 @@ fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Re
         "stats" => {
             let depth = inner.queue.lock().expect("queue lock").entries.len();
             let mut w = JsonLine::object("reply", "stats");
-            w.num("submissions", inner.next_submission.load(Ordering::SeqCst) as i64)
-                .num("completed", inner.completed.load(Ordering::SeqCst) as i64)
-                .num("store_hits", inner.store_hits.load(Ordering::SeqCst) as i64)
-                .num("evictions", inner.evictions.load(Ordering::SeqCst) as i64)
-                .num("depth", depth as i64)
-                .num("tenants", inner.tenants.lock().expect("tenants lock").len() as i64);
+            w.field("submissions", &inner.next_submission.load(Ordering::SeqCst))
+                .field("completed", &inner.completed.load(Ordering::SeqCst))
+                .field("store_hits", &inner.store_hits.load(Ordering::SeqCst))
+                .field("evictions", &inner.evictions.load(Ordering::SeqCst))
+                .field("depth", &depth)
+                .field("tenants", &inner.tenants.lock().expect("tenants lock").len());
             write_line(writer, &w.finish())?;
             Ok(true)
         }
         "shutdown" => {
             inner.begin_drain();
             let mut w = JsonLine::object("reply", "shutdown");
-            w.bool("draining", true);
+            w.field("draining", &true);
             write_line(writer, &w.finish())?;
             Ok(false)
         }
@@ -998,14 +993,14 @@ fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Re
 
 fn result_reply(submission: u64, wait_ns: u64, executed: &Executed) -> String {
     let mut w = JsonLine::object("reply", "result");
-    w.num("submission", submission as i64)
-        .num("wait_ns", wait_ns as i64)
-        .bool("store_hit", executed.store_hit)
-        .num("graph_hits", executed.graph_hits as i64)
-        .num("graph_misses", executed.graph_misses as i64)
+    w.field("submission", &submission)
+        .field("wait_ns", &wait_ns)
+        .field("store_hit", &executed.store_hit)
+        .field("graph_hits", &executed.graph_hits)
+        .field("graph_misses", &executed.graph_misses)
         .str("run_id", &executed.run_id)
-        .num("rows", executed.rows as i64)
-        .num("failures", executed.failures as i64)
+        .field("rows", &executed.rows)
+        .field("failures", &executed.failures)
         .str("results_csv", &executed.results_csv)
         .str("failures_csv", &executed.failures_csv);
     w.finish()
@@ -1013,7 +1008,7 @@ fn result_reply(submission: u64, wait_ns: u64, executed: &Executed) -> String {
 
 fn error_reply(submission: u64, message: &str) -> String {
     let mut w = JsonLine::object("reply", "error");
-    w.num("submission", submission as i64).str("message", message);
+    w.field("submission", &submission).str("message", message);
     w.finish()
 }
 
@@ -1048,26 +1043,26 @@ pub fn submit(socket: &Path, sub: &Submission) -> Result<ServeOutcome> {
         let line = line.map_err(|e| FexError::Data(format!("serve connection read: {e}")))?;
         let map = journal::parse_flat_object(&line)
             .map_err(|e| FexError::Data(format!("bad reply `{line}`: {e}")))?;
-        match req_str(&map, "reply")?.as_str() {
-            "accepted" => submission = opt_u64(&map, "submission", 0)?,
-            "event" => events.push(req_str(&map, "line")?),
+        match journal::get::<String>(&map, "reply")?.as_str() {
+            "accepted" => submission = journal::get_or(&map, "submission", 0)?,
+            "event" => events.push(journal::get(&map, "line")?),
             "result" => {
                 return Ok(ServeOutcome {
-                    submission: opt_u64(&map, "submission", submission)?,
-                    wait_ns: opt_u64(&map, "wait_ns", 0)?,
-                    store_hit: opt_bool(&map, "store_hit", false)?,
-                    graph_hits: opt_u64(&map, "graph_hits", 0)? as usize,
-                    graph_misses: opt_u64(&map, "graph_misses", 0)? as usize,
-                    run_id: opt_str(&map, "run_id")?.unwrap_or_default(),
-                    rows: opt_u64(&map, "rows", 0)? as usize,
-                    failures: opt_u64(&map, "failures", 0)? as usize,
-                    results_csv: opt_str(&map, "results_csv")?.unwrap_or_default(),
-                    failures_csv: opt_str(&map, "failures_csv")?.unwrap_or_default(),
+                    submission: journal::get_or(&map, "submission", submission)?,
+                    wait_ns: journal::get_or(&map, "wait_ns", 0)?,
+                    store_hit: journal::get_or(&map, "store_hit", false)?,
+                    graph_hits: journal::get_or(&map, "graph_hits", 0)?,
+                    graph_misses: journal::get_or(&map, "graph_misses", 0)?,
+                    run_id: journal::get_or(&map, "run_id", String::new())?,
+                    rows: journal::get_or(&map, "rows", 0)?,
+                    failures: journal::get_or(&map, "failures", 0)?,
+                    results_csv: journal::get_or(&map, "results_csv", String::new())?,
+                    failures_csv: journal::get_or(&map, "failures_csv", String::new())?,
                     events,
                 });
             }
             "error" => {
-                let message = opt_str(&map, "message")?.unwrap_or_default();
+                let message: String = journal::get_or(&map, "message", String::new())?;
                 return Err(FexError::Data(format!("serve rejected submission: {message}")));
             }
             other => return Err(FexError::Data(format!("unexpected reply `{other}`"))),
@@ -1088,48 +1083,6 @@ pub fn shutdown(socket: &Path) -> Result<()> {
     let mut reply = String::new();
     let _ = BufReader::new(stream).read_line(&mut reply);
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Flat-JSON field helpers over the journal's parser
-// ---------------------------------------------------------------------
-
-fn req_str(map: &BTreeMap<String, Json>, key: &str) -> Result<String> {
-    journal::get_str(map, key).map(str::to_string).map_err(|e| FexError::Config(e.to_string()))
-}
-
-fn opt_str(map: &BTreeMap<String, Json>, key: &str) -> Result<Option<String>> {
-    match map.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(FexError::Config(format!("field `{key}` is not a string"))),
-    }
-}
-
-fn opt_u64(map: &BTreeMap<String, Json>, key: &str, default: u64) -> Result<u64> {
-    match map.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Int(n)) => {
-            u64::try_from(*n).map_err(|_| FexError::Config(format!("field `{key}` is negative")))
-        }
-        Some(_) => Err(FexError::Config(format!("field `{key}` is not a number"))),
-    }
-}
-
-fn opt_i64(map: &BTreeMap<String, Json>, key: &str, default: i64) -> Result<i64> {
-    match map.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Int(n)) => Ok(*n),
-        Some(_) => Err(FexError::Config(format!("field `{key}` is not a number"))),
-    }
-}
-
-fn opt_bool(map: &BTreeMap<String, Json>, key: &str, default: bool) -> Result<bool> {
-    match map.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(FexError::Config(format!("field `{key}` is not a bool"))),
-    }
 }
 
 fn join_nums(nums: &[usize]) -> String {
@@ -1171,7 +1124,7 @@ mod tests {
         sub.threads = vec![1, 2];
         sub.reps = 3;
         sub.precision_permille = 150;
-        sub.seed = 7;
+        sub.seed = 1 << 63;
         sub.jobs = 2;
         sub.budget = 4_000_000;
         sub.priority = 9;
@@ -1179,9 +1132,9 @@ mod tests {
         sub.fleet = 3;
         sub.fleet_kill = vec!["node1".into()];
         sub.fleet_mtbf = 50;
-        sub.fleet_seed = 11;
+        sub.fleet_seed = u64::MAX;
         let map = journal::parse_flat_object(&sub.to_json()).unwrap();
-        assert_eq!(req_str(&map, "op").unwrap(), "submit");
+        assert_eq!(journal::get::<String>(&map, "op").unwrap(), "submit");
         let back = Submission::parse(&map).unwrap();
         assert_eq!(back, sub);
     }

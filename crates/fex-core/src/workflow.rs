@@ -326,7 +326,7 @@ impl Fex {
             let run_id = crate::lab::RunStore::run_id(config, &art);
             if let Some(key) = crate::graph::parse_digest(&run_id) {
                 let mut w = crate::journal::JsonLine::object("node", "aggregate");
-                w.str("experiment", &config.name).num("rows", frame.len() as i64);
+                w.str("experiment", &config.name).field("rows", &frame.len());
                 g.store_node(crate::graph::NodeKind::Aggregate, &key, &w.finish())?;
             }
         }
