@@ -660,6 +660,43 @@ mod tests {
     }
 
     #[test]
+    fn a_non_utf8_byte_costs_only_its_own_line() {
+        let lab = temp_lab("non-utf8");
+        let mut g = ArtifactGraph::open(&lab).unwrap();
+        let keys: Vec<Digest> = (1..=3).map(Digest).collect();
+        for key in &keys {
+            g.store_run(key, &sample_run()).unwrap();
+        }
+
+        // One bad byte inside the first line.
+        let index_path = g.index_path();
+        let mut index = fs::read(&index_path).unwrap();
+        index[5] = 0xFF;
+        fs::write(&index_path, &index).unwrap();
+
+        let mut g2 = ArtifactGraph::open(&lab).unwrap();
+        assert_eq!(g2.warnings().len(), 1, "{:?}", g2.warnings());
+        assert!(g2.warnings()[0].starts_with("skipping graph index line 1: invalid utf-8"));
+        assert!(g2.lookup_run(&keys[0]).is_none(), "the damaged line is a miss");
+        assert!(g2.lookup_run(&keys[1]).is_some(), "later lines survive the scan");
+        assert!(g2.lookup_run(&keys[2]).is_some());
+
+        // The next append leaves every earlier byte where it was.
+        g2.store_run(&Digest(4), &sample_run()).unwrap();
+        let after = fs::read(&index_path).unwrap();
+        assert_eq!(&after[..index.len()], &index[..]);
+        let (entries, warnings) = ArtifactGraph::scan_at(g2.root());
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        let mut g3 = ArtifactGraph::open(&lab).unwrap();
+        for key in keys[1..].iter().chain([&Digest(4)]) {
+            assert!(g3.lookup_run(key).is_some());
+        }
+        let _ = fs::remove_dir_all(&lab);
+    }
+
+    #[test]
     fn seq_is_monotonic_across_reopens() {
         let lab = temp_lab("seq");
         let mut g = ArtifactGraph::open(&lab).unwrap();

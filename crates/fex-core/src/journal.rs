@@ -280,7 +280,8 @@ journal_schema! {
         DecodeCache = "decode_cache" {
             /// Decode passes performed.
             decodes: usize,
-            /// Run-unit executions served a pre-decoded program.
+            /// Run units served a pre-decoded program (their `vm_exec`
+            /// events, execution twins included).
             served: usize,
         },
         /// The completed experiment was archived into the result store.
@@ -573,7 +574,7 @@ pub struct Metrics {
     pub build_cache_hits: usize,
     /// Decode passes performed.
     pub decodes: usize,
-    /// Executions served a pre-decoded program.
+    /// Run units served a pre-decoded program.
     pub decode_served: usize,
     /// Run units served a cached result by the artifact graph.
     pub graph_hits: usize,

@@ -29,29 +29,34 @@ pub use fsck::{Corruption, FsckIssue, FsckReport, GraphCorruption, IssueKind};
 pub use store::{IndexEntry, RunArtifacts, RunStore};
 
 use std::fs;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::error::Result;
 
 /// Reads an append-only flat-JSON index (the run store's or the artifact
 /// graph's) with per-line fault isolation: every line `parse` accepts,
-/// plus one `skipping <what> line N: …` warning per line it rejects.
-/// Blank lines are skipped silently and a missing file reads as empty.
+/// plus one `skipping <what> line N: …` warning per line it rejects or
+/// that is not UTF-8. Blank lines are skipped silently and a missing file
+/// reads as empty.
 pub(crate) fn scan_index<T>(
     path: &Path,
     what: &str,
     parse: impl Fn(&str) -> Result<T>,
 ) -> (Vec<T>, Vec<String>) {
-    let Ok(text) = fs::read_to_string(path) else {
+    let Ok(bytes) = fs::read(path) else {
         return (Vec::new(), Vec::new());
     };
     let mut entries = Vec::new();
     let mut warnings = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse(line) {
+    for (i, raw) in bytes.split(|&b| b == b'\n').enumerate() {
+        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+        let parsed = match std::str::from_utf8(raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse(line).map_err(|e| e.to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        match parsed {
             Ok(e) => entries.push(e),
             Err(e) => warnings.push(format!("skipping {what} line {}: {e}", i + 1)),
         }
@@ -59,15 +64,22 @@ pub(crate) fn scan_index<T>(
     (entries, warnings)
 }
 
-/// Appends one line to an append-only index file.
+/// Appends one line to an append-only index file with a single
+/// `O_APPEND` write. Only the file's last byte is read: when a previous
+/// append was torn mid-line (crash), a newline seals the torn fragment
+/// onto its own line so the new entry stays parseable.
 pub(crate) fn append_index_line(path: &Path, line: &str) -> std::io::Result<()> {
-    let mut index = fs::read_to_string(path).unwrap_or_default();
-    if !index.is_empty() && !index.ends_with('\n') {
-        // A previous append was torn mid-line (crash); seal the torn
-        // fragment onto its own line so the new entry stays parseable.
-        index.push('\n');
+    let mut file = fs::OpenOptions::new().read(true).append(true).create(true).open(path)?;
+    let mut record = String::with_capacity(line.len() + 2);
+    if file.metadata()?.len() > 0 {
+        let mut last = [0u8; 1];
+        file.seek(SeekFrom::End(-1))?;
+        file.read_exact(&mut last)?;
+        if last[0] != b'\n' {
+            record.push('\n');
+        }
     }
-    index.push_str(line);
-    index.push('\n');
-    fs::write(path, index)
+    record.push_str(line);
+    record.push('\n');
+    file.write_all(record.as_bytes())
 }

@@ -502,6 +502,35 @@ mod tests {
     }
 
     #[test]
+    fn a_non_utf8_byte_costs_only_its_own_line() {
+        let store = temp_store("non-utf8");
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        let a = store.save(&cfg, &art("h\n1\n")).unwrap();
+        store.save(&cfg.clone().seed(43), &art("h\n2\n")).unwrap();
+        let c = store.save(&cfg.clone().seed(44), &art("h\n3\n")).unwrap();
+
+        // One bad byte inside the middle line.
+        let mut index = fs::read(store.index_path()).unwrap();
+        let first_len = index.iter().position(|&x| x == b'\n').unwrap() + 1;
+        index[first_len + 5] = 0xFF;
+        fs::write(store.index_path(), &index).unwrap();
+
+        let (entries, warnings) = store.scan();
+        assert_eq!(entries, vec![a.clone(), c.clone()], "the other lines survive the scan");
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].starts_with("skipping index line 2: invalid utf-8"), "{warnings:?}");
+
+        // The next append leaves every earlier byte, the bad one included,
+        // where it was.
+        let d = store.save(&cfg.clone().seed(45), &art("h\n4\n")).unwrap();
+        assert_eq!(d.seq, c.seq + 1, "seq continues past the surviving lines");
+        let after = fs::read(store.index_path()).unwrap();
+        assert_eq!(&after[..index.len()], &index[..]);
+        assert_eq!(store.list().unwrap(), vec![a, c, d]);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
     fn missing_artifact_error_names_the_run() {
         let store = temp_store("missing-artifact");
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);

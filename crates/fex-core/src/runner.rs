@@ -9,7 +9,7 @@
 //! [`ServerRunner`] and [`SecurityRunner`] replace the loop wholesale for
 //! the throughput-latency and RIPE experiments.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use fex_cc::BuildOptions;
@@ -244,15 +244,15 @@ fn graph_event(
     }
 }
 
-/// The outcome a graph hit synthesizes in place of worker execution: a
-/// clean single-attempt log carrying the cached result, with the event
-/// triple (hit, claim, execution) the worker would have emitted. Only
-/// clean first-attempt results are ever stored, so the synthesized log
-/// is exactly what executing the unit would have produced.
+/// The outcome a unit served without executing it synthesizes — by the
+/// artifact graph or by its execution twin: a clean single-attempt log
+/// carrying the result, with the event pair (claim, execution) the worker
+/// would have emitted. Only clean first-attempt results are ever served,
+/// so the synthesized log is exactly what executing the unit would have
+/// produced.
 fn served_outcome(unit: &RunUnit, run: RunResult, journal: bool) -> UnitOutcome {
     let mut events = Vec::new();
     if journal {
-        events.push(graph_event(true, &unit.bench, &unit.ty, unit.threads, unit.rep));
         events.push(JournalEvent::UnitClaim {
             benchmark: unit.bench.clone(),
             build_type: unit.ty.clone(),
@@ -262,11 +262,18 @@ fn served_outcome(unit: &RunUnit, run: RunResult, journal: bool) -> UnitOutcome 
         });
         events.push(JournalEvent::vm_exec(&unit.bench, &unit.ty, unit.threads, unit.rep, &run));
     }
-    UnitOutcome {
-        log: AttemptLog { attempts: 1, backoff_cycles: 0, errors: Vec::new(), result: Ok(()) },
-        result: Some(run),
-        events,
-    }
+    UnitOutcome { log: clean_log(), result: Some(run), events }
+}
+
+/// The retry trail of a unit that settled on one clean attempt.
+fn clean_log() -> AttemptLog {
+    AttemptLog { attempts: 1, backoff_cycles: 0, errors: Vec::new(), result: Ok(()) }
+}
+
+/// Whether a unit settled on its first attempt without an error: the only
+/// results the graph stores and execution twins share.
+fn clean_first_attempt(outcome: &UnitOutcome) -> bool {
+    outcome.log.attempts == 1 && outcome.log.errors.is_empty() && outcome.result.is_some()
 }
 
 /// The paper's `Runner` class: hooks plus the default experiment loop.
@@ -422,6 +429,14 @@ pub struct SuiteRunner {
     collector: Collector,
     artifacts: HashMap<(String, String), Arc<Artifact>>,
     input_override: Option<InputSize>,
+    /// This experiment's clean first-attempt results by execution key
+    /// (see [`SuiteRunner::unit_exec_key`]): a unit whose key is here is
+    /// served that result instead of running the VM again.
+    twin_runs: HashMap<Digest, RunResult>,
+    /// Run units with work this experiment, and how many of them ran the
+    /// VM rather than being served by the graph or by a twin.
+    run_units: usize,
+    vm_executions: usize,
 }
 
 impl SuiteRunner {
@@ -432,6 +447,9 @@ impl SuiteRunner {
             collector: Collector::new(config.tool),
             artifacts: HashMap::new(),
             input_override: None,
+            twin_runs: HashMap::new(),
+            run_units: 0,
+            vm_executions: 0,
         }
     }
 
@@ -488,22 +506,45 @@ impl SuiteRunner {
                 worker: 0,
             });
         }
+        // A graph miss whose execution twin already ran clean in this
+        // experiment is served that result. Like the graph, twins serve
+        // first attempts only.
+        let exec_key = if cached.is_none() && ctx.attempt == 0 {
+            self.unit_exec_key(ctx.config, ty, bench, threads, rep, input_name(input), &args)
+        } else {
+            None
+        };
+        if ctx.attempt == 0 {
+            self.run_units += 1;
+        }
         let run = match cached {
             // Served from the graph: the VM is skipped entirely, the
             // cached result is bit-identical to a fresh execution.
             Some(run) => run,
             None => {
-                let machine = Machine::new(ctx.machine_config_for(ty, bench, threads, rep));
-                let mut instance = if ctx.config.decode_cache {
-                    machine.load_with(&artifact.program, &artifact.decoded)
-                } else {
-                    machine.load(&artifact.program)
+                let run = match exec_key.and_then(|k| self.twin_runs.get(&k)) {
+                    Some(run) => run.clone(),
+                    None => {
+                        if ctx.attempt == 0 {
+                            self.vm_executions += 1;
+                        }
+                        let machine = Machine::new(ctx.machine_config_for(ty, bench, threads, rep));
+                        let mut instance = if ctx.config.decode_cache {
+                            machine.load_with(&artifact.program, &artifact.decoded)
+                        } else {
+                            machine.load(&artifact.program)
+                        };
+                        let run = instance.run_entry(&args).map_err(|source| FexError::Run {
+                            benchmark: bench.to_string(),
+                            build_type: ty.to_string(),
+                            source,
+                        })?;
+                        if let Some(key) = exec_key {
+                            self.twin_runs.insert(key, run.clone());
+                        }
+                        run
+                    }
                 };
-                let run = instance.run_entry(&args).map_err(|source| FexError::Run {
-                    benchmark: bench.to_string(),
-                    build_type: ty.to_string(),
-                    source,
-                })?;
                 if let (Some(key), Some(g)) = (&graph_key, ctx.graph.as_mut()) {
                     g.store_run(key, &run)?;
                 }
@@ -568,13 +609,55 @@ impl SuiteRunner {
         input: &str,
         args: &[i64],
     ) -> Option<Digest> {
+        self.unit_digest(config, ty, bench, threads, rep, input, args, true)
+    }
+
+    /// The execution key of one run unit: the graph key's inputs with the
+    /// seed and the rep dropped when the unit's machine cannot observe its
+    /// seed ([`MachineConfig::seed_observable`]). Units that share an
+    /// execution key ("twins") have identical results, so an experiment
+    /// executes each key once. `None` exactly when the graph key is.
+    #[allow(clippy::too_many_arguments)] // one parameter per matrix coordinate
+    fn unit_exec_key(
+        &self,
+        config: &ExperimentConfig,
+        ty: &str,
+        bench: &str,
+        threads: usize,
+        rep: Option<usize>,
+        input: &str,
+        args: &[i64],
+    ) -> Option<Digest> {
+        self.unit_digest(config, ty, bench, threads, rep, input, args, false)
+    }
+
+    /// [`crate::graph::unit_key`] of one run unit; `seeded` keeps the seed
+    /// and the rep even when the run cannot observe them.
+    #[allow(clippy::too_many_arguments)] // one parameter per matrix coordinate
+    fn unit_digest(
+        &self,
+        config: &ExperimentConfig,
+        ty: &str,
+        bench: &str,
+        threads: usize,
+        rep: Option<usize>,
+        input: &str,
+        args: &[i64],
+        seeded: bool,
+    ) -> Option<Digest> {
         if config.fault_plan_for(bench).is_some() {
             return None;
         }
         let artifact = self.artifacts.get(&(ty.to_string(), bench.to_string()))?;
+        let seeded = seeded
+            || config
+                .unit_machine_config(bench, ty, threads, rep, 0)
+                .seed_observable(&artifact.program);
+        let (seed, rep) =
+            if seeded { (config.unit_seed(bench, ty, threads, rep), rep) } else { (0, None) };
         Some(crate::graph::unit_key(
             artifact.digest,
-            config.unit_seed(bench, ty, threads, rep),
+            seed,
             threads,
             rep,
             input,
@@ -583,10 +666,21 @@ impl SuiteRunner {
         ))
     }
 
+    /// Logs how many VM executions served this experiment's run units.
+    fn log_executions(&self, ctx: &mut RunContext<'_>) {
+        if self.run_units > 0 {
+            ctx.log(format!(
+                "run units: {} served by {} VM executions",
+                self.run_units, self.vm_executions
+            ));
+        }
+    }
+
     /// The parallel experiment loop (`--jobs N`, N > 1): builds
     /// everything up front, expands the matrix into [`RunUnit`]s in
-    /// exact sequential order, executes them across the worker pool, and
-    /// merges the outcomes back in matrix order — applying quarantine
+    /// exact sequential order, executes each distinct execution among them
+    /// once across the worker pool (graph hits and execution twins are
+    /// served), and merges the outcomes back in matrix order — applying quarantine
     /// decisions only at merge time, so results, failure records and
     /// quarantine choices are byte-identical to the sequential loop.
     ///
@@ -765,78 +859,116 @@ impl SuiteRunner {
                 ctx.log(format!("scheduler: adaptive round {round}: {} run units", batch.len()));
             }
             // Artifact-graph partition: serve cached clean units without
-            // executing them; everything else goes to the worker pool.
-            // Served outcomes synthesize the same event shape the worker
-            // would emit, so the merged journal is identical cold and
-            // warm.
+            // executing them. Of the rest, only the first unit of each
+            // execution key goes to the worker pool; its twins take its
+            // result, or execute themselves when it did not run clean on
+            // its first attempt. Served outcomes synthesize the event
+            // shape the worker would emit, so the merged journal is the
+            // same cold and warm, with and without twins.
             let journal_on = ctx.journal.enabled();
             let graph_on = ctx.graph.is_some() && ctx.config.graph;
-            let mut keys: Vec<Option<Digest>> = Vec::with_capacity(batch.len());
-            for unit in &batch {
-                keys.push(match &unit.work {
-                    Some(work) if graph_on => self.unit_graph_key(
-                        ctx.config,
-                        &unit.ty,
-                        &unit.bench,
-                        unit.threads,
-                        unit.rep,
-                        unit.input,
-                        &work.args,
-                    ),
-                    _ => None,
-                });
-            }
-            let mut slots: Vec<Option<(RunUnit, UnitOutcome)>> = Vec::with_capacity(batch.len());
-            let mut exec_units: Vec<RunUnit> = Vec::new();
-            let mut exec_slots: Vec<usize> = Vec::new();
-            let mut exec_keys: Vec<Option<Digest>> = Vec::new();
+            let n = batch.len();
+            let mut slots: Vec<Option<(RunUnit, UnitOutcome)>> = (0..n).map(|_| None).collect();
+            let mut graph_keys: Vec<Option<Digest>> = vec![None; n];
+            let mut hits = vec![false; n];
+            let mut leaders: Vec<RunUnit> = Vec::new();
+            let mut leader_slots: Vec<(usize, Option<Digest>)> = Vec::new();
+            let mut pending: HashSet<Digest> = HashSet::new();
+            let mut twins: Vec<(usize, RunUnit, Digest)> = Vec::new();
             for (i, unit) in batch.into_iter().enumerate() {
-                let cached = match (&keys[i], ctx.graph.as_mut()) {
+                let Some(work) = &unit.work else {
+                    // Bookkeeping units settle as one clean attempt.
+                    let outcome =
+                        UnitOutcome { log: clean_log(), result: None, events: Vec::new() };
+                    slots[i] = Some((unit, outcome));
+                    continue;
+                };
+                let (ty, bench, input) = (&unit.ty, &unit.bench, unit.input);
+                let (threads, rep, args) = (unit.threads, unit.rep, &work.args);
+                if graph_on {
+                    graph_keys[i] =
+                        self.unit_graph_key(ctx.config, ty, bench, threads, rep, input, args);
+                }
+                self.run_units += 1;
+                let cached = match (&graph_keys[i], ctx.graph.as_mut()) {
                     (Some(key), Some(g)) => g.lookup_run(key),
                     _ => None,
                 };
-                match cached {
+                if let Some(run) = cached {
+                    hits[i] = true;
+                    let outcome = served_outcome(&unit, run, journal_on);
+                    slots[i] = Some((unit, outcome));
+                    continue;
+                }
+                if work.decoded.is_some() {
+                    executed_with_decode += 1;
+                }
+                let exec_key = self.unit_exec_key(ctx.config, ty, bench, threads, rep, input, args);
+                if let Some(key) = exec_key {
+                    if let Some(run) = self.twin_runs.get(&key) {
+                        let outcome = served_outcome(&unit, run.clone(), journal_on);
+                        slots[i] = Some((unit, outcome));
+                        continue;
+                    }
+                    if !pending.insert(key) {
+                        twins.push((i, unit, key));
+                        continue;
+                    }
+                }
+                leader_slots.push((i, exec_key));
+                leaders.push(unit);
+            }
+            let chunk = ctx.config.chunk;
+            let outcomes = execute_units(&leaders, &policy, jobs, journal_on, chunk);
+            self.vm_executions += leaders.len();
+            for ((unit, outcome), (i, exec_key)) in
+                leaders.into_iter().zip(outcomes).zip(leader_slots)
+            {
+                if let Some(key) = exec_key.filter(|_| clean_first_attempt(&outcome)) {
+                    let run = outcome.result.clone().expect("clean outcomes carry a result");
+                    self.twin_runs.insert(key, run);
+                }
+                slots[i] = Some((unit, outcome));
+            }
+            // Twins whose leader ran clean take its result; the others
+            // execute themselves, so their retry trails are their own.
+            let mut unserved: Vec<RunUnit> = Vec::new();
+            let mut unserved_slots: Vec<usize> = Vec::new();
+            for (i, unit, key) in twins {
+                match self.twin_runs.get(&key) {
                     Some(run) => {
-                        let outcome = served_outcome(&unit, run, journal_on);
-                        slots.push(Some((unit, outcome)));
+                        let outcome = served_outcome(&unit, run.clone(), journal_on);
+                        slots[i] = Some((unit, outcome));
                     }
                     None => {
-                        exec_slots.push(i);
-                        exec_keys.push(keys[i]);
-                        exec_units.push(unit);
-                        slots.push(None);
+                        unserved_slots.push(i);
+                        unserved.push(unit);
                     }
                 }
             }
-            let outcomes = execute_units(&exec_units, &policy, jobs, journal_on, ctx.config.chunk);
-            executed_with_decode += exec_units
-                .iter()
-                .filter(|u| u.work.as_ref().is_some_and(|w| w.decoded.is_some()))
-                .count();
-            for (((unit, mut outcome), slot), key) in
-                exec_units.into_iter().zip(outcomes).zip(exec_slots).zip(exec_keys)
-            {
-                if let Some(key) = key {
-                    // A looked-up unit that missed: record the miss ahead
-                    // of the worker's claim, and store its clean
-                    // first-attempt result for the next warm run.
-                    if journal_on {
-                        outcome.events.insert(
-                            0,
-                            graph_event(false, &unit.bench, &unit.ty, unit.threads, unit.rep),
-                        );
-                    }
-                    if outcome.log.attempts == 1 && outcome.log.errors.is_empty() {
-                        if let (Some(run), Some(g)) = (&outcome.result, ctx.graph.as_mut()) {
-                            g.store_run(&key, run)?;
-                        }
+            let retried = execute_units(&unserved, &policy, jobs, journal_on, chunk);
+            self.vm_executions += unserved.len();
+            for ((unit, outcome), i) in unserved.into_iter().zip(retried).zip(unserved_slots) {
+                slots[i] = Some((unit, outcome));
+            }
+            // Every looked-up unit records its hit or miss ahead of the
+            // claim, and a miss stores its clean first-attempt result for
+            // the next warm run, in matrix order.
+            for ((slot, key), hit) in slots.iter_mut().zip(&graph_keys).zip(hits) {
+                let (Some((unit, outcome)), Some(key)) = (slot.as_mut(), key) else { continue };
+                if journal_on {
+                    outcome
+                        .events
+                        .insert(0, graph_event(hit, &unit.bench, &unit.ty, unit.threads, unit.rep));
+                }
+                if !hit && clean_first_attempt(outcome) {
+                    if let (Some(run), Some(g)) = (&outcome.result, ctx.graph.as_mut()) {
+                        g.store_run(key, run)?;
                     }
                 }
-                slots[slot] = Some((unit, outcome));
             }
             for (slot, origin) in slots.into_iter().zip(origins) {
-                let (unit, outcome) =
-                    slot.expect("every unit is either served from the graph or executed");
+                let (unit, outcome) = slot.expect("every unit is served or executed");
                 match origin {
                     Origin::Dry(g) => groups[g].dry = Some((unit, outcome)),
                     Origin::Rep(ci) => {
@@ -946,6 +1078,8 @@ impl Runner for SuiteRunner {
         // Artifacts must be decoded the way this experiment's machines
         // will run them, or every load falls back to a fresh decode.
         ctx.build.set_passes(ctx.config.passes);
+        self.twin_runs.clear();
+        (self.run_units, self.vm_executions) = (0, 0);
         ctx.log(format!("experiment `{}` setup complete", self.suite.name));
         Ok(())
     }
@@ -1052,10 +1186,12 @@ impl Runner for SuiteRunner {
     /// produce byte-identical results and failure reports.
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
         if ctx.config.effective_jobs() > 1 {
-            self.parallel_loop(ctx, None)
+            self.parallel_loop(ctx, None)?;
         } else {
-            fig4_loop(self, ctx)
+            fig4_loop(self, ctx)?;
         }
+        self.log_executions(ctx);
+        Ok(())
     }
 
     fn take_frame(&mut self) -> DataFrame {
@@ -1117,8 +1253,22 @@ impl Runner for VariableInputRunner {
     /// scheduler instead.
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
         if ctx.config.effective_jobs() > 1 {
-            return self.inner.parallel_loop(ctx, Some(self.sizes.clone()));
+            self.inner.parallel_loop(ctx, Some(self.sizes.clone()))?;
+        } else {
+            self.sized_loop(ctx)?;
         }
+        self.inner.log_executions(ctx);
+        Ok(())
+    }
+
+    fn take_frame(&mut self) -> DataFrame {
+        self.inner.take_frame()
+    }
+}
+
+impl VariableInputRunner {
+    /// The sequential form of the redefined loop (`--jobs 1`).
+    fn sized_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
         let types = ctx.config.build_types.clone();
         let threads = ctx.config.threads.clone();
         let reps = ctx.config.repetitions;
@@ -1179,10 +1329,6 @@ impl Runner for VariableInputRunner {
             }
         }
         Ok(())
-    }
-
-    fn take_frame(&mut self) -> DataFrame {
-        self.inner.take_frame()
     }
 }
 

@@ -175,6 +175,9 @@ impl<'p> Instance<'p> {
         config: MachineConfig,
         predecoded: Option<Arc<DecodedProgram>>,
     ) -> Self {
+        // Seed reader 1 of 3 (see `MachineConfig::seed_observable`): the
+        // ASLR slides and the canary value are drawn from the seed here,
+        // and what is left of the stream seeds the `rand` syscall.
         let mut seed = config.seed ^ 0xF3E5_D00D;
         let slide = |rng: &mut u64, on: bool| {
             if on {
@@ -549,6 +552,8 @@ impl<'p> Instance<'p> {
         // Frame bookkeeping words live in simulated memory.
         self.mem_store(ret_slot, ret_code_addr, Width::B8)?;
         self.mem_store(fp_slot, sp_old as i64, Width::B8)?;
+        // Seed reader 2 of 3: the seed-drawn canary lands in simulated
+        // memory, where an out-of-bounds read can see it.
         if let Some(cs) = canary_slot {
             self.mem_store(cs, self.canary, Width::B8)?;
         }
@@ -1324,6 +1329,7 @@ impl<'p> Instance<'p> {
                 }
                 Ok(None)
             }
+            // Seed reader 3 of 3: the program draws from the seed directly.
             SysCall::Rand => {
                 let v = splitmix(&mut self.rng) as i64;
                 let bound = arg(0);

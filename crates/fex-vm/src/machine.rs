@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::bytecode::{GlobalDef, Program};
+use crate::bytecode::{GlobalDef, Instr, Program, SysCall};
 use crate::cache::{CacheConfig, DEFAULT_L1, DEFAULT_L2, DEFAULT_LLC, DEFAULT_MEM_LATENCY};
 use crate::cost::CostModel;
 use crate::decode::DecodedProgram;
@@ -110,6 +110,31 @@ impl MachineConfig {
     /// Convenience: default config with `cores` cores.
     pub fn with_cores(cores: usize) -> Self {
         MachineConfig { cores: cores.max(1), ..Default::default() }
+    }
+
+    /// Whether running `program` under this configuration can observe
+    /// [`seed`](Self::seed). When it is `false`, the [`RunResult`] is the
+    /// same for every seed, so runs that differ only in their seed can
+    /// share one execution.
+    ///
+    /// The seed reaches a run only through the ASLR slides and the canary
+    /// value drawn at load time, the canary stored in every frame, and the
+    /// `rand` syscall (see `Instance::with_decoded`, `push_frame` and
+    /// `syscall`). The predicate is conservative: an executable data
+    /// segment (`nx` off) lets injected code do anything, and an enabled
+    /// fault plan carries a seed of its own that callers derive from the
+    /// run's seed.
+    pub fn seed_observable(&self, program: &Program) -> bool {
+        let m = self.mitigations;
+        m.aslr
+            || m.canaries
+            || !m.nx
+            || self.fault_plan.enabled()
+            || program
+                .functions
+                .iter()
+                .flat_map(|f| &f.code)
+                .any(|i| matches!(i, Instr::Syscall { code: SysCall::Rand, .. }))
     }
 }
 
