@@ -10,10 +10,10 @@
 //!    additionally asserts byte-identical CSVs on vs off.
 //! 2. **dispatch** — interpreter dispatch rate on a branchy loop kernel
 //!    under each toggle combination, with per-pass attribution rows:
-//!    all-on, leave-one-out for every decode pass (`no_pass:trace`,
-//!    `no_pass:fuse`, `no_pass:immfold`), the whole-pipeline-off
-//!    `no_fusion` alias, `no_mru` and `all_off` — identical counters
-//!    asserted across every configuration.
+//!    all-on, leave-one-out for every registered decode pass
+//!    (`no_pass:trace`, `no_pass:fuse`), the whole pipeline off
+//!    (`no_passes`, i.e. `--passes none`), `no_mru` and `all_off` —
+//!    identical counters asserted across every configuration.
 //! 3. **decode_cache** — decoded-artifact cache hit rate on a
 //!    `--jobs 8` matrix, parsed from the runner's own accounting line.
 //!
@@ -51,7 +51,7 @@ fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) ->
         .repetitions(reps)
         .resilience(RunPolicy::default())
         .jobs(jobs)
-        .fusion(optimised)
+        .passes(if optimised { PassMask::all() } else { PassMask::none() })
         .mru(optimised)
         .decode_cache(optimised)
 }
@@ -122,7 +122,8 @@ impl UnitSweep {
 }
 
 /// Interpreter dispatch rate on a branchy loop kernel (loads, stores,
-/// compares, branches and back-edges — all four fusion patterns fire).
+/// compares, branches and back-edges — `TraceRun`, `CmpBr` and the
+/// `BinMovJmp` loop latch fire).
 fn dispatch_kernel(iters: i64) -> fex_vm::Program {
     let src = format!(
         "global a[256];\n\
@@ -243,7 +244,7 @@ fn main() {
             true,
         ));
     }
-    configs.push(("no_fusion".into(), PassMask::none(), true));
+    configs.push(("no_passes".into(), PassMask::none(), true));
     configs.push(("no_mru".into(), all, false));
     configs.push(("all_off".into(), PassMask::none(), false));
     let mut best = vec![f64::INFINITY; configs.len()];

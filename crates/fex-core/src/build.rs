@@ -257,12 +257,6 @@ impl BuildSystem {
         self.passes = passes;
     }
 
-    /// Alias for [`BuildSystem::set_passes`] with the all-or-nothing
-    /// historical switch (`--no-fusion`).
-    pub fn set_fusion(&mut self, fusion: bool) {
-        self.passes = if fusion { PassMask::all() } else { PassMask::none() };
-    }
-
     /// Drops all cached binaries — the paper rebuilds everything at the
     /// start of each experiment "otherwise a mix of old and new
     /// compilation flags and/or libraries could skew the results".
@@ -430,7 +424,7 @@ mod tests {
         assert_ne!(a.digest, other.digest);
         let clang = b.build("t", src, "clang_native", false, false).unwrap();
         assert_ne!(a.digest, clang.digest);
-        b.set_fusion(false);
+        b.set_passes(PassMask::none());
         let unfused = b.build("t", src, "gcc_native", false, false).unwrap();
         assert_ne!(a.digest, unfused.digest);
         assert_eq!(unfused.decoded.passes, PassMask::none());

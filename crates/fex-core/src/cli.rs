@@ -234,9 +234,8 @@ compare selectors are CSV paths, archived run-id prefixes, `latest`, or
 
 debug escape hatches (measured results are identical either way):
   --passes <list>    decode pass pipeline subset, comma-separated in
-                     pipeline order (trace,fuse,immfold), or all/none
+                     pipeline order (trace,fuse), or all/none
   --no-pass <name>   drop one pass from the pipeline (repeatable)
-  --no-fusion        disable the whole pass pipeline (= --passes none)
   --no-mru           disable the cache simulator's MRU fast path
   --no-decode-cache  re-decode programs on every run unit
 ";
@@ -662,7 +661,6 @@ pub fn parse(args: &[String]) -> Result<Action> {
                         cfg.passes =
                             cfg.passes.without(v).map_err(|e| FexError::Config(e.to_string()))?;
                     }
-                    "--no-fusion" => cfg.passes = PassMask::none(),
                     "--no-mru" => cfg.mru_fast_path = false,
                     "--no-decode-cache" => cfg.decode_cache = false,
                     "--no-journal" => cfg.journal = false,
@@ -764,7 +762,7 @@ mod tests {
     #[test]
     fn parses_all_run_flags() {
         let Action::Run(cfg) = parse(&argv(
-            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --no-build --tool time --jobs 4 --no-fusion --no-mru --no-decode-cache",
+            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --no-build --tool time --jobs 4 --passes none --no-mru --no-decode-cache",
         ))
         .unwrap() else {
             panic!("expected run");
@@ -782,16 +780,16 @@ mod tests {
 
     #[test]
     fn pass_pipeline_flags_select_subsets() {
-        let Action::Run(cfg) = parse(&argv("run -n micro --passes trace,immfold")).unwrap() else {
+        let Action::Run(cfg) = parse(&argv("run -n micro --passes trace")).unwrap() else {
             panic!("expected run");
         };
-        assert!(cfg.passes.enables("trace") && cfg.passes.enables("immfold"));
+        assert!(cfg.passes.enables("trace"));
         assert!(!cfg.passes.enables("fuse"));
         let Action::Run(cfg) = parse(&argv("run -n micro --no-pass fuse")).unwrap() else {
             panic!("expected run");
         };
         assert!(!cfg.passes.enables("fuse"));
-        assert!(cfg.passes.enables("trace") && cfg.passes.enables("immfold"));
+        assert!(cfg.passes.enables("trace"));
         let Action::Run(cfg) = parse(&argv("run -n micro --passes none")).unwrap() else {
             panic!("expected run");
         };
@@ -808,8 +806,14 @@ mod tests {
         assert!(err.to_string().contains("unknown pass `bogus`"), "{err}");
         let err = parse(&argv("run -n micro --passes fuse,fuse")).unwrap_err();
         assert!(err.to_string().contains("duplicate pass"), "{err}");
-        let err = parse(&argv("run -n micro --passes immfold,trace")).unwrap_err();
+        let err = parse(&argv("run -n micro --passes fuse,trace")).unwrap_err();
         assert!(err.to_string().contains("out of pipeline order"), "{err}");
+        for flags in ["--passes immfold", "--no-pass immfold"] {
+            let err = parse(&argv(&format!("run -n micro {flags}"))).unwrap_err();
+            assert!(err.to_string().contains("unknown pass `immfold`"), "{err}");
+        }
+        let err = parse(&argv("run -n micro --no-fusion")).unwrap_err();
+        assert!(err.to_string().contains("unknown run flag `--no-fusion`"), "{err}");
         assert!(parse(&argv("run -n micro --no-pass bogus")).is_err());
         assert!(parse(&argv("run -n micro --passes")).is_err());
         assert!(parse(&argv("run -n micro --chunk many")).is_err());

@@ -164,7 +164,7 @@ pub struct ExperimentConfig {
     /// means auto — tuned from the matrix width and worker count.
     pub chunk: usize,
     /// The peephole pass subset run over the VM's decoded stream
-    /// (`--passes`/`--no-pass` select it; `--no-fusion` clears it;
+    /// (`--passes`/`--no-pass` select it; `--passes none` clears it;
     /// measured results are identical for any subset).
     pub passes: PassMask,
     /// MRU line fast path in the cache simulator (`--no-mru` clears it;
@@ -290,13 +290,6 @@ impl ExperimentConfig {
     /// Sets the scheduler worker count (`--jobs`); `0` means auto.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Enables or disables the whole peephole pipeline (`--no-fusion`).
-    /// Alias for `passes(PassMask::all())` / `passes(PassMask::none())`.
-    pub fn fusion(mut self, on: bool) -> Self {
-        self.passes = if on { PassMask::all() } else { PassMask::none() };
         self
     }
 

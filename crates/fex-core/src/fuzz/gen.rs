@@ -190,7 +190,9 @@ impl Scenario {
             None
         };
         let experiment_seed = r.below(1000);
-        // Drawn last so older case seeds regenerate the same programs.
+        // Drawn last so older case seeds regenerate the same programs;
+        // the range predates the two-pass pipeline (`from_bits` drops the
+        // bits no pass owns), so it stays 8 to keep pinned seeds stable.
         let passes = PassMask::from_bits(r.below(8) as u8);
         let chunk = r.below(5) as usize;
         let dirty_rerun = r.chance(1, 3);

@@ -12,7 +12,7 @@
 //!
 //! | oracle     | invariant                                                       |
 //! |------------|-----------------------------------------------------------------|
-//! | `toggles`  | `--no-fusion --no-mru --no-decode-cache` → byte-identical CSVs  |
+//! | `toggles`  | `--passes none --no-mru --no-decode-cache` → identical CSVs     |
 //! | `jobs`     | `--jobs N` vs `--jobs 1` → identical CSVs and journal streams   |
 //! | `metrics`  | journal roll-up jobs-invariant and consistent with CSV totals   |
 //! | `store`    | write→read lossless, identical reruns share a run id, no false  |
@@ -328,10 +328,13 @@ pub fn check_case(
 
     let base = run_scenario(&suite, base_cfg.clone())?;
 
-    // Oracle `toggles`: fusion, the MRU fast path and the decode cache
-    // are performance-only — disabling all three must not move a byte.
-    let mut toggles =
-        run_scenario(&suite, base_cfg.clone().fusion(false).mru(false).decode_cache(false))?;
+    // Oracle `toggles`: the decode passes, the MRU fast path and the
+    // decode cache are performance-only — disabling all three must not
+    // move a byte.
+    let mut toggles = run_scenario(
+        &suite,
+        base_cfg.clone().passes(PassMask::none()).mru(false).decode_cache(false),
+    )?;
     if break_mode == Some(BreakMode::Fusion) {
         toggles.results.push_str("tampered,row,by,FEX_FUZZ_BREAK,0,0,0\n");
     }

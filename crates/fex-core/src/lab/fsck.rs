@@ -142,20 +142,7 @@ pub fn check(store: &RunStore) -> FsckReport {
     let mut report = FsckReport::default();
     let (entries, warnings) = store.scan();
     report.entries_checked = entries.len();
-    let index_lines = fs::read_to_string(store.index_path()).unwrap_or_default();
-    for (i, line) in index_lines.lines().enumerate() {
-        if !line.trim().is_empty() && IndexEntry::parse(line).is_err() {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::CorruptIndexLine,
-                subject: format!("index line {}", i + 1),
-                detail: warnings
-                    .iter()
-                    .find(|w| w.contains(&format!("line {}", i + 1)))
-                    .cloned()
-                    .unwrap_or_else(|| "unparseable".into()),
-            });
-        }
-    }
+    push_index_line_issues(IssueKind::CorruptIndexLine, &warnings, &mut report);
     for entry in &entries {
         check_entry(store, entry, &mut report);
     }
@@ -181,6 +168,18 @@ pub fn check(store: &RunStore) -> FsckReport {
     report
 }
 
+/// One `kind` finding per line [`super::scan_index`] skipped. Its
+/// warnings read `skipping <index> line N: <error>`, so the subject is
+/// `<index> line N` and the detail the error — a line that is not UTF-8
+/// is reported like any other unparseable one.
+fn push_index_line_issues(kind: IssueKind, warnings: &[String], report: &mut FsckReport) {
+    for warning in warnings {
+        let rest = warning.strip_prefix("skipping ").unwrap_or(warning);
+        let (subject, detail) = rest.split_once(": ").unwrap_or((rest, "unparseable"));
+        report.issues.push(FsckIssue { kind, subject: subject.into(), detail: detail.into() });
+    }
+}
+
 /// The artifact-graph pass: same invariants as the run store, applied to
 /// `<root>/graph/`. A lab without a graph (pre-graph labs, `--no-graph`
 /// runs) skips silently.
@@ -189,18 +188,9 @@ fn check_graph(store: &RunStore, report: &mut FsckReport) {
     if !groot.is_dir() {
         return;
     }
-    let index_lines = fs::read_to_string(groot.join("index.json")).unwrap_or_default();
-    for (i, line) in index_lines.lines().enumerate() {
-        if !line.trim().is_empty() && graph::GraphIndexEntry::parse(line).is_err() {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::CorruptGraphIndexLine,
-                subject: format!("graph index line {}", i + 1),
-                detail: "unparseable".into(),
-            });
-        }
-    }
-    let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
+    let (entries, warnings) = graph::ArtifactGraph::scan_at(&groot);
     report.graph_nodes_checked = entries.len();
+    push_index_line_issues(IssueKind::CorruptGraphIndexLine, &warnings, report);
     for entry in &entries {
         let payload_path = graph::node_dir_at(&groot, &entry.digest).join("payload.json");
         match fs::read_to_string(&payload_path) {
@@ -640,6 +630,51 @@ mod tests {
         let after = check(&store);
         assert!(after.clean(), "{}", after.render());
         assert_eq!(after.entries_checked, 1, "the intact run survived");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    /// Overwrites byte 5 (inside line 1) of `path` with `0xFF`, so the
+    /// line is no longer UTF-8.
+    fn break_utf8(path: &std::path::Path) {
+        let mut bytes = fs::read(path).unwrap();
+        bytes[5] = 0xFF;
+        fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn a_non_utf8_index_line_is_reported_with_its_line_number() {
+        let store = populated("non-utf8");
+        break_utf8(&store.index_path());
+        let report = check(&store);
+        let corrupt: Vec<&FsckIssue> =
+            report.issues.iter().filter(|i| i.kind == IssueKind::CorruptIndexLine).collect();
+        assert_eq!(corrupt.len(), 1, "{}", report.render());
+        assert_eq!(corrupt[0].subject, "index line 1");
+        assert!(corrupt[0].detail.contains("utf-8"), "{}", corrupt[0].detail);
+        // The run the line described is now an orphan; quarantine repairs
+        // both and keeps the intact run.
+        assert!(report.issues.iter().any(|i| i.kind == IssueKind::OrphanRunDir));
+        fsck(&store, true).unwrap();
+        let after = check(&store);
+        assert!(after.clean(), "{}", after.render());
+        assert_eq!(after.entries_checked, 1);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_non_utf8_graph_index_line_is_reported_with_its_line_number() {
+        let store = populated_with_graph("graph-non-utf8");
+        break_utf8(&store.root().join(graph::ArtifactGraph::SUBDIR).join("index.json"));
+        let report = check(&store);
+        let corrupt: Vec<&FsckIssue> =
+            report.issues.iter().filter(|i| i.kind == IssueKind::CorruptGraphIndexLine).collect();
+        assert_eq!(corrupt.len(), 1, "{}", report.render());
+        assert_eq!(corrupt[0].subject, "graph index line 1");
+        assert!(corrupt[0].detail.contains("utf-8"), "{}", corrupt[0].detail);
+        fsck(&store, true).unwrap();
+        let after = check(&store);
+        assert!(after.clean(), "{}", after.render());
+        assert_eq!(after.graph_nodes_checked, 2);
         let _ = fs::remove_dir_all(store.root());
     }
 

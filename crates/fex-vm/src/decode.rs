@@ -27,24 +27,15 @@
 //! After translation and accrual, an ordered pipeline of optional
 //! peephole passes ([`crate::passes`], selected by a
 //! [`PassMask`]) rewrites dispatch-dominant windows into single fused
-//! variants: the `trace` pass fuses trace-length windows — load +
-//! integer binop + store of its result
-//! ([`DecodedInstr::LoadBinStore`]) and integer binop + load + integer
-//! binop + store ([`DecodedInstr::BinLoadBinStore`]); the `fuse` pass
-//! fuses the classic pairs/triples — integer compare + conditional
+//! variants: the `trace` pass collapses straight-line runs of ≥ 3
+//! non-control instructions ([`DecodedInstr::TraceRun`]); the `fuse`
+//! pass fuses the classic pairs/triples — integer compare + conditional
 //! branch ([`DecodedInstr::CmpBr`]), load + integer binop
-//! ([`DecodedInstr::LoadBin`]), integer binop + store of its result
-//! ([`DecodedInstr::BinStore`]), integer binop + backedge jump
-//! ([`DecodedInstr::BinJmp`]), integer binop + load
-//! ([`DecodedInstr::BinLoad`]), integer binop + register copy
-//! ([`DecodedInstr::BinMov`]), back-to-back integer binops
-//! ([`DecodedInstr::BinBin`]), ASan shadow check + the guarded
-//! access ([`DecodedInstr::ChkLoad`]/[`DecodedInstr::ChkStore`]),
-//! register copy + unconditional jump ([`DecodedInstr::MovJmp`]), and
-//! one three-wide window — integer binop + register copy + jump
-//! ([`DecodedInstr::BinMovJmp`]), the canonical loop latch; and the
-//! `immfold` pass caches immediates into the following binop
-//! ([`DecodedInstr::ImmBin`]).
+//! ([`DecodedInstr::LoadBin`]), back-to-back integer binops
+//! ([`DecodedInstr::BinBin`]), ASan shadow check + the load it guards
+//! ([`DecodedInstr::ChkLoad`]), and one three-wide window — integer
+//! binop + register copy + jump ([`DecodedInstr::BinMovJmp`]), the
+//! canonical loop latch.
 //! Every pass is a pure dispatch-count optimisation — measured numbers
 //! cannot change:
 //!
@@ -55,7 +46,7 @@
 //! * the fused variant carries every constituent's payload and lives at
 //!   the first constituent's index; each later constituent keeps its
 //!   ordinary decoded form at its own index as a *shadow slot* (`pc +
-//!   1` through `pc + 3` for the widest window). The fused handler
+//!   1` through `pc + run.len() - 1` for a trace run). The fused handler
 //!   steps over them (or branches away), and no control flow can enter
 //!   one: fusion never crosses a block-leader boundary, passes claim
 //!   non-overlapping windows through a shared bitmap, and calls —
@@ -66,13 +57,13 @@
 //!   body.
 //!
 //! Only trap-free integer binops (everything but `Div`/`Rem`) are fused
-//! as an *earlier* constituent of `CmpBr`/`BinJmp`/`BinMovJmp`, keeping
+//! as an *earlier* constituent of `CmpBr`/`BinMovJmp`, keeping
 //! "an earlier constituent cannot fail after a control transfer was
 //! dispatched" trivially true (`Mov` cannot trap at all); every other
 //! fused window executes its constituents strictly in program order
 //! inside one handler, so trap order and register/memory aliasing
-//! (including `store.addr == bin.dst`, `load.addr == bin.dst` and
-//! `mov.src == bin.dst`) are preserved exactly.
+//! (including `load.addr == bin.dst` and `mov.src == bin.dst`) are
+//! preserved exactly.
 
 use crate::bytecode::{
     BinOp, FBinOp, FCmpOp, FuncId, Function, Instr, Program, Reg, SysCall, UnOp, Width,
@@ -171,74 +162,15 @@ pub enum DecodedInstr {
     CmpBr { op: BinOp, dst: Reg, a: Reg, b: Reg, neg: bool, target: u32, site: u32 },
     /// Fused `Load` into `ld` + integer `Bin` reading `ld`.
     LoadBin { ld: Reg, addr: Reg, off: i64, width: Width, op: BinOp, dst: Reg, a: Reg, b: Reg },
-    /// Fused integer `Bin` + `Store` of its result (`store.src == dst`).
-    BinStore { op: BinOp, dst: Reg, a: Reg, b: Reg, addr: Reg, off: i64, width: Width },
-    /// Fused integer `Bin` + backedge `Jmp`.
-    BinJmp { op: BinOp, dst: Reg, a: Reg, b: Reg, target: u32 },
-    /// Fused integer `Bin` + `Load` (address-chain pattern: the load's
-    /// address register is usually the binop's destination).
-    BinLoad { op: BinOp, dst: Reg, a: Reg, b: Reg, ld: Reg, addr: Reg, off: i64, width: Width },
-    /// Fused integer `Bin` + `Mov` (the compiler's `tmp = a op b;
-    /// x = tmp` copy-back pattern).
-    BinMov { op: BinOp, dst: Reg, a: Reg, b: Reg, mdst: Reg, msrc: Reg },
     /// Fused integer `Bin` + integer `Bin` (straight-line ALU chains).
     BinBin { op1: BinOp, dst1: Reg, a1: Reg, b1: Reg, op2: BinOp, dst2: Reg, a2: Reg, b2: Reg },
     /// Fused `AsanCheck` + the `Load` it guards (same address operands
     /// by construction of the instrumentation pass).
     ChkLoad { dst: Reg, addr: Reg, off: i64, width: Width },
-    /// Fused `AsanCheck` + the `Store` it guards (same address operands
-    /// by construction of the instrumentation pass).
-    ChkStore { src: Reg, addr: Reg, off: i64, width: Width },
-    /// Fused `Mov` + `Jmp` (a copy feeding an unconditional exit from a
-    /// diamond arm; `Mov` cannot trap, so any target is safe).
-    MovJmp { dst: Reg, src: Reg, target: u32 },
     /// Fused three-wide `Bin` + `Mov` + `Jmp`: the canonical loop latch
     /// (`tmp = i + 1; i = tmp; jmp header`) or a diamond arm's exit.
     /// Two shadow slots follow.
     BinMovJmp { op: BinOp, dst: Reg, a: Reg, b: Reg, mdst: Reg, msrc: Reg, target: u32 },
-    /// Fused three-wide `Load` + integer `Bin` + `Store` of the binop's
-    /// result (`store.src == dst`): the read-modify-write window
-    /// (`trace` pass). Two shadow slots follow; no constituent
-    /// transfers control, so trapping binops are fine — execution is
-    /// strictly in order.
-    LoadBinStore {
-        ld: Reg,
-        laddr: Reg,
-        loff: i64,
-        lwidth: Width,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-        saddr: Reg,
-        soff: i64,
-        swidth: Width,
-    },
-    /// Fused four-wide integer `Bin` + `Load` + integer `Bin` + `Store`
-    /// of the second binop's result: the indexed-update window
-    /// `addr = base op idx; v = mem[..]; v' = v op x; mem[..] = v'`
-    /// (`trace` pass). Three shadow slots follow.
-    BinLoadBinStore {
-        op1: BinOp,
-        dst1: Reg,
-        a1: Reg,
-        b1: Reg,
-        ld: Reg,
-        laddr: Reg,
-        loff: i64,
-        lwidth: Width,
-        op2: BinOp,
-        dst2: Reg,
-        a2: Reg,
-        b2: Reg,
-        saddr: Reg,
-        soff: i64,
-        swidth: Width,
-    },
-    /// Fused `Imm` + integer `Bin` reading the immediate's register
-    /// (`immfold` pass). The handler still writes `idst` but feeds the
-    /// literal straight into the matching ALU operand.
-    ImmBin { idst: Reg, val: i64, op: BinOp, dst: Reg, a: Reg, b: Reg },
     /// A trace-length straight-line superinstruction (`trace` pass): a
     /// run of ≥ 3 consecutive non-control instructions (register ALU
     /// ops, immediates, moves, address materialisation, loads and
@@ -299,28 +231,13 @@ impl DecodedInstr {
             DecodedInstr::LoadBin { ld, addr, off, width, .. } => {
                 Instr::Load { dst: ld, addr, off, width }
             }
-            DecodedInstr::BinStore { op, dst, a, b, .. } => Instr::Bin { op, dst, a, b },
-            DecodedInstr::BinJmp { op, dst, a, b, .. } => Instr::Bin { op, dst, a, b },
-            DecodedInstr::BinLoad { op, dst, a, b, .. } => Instr::Bin { op, dst, a, b },
-            DecodedInstr::BinMov { op, dst, a, b, .. } => Instr::Bin { op, dst, a, b },
             DecodedInstr::BinBin { op1, dst1, a1, b1, .. } => {
                 Instr::Bin { op: op1, dst: dst1, a: a1, b: b1 }
             }
             DecodedInstr::ChkLoad { addr, off, width, .. } => {
                 Instr::AsanCheck { addr, off, width, is_write: false }
             }
-            DecodedInstr::ChkStore { addr, off, width, .. } => {
-                Instr::AsanCheck { addr, off, width, is_write: true }
-            }
-            DecodedInstr::MovJmp { dst, src, .. } => Instr::Mov { dst, src },
             DecodedInstr::BinMovJmp { op, dst, a, b, .. } => Instr::Bin { op, dst, a, b },
-            DecodedInstr::LoadBinStore { ld, laddr, loff, lwidth, .. } => {
-                Instr::Load { dst: ld, addr: laddr, off: loff, width: lwidth }
-            }
-            DecodedInstr::BinLoadBinStore { op1, dst1, a1, b1, .. } => {
-                Instr::Bin { op: op1, dst: dst1, a: a1, b: b1 }
-            }
-            DecodedInstr::ImmBin { idst, val, .. } => Instr::Imm { dst: idst, val },
             DecodedInstr::TraceRun { run } => run[0].undecode(),
         }
     }
@@ -376,24 +293,6 @@ pub struct DecodedProgram {
 /// length is the implicit-return exit and is allowed).
 pub fn decode_program(program: &Program, cost: &CostModel) -> Result<DecodedProgram, DecodeError> {
     decode_program_passes(program, cost, PassMask::all())
-}
-
-/// Lowers `program` for execution under `cost`, running the full pass
-/// pipeline only when `fusion` is set — the historical all-or-nothing
-/// switch behind `--no-fusion`, kept as an alias for
-/// [`decode_program_passes`] (measured results are identical either
-/// way).
-///
-/// # Errors
-///
-/// [`DecodeError`] under the same conditions as [`decode_program`].
-pub fn decode_program_with(
-    program: &Program,
-    cost: &CostModel,
-    fusion: bool,
-) -> Result<DecodedProgram, DecodeError> {
-    let mask = if fusion { PassMask::all() } else { PassMask::none() };
-    decode_program_passes(program, cost, mask)
 }
 
 /// Lowers `program` for execution under `cost`, running exactly the
@@ -666,19 +565,21 @@ mod tests {
         assert!(d.functions[0].blocks.is_empty());
     }
 
-    /// A body exercising all four fusion patterns:
-    /// load+bin, bin+store, bin+jmp-backedge, cmp+branch.
+    /// A body exercising all four non-ASan fusion patterns: load+bin,
+    /// bin+bin, the bin+mov+jmp latch, cmp+branch.
     fn fusable_code() -> Vec<Instr> {
         vec![
             Instr::Imm { dst: Reg(1), val: 0 },
             Instr::Load { dst: Reg(2), addr: Reg(1), off: 0, width: Width::B8 },
             Instr::Bin { op: BinOp::Add, dst: Reg(3), a: Reg(2), b: Reg(0) },
             Instr::Bin { op: BinOp::Add, dst: Reg(4), a: Reg(3), b: Reg(0) },
-            Instr::Store { src: Reg(4), addr: Reg(1), off: 8, width: Width::B8 },
-            Instr::Bin { op: BinOp::Add, dst: Reg(0), a: Reg(0), b: Reg(1) },
+            Instr::Bin { op: BinOp::Mul, dst: Reg(5), a: Reg(4), b: Reg(3) },
+            Instr::Store { src: Reg(5), addr: Reg(1), off: 8, width: Width::B8 },
+            Instr::Bin { op: BinOp::Add, dst: Reg(6), a: Reg(0), b: Reg(1) },
+            Instr::Mov { dst: Reg(0), src: Reg(6) },
             Instr::Jmp { target: 1 },
-            Instr::Bin { op: BinOp::Lt, dst: Reg(5), a: Reg(0), b: Reg(1) },
-            Instr::BrZero { cond: Reg(5), target: 10 },
+            Instr::Bin { op: BinOp::Lt, dst: Reg(7), a: Reg(0), b: Reg(1) },
+            Instr::BrZero { cond: Reg(7), target: 12 },
             Instr::Nop,
             Instr::Ret { src: None },
         ]
@@ -697,12 +598,12 @@ mod tests {
         assert_eq!(d.cost, CostModel::default());
         let code = &d.functions[0].code;
         assert!(matches!(code[1], DecodedInstr::LoadBin { .. }), "{:?}", code[1]);
-        assert!(matches!(code[3], DecodedInstr::BinStore { .. }), "{:?}", code[3]);
-        assert!(matches!(code[5], DecodedInstr::BinJmp { target: 1, .. }), "{:?}", code[5]);
+        assert!(matches!(code[3], DecodedInstr::BinBin { .. }), "{:?}", code[3]);
+        assert!(matches!(code[6], DecodedInstr::BinMovJmp { target: 1, .. }), "{:?}", code[6]);
         assert!(
-            matches!(code[7], DecodedInstr::CmpBr { neg: true, target: 10, site: 8, .. }),
+            matches!(code[9], DecodedInstr::CmpBr { neg: true, target: 12, site: 10, .. }),
             "{:?}",
-            code[7]
+            code[9]
         );
         // Shadow slots keep the ordinary decoded second constituent, so
         // the whole body still round-trips index for index.
@@ -710,7 +611,7 @@ mod tests {
         assert_eq!(back, original);
         // Block accrual is computed from the source stream and must be
         // untouched by fusion.
-        let unfused = decode_program_with(&p, &CostModel::default(), false).expect("decodes");
+        let unfused = decode_program_passes(&p, &CostModel::default(), PassMask::none()).unwrap();
         assert_eq!(d.functions[0].blocks, unfused.functions[0].blocks);
         assert_eq!(d.functions[0].accrual, unfused.functions[0].accrual);
     }
@@ -720,18 +621,10 @@ mod tests {
             i,
             DecodedInstr::CmpBr { .. }
                 | DecodedInstr::LoadBin { .. }
-                | DecodedInstr::BinStore { .. }
-                | DecodedInstr::BinJmp { .. }
-                | DecodedInstr::BinLoad { .. }
-                | DecodedInstr::BinMov { .. }
                 | DecodedInstr::BinBin { .. }
                 | DecodedInstr::ChkLoad { .. }
-                | DecodedInstr::ChkStore { .. }
-                | DecodedInstr::MovJmp { .. }
                 | DecodedInstr::BinMovJmp { .. }
-                | DecodedInstr::LoadBinStore { .. }
-                | DecodedInstr::BinLoadBinStore { .. }
-                | DecodedInstr::ImmBin { .. }
+                | DecodedInstr::TraceRun { .. }
         )
     }
 
@@ -739,23 +632,32 @@ mod tests {
     fn fusion_off_produces_no_fused_variants() {
         let mut p = Program::new();
         p.push_function(func(fusable_code()));
-        let d = decode_program_with(&p, &CostModel::default(), false).expect("decodes");
+        let d = decode_program_passes(&p, &CostModel::default(), PassMask::none()).unwrap();
         assert_eq!(d.passes, PassMask::none());
         assert!(!d.functions[0].code.iter().any(is_fused));
+        // The full pipeline does fuse the same body.
+        let all = decode_program(&p, &CostModel::default()).unwrap();
+        assert!(all.functions[0].code.iter().any(is_fused));
     }
 
     #[test]
-    fn empty_pipeline_is_byte_identical_to_the_fusion_off_alias() {
+    fn empty_pipeline_is_the_plain_translation() {
+        // With no pass enabled every slot holds its own instruction's
+        // decoded form, and blocks and accrual match the full pipeline.
         let mut p = Program::new();
         p.push_function(func(fusable_code()));
         p.push_function(func(every_variant()));
-        let none = decode_program_passes(&p, &CostModel::default(), PassMask::none());
-        let off = decode_program_with(&p, &CostModel::default(), false);
-        assert_eq!(none.expect("decodes"), off.expect("decodes"));
+        let none = decode_program_passes(&p, &CostModel::default(), PassMask::none()).unwrap();
+        let all = decode_program(&p, &CostModel::default()).unwrap();
+        for ((f, n), a) in p.functions.iter().zip(&none.functions).zip(&all.functions) {
+            let plain: Vec<DecodedInstr> = f.code.iter().map(decode_instr).collect();
+            assert_eq!(n.code, plain);
+            assert_eq!((&n.blocks, &n.accrual), (&a.blocks, &a.accrual));
+        }
     }
 
     /// The `a[k] = a[k] op x` shape: address calc, load, modify, store —
-    /// plus a trailing RMW without the address binop.
+    /// plus a trailing read-modify-write without the address binop.
     fn trace_code() -> Vec<Instr> {
         vec![
             Instr::Bin { op: BinOp::Add, dst: Reg(1), a: Reg(0), b: Reg(2) },
@@ -771,17 +673,23 @@ mod tests {
 
     #[test]
     fn trace_windows_fuse_four_and_three_wide() {
+        // The four-wide indexed update and the three-wide read-modify-
+        // write both fall inside one generic straight-line run.
         let original = trace_code();
         let mut p = Program::new();
         p.push_function(func(original.clone()));
         let d = decode_program(&p, &CostModel::default()).expect("decodes");
         let code = &d.functions[0].code;
-        assert!(matches!(code[0], DecodedInstr::BinLoadBinStore { .. }), "{:?}", code[0]);
-        // The three shadow slots keep their ordinary decoded forms.
+        assert!(
+            matches!(&code[0], DecodedInstr::TraceRun { run } if run.len() == 7),
+            "{:?}",
+            code[0]
+        );
+        // The shadow slots keep their ordinary decoded forms.
         assert!(matches!(code[1], DecodedInstr::Load { .. }), "{:?}", code[1]);
         assert!(matches!(code[2], DecodedInstr::Bin { .. }), "{:?}", code[2]);
         assert!(matches!(code[3], DecodedInstr::Store { .. }), "{:?}", code[3]);
-        assert!(matches!(code[4], DecodedInstr::LoadBinStore { .. }), "{:?}", code[4]);
+        assert!(matches!(code[4], DecodedInstr::Load { .. }), "{:?}", code[4]);
         let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
         assert_eq!(back, original);
         // Accrual is pass-independent.
@@ -793,16 +701,19 @@ mod tests {
     #[test]
     fn trace_outranks_fuse_on_shared_windows() {
         // With only `fuse`, the same body collapses into pairs; with the
-        // full pipeline the four-wide window wins because `trace` runs
-        // first and claims the slots.
+        // full pipeline the trace run wins because `trace` runs first and
+        // claims the slots.
         let mut p = Program::new();
         p.push_function(func(trace_code()));
         let only_fuse = PassMask::from_names(["fuse"]).unwrap();
         let d = decode_program_passes(&p, &CostModel::default(), only_fuse).expect("decodes");
         let code = &d.functions[0].code;
-        assert!(matches!(code[0], DecodedInstr::BinLoad { .. }), "{:?}", code[0]);
-        assert!(matches!(code[2], DecodedInstr::BinStore { .. }), "{:?}", code[2]);
+        assert!(matches!(code[1], DecodedInstr::LoadBin { .. }), "{:?}", code[1]);
         assert!(matches!(code[4], DecodedInstr::LoadBin { .. }), "{:?}", code[4]);
+        let d = decode_program(&p, &CostModel::default()).expect("decodes");
+        let code = &d.functions[0].code;
+        assert!(matches!(code[0], DecodedInstr::TraceRun { .. }), "{:?}", code[0]);
+        assert!(!code.iter().any(|i| matches!(i, DecodedInstr::LoadBin { .. })));
     }
 
     #[test]
@@ -836,77 +747,28 @@ mod tests {
     }
 
     #[test]
-    fn immfold_caches_immediates_into_binops() {
-        // `k = i % 256` materialises the modulus right before the binop;
-        // immfold folds the pair. An immediate feeding nothing stays
-        // unfused, as does one whose binop reads other registers only.
-        let original = vec![
-            Instr::Imm { dst: Reg(1), val: 256 },
-            Instr::Bin { op: BinOp::Rem, dst: Reg(2), a: Reg(0), b: Reg(1) },
-            Instr::Imm { dst: Reg(3), val: 7 },
-            Instr::Bin { op: BinOp::Add, dst: Reg(4), a: Reg(0), b: Reg(2) },
-            Instr::Ret { src: Some(Reg(4)) },
-        ];
-        let mut p = Program::new();
-        p.push_function(func(original.clone()));
-        let only_immfold = PassMask::from_names(["immfold"]).unwrap();
-        let d = decode_program_passes(&p, &CostModel::default(), only_immfold).expect("decodes");
-        let code = &d.functions[0].code;
-        assert!(matches!(code[0], DecodedInstr::ImmBin { val: 256, .. }), "{:?}", code[0]);
-        assert!(matches!(code[1], DecodedInstr::Bin { .. }), "{:?}", code[1]);
-        assert!(matches!(code[2], DecodedInstr::Imm { .. }), "{:?}", code[2]);
-        assert!(matches!(code[3], DecodedInstr::Bin { .. }), "{:?}", code[3]);
-        let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
-        assert_eq!(back, original);
-    }
-
-    #[test]
     fn single_pass_subsets_produce_only_their_variants() {
         // One body with a window for each pass; each singleton mask must
         // rewrite its own pattern and nothing else.
-        let mut body = trace_code();
-        body.truncate(7); // drop the Ret; keep both trace windows
-        body.push(Instr::Imm { dst: Reg(1), val: 3 });
-        body.push(Instr::Bin { op: BinOp::Mul, dst: Reg(4), a: Reg(1), b: Reg(0) });
-        body.push(Instr::Ret { src: None });
         let mut p = Program::new();
-        p.push_function(func(body));
+        p.push_function(func(trace_code()));
         let cost = CostModel::default();
         let decode = |names: &[&str]| {
             let mask = PassMask::from_names(names.iter().copied()).unwrap();
             decode_program_passes(&p, &cost, mask).expect("decodes").functions[0].code.clone()
         };
         let trace = decode(&["trace"]);
-        assert!(trace.iter().any(|i| matches!(i, DecodedInstr::BinLoadBinStore { .. })));
-        assert!(!trace.iter().any(|i| matches!(
-            i,
-            DecodedInstr::ImmBin { .. }
-                | DecodedInstr::BinLoad { .. }
-                | DecodedInstr::BinBin { .. }
-        )));
+        assert!(trace.iter().any(|i| matches!(i, DecodedInstr::TraceRun { .. })));
+        assert!(!trace.iter().any(|i| is_fused(i) && !matches!(i, DecodedInstr::TraceRun { .. })));
         let fuse = decode(&["fuse"]);
-        assert!(fuse.iter().any(|i| matches!(i, DecodedInstr::BinLoad { .. })));
-        assert!(!fuse.iter().any(|i| matches!(
-            i,
-            DecodedInstr::ImmBin { .. }
-                | DecodedInstr::BinLoadBinStore { .. }
-                | DecodedInstr::LoadBinStore { .. }
-        )));
-        let immfold = decode(&["immfold"]);
-        assert!(immfold.iter().any(|i| matches!(i, DecodedInstr::ImmBin { .. })));
-        assert!(!immfold.iter().any(|i| matches!(
-            i,
-            DecodedInstr::BinLoad { .. }
-                | DecodedInstr::BinLoadBinStore { .. }
-                | DecodedInstr::LoadBinStore { .. }
-        )));
+        assert!(fuse.iter().any(|i| matches!(i, DecodedInstr::LoadBin { .. })));
+        assert!(!fuse.iter().any(|i| matches!(i, DecodedInstr::TraceRun { .. })));
     }
 
     #[test]
     fn extended_fusion_patterns_fire() {
-        // bin+load (address chain), bin+mov (copy-back), bin+bin (ALU
-        // chain, both halves may trap — in-order execution keeps the
-        // trap order exact).
+        // load+bin, and bin+bin (ALU chain, both halves may trap —
+        // in-order execution keeps the trap order exact).
         let original = vec![
             Instr::Bin { op: BinOp::Add, dst: Reg(1), a: Reg(0), b: Reg(2) },
             Instr::Load { dst: Reg(3), addr: Reg(1), off: 0, width: Width::B8 },
@@ -923,8 +785,8 @@ mod tests {
         let fuse_only = PassMask::from_names(["fuse"]).unwrap();
         let d = decode_program_passes(&p, &CostModel::default(), fuse_only).expect("decodes");
         let code = &d.functions[0].code;
-        assert!(matches!(code[0], DecodedInstr::BinLoad { .. }), "{:?}", code[0]);
-        assert!(matches!(code[2], DecodedInstr::BinMov { .. }), "{:?}", code[2]);
+        assert!(matches!(code[0], DecodedInstr::Bin { .. }), "{:?}", code[0]);
+        assert!(matches!(code[1], DecodedInstr::LoadBin { .. }), "{:?}", code[1]);
         assert!(matches!(code[4], DecodedInstr::BinBin { .. }), "{:?}", code[4]);
         // Shadow slots still make the body round-trip index for index.
         let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
@@ -935,8 +797,8 @@ mod tests {
     fn loop_latches_fuse_three_wide() {
         // The canonical latch `tmp = i + 1; i = tmp; jmp header` becomes
         // one BinMovJmp with two shadow slots; a bare `mov; jmp` pair
-        // (no preceding binop) becomes MovJmp; a latch whose binop may
-        // trap keeps the control transfer out of the fused window.
+        // (no preceding binop) stays unfused, as does a latch whose
+        // binop may trap.
         let original = vec![
             Instr::Imm { dst: Reg(1), val: 0 },
             Instr::Bin { op: BinOp::Add, dst: Reg(2), a: Reg(1), b: Reg(0) },
@@ -957,10 +819,9 @@ mod tests {
         // Both shadow slots keep their ordinary decoded forms.
         assert!(matches!(code[2], DecodedInstr::Mov { .. }), "{:?}", code[2]);
         assert!(matches!(code[3], DecodedInstr::Jmp { .. }), "{:?}", code[3]);
-        assert!(matches!(code[4], DecodedInstr::MovJmp { target: 8, .. }), "{:?}", code[4]);
-        // Div may trap: the triple must not fire, but the trap-order-
-        // preserving BinMov pair still can; the jump stays unfused.
-        assert!(matches!(code[6], DecodedInstr::BinMov { .. }), "{:?}", code[6]);
+        assert!(matches!(code[4], DecodedInstr::Mov { .. }), "{:?}", code[4]);
+        // Div may trap: the triple must not fire; the jump stays unfused.
+        assert!(matches!(code[6], DecodedInstr::Bin { .. }), "{:?}", code[6]);
         assert!(matches!(code[8], DecodedInstr::Jmp { .. }), "{:?}", code[8]);
         let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
         assert_eq!(back, original);
@@ -971,8 +832,6 @@ mod tests {
         let original = vec![
             Instr::AsanCheck { addr: Reg(1), off: 8, width: Width::B8, is_write: false },
             Instr::Load { dst: Reg(2), addr: Reg(1), off: 8, width: Width::B8 },
-            Instr::AsanCheck { addr: Reg(3), off: 0, width: Width::B1, is_write: true },
-            Instr::Store { src: Reg(2), addr: Reg(3), off: 0, width: Width::B1 },
             // Mismatched address operands must not fuse: this check does
             // not guard the access that follows it.
             Instr::AsanCheck { addr: Reg(1), off: 0, width: Width::B8, is_write: false },
@@ -984,8 +843,7 @@ mod tests {
         let d = decode_program(&p, &CostModel::default()).expect("decodes");
         let code = &d.functions[0].code;
         assert!(matches!(code[0], DecodedInstr::ChkLoad { .. }), "{:?}", code[0]);
-        assert!(matches!(code[2], DecodedInstr::ChkStore { .. }), "{:?}", code[2]);
-        assert!(matches!(code[4], DecodedInstr::AsanCheck { .. }), "{:?}", code[4]);
+        assert!(matches!(code[2], DecodedInstr::AsanCheck { .. }), "{:?}", code[2]);
         let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
         assert_eq!(back, original);
     }
@@ -1011,7 +869,7 @@ mod tests {
     #[test]
     fn trapping_binops_never_fuse_with_control_transfers() {
         // Div may trap; the pair must stay unfused so the trap surfaces
-        // from a plain Bin step (BinStore is fine: it executes in order).
+        // from a plain Bin step.
         let code = vec![
             Instr::Bin { op: BinOp::Div, dst: Reg(2), a: Reg(0), b: Reg(1) },
             Instr::BrZero { cond: Reg(2), target: 4 },

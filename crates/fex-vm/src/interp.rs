@@ -167,7 +167,7 @@ impl<'p> Instance<'p> {
 
     /// Like [`Instance::new`], but reuses `predecoded` — which **must**
     /// be the decoded form of this `program` — when it matches the
-    /// config's cost model and fusion setting; otherwise the program is
+    /// config's cost model and pass subset; otherwise the program is
     /// decoded fresh. This is the decoded-artifact cache entry point: a
     /// shared `Arc<DecodedProgram>` makes loading free of decode work.
     pub(crate) fn with_decoded(
@@ -849,38 +849,6 @@ impl<'p> Instance<'p> {
                 r!(dst) = int_bin(*op, x, y)?;
                 frame!().pc += 1;
             }
-            DecodedInstr::BinStore { op, dst, a, b, addr, off, width } => {
-                let (x, y) = (r!(a), r!(b));
-                let v = int_bin(*op, x, y)?;
-                r!(dst) = v;
-                // The address register is read *after* the binop's write,
-                // exactly as the unfused sequence would (addr may alias dst).
-                let ad = (r!(addr)).wrapping_add(*off) as u64;
-                self.mem_store(ad, v, *width)?;
-                frame!().pc += 1;
-            }
-            DecodedInstr::BinJmp { op, dst, a, b, target } => {
-                let (x, y) = (r!(a), r!(b));
-                r!(dst) = int_bin(*op, x, y)?;
-                frame!().pc = *target as usize;
-            }
-            DecodedInstr::BinLoad { op, dst, a, b, ld, addr, off, width } => {
-                let (x, y) = (r!(a), r!(b));
-                r!(dst) = int_bin(*op, x, y)?;
-                // The address register is read *after* the binop's write,
-                // exactly as the unfused sequence would (addr may alias dst).
-                let ad = (r!(addr)).wrapping_add(*off) as u64;
-                let v = self.mem_load(ad, *width)?;
-                r!(ld) = v;
-                frame!().pc += 1;
-            }
-            DecodedInstr::BinMov { op, dst, a, b, mdst, msrc } => {
-                let (x, y) = (r!(a), r!(b));
-                r!(dst) = int_bin(*op, x, y)?;
-                let v = r!(msrc);
-                r!(mdst) = v;
-                frame!().pc += 1;
-            }
             DecodedInstr::BinBin { op1, dst1, a1, b1, op2, dst2, a2, b2 } => {
                 let (x, y) = (r!(a1), r!(b1));
                 r!(dst1) = int_bin(*op1, x, y)?;
@@ -897,18 +865,6 @@ impl<'p> Instance<'p> {
                 r!(dst) = v;
                 frame!().pc += 1;
             }
-            DecodedInstr::ChkStore { src, addr, off, width } => {
-                let a = (r!(addr)).wrapping_add(*off) as u64;
-                self.asan_check(a, *width, true)?;
-                let v = r!(src);
-                self.mem_store(a, v, *width)?;
-                frame!().pc += 1;
-            }
-            DecodedInstr::MovJmp { dst, src, target } => {
-                let v = r!(src);
-                r!(dst) = v;
-                frame!().pc = *target as usize;
-            }
             DecodedInstr::BinMovJmp { op, dst, a, b, mdst, msrc, target } => {
                 let (x, y) = (r!(a), r!(b));
                 r!(dst) = int_bin(*op, x, y)?;
@@ -918,74 +874,6 @@ impl<'p> Instance<'p> {
                 let v = r!(msrc);
                 r!(mdst) = v;
                 frame!().pc = *target as usize;
-            }
-            DecodedInstr::LoadBinStore {
-                ld,
-                laddr,
-                loff,
-                lwidth,
-                op,
-                dst,
-                a,
-                b,
-                saddr,
-                soff,
-                swidth,
-            } => {
-                let ad = (r!(laddr)).wrapping_add(*loff) as u64;
-                let v = self.mem_load(ad, *lwidth)?;
-                r!(ld) = v;
-                let (x, y) = (r!(a), r!(b));
-                let v = int_bin(*op, x, y)?;
-                r!(dst) = v;
-                // The store address is read *after* the earlier writes,
-                // exactly as the unfused sequence would (saddr may alias
-                // ld or dst); store.src == dst by construction.
-                let ad = (r!(saddr)).wrapping_add(*soff) as u64;
-                self.mem_store(ad, v, *swidth)?;
-                frame!().pc += 2;
-            }
-            DecodedInstr::BinLoadBinStore {
-                op1,
-                dst1,
-                a1,
-                b1,
-                ld,
-                laddr,
-                loff,
-                lwidth,
-                op2,
-                dst2,
-                a2,
-                b2,
-                saddr,
-                soff,
-                swidth,
-            } => {
-                let (x, y) = (r!(a1), r!(b1));
-                r!(dst1) = int_bin(*op1, x, y)?;
-                // Every address and operand register is read at its
-                // original program point relative to the earlier writes
-                // (laddr is usually dst1; saddr may alias ld or dst2).
-                let ad = (r!(laddr)).wrapping_add(*loff) as u64;
-                let v = self.mem_load(ad, *lwidth)?;
-                r!(ld) = v;
-                let (x, y) = (r!(a2), r!(b2));
-                let v = int_bin(*op2, x, y)?;
-                r!(dst2) = v;
-                let ad = (r!(saddr)).wrapping_add(*soff) as u64;
-                self.mem_store(ad, v, *swidth)?;
-                frame!().pc += 3;
-            }
-            DecodedInstr::ImmBin { idst, val, op, dst, a, b } => {
-                // The immediate's register is still written (it may be
-                // live past the pair), but the literal feeds the ALU
-                // operand directly instead of bouncing through it.
-                r!(idst) = *val;
-                let x = if a == idst { *val } else { r!(a) };
-                let y = if b == idst { *val } else { r!(b) };
-                r!(dst) = int_bin(*op, x, y)?;
-                frame!().pc += 1;
             }
             DecodedInstr::TraceRun { run } => {
                 // `run` is borrowed from the exec loop's own owner of the
@@ -1015,7 +903,7 @@ impl<'p> Instance<'p> {
 
     /// The ASan shadow check on a resolved address: accounting, the
     /// shadow lookup, and the violation trap. Shared by the plain
-    /// `AsanCheck` step and the fused `ChkLoad`/`ChkStore` handlers.
+    /// `AsanCheck` step and the fused `ChkLoad` handler.
     fn asan_check(&mut self, a: u64, width: Width, is_write: bool) -> Result<(), Trap> {
         // The check is ~3 dynamic instructions in real ASan.
         self.count_instr(2)?;

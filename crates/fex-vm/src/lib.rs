@@ -66,8 +66,8 @@ pub use cache::{Cache, CacheConfig, CacheHierarchy, CacheLevel, CacheStats, HitL
 pub use cost::CostModel;
 pub use counters::PerfCounters;
 pub use decode::{
-    decode_program, decode_program_passes, decode_program_with, BasicBlock, DecodeError,
-    DecodedFunction, DecodedInstr, DecodedProgram,
+    decode_program, decode_program_passes, BasicBlock, DecodeError, DecodedFunction, DecodedInstr,
+    DecodedProgram,
 };
 pub use fault::{FaultDecision, FaultKind, FaultPlan, FaultSite};
 pub use heap::{Heap, HeapStats};

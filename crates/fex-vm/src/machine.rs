@@ -76,7 +76,7 @@ pub struct MachineConfig {
     /// Deterministic fault injection (disabled by default).
     pub fault_plan: FaultPlan,
     /// The peephole pass subset run over the decoded stream
-    /// (`--passes`/`--no-pass` select it; `--no-fusion` empties it for
+    /// (`--passes`/`--no-pass` select it; `--passes none` empties it for
     /// debugging; measured results are identical for any subset).
     pub passes: PassMask,
     /// MRU line memo in the cache simulator (`--no-mru` disables it;

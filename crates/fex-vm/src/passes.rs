@@ -12,13 +12,16 @@
 //!
 //! Passes are registered by name in [`PASSES`], in canonical pipeline
 //! order, and selected with a [`PassMask`] (`--passes` / `--no-pass` on
-//! the CLI; `--no-fusion` is the switch-everything-off alias):
+//! the CLI; `--passes none` switches everything off):
 //!
 //! | name | rewrites |
 //! |---|---|
-//! | `trace` | trace-length superinstructions past the three-wide latch: the 3-wide `Load`+`Bin`+`Store` read-modify-write window ([`DecodedInstr::LoadBinStore`]), the 4-wide `Bin`+`Load`+`Bin`+`Store` indexed-update window ([`DecodedInstr::BinLoadBinStore`]), and generic straight-line runs of ≥ 3 non-control instructions ([`DecodedInstr::TraceRun`]) |
-//! | `fuse` | the classic pair/triple superinstruction fusion (`CmpBr`, `LoadBin`, `BinStore`, `BinJmp`, `BinLoad`, `BinMov`, `BinBin`, `ChkLoad`/`ChkStore`, `MovJmp`, `BinMovJmp`) |
-//! | `immfold` | register-cached VM temporaries: `Imm` + `Bin` reading the immediate's register fuses into [`DecodedInstr::ImmBin`], whose handler feeds the constant straight into the ALU operand instead of bouncing through the register file |
+//! | `trace` | straight-line runs of ≥ 3 non-control instructions ([`DecodedInstr::TraceRun`]) |
+//! | `fuse` | the classic pair/triple superinstructions (`CmpBr`, `LoadBin`, `BinBin`, `ChkLoad`, `BinMovJmp`) |
+//!
+//! Only superinstructions that real suite traffic dispatches are kept:
+//! each of the six carries 2–18% of the dispatches of the micro,
+//! Phoenix, SPLASH and PARSEC suites (DESIGN.md §12.1 has the table).
 //!
 //! Passes cooperate through a **claimed-slot bitmap** in [`PassCtx`]: a
 //! pass may rewrite a window only when every slot is unclaimed and no
@@ -43,22 +46,16 @@ pub struct PassInfo {
 }
 
 /// Every registered pass, in canonical pipeline order.
-pub const PASSES: [PassInfo; 3] = [
+pub const PASSES: [PassInfo; 2] = [
     PassInfo {
         name: "trace",
         bit: 1 << 0,
-        description:
-            "trace-length superinstructions (RMW/indexed-update windows, straight-line runs)",
+        description: "trace-length superinstructions (straight-line runs)",
     },
     PassInfo {
         name: "fuse",
         bit: 1 << 1,
         description: "pair/triple superinstruction fusion (CmpBr, LoadBin, ..., BinMovJmp)",
-    },
-    PassInfo {
-        name: "immfold",
-        bit: 1 << 2,
-        description: "immediate caching into the following binop (ImmBin)",
     },
 ];
 
@@ -100,7 +97,7 @@ impl PassMask {
     }
 
     /// The empty pipeline: structural decode only, no rewrites
-    /// (`--no-fusion`).
+    /// (`--passes none`).
     pub fn none() -> Self {
         PassMask(0)
     }
@@ -242,7 +239,7 @@ pub trait Pass {
 
 /// The registered pass objects, parallel to [`PASSES`].
 fn registry() -> [&'static dyn Pass; PASSES.len()] {
-    [&TracePass, &FusePass, &ImmFoldPass]
+    [&TracePass, &FusePass]
 }
 
 /// Runs every pass enabled in `mask` over `ctx`, in pipeline order.
@@ -264,7 +261,7 @@ fn trap_free(op: BinOp) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// `trace`: windows longer than the classic three-wide latch
+// `trace`: straight-line runs
 // ---------------------------------------------------------------------
 
 /// The longest run a [`DecodedInstr::TraceRun`] can cover (keeps the
@@ -272,12 +269,10 @@ fn trap_free(op: BinOp) -> bool {
 /// bounded).
 const MAX_TRACE: usize = 255;
 
-/// Trace-length superinstructions. Runs first so the longest windows
-/// win; `fuse` then picks up whatever pairs/triples remain unclaimed.
-/// Two sub-phases: the specialised memory windows (4-wide indexed
-/// update, 3-wide read-modify-write) claim their shapes first, then
-/// generic straight-line runs of ≥ 3 non-control instructions collapse
-/// into [`DecodedInstr::TraceRun`] around them.
+/// Trace-length superinstructions: straight-line runs of ≥ 3
+/// non-control instructions collapse into [`DecodedInstr::TraceRun`].
+/// Runs first so the longest windows win; `fuse` then picks up whatever
+/// pairs/triples remain unclaimed.
 pub struct TracePass;
 
 impl Pass for TracePass {
@@ -286,27 +281,8 @@ impl Pass for TracePass {
     }
 
     fn run(&self, ctx: &mut PassCtx<'_>) {
-        let mut pc = 0;
-        while pc < ctx.src.len() {
-            if ctx.window_free(pc, 4) {
-                if let Some(fused) = fuse_indexed_update(&ctx.src[pc..pc + 4]) {
-                    ctx.fuse(pc, 4, fused);
-                    pc += 4;
-                    continue;
-                }
-            }
-            if ctx.window_free(pc, 3) {
-                if let Some(fused) = fuse_rmw(&ctx.src[pc..pc + 3]) {
-                    ctx.fuse(pc, 3, fused);
-                    pc += 3;
-                    continue;
-                }
-            }
-            pc += 1;
-        }
-        // Phase two: generic straight-line runs over what is left. The
-        // head may be a leader; extension stops at claims, leaders and
-        // anything that is not straight-line.
+        // The head may be a leader; extension stops at claims, leaders
+        // and anything that is not straight-line.
         let mut pc = 0;
         while pc < ctx.src.len() {
             if ctx.claimed[pc] || !straight_line(&ctx.src[pc]) {
@@ -353,61 +329,6 @@ fn straight_line(i: &Instr) -> bool {
             | Instr::FrameAddr { .. }
             | Instr::RodataAddr { .. }
     )
-}
-
-/// 4-wide indexed update `addr = base op idx; v = mem[..]; v' = v op x;
-/// mem[..] = v'` — the `a[k] = a[k] + i` shape. No constituent
-/// transfers control, so trapping ops are fine: execution is in order.
-fn fuse_indexed_update(w: &[Instr]) -> Option<DecodedInstr> {
-    match (&w[0], &w[1], &w[2], &w[3]) {
-        (
-            &Instr::Bin { op: op1, dst: dst1, a: a1, b: b1 },
-            &Instr::Load { dst: ld, addr: laddr, off: loff, width: lwidth },
-            &Instr::Bin { op: op2, dst: dst2, a: a2, b: b2 },
-            &Instr::Store { src, addr: saddr, off: soff, width: swidth },
-        ) if src == dst2 => Some(DecodedInstr::BinLoadBinStore {
-            op1,
-            dst1,
-            a1,
-            b1,
-            ld,
-            laddr,
-            loff,
-            lwidth,
-            op2,
-            dst2,
-            a2,
-            b2,
-            saddr,
-            soff,
-            swidth,
-        }),
-        _ => None,
-    }
-}
-
-/// 3-wide read-modify-write `v = mem[..]; v' = v op x; mem[..] = v'`.
-fn fuse_rmw(w: &[Instr]) -> Option<DecodedInstr> {
-    match (&w[0], &w[1], &w[2]) {
-        (
-            &Instr::Load { dst: ld, addr: laddr, off: loff, width: lwidth },
-            &Instr::Bin { op, dst, a, b },
-            &Instr::Store { src, addr: saddr, off: soff, width: swidth },
-        ) if src == dst => Some(DecodedInstr::LoadBinStore {
-            ld,
-            laddr,
-            loff,
-            lwidth,
-            op,
-            dst,
-            a,
-            b,
-            saddr,
-            soff,
-            swidth,
-        }),
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -499,31 +420,6 @@ fn fuse_pair(first: &Instr, second: &Instr, pc: usize) -> Option<DecodedInstr> {
         (&Instr::Load { dst: ld, addr, off, width }, &Instr::Bin { op, dst, a, b }) => {
             Some(DecodedInstr::LoadBin { ld, addr, off, width, op, dst, a, b })
         }
-        // Binop + store of its result.
-        (&Instr::Bin { op, dst, a, b }, &Instr::Store { src, addr, off, width }) if src == dst => {
-            Some(DecodedInstr::BinStore { op, dst, a, b, addr, off, width })
-        }
-        // Increment (or any trap-free binop) + backedge jump: the
-        // loop-latch pattern.
-        (&Instr::Bin { op, dst, a, b }, &Instr::Jmp { target })
-            if target <= pc && trap_free(op) =>
-        {
-            Some(DecodedInstr::BinJmp { op, dst, a, b, target: target as u32 })
-        }
-        // Binop + load: the array address-chain pattern
-        // (`addr = base + i*8; v = mem[addr]`).
-        (&Instr::Bin { op, dst, a, b }, &Instr::Load { dst: ld, addr, off, width }) => {
-            Some(DecodedInstr::BinLoad { op, dst, a, b, ld, addr, off, width })
-        }
-        // Binop + register copy (usually of its result).
-        (&Instr::Bin { op, dst, a, b }, &Instr::Mov { dst: mdst, src: msrc }) => {
-            Some(DecodedInstr::BinMov { op, dst, a, b, mdst, msrc })
-        }
-        // Register copy + unconditional jump (a diamond arm's exit; the
-        // copy cannot trap, so any target is safe).
-        (&Instr::Mov { dst, src }, &Instr::Jmp { target }) => {
-            Some(DecodedInstr::MovJmp { dst, src, target: target as u32 })
-        }
         // Binop + binop: straight-line ALU chains.
         (
             &Instr::Bin { op: op1, dst: dst1, a: a1, b: b1 },
@@ -539,49 +435,7 @@ fn fuse_pair(first: &Instr, second: &Instr, pc: usize) -> Option<DecodedInstr> {
         ) if caddr == addr && coff == off && cwidth == width => {
             Some(DecodedInstr::ChkLoad { dst, addr, off, width })
         }
-        (
-            &Instr::AsanCheck { addr: caddr, off: coff, width: cwidth, is_write: true },
-            &Instr::Store { src, addr, off, width },
-        ) if caddr == addr && coff == off && cwidth == width => {
-            Some(DecodedInstr::ChkStore { src, addr, off, width })
-        }
         _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------
-// `immfold`: immediate caching
-// ---------------------------------------------------------------------
-
-/// Immediate caching: `Imm` + `Bin` reading the immediate's register
-/// fuses into [`DecodedInstr::ImmBin`], which carries the constant in
-/// the decoded slot. The handler still writes the immediate's register
-/// (observability is unchanged) but feeds the literal straight into the
-/// matching ALU operand. Runs last, picking up pairs the wider passes
-/// left unclaimed.
-pub struct ImmFoldPass;
-
-impl Pass for ImmFoldPass {
-    fn name(&self) -> &'static str {
-        "immfold"
-    }
-
-    fn run(&self, ctx: &mut PassCtx<'_>) {
-        let mut pc = 0;
-        while pc + 1 < ctx.src.len() {
-            if ctx.window_free(pc, 2) {
-                if let (&Instr::Imm { dst: idst, val }, &Instr::Bin { op, dst, a, b }) =
-                    (&ctx.src[pc], &ctx.src[pc + 1])
-                {
-                    if a == idst || b == idst {
-                        ctx.fuse(pc, 2, DecodedInstr::ImmBin { idst, val, op, dst, a, b });
-                        pc += 2;
-                        continue;
-                    }
-                }
-            }
-            pc += 1;
-        }
     }
 }
 
@@ -605,8 +459,8 @@ mod tests {
     #[test]
     fn mask_roundtrips_names_and_bits() {
         let all = PassMask::all();
-        assert_eq!(all.names(), vec!["trace", "fuse", "immfold"]);
-        assert_eq!(all.to_string(), "trace,fuse,immfold");
+        assert_eq!(all.names(), vec!["trace", "fuse"]);
+        assert_eq!(all.to_string(), "trace,fuse");
         assert_eq!(PassMask::none().to_string(), "none");
         assert_eq!(PassMask::from_bits(all.bits()), all);
         // Unknown bits are dropped.
@@ -619,16 +473,20 @@ mod tests {
         assert_eq!(PassMask::from_names(["all"]).unwrap(), PassMask::all());
         assert_eq!(PassMask::from_names(["none"]).unwrap(), PassMask::none());
         assert_eq!(PassMask::from_names([]).unwrap(), PassMask::none());
-        let m = PassMask::from_names(["trace", "immfold"]).unwrap();
-        assert!(m.enables("trace") && m.enables("immfold") && !m.enables("fuse"));
-        assert_eq!(m.names(), vec!["trace", "immfold"]);
+        let m = PassMask::from_names(["trace", "fuse"]).unwrap();
+        assert_eq!(m, PassMask::all());
+        let m = PassMask::from_names(["fuse"]).unwrap();
+        assert!(m.enables("fuse") && !m.enables("trace"));
+        assert_eq!(m.names(), vec!["fuse"]);
     }
 
     #[test]
     fn from_names_rejects_unknown_duplicate_and_reordered() {
         let err = PassMask::from_names(["bogus"]).unwrap_err();
         assert!(err.to_string().contains("unknown pass `bogus`"), "{err}");
-        assert!(err.to_string().contains("trace, fuse, immfold"), "{err}");
+        assert!(err.to_string().contains("(available: trace, fuse)"), "{err}");
+        let err = PassMask::from_names(["immfold"]).unwrap_err();
+        assert!(err.to_string().contains("unknown pass `immfold`"), "{err}");
         let err = PassMask::from_names(["fuse", "fuse"]).unwrap_err();
         assert!(err.to_string().contains("duplicate pass `fuse`"), "{err}");
         let err = PassMask::from_names(["fuse", "trace"]).unwrap_err();
@@ -638,7 +496,7 @@ mod tests {
     #[test]
     fn with_and_without_toggle_single_passes() {
         let m = PassMask::all().without("fuse").unwrap();
-        assert_eq!(m.names(), vec!["trace", "immfold"]);
+        assert_eq!(m.names(), vec!["trace"]);
         assert_eq!(m.with("fuse").unwrap(), PassMask::all());
         assert!(PassMask::none().without("bogus").is_err());
         assert!(!PassMask::all().enables("bogus"));
