@@ -74,23 +74,14 @@ impl Collector {
     pub fn frame(&self) -> &DataFrame {
         &self.frame
     }
-
-    /// The value of metric `name` in the most recently recorded row, if
-    /// any — the adaptive repetition controller reads its sample here
-    /// right after [`record`](Self::record).
-    pub fn last_metric(&self, name: &str) -> Option<f64> {
-        let i = self.frame.col(name).ok()?;
-        self.frame.iter().last().and_then(|r| r[i].as_num())
-    }
 }
 
 /// The canonical scalar sample of one run: the `time` metric as the
 /// collector would record it (every tool reports `time`; a missing value
 /// records as 0, exactly like [`Collector::record`]).
 ///
-/// Both the sequential runner and the parallel scheduler's adaptive
-/// controller derive convergence decisions from this one function, which
-/// keeps their rep counts — and therefore their CSVs — identical.
+/// The adaptive repetition controller derives its convergence decisions
+/// from this one function.
 pub fn run_sample(tool: MeasureTool, run: &RunResult) -> f64 {
     Measurement::extract(tool, run).get("time").unwrap_or(0.0)
 }
@@ -192,17 +183,6 @@ mod tests {
         assert!(df.columns().iter().any(|c| c == "instructions"));
         // Keys come first.
         assert_eq!(&df.columns()[..6], &Collector::KEY_COLUMNS);
-    }
-
-    #[test]
-    fn last_metric_tracks_the_latest_row() {
-        let mut c = Collector::new(MeasureTool::PerfStat);
-        assert_eq!(c.last_metric("time"), None, "empty collector has no sample");
-        let run = run_trivial();
-        c.record("micro", "noop", "gcc_native", 1, "test", 0, &run);
-        let t = c.last_metric("time").expect("time recorded");
-        assert_eq!(t, run_sample(MeasureTool::PerfStat, &run));
-        assert_eq!(c.last_metric("no_such_metric"), None);
     }
 
     #[test]

@@ -53,8 +53,8 @@ impl FaultInjection {
 /// The controller is deterministic across `--jobs`: measurements are pure
 /// functions of the unit coordinates (see
 /// [`ExperimentConfig::unit_seed`]), so the decision to run rep `k+1` is
-/// a pure function of the cell's first `k` samples, identical whether
-/// those samples were produced sequentially or by the parallel scheduler.
+/// a pure function of the cell's first `k` samples, identical at any
+/// worker count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Repetitions {
     /// Exactly `n` repetitions per cell.
@@ -366,9 +366,9 @@ impl ExperimentConfig {
     /// count as core count, the armed fault plan (re-seeded per unit and
     /// salted with the retry `attempt`), and the resilience run budget.
     ///
-    /// Both the sequential Fig 4 loop and the parallel scheduler build
-    /// machines through this one function, which is what makes their
-    /// outputs byte-identical by construction.
+    /// Every run unit's machine is built through this one function (the
+    /// scheduler worker re-salts the fault plan per retry), which is what
+    /// makes outputs byte-identical at any `--jobs` by construction.
     pub fn unit_machine_config(
         &self,
         bench: &str,

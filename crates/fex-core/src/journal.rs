@@ -182,7 +182,7 @@ journal_schema! {
             threads: usize,
             /// Repetition index; `None` for benchmark-level units (dry runs).
             rep: Option<usize>,
-            /// Worker index that ran the unit (0 in the sequential loop;
+            /// Worker index that ran the unit (always 0 at `--jobs 1`;
             /// varies with `--jobs`).
             [volatile] worker: usize,
         },

@@ -11,8 +11,9 @@
 //! * [`env`](mod@env) — four-layer environment-variable model (§II-B),
 //! * [`build`] — the three-layer makefile hierarchy (Fig 2) feeding the
 //!   [`fex-cc`](fex_cc) compiler substrate,
-//! * [`runner`] — the `Runner` class hierarchy with the Fig 4 experiment
-//!   loop and its hooks, including `VariableInputRunner`,
+//! * [`runner`] — the `Runner` class hierarchy running the Fig 4
+//!   experiment matrix as one run-unit pipeline at every `--jobs`,
+//!   including `VariableInputRunner`,
 //! * [`collect`] — log → [`DataFrame`](collect::DataFrame) → CSV, with the
 //!   statistics module covering the paper's "future work" items (CIs,
 //!   Welch's t-test),

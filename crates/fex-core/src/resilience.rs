@@ -11,7 +11,8 @@
 //!   same currency as everything else), an optional per-run instruction
 //!   budget (watchdog against hangs), and the failure threshold after
 //!   which a benchmark is quarantined.
-//! * [`execute_with_retry`] — drives one run action through the policy.
+//! * [`execute_with_retry_value`] — drives one run action through the
+//!   policy.
 //! * [`QuarantineBook`] — tracks per-benchmark failures and decides when
 //!   a benchmark is excluded from the rest of the experiment.
 //! * [`FailureReport`] / [`FailureRecord`] — the structured account of
@@ -116,20 +117,15 @@ impl AttemptLog {
 
 /// Drives one run action through the retry policy.
 ///
-/// `action` receives the attempt number (0-based) — the loop feeds it to
-/// the machine's fault plan as the retry salt, so injected transient
-/// faults re-roll per attempt. Only *run faults* ([`FexError::Run`]) are
-/// retried; configuration, lookup and build errors fail fast on the first
-/// attempt.
-pub fn execute_with_retry(policy: &RunPolicy, action: impl FnMut(u64) -> Result<()>) -> AttemptLog {
-    execute_with_retry_value(policy, action).0
-}
-
-/// Like [`execute_with_retry`], but the action produces a value.
+/// `action` receives the attempt number (0-based) — the scheduler feeds
+/// it to the machine's fault plan as the retry salt, so injected
+/// transient faults re-roll per attempt. Only *run faults*
+/// ([`FexError::Run`]) are retried; configuration, lookup and build
+/// errors fail fast on the first attempt.
 ///
 /// Returns the attempt log plus the successful attempt's value (`None`
-/// when every attempt failed). The scheduler uses this to carry each run
-/// unit's measurement out of the retry loop.
+/// when every attempt failed), which carries each run unit's measurement
+/// out of the retry loop.
 pub fn execute_with_retry_value<T>(
     policy: &RunPolicy,
     mut action: impl FnMut(u64) -> Result<T>,
@@ -371,7 +367,8 @@ mod tests {
 
     #[test]
     fn clean_success_needs_one_attempt_and_no_backoff() {
-        let log = execute_with_retry(&RunPolicy::default(), |_| Ok(()));
+        let (log, value) = execute_with_retry_value(&RunPolicy::default(), |_| Ok(7));
+        assert_eq!(value, Some(7));
         assert_eq!(log.attempts, 1);
         assert_eq!(log.backoff_cycles, 0);
         assert!(log.result.is_ok() && !log.recovered() && log.errors.is_empty());
@@ -381,14 +378,15 @@ mod tests {
     fn transient_failures_recover_within_the_retry_budget() {
         let policy = RunPolicy::default().retries(3);
         let mut calls = 0;
-        let log = execute_with_retry(&policy, |attempt| {
+        let (log, value) = execute_with_retry_value(&policy, |attempt| {
             calls += 1;
             if attempt < 2 {
                 Err(run_fault("flaky"))
             } else {
-                Ok(())
+                Ok(attempt)
             }
         });
+        assert_eq!(value, Some(2), "the successful attempt's value comes out");
         assert_eq!(calls, 3);
         assert_eq!(log.attempts, 3);
         assert!(log.recovered());
@@ -401,12 +399,13 @@ mod tests {
     fn persistent_failures_exhaust_retries() {
         let policy = RunPolicy::default().retries(2);
         let mut calls = 0;
-        let log = execute_with_retry(&policy, |_| {
+        let (log, value) = execute_with_retry_value::<()>(&policy, |_| {
             calls += 1;
             Err(run_fault("broken"))
         });
         assert_eq!(calls, 3, "first attempt + 2 retries");
         assert!(log.result.is_err());
+        assert!(value.is_none());
         assert_eq!(log.errors.len(), 3);
     }
 
@@ -414,7 +413,7 @@ mod tests {
     fn non_run_errors_fail_fast() {
         let policy = RunPolicy::default().retries(5);
         let mut calls = 0;
-        let log = execute_with_retry(&policy, |_| {
+        let (log, _) = execute_with_retry_value::<()>(&policy, |_| {
             calls += 1;
             Err(FexError::Config("bad".into()))
         });
@@ -425,7 +424,7 @@ mod tests {
     #[test]
     fn attempt_numbers_feed_the_fault_salt() {
         let mut seen = Vec::new();
-        let _ = execute_with_retry(&RunPolicy::default().retries(2), |attempt| {
+        let _ = execute_with_retry_value::<()>(&RunPolicy::default().retries(2), |attempt| {
             seen.push(attempt);
             Err(run_fault("x"))
         });

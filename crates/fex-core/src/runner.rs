@@ -1,13 +1,16 @@
 //! Experiment runners (Fig 3 and Fig 4 of the paper).
 //!
-//! [`Runner`] is the paper's `Runner` abstract class: a default
-//! [`experiment_loop`](Runner::experiment_loop) nests build-type →
-//! benchmark → thread-count → repetition exactly as Fig 4 shows, with an
-//! overridable hook at every level. [`SuiteRunner`] drives the benchmark
-//! suites through it; [`VariableInputRunner`] redefines the loop to add an
-//! input-size dimension (the paper's `VariableInputRunner` subclass);
-//! [`ServerRunner`] and [`SecurityRunner`] replace the loop wholesale for
-//! the throughput-latency and RIPE experiments.
+//! [`Runner`] is the paper's `Runner` abstract class: setup, an
+//! experiment loop and the frame it collects. [`SuiteRunner`] runs the
+//! benchmark suites through one loop, the run-unit pipeline: it builds
+//! every benchmark per build type, expands Fig 4's nesting — build type →
+//! benchmark → thread count → repetition, with Phoenix's dry run as each
+//! benchmark's first unit — into [`RunUnit`]s in matrix order, executes
+//! them with [`execute_units`] (inline at `--jobs 1`, on a worker pool
+//! above) and merges the outcomes back in matrix order.
+//! [`VariableInputRunner`] adds the paper's input-size dimension between
+//! benchmark and thread count; [`ServerRunner`] and [`SecurityRunner`] have
+//! loops of their own for the throughput-latency and RIPE experiments.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -16,7 +19,7 @@ use fex_cc::BuildOptions;
 use fex_netsim::{ServerBuild, ServerKind, Simulation, Workload};
 use fex_ripe::{run_testbed, TestbedConfig};
 use fex_suites::{BenchProgram, InputSize, Suite};
-use fex_vm::{Machine, MachineConfig, RunResult};
+use fex_vm::RunResult;
 
 use fex_container::Digest;
 
@@ -27,12 +30,10 @@ use crate::env::environment_for;
 use crate::error::{FexError, Result};
 use crate::graph::{ArtifactGraph, NodeKind};
 use crate::journal::{Journal, JournalEvent, JsonLine};
-use crate::resilience::{
-    execute_with_retry, AttemptLog, FailureRecord, FailureReport, QuarantineBook, RunOutcome,
-};
+use crate::resilience::{AttemptLog, FailureRecord, FailureReport, QuarantineBook, RunOutcome};
 use crate::sched::{execute_units, RunUnit, UnitOutcome, UnitWork};
 
-/// Shared state handed to runner hooks.
+/// Shared state handed to a runner's setup and loop.
 pub struct RunContext<'a> {
     /// The experiment configuration.
     pub config: &'a ExperimentConfig,
@@ -40,17 +41,13 @@ pub struct RunContext<'a> {
     pub build: &'a mut BuildSystem,
     /// Experiment log lines (environment details, progress).
     pub log: &'a mut Vec<String>,
-    /// Current retry attempt (0-based) of the run action being driven;
-    /// fed to armed fault plans as the retry salt so transient faults
-    /// re-roll across retries.
-    pub attempt: u64,
     /// Failure and retry accounting for this experiment.
     pub failures: FailureReport,
     /// The structured run journal (disabled under `--no-journal`). A
-    /// strict observer: both loops emit the same per-unit event sequence
-    /// — claim, VM execution, one fault per errored attempt, outcome —
-    /// and never read it back, so CSVs are byte-identical with it on or
-    /// off.
+    /// strict observer: every unit emits the same event sequence at any
+    /// `--jobs` — claim, VM execution, one fault per errored attempt,
+    /// outcome — and the runner never reads it back, so CSVs are
+    /// byte-identical with it on or off.
     pub journal: Journal,
     /// The artifact graph serving cached clean run units, attached by the
     /// workflow when `--lab` is active and `--no-graph` was not given.
@@ -70,7 +67,6 @@ impl<'a> RunContext<'a> {
             config,
             build,
             log,
-            attempt: 0,
             failures: FailureReport::default(),
             journal: Journal::new(config.journal),
             graph: None,
@@ -85,43 +81,6 @@ impl<'a> RunContext<'a> {
         }
         self.log.push(line);
     }
-
-    /// Machine configuration for a run with the given thread count.
-    pub fn machine_config(&self, threads: usize) -> MachineConfig {
-        MachineConfig {
-            cores: threads.max(1),
-            seed: self.config.seed,
-            passes: self.config.passes,
-            mru_fast_path: self.config.mru_fast_path,
-            ..MachineConfig::default()
-        }
-    }
-
-    /// Machine configuration for one run unit of `benchmark`: per-unit
-    /// seed derived from the unit's coordinates, the experiment's fault
-    /// plan when it applies (salted with the current retry attempt) and
-    /// the resilience policy's per-run instruction budget (hang
-    /// watchdog). Delegates to
-    /// [`ExperimentConfig::unit_machine_config`], the single source of
-    /// machine configurations for both the sequential and the parallel
-    /// loop.
-    pub fn machine_config_for(
-        &self,
-        ty: &str,
-        benchmark: &str,
-        threads: usize,
-        rep: Option<usize>,
-    ) -> MachineConfig {
-        self.config.unit_machine_config(benchmark, ty, threads, rep, self.attempt)
-    }
-}
-
-/// Loop control after a (possibly retried) run action settled.
-enum Flow {
-    /// Carry on with the next repetition/thread count.
-    Continue,
-    /// The benchmark was quarantined: skip its remaining runs.
-    SkipBenchmark,
 }
 
 /// Folds one [`AttemptLog`] into the context's failure accounting, the
@@ -140,8 +99,7 @@ fn settle(
     bench: &str,
     threads: usize,
     rep: Option<usize>,
-) -> Result<Flow> {
-    ctx.attempt = 0;
+) -> Result<()> {
     ctx.failures.note_run(log.attempts, log.backoff_cycles);
     if ctx.journal.enabled() {
         for (attempt, error) in log.errors.iter().enumerate() {
@@ -190,7 +148,7 @@ fn settle(
             } else {
                 outcome_event(ctx, "clean");
             }
-            Ok(Flow::Continue)
+            Ok(())
         }
         Err(e) if e.is_run_fault() => {
             let quarantined = quarantine.record_failure(bench);
@@ -209,11 +167,7 @@ fn settle(
                 outcome,
             });
             outcome_event(ctx, &outcome.to_string());
-            if quarantine.is_quarantined(bench) {
-                Ok(Flow::SkipBenchmark)
-            } else {
-                Ok(Flow::Continue)
-            }
+            Ok(())
         }
         Err(e) => Err(e),
     }
@@ -276,7 +230,7 @@ fn clean_first_attempt(outcome: &UnitOutcome) -> bool {
     outcome.log.attempts == 1 && outcome.log.errors.is_empty() && outcome.result.is_some()
 }
 
-/// The paper's `Runner` class: hooks plus the default experiment loop.
+/// The paper's `Runner` class: setup, the experiment loop and its frame.
 pub trait Runner {
     /// Experiment name.
     fn experiment_name(&self) -> &str;
@@ -286,69 +240,11 @@ pub trait Runner {
         Ok(())
     }
 
-    /// Benchmarks this experiment iterates over (after `-b` filtering).
-    fn benchmarks(&self, ctx: &RunContext<'_>) -> Vec<String>;
-
-    /// Hook: a new build type begins (the default loop expects builds to
-    /// happen here).
-    fn per_type_action(&mut self, _ctx: &mut RunContext<'_>, _ty: &str) -> Result<()> {
-        Ok(())
-    }
-
-    /// Hook: a new benchmark begins (Phoenix's dry run lives here).
-    fn per_benchmark_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-    ) -> Result<()> {
-        Ok(())
-    }
-
-    /// Hook: a new thread count begins.
-    fn per_thread_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-        _threads: usize,
-    ) -> Result<()> {
-        Ok(())
-    }
-
-    /// Hook: one repetition — the actual measured run.
-    fn per_run_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: usize,
-    ) -> Result<()>;
-
-    /// Hook: the scalar sample of the most recent successful
-    /// [`per_run_action`](Self::per_run_action), fed to the adaptive
-    /// repetition controller
-    /// ([`Repetitions::Adaptive`](crate::config::Repetitions)). The
-    /// default `None` gives the controller no convergence signal, so
-    /// adaptive policies run their full budget.
-    fn last_sample(&self) -> Option<f64> {
-        None
-    }
-
-    /// The Fig 4 loop, made resilient: per-run actions are driven through
-    /// the experiment's [`RunPolicy`](crate::resilience::RunPolicy)
-    /// (retry with exponential simulated
-    /// backoff), and a benchmark whose runs keep failing is
-    /// **quarantined** — skipped for all remaining types, thread counts
-    /// and repetitions — instead of aborting the experiment. The partial
-    /// frame plus the context's [`FailureReport`] are the result.
-    /// Non-run errors (configuration, unknown names, build failures)
-    /// still abort immediately. Override to change the iteration
-    /// structure (as [`VariableInputRunner`] does).
-    fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
-        fig4_loop(self, ctx)
-    }
+    /// The experiment loop: builds, runs and records into the runner's
+    /// frame. Run faults are the loop's to settle (retry, quarantine,
+    /// the context's [`FailureReport`]); non-run errors (configuration,
+    /// unknown names, build failures) abort the experiment.
+    fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()>;
 
     /// Runs setup + loop and returns the collected frame.
     fn run(&mut self, ctx: &mut RunContext<'_>) -> Result<DataFrame> {
@@ -361,74 +257,15 @@ pub trait Runner {
     fn take_frame(&mut self) -> DataFrame;
 }
 
-/// The default sequential Fig 4 loop body, shared by the trait default
-/// and by runners that fall back to it at `--jobs 1`.
-fn fig4_loop<R: Runner + ?Sized>(runner: &mut R, ctx: &mut RunContext<'_>) -> Result<()> {
-    let types = ctx.config.build_types.clone();
-    let threads = ctx.config.threads.clone();
-    let reps = ctx.config.repetitions;
-    let policy = ctx.config.resilience.clone();
-    let mut quarantine = QuarantineBook::new(policy.failure_threshold);
-    for ty in &types {
-        runner.per_type_action(ctx, ty)?;
-        'bench: for bench in runner.benchmarks(ctx) {
-            if quarantine.is_quarantined(&bench) {
-                ctx.log(format!("skipping quarantined `{bench}` [{ty}]"));
-                ctx.journal.emit(JournalEvent::QuarantineSkip {
-                    benchmark: bench.clone(),
-                    build_type: ty.clone(),
-                });
-                continue;
-            }
-            let log = execute_with_retry(&policy, |attempt| {
-                ctx.attempt = attempt;
-                runner.per_benchmark_action(ctx, ty, &bench)
-            });
-            if let Flow::SkipBenchmark = settle(ctx, &mut quarantine, log, ty, &bench, 1, None)? {
-                continue 'bench;
-            }
-            for m in &threads {
-                runner.per_thread_action(ctx, ty, &bench, *m)?;
-                // The repetition controller: fixed policies count reps,
-                // adaptive ones watch the cell's successful samples for
-                // CI convergence. Failed reps consume budget but add no
-                // sample.
-                let mut samples: Vec<f64> = Vec::new();
-                let mut rep = 0;
-                while reps.wants_more(rep, &samples) {
-                    let log = execute_with_retry(&policy, |attempt| {
-                        ctx.attempt = attempt;
-                        runner.per_run_action(ctx, ty, &bench, *m, rep)
-                    });
-                    let succeeded = log.result.is_ok();
-                    if let Flow::SkipBenchmark =
-                        settle(ctx, &mut quarantine, log, ty, &bench, *m, Some(rep))?
-                    {
-                        continue 'bench;
-                    }
-                    if succeeded {
-                        if let Some(v) = runner.last_sample() {
-                            samples.push(v);
-                        }
-                    }
-                    rep += 1;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Suite performance runner
 // ---------------------------------------------------------------------
 
-/// Runs a benchmark suite under the default Fig 4 loop.
+/// Runs a benchmark suite through the run-unit pipeline.
 pub struct SuiteRunner {
     suite: Suite,
     collector: Collector,
     artifacts: HashMap<(String, String), Arc<Artifact>>,
-    input_override: Option<InputSize>,
     /// This experiment's clean first-attempt results by execution key
     /// (see [`SuiteRunner::unit_exec_key`]): a unit whose key is here is
     /// served that result instead of running the VM again.
@@ -446,7 +283,6 @@ impl SuiteRunner {
             suite,
             collector: Collector::new(config.tool),
             artifacts: HashMap::new(),
-            input_override: None,
             twin_runs: HashMap::new(),
             run_units: 0,
             vm_executions: 0,
@@ -459,137 +295,103 @@ impl SuiteRunner {
             .ok_or_else(|| FexError::UnknownName { kind: "benchmark", name: name.to_string() })
     }
 
-    fn input(&self, ctx: &RunContext<'_>) -> InputSize {
-        self.input_override.unwrap_or(ctx.config.input)
+    /// Benchmarks this experiment iterates over (after `-b` filtering).
+    fn benchmarks(&self, config: &ExperimentConfig) -> Vec<String> {
+        match &config.benchmark {
+            Some(b) => vec![b.clone()],
+            None => self.suite.programs.iter().map(|p| p.name.to_string()).collect(),
+        }
     }
 
-    fn execute(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: Option<usize>,
-    ) -> Result<()> {
-        let input = self.input(ctx);
-        let prog = self.program(bench)?;
-        let args: Vec<i64> = prog.args(input).to_vec();
-        let artifact = self
-            .artifacts
-            .get(&(ty.to_string(), bench.to_string()))
-            .cloned()
-            .ok_or_else(|| FexError::Config(format!("`{bench}` was not built for `{ty}`")))?;
-        // Artifact-graph lookup: first attempts of fault-free units only,
-        // so retry and quarantine behaviour is identical cold and warm.
-        let graph_key = if ctx.graph.is_some() && ctx.config.graph && ctx.attempt == 0 {
-            self.unit_graph_key(ctx.config, ty, bench, threads, rep, input_name(input), &args)
-        } else {
-            None
-        };
-        let mut cached = None;
-        if let (Some(key), Some(g)) = (&graph_key, ctx.graph.as_mut()) {
-            cached = g.lookup_run(key);
+    /// The build stage: builds every benchmark for one type (the paper
+    /// rebuilds all benchmarks per experiment type).
+    fn build_type(&mut self, ctx: &mut RunContext<'_>, ty: &str) -> Result<()> {
+        // Environment for this type, resolved and logged.
+        let env = environment_for(ty);
+        let vars = env.spec().resolve(ctx.config.debug);
+        ctx.log(format!("type `{ty}` environment ({}): {vars:?}", env.name()));
+        for bench in self.benchmarks(ctx.config) {
+            let prog = self.program(&bench)?;
+            let started = std::time::Instant::now();
+            let (builds_before, _) = ctx.build.work_performed();
+            let artifact =
+                ctx.build.build(&bench, prog.source, ty, ctx.config.debug, ctx.config.no_build)?;
+            ctx.log(format!("built `{bench}` [{}]", artifact.build_info));
             if ctx.journal.enabled() {
-                ctx.journal.emit(graph_event(cached.is_some(), bench, ty, threads, rep));
+                let (builds_after, _) = ctx.build.work_performed();
+                ctx.journal.emit(JournalEvent::Build {
+                    benchmark: bench.clone(),
+                    build_type: ty.to_string(),
+                    digest: artifact.digest.to_string(),
+                    cache_hit: builds_after == builds_before,
+                    wall_ns: started.elapsed().as_nanos() as u64,
+                });
             }
-        }
-        // The journal's claim marks the unit being picked up, once — not
-        // once per retry attempt — mirroring the worker pool, where the
-        // claim precedes the whole retry loop. The sequential loop is
-        // "worker 0".
-        if ctx.journal.enabled() && ctx.attempt == 0 {
-            ctx.journal.emit(JournalEvent::UnitClaim {
-                benchmark: bench.to_string(),
-                build_type: ty.to_string(),
-                threads,
-                rep,
-                worker: 0,
-            });
-        }
-        // A graph miss whose execution twin already ran clean in this
-        // experiment is served that result. Like the graph, twins serve
-        // first attempts only.
-        let exec_key = if cached.is_none() && ctx.attempt == 0 {
-            self.unit_exec_key(ctx.config, ty, bench, threads, rep, input_name(input), &args)
-        } else {
-            None
-        };
-        if ctx.attempt == 0 {
-            self.run_units += 1;
-        }
-        let run = match cached {
-            // Served from the graph: the VM is skipped entirely, the
-            // cached result is bit-identical to a fresh execution.
-            Some(run) => run,
-            None => {
-                let run = match exec_key.and_then(|k| self.twin_runs.get(&k)) {
-                    Some(run) => run.clone(),
-                    None => {
-                        if ctx.attempt == 0 {
-                            self.vm_executions += 1;
-                        }
-                        let machine = Machine::new(ctx.machine_config_for(ty, bench, threads, rep));
-                        let mut instance = if ctx.config.decode_cache {
-                            machine.load_with(&artifact.program, &artifact.decoded)
-                        } else {
-                            machine.load(&artifact.program)
-                        };
-                        let run = instance.run_entry(&args).map_err(|source| FexError::Run {
-                            benchmark: bench.to_string(),
-                            build_type: ty.to_string(),
-                            source,
-                        })?;
-                        if let Some(key) = exec_key {
-                            self.twin_runs.insert(key, run.clone());
-                        }
-                        run
-                    }
-                };
-                if let (Some(key), Some(g)) = (&graph_key, ctx.graph.as_mut()) {
-                    g.store_run(key, &run)?;
-                }
-                run
+            // Record the artifact's provenance chain as graph nodes —
+            // source → compiled → decoded — so `fex graph stats` and
+            // `fex lab fsck` see the whole derivation, not just run
+            // units. Stores are idempotent: warm re-runs re-derive the
+            // same keys and skip the writes.
+            let graph_on = ctx.config.graph;
+            if let Some(g) = ctx.graph.as_mut().filter(|_| graph_on) {
+                let opts = ctx.build.makefiles().build_options(ty, ctx.config.debug)?;
+                let source_key = fex_cc::source_digest(&bench, prog.source);
+                let compiled_key = crate::graph::compiled_key(
+                    source_key,
+                    opts.backend.name,
+                    opts.backend.version,
+                    opts.opt_level,
+                    opts.asan,
+                    opts.debug,
+                );
+                let mut src = JsonLine::object("node", "source");
+                src.str("benchmark", &bench);
+                g.store_node(NodeKind::Source, &source_key, &src.finish())?;
+                let mut comp = JsonLine::object("node", "compiled");
+                comp.str("benchmark", &bench).str("build_info", &artifact.build_info);
+                g.store_node(NodeKind::Compiled, &compiled_key, &comp.finish())?;
+                let mut dec = JsonLine::object("node", "decoded");
+                dec.str("benchmark", &bench).str("build_type", ty);
+                g.store_node(NodeKind::Decoded, &artifact.digest, &dec.finish())?;
             }
-        };
-        if ctx.journal.enabled() {
-            ctx.journal.emit(JournalEvent::vm_exec(bench, ty, threads, rep, &run));
-        }
-        if let Some(rep) = rep {
-            self.collector.record(
-                self.suite.name,
-                bench,
-                ty,
-                threads,
-                input_name(input),
-                rep,
-                &run,
-            );
+            self.artifacts.insert((ty.to_string(), bench), artifact);
         }
         Ok(())
     }
 
-    /// Builds the executable payload of one run unit: the [`Arc`]-shared
-    /// program out of the build cache plus the unit's derived machine
-    /// configuration (attempt 0; the worker re-salts per retry).
-    fn unit_work(
+    /// One run unit of the matrix with its executable payload: the
+    /// [`Arc`]-shared program out of the build cache plus the unit's
+    /// derived machine configuration (attempt 0; the worker re-salts per
+    /// retry). Repetitions record their result; the per-benchmark unit
+    /// (`rep` `None`) does not.
+    fn new_unit(
         &self,
-        ctx: &RunContext<'_>,
+        config: &ExperimentConfig,
         ty: &str,
         bench: &str,
         threads: usize,
         rep: Option<usize>,
         input: InputSize,
-    ) -> Result<UnitWork> {
+    ) -> Result<RunUnit> {
         let args: Vec<i64> = self.program(bench)?.args(input).to_vec();
         let artifact = self
             .artifacts
             .get(&(ty.to_string(), bench.to_string()))
             .ok_or_else(|| FexError::Config(format!("`{bench}` was not built for `{ty}`")))?;
-        Ok(UnitWork {
-            program: artifact.program.clone(),
-            decoded: ctx.config.decode_cache.then(|| artifact.decoded.clone()),
-            args,
-            config: ctx.config.unit_machine_config(bench, ty, threads, rep, 0),
+        Ok(RunUnit {
+            ty: ty.to_string(),
+            bench: bench.to_string(),
+            threads,
+            rep,
+            input: input_name(input),
+            record: rep.is_some(),
+            line: None,
+            work: Some(UnitWork {
+                program: artifact.program.clone(),
+                decoded: config.decode_cache.then(|| artifact.decoded.clone()),
+                args,
+                config: config.unit_machine_config(bench, ty, threads, rep, 0),
+            }),
         })
     }
 
@@ -676,22 +478,18 @@ impl SuiteRunner {
         }
     }
 
-    /// The parallel experiment loop (`--jobs N`, N > 1): builds
-    /// everything up front, expands the matrix into [`RunUnit`]s in
-    /// exact sequential order, executes each distinct execution among them
-    /// once across the worker pool (graph hits and execution twins are
-    /// served), and merges the outcomes back in matrix order — applying quarantine
+    /// The experiment loop at every `--jobs`: builds everything up
+    /// front, expands the matrix into [`RunUnit`]s in matrix order,
+    /// executes each distinct execution among them once through
+    /// [`execute_units`] (graph hits and execution twins are served), and
+    /// merges the outcomes back in matrix order — applying quarantine
     /// decisions only at merge time, so results, failure records and
-    /// quarantine choices are byte-identical to the sequential loop.
+    /// quarantine choices do not depend on the worker count.
     ///
     /// `sizes` adds the [`VariableInputRunner`] input-size dimension
     /// between benchmark and thread count; `None` runs the plain Fig 4
     /// matrix.
-    fn parallel_loop(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        sizes: Option<Vec<InputSize>>,
-    ) -> Result<()> {
+    fn unit_loop(&mut self, ctx: &mut RunContext<'_>, sizes: Option<&[InputSize]>) -> Result<()> {
         let types = ctx.config.build_types.clone();
         let threads = ctx.config.threads.clone();
         let reps = ctx.config.repetitions;
@@ -699,24 +497,21 @@ impl SuiteRunner {
         let jobs = ctx.config.effective_jobs();
 
         // Phase 1: builds, front-loaded (each bench × type compiles
-        // exactly once, same logs as the sequential per-type hook).
+        // exactly once).
         for ty in &types {
-            self.per_type_action(ctx, ty)?;
+            self.build_type(ctx, ty)?;
         }
 
         // Phase 2: expand the matrix into per-(type, benchmark) groups
-        // and measurement cells, in exact sequential order.
-        let size_axis: Vec<Option<InputSize>> = match &sizes {
-            Some(s) => s.iter().copied().map(Some).collect(),
-            None => vec![None],
-        };
+        // and measurement cells, in matrix order.
+        let size_axis: Vec<InputSize> = sizes.map_or_else(|| vec![ctx.config.input], <[_]>::to_vec);
         struct Cell {
             ty: String,
             bench: String,
             input: InputSize,
             threads: usize,
             /// Executed rep count (failures included — they consume the
-            /// adaptive budget, exactly as in the sequential loop).
+            /// adaptive budget but add no sample).
             done: usize,
             /// Successful samples, in rep order.
             samples: Vec<f64>,
@@ -733,11 +528,10 @@ impl SuiteRunner {
         let mut cells: Vec<Cell> = Vec::new();
         let mut groups: Vec<Group> = Vec::new();
         for ty in &types {
-            for bench in self.benchmarks(ctx) {
+            for bench in self.benchmarks(ctx.config) {
                 let dry_run = self.program(&bench)?.dry_run;
                 let first_cell = cells.len();
-                for size in &size_axis {
-                    let input = size.unwrap_or(ctx.config.input);
+                for &input in &size_axis {
                     for m in &threads {
                         cells.push(Cell {
                             ty: ty.clone(),
@@ -760,16 +554,15 @@ impl SuiteRunner {
             }
         }
 
-        // Phase 3: speculative parallel execution, in rounds. Round 0
-        // covers the per-benchmark dry units plus every rep the policy
-        // wants before seeing any sample (all of them, for `Fixed`);
-        // each later round gives every unconverged cell exactly one more
-        // rep, mirroring the sequential controller's one-at-a-time
-        // re-check. Measurements are pure functions of unit coordinates,
-        // so each cell's sample sequence — and therefore its rep count —
-        // matches the sequential loop exactly; a `Fixed` policy
-        // terminates after round 0, which is the classic single-batch
-        // schedule.
+        // Phase 3: speculative execution, in rounds. Round 0 covers the
+        // per-benchmark units (Phoenix's dry run; bookkeeping otherwise)
+        // plus every rep the policy wants before seeing any sample (all
+        // of them, for `Fixed`); each later round gives every
+        // unconverged cell exactly one more rep, the repetition
+        // controller's one-at-a-time re-check. Measurements are pure
+        // functions of unit coordinates, so each cell's sample sequence —
+        // and therefore its rep count — is the same at any worker count;
+        // a `Fixed` policy terminates after round 0.
         enum Origin {
             Dry(usize),
             Rep(usize),
@@ -779,83 +572,42 @@ impl SuiteRunner {
         loop {
             let mut batch: Vec<RunUnit> = Vec::new();
             let mut origins: Vec<Origin> = Vec::new();
-            if round == 0 {
-                for (g, group) in groups.iter().enumerate() {
-                    batch.push(RunUnit {
-                        ty: group.ty.clone(),
-                        bench: group.bench.clone(),
-                        threads: 1,
-                        rep: None,
-                        input: input_name(ctx.config.input),
-                        record: false,
-                        line: group.dry_run.then(|| format!("dry run for `{}`", group.bench)),
-                        work: if group.dry_run {
-                            Some(self.unit_work(
-                                ctx,
-                                &group.ty,
-                                &group.bench,
-                                1,
-                                None,
-                                ctx.config.input,
-                            )?)
-                        } else {
-                            None
-                        },
-                    });
+            for (g, group) in groups.iter().enumerate() {
+                if round == 0 {
+                    let (ty, bench) = (&group.ty, &group.bench);
+                    let mut dry =
+                        self.new_unit(ctx.config, ty, bench, 1, None, ctx.config.input)?;
+                    dry.line = group.dry_run.then(|| format!("dry run for `{bench}`"));
+                    dry.work = dry.work.filter(|_| group.dry_run);
+                    batch.push(dry);
                     origins.push(Origin::Dry(g));
-                    for ci in group.cells.clone() {
-                        let cell = &cells[ci];
-                        for rep in 0..reps.min_reps() {
-                            batch.push(RunUnit {
-                                ty: cell.ty.clone(),
-                                bench: cell.bench.clone(),
-                                threads: cell.threads,
-                                rep: Some(rep),
-                                input: input_name(cell.input),
-                                record: true,
-                                line: None,
-                                work: Some(self.unit_work(
-                                    ctx,
-                                    &cell.ty,
-                                    &cell.bench,
-                                    cell.threads,
-                                    Some(rep),
-                                    cell.input,
-                                )?),
-                            });
-                            origins.push(Origin::Rep(ci));
-                        }
-                    }
                 }
-                ctx.log(format!("scheduler: {} run units across {jobs} workers", batch.len()));
-            } else {
-                for (ci, cell) in cells.iter().enumerate() {
-                    if !reps.wants_more(cell.done, &cell.samples) {
-                        continue;
-                    }
-                    let rep = cell.done;
-                    batch.push(RunUnit {
-                        ty: cell.ty.clone(),
-                        bench: cell.bench.clone(),
-                        threads: cell.threads,
-                        rep: Some(rep),
-                        input: input_name(cell.input),
-                        record: true,
-                        line: None,
-                        work: Some(self.unit_work(
-                            ctx,
-                            &cell.ty,
-                            &cell.bench,
-                            cell.threads,
+                for ci in group.cells.clone() {
+                    let cell = &cells[ci];
+                    let wanted = if round == 0 {
+                        reps.min_reps()
+                    } else {
+                        usize::from(reps.wants_more(cell.done, &cell.samples))
+                    };
+                    for rep in cell.done..cell.done + wanted {
+                        let (ty, bench, m) = (&cell.ty, &cell.bench, cell.threads);
+                        batch.push(self.new_unit(
+                            ctx.config,
+                            ty,
+                            bench,
+                            m,
                             Some(rep),
                             cell.input,
-                        )?),
-                    });
-                    origins.push(Origin::Rep(ci));
+                        )?);
+                        origins.push(Origin::Rep(ci));
+                    }
                 }
-                if batch.is_empty() {
-                    break;
-                }
+            }
+            if round == 0 {
+                ctx.log(format!("scheduler: {} run units across {jobs} workers", batch.len()));
+            } else if batch.is_empty() {
+                break;
+            } else {
                 ctx.log(format!("scheduler: adaptive round {round}: {} run units", batch.len()));
             }
             // Artifact-graph partition: serve cached clean units without
@@ -994,7 +746,8 @@ impl SuiteRunner {
         }
 
         // Phase 4: deterministic merge — quarantine applied in matrix
-        // order, exactly where the sequential loop would decide it.
+        // order, so a quarantine decision drops every later unit of its
+        // benchmark.
         let mut quarantine = QuarantineBook::new(policy.failure_threshold);
         for group in groups {
             let (unit, outcome) = group.dry.expect("round 0 executes every per-benchmark unit");
@@ -1005,6 +758,7 @@ impl SuiteRunner {
                 }
             }
         }
+        self.log_executions(ctx);
         Ok(())
     }
 
@@ -1018,11 +772,10 @@ impl SuiteRunner {
         outcome: UnitOutcome,
     ) -> Result<()> {
         if quarantine.is_quarantined(&unit.bench) {
-            // The sequential loop announces the skip once per
-            // (type, benchmark) — at the per-benchmark unit. A
-            // speculatively executed unit's worker events are
-            // dropped with it, so the journal too matches the
-            // sequential run.
+            // The skip is announced once per (type, benchmark) — at
+            // the per-benchmark unit. A speculatively executed unit's
+            // worker events are dropped with it, so the journal does
+            // not depend on how far speculation ran.
             if !unit.record {
                 ctx.log(format!("skipping quarantined `{}` [{}]", unit.bench, unit.ty));
                 ctx.journal.emit(JournalEvent::QuarantineSkip {
@@ -1040,8 +793,6 @@ impl SuiteRunner {
         // Splice the worker's per-unit events (claim + execution)
         // ahead of the fault/outcome events settle emits.
         ctx.journal.extend(outcome.events);
-        // The returned flow is redundant here: skipping is the
-        // quarantine check at the top of this method.
         settle(ctx, quarantine, outcome.log, &unit.ty, &unit.bench, unit.threads, unit.rep)?;
         if recorded {
             let run = outcome.result.expect("checked above");
@@ -1084,114 +835,8 @@ impl Runner for SuiteRunner {
         Ok(())
     }
 
-    fn benchmarks(&self, ctx: &RunContext<'_>) -> Vec<String> {
-        match &ctx.config.benchmark {
-            Some(b) => vec![b.clone()],
-            None => self.suite.programs.iter().map(|p| p.name.to_string()).collect(),
-        }
-    }
-
-    /// Builds every benchmark for the incoming type (the paper rebuilds
-    /// all benchmarks per experiment type).
-    fn per_type_action(&mut self, ctx: &mut RunContext<'_>, ty: &str) -> Result<()> {
-        // Environment for this type, resolved and logged.
-        let env = environment_for(ty);
-        let vars = env.spec().resolve(ctx.config.debug);
-        ctx.log(format!("type `{ty}` environment ({}): {vars:?}", env.name()));
-        for bench in self.benchmarks(ctx) {
-            let prog = self.program(&bench)?;
-            let started = std::time::Instant::now();
-            let (builds_before, _) = ctx.build.work_performed();
-            let artifact =
-                ctx.build.build(&bench, prog.source, ty, ctx.config.debug, ctx.config.no_build)?;
-            ctx.log(format!("built `{bench}` [{}]", artifact.build_info));
-            if ctx.journal.enabled() {
-                let (builds_after, _) = ctx.build.work_performed();
-                ctx.journal.emit(JournalEvent::Build {
-                    benchmark: bench.clone(),
-                    build_type: ty.to_string(),
-                    digest: artifact.digest.to_string(),
-                    cache_hit: builds_after == builds_before,
-                    wall_ns: started.elapsed().as_nanos() as u64,
-                });
-            }
-            // Record the artifact's provenance chain as graph nodes —
-            // source → compiled → decoded — so `fex graph stats` and
-            // `fex lab fsck` see the whole derivation, not just run
-            // units. Stores are idempotent: warm re-runs re-derive the
-            // same keys and skip the writes.
-            let graph_on = ctx.config.graph;
-            if let Some(g) = ctx.graph.as_mut().filter(|_| graph_on) {
-                let opts = ctx.build.makefiles().build_options(ty, ctx.config.debug)?;
-                let source_key = fex_cc::source_digest(&bench, prog.source);
-                let compiled_key = crate::graph::compiled_key(
-                    source_key,
-                    opts.backend.name,
-                    opts.backend.version,
-                    opts.opt_level,
-                    opts.asan,
-                    opts.debug,
-                );
-                let mut src = JsonLine::object("node", "source");
-                src.str("benchmark", &bench);
-                g.store_node(NodeKind::Source, &source_key, &src.finish())?;
-                let mut comp = JsonLine::object("node", "compiled");
-                comp.str("benchmark", &bench).str("build_info", &artifact.build_info);
-                g.store_node(NodeKind::Compiled, &compiled_key, &comp.finish())?;
-                let mut dec = JsonLine::object("node", "decoded");
-                dec.str("benchmark", &bench).str("build_type", ty);
-                g.store_node(NodeKind::Decoded, &artifact.digest, &dec.finish())?;
-            }
-            self.artifacts.insert((ty.to_string(), bench), artifact);
-        }
-        Ok(())
-    }
-
-    /// Phoenix's preliminary dry run (`per_benchmark_action` hook in the
-    /// paper).
-    fn per_benchmark_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-    ) -> Result<()> {
-        if self.program(bench)?.dry_run {
-            ctx.log(format!("dry run for `{bench}`"));
-            self.execute(ctx, ty, bench, 1, None)?;
-        }
-        Ok(())
-    }
-
-    fn per_run_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: usize,
-    ) -> Result<()> {
-        self.execute(ctx, ty, bench, threads, Some(rep))
-    }
-
-    /// The adaptive controller's convergence signal: the `time` cell of
-    /// the most recently collected row — the same value
-    /// [`run_sample`](crate::collect::run_sample) derives for the
-    /// parallel scheduler.
-    fn last_sample(&self) -> Option<f64> {
-        self.collector.last_metric("time")
-    }
-
-    /// Dispatches to the parallel scheduler when more than one worker is
-    /// configured; otherwise runs the sequential Fig 4 loop. Both paths
-    /// produce byte-identical results and failure reports.
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
-        if ctx.config.effective_jobs() > 1 {
-            self.parallel_loop(ctx, None)?;
-        } else {
-            fig4_loop(self, ctx)?;
-        }
-        self.log_executions(ctx);
-        Ok(())
+        self.unit_loop(ctx, None)
     }
 
     fn take_frame(&mut self) -> DataFrame {
@@ -1205,7 +850,8 @@ impl Runner for SuiteRunner {
 // ---------------------------------------------------------------------
 
 /// The paper's `VariableInputRunner`: redefines `experiment_loop` to add
-/// an input-size dimension around the thread loop.
+/// an input-size dimension around the thread loop — types → benchmarks →
+/// **input sizes** → threads → repetitions.
 pub struct VariableInputRunner {
     inner: SuiteRunner,
     sizes: Vec<InputSize>,
@@ -1227,108 +873,12 @@ impl Runner for VariableInputRunner {
         self.inner.experiment_setup(ctx)
     }
 
-    fn benchmarks(&self, ctx: &RunContext<'_>) -> Vec<String> {
-        self.inner.benchmarks(ctx)
-    }
-
-    fn per_run_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: usize,
-    ) -> Result<()> {
-        self.inner.per_run_action(ctx, ty, bench, threads, rep)
-    }
-
-    fn last_sample(&self) -> Option<f64> {
-        self.inner.last_sample()
-    }
-
-    /// The redefined loop: types → benchmarks → **input sizes** → threads
-    /// → repetitions, with the same retry/quarantine resilience as the
-    /// default loop. With more than one worker configured, the matrix —
-    /// including the size dimension — goes through the parallel
-    /// scheduler instead.
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
-        if ctx.config.effective_jobs() > 1 {
-            self.inner.parallel_loop(ctx, Some(self.sizes.clone()))?;
-        } else {
-            self.sized_loop(ctx)?;
-        }
-        self.inner.log_executions(ctx);
-        Ok(())
+        self.inner.unit_loop(ctx, Some(&self.sizes))
     }
 
     fn take_frame(&mut self) -> DataFrame {
         self.inner.take_frame()
-    }
-}
-
-impl VariableInputRunner {
-    /// The sequential form of the redefined loop (`--jobs 1`).
-    fn sized_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
-        let types = ctx.config.build_types.clone();
-        let threads = ctx.config.threads.clone();
-        let reps = ctx.config.repetitions;
-        let sizes = self.sizes.clone();
-        let policy = ctx.config.resilience.clone();
-        let mut quarantine = QuarantineBook::new(policy.failure_threshold);
-        for ty in &types {
-            self.inner.per_type_action(ctx, ty)?;
-            'bench: for bench in self.benchmarks(ctx) {
-                if quarantine.is_quarantined(&bench) {
-                    ctx.log(format!("skipping quarantined `{bench}` [{ty}]"));
-                    ctx.journal.emit(JournalEvent::QuarantineSkip {
-                        benchmark: bench.clone(),
-                        build_type: ty.clone(),
-                    });
-                    continue;
-                }
-                let log = execute_with_retry(&policy, |attempt| {
-                    ctx.attempt = attempt;
-                    self.inner.per_benchmark_action(ctx, ty, &bench)
-                });
-                if let Flow::SkipBenchmark = settle(ctx, &mut quarantine, log, ty, &bench, 1, None)?
-                {
-                    self.inner.input_override = None;
-                    continue 'bench;
-                }
-                for size in &sizes {
-                    self.inner.input_override = Some(*size);
-                    for m in &threads {
-                        self.inner.per_thread_action(ctx, ty, &bench, *m)?;
-                        // Same repetition controller as the default loop:
-                        // each (size, threads) cell converges on its own
-                        // successful samples.
-                        let mut samples: Vec<f64> = Vec::new();
-                        let mut rep = 0;
-                        while reps.wants_more(rep, &samples) {
-                            let log = execute_with_retry(&policy, |attempt| {
-                                ctx.attempt = attempt;
-                                self.inner.per_run_action(ctx, ty, &bench, *m, rep)
-                            });
-                            let succeeded = log.result.is_ok();
-                            if let Flow::SkipBenchmark =
-                                settle(ctx, &mut quarantine, log, ty, &bench, *m, Some(rep))?
-                            {
-                                self.inner.input_override = None;
-                                continue 'bench;
-                            }
-                            if succeeded {
-                                if let Some(v) = self.inner.last_sample() {
-                                    samples.push(v);
-                                }
-                            }
-                            rep += 1;
-                        }
-                    }
-                }
-                self.inner.input_override = None;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1374,21 +924,6 @@ impl ServerRunner {
 impl Runner for ServerRunner {
     fn experiment_name(&self) -> &str {
         self.kind.name()
-    }
-
-    fn benchmarks(&self, _ctx: &RunContext<'_>) -> Vec<String> {
-        vec![self.kind.name().to_string()]
-    }
-
-    fn per_run_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-        _threads: usize,
-        _rep: usize,
-    ) -> Result<()> {
-        Ok(())
     }
 
     /// Replaces the Fig 4 loop: build each server variant, then sweep
@@ -1468,21 +1003,6 @@ impl Default for SecurityRunner {
 impl Runner for SecurityRunner {
     fn experiment_name(&self) -> &str {
         "ripe"
-    }
-
-    fn benchmarks(&self, _ctx: &RunContext<'_>) -> Vec<String> {
-        vec!["ripe".to_string()]
-    }
-
-    fn per_run_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-        _threads: usize,
-        _rep: usize,
-    ) -> Result<()> {
-        Ok(())
     }
 
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
@@ -1733,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_loop_matches_sequential_byte_for_byte() {
+    fn jobs_1_and_8_match_byte_for_byte() {
         let (config, _, _) = ctx_parts();
         let config = config.threads(vec![1, 2]);
         let (seq_csv, seq_failures, _) = run_micro_with_jobs(&config.clone().jobs(1));
@@ -1757,7 +1277,7 @@ mod tests {
         assert_eq!(seq_csv, par_csv);
         assert_eq!(seq_failures, par_failures);
         assert!(par_csv.len() > 100, "surviving benchmarks still produce rows");
-        // Both loops announce the merge-time skip of the second type.
+        // Both worker counts announce the merge-time skip of the second type.
         for log in [&seq_log, &par_log] {
             assert!(log
                 .iter()
@@ -1805,7 +1325,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_variable_input_runner_matches_sequential() {
+    fn variable_input_runner_jobs_1_and_8_match() {
         let (config, _, _) = ctx_parts();
         let config = config.types(vec!["gcc_native"]);
         let mut outputs = Vec::new();

@@ -1,4 +1,5 @@
-//! The parallel run-unit scheduler (`--jobs N`).
+//! The run-unit scheduler (`--jobs N`): the execute stage of the one
+//! experiment loop, at every worker count.
 //!
 //! The Fig 4 experiment matrix — build type × benchmark × thread count ×
 //! repetition — is embarrassingly parallel once every run unit owns its
@@ -10,11 +11,12 @@
 //! The design keeps determinism by splitting execution from judgement:
 //!
 //! 1. **Expand** — the runner flattens its loop into a [`RunUnit`] list
-//!    in exact matrix (sequential) order. Each unit carries an
+//!    in matrix order. Each unit carries an
 //!    [`Arc`]-shared program out of the build cache (each bench × type
 //!    compiles exactly once) and a fully-derived
 //!    [`MachineConfig`](fex_vm::MachineConfig).
-//! 2. **Execute** — [`execute_units`] dispatches units over a
+//! 2. **Execute** — [`execute_units`] runs the units inline on the
+//!    calling thread at `--jobs 1`; above that it dispatches them over a
 //!    self-scheduling worker pool: workers claim the next unclaimed
 //!    **contiguous chunk** of indices from a shared atomic counter (work
 //!    stealing degenerates to this with a single shared deque), drive
@@ -27,15 +29,13 @@
 //!    overridable with `--chunk`.
 //! 3. **Merge** — the runner walks the outcomes back in matrix order and
 //!    only *then* applies quarantine: failures count against a benchmark
-//!    in deterministic order, and units of an already-quarantined
-//!    benchmark are dropped at merge time exactly as the sequential loop
-//!    would have skipped them. CSVs and failure reports come out
-//!    byte-identical to a `--jobs 1` run.
+//!    in deterministic order, and every unit that falls after its
+//!    benchmark's quarantine decision is dropped at merge time. CSVs and
+//!    failure reports come out byte-identical at any `--jobs`.
 //!
-//! Units a sequential run would never have executed (they fall after a
-//! quarantine decision) *are* speculatively executed here — that is the
-//! cost of parallelism — but their outcomes are discarded at merge, so
-//! the observable artifacts do not change.
+//! Units that fall after a quarantine decision *are* speculatively
+//! executed — the decision is only known at merge — but their outcomes
+//! are discarded there, so the observable artifacts do not change.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -90,7 +90,7 @@ pub struct UnitWork {
 /// What executing one [`RunUnit`] produced.
 #[derive(Debug)]
 pub struct UnitOutcome {
-    /// The retry trail, exactly as the sequential loop would have it.
+    /// The retry trail: attempts, backoff and each attempt's error.
     pub log: AttemptLog,
     /// The successful run's measurement (`None` on exhaustion or for
     /// work-less units).
@@ -99,8 +99,8 @@ pub struct UnitOutcome {
     /// VM execution). Each worker buffers into its unit's outcome — no
     /// shared journal state on the hot path — and the merge loop splices
     /// the buffers into the experiment journal in matrix order,
-    /// discarding those of speculative units a sequential run would have
-    /// skipped.
+    /// discarding those of speculative units that fall after a
+    /// quarantine decision.
     pub events: Vec<JournalEvent>,
 }
 

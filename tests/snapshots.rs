@@ -8,7 +8,10 @@
 //! with recovery/quarantine outcomes, the collect-stage aggregate, one
 //! SVG and one ASCII plot, and the journal's `metrics.json` roll-up
 //! (wall-clock fields normalized to 0 — they are the only
-//! non-deterministic bytes).
+//! non-deterministic bytes). A second experiment pins the results and
+//! failure CSVs of a `phoenix_var` sweep: the input-size dimension, a dry
+//! run, adaptive repetitions and transient faults whose quarantine lands
+//! in the middle of the matrix.
 //!
 //! Regenerating after an intentional output change:
 //!
@@ -93,6 +96,35 @@ fn results_and_failure_csvs_match_goldens() {
     fex.run(&golden_config()).expect("golden experiment runs");
     assert_golden("micro.results.csv", &fex.result_csv("micro").expect("results stored"));
     assert_golden("micro.failures.csv", &fex.failure_csv("micro").expect("failures stored"));
+}
+
+/// The second pinned experiment: the variable-input sweep over one
+/// dry-run benchmark, with adaptive repetitions and transient faults armed
+/// everywhere. With fault seed 8 the faults recover in `gcc_native` and
+/// quarantine `histogram` after one `clang_native` row, so the goldens
+/// cover the input-size dimension, retries, the adaptive controller's rep
+/// counts and the units a quarantine drops.
+fn variable_input_config() -> ExperimentConfig {
+    ExperimentConfig::new("phoenix_var")
+        .types(vec!["gcc_native", "clang_native"])
+        .benchmark("histogram")
+        .threads(vec![1, 2])
+        .input(InputSize::Test)
+        .adaptive_repetitions(2, 4, 0.01)
+        .jobs(1)
+        .tool(MeasureTool::PerfStat)
+        .fault(FaultInjection::everywhere(FaultPlan::spurious(0.45, FaultKind::Trap, 8)))
+}
+
+#[test]
+fn variable_input_adaptive_transient_csvs_match_goldens() {
+    let mut fex = golden_fex();
+    fex.install("phoenix_inputs").expect("install phoenix inputs");
+    fex.run(&variable_input_config()).expect("variable-input experiment runs");
+    let results = fex.result_csv("phoenix_var").expect("results stored");
+    let failures = fex.failure_csv("phoenix_var").expect("failures stored");
+    assert_golden("phoenix_var.results.csv", &results);
+    assert_golden("phoenix_var.failures.csv", &failures);
 }
 
 #[test]
