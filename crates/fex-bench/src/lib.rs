@@ -1,7 +1,8 @@
 //! # fex-bench — regenerators for every table and figure of the paper
 //!
 //! One binary per artifact (run with `cargo run --release -p fex-bench
-//! --bin <name>`), plus Criterion benches over the substrates:
+//! --bin <name>`), plus four layer benches (`sched_scaling` onward).
+//! End-to-end and per-layer pipeline timing lives in `fexperf/`.
 //!
 //! | binary            | artifact |
 //! |-------------------|----------|
@@ -13,9 +14,12 @@
 //! | `asan_overhead`   | §III-C ASan performance/memory overheads (X1) |
 //! | `thread_scaling`  | §III-C multithreading lineplot (X2) |
 //! | `cache_stats`     | §III-C cache-miss stacked-grouped plot (X3) |
+//! | `all_experiments` | runs every binary above, writes `target/fex-results/` |
 //! | `ablation`        | per-pass attribution of the GCC/Clang gap (A1) |
 //! | `sched_scaling`   | `--jobs` matrix throughput + interpreter dispatch rate |
-//! | `all_experiments` | runs everything above, writes `target/fex-results/` |
+//! | `vm_hotpath`      | run-phase throughput with fusion, MRU and decode cache on vs off |
+//! | `journal_overhead` | run-phase cost of the structured journal, on vs off |
+//! | `fuzz_throughput` | `fex fuzz` oracle cases per second |
 //!
 //! Output convention: each binary prints the paper-style rows/series to
 //! stdout and writes SVG/CSV artifacts under `target/fex-results/`.

@@ -15,7 +15,7 @@
 //! survivors before execution, and the merged frame marks those runs in
 //! its `rescheduled` column so the re-distribution is auditable.
 
-use fex_suites::{InputSize, Suite};
+use fex_suites::Suite;
 use fex_vm::{Machine, MachineConfig, Measurement};
 
 use crate::build::BuildSystem;
@@ -147,7 +147,7 @@ impl DistributedRun {
     /// Build and run failures, annotated with the benchmark name.
     pub fn execute(&self, build: &mut BuildSystem, config: &ExperimentConfig) -> Result<DataFrame> {
         config.validate()?;
-        let mut columns = vec![
+        let columns = vec![
             "host".to_string(),
             "suite".to_string(),
             "benchmark".to_string(),
@@ -160,8 +160,6 @@ impl DistributedRun {
             // schema keep working.
             "rescheduled".to_string(),
         ];
-        // Keep the frame shape stable regardless of tool.
-        columns.dedup();
         let mut df = DataFrame::new(columns);
         for (host, benches) in self.effective_partition()? {
             for ty in &config.build_types {
@@ -179,7 +177,7 @@ impl DistributedRun {
                         let machine = Machine::new(host.machine_config(config.seed));
                         let run = machine
                             .load(&artifact.program)
-                            .run_entry(prog.args(effective_input(config)))
+                            .run_entry(prog.args(config.input))
                             .map_err(|source| FexError::Run {
                                 benchmark: bench.to_string(),
                                 build_type: ty.to_string(),
@@ -191,7 +189,7 @@ impl DistributedRun {
                             self.suite.name.into(),
                             (*bench).into(),
                             ty.as_str().into(),
-                            input_name(effective_input(config)).into(),
+                            input_name(config.input).into(),
                             (rep as i64).into(),
                             m.get("time").unwrap_or(run.wall_seconds).into(),
                             (run.elapsed_cycles as i64).into(),
@@ -205,14 +203,11 @@ impl DistributedRun {
     }
 }
 
-fn effective_input(config: &ExperimentConfig) -> InputSize {
-    config.input
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::MakefileSet;
+    use fex_suites::InputSize;
 
     fn hosts() -> Vec<HostSpec> {
         vec![HostSpec::new("node-a", 4, 3.0e9), HostSpec::new("node-b", 2, 2.0e9)]

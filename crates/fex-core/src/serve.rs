@@ -269,18 +269,7 @@ impl Submission {
         } else {
             // Reject unservable suites at the protocol boundary, before
             // the submission ever reaches the queue.
-            match fex_suites::all_suites().into_iter().find(|s| s.name == sub.suite) {
-                None => {
-                    return Err(FexError::Config(format!("unknown suite `{}`", sub.suite)));
-                }
-                Some(s) if s.proprietary => {
-                    return Err(FexError::Config(format!(
-                        "suite `{}` is proprietary and cannot be served",
-                        sub.suite
-                    )));
-                }
-                Some(_) => {}
-            }
+            registered_suite(&sub.suite)?;
         }
         sub.input_size()?;
         sub.measure_tool()?;
@@ -383,17 +372,7 @@ impl Submission {
                 proprietary: false,
             });
         }
-        let suite = fex_suites::all_suites()
-            .into_iter()
-            .find(|s| s.name == self.suite)
-            .ok_or_else(|| FexError::Config(format!("unknown suite `{}`", self.suite)))?;
-        if suite.proprietary {
-            return Err(FexError::Config(format!(
-                "suite `{}` is proprietary and cannot be served",
-                self.suite
-            )));
-        }
-        Ok(suite)
+        registered_suite(&self.suite)
     }
 
     fn input_size(&self) -> Result<InputSize> {
@@ -411,6 +390,20 @@ impl Submission {
             .find(|t| t.name() == self.tool)
             .ok_or_else(|| FexError::Config(format!("unknown tool `{}`", self.tool)))
     }
+}
+
+/// The registered, open suite called `name`.
+fn registered_suite(name: &str) -> Result<Suite> {
+    let suite = fex_suites::all_suites()
+        .into_iter()
+        .find(|s| s.name == name)
+        .ok_or_else(|| FexError::Config(format!("unknown suite `{name}`")))?;
+    if suite.proprietary {
+        return Err(FexError::Config(format!(
+            "suite `{name}` is proprietary and cannot be served"
+        )));
+    }
+    Ok(suite)
 }
 
 /// How a completed submission was produced.
@@ -1175,6 +1168,14 @@ mod tests {
                 "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \
                  \"threads\": \"1,x\"}",
                 "threads",
+            ),
+            (
+                "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"nope\"}",
+                "unknown suite `nope`",
+            ),
+            (
+                "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"spec_cpu2006\"}",
+                "suite `spec_cpu2006` is proprietary and cannot be served",
             ),
         ];
         for (line, field) in cases {

@@ -21,21 +21,21 @@ use fex_core::build::{BuildSystem, MakefileSet};
 use fex_core::config::FaultInjection;
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::{ArtifactGraph, ExperimentConfig, JournalEvent, Metrics, NodeKind};
-use fex_suites::InputSize;
+use fex_suites::{InputSize, Suite};
 use fex_vm::{CostModel, FaultKind, FaultPlan, PassMask};
 
-/// Runs the micro suite with the artifact graph attached at `lab`, and
-/// returns the observable artifacts plus the graph's session hit/miss
-/// counters.
-fn run_micro_graphed(
+/// Runs `suite` with the artifact graph attached at `lab`, and returns
+/// the observable artifacts plus the graph's session hit/miss counters.
+fn run_graphed(
     config: &ExperimentConfig,
+    suite: Suite,
     lab: &Path,
 ) -> (String, String, Vec<JournalEvent>, (u64, u64)) {
     let mut build = BuildSystem::new(MakefileSet::standard());
     let mut log = Vec::new();
     let mut ctx = RunContext::new(config, &mut build, &mut log);
     ctx.graph = Some(ArtifactGraph::open(lab).unwrap());
-    let mut runner = SuiteRunner::new(fex_suites::micro(), config);
+    let mut runner = SuiteRunner::new(suite, config);
     let df = runner.run(&mut ctx).unwrap();
     let graph = ctx.graph.take().unwrap();
     let session = (graph.hits(), graph.misses());
@@ -109,9 +109,9 @@ proptest! {
         }
         let lab = temp_dir(&format!("warm-{jobs}-{faulty}-{seed}"));
         let (cold_csv, cold_fail, cold_events, (cold_hits, _)) =
-            run_micro_graphed(&config, &lab);
+            run_graphed(&config, fex_suites::micro(), &lab);
         let (warm_csv, warm_fail, warm_events, (warm_hits, warm_misses)) =
-            run_micro_graphed(&config, &lab);
+            run_graphed(&config, fex_suites::micro(), &lab);
 
         prop_assert_eq!(cold_hits, 0, "a fresh graph cannot hit");
         prop_assert_eq!(&warm_csv, &cold_csv, "warm results CSV must be byte-identical");
@@ -134,6 +134,43 @@ proptest! {
     }
 }
 
+/// The Phoenix 7 benchmarks × 4 build types matrix against one lab:
+/// the warm re-run serves all 84 units with byte-identical artifacts,
+/// and dirtying one benchmark recomputes only its 12 units (an 85.7%
+/// unit hit rate) without moving the results CSV.
+#[test]
+fn phoenix_matrix_warm_and_dirty_reruns_are_served_from_the_graph() {
+    let config = ExperimentConfig::new("phoenix")
+        .types(vec!["gcc_native", "clang_native", "gcc_asan", "clang_asan"])
+        .input(InputSize::Test)
+        .repetitions(2)
+        .jobs(1);
+    let lab = temp_dir("phoenix");
+    let (cold_csv, cold_fail, cold_events, cold_session) =
+        run_graphed(&config, fex_suites::phoenix(), &lab);
+    assert_eq!(cold_session, (0, 84), "a fresh graph cannot hit");
+    let (warm_csv, warm_fail, warm_events, warm_session) =
+        run_graphed(&config, fex_suites::phoenix(), &lab);
+    assert_eq!(warm_session, (84, 0), "every stored unit is served back");
+    assert_eq!(warm_csv, cold_csv, "warm results CSV must be byte-identical");
+    assert_eq!(warm_fail, cold_fail, "warm failures CSV must be byte-identical");
+    assert_eq!(
+        normalized_stream(&warm_events),
+        normalized_stream(&cold_events),
+        "normalized journal streams must be byte-identical"
+    );
+
+    // A trailing newline is semantically neutral, but it re-keys the
+    // source digest and every node downstream of it.
+    let mut dirty = fex_suites::phoenix();
+    let prog = dirty.programs.iter_mut().find(|p| p.name == "histogram").unwrap();
+    prog.source = Box::leak(format!("{}\n", prog.source).into_boxed_str());
+    let (dirty_csv, _, _, dirty_session) = run_graphed(&config, dirty, &lab);
+    assert_eq!(dirty_session, (72, 12), "only histogram's units recompute");
+    assert_eq!(dirty_csv, cold_csv, "the dirty re-run's results CSV must match cold");
+    let _ = std::fs::remove_dir_all(&lab);
+}
+
 /// Fault-armed benchmarks bypass the graph entirely: their retries and
 /// failure records replay on every run, while healthy benchmarks are
 /// still served.
@@ -145,8 +182,9 @@ fn fault_armed_benchmarks_bypass_the_graph() {
         .repetitions(2)
         .fault(FaultInjection::for_benchmark("ptrchase", FaultPlan::persistent(FaultKind::Trap)));
     let lab = temp_dir("fault-bypass");
-    let (_, cold_fail, _, _) = run_micro_graphed(&config, &lab);
-    let (_, warm_fail, warm_events, (hits, misses)) = run_micro_graphed(&config, &lab);
+    let (_, cold_fail, _, _) = run_graphed(&config, fex_suites::micro(), &lab);
+    let (_, warm_fail, warm_events, (hits, misses)) =
+        run_graphed(&config, fex_suites::micro(), &lab);
     assert!(!cold_fail.lines().skip(1).collect::<Vec<_>>().is_empty(), "fault plan must fire");
     assert_eq!(warm_fail, cold_fail, "failure records must replay identically warm");
     assert_eq!(misses, 0, "fault-armed units never consult the graph");
@@ -205,9 +243,9 @@ fn pass_subset_change_dirties_decoded_and_run_layers_only() {
     let all = base.clone().passes(PassMask::all());
     let none = base.clone().passes(PassMask::none());
 
-    let (_, _, _, (h1, m1)) = run_micro_graphed(&all, &lab);
+    let (_, _, _, (h1, m1)) = run_graphed(&all, fex_suites::micro(), &lab);
     assert_eq!(h1, 0);
-    let (_, _, _, (h2, m2)) = run_micro_graphed(&none, &lab);
+    let (_, _, _, (h2, m2)) = run_graphed(&none, fex_suites::micro(), &lab);
     assert_eq!(h2, 0, "a different pass subset shares no run-unit nodes");
     assert_eq!(m1, m2, "same unit count under both subsets");
 
@@ -227,8 +265,8 @@ fn pass_subset_change_dirties_decoded_and_run_layers_only() {
     );
     assert_eq!(counts.get(&NodeKind::RunUnit).copied().unwrap_or(0), 2 * micro_benches);
 
-    let (_, _, _, (h3, m3)) = run_micro_graphed(&all, &lab);
-    let (_, _, _, (h4, m4)) = run_micro_graphed(&none, &lab);
+    let (_, _, _, (h3, m3)) = run_graphed(&all, fex_suites::micro(), &lab);
+    let (_, _, _, (h4, m4)) = run_graphed(&none, fex_suites::micro(), &lab);
     assert_eq!((m3, m4), (0, 0), "both configurations stay warm");
     assert_eq!((h3, h4), (h2 + m2, h2 + m2));
     let _ = std::fs::remove_dir_all(&lab);
@@ -242,8 +280,8 @@ fn no_graph_escape_hatch_is_byte_invisible() {
     let off = on.clone().graph(false);
     let lab_on = temp_dir("hatch-on");
     let lab_off = temp_dir("hatch-off");
-    let (csv_on, fail_on, _, _) = run_micro_graphed(&on, &lab_on);
-    let (csv_off, fail_off, _, (hits, misses)) = run_micro_graphed(&off, &lab_off);
+    let (csv_on, fail_on, _, _) = run_graphed(&on, fex_suites::micro(), &lab_on);
+    let (csv_off, fail_off, _, (hits, misses)) = run_graphed(&off, fex_suites::micro(), &lab_off);
     assert_eq!(csv_on, csv_off);
     assert_eq!(fail_on, fail_off);
     assert_eq!((hits, misses), (0, 0), "--no-graph must not consult the cache");

@@ -166,6 +166,26 @@ fn nginx_experiment_has_the_fig7_shape() {
     assert!(plot.to_svg().contains("circle"));
 }
 
+/// Table II: clang's pointers-first layout blocks the BSS/Data
+/// overflows that gcc's layout permits, and that is the whole gcc–clang
+/// gap — every other technique/location count is equal.
+#[test]
+fn ripe_gap_between_gcc_and_clang_is_exactly_bss_and_data() {
+    use fex_ripe::{run_testbed, TestbedConfig};
+    let gcc = run_testbed(&fex_cc::BuildOptions::gcc(), &TestbedConfig::paper()).by_dimension;
+    let clang = run_testbed(&fex_cc::BuildOptions::clang(), &TestbedConfig::paper()).by_dimension;
+    let global = |dim: &String| dim.ends_with("/Bss") || dim.ends_with("/Data");
+    assert!(!clang.keys().any(global), "clang permits a global overflow: {clang:?}");
+    assert!(gcc.keys().any(global), "gcc blocks every global overflow: {gcc:?}");
+    let rest = |dims: &std::collections::BTreeMap<String, usize>| {
+        dims.iter()
+            .filter(|(dim, _)| !global(dim))
+            .map(|(d, n)| (d.clone(), *n))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(rest(&gcc), rest(&clang), "the gap must be BSS/Data only");
+}
+
 #[test]
 fn missing_install_is_a_clear_error() {
     let mut fex = Fex::new();

@@ -101,6 +101,17 @@ fn store_and_compare_two_runs_end_to_end() {
     assert_eq!(cmp.count(Verdict::Unchanged), cmp.cells.len(), "{}", cmp.to_table());
     // Deterministic rerun: every cell's means agree exactly.
     assert!(cmp.cells.iter().all(|c| c.baseline.mean == c.candidate.mean));
+    // The gate has teeth: a copy of the archived baseline with every
+    // sample 50% slower must regress.
+    let ti = base.col("time").unwrap();
+    let mut slowed = fex_core::collect::DataFrame::new(base.columns().to_vec());
+    for row in base.iter() {
+        let mut row = row.to_vec();
+        row[ti] = (row[ti].as_num().unwrap() * 1.5).into();
+        slowed.push(row);
+    }
+    let slow = Comparison::compare(&base, &slowed, "time", "prev", "slowed").unwrap();
+    assert!(slow.has_regression(), "{}", slow.to_table());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

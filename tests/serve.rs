@@ -1,6 +1,7 @@
 //! Service-level integration tests for `fex serve`: the real binary's
 //! daemon lifecycle (submit → stream → result, cross-tenant cache
-//! serving, malformed-submission rejection, drain-on-shutdown), plus
+//! serving, malformed-submission rejection, drain-on-shutdown), a
+//! concurrent load test against an in-process daemon, plus
 //! differential fault-tolerance tests for the simulated fleet mode —
 //! extending the jobs-invariance idiom of `tests/lab_diff.rs` to host
 //! loss: a campaign that loses hosts mid-flight and re-distributes its
@@ -16,7 +17,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use fex_core::serve::{self, canonical_fleet_csv, Submission};
-use fex_core::Fex;
+use fex_core::{Fex, ServeOptions, ServeOutcome, Server};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fex-serve-it-{}-{tag}", std::process::id()));
@@ -200,6 +201,79 @@ fn shutdown_drains_queued_submissions() {
         assert!(outcome.rows > 0);
     }
     assert!(summary.contains("3 completed"), "summary:\n{summary}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Load gate against an in-process daemon: 60 distinct micro
+/// submissions, then the same 60 from shuffled tenants, fanned out over
+/// 8 concurrent clients, 4 workers and a 32-slot queue. Every unique
+/// submission executes, every duplicate is a byte-identical store serve,
+/// and the bounded queue never evicts.
+#[test]
+fn concurrent_duplicates_are_store_served_without_evictions() {
+    const CLIENTS: usize = 8;
+    const UNIQUE: usize = 60;
+    const BENCHES: [&str; 4] = ["arrayread", "arraywrite", "ptrchase", "branches"];
+    let dir = temp_dir("load");
+    let handle = Server::start(ServeOptions {
+        socket: dir.join("serve.sock"),
+        lab: dir.join("lab").to_string_lossy().into_owned(),
+        workers: 4,
+        queue_cap: 4 * CLIENTS,
+    })
+    .unwrap();
+    let socket = handle.socket().to_path_buf();
+    let subs = |tenant: fn(usize) -> String| -> Vec<Submission> {
+        (0..UNIQUE)
+            .map(|i| {
+                let mut sub = Submission::new(tenant(i), "micro");
+                sub.benchmark = Some(BENCHES[i % BENCHES.len()].into());
+                sub.seed = 1_000 + (i / BENCHES.len()) as u64;
+                sub.priority = (i % 3) as i64;
+                sub.stream = false;
+                sub
+            })
+            .collect()
+    };
+    // Client `c` submits every `CLIENTS`-th submission, sequentially.
+    let submit_all = |subs: &[Submission]| -> Vec<ServeOutcome> {
+        let mut outcomes: Vec<Option<ServeOutcome>> = vec![None; subs.len()];
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let socket = &socket;
+                    scope.spawn(move || {
+                        (c..subs.len())
+                            .step_by(CLIENTS)
+                            .map(|i| (i, serve::submit(socket, &subs[i]).unwrap()))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for client in clients {
+                for (i, outcome) in client.join().unwrap() {
+                    outcomes[i] = Some(outcome);
+                }
+            }
+        });
+        outcomes.into_iter().map(Option::unwrap).collect()
+    };
+
+    let cold = submit_all(&subs(|i| format!("t{}", i % CLIENTS)));
+    assert!(cold.iter().all(|o| !o.store_hit), "distinct submissions must all execute");
+    assert!(cold.iter().all(|o| o.rows > 0), "every unique submission yields rows");
+    let warm = submit_all(&subs(|i| format!("u{}", (i + 1) % CLIENTS)));
+    for (dup, original) in warm.iter().zip(&cold) {
+        assert!(dup.store_hit, "every duplicate is served from the cross-tenant cache");
+        assert_eq!(dup.results_csv, original.results_csv, "byte-identical results CSV");
+        assert_eq!(dup.failures_csv, original.failures_csv, "byte-identical failures CSV");
+    }
+
+    serve::shutdown(&socket).unwrap();
+    let summary = handle.wait().unwrap();
+    assert_eq!(summary.completed, 2 * UNIQUE as u64);
+    assert_eq!(summary.store_hits, UNIQUE as u64);
+    assert_eq!(summary.evictions, 0, "the bounded queue never overflowed");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
