@@ -28,7 +28,7 @@ impl Value {
     }
 
     /// String view. Numbers use shortest round-trip formatting so CSV
-    /// persistence is lossless (EDD baselines depend on this).
+    /// persistence is lossless (`fex compare` re-reads archived CSVs).
     pub fn to_cell_string(&self) -> String {
         match self {
             Value::Str(s) => s.clone(),

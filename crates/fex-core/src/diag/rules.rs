@@ -2,10 +2,14 @@
 //!
 //! Every rule reuses existing machinery rather than re-deriving it: the
 //! regression rule drives [`lab::compare`](crate::lab::compare), the
-//! flakiness rule wraps the EDD [`FlakinessGate`] thresholds, the
-//! variance rule runs on the journal's `vm_exec` counters through
+//! flakiness rule reads the journal's
+//! [`Metrics`](crate::journal::Metrics) roll-up, the variance rule runs
+//! on the journal's `vm_exec` counters through
 //! [`collect::stats`](crate::collect::stats), and the cache rule reads
 //! the `metrics.json` roll-ups archived by the run store.
+//!
+//! Together with `fex compare` these rules are the evaluation-driven
+//! development gate of the paper's §VI: CI runs them over the lab.
 //!
 //! Rules are pure: an inapplicable context (no journal, no store, not
 //! enough history) yields no findings. Each rule's tests cover one
@@ -14,8 +18,7 @@
 use std::fmt::Write as _;
 
 use crate::collect::{stats, DataFrame};
-use crate::edd::FlakinessGate;
-use crate::journal::{JournalEvent, JOURNAL_VERSION};
+use crate::journal::{JournalEvent, Metrics, JOURNAL_VERSION};
 use crate::lab::{Comparison, IndexEntry, Verdict};
 
 use super::{cycles_by_cell, parse_reps, DiagCtx, Finding, RepsSpec, Rule, Severity, StoreSource};
@@ -110,9 +113,11 @@ impl Rule for SignificantRegression {
 // flakiness
 // ---------------------------------------------------------------------
 
-/// The EDD [`FlakinessGate`] as a diagnostics rule, computed from the
-/// journal roll-up: the retry rate (extra attempts per settled unit) and
-/// the quarantine count against the configured thresholds.
+/// The evaluation's flakiness gate, computed from the journal roll-up:
+/// the retry rate (extra attempts per settled unit) and the quarantine
+/// count against the configured thresholds. Results obtained through
+/// heavy retrying are suspect even when every unit eventually succeeded:
+/// whatever made runs fail also perturbs the runs that passed.
 pub struct Flakiness;
 
 impl Rule for Flakiness {
@@ -127,17 +132,13 @@ impl Rule for Flakiness {
     }
     fn check(&self, ctx: &DiagCtx) -> Vec<Finding> {
         let Some(journal) = &ctx.journal else { return Vec::new() };
-        let gate = FlakinessGate {
-            max_retry_rate: ctx.config.max_retry_rate,
-            max_quarantined: ctx.config.max_quarantined,
-        };
         let m = &journal.metrics;
         let units: usize = m.retry_histogram.values().sum();
         let attempts: usize = m.retry_histogram.iter().map(|(a, n)| a * n).sum();
         let mut findings = Vec::new();
         if units > 0 {
             let retry_rate = (attempts - units) as f64 / units as f64;
-            if retry_rate > gate.max_retry_rate {
+            if retry_rate > ctx.config.max_retry_rate {
                 findings.push(Finding {
                     rule: self.id(),
                     severity: self.severity(),
@@ -149,12 +150,12 @@ impl Rule for Flakiness {
                         retry_rate,
                         attempts - units,
                         units,
-                        gate.max_retry_rate
+                        ctx.config.max_retry_rate
                     ),
                 });
             }
         }
-        if m.quarantined.len() > gate.max_quarantined {
+        if m.quarantined.len() > ctx.config.max_quarantined {
             findings.push(Finding {
                 rule: self.id(),
                 severity: self.severity(),
@@ -164,7 +165,7 @@ impl Rule for Flakiness {
                     "{} quarantined benchmark(s) ({}) exceed the flakiness gate's {}",
                     m.quarantined.len(),
                     m.quarantined.join(", "),
-                    gate.max_quarantined
+                    ctx.config.max_quarantined
                 ),
             });
         }
@@ -227,71 +228,6 @@ impl Rule for VarianceAnomaly {
 // cache-hit-rate-drop
 // ---------------------------------------------------------------------
 
-/// Cache counters recovered from a stored `metrics.json`.
-#[derive(Debug, Clone, Copy, Default)]
-struct CacheStats {
-    decodes: u64,
-    decode_served: u64,
-    graph_hits: u64,
-    graph_misses: u64,
-}
-
-impl CacheStats {
-    /// Parses the `decode_cache` / `artifact_graph` blocks of the
-    /// line-oriented `metrics.json` the journal writes.
-    fn parse(metrics_json: &str) -> Option<CacheStats> {
-        let mut stats = CacheStats::default();
-        let mut section = "";
-        let mut seen = 0;
-        for line in metrics_json.lines() {
-            let line = line.trim();
-            if line.starts_with("\"decode_cache\":") {
-                section = "decode";
-            } else if line.starts_with("\"artifact_graph\":") {
-                section = "graph";
-            }
-            let field = |name: &str| -> Option<u64> {
-                line.strip_prefix(&format!("\"{name}\": "))?.trim_end_matches(',').parse().ok()
-            };
-            let mut take = |name: &str, slot: fn(&mut CacheStats) -> &mut u64| {
-                if let Some(v) = field(name) {
-                    *slot(&mut stats) = v;
-                    seen += 1;
-                }
-            };
-            match section {
-                "decode" => {
-                    take("decodes", |s| &mut s.decodes);
-                    take("served", |s| &mut s.decode_served);
-                }
-                "graph" => {
-                    take("hits", |s| &mut s.graph_hits);
-                    take("misses", |s| &mut s.graph_misses);
-                }
-                _ => {}
-            }
-        }
-        (seen == 4).then_some(stats)
-    }
-
-    fn decode_rate(&self) -> f64 {
-        if self.decode_served == 0 {
-            0.0
-        } else {
-            self.decode_served.saturating_sub(self.decodes) as f64 / self.decode_served as f64
-        }
-    }
-
-    fn graph_rate(&self) -> f64 {
-        let lookups = self.graph_hits + self.graph_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.graph_hits as f64 / lookups as f64
-        }
-    }
-}
-
 /// Decode-cache / artifact-graph hit rate of the newest stored run fell
 /// by more than the configured drop against the previous run of the
 /// same key — the caches silently stopped working.
@@ -316,8 +252,10 @@ impl Rule for CacheHitRateDrop {
         let (Some(prev_text), Some(latest_text)) = (read(prev), read(latest)) else {
             return Vec::new();
         };
-        let (Some(p), Some(l)) = (CacheStats::parse(&prev_text), CacheStats::parse(&latest_text))
-        else {
+        let (Some(p), Some(l)) = (
+            Metrics::parse_cache_counters(&prev_text),
+            Metrics::parse_cache_counters(&latest_text),
+        ) else {
             return Vec::new();
         };
         let file = store.store.run_dir(&latest.run_id).join("metrics.json").display().to_string();
@@ -343,14 +281,14 @@ impl Rule for CacheHitRateDrop {
         // that skips decoding entirely is a win, not a drop.
         drop_check(
             "decode-cache",
-            p.decode_rate(),
-            l.decode_rate(),
+            p.decode_hit_rate(),
+            l.decode_hit_rate(),
             p.decode_served > 0 && l.decode_served > 0,
         );
         drop_check(
             "artifact-graph",
-            p.graph_rate(),
-            l.graph_rate(),
+            p.graph_hit_rate(),
+            l.graph_hit_rate(),
             p.graph_hits + p.graph_misses > 0 && l.graph_hits + l.graph_misses > 0,
         );
         findings
@@ -525,7 +463,6 @@ mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
     use crate::diag::{DiagConfig, JournalSource};
-    use crate::journal::Metrics;
     use crate::lab::store::RunArtifacts;
     use crate::lab::RunStore;
 
@@ -661,6 +598,17 @@ mod tests {
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].message.contains("retry rate"), "{}", findings[0].message);
         assert!(findings[1].message.contains("quarantined"), "{}", findings[1].message);
+    }
+
+    #[test]
+    fn flakiness_rule_stays_quiet_under_lenient_thresholds() {
+        let mut ctx = ctx_with_journal(full_journal(vec![
+            outcome("a", "recovered", 3),
+            outcome("b", "quarantined", 3),
+        ]));
+        ctx.config.max_retry_rate = 2.0;
+        ctx.config.max_quarantined = 1;
+        assert!(Flakiness.check(&ctx).is_empty());
     }
 
     #[test]

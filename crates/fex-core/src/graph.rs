@@ -14,8 +14,7 @@
 //! | `compiled` | source key, backend name+version, `-O` level, asan, debug |
 //! | `decoded`  | compiled key, pass mask bits, cost-model fingerprint      |
 //! | `run_unit` | decoded key, unit seed, threads, rep, input, args, budget |
-//! | `aggregate`| run-unit keys in matrix order, repetition policy, tool    |
-//! | `plot`     | aggregate key, plot request                               |
+//! | `aggregate`| the lab run id: experiment key, results and failures CSVs |
 //!
 //! The graph lives under `<lab>/graph/` with the same append-only
 //! flat-JSON index discipline as [`lab::store`](crate::lab::store): one
@@ -57,19 +56,16 @@ pub enum NodeKind {
     RunUnit,
     /// One experiment's aggregate results frame.
     Aggregate,
-    /// A rendered plot.
-    Plot,
 }
 
 impl NodeKind {
     /// Every kind, in display order.
-    pub const ALL: [NodeKind; 6] = [
+    pub const ALL: [NodeKind; 5] = [
         NodeKind::Source,
         NodeKind::Compiled,
         NodeKind::Decoded,
         NodeKind::RunUnit,
         NodeKind::Aggregate,
-        NodeKind::Plot,
     ];
 
     /// The stable name recorded in the graph index.
@@ -80,7 +76,6 @@ impl NodeKind {
             NodeKind::Decoded => "decoded",
             NodeKind::RunUnit => "run_unit",
             NodeKind::Aggregate => "aggregate",
-            NodeKind::Plot => "plot",
         }
     }
 
@@ -163,17 +158,6 @@ pub fn unit_key(
         d.update(&a.to_le_bytes());
     }
     d.update(&run_budget.map_or(0u64, |b| b + 1).to_le_bytes());
-    d.finish()
-}
-
-/// The aggregate-frame key: every run-unit key in matrix order plus the
-/// policies that shape the frame from the same runs.
-pub fn aggregate_key(units: &[Digest], repetitions: &str, tool: &str) -> Digest {
-    let mut d = DigestBuilder::new();
-    for u in units {
-        feed(&mut d, *u);
-    }
-    d.update_str(repetitions).update_str(tool);
     d.finish()
 }
 
@@ -586,12 +570,6 @@ mod tests {
         assert_ne!(unit, unit_key(decoded, 7, 2, Some(0), "test", &[64], None));
         assert_ne!(unit, unit_key(decoded, 7, 2, Some(0), "native", &[32], None));
         assert_ne!(unit, unit_key(decoded, 7, 2, Some(0), "native", &[64], Some(50_000)));
-
-        // Aggregate keys see unit order and policy.
-        let a = aggregate_key(&[compiled, decoded], "Fixed(3)", "perf_stat");
-        assert_ne!(a, aggregate_key(&[decoded, compiled], "Fixed(3)", "perf_stat"));
-        assert_ne!(a, aggregate_key(&[compiled, decoded], "Fixed(5)", "perf_stat"));
-        assert_ne!(a, aggregate_key(&[compiled, decoded], "Fixed(3)", "time"));
     }
 
     #[test]

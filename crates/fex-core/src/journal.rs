@@ -717,6 +717,45 @@ impl Metrics {
         s.push_str("}\n");
         s
     }
+
+    /// Reads the `decode_cache` and `artifact_graph` counters back out of
+    /// [`to_json`](Metrics::to_json) text (the lab archives it as
+    /// `metrics.json`): a `Metrics` with `decodes`, `decode_served`,
+    /// `graph_hits` and `graph_misses` set and every other field default.
+    /// `None` unless all four counters are present.
+    pub fn parse_cache_counters(metrics_json: &str) -> Option<Metrics> {
+        let mut m = Metrics::default();
+        let mut section = "";
+        let mut seen = 0;
+        for line in metrics_json.lines() {
+            let line = line.trim();
+            if line.starts_with("\"decode_cache\":") {
+                section = "decode";
+            } else if line.starts_with("\"artifact_graph\":") {
+                section = "graph";
+            } else if line.starts_with('}') {
+                section = "";
+            }
+            let mut take = |name: &str, slot: fn(&mut Metrics) -> &mut usize| {
+                let value = line.strip_prefix(&format!("\"{name}\": "))?;
+                *slot(&mut m) = value.trim_end_matches(',').parse().ok()?;
+                seen += 1;
+                Some(())
+            };
+            match section {
+                "decode" => {
+                    take("decodes", |m| &mut m.decodes);
+                    take("served", |m| &mut m.decode_served);
+                }
+                "graph" => {
+                    take("hits", |m| &mut m.graph_hits);
+                    take("misses", |m| &mut m.graph_misses);
+                }
+                _ => {}
+            }
+        }
+        (seen == 4).then_some(m)
+    }
 }
 
 /// Writes `"key": value,` lines for a JSON sub-object, without a
@@ -1428,6 +1467,23 @@ mod tests {
         assert!(json.contains("\"experiment\": \"micro\""));
         assert!(json.contains("\"hit_rate\": 0.7500"));
         assert!(json.contains("\"quarantined\": [\"ptrchase\"]"));
+    }
+
+    #[test]
+    fn cache_counters_round_trip_through_metrics_json() {
+        let mut m = Metrics::from_journal(&sample_events());
+        (m.decodes, m.decode_served, m.graph_hits, m.graph_misses) = (3, 12, 7, 5);
+        // Later sections whose keys collide with the counters' names.
+        m.per_benchmark_cycles.insert("hits".into(), 99);
+        m.unit_outcomes.insert("served".into(), 98);
+        let back = Metrics::parse_cache_counters(&m.to_json()).expect("all four counters");
+        assert_eq!(
+            (back.decodes, back.decode_served, back.graph_hits, back.graph_misses),
+            (3, 12, 7, 5)
+        );
+        assert_eq!(back.decode_hit_rate(), m.decode_hit_rate());
+        assert_eq!(back.graph_hit_rate(), m.graph_hit_rate());
+        assert_eq!(Metrics::parse_cache_counters("{\n  \"decode_cache\": {\n  },\n}\n"), None);
     }
 
     #[test]

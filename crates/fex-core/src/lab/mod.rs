@@ -10,7 +10,10 @@
 //! two archived (or on-disk CSV) runs to produce a per-benchmark verdict
 //! table, a CI-whisker comparison plot, and a nonzero exit status on a
 //! statistically significant regression — a regression gate that drops
-//! straight into CI.
+//! straight into CI. This is fex's only regression gate: `fex diag`'s
+//! `significant-regression` rule runs the same comparison over the
+//! newest two archived runs, and its `flakiness` rule gates retries and
+//! quarantines from the run journal.
 //!
 //! * [`store`] — the [`RunStore`]: append-only flat-JSON index plus one
 //!   directory per archived run,

@@ -27,6 +27,10 @@
 //! * [`lab`] — the persistent content-addressed result store, the
 //!   adaptive repetition policy's statistics, the `fex compare`
 //!   regression gate and the `fex lab fsck` integrity checker,
+//! * [`diag`] — `fex diag`: rules over a run journal and the lab
+//!   (significant regression, flakiness, variance, cache hit rates);
+//!   with `fex compare` it is the evaluation-driven development gate
+//!   of §VI,
 //! * [`fuzz`] — `fex fuzz`: seeded scenario fuzzing of the whole
 //!   pipeline against a golden-free invariant oracle, with shrinking
 //!   and repro bundles,
@@ -66,7 +70,6 @@ pub mod collect;
 pub mod config;
 pub mod diag;
 pub mod distributed;
-pub mod edd;
 pub mod env;
 mod error;
 pub mod fuzz;

@@ -24,8 +24,10 @@
 //!   journaled per tenant (`serve_stream` carries the hit accounting).
 //! * **Worker fleet** — a pool of real worker threads drains the queue.
 //!   The content-addressed [`RunStore`](crate::lab::RunStore) and
-//!   artifact graph rewrite their whole index file on append (their
-//!   crash-tolerance discipline), which makes them single-writer: the
+//!   artifact graph are single-writer: an index append is one
+//!   `O_APPEND` write, but `RunStore::save` derives the next `seq` from
+//!   a scan of the index and each graph handle holds its own index
+//!   snapshot, so concurrent writers would duplicate seqs and nodes. The
 //!   daemon serializes lab access across workers with one gate while
 //!   each submission still fans its run units out over `--jobs` workers
 //!   inside the pipeline.
@@ -546,8 +548,9 @@ struct Inner {
     completed: AtomicU64,
     store_hits: AtomicU64,
     evictions: AtomicU64,
-    /// The store and graph rewrite their whole index on append — they
-    /// are single-writer by design, so lab access is serialized here.
+    /// Serializes lab access: `RunStore::save` derives `seq` from an
+    /// index scan and each graph handle holds its own index snapshot, so
+    /// concurrent writers would duplicate seqs and nodes.
     lab_gate: Mutex<()>,
 }
 

@@ -505,66 +505,6 @@ impl Fex {
         }
     }
 
-    /// Saves an experiment's current results as the EDD baseline (stored
-    /// in the container under `/fex/baselines/`).
-    ///
-    /// # Errors
-    ///
-    /// [`FexError::Data`] when the experiment has not been run.
-    pub fn save_baseline(&mut self, name: &str) -> Result<()> {
-        let frame = self
-            .results
-            .get(name)
-            .ok_or_else(|| FexError::Data(format!("no results for `{name}`; run it first")))?;
-        let csv = frame.to_csv();
-        self.container.fs_mut().write(format!("/fex/baselines/{name}.csv"), csv.into_bytes());
-        self.log.push(format!("saved EDD baseline for `{name}`"));
-        Ok(())
-    }
-
-    /// Evaluation-Driven Development check (§VI future work): compares
-    /// the experiment's current results against its stored baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`FexError::Data`] when no baseline or no current results exist.
-    pub fn edd_check(
-        &self,
-        name: &str,
-        gates: &[crate::edd::Gate],
-    ) -> Result<crate::edd::EddReport> {
-        let current = self
-            .results
-            .get(name)
-            .ok_or_else(|| FexError::Data(format!("no results for `{name}`; run it first")))?;
-        let baseline_csv =
-            self.container.fs().read(&format!("/fex/baselines/{name}.csv")).ok_or_else(|| {
-                FexError::Data(format!("no baseline for `{name}`; save one first"))
-            })?;
-        let baseline = DataFrame::from_csv(&String::from_utf8_lossy(baseline_csv))?;
-        crate::edd::check(&baseline, current, &["benchmark", "type"], gates)
-    }
-
-    /// Checks the flakiness of an experiment's last run against a
-    /// [`FlakinessGate`](crate::edd::FlakinessGate): a CI companion to
-    /// [`edd_check`](Fex::edd_check) that fails when results were only
-    /// obtained through excessive retrying or benchmark quarantine.
-    ///
-    /// # Errors
-    ///
-    /// [`FexError::Data`] when the experiment has not been run.
-    pub fn edd_flakiness_check(
-        &self,
-        name: &str,
-        gate: &crate::edd::FlakinessGate,
-    ) -> Result<crate::edd::EddReport> {
-        let report = self
-            .failure_reports
-            .get(name)
-            .ok_or_else(|| FexError::Data(format!("no results for `{name}`; run it first")))?;
-        Ok(crate::edd::check_flakiness(report, gate))
-    }
-
     /// `fex test -n <suite>` (§III-A): short runs with tiny inputs that
     /// check makefiles, sources and scripts, cross-validating the exit
     /// checksum of every benchmark across all standard build types.
@@ -654,6 +594,7 @@ fn server_kind(name: &str) -> Result<ServerKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::{run_diag, DiagConfig, DiagCtx, Finding, JournalSource};
     use fex_vm::MeasureTool;
 
     fn fex_with_compilers() -> Fex {
@@ -728,21 +669,12 @@ mod tests {
         assert!(fex.selftest("spec_cpu2006").is_err());
     }
 
-    #[test]
-    fn edd_baseline_roundtrip_passes_on_identical_runs() {
-        let mut fex = fex_with_compilers();
-        let cfg = ExperimentConfig::new("micro")
-            .types(vec!["gcc_native"])
-            .benchmark("branches")
-            .input(InputSize::Test);
-        fex.run(&cfg).unwrap();
-        fex.save_baseline("micro").unwrap();
-        // Re-run: deterministic machine → identical numbers → gates hold.
-        fex.run(&cfg).unwrap();
-        let report = fex.edd_check("micro", &[crate::edd::Gate::new("time", 1.01)]).unwrap();
-        assert!(report.passed(), "{}", report.summary());
-        // Without a baseline the check refuses.
-        assert!(fex.edd_check("nope", &[]).is_err());
+    /// `fex diag`'s flakiness findings over an experiment's journal.
+    fn flakiness_findings(fex: &Fex, name: &str, config: DiagConfig) -> Vec<Finding> {
+        let jsonl = fex.journal_jsonl(name).expect("journal");
+        let journal = Some(JournalSource::parse(name, &jsonl));
+        let ctx = DiagCtx { journal, store: None, config };
+        run_diag(&ctx, 1).findings.into_iter().filter(|f| f.rule == "flakiness").collect()
     }
 
     #[test]
@@ -771,16 +703,14 @@ mod tests {
         // The log carries the resilience summary.
         assert!(fex.log().iter().any(|l| l.contains("quarantined: ptrchase")));
 
-        // Flakiness gates: the strict default fails, a lenient one passes.
-        assert!(!fex
-            .edd_flakiness_check("micro", &crate::edd::FlakinessGate::default())
-            .unwrap()
-            .passed());
-        assert!(fex
-            .edd_flakiness_check("micro", &crate::edd::FlakinessGate::new(10.0, 1))
-            .unwrap()
-            .passed());
-        assert!(fex.edd_flakiness_check("never_ran", &Default::default()).is_err());
+        // Flakiness: the strict default thresholds flag the run, lenient
+        // ones pass it.
+        let strict = flakiness_findings(&fex, "micro", DiagConfig::default());
+        assert_eq!(strict.len(), 2, "{strict:?}");
+        assert!(strict[0].message.contains("(ptrchase)"), "{}", strict[0].message);
+        assert!(strict[1].message.starts_with("retry rate"), "{}", strict[1].message);
+        let lenient = DiagConfig { max_retry_rate: 10.0, max_quarantined: 1, ..Default::default() };
+        assert_eq!(flakiness_findings(&fex, "micro", lenient), vec![]);
     }
 
     #[test]
@@ -802,10 +732,7 @@ mod tests {
         let fcsv = armed.failure_csv("micro").unwrap();
         assert_eq!(fcsv.trim(), "benchmark,type,threads,rep,error,attempts,outcome");
         assert!(armed.failure_report("micro").unwrap().is_clean());
-        assert!(armed
-            .edd_flakiness_check("micro", &crate::edd::FlakinessGate::default())
-            .unwrap()
-            .passed());
+        assert_eq!(flakiness_findings(&armed, "micro", DiagConfig::default()), vec![]);
     }
 
     #[test]

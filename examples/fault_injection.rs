@@ -8,8 +8,8 @@
 //! ```
 
 use fex_core::config::{ExperimentConfig, FaultInjection};
-use fex_core::edd::FlakinessGate;
-use fex_core::{Fex, RunPolicy};
+use fex_core::diag::{run_diag, JournalSource};
+use fex_core::{DiagConfig, DiagCtx, Fex, RunPolicy};
 use fex_vm::{FaultKind, FaultPlan};
 
 fn main() {
@@ -38,8 +38,12 @@ fn main() {
     println!("--- failures.csv ---");
     print!("{}", fex2.failure_csv("phoenix").unwrap());
     println!("--------------------");
-    let verdict = fex2.edd_flakiness_check("phoenix", &FlakinessGate::default()).unwrap();
-    println!("strict CI gate: {}", verdict.summary());
+    // The CI gate: `fex diag`'s flakiness rule at its strict defaults.
+    let journal = JournalSource::parse("phoenix", &fex2.journal_jsonl("phoenix").unwrap());
+    let ctx = DiagCtx { journal: Some(journal), store: None, config: DiagConfig::default() };
+    for finding in run_diag(&ctx, 1).findings.iter().filter(|f| f.rule == "flakiness") {
+        println!("strict CI gate: {}", finding.message);
+    }
 
     // 3. Injection disabled must be byte-identical to no injection.
     let mut fex3 = Fex::new();

@@ -3,7 +3,7 @@
 
 use fex_core::collect::{stats, DataFrame};
 use fex_core::plot::normalize_against;
-use fex_core::{ExperimentConfig, Fex, FexError, PlotRequest};
+use fex_core::{Comparison, ExperimentConfig, Fex, FexError, PlotRequest, Verdict};
 use fex_suites::InputSize;
 use fex_vm::MeasureTool;
 
@@ -312,32 +312,31 @@ fn distributed_future_work_splits_suites_across_hosts() {
 
 #[test]
 fn edd_gate_fails_when_comparing_native_against_asan() {
-    // Simulates the CI story: baseline = native, "new commit" = asan
-    // build (a deliberate big regression) — the gate must fire.
+    // The CI story: baseline = native, "new commit" = an asan build (a
+    // deliberate big regression); `fex compare`'s Welch test must flag it.
     let mut fex = fex_ready();
-    let native = ExperimentConfig::new("micro")
-        .types(vec!["gcc_native"])
-        .benchmark("arrayread")
-        .input(InputSize::Test);
-    fex.run(&native).unwrap();
-    fex.save_baseline("micro").unwrap();
-    // Rename the asan run's type column to match the baseline by running
-    // the same config; instead compare via edd::check directly.
-    let base = fex.result("micro").unwrap().clone();
-    let asan_cfg = ExperimentConfig::new("micro")
-        .types(vec!["gcc_asan"])
-        .benchmark("arrayread")
-        .input(InputSize::Test);
-    let current = fex.run(&asan_cfg).unwrap().clone();
-    // Compare on benchmark only (type differs by construction).
-    let report = fex_core::edd::check(
-        &base,
-        &current,
-        &["benchmark"],
-        &[fex_core::edd::Gate::new("time", 1.10)],
-    )
-    .unwrap();
-    assert!(!report.passed(), "asan must violate a 10% gate: {}", report.summary());
+    let mut run = |ty: &str| {
+        let config = ExperimentConfig::new("micro")
+            .types(vec![ty])
+            .benchmark("arrayread")
+            .input(InputSize::Test)
+            .repetitions(3);
+        fex.run(&config).unwrap().clone()
+    };
+    let native = run("gcc_native");
+    let asan = run("gcc_asan");
+    // Relabel the asan cells so both runs share one (benchmark, type) cell.
+    let ti = asan.col("type").unwrap();
+    let mut candidate = DataFrame::new(asan.columns().to_vec());
+    for row in asan.iter() {
+        let mut row = row.to_vec();
+        row[ti] = "gcc_native".into();
+        candidate.push(row);
+    }
+    let cmp = Comparison::compare(&native, &candidate, "time", "native", "asan").unwrap();
+    assert_eq!(cmp.cells.len(), 1);
+    assert_eq!(cmp.cells[0].verdict, Verdict::Regressed, "{}", cmp.to_table());
+    assert!(cmp.has_regression());
 }
 
 #[test]
@@ -354,7 +353,8 @@ fn environment_digest_is_reproducible_across_instances() {
 #[test]
 fn injected_persistent_trap_quarantines_one_benchmark_end_to_end() {
     use fex_core::config::FaultInjection;
-    use fex_core::edd::FlakinessGate;
+    use fex_core::diag::{run_diag, JournalSource};
+    use fex_core::{DiagConfig, DiagCtx, Metrics};
     use fex_vm::{FaultKind, FaultPlan};
 
     // Baseline: the clean phoenix run at test size.
@@ -389,8 +389,33 @@ fn injected_persistent_trap_quarantines_one_benchmark_end_to_end() {
     let fcsv = faulty.failure_csv("phoenix").unwrap();
     assert!(fcsv.contains("kmeans") && fcsv.contains("quarantined"));
 
-    // Flakiness gating: the default CI gate rejects the run.
-    assert!(!faulty.edd_flakiness_check("phoenix", &FlakinessGate::default()).unwrap().passed());
+    // The journal accounts for exactly the runs and attempts the failure
+    // report counted, so `fex diag` gates on the same retry rate.
+    let jsonl = faulty.journal_jsonl("phoenix").unwrap();
+    let journal = JournalSource::parse("phoenix", &jsonl);
+    let hist = &Metrics::from_journal(&journal.events).retry_histogram;
+    assert_eq!(hist.values().sum::<usize>(), report.total_runs);
+    assert_eq!(hist.iter().map(|(a, n)| a * n).sum::<usize>(), report.total_attempts);
+
+    // Flakiness gating: `fex diag`'s default thresholds reject the run for
+    // the quarantine and at the failure report's retry rate (findings
+    // sort by message).
+    let ctx = DiagCtx { journal: Some(journal), store: None, config: DiagConfig::default() };
+    let findings: Vec<String> = run_diag(&ctx, 1)
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == "flakiness")
+        .map(|f| f.message)
+        .collect();
+    let retry_rate = format!(
+        "retry rate {:.2} ({} extra attempts over {} units) exceeds the flakiness gate's 0.00",
+        report.retry_rate(),
+        report.total_attempts - report.total_runs,
+        report.total_runs
+    );
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings[0].contains("(kmeans)"), "{}", findings[0]);
+    assert_eq!(findings[1], retry_rate);
 
     // The surviving benchmarks' rows are identical to the clean run's —
     // injection perturbs nothing outside its target.
