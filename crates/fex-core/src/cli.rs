@@ -182,7 +182,8 @@ run options:
   --tool <t>     perf-stat | perf-stat-mem | time (default perf-stat)
   -v             verbose
   -d             debug builds
-  --no-build     reuse cached binaries
+  --no-build     reuse cached binaries (each `fex run` starts with an
+                 empty cache, so this only helps library embeddings)
   --jobs <n>     parallel run-unit workers; 0 = auto
                  (default: available cores, capped at 16)
   --chunk <n>    units each worker claims per grab; 0 = auto

@@ -147,7 +147,10 @@ pub struct ExperimentConfig {
     pub verbose: bool,
     /// Debug builds and debug environment (`-d`).
     pub debug: bool,
-    /// Skip rebuilding when a cached binary exists (`--no-build`).
+    /// Skip rebuilding when a cached binary exists (`--no-build`). The
+    /// cache lives in one `Fex`'s `BuildSystem`, and every `fex run` is a
+    /// fresh process, so only embeddings that run several experiments on
+    /// one `Fex` ever reuse anything.
     pub no_build: bool,
     /// Measurement tool.
     pub tool: MeasureTool,

@@ -2,58 +2,40 @@
 //! supports only single-machine experiments. We are investigating ways to
 //! build distributed experiments, e.g., using the Fabric library").
 //!
-//! In this reproduction a *host* is a simulated machine configuration
-//! (core count, clock, cache geometry — heterogeneous clusters are the
+//! In this reproduction a *host* is a simulated machine shape
+//! ([`FleetHost`]: core count and clock — heterogeneous clusters are the
 //! interesting case). A [`DistributedRun`] partitions a suite's
-//! benchmarks across hosts round-robin (Fabric-style fan-out), executes
-//! each partition under its host's machine, and merges the collected
-//! frames with a `host` column, so cross-host comparisons use the same
-//! collect/plot pipeline as everything else.
+//! benchmarks across hosts round-robin (Fabric-style fan-out) and is
+//! otherwise an ordinary experiment: each benchmark's run units take
+//! their host's machine shape and go through the same execute stage as
+//! every other experiment ([`execute_units`]), so budgets, retries,
+//! fault plans and `--jobs` apply unchanged. The merged frame comes out
+//! in matrix order with a `host` column, so cross-host comparisons use
+//! the same collect/plot pipeline as everything else.
 //!
 //! Host failures can be injected with [`DistributedRun::kill_host`]: a
 //! dead host's partition is re-distributed round-robin across the
 //! survivors before execution, and the merged frame marks those runs in
 //! its `rescheduled` column so the re-distribution is auditable.
 
+use fex_netsim::fleet::FleetHost;
 use fex_suites::Suite;
-use fex_vm::{Machine, MachineConfig, Measurement};
 
 use crate::build::BuildSystem;
-use crate::collect::DataFrame;
+use crate::collect::{run_sample, DataFrame};
 use crate::config::{input_name, ExperimentConfig};
 use crate::error::{FexError, Result};
-
-/// One simulated host in the cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostSpec {
-    /// Host name (becomes the `host` column value).
-    pub name: String,
-    /// Cores available to `parfor`.
-    pub cores: usize,
-    /// Clock frequency in Hz.
-    pub freq_hz: f64,
-}
-
-impl HostSpec {
-    /// Creates a host.
-    pub fn new(name: impl Into<String>, cores: usize, freq_hz: f64) -> Self {
-        HostSpec { name: name.into(), cores: cores.max(1), freq_hz }
-    }
-
-    fn machine_config(&self, seed: u64) -> MachineConfig {
-        MachineConfig { cores: self.cores, freq_hz: self.freq_hz, seed, ..MachineConfig::default() }
-    }
-}
+use crate::sched::{execute_units, RunUnit, UnitWork};
 
 /// A host's share of the work: each benchmark is flagged with whether it
 /// was rescheduled off a dead host.
-pub type HostPartition<'a> = (&'a HostSpec, Vec<(&'static str, bool)>);
+pub type HostPartition<'a> = (&'a FleetHost, Vec<(&'static str, bool)>);
 
 /// A distributed experiment over one suite.
 #[derive(Debug)]
 pub struct DistributedRun {
     suite: Suite,
-    hosts: Vec<HostSpec>,
+    hosts: Vec<FleetHost>,
     dead: Vec<String>,
 }
 
@@ -64,7 +46,7 @@ impl DistributedRun {
     ///
     /// [`FexError::Config`] when no hosts are given or the suite is
     /// proprietary.
-    pub fn new(suite: Suite, hosts: Vec<HostSpec>) -> Result<Self> {
+    pub fn new(suite: Suite, hosts: Vec<FleetHost>) -> Result<Self> {
         if hosts.is_empty() {
             return Err(FexError::Config("a distributed run needs at least one host".into()));
         }
@@ -99,8 +81,8 @@ impl DistributedRun {
 
     /// The benchmark partition for each host (round-robin), ignoring
     /// host failures.
-    pub fn partition(&self) -> Vec<(&HostSpec, Vec<&'static str>)> {
-        let mut parts: Vec<(&HostSpec, Vec<&'static str>)> =
+    pub fn partition(&self) -> Vec<(&FleetHost, Vec<&'static str>)> {
+        let mut parts: Vec<(&FleetHost, Vec<&'static str>)> =
             self.hosts.iter().map(|h| (h, Vec::new())).collect();
         for (i, prog) in self.suite.programs.iter().enumerate() {
             parts[i % self.hosts.len()].1.push(prog.name);
@@ -138,66 +120,88 @@ impl DistributedRun {
         Ok(survivors)
     }
 
-    /// Executes the distributed experiment: each host builds (locally,
-    /// with the same pinned toolchain — reproducibility is preserved by
-    /// construction) and runs its partition.
+    /// Executes the distributed experiment: every benchmark builds with
+    /// the same pinned toolchain (reproducibility is preserved by
+    /// construction), and the matrix — build type, benchmark
+    /// (`config.benchmark` when set), rep — expands into run units, each
+    /// under its host's cores and clock, that run through the shared
+    /// execute stage. Rows come out in matrix order whatever the
+    /// placement. There is no adaptive controller here: every cell runs
+    /// the policy's floor count (the exact count for `Fixed` policies).
     ///
     /// # Errors
     ///
-    /// Build and run failures, annotated with the benchmark name.
+    /// Build failures, unknown benchmarks, and the first unit (in matrix
+    /// order) that still fails after its retries.
     pub fn execute(&self, build: &mut BuildSystem, config: &ExperimentConfig) -> Result<DataFrame> {
         config.validate()?;
-        let columns = vec![
-            "host".to_string(),
-            "suite".to_string(),
-            "benchmark".to_string(),
-            "type".to_string(),
-            "input".to_string(),
-            "rep".to_string(),
-            "time".to_string(),
-            "cycles".to_string(),
-            // Appended last so positional consumers of the original
-            // schema keep working.
-            "rescheduled".to_string(),
-        ];
-        let mut df = DataFrame::new(columns);
-        for (host, benches) in self.effective_partition()? {
-            for ty in &config.build_types {
-                for (bench, rescheduled) in &benches {
-                    let prog = self.suite.program(bench).ok_or_else(|| FexError::UnknownName {
-                        kind: "benchmark",
-                        name: bench.to_string(),
-                    })?;
-                    let artifact =
-                        build.build(bench, prog.source, ty, config.debug, config.no_build)?;
-                    // The distributed path has no adaptive controller:
-                    // every host runs the policy's floor count (which is
-                    // the exact count for `Fixed` policies).
-                    for rep in 0..config.repetitions.min_reps() {
-                        let machine = Machine::new(host.machine_config(config.seed));
-                        let run = machine
-                            .load(&artifact.program)
-                            .run_entry(prog.args(config.input))
-                            .map_err(|source| FexError::Run {
-                                benchmark: bench.to_string(),
-                                build_type: ty.to_string(),
-                                source,
-                            })?;
-                        let m = Measurement::extract(config.tool, &run);
-                        df.push(vec![
-                            host.name.as_str().into(),
-                            self.suite.name.into(),
-                            (*bench).into(),
-                            ty.as_str().into(),
-                            input_name(config.input).into(),
-                            (rep as i64).into(),
-                            m.get("time").unwrap_or(run.wall_seconds).into(),
-                            (run.elapsed_cycles as i64).into(),
-                            (*rescheduled as i64).into(),
-                        ]);
-                    }
+        let placement: Vec<(&FleetHost, &str, bool)> = self
+            .effective_partition()?
+            .into_iter()
+            .flat_map(|(host, benches)| benches.into_iter().map(move |(b, r)| (host, b, r)))
+            .collect();
+        let programs = match &config.benchmark {
+            Some(name) => vec![self
+                .suite
+                .program(name)
+                .ok_or_else(|| FexError::UnknownName { kind: "benchmark", name: name.clone() })?],
+            None => self.suite.programs.iter().collect(),
+        };
+        // Artifacts must be decoded the way the units' machines run them.
+        build.set_passes(config.passes);
+        let mut units = Vec::new();
+        let mut placed = Vec::new();
+        for ty in &config.build_types {
+            for prog in &programs {
+                let &(host, _, rescheduled) = placement
+                    .iter()
+                    .find(|(_, b, _)| *b == prog.name)
+                    .expect("every suite benchmark is placed on a survivor");
+                let artifact =
+                    build.build(prog.name, prog.source, ty, config.debug, config.no_build)?;
+                for rep in 0..config.repetitions.min_reps() {
+                    let mut mc =
+                        config.unit_machine_config(prog.name, ty, host.cores, Some(rep), 0);
+                    mc.freq_hz = host.freq_hz;
+                    units.push(RunUnit {
+                        ty: ty.clone(),
+                        bench: prog.name.to_string(),
+                        threads: host.cores,
+                        rep: Some(rep),
+                        input: input_name(config.input),
+                        record: true,
+                        line: None,
+                        work: Some(UnitWork {
+                            program: artifact.program.clone(),
+                            decoded: config.decode_cache.then(|| artifact.decoded.clone()),
+                            args: prog.args(config.input).to_vec(),
+                            config: mc,
+                        }),
+                    });
+                    placed.push((host, rescheduled));
                 }
             }
+        }
+        let outcomes =
+            execute_units(&units, &config.resilience, config.effective_jobs(), false, config.chunk);
+        // `rescheduled` comes last so positional consumers of the
+        // original schema keep working.
+        let columns = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled";
+        let mut df = DataFrame::new(columns.split(',').map(String::from).collect());
+        for ((unit, outcome), (host, rescheduled)) in units.iter().zip(outcomes).zip(placed) {
+            outcome.log.result?;
+            let run = outcome.result.expect("a successful unit carries its run");
+            df.push(vec![
+                host.name.as_str().into(),
+                self.suite.name.into(),
+                unit.bench.as_str().into(),
+                unit.ty.as_str().into(),
+                unit.input.into(),
+                (unit.rep.unwrap_or(0) as i64).into(),
+                run_sample(config.tool, &run).into(),
+                (run.elapsed_cycles as i64).into(),
+                (rescheduled as i64).into(),
+            ]);
         }
         Ok(df)
     }
@@ -209,8 +213,8 @@ mod tests {
     use crate::build::MakefileSet;
     use fex_suites::InputSize;
 
-    fn hosts() -> Vec<HostSpec> {
-        vec![HostSpec::new("node-a", 4, 3.0e9), HostSpec::new("node-b", 2, 2.0e9)]
+    fn hosts() -> Vec<FleetHost> {
+        vec![FleetHost::new("node-a", 4, 3.0e9), FleetHost::new("node-b", 2, 2.0e9)]
     }
 
     #[test]

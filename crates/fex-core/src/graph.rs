@@ -216,8 +216,9 @@ impl GraphIndexEntry {
 #[derive(Debug)]
 pub struct ArtifactGraph {
     root: PathBuf,
-    /// digest value → kind, for O(1) lookups.
-    index: HashMap<u128, NodeKind>,
+    /// digest value → kind and indexed payload digest, for O(1) lookups
+    /// that verify what they serve.
+    index: HashMap<u128, (NodeKind, Option<Digest>)>,
     next_seq: u64,
     warnings: Vec<String>,
     hits: u64,
@@ -242,8 +243,13 @@ impl ArtifactGraph {
         })?;
         let (entries, warnings) = Self::scan_at(&root);
         let next_seq = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
-        let index =
-            entries.iter().filter_map(|e| parse_digest(&e.digest).map(|d| (d.0, e.kind))).collect();
+        let index = entries
+            .iter()
+            .filter_map(|e| {
+                let payload = parse_digest(&e.payload_digest);
+                parse_digest(&e.digest).map(|d| (d.0, (e.kind, payload)))
+            })
+            .collect();
         Ok(ArtifactGraph { root, index, next_seq, warnings, hits: 0, misses: 0 })
     }
 
@@ -289,12 +295,15 @@ impl ArtifactGraph {
     }
 
     /// Looks up a cached run-unit result, counting a session hit or miss.
-    /// Unreadable or torn payloads degrade to a miss — the unit simply
-    /// re-executes — never an error.
+    /// Only a payload whose bytes hash to the digest indexed for it is
+    /// served: unreadable, torn or edited payloads degrade to a miss —
+    /// the unit simply re-executes — never an error.
     pub fn lookup_run(&mut self, digest: &Digest) -> Option<RunResult> {
         let served = match self.index.get(&digest.0) {
-            Some(NodeKind::RunUnit) => fs::read_to_string(self.payload_path(digest))
+            Some(&(NodeKind::RunUnit, payload)) => fs::read(self.payload_path(digest))
                 .ok()
+                .filter(|bytes| Some(digest_bytes(bytes)) == payload)
+                .and_then(|bytes| String::from_utf8(bytes).ok())
                 .and_then(|text| run_from_json(text.trim())),
             _ => None,
         };
@@ -337,14 +346,15 @@ impl ArtifactGraph {
         let dir = self.node_dir(digest);
         fs::create_dir_all(&dir).map_err(io)?;
         fs::write(dir.join("payload.json"), payload).map_err(io)?;
+        let payload_digest = digest_bytes(payload.as_bytes());
         let entry = GraphIndexEntry {
             seq: self.next_seq,
             digest: digest.to_string(),
             kind,
-            payload_digest: digest_bytes(payload.as_bytes()).to_string(),
+            payload_digest: payload_digest.to_string(),
         };
         crate::lab::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
-        self.index.insert(digest.0, kind);
+        self.index.insert(digest.0, (kind, Some(payload_digest)));
         self.next_seq += 1;
         Ok(())
     }
@@ -352,7 +362,7 @@ impl ArtifactGraph {
     /// Node counts per kind, for `fex graph stats`.
     pub fn node_counts(&self) -> BTreeMap<NodeKind, usize> {
         let mut counts = BTreeMap::new();
-        for kind in self.index.values() {
+        for (kind, _) in self.index.values() {
             *counts.entry(*kind).or_insert(0) += 1;
         }
         counts
@@ -634,6 +644,26 @@ mod tests {
         fs::write(&payload, &bytes[..bytes.len() / 2]).unwrap();
         let mut g3 = ArtifactGraph::open(&lab).unwrap();
         assert!(g3.lookup_run(&key_a).is_none());
+        let _ = fs::remove_dir_all(&lab);
+    }
+
+    #[test]
+    fn an_edited_payload_is_a_miss() {
+        let lab = temp_lab("edited");
+        let mut g = ArtifactGraph::open(&lab).unwrap();
+        let key = unit_key(Digest(3), 3, 1, Some(0), "native", &[], None);
+        g.store_run(&key, &sample_run()).unwrap();
+        // Change one digit of the cycle counter: the payload still
+        // parses, but no longer hashes to its indexed digest.
+        let payload = node_dir_at(g.root(), &key.to_string()).join("payload.json");
+        let text = fs::read_to_string(&payload).unwrap();
+        let edited = text.replace("\"ctr_cycles\": 2500", "\"ctr_cycles\": 2600");
+        assert_ne!(edited, text);
+        assert!(run_from_json(edited.trim()).is_some(), "the edit keeps the payload parseable");
+        fs::write(&payload, edited).unwrap();
+        let mut g2 = ArtifactGraph::open(&lab).unwrap();
+        assert!(g2.lookup_run(&key).is_none(), "an edited payload is never served");
+        assert_eq!((g2.hits(), g2.misses()), (0, 1));
         let _ = fs::remove_dir_all(&lab);
     }
 

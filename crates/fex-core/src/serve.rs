@@ -36,10 +36,11 @@
 //!   [`DistributedRun`](crate::distributed::DistributedRun), with host
 //!   losses injected either explicitly (`fleet_kill`) or from
 //!   [`fex_netsim::fleet`]'s seeded discrete-event failure timeline.
-//!   Because unit results are pure functions of their coordinates and
-//!   the fleet is homogeneous, a campaign that loses hosts mid-flight
-//!   and re-distributes work yields [`canonical_fleet_csv`] output
-//!   byte-identical to an undisturbed run.
+//!   Fleet run units go through the shared execute stage and come back
+//!   in matrix order. Because unit results are pure functions of their
+//!   coordinates and the fleet is homogeneous, a campaign that loses
+//!   hosts mid-flight and re-distributes work yields
+//!   [`canonical_fleet_csv`] output byte-identical to an undisturbed run.
 //!
 //! Clean shutdown (`{"op": "shutdown"}`) stops intake, drains every
 //! queued submission to its client, then exits; the daemon's own journal
@@ -59,7 +60,7 @@ use fex_suites::{BenchProgram, InputSize, Suite};
 use fex_vm::MeasureTool;
 
 use crate::config::{ExperimentConfig, Repetitions};
-use crate::distributed::{DistributedRun, HostSpec};
+use crate::distributed::DistributedRun;
 use crate::error::{FexError, Result};
 use crate::journal::{self, Journal, JournalEvent, Json, JsonLine};
 use crate::resilience::RunPolicy;
@@ -537,13 +538,14 @@ struct Inner {
     queue: Mutex<QueueState>,
     available: Condvar,
     journal: Mutex<Journal>,
+    /// Completed submissions by key, in their store-serve form (no
+    /// journal lines: a duplicate streams nothing).
     served: Mutex<HashMap<String, Arc<Executed>>>,
     tenants: Mutex<BTreeMap<String, TenantStats>>,
-    conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Read-half clones of every accepted connection, so drain can EOF
-    /// clients idling between requests without cutting in-flight
-    /// result writes.
-    conn_streams: Mutex<Vec<UnixStream>>,
+    /// Live connections: each handler thread with a clone of its stream,
+    /// so drain can EOF clients idling between requests without cutting
+    /// in-flight result writes. Finished entries are dropped on accept.
+    conns: Mutex<Vec<(std::thread::JoinHandle<()>, UnixStream)>>,
     next_submission: AtomicU64,
     completed: AtomicU64,
     store_hits: AtomicU64,
@@ -572,13 +574,12 @@ impl Inner {
         let key = sub.key();
         if let Some(hit) = self.served.lock().expect("served lock").get(&key) {
             self.store_hits.fetch_add(1, Ordering::SeqCst);
-            return Ok(Arc::new(hit.served()));
+            return Ok(Arc::clone(hit));
         }
         let executed =
             if sub.fleet > 0 { self.execute_fleet(sub)? } else { self.execute_local(sub)? };
-        let executed = Arc::new(executed);
-        self.served.lock().expect("served lock").insert(key, executed.clone());
-        Ok(executed)
+        self.served.lock().expect("served lock").insert(key, Arc::new(executed.served()));
+        Ok(Arc::new(executed))
     }
 
     /// The local path: the full build–run–collect pipeline against the
@@ -622,11 +623,8 @@ impl Inner {
     /// the frame is canonicalized so placement is invisible.
     fn execute_fleet(&self, sub: &Submission) -> Result<Executed> {
         let cfg = sub.config(None);
-        let suite = sub.suite()?;
         let fleet = fex_netsim::fleet::Fleet::homogeneous(sub.fleet, FLEET_CORES, FLEET_FREQ_HZ);
-        let hosts: Vec<HostSpec> =
-            fleet.hosts.iter().map(|h| HostSpec::new(h.name.clone(), h.cores, h.freq_hz)).collect();
-        let mut run = DistributedRun::new(suite.clone(), hosts)?;
+        let mut run = DistributedRun::new(sub.suite()?, fleet.hosts.clone())?;
         for name in &sub.fleet_kill {
             run = run.kill_host(name.clone());
         }
@@ -642,7 +640,7 @@ impl Inner {
         }
         let mut fex = Fex::new();
         let df = run.execute(fex.build_system_mut(), &cfg)?;
-        let results_csv = canonical_fleet_csv(&df.to_csv(), &suite, &sub.build_types);
+        let results_csv = canonical_fleet_csv(&df.to_csv());
         Ok(Executed {
             store_hit: false,
             graph_hits: 0,
@@ -666,45 +664,23 @@ impl Inner {
     }
 }
 
-/// Projects a fleet frame onto the placement-independent view: the
-/// `host` and `rescheduled` columns drop, and rows sort into matrix
-/// order (build type, suite benchmark order, rep) — so a campaign that
-/// lost hosts and re-distributed work is byte-identical to an
-/// undisturbed one.
-pub fn canonical_fleet_csv(csv: &str, suite: &Suite, build_types: &[String]) -> String {
+/// Projects a fleet frame onto the placement-independent view by
+/// dropping the `host` and `rescheduled` columns. Fleet frames already
+/// come in matrix order whatever the placement, so a campaign that lost
+/// hosts and re-distributed work is byte-identical to an undisturbed
+/// one.
+pub fn canonical_fleet_csv(csv: &str) -> String {
     let mut lines = csv.lines();
     let Some(header) = lines.next() else {
         return String::new();
     };
-    let cols: Vec<&str> = header.split(',').collect();
-    let keep: Vec<usize> = cols
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c != "host" && **c != "rescheduled")
-        .map(|(i, _)| i)
-        .collect();
-    let idx = |name: &str| cols.iter().position(|c| *c == name);
-    let (bi, ti, ri) = (idx("benchmark"), idx("type"), idx("rep"));
-    let bench_rank =
-        |b: &str| suite.programs.iter().position(|p| p.name == b).unwrap_or(usize::MAX);
-    let type_rank = |t: &str| build_types.iter().position(|x| x == t).unwrap_or(usize::MAX);
-    let mut rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
-    rows.sort_by_key(|r| {
-        (
-            ti.and_then(|i| r.get(i).copied()).map(type_rank).unwrap_or(usize::MAX),
-            bi.and_then(|i| r.get(i).copied()).map(bench_rank).unwrap_or(usize::MAX),
-            ri.and_then(|i| r.get(i).copied()).and_then(|v| v.parse::<i64>().ok()).unwrap_or(0),
-        )
-    });
+    let keep: Vec<bool> = header.split(',').map(|c| c != "host" && c != "rescheduled").collect();
     let mut out = String::new();
-    let project = |row: &[&str], out: &mut String| {
-        let cells: Vec<&str> = keep.iter().filter_map(|&i| row.get(i).copied()).collect();
+    for line in std::iter::once(header).chain(lines) {
+        let cells: Vec<&str> =
+            line.split(',').zip(&keep).filter(|(_, k)| **k).map(|(c, _)| c).collect();
         out.push_str(&cells.join(","));
         out.push('\n');
-    };
-    project(&cols, &mut out);
-    for row in &rows {
-        project(row, &mut out);
     }
     out
 }
@@ -738,13 +714,11 @@ impl ServerHandle {
         // block their handler threads in `read` forever. Shutting down
         // the read side EOFs those loops while in-flight result writes
         // still flush.
-        for stream in self.inner.conn_streams.lock().expect("conn streams lock").drain(..) {
+        let conns = std::mem::take(&mut *self.inner.conns.lock().expect("conns lock"));
+        for (_, stream) in &conns {
             let _ = stream.shutdown(std::net::Shutdown::Read);
         }
-        loop {
-            let Some(conn) = self.inner.conns.lock().expect("conns lock").pop() else {
-                break;
-            };
+        for (conn, _) in conns {
             let _ = conn.join();
         }
         let _ = std::fs::remove_file(&self.inner.opts.socket);
@@ -793,7 +767,6 @@ impl Server {
             served: Mutex::new(HashMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
             conns: Mutex::new(Vec::new()),
-            conn_streams: Mutex::new(Vec::new()),
             next_submission: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
@@ -820,12 +793,14 @@ fn accept_loop(listener: &UnixListener, inner: &Arc<Inner>) {
         if inner.queue.lock().expect("queue lock").draining {
             return;
         }
-        if let Ok(clone) = stream.try_clone() {
-            inner.conn_streams.lock().expect("conn streams lock").push(clone);
-        }
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
         let conn_inner = inner.clone();
         let handle = std::thread::spawn(move || handle_connection(stream, &conn_inner));
-        inner.conns.lock().expect("conns lock").push(handle);
+        let mut conns = inner.conns.lock().expect("conns lock");
+        conns.retain(|(h, _)| !h.is_finished());
+        conns.push((handle, clone));
     }
 }
 
@@ -1209,21 +1184,29 @@ mod tests {
 
     #[test]
     fn canonical_fleet_csv_is_placement_invariant() {
-        let suite = fex_suites::micro();
-        let types = vec!["gcc_native".to_string()];
-        // Same cells, different host placement and row order.
+        // Same cells in the same (matrix) order, different placement.
         let a = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
                  node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n\
                  node1,micro,arraywrite,gcc_native,test,0,2.5,200,0\n";
         let b = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
-                 node0,micro,arraywrite,gcc_native,test,0,2.5,200,1\n\
-                 node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n";
-        let ca = canonical_fleet_csv(a, &suite, &types);
-        let cb = canonical_fleet_csv(b, &suite, &types);
-        assert_eq!(ca, cb);
-        assert!(!ca.contains("host"), "volatile columns are projected away");
-        assert!(!ca.contains("rescheduled"));
-        assert!(ca.starts_with("suite,benchmark,type,input,rep,time,cycles\n"));
+                 node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n\
+                 node0,micro,arraywrite,gcc_native,test,0,2.5,200,1\n";
+        let expected = "suite,benchmark,type,input,rep,time,cycles\n\
+                        micro,arrayread,gcc_native,test,0,1.5,100\n\
+                        micro,arraywrite,gcc_native,test,0,2.5,200\n";
+        assert_eq!(canonical_fleet_csv(a), expected);
+        assert_eq!(canonical_fleet_csv(b), expected);
+        // Rows keep their order: the projection never re-sorts.
+        let swapped = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
+                       node1,micro,arraywrite,gcc_native,test,0,2.5,200,0\n\
+                       node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n";
+        assert_eq!(
+            canonical_fleet_csv(swapped),
+            "suite,benchmark,type,input,rep,time,cycles\n\
+             micro,arraywrite,gcc_native,test,0,2.5,200\n\
+             micro,arrayread,gcc_native,test,0,1.5,100\n"
+        );
+        assert_eq!(canonical_fleet_csv(""), "");
     }
 
     /// In-process end-to-end smoke: two tenants, identical work, the
@@ -1268,6 +1251,65 @@ mod tests {
             std::fs::read_to_string(Path::new(&dir).join("lab").join("serve.journal.jsonl"))
                 .unwrap();
         assert!(jsonl.lines().count() >= 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The daemon releases a connection's handler thread and stream once
+    /// the connection is done: after 40 sequential submissions it holds
+    /// entries only for connections still being served.
+    #[test]
+    fn finished_connections_are_released() {
+        let dir = temp_dir("conns");
+        let handle = Server::start(ServeOptions {
+            socket: dir.join("serve.sock"),
+            lab: dir.join("lab").to_string_lossy().into_owned(),
+            workers: 1,
+            queue_cap: 8,
+        })
+        .unwrap();
+        let socket = handle.socket().to_path_buf();
+        let mut sub = micro_sub("alice");
+        sub.stream = false;
+        for _ in 0..40 {
+            assert!(submit(&socket, &sub).unwrap().rows > 0);
+        }
+        let live = handle.inner.conns.lock().unwrap().len();
+        assert!(live < 8, "{live} connection entries held after 40 sequential submissions");
+        shutdown(&socket).unwrap();
+        handle.wait().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `served` map caches the store-serve form of a result: no
+    /// journal lines, while the first reply still streams its events and
+    /// a duplicate's reply is the store serve of the first.
+    #[test]
+    fn served_map_holds_no_journal_lines() {
+        let dir = temp_dir("served");
+        let handle = Server::start(ServeOptions {
+            socket: dir.join("serve.sock"),
+            lab: dir.join("lab").to_string_lossy().into_owned(),
+            workers: 1,
+            queue_cap: 8,
+        })
+        .unwrap();
+        let sub = micro_sub("alice");
+        let first = handle.inner.execute(&sub).unwrap();
+        assert!(!first.store_hit);
+        assert!(!first.journal_lines.is_empty(), "the first reply streams its events");
+        let cached = handle.inner.served.lock().unwrap()[&sub.key()].clone();
+        assert!(cached.journal_lines.is_empty(), "the cached entry holds no journal lines");
+        let dup = handle.inner.execute(&sub).unwrap();
+        let expected = Executed {
+            store_hit: true,
+            graph_hits: 0,
+            graph_misses: 0,
+            journal_lines: Vec::new(),
+            ..(*first).clone()
+        };
+        assert_eq!(result_reply(2, 0, &dup), result_reply(2, 0, &expected));
+        shutdown(handle.socket()).unwrap();
+        handle.wait().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,7 +2,7 @@
 //! discrete-event failure timeline over a homogeneous cluster.
 //!
 //! The serve daemon's fleet mode shards a submission's benchmarks across
-//! simulated hosts via [`fex_core::distributed`]'s partitioner. This
+//! these simulated hosts via `fex_core::distributed`'s partitioner. This
 //! module supplies the *failure model*: given a fleet and a seeded mean
 //! time between failures, it plays a discrete-event timeline (exponential
 //! inter-arrival draws against a fixed tick horizon) and reports which
@@ -17,10 +17,11 @@
 
 use std::collections::BinaryHeap;
 
-/// One simulated host: name plus the machine shape handed to
-/// `HostSpec::new` on the serve side. Fleets are homogeneous by
-/// construction ([`Fleet::homogeneous`]) so results are byte-identical
-/// no matter which survivor a benchmark lands on.
+/// One simulated host: a name plus the machine shape its share of a
+/// distributed run executes under (`fex_core::distributed` takes these
+/// directly). Serve fleets are homogeneous by construction
+/// ([`Fleet::homogeneous`]) so results are byte-identical no matter
+/// which survivor a benchmark lands on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetHost {
     /// Host name (`node0`, `node1`, …).
@@ -29,6 +30,13 @@ pub struct FleetHost {
     pub cores: usize,
     /// Clock frequency in Hz.
     pub freq_hz: f64,
+}
+
+impl FleetHost {
+    /// Creates a host with at least one core.
+    pub fn new(name: impl Into<String>, cores: usize, freq_hz: f64) -> Self {
+        FleetHost { name: name.into(), cores: cores.max(1), freq_hz }
+    }
 }
 
 /// A simulated cluster.
@@ -43,9 +51,8 @@ impl Fleet {
     /// Identical machine shapes are what make fleet campaigns
     /// byte-reproducible under any re-distribution.
     pub fn homogeneous(n: usize, cores: usize, freq_hz: f64) -> Fleet {
-        let hosts = (0..n.max(1))
-            .map(|i| FleetHost { name: format!("node{i}"), cores: cores.max(1), freq_hz })
-            .collect();
+        let hosts =
+            (0..n.max(1)).map(|i| FleetHost::new(format!("node{i}"), cores, freq_hz)).collect();
         Fleet { hosts }
     }
 

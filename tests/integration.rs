@@ -292,10 +292,11 @@ fn runtime_faults_surface_as_run_errors() {
 #[test]
 fn distributed_future_work_splits_suites_across_hosts() {
     use fex_core::build::{BuildSystem, MakefileSet};
-    use fex_core::distributed::{DistributedRun, HostSpec};
+    use fex_core::distributed::DistributedRun;
+    use fex_netsim::fleet::FleetHost;
     let run = DistributedRun::new(
         fex_suites::micro(),
-        vec![HostSpec::new("fast", 8, 4.0e9), HostSpec::new("slow", 1, 1.0e9)],
+        vec![FleetHost::new("fast", 8, 4.0e9), FleetHost::new("slow", 1, 1.0e9)],
     )
     .unwrap();
     let mut build = BuildSystem::new(MakefileSet::standard());

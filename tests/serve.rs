@@ -284,12 +284,9 @@ fn concurrent_duplicates_are_store_served_without_evictions() {
 /// Runs the micro suite across a simulated fleet, with `kills` host
 /// indices downed mid-campaign, and returns the canonical CSV.
 fn fleet_campaign(hosts: usize, kills: &[usize]) -> String {
-    use fex_core::distributed::{DistributedRun, HostSpec};
+    use fex_core::distributed::DistributedRun;
     let fleet = fex_netsim::fleet::Fleet::homogeneous(hosts, 2, 3.0e9);
-    let specs: Vec<HostSpec> =
-        fleet.hosts.iter().map(|h| HostSpec::new(h.name.clone(), h.cores, h.freq_hz)).collect();
-    let suite = fex_suites::micro();
-    let mut run = DistributedRun::new(suite.clone(), specs).unwrap();
+    let mut run = DistributedRun::new(fex_suites::micro(), fleet.hosts.clone()).unwrap();
     for &k in kills {
         run = run.kill_host(fleet.hosts[k].name.clone());
     }
@@ -299,7 +296,70 @@ fn fleet_campaign(hosts: usize, kills: &[usize]) -> String {
         .repetitions(2);
     let mut fex = Fex::new();
     let df = run.execute(fex.build_system_mut(), &cfg).unwrap();
-    canonical_fleet_csv(&df.to_csv(), &suite, &["gcc_native".to_string()])
+    canonical_fleet_csv(&df.to_csv())
+}
+
+/// The micro fleet campaign's canonical CSV is pinned by a golden
+/// generated before fleet partitions ran through the shared unit stage:
+/// both the undisturbed three-host campaign and the one that loses
+/// `node1` match it byte for byte.
+#[test]
+fn fleet_campaigns_match_the_golden() {
+    let golden = include_str!("golden/micro.fleet.csv");
+    assert_eq!(fleet_campaign(3, &[]), golden, "undisturbed campaign");
+    assert_eq!(fleet_campaign(3, &[1]), golden, "campaign that lost node1");
+}
+
+/// Starts an in-process daemon, submits `sub` once, shuts down and
+/// returns the submission's outcome.
+fn submit_once(tag: &str, sub: &Submission) -> fex_core::Result<ServeOutcome> {
+    let dir = temp_dir(tag);
+    let handle = Server::start(ServeOptions {
+        socket: dir.join("serve.sock"),
+        lab: dir.join("lab").to_string_lossy().into_owned(),
+        workers: 1,
+        queue_cap: 8,
+    })
+    .unwrap();
+    let socket = handle.socket().to_path_buf();
+    let outcome = serve::submit(&socket, sub);
+    serve::shutdown(&socket).unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome
+}
+
+/// A fleet submission runs under the submission's instruction budget: a
+/// loop that terminates, but only after far more than 10,000
+/// instructions, is cut off by the watchdog.
+#[test]
+fn fleet_submissions_run_under_the_budget() {
+    let mut sub = Submission::new("ops", "inline");
+    sub.programs = vec![(
+        "spin".into(),
+        "fn main() -> int {\n  var i = 0;\n  var s = 0;\n  \
+         while (i < 100000) { s += i; i += 1; }\n  return s % 7;\n}\n"
+            .into(),
+    )];
+    sub.fleet = 2;
+    sub.budget = 10_000;
+    let err = submit_once("fleet-budget", &sub).unwrap_err().to_string();
+    assert!(err.contains("instruction limit of 10000 exceeded"), "got: {err}");
+}
+
+/// A fleet submission restricted to one benchmark runs only that
+/// benchmark.
+#[test]
+fn fleet_submissions_honour_the_benchmark_filter() {
+    let mut sub = Submission::new("ops", "micro");
+    sub.fleet = 3;
+    sub.benchmark = Some("arrayread".into());
+    let outcome = submit_once("fleet-bench", &sub).unwrap();
+    assert!(outcome.rows > 0);
+    let benches: Vec<&str> =
+        outcome.results_csv.lines().skip(1).filter_map(|l| l.split(',').nth(1)).collect();
+    assert_eq!(benches.len(), outcome.rows);
+    assert!(benches.iter().all(|b| *b == "arrayread"), "rows: {benches:?}");
 }
 
 proptest! {
