@@ -19,9 +19,12 @@
 //! The graph lives under `<lab>/graph/` with the same append-only
 //! flat-JSON index discipline as [`lab::store`](crate::lab::store): one
 //! object per line, monotonic `seq`, no wall clocks, torn appends sealed
-//! onto their own line, per-line fault isolation on read. `fex lab fsck`
-//! walks it (orphaned node dirs, payload digest mismatches) with the same
-//! detect/quarantine treatment as run dirs.
+//! onto their own line, per-line fault isolation on read. Payloads share
+//! one append-only `pack` file; each index line names its payload's byte
+//! range and digest, and a range is served only if its bytes still hash
+//! to that digest. `fex lab fsck` walks it (ranges past the pack's end,
+//! payload digest mismatches) with the same detect/quarantine treatment
+//! as run dirs.
 //!
 //! Only *clean* run units are cached: first-attempt successes of
 //! fault-free units. Fault-armed or failing units bypass the graph
@@ -33,7 +36,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, Seek, SeekFrom, Write as _};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use fex_container::{digest_bytes, Digest, DigestBuilder};
@@ -174,17 +179,27 @@ pub struct GraphIndexEntry {
     pub digest: String,
     /// What the node is.
     pub kind: NodeKind,
-    /// Digest of the payload bytes as written — `fex lab fsck`
-    /// recomputes this to catch silently-edited or torn payloads.
+    /// Digest of the payload bytes as written — lookups and `fex lab
+    /// fsck` recompute it to catch silently-edited or torn payloads.
     pub payload_digest: String,
+    /// Where the payload starts in the pack.
+    pub offset: u64,
+    /// The payload's length in bytes (its separating newline excluded).
+    pub len: u64,
 }
+
+/// Why an index line written before payloads moved into the pack (it
+/// has no `offset`/`len`) does not parse.
+const PRE_PACK: &str = "entry predates the pack layout (no offset/len)";
 
 impl GraphIndexEntry {
     pub(crate) fn to_json(&self) -> String {
         let mut w = JsonLine::object("digest", &self.digest);
         w.field("seq", &self.seq)
             .str("kind", self.kind.as_str())
-            .str("payload", &self.payload_digest);
+            .str("payload", &self.payload_digest)
+            .field("offset", &self.offset)
+            .field("len", &self.len);
         w.finish()
     }
 
@@ -195,30 +210,51 @@ impl GraphIndexEntry {
         let kind = NodeKind::parse(&kind_name).ok_or_else(|| {
             FexError::Data(format!("corrupt graph index: unknown kind `{kind_name}`"))
         })?;
+        if !map.contains_key("offset") && !map.contains_key("len") {
+            return Err(FexError::Data(PRE_PACK.into()));
+        }
         Ok(GraphIndexEntry {
             seq: journal::get(&map, "seq").map_err(bad)?,
             digest: journal::get(&map, "digest").map_err(bad)?,
             kind,
             payload_digest: journal::get(&map, "payload").map_err(bad)?,
+            offset: journal::get(&map, "offset").map_err(bad)?,
+            len: journal::get(&map, "len").map_err(bad)?,
         })
     }
 }
 
+/// An indexed node: its kind, the digest its payload must hash to, and
+/// the payload's byte range in the pack.
+#[derive(Debug)]
+struct PackedNode {
+    kind: NodeKind,
+    payload: Option<Digest>,
+    offset: u64,
+    len: u64,
+}
+
 /// The artifact graph's node cache, rooted at `<lab>/graph/`.
-///
-/// Layout mirrors the run store:
 ///
 /// ```text
 /// <lab>/graph/
-///   index.json                   # one flat JSON object per line
-///   nodes/<digest>/payload.json  # the node's cached payload
+///   index.json   # one flat JSON object per line: seq, digest, kind,
+///                # payload digest, and the payload's offset and len
+///   pack         # every payload, appended in store order, one per line
 /// ```
+///
+/// The pack is only ever appended to. A store writes its payload first
+/// and its index line second, so a crash between the two leaves bytes no
+/// line names; the next store lands after them.
 #[derive(Debug)]
 pub struct ArtifactGraph {
     root: PathBuf,
-    /// digest value → kind and indexed payload digest, for O(1) lookups
-    /// that verify what they serve.
-    index: HashMap<u128, (NodeKind, Option<Digest>)>,
+    /// The payload pack, open for reads and appends while the handle
+    /// lives.
+    pack: File,
+    /// digest value → indexed node, for O(1) lookups that verify what
+    /// they serve.
+    index: HashMap<u128, PackedNode>,
     next_seq: u64,
     warnings: Vec<String>,
     hits: u64,
@@ -228,29 +264,54 @@ pub struct ArtifactGraph {
 impl ArtifactGraph {
     /// The graph's directory name under the lab root.
     pub const SUBDIR: &'static str = "graph";
+    /// The payload pack's file name under the graph root.
+    pub const PACK: &'static str = "pack";
 
     /// Opens (creating if necessary) the graph under the lab rooted at
     /// `lab_root`. Corrupt index lines are skipped with a warning, the
-    /// same per-line fault isolation as the run store.
+    /// same per-line fault isolation as the run store; lines written
+    /// before the pack layout are skipped with one summary warning.
     ///
     /// # Errors
     ///
-    /// [`FexError::Data`] when the directory cannot be created.
+    /// [`FexError::Data`] when the directory or the pack cannot be
+    /// created.
     pub fn open(lab_root: impl AsRef<Path>) -> Result<Self> {
         let root = lab_root.as_ref().join(Self::SUBDIR);
-        fs::create_dir_all(root.join("nodes")).map_err(|e| {
+        let cannot = |e: io::Error| {
             FexError::Data(format!("cannot create graph at `{}`: {e}", root.display()))
-        })?;
-        let (entries, warnings) = Self::scan_at(&root);
+        };
+        fs::create_dir_all(&root).map_err(cannot)?;
+        let pack = fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(root.join(Self::PACK))
+            .map_err(cannot)?;
+        let (entries, mut warnings) = Self::scan_at(&root);
+        let scanned = warnings.len();
+        warnings.retain(|w| !w.ends_with(PRE_PACK));
+        let pre_pack = scanned - warnings.len();
+        if pre_pack > 0 {
+            warnings.push(format!(
+                "{pre_pack} graph entries predate the pack layout; \
+                 `fex lab fsck --quarantine` drops them"
+            ));
+        }
         let next_seq = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
         let index = entries
             .iter()
             .filter_map(|e| {
-                let payload = parse_digest(&e.payload_digest);
-                parse_digest(&e.digest).map(|d| (d.0, (e.kind, payload)))
+                let node = PackedNode {
+                    kind: e.kind,
+                    payload: parse_digest(&e.payload_digest),
+                    offset: e.offset,
+                    len: e.len,
+                };
+                parse_digest(&e.digest).map(|d| (d.0, node))
             })
             .collect();
-        Ok(ArtifactGraph { root, index, next_seq, warnings, hits: 0, misses: 0 })
+        Ok(ArtifactGraph { root, pack, index, next_seq, warnings, hits: 0, misses: 0 })
     }
 
     /// The graph's root directory (`<lab>/graph`).
@@ -295,16 +356,21 @@ impl ArtifactGraph {
     }
 
     /// Looks up a cached run-unit result, counting a session hit or miss.
-    /// Only a payload whose bytes hash to the digest indexed for it is
-    /// served: unreadable, torn or edited payloads degrade to a miss —
-    /// the unit simply re-executes — never an error.
+    /// Only a payload range whose bytes hash to the digest indexed for it
+    /// is served: a range past the pack's end, a short read, or torn or
+    /// edited bytes degrade to a miss — the unit simply re-executes —
+    /// never an error.
     pub fn lookup_run(&mut self, digest: &Digest) -> Option<RunResult> {
         let served = match self.index.get(&digest.0) {
-            Some(&(NodeKind::RunUnit, payload)) => fs::read(self.payload_path(digest))
-                .ok()
-                .filter(|bytes| Some(digest_bytes(bytes)) == payload)
-                .and_then(|bytes| String::from_utf8(bytes).ok())
-                .and_then(|text| run_from_json(text.trim())),
+            Some(node) if node.kind == NodeKind::RunUnit => {
+                read_range(&self.pack, node.offset, node.len)
+                    .ok()
+                    .filter(|bytes| {
+                        bytes.len() as u64 == node.len && Some(digest_bytes(bytes)) == node.payload
+                    })
+                    .and_then(|bytes| String::from_utf8(bytes).ok())
+                    .and_then(|text| run_from_json(&text))
+            }
             _ => None,
         };
         match served {
@@ -331,7 +397,9 @@ impl ArtifactGraph {
     }
 
     /// Stores an arbitrary node payload (source/compiled/decoded
-    /// provenance, aggregate frames). Idempotent like [`store_run`].
+    /// provenance, aggregate frames). Idempotent like [`store_run`]. The
+    /// payload and its newline go to the pack's end in one write, then
+    /// the index line that names their range.
     ///
     /// [`store_run`]: ArtifactGraph::store_run
     ///
@@ -342,19 +410,22 @@ impl ArtifactGraph {
         if self.contains(digest) {
             return Ok(());
         }
-        let io = |e: std::io::Error| FexError::Data(format!("graph write failed: {e}"));
-        let dir = self.node_dir(digest);
-        fs::create_dir_all(&dir).map_err(io)?;
-        fs::write(dir.join("payload.json"), payload).map_err(io)?;
+        let io = |e: io::Error| FexError::Data(format!("graph write failed: {e}"));
+        let offset = self.pack.seek(SeekFrom::End(0)).map_err(io)?;
+        self.pack.write_all(format!("{payload}\n").as_bytes()).map_err(io)?;
         let payload_digest = digest_bytes(payload.as_bytes());
+        let len = payload.len() as u64;
         let entry = GraphIndexEntry {
             seq: self.next_seq,
             digest: digest.to_string(),
             kind,
             payload_digest: payload_digest.to_string(),
+            offset,
+            len,
         };
         crate::lab::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
-        self.index.insert(digest.0, (kind, Some(payload_digest)));
+        self.index
+            .insert(digest.0, PackedNode { kind, payload: Some(payload_digest), offset, len });
         self.next_seq += 1;
         Ok(())
     }
@@ -362,8 +433,8 @@ impl ArtifactGraph {
     /// Node counts per kind, for `fex graph stats`.
     pub fn node_counts(&self) -> BTreeMap<NodeKind, usize> {
         let mut counts = BTreeMap::new();
-        for (kind, _) in self.index.values() {
-            *counts.entry(*kind).or_insert(0) += 1;
+        for node in self.index.values() {
+            *counts.entry(node.kind).or_insert(0) += 1;
         }
         counts
     }
@@ -387,19 +458,15 @@ impl ArtifactGraph {
     pub(crate) fn index_path(&self) -> PathBuf {
         self.root.join("index.json")
     }
-
-    fn node_dir(&self, digest: &Digest) -> PathBuf {
-        node_dir_at(&self.root, &digest.to_string())
-    }
-
-    fn payload_path(&self, digest: &Digest) -> PathBuf {
-        self.node_dir(digest).join("payload.json")
-    }
 }
 
-/// The node directory for a digest string, under a graph root.
-pub(crate) fn node_dir_at(root: &Path, digest: &str) -> PathBuf {
-    root.join("nodes").join(digest.trim_start_matches("fex256:"))
+/// Reads the `len` bytes at `offset` of a pack, or as many of them as
+/// lie before its end: a range past the end reads short (or empty).
+pub(crate) fn read_range(pack: &File, offset: u64, len: u64) -> io::Result<Vec<u8>> {
+    let readable = pack.metadata()?.len().saturating_sub(offset).min(len);
+    let mut bytes = vec![0; readable as usize];
+    pack.read_exact_at(&mut bytes, offset)?;
+    Ok(bytes)
 }
 
 /// Parses a `fex256:<hex>` digest string back into a [`Digest`].
@@ -638,12 +705,14 @@ mod tests {
         g2.store_run(&key_b, &sample_run()).unwrap();
         assert!(ArtifactGraph::open(&lab).unwrap().lookup_run(&key_b).is_some());
 
-        // A torn payload is a miss too, never a panic or error.
-        let payload = node_dir_at(g2.root(), &key_a.to_string()).join("payload.json");
-        let bytes = fs::read_to_string(&payload).unwrap();
-        fs::write(&payload, &bytes[..bytes.len() / 2]).unwrap();
+        // A torn payload is a miss too, never a panic or error: cut the
+        // pack inside the newest range (key_b's second copy).
+        let pack = g2.root().join(ArtifactGraph::PACK);
+        let len = fs::metadata(&pack).unwrap().len();
+        fs::OpenOptions::new().write(true).open(&pack).unwrap().set_len(len - 20).unwrap();
         let mut g3 = ArtifactGraph::open(&lab).unwrap();
-        assert!(g3.lookup_run(&key_a).is_none());
+        assert!(g3.lookup_run(&key_b).is_none());
+        assert!(g3.lookup_run(&key_a).is_some(), "earlier ranges survive the cut");
         let _ = fs::remove_dir_all(&lab);
     }
 
@@ -655,15 +724,64 @@ mod tests {
         g.store_run(&key, &sample_run()).unwrap();
         // Change one digit of the cycle counter: the payload still
         // parses, but no longer hashes to its indexed digest.
-        let payload = node_dir_at(g.root(), &key.to_string()).join("payload.json");
-        let text = fs::read_to_string(&payload).unwrap();
+        let pack = g.root().join(ArtifactGraph::PACK);
+        let text = fs::read_to_string(&pack).unwrap();
         let edited = text.replace("\"ctr_cycles\": 2500", "\"ctr_cycles\": 2600");
         assert_ne!(edited, text);
         assert!(run_from_json(edited.trim()).is_some(), "the edit keeps the payload parseable");
-        fs::write(&payload, edited).unwrap();
+        fs::write(&pack, edited).unwrap();
         let mut g2 = ArtifactGraph::open(&lab).unwrap();
         assert!(g2.lookup_run(&key).is_none(), "an edited payload is never served");
         assert_eq!((g2.hits(), g2.misses()), (0, 1));
+        let _ = fs::remove_dir_all(&lab);
+    }
+
+    #[test]
+    fn torn_stores_and_ranges_past_the_end_are_misses() {
+        let lab = temp_lab("crash");
+        let mut g = ArtifactGraph::open(&lab).unwrap();
+        g.store_run(&Digest(21), &sample_run()).unwrap();
+        let (pack, index) = (g.root().join(ArtifactGraph::PACK), g.index_path());
+        drop(g);
+
+        // A torn store: half a payload reached the pack, its index line
+        // never did.
+        let payload = run_to_json(&sample_run());
+        let mut file = fs::OpenOptions::new().append(true).open(&pack).unwrap();
+        file.write_all(&payload.as_bytes()[..payload.len() / 2]).unwrap();
+        let torn_end = fs::metadata(&pack).unwrap().len();
+        // Two index lines whose ranges run past the pack's end.
+        let past = |seq, key: Digest, offset, len| GraphIndexEntry {
+            seq,
+            digest: key.to_string(),
+            kind: NodeKind::RunUnit,
+            payload_digest: digest_bytes(payload.as_bytes()).to_string(),
+            offset,
+            len,
+        };
+        for entry in [
+            past(1, Digest(22), torn_end - 10, payload.len() as u64),
+            past(2, Digest(23), u64::MAX, u64::MAX),
+        ] {
+            crate::lab::append_index_line(&index, &entry.to_json()).unwrap();
+        }
+
+        let mut g2 = ArtifactGraph::open(&lab).unwrap();
+        assert!(g2.warnings().is_empty(), "{:?}", g2.warnings());
+        assert_eq!(g2.lookup_run(&Digest(21)), Some(sample_run()));
+        assert!(g2.lookup_run(&Digest(22)).is_none(), "a range past the end is a miss");
+        assert!(g2.lookup_run(&Digest(23)).is_none(), "so is one that starts past it");
+        assert_eq!((g2.hits(), g2.misses()), (1, 2));
+
+        // The next store lands after the torn bytes and is served after a
+        // reopen.
+        g2.store_run(&Digest(24), &sample_run()).unwrap();
+        let (entries, _) = ArtifactGraph::scan_at(g2.root());
+        let stored = entries.iter().find(|e| e.digest == Digest(24).to_string()).unwrap();
+        assert_eq!(stored.offset, torn_end);
+        let mut g3 = ArtifactGraph::open(&lab).unwrap();
+        assert_eq!(g3.lookup_run(&Digest(24)), Some(sample_run()));
+        assert!(g3.lookup_run(&Digest(22)).is_none());
         let _ = fs::remove_dir_all(&lab);
     }
 

@@ -42,18 +42,20 @@ pub enum IssueKind {
     OrphanRunDir,
     /// A graph index line that does not parse (torn append).
     CorruptGraphIndexLine,
-    /// A graph index entry whose node payload is gone.
+    /// A graph index entry whose payload range runs past the pack's end.
     MissingGraphNode,
-    /// Node payload bytes that no longer hash to the indexed payload
-    /// digest (the node was edited or torn behind the graph's back).
+    /// Payload range bytes that no longer hash to the indexed payload
+    /// digest (the pack was edited or torn behind the graph's back).
     GraphDigestMismatch,
-    /// A `graph/nodes/` directory no surviving index entry references.
+    /// A leftover `graph/nodes/` tree from before the pack layout, which
+    /// nothing reads.
     OrphanGraphNode,
 }
 
 impl IssueKind {
     /// Whether this issue lives in the artifact graph (subjects are node
-    /// digests) rather than the run store (subjects are run ids).
+    /// digests, or `graph/nodes`) rather than the run store (subjects
+    /// are run ids).
     fn is_graph(self) -> bool {
         matches!(
             self,
@@ -191,46 +193,39 @@ fn check_graph(store: &RunStore, report: &mut FsckReport) {
     let (entries, warnings) = graph::ArtifactGraph::scan_at(&groot);
     report.graph_nodes_checked = entries.len();
     push_index_line_issues(IssueKind::CorruptGraphIndexLine, &warnings, report);
+    let pack = fs::File::open(groot.join(graph::ArtifactGraph::PACK)).ok();
     for entry in &entries {
-        let payload_path = graph::node_dir_at(&groot, &entry.digest).join("payload.json");
-        match fs::read_to_string(&payload_path) {
-            Err(e) => report.issues.push(FsckIssue {
-                kind: IssueKind::MissingGraphNode,
-                subject: entry.digest.clone(),
-                detail: format!("cannot read `payload.json`: {e}"),
-            }),
-            Ok(payload) => {
-                let recomputed = fex_container::digest_bytes(payload.as_bytes()).to_string();
-                if recomputed != entry.payload_digest {
-                    report.issues.push(FsckIssue {
-                        kind: IssueKind::GraphDigestMismatch,
-                        subject: entry.digest.clone(),
-                        detail: format!(
-                            "payload hashes to {recomputed}; the node was edited or torn"
-                        ),
-                    });
-                }
+        let bytes = range_bytes(pack.as_ref(), entry);
+        let (kind, detail) = if (bytes.len() as u64) < entry.len {
+            let held = bytes.len();
+            let detail = format!(
+                "the pack holds {held} of the {} payload bytes at offset {}",
+                entry.len, entry.offset
+            );
+            (IssueKind::MissingGraphNode, detail)
+        } else {
+            let recomputed = fex_container::digest_bytes(&bytes).to_string();
+            if recomputed == entry.payload_digest {
+                continue;
             }
-        }
+            let detail = format!("payload hashes to {recomputed}; the node was edited or torn");
+            (IssueKind::GraphDigestMismatch, detail)
+        };
+        report.issues.push(FsckIssue { kind, subject: entry.digest.clone(), detail });
     }
-    // Orphans: node directories no parseable graph entry references.
-    let referenced: std::collections::BTreeSet<String> =
-        entries.iter().map(|e| e.digest.trim_start_matches("fex256:").to_string()).collect();
-    if let Ok(dirs) = fs::read_dir(groot.join("nodes")) {
-        let mut orphans: Vec<String> = dirs
-            .filter_map(|d| d.ok())
-            .map(|d| d.file_name().to_string_lossy().into_owned())
-            .filter(|name| !referenced.contains(name))
-            .collect();
-        orphans.sort();
-        for name in orphans {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::OrphanGraphNode,
-                subject: format!("fex256:{name}"),
-                detail: "no graph index entry references this node".into(),
-            });
-        }
+    if groot.join("nodes").exists() {
+        report.issues.push(FsckIssue {
+            kind: IssueKind::OrphanGraphNode,
+            subject: "graph/nodes".into(),
+            detail: "per-node payloads from before the pack layout; nothing reads them".into(),
+        });
     }
+}
+
+/// The readable bytes of an entry's payload range: all of them, or as
+/// many as lie before the pack's end (none when there is no pack).
+fn range_bytes(pack: Option<&fs::File>, entry: &graph::GraphIndexEntry) -> Vec<u8> {
+    pack.and_then(|p| graph::read_range(p, entry.offset, entry.len).ok()).unwrap_or_default()
 }
 
 fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
@@ -336,33 +331,40 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
         .collect();
     fs::write(store.index_path(), survivors)
         .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
-    // The graph gets the same treatment: bad node directories move under
-    // `quarantine/graph-<digest>` and the graph index is rewritten to
-    // its survivors.
+    // The graph gets the same treatment: the readable bytes of each bad
+    // range are kept as `quarantine/graph-<digest>`, a leftover
+    // `graph/nodes/` tree moves to `quarantine/graph-nodes`, and the graph
+    // index is rewritten to its survivors. The pack is never compacted.
     let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
     if groot.is_dir() && report.issues.iter().any(|i| i.kind.is_graph()) {
         let bad_nodes: std::collections::BTreeSet<&str> = report
             .issues
             .iter()
-            .filter(|i| i.kind.is_graph() && i.kind != IssueKind::CorruptGraphIndexLine)
+            .filter(|i| {
+                matches!(i.kind, IssueKind::MissingGraphNode | IssueKind::GraphDigestMismatch)
+            })
             .map(|i| i.subject.as_str())
             .collect();
-        for digest in &bad_nodes {
-            let short = digest.trim_start_matches("fex256:");
-            let src = graph::node_dir_at(&groot, digest);
-            if src.is_dir() {
-                fs::rename(&src, qdir.join(format!("graph-{short}"))).map_err(|e| {
-                    FexError::Data(format!("cannot quarantine `{}`: {e}", src.display()))
-                })?;
-            }
-            report.quarantined.push((*digest).to_string());
-        }
         let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
-        let survivors: String = entries
-            .iter()
-            .filter(|e| !bad_nodes.contains(e.digest.as_str()))
-            .map(|e| e.to_json() + "\n")
-            .collect();
+        let pack = fs::File::open(groot.join(graph::ArtifactGraph::PACK)).ok();
+        let (bad, good): (Vec<_>, Vec<_>) =
+            entries.iter().partition(|e| bad_nodes.contains(e.digest.as_str()));
+        for entry in bad {
+            let short = entry.digest.trim_start_matches("fex256:");
+            let evidence = qdir.join(format!("graph-{short}"));
+            fs::write(&evidence, range_bytes(pack.as_ref(), entry)).map_err(|e| {
+                FexError::Data(format!("cannot quarantine `{}`: {e}", evidence.display()))
+            })?;
+            report.quarantined.push(entry.digest.clone());
+        }
+        let nodes = groot.join("nodes");
+        if nodes.exists() {
+            fs::rename(&nodes, qdir.join("graph-nodes")).map_err(|e| {
+                FexError::Data(format!("cannot quarantine `{}`: {e}", nodes.display()))
+            })?;
+            report.quarantined.push("graph/nodes".into());
+        }
+        let survivors: String = good.iter().map(|e| e.to_json() + "\n").collect();
         fs::write(groot.join("index.json"), survivors)
             .map_err(|e| FexError::Data(format!("graph index write failed: {e}")))?;
     }
@@ -464,11 +466,12 @@ pub enum GraphCorruption {
     TruncatedGraphIndex,
     /// Append a non-JSON line to the graph index.
     GarbageGraphIndexLine,
-    /// Delete the newest node's `payload.json`.
+    /// Truncate the pack inside the newest node's payload range.
     MissingNodePayload,
-    /// Append bytes to the newest node's payload (silent edit).
+    /// Flip one byte inside the newest node's payload range (silent
+    /// edit).
     EditedNodePayload,
-    /// Drop an unreferenced node directory into `graph/nodes/`.
+    /// Plant a leftover `graph/nodes/` tree from before the pack layout.
     OrphanNodeDir,
 }
 
@@ -504,6 +507,7 @@ impl fmt::Display for GraphCorruption {
 pub fn inject_graph(store: &RunStore, corruption: GraphCorruption) -> Result<()> {
     let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
     let index_path = groot.join("index.json");
+    let pack_path = groot.join(graph::ArtifactGraph::PACK);
     let io = |e: std::io::Error| FexError::Data(format!("graph fault injection failed: {e}"));
     let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
     let newest = || {
@@ -524,14 +528,19 @@ pub fn inject_graph(store: &RunStore, corruption: GraphCorruption) -> Result<()>
             fs::write(&index_path, index).map_err(io)?;
         }
         GraphCorruption::MissingNodePayload => {
-            let dir = graph::node_dir_at(&groot, &newest()?.digest);
-            fs::remove_file(dir.join("payload.json")).map_err(io)?;
+            let entry = newest()?;
+            let pack = fs::OpenOptions::new().write(true).open(&pack_path).map_err(io)?;
+            pack.set_len(entry.offset + entry.len / 2).map_err(io)?;
         }
         GraphCorruption::EditedNodePayload => {
-            let path = graph::node_dir_at(&groot, &newest()?.digest).join("payload.json");
-            let mut payload = fs::read_to_string(&path).map_err(io)?;
-            payload.push_str("# tampered\n");
-            fs::write(&path, payload).map_err(io)?;
+            let entry = newest()?;
+            let mut pack = fs::read(&pack_path).map_err(io)?;
+            let at = usize::try_from(entry.offset + entry.len / 2)
+                .ok()
+                .filter(|&at| at < pack.len())
+                .ok_or_else(|| FexError::Data("the newest payload is not in the pack".into()))?;
+            pack[at] ^= 1;
+            fs::write(&pack_path, pack).map_err(io)?;
         }
         GraphCorruption::OrphanNodeDir => {
             let dir = groot.join("nodes").join("00000000000000000000000000000bad");
@@ -748,7 +757,9 @@ mod tests {
         assert_eq!(report.quarantined.len(), 1);
         let short = report.quarantined[0].trim_start_matches("fex256:");
         let moved = store.root().join("quarantine").join(format!("graph-{short}"));
-        assert!(moved.join("payload.json").is_file(), "edited payload kept as evidence");
+        let evidence = fs::read(&moved).expect("edited range kept as evidence");
+        assert_eq!(evidence.len(), "{\"node\":\"run\"}\n".len());
+        assert_ne!(evidence, b"{\"node\":\"run\"}\n", "the evidence is the edited bytes");
         let _ = fs::remove_dir_all(store.root());
     }
 

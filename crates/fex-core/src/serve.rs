@@ -27,7 +27,10 @@
 //!   artifact graph are single-writer: an index append is one
 //!   `O_APPEND` write, but `RunStore::save` derives the next `seq` from
 //!   a scan of the index and each graph handle holds its own index
-//!   snapshot, so concurrent writers would duplicate seqs and nodes. The
+//!   snapshot, so concurrent writers would duplicate seqs and nodes.
+//!   The graph's pack offsets depend on it too: a store records the
+//!   offset its payload was appended at, and an append from a second
+//!   handle between that seek and write would misplace the range. The
 //!   daemon serializes lab access across workers with one gate while
 //!   each submission still fans its run units out over `--jobs` workers
 //!   inside the pipeline.

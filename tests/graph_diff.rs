@@ -19,6 +19,7 @@ use proptest::prelude::*;
 
 use fex_core::build::{BuildSystem, MakefileSet};
 use fex_core::config::FaultInjection;
+use fex_core::lab::{fsck, IssueKind, RunStore};
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::{ArtifactGraph, ExperimentConfig, JournalEvent, Metrics, NodeKind};
 use fex_suites::{InputSize, Suite};
@@ -288,4 +289,75 @@ fn no_graph_escape_hatch_is_byte_invisible() {
     assert!(ArtifactGraph::open(&lab_off).unwrap().is_empty(), "--no-graph must not store");
     let _ = std::fs::remove_dir_all(&lab_on);
     let _ = std::fs::remove_dir_all(&lab_off);
+}
+
+/// A lab written before payloads moved into the pack — one
+/// `nodes/<digest>/payload.json` per node and index lines without
+/// `offset`/`len` — keeps working: its lines are skipped with one
+/// warning, its units re-execute once into the pack and are served from
+/// then on, and `fex lab fsck --quarantine` drops the old lines and moves
+/// the node tree aside, leaving a clean lab.
+#[test]
+fn pre_pack_labs_re_store_their_units_and_fsck_cleans_them() {
+    use std::fs;
+
+    let config = ExperimentConfig::new("micro")
+        .types(vec!["gcc_native"])
+        .input(InputSize::Test)
+        .repetitions(2);
+    // A donor run supplies genuine nodes, written back in the old layout.
+    let donor = temp_dir("pre-pack-donor");
+    let (cold_csv, _, _, (_, units)) = run_graphed(&config, fex_suites::micro(), &donor);
+    let donor_graph = donor.join(ArtifactGraph::SUBDIR);
+    let (entries, _) = ArtifactGraph::scan_at(&donor_graph);
+    let pack = fs::read(donor_graph.join(ArtifactGraph::PACK)).unwrap();
+    let lab = temp_dir("pre-pack");
+    let graph_root = lab.join(ArtifactGraph::SUBDIR);
+    let mut index = String::new();
+    for e in &entries {
+        let node = graph_root.join("nodes").join(e.digest.trim_start_matches("fex256:"));
+        fs::create_dir_all(&node).unwrap();
+        let range = e.offset as usize..(e.offset + e.len) as usize;
+        fs::write(node.join("payload.json"), &pack[range]).unwrap();
+        index += &format!(
+            "{{\"digest\": \"{}\", \"seq\": {}, \"kind\": \"{}\", \"payload\": \"{}\"}}\n",
+            e.digest, e.seq, e.kind, e.payload_digest
+        );
+    }
+    fs::write(graph_root.join("index.json"), index).unwrap();
+
+    let opened = ArtifactGraph::open(&lab).unwrap();
+    assert!(opened.is_empty());
+    assert_eq!(
+        opened.warnings(),
+        [format!(
+            "{} graph entries predate the pack layout; `fex lab fsck --quarantine` drops them",
+            entries.len()
+        )]
+    );
+    drop(opened);
+    let (first_csv, _, _, first) = run_graphed(&config, fex_suites::micro(), &lab);
+    assert_eq!(first, (0, units), "pre-pack entries are never served");
+    let (warm_csv, _, _, warm) = run_graphed(&config, fex_suites::micro(), &lab);
+    assert_eq!(warm, (units, 0), "re-stored units are served from the pack");
+    assert_eq!(first_csv, cold_csv);
+    assert_eq!(warm_csv, cold_csv);
+
+    let store = RunStore::open(&lab).unwrap();
+    let report = fsck::check(&store);
+    let count = |kind| report.issues.iter().filter(|i| i.kind == kind).count();
+    assert_eq!(count(IssueKind::CorruptGraphIndexLine), entries.len(), "{}", report.render());
+    assert_eq!(count(IssueKind::OrphanGraphNode), 1, "{}", report.render());
+    assert_eq!(report.issues.len(), entries.len() + 1, "{}", report.render());
+    fsck::fsck(&store, true).unwrap();
+    let after = fsck::check(&store);
+    assert!(after.clean(), "{}", after.render());
+    assert_eq!(after.graph_nodes_checked, entries.len());
+    assert!(!graph_root.join("nodes").exists());
+    assert!(lab.join("quarantine").join("graph-nodes").is_dir(), "old payloads kept as evidence");
+    assert!(ArtifactGraph::open(&lab).unwrap().warnings().is_empty());
+    let (_, _, _, repaired) = run_graphed(&config, fex_suites::micro(), &lab);
+    assert_eq!(repaired, (units, 0), "quarantine keeps every packed node");
+    let _ = fs::remove_dir_all(&donor);
+    let _ = fs::remove_dir_all(&lab);
 }
