@@ -199,35 +199,24 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
                 return Ok(ExitCode::from(2));
             }
         }
-        Action::Diag { journal, lab, format, config, jobs, rules, deny } => {
-            let mut diag_config = match &config {
-                // An explicit --config must exist; a missing default
-                // fex.toml just means defaults.
-                Some(path) => fex_core::DiagConfig::load(path)?.ok_or_else(|| {
-                    FexError::Data(format!("cannot read config `{path}`: no such file"))
-                })?,
-                None => fex_core::DiagConfig::load("fex.toml")?.unwrap_or_default(),
-            };
+        Action::Diag { journal, lab, format, rules, deny } => {
             for id in rules.iter().chain(&deny) {
                 if !fex_core::diag::rules::known_rule(id) {
                     return Err(FexError::Config(format!("unknown diag rule `{id}`")));
                 }
             }
-            if !rules.is_empty() {
-                diag_config.allow = Some(rules);
-            }
-            diag_config.deny.extend(deny);
+            let allow = (!rules.is_empty()).then_some(rules);
             let ctx = fex_core::DiagCtx {
                 journal: journal.as_deref().map(fex_core::diag::JournalSource::load).transpose()?,
                 store: lab.as_deref().map(fex_core::diag::StoreSource::open).transpose()?,
-                config: diag_config,
+                config: fex_core::DiagConfig { allow, deny },
             };
             if let Some(store) = &ctx.store {
                 for w in &store.index_warnings {
                     eprintln!("fex: warning: {w}");
                 }
             }
-            let report = fex_core::diag::run_diag(&ctx, jobs);
+            let report = fex_core::diag::run_diag(&ctx);
             print!("{}", fex_core::diag::output::render(&report, format));
             if report.worst() == Some(fex_core::Severity::Error) {
                 eprintln!(

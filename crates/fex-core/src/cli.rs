@@ -103,11 +103,6 @@ pub enum Action {
         lab: Option<String>,
         /// Output format (`--format`, default human).
         format: crate::diag::DiagFormat,
-        /// Explicit config file (`--config`); default: `fex.toml` in the
-        /// working directory when present.
-        config: Option<String>,
-        /// Rule-evaluation workers (`--jobs`, 0 = auto).
-        jobs: usize,
         /// Allow-list override (`--rules`, comma-separated ids).
         rules: Vec<String>,
         /// Deny-list additions (`--deny`, comma-separated ids).
@@ -223,12 +218,8 @@ diag options:
   --lab [dir]      audit this lab store (default .fex-lab); history rules
                    (regression, cache drop) need at least two stored runs
   --format <f>     human | sarif | github (default human)
-  --config <path>  read [diag] presets/thresholds from this fex.toml
-                   (default: ./fex.toml when present)
   --rules <ids>    comma-separated allow-list; only these rules run
   --deny <ids>     comma-separated deny-list; these rules never run
-  --jobs <n>       rule-evaluation workers, 0 = auto (output is identical
-                   for every value)
 
 compare selectors are CSV paths, archived run-id prefixes, `latest`, or
 `prev` (the two newest store entries).
@@ -412,12 +403,21 @@ pub fn parse(args: &[String]) -> Result<Action> {
             let mut journal: Option<String> = None;
             let mut lab: Option<String> = None;
             let mut format = crate::diag::DiagFormat::Human;
-            let mut config: Option<String> = None;
-            let mut jobs = 0usize;
             let mut rules: Vec<String> = Vec::new();
             let mut deny: Vec<String> = Vec::new();
-            let ids = |list: &str| -> Vec<String> {
-                list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect()
+            // A restriction that names no rule is a mistake, not "all rules".
+            let ids = |flag: &str, list: Option<&String>| -> Result<Vec<String>> {
+                let ids: Vec<String> = list
+                    .into_iter()
+                    .flat_map(|l| l.split(','))
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .map(String::from)
+                    .collect();
+                if ids.is_empty() {
+                    return Err(FexError::Config(format!("{flag} needs rule ids")));
+                }
+                Ok(ids)
             };
             while let Some(tok) = it.next() {
                 match tok.as_str() {
@@ -433,33 +433,8 @@ pub fn parse(args: &[String]) -> Result<Action> {
                             .ok_or_else(|| FexError::Config("--format needs a name".into()))?;
                         format = crate::diag::DiagFormat::parse(v)?;
                     }
-                    "--config" => {
-                        config = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| FexError::Config("--config needs a path".into()))?,
-                        );
-                    }
-                    "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--jobs needs a count".into()))?;
-                        jobs = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad job count `{v}`")))?;
-                    }
-                    "--rules" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--rules needs rule ids".into()))?;
-                        rules.extend(ids(v));
-                    }
-                    "--deny" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--deny needs rule ids".into()))?;
-                        deny.extend(ids(v));
-                    }
+                    "--rules" => rules.extend(ids("--rules", it.next())?),
+                    "--deny" => deny.extend(ids("--deny", it.next())?),
                     other if !other.starts_with('-') => {
                         if journal.replace(other.to_string()).is_some() {
                             return Err(FexError::Config(format!(
@@ -475,7 +450,7 @@ pub fn parse(args: &[String]) -> Result<Action> {
                     "diag needs a journal path and/or --lab <dir>".into(),
                 ));
             }
-            Ok(Action::Diag { journal, lab, format, config, jobs, rules, deny })
+            Ok(Action::Diag { journal, lab, format, rules, deny })
         }
         "compare" => {
             let mut dir = String::from(".fex-lab");
@@ -894,7 +869,7 @@ mod tests {
 
     #[test]
     fn parses_diag() {
-        let Action::Diag { journal, lab, format, config, jobs, rules, deny } =
+        let Action::Diag { journal, lab, format, rules, deny } =
             parse(&argv("diag target/fex-results/micro.journal.jsonl")).unwrap()
         else {
             panic!("expected diag");
@@ -902,15 +877,13 @@ mod tests {
         assert_eq!(journal.as_deref(), Some("target/fex-results/micro.journal.jsonl"));
         assert_eq!(lab, None);
         assert_eq!(format, crate::diag::DiagFormat::Human);
-        assert_eq!(config, None);
-        assert_eq!(jobs, 0);
         assert!(rules.is_empty() && deny.is_empty());
     }
 
     #[test]
     fn parses_diag_flags() {
-        let Action::Diag { journal, lab, format, config, jobs, rules, deny } = parse(&argv(
-            "diag j.jsonl --lab /tmp/store --format sarif --config fex.toml --jobs 3 \
+        let Action::Diag { journal, lab, format, rules, deny } = parse(&argv(
+            "diag j.jsonl --lab /tmp/store --format sarif \
              --rules flakiness,variance-anomaly --deny variance-anomaly",
         ))
         .unwrap() else {
@@ -919,8 +892,6 @@ mod tests {
         assert_eq!(journal.as_deref(), Some("j.jsonl"));
         assert_eq!(lab.as_deref(), Some("/tmp/store"));
         assert_eq!(format, crate::diag::DiagFormat::Sarif);
-        assert_eq!(config.as_deref(), Some("fex.toml"));
-        assert_eq!(jobs, 3);
         assert_eq!(rules, vec!["flakiness".to_string(), "variance-anomaly".to_string()]);
         assert_eq!(deny, vec!["variance-anomaly".to_string()]);
     }
@@ -941,6 +912,20 @@ mod tests {
         assert!(parse(&argv("diag a.jsonl b.jsonl")).is_err(), "one journal only");
         assert!(parse(&argv("diag j.jsonl --format xml")).is_err());
         assert!(parse(&argv("diag j.jsonl --frobnicate")).is_err());
+        // Removed flags fail loudly rather than being ignored.
+        for removed in ["--config x", "--jobs 2"] {
+            let err = parse(&argv(&format!("diag j.jsonl {removed}"))).unwrap_err();
+            assert!(err.to_string().contains("unknown diag flag"), "{err}");
+        }
+        // A restriction that names nothing is an error, not "every rule".
+        for flag in ["--rules", "--deny"] {
+            for list in [None, Some(""), Some(","), Some(" , ")] {
+                let mut args = argv(&format!("diag j.jsonl {flag}"));
+                args.extend(list.map(String::from));
+                let err = parse(&args).unwrap_err();
+                assert!(err.to_string().contains(&format!("{flag} needs rule ids")), "{err}");
+            }
+        }
     }
 
     #[test]

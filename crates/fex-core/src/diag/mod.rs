@@ -10,9 +10,8 @@
 //! Actions annotations, or a human table (see [`output`]).
 //!
 //! Determinism is a hard invariant, matching the rest of the codebase:
-//! findings are sorted by rule id, then location, then message; no
-//! wall-clock or host fields ever reach the output; and the `--jobs`
-//! worker count used to evaluate rules concurrently cannot move a byte.
+//! findings are sorted by rule id, then location, then message, and no
+//! wall-clock or host fields ever reach the output.
 //!
 //! The module also computes the [`ReproScore`] shown by `fex lab list`:
 //! a readiness-vs-outcome split (did the run *record* enough to be
@@ -20,19 +19,15 @@
 //! reproducibility health.
 
 pub mod output;
-pub mod preset;
 pub mod rules;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::error::{FexError, Result};
 use crate::journal::{self, JournalEvent, Metrics};
 use crate::lab::{IndexEntry, RunStore};
 
 pub use output::DiagFormat;
-pub use preset::DiagConfig;
 pub use rules::registry;
 
 /// How bad a finding is. Ordering matters: `Error` > `Warning` > `Note`.
@@ -83,9 +78,8 @@ pub struct Finding {
 
 /// One diagnostics rule: a pure function of the [`DiagCtx`].
 ///
-/// Rules must be deterministic and side-effect free — the engine may
-/// evaluate them concurrently (`--jobs`) and byte-compares output across
-/// schedules in the differential tests.
+/// Rules must be deterministic and side-effect free; their thresholds
+/// are the constants in [`rules`].
 pub trait Rule: Sync {
     /// Stable kebab-case identifier (`--rules`/`--deny` and SARIF
     /// `ruleId`).
@@ -117,17 +111,8 @@ impl JournalSource {
     /// discipline as `fex report`): malformed lines become issues, not
     /// failures.
     pub fn parse(path: &str, jsonl: &str) -> JournalSource {
-        let mut events = Vec::new();
-        let mut issues = Vec::new();
-        for (i, line) in jsonl.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match journal::parse_line(line) {
-                Ok(e) => events.push(e),
-                Err(issue) => issues.push((i + 1, issue.to_string())),
-            }
-        }
+        let (events, issues) = journal::parse_jsonl(jsonl);
+        let issues = issues.into_iter().map(|(line, issue)| (line, issue.to_string())).collect();
         let metrics = Metrics::from_journal(&events);
         JournalSource { path: path.to_string(), events, issues, metrics }
     }
@@ -175,6 +160,23 @@ impl StoreSource {
     }
 }
 
+/// Which rules run: the `--rules` allow-list and the `--deny` list.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DiagConfig {
+    /// When set, only these rule ids run.
+    pub allow: Option<Vec<String>>,
+    /// Rule ids that never run (applied after `allow`).
+    pub deny: Vec<String>,
+}
+
+impl DiagConfig {
+    /// True when rule `id` should run under this configuration.
+    pub fn enables(&self, id: &str) -> bool {
+        !self.deny.iter().any(|d| d == id)
+            && self.allow.as_ref().is_none_or(|allow| allow.iter().any(|a| a == id))
+    }
+}
+
 /// Everything a rule may look at.
 #[derive(Debug, Clone)]
 pub struct DiagCtx {
@@ -182,8 +184,7 @@ pub struct DiagCtx {
     pub journal: Option<JournalSource>,
     /// The lab store under audit, when one was given.
     pub store: Option<StoreSource>,
-    /// Thresholds and rule selection (defaults ← preset ← `fex.toml` ←
-    /// CLI flags; see [`preset`]).
+    /// Rule selection (`--rules` / `--deny`).
     pub config: DiagConfig,
 }
 
@@ -209,42 +210,13 @@ impl DiagReport {
     }
 }
 
-/// Runs every enabled rule over `ctx` with up to `jobs` worker threads
-/// (`0` = auto) and returns the sorted findings.
-///
-/// Concurrency is an implementation detail: findings are sorted by
-/// `(rule, file, line, message)` afterwards, so any schedule produces
-/// byte-identical output.
-pub fn run_diag(ctx: &DiagCtx, jobs: usize) -> DiagReport {
+/// Runs every enabled rule over `ctx` and returns the findings sorted
+/// by `(rule, file, line, message)`.
+pub fn run_diag(ctx: &DiagCtx) -> DiagReport {
     let rules: Vec<&'static dyn Rule> =
         registry().iter().copied().filter(|r| ctx.config.enables(r.id())).collect();
     let rules_run: Vec<&'static str> = rules.iter().map(|r| r.id()).collect();
-
-    let workers = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, usize::from).min(rules.len().max(1)),
-        n => n.min(rules.len().max(1)),
-    };
-
-    let mut findings: Vec<Finding> = if workers <= 1 {
-        rules.iter().flat_map(|r| r.check(ctx)).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<Finding>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(rule) = rules.get(i) else { break };
-                    let found = rule.check(ctx);
-                    if !found.is_empty() {
-                        collected.lock().expect("diag worker poisoned").extend(found);
-                    }
-                });
-            }
-        });
-        collected.into_inner().expect("diag worker poisoned")
-    };
-
+    let mut findings: Vec<Finding> = rules.iter().flat_map(|r| r.check(ctx)).collect();
     findings.sort_by(|a, b| {
         (a.rule, &a.file, a.line, &a.message).cmp(&(b.rule, &b.file, b.line, &b.message))
     });
@@ -478,18 +450,20 @@ mod tests {
     }
 
     #[test]
-    fn run_diag_is_schedule_independent() {
-        let good = crate::journal::JournalEvent::DecodeCache { decodes: 1, served: 2 }.to_json();
-        let text = format!("{good}\ngarbage\n");
-        let ctx = DiagCtx {
-            journal: Some(JournalSource::parse("j.jsonl", &text)),
-            store: None,
-            config: DiagConfig::default(),
+    fn defaults_run_every_rule() {
+        let config = DiagConfig::default();
+        assert!(config.enables("flakiness"));
+        assert!(config.enables("journal-integrity"));
+    }
+
+    #[test]
+    fn allow_and_deny_filter_rules() {
+        let config = DiagConfig {
+            allow: Some(vec!["flakiness".into(), "variance-anomaly".into()]),
+            deny: vec!["variance-anomaly".into()],
         };
-        let sequential = run_diag(&ctx, 1);
-        for jobs in [0, 2, 8] {
-            assert_eq!(run_diag(&ctx, jobs), sequential, "jobs {jobs} drifted");
-        }
-        assert_eq!(sequential.worst(), Some(Severity::Error), "garbage line is an error");
+        assert!(config.enables("flakiness"));
+        assert!(!config.enables("variance-anomaly"), "deny beats allow");
+        assert!(!config.enables("journal-integrity"), "not in allow list");
     }
 }

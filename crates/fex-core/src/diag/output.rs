@@ -136,7 +136,7 @@ fn render_sarif(report: &DiagReport) -> String {
     out.push_str("          \"informationUri\": \"https://github.com/fex/fex\",\n");
     out.push_str("          \"rules\": [\n");
     // Rule metadata in registry order, restricted to the rules that ran
-    // (so an allow/deny preset changes the metadata block too).
+    // (so `--rules`/`--deny` change the metadata block too).
     let ran: Vec<&&dyn Rule> = rules::registry()
         .iter()
         .filter(|r| report.rules_run.iter().any(|id| *id == r.id()))

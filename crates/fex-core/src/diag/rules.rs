@@ -54,6 +54,9 @@ fn latest_with_prev(store: &StoreSource) -> Option<(&IndexEntry, &IndexEntry)> {
 // significant-regression
 // ---------------------------------------------------------------------
 
+/// Metric column the regression rule compares.
+pub const REGRESSION_METRIC: &str = "time";
+
 /// Welch's t-test between the newest stored run and the previous run of
 /// the same experiment key: any `Regressed` cell is an error finding.
 pub struct SignificantRegression;
@@ -80,8 +83,7 @@ impl Rule for SignificantRegression {
         else {
             return Vec::new();
         };
-        let Ok(cmp) = Comparison::compare(&base, &cand, &ctx.config.metric, "prev", "latest")
-        else {
+        let Ok(cmp) = Comparison::compare(&base, &cand, REGRESSION_METRIC, "prev", "latest") else {
             return Vec::new(); // missing metric column / empty frames
         };
         let file = store.store.run_dir(&latest.run_id).join("results.csv");
@@ -98,7 +100,7 @@ impl Rule for SignificantRegression {
                      (t={:.2}, prev mean {:.4}, now {:.4})",
                     c.benchmark,
                     c.build_type,
-                    ctx.config.metric,
+                    REGRESSION_METRIC,
                     c.delta_pct,
                     c.t,
                     c.baseline.mean,
@@ -113,9 +115,14 @@ impl Rule for SignificantRegression {
 // flakiness
 // ---------------------------------------------------------------------
 
+/// Flakiness gate: extra attempts per settled unit tolerated.
+pub const MAX_RETRY_RATE: f64 = 0.0;
+/// Flakiness gate: quarantined benchmarks tolerated.
+pub const MAX_QUARANTINED: usize = 0;
+
 /// The evaluation's flakiness gate, computed from the journal roll-up:
 /// the retry rate (extra attempts per settled unit) and the quarantine
-/// count against the configured thresholds. Results obtained through
+/// count against [`MAX_RETRY_RATE`] and [`MAX_QUARANTINED`]. Results obtained through
 /// heavy retrying are suspect even when every unit eventually succeeded:
 /// whatever made runs fail also perturbs the runs that passed.
 pub struct Flakiness;
@@ -138,7 +145,7 @@ impl Rule for Flakiness {
         let mut findings = Vec::new();
         if units > 0 {
             let retry_rate = (attempts - units) as f64 / units as f64;
-            if retry_rate > ctx.config.max_retry_rate {
+            if retry_rate > MAX_RETRY_RATE {
                 findings.push(Finding {
                     rule: self.id(),
                     severity: self.severity(),
@@ -150,12 +157,12 @@ impl Rule for Flakiness {
                         retry_rate,
                         attempts - units,
                         units,
-                        ctx.config.max_retry_rate
+                        MAX_RETRY_RATE
                     ),
                 });
             }
         }
-        if m.quarantined.len() > ctx.config.max_quarantined {
+        if m.quarantined.len() > MAX_QUARANTINED {
             findings.push(Finding {
                 rule: self.id(),
                 severity: self.severity(),
@@ -165,7 +172,7 @@ impl Rule for Flakiness {
                     "{} quarantined benchmark(s) ({}) exceed the flakiness gate's {}",
                     m.quarantined.len(),
                     m.quarantined.join(", "),
-                    ctx.config.max_quarantined
+                    MAX_QUARANTINED
                 ),
             });
         }
@@ -177,8 +184,11 @@ impl Rule for Flakiness {
 // variance-anomaly
 // ---------------------------------------------------------------------
 
+/// Variance rule: coefficient-of-variation ceiling.
+pub const MAX_CV: f64 = 0.25;
+
 /// Coefficient of variation of the measured cycles per run-unit cell:
-/// a cell whose CV exceeds the threshold points at an unstable
+/// a cell whose CV exceeds [`MAX_CV`] points at an unstable
 /// measurement (or an unnoticed nondeterminism source).
 pub struct VarianceAnomaly;
 
@@ -204,7 +214,7 @@ impl Rule for VarianceAnomaly {
                 continue;
             }
             let cv = stats::stddev(&samples) / mean;
-            if cv > ctx.config.max_cv {
+            if cv > MAX_CV {
                 findings.push(Finding {
                     rule: self.id(),
                     severity: self.severity(),
@@ -215,7 +225,7 @@ impl Rule for VarianceAnomaly {
                          exceeds {:.1}%",
                         100.0 * cv,
                         samples.len(),
-                        100.0 * ctx.config.max_cv
+                        100.0 * MAX_CV
                     ),
                 });
             }
@@ -228,8 +238,11 @@ impl Rule for VarianceAnomaly {
 // cache-hit-rate-drop
 // ---------------------------------------------------------------------
 
+/// Cache rule: tolerated hit-rate drop (in rate points, 0–1).
+pub const MAX_HIT_RATE_DROP: f64 = 0.25;
+
 /// Decode-cache / artifact-graph hit rate of the newest stored run fell
-/// by more than the configured drop against the previous run of the
+/// by more than [`MAX_HIT_RATE_DROP`] against the previous run of the
 /// same key — the caches silently stopped working.
 pub struct CacheHitRateDrop;
 
@@ -261,7 +274,7 @@ impl Rule for CacheHitRateDrop {
         let file = store.store.run_dir(&latest.run_id).join("metrics.json").display().to_string();
         let mut findings = Vec::new();
         let mut drop_check = |cache: &str, prev_rate: f64, latest_rate: f64, active: bool| {
-            if active && prev_rate - latest_rate > ctx.config.max_hit_rate_drop {
+            if active && prev_rate - latest_rate > MAX_HIT_RATE_DROP {
                 findings.push(Finding {
                     rule: "cache-hit-rate-drop",
                     severity: Severity::Warning,
@@ -272,7 +285,7 @@ impl Rule for CacheHitRateDrop {
                          (threshold: {:.1} points)",
                         100.0 * prev_rate,
                         100.0 * latest_rate,
-                        100.0 * ctx.config.max_hit_rate_drop
+                        100.0 * MAX_HIT_RATE_DROP
                     ),
                 });
             }
@@ -601,14 +614,14 @@ mod tests {
     }
 
     #[test]
-    fn flakiness_rule_stays_quiet_under_lenient_thresholds() {
+    fn flakiness_findings_are_silenced_by_deny() {
         let mut ctx = ctx_with_journal(full_journal(vec![
             outcome("a", "recovered", 3),
             outcome("b", "quarantined", 3),
         ]));
-        ctx.config.max_retry_rate = 2.0;
-        ctx.config.max_quarantined = 1;
-        assert!(Flakiness.check(&ctx).is_empty());
+        ctx.config.deny.push("flakiness".into());
+        let report = crate::diag::run_diag(&ctx);
+        assert!(report.findings.iter().all(|f| f.rule != "flakiness"), "{:?}", report.findings);
     }
 
     #[test]

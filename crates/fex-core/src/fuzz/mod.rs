@@ -272,13 +272,9 @@ fn run_scenario(suite: &fex_suites::Suite, config: crate::ExperimentConfig) -> R
     fex.run_suite(&config, suite.clone())?;
     let results = fex.result_csv("fuzz").unwrap_or_default();
     let failures = fex.failure_csv("fuzz").unwrap_or_default();
-    let mut events = Vec::new();
-    if let Some(jsonl) = fex.journal_jsonl("fuzz") {
-        for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-            let e = journal::parse_line(line)
-                .map_err(|i| FexError::Data(format!("unreadable journal line: {i}")))?;
-            events.push(e);
-        }
+    let (events, issues) = journal::parse_jsonl(&fex.journal_jsonl("fuzz").unwrap_or_default());
+    if let Some((_, issue)) = issues.first() {
+        return Err(FexError::Data(format!("unreadable journal line: {issue}")));
     }
     Ok(CaseRun { results, failures, events })
 }

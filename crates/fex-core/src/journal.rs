@@ -796,6 +796,24 @@ fn unit_coord(benchmark: &str, build_type: &str, threads: usize, rep: Option<usi
     format!("{build_type}/{benchmark} m={threads} rep={rep}")
 }
 
+/// Parses `journal.jsonl` text with per-line fault isolation: blank
+/// lines are skipped, and every line that does not parse becomes a
+/// `(1-based line, issue)` pair instead of a failure.
+pub fn parse_jsonl(jsonl: &str) -> (Vec<JournalEvent>, Vec<(usize, ParseIssue)>) {
+    let mut events = Vec::new();
+    let mut issues = Vec::new();
+    for (i, line) in jsonl.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse_line(line) {
+            Ok(e) => events.push(e),
+            Err(issue) => issues.push((i + 1, issue)),
+        }
+    }
+    (events, issues)
+}
+
 /// Renders the `fex report <journal>` view from `journal.jsonl` text:
 /// experiment identity, the phase/time table, unit-outcome counts, the
 /// retry histogram, decode-cache accounting and the per-unit timeline
@@ -805,17 +823,11 @@ fn unit_coord(benchmark: &str, build_type: &str, threads: usize, rep: Option<usi
 /// a truncated or future-versioned journal still renders everything that
 /// can be read.
 pub fn render_report(jsonl: &str) -> RenderedReport {
-    let mut warnings = Vec::new();
-    let mut events = Vec::new();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            Ok(e) => events.push(e),
-            Err(issue) => warnings.push(format!("journal line {}: skipped: {issue}", i + 1)),
-        }
-    }
+    let (events, issues) = parse_jsonl(jsonl);
+    let warnings: Vec<String> = issues
+        .iter()
+        .map(|(line, issue)| format!("journal line {line}: skipped: {issue}"))
+        .collect();
     let m = Metrics::from_journal(&events);
 
     let mut out = String::new();

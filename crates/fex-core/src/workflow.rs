@@ -674,7 +674,7 @@ mod tests {
         let jsonl = fex.journal_jsonl(name).expect("journal");
         let journal = Some(JournalSource::parse(name, &jsonl));
         let ctx = DiagCtx { journal, store: None, config };
-        run_diag(&ctx, 1).findings.into_iter().filter(|f| f.rule == "flakiness").collect()
+        run_diag(&ctx).findings.into_iter().filter(|f| f.rule == "flakiness").collect()
     }
 
     #[test]
@@ -703,14 +703,14 @@ mod tests {
         // The log carries the resilience summary.
         assert!(fex.log().iter().any(|l| l.contains("quarantined: ptrchase")));
 
-        // Flakiness: the strict default thresholds flag the run, lenient
-        // ones pass it.
-        let strict = flakiness_findings(&fex, "micro", DiagConfig::default());
-        assert_eq!(strict.len(), 2, "{strict:?}");
-        assert!(strict[0].message.contains("(ptrchase)"), "{}", strict[0].message);
-        assert!(strict[1].message.starts_with("retry rate"), "{}", strict[1].message);
-        let lenient = DiagConfig { max_retry_rate: 10.0, max_quarantined: 1, ..Default::default() };
-        assert_eq!(flakiness_findings(&fex, "micro", lenient), vec![]);
+        // Flakiness: the fixed thresholds flag the run; `--deny flakiness`
+        // is how a chaos run is accepted.
+        let flagged = flakiness_findings(&fex, "micro", DiagConfig::default());
+        assert_eq!(flagged.len(), 2, "{flagged:?}");
+        assert!(flagged[0].message.contains("(ptrchase)"), "{}", flagged[0].message);
+        assert!(flagged[1].message.starts_with("retry rate"), "{}", flagged[1].message);
+        let denied = DiagConfig { allow: None, deny: vec!["flakiness".into()] };
+        assert_eq!(flakiness_findings(&fex, "micro", denied), vec![]);
     }
 
     #[test]

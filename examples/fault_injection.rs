@@ -38,10 +38,10 @@ fn main() {
     println!("--- failures.csv ---");
     print!("{}", fex2.failure_csv("phoenix").unwrap());
     println!("--------------------");
-    // The CI gate: `fex diag`'s flakiness rule at its strict defaults.
+    // The CI gate: `fex diag`'s flakiness rule at its fixed thresholds.
     let journal = JournalSource::parse("phoenix", &fex2.journal_jsonl("phoenix").unwrap());
     let ctx = DiagCtx { journal: Some(journal), store: None, config: DiagConfig::default() };
-    for finding in run_diag(&ctx, 1).findings.iter().filter(|f| f.rule == "flakiness") {
+    for finding in run_diag(&ctx).findings.iter().filter(|f| f.rule == "flakiness") {
         println!("strict CI gate: {}", finding.message);
     }
 

@@ -168,12 +168,21 @@ fn nginx_experiment_has_the_fig7_shape() {
 
 /// Table II: clang's pointers-first layout blocks the BSS/Data
 /// overflows that gcc's layout permits, and that is the whole gcc–clang
-/// gap — every other technique/location count is equal.
+/// gap — every other technique/location count is equal. The absolute
+/// counts (EXPERIMENTS.md's Table II row) are pinned too.
 #[test]
 fn ripe_gap_between_gcc_and_clang_is_exactly_bss_and_data() {
     use fex_ripe::{run_testbed, TestbedConfig};
-    let gcc = run_testbed(&fex_cc::BuildOptions::gcc(), &TestbedConfig::paper()).by_dimension;
-    let clang = run_testbed(&fex_cc::BuildOptions::clang(), &TestbedConfig::paper()).by_dimension;
+    let gcc_summary = run_testbed(&fex_cc::BuildOptions::gcc(), &TestbedConfig::paper());
+    let clang_summary = run_testbed(&fex_cc::BuildOptions::clang(), &TestbedConfig::paper());
+    for (summary, successful) in [(&gcc_summary, 182), (&clang_summary, 98)] {
+        let info = &summary.build_info;
+        assert_eq!(summary.total, 832, "{info}: attacks attempted");
+        assert_eq!(summary.successful, successful, "{info}: successful attacks");
+        let by_dimension: usize = summary.by_dimension.values().sum();
+        assert_eq!(by_dimension, summary.successful, "{info}: breakdown covers every success");
+    }
+    let (gcc, clang) = (gcc_summary.by_dimension, clang_summary.by_dimension);
     let global = |dim: &String| dim.ends_with("/Bss") || dim.ends_with("/Data");
     assert!(!clang.keys().any(global), "clang permits a global overflow: {clang:?}");
     assert!(gcc.keys().any(global), "gcc blocks every global overflow: {gcc:?}");
@@ -402,7 +411,7 @@ fn injected_persistent_trap_quarantines_one_benchmark_end_to_end() {
     // the quarantine and at the failure report's retry rate (findings
     // sort by message).
     let ctx = DiagCtx { journal: Some(journal), store: None, config: DiagConfig::default() };
-    let findings: Vec<String> = run_diag(&ctx, 1)
+    let findings: Vec<String> = run_diag(&ctx)
         .findings
         .into_iter()
         .filter(|f| f.rule == "flakiness")
