@@ -81,5 +81,5 @@ fn main() {
          raytrace, blackscholes); together they reconstruct the full gcc\n\
          profile's advantage (bottom row = 1.0 by construction)."
     );
-    write_artifact("ablation.csv", &csv);
+    write_artifact("ablation.csv", &csv).expect("can write artifact");
 }

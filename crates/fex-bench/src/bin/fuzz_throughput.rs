@@ -55,6 +55,7 @@ fn main() {
              \"oracle_secs\": {oracle_secs:.4}, \"oracle_cases_per_sec\": {per_sec:.2}}}\n",
             gen_n as f64 / gen_secs
         ),
-    );
+    )
+    .expect("can write artifact");
     println!("fuzz throughput: OK");
 }

@@ -156,8 +156,9 @@ fn main() {
     }
 
     // Surface a real journal + metrics pair for CI artifact upload.
-    write_artifact("micro.journal.jsonl", &jsonl);
-    write_artifact("micro.metrics.json", &Metrics::from_journal(&events).to_json());
+    write_artifact("micro.journal.jsonl", &jsonl).expect("can write artifact");
+    write_artifact("micro.metrics.json", &Metrics::from_journal(&events).to_json())
+        .expect("can write artifact");
 
     let json = format!(
         "{{\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \
@@ -169,5 +170,5 @@ fn main() {
          \"events\": {},\n  \"journal_bytes\": {journal_bytes}\n}}\n",
         events.len()
     );
-    write_artifact("BENCH_journal.json", &json);
+    write_artifact("BENCH_journal.json", &json).expect("can write artifact");
 }

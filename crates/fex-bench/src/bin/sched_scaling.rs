@@ -137,5 +137,5 @@ fn main() {
          \"minstr_per_sec\": {mips:.3}}}\n}}\n",
         rows.join(",\n")
     );
-    write_artifact("BENCH_sched.json", &json);
+    write_artifact("BENCH_sched.json", &json).expect("can write artifact");
 }

@@ -306,5 +306,5 @@ fn main() {
          \"hit_rate_pct\": {hit_rate:.2}}}\n}}\n",
         dispatch_rows.join(",\n")
     );
-    write_artifact("BENCH_vm.json", &json);
+    write_artifact("BENCH_vm.json", &json).expect("can write artifact");
 }

@@ -1,46 +1,53 @@
 //! # fex-bench — regenerators for every table and figure of the paper
 //!
-//! One binary per artifact (run with `cargo run --release -p fex-bench
-//! --bin <name>`), plus four layer benches (`sched_scaling` onward).
-//! End-to-end and per-layer pipeline timing lives in `fexperf/`.
+//! The paper plan ([`plan::PLAN`]) holds one entry per artifact; the
+//! `all_experiments` binary runs every entry, or the ones it is named,
+//! on one [`Fex`] (`cargo run --release -p fex-bench --bin
+//! all_experiments [-- <entry>...]`). Five more binaries sit beside it:
+//! `ablation` and four layer benches. End-to-end and per-layer pipeline
+//! timing lives in `fexperf/`.
 //!
-//! | binary            | artifact |
+//! | plan entry        | artifact |
 //! |-------------------|----------|
+//! | `report_tables`   | Table I + the §II-A image-size footnote |
+//! | `case_study_loc`  | §IV LoC-effort case studies |
 //! | `fig6_splash`     | Fig 6 — SPLASH-3 Clang vs GCC normalized runtime |
 //! | `fig7_nginx`      | Fig 7 — Nginx throughput-latency curves |
 //! | `table2_ripe`     | Table II — RIPE successful/failed attacks |
-//! | `report_tables`   | Table I + the §II-A image-size footnote |
-//! | `case_study_loc`  | §IV LoC-effort case studies |
 //! | `asan_overhead`   | §III-C ASan performance/memory overheads (X1) |
 //! | `thread_scaling`  | §III-C multithreading lineplot (X2) |
 //! | `cache_stats`     | §III-C cache-miss stacked-grouped plot (X3) |
-//! | `all_experiments` | runs every binary above, writes `target/fex-results/` |
+//!
+//! | binary            | runs |
+//! |-------------------|------|
+//! | `all_experiments` | the paper plan, writes `target/fex-results/` |
 //! | `ablation`        | per-pass attribution of the GCC/Clang gap (A1) |
 //! | `sched_scaling`   | `--jobs` matrix throughput + interpreter dispatch rate |
 //! | `vm_hotpath`      | run-phase throughput with fusion, MRU and decode cache on vs off |
 //! | `journal_overhead` | run-phase cost of the structured journal, on vs off |
 //! | `fuzz_throughput` | `fex fuzz` oracle cases per second |
 //!
-//! Output convention: each binary prints the paper-style rows/series to
-//! stdout and writes SVG/CSV artifacts under `target/fex-results/`.
+//! Output convention: each entry and binary prints the paper-style
+//! rows/series to stdout and writes SVG/CSV artifacts under
+//! `target/fex-results/`.
 
-use std::path::PathBuf;
+use std::path::Path;
 
 use fex_core::collect::DataFrame;
-use fex_core::Fex;
+use fex_core::{Fex, FexError, Result};
 
-/// Output directory for generated artifacts.
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("target/fex-results");
-    std::fs::create_dir_all(&dir).expect("can create target/fex-results");
-    dir
-}
+pub mod plan;
 
-/// Writes an artifact file and reports it on stdout.
-pub fn write_artifact(name: &str, contents: &str) {
-    let path = results_dir().join(name);
-    std::fs::write(&path, contents).expect("can write artifact");
+/// Writes an artifact file under `target/fex-results/` and reports it on
+/// stdout.
+pub fn write_artifact(name: &str, contents: &str) -> Result<()> {
+    let dir = Path::new("target/fex-results");
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .map_err(|e| FexError::Data(format!("cannot write `{}`: {e}", path.display())))?;
     println!("wrote {}", path.display());
+    Ok(())
 }
 
 /// A framework instance with the full standard setup stage performed.

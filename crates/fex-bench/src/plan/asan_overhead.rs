@@ -1,24 +1,23 @@
 //! X1: AddressSanitizer performance and memory overheads on Phoenix —
 //! the paper's walkthrough experiment type (§III-A / §III-C).
 
-use fex_bench::{fex_with_standard_setup, write_artifact};
 use fex_core::collect::stats;
 use fex_core::plot::normalize_against;
-use fex_core::{ExperimentConfig, PlotRequest};
+use fex_core::{ExperimentConfig, Fex, PlotRequest, Result};
 use fex_suites::InputSize;
 use fex_vm::MeasureTool;
 
-fn main() {
-    let mut fex = fex_with_standard_setup();
+use crate::write_artifact;
+
+pub(super) fn run(fex: &mut Fex) -> Result<()> {
     // `fex.py run -n phoenix -t gcc_native gcc_asan`
     let config = ExperimentConfig::new("phoenix")
         .types(vec!["gcc_native", "gcc_asan"])
         .input(InputSize::Native)
         .repetitions(3);
-    let frame = fex.run(&config).expect("phoenix runs").clone();
-    let norm =
-        normalize_against(&frame, "benchmark", "type", "time", "gcc_native").expect("normalise");
-    let asan = norm.filter_eq("type", "gcc_asan").expect("asan rows");
+    let frame = fex.run(&config)?.clone();
+    let norm = normalize_against(&frame, "benchmark", "type", "time", "gcc_native")?;
+    let asan = norm.filter_eq("type", "gcc_asan")?;
 
     println!("X1a: AddressSanitizer runtime overhead on Phoenix (w.r.t. native GCC)\n");
     let mut ratios = Vec::new();
@@ -38,10 +37,9 @@ fn main() {
         .types(vec!["gcc_native", "gcc_asan"])
         .input(InputSize::Native)
         .tool(MeasureTool::Time);
-    let mem = fex.run(&mem_cfg).expect("memory experiment runs").clone();
-    let mem_norm = normalize_against(&mem, "benchmark", "type", "maxrss_bytes", "gcc_native")
-        .expect("normalise rss");
-    let asan_mem = mem_norm.filter_eq("type", "gcc_asan").expect("asan rows");
+    let mem = fex.run(&mem_cfg)?.clone();
+    let mem_norm = normalize_against(&mem, "benchmark", "type", "maxrss_bytes", "gcc_native")?;
+    let asan_mem = mem_norm.filter_eq("type", "gcc_asan")?;
     println!("\nX1b: AddressSanitizer memory overhead (max RSS)\n");
     for row in asan_mem.iter() {
         let bench = row[0].to_cell_string();
@@ -52,7 +50,7 @@ fn main() {
             runtime.get(&bench).copied().unwrap_or(0.0)
         ));
     }
-    let plot = fex.plot("phoenix", PlotRequest::Memory).expect("memory plot");
-    write_artifact("asan_overhead.csv", &csv);
-    write_artifact("asan_memory_overhead.svg", &plot.to_svg());
+    let plot = fex.plot("phoenix", PlotRequest::Memory)?;
+    write_artifact("asan_overhead.csv", &csv)?;
+    write_artifact("asan_memory_overhead.svg", &plot.to_svg())
 }

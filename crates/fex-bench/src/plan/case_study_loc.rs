@@ -9,10 +9,12 @@
 //! * and the **experiment driver** the user writes against the public API
 //!   (the corresponding `examples/*.rs`).
 //!
-//! This binary counts those lines from the actual sources in the
+//! This entry counts those lines from the actual sources in the
 //! repository, so the numbers stay honest as the code evolves.
 
-use fex_bench::write_artifact;
+use fex_core::{Fex, FexError, Result};
+
+use crate::write_artifact;
 
 const SPLASH_RS: &str = include_str!("../../../fex-suites/src/splash.rs");
 const HANDLERS_RS: &str = include_str!("../../../fex-netsim/src/handlers.rs");
@@ -31,8 +33,8 @@ fn loc(text: &str) -> usize {
 
 /// Extracts a brace-balanced block starting at the line containing
 /// `marker`.
-fn block(text: &str, marker: &str) -> String {
-    let start = text.find(marker).unwrap_or_else(|| panic!("marker `{marker}` not found"));
+fn block(text: &str, marker: &str) -> Result<String> {
+    let start = find(text, marker)?;
     let rest = &text[start..];
     let mut depth = 0usize;
     let mut seen_open = false;
@@ -54,32 +56,36 @@ fn block(text: &str, marker: &str) -> String {
             break;
         }
     }
-    out
+    Ok(out)
 }
 
 /// Extracts a `const NAME: &str = r#"…"#;` item, including the raw string
 /// (brace counting would stop inside the embedded program text).
-fn raw_string_item(text: &str, marker: &str) -> String {
-    let start = text.find(marker).unwrap_or_else(|| panic!("marker `{marker}` not found"));
-    let rest = &text[start..];
+fn raw_string_item(text: &str, marker: &str) -> Result<String> {
+    let rest = &text[find(text, marker)?..];
     let end = rest.find("\"#;").map(|i| i + 3).unwrap_or(rest.len());
-    rest[..end].to_string()
+    Ok(rest[..end].to_string())
 }
 
-fn main() {
+/// The byte offset of `marker` in `text`.
+fn find(text: &str, marker: &str) -> Result<usize> {
+    text.find(marker).ok_or_else(|| FexError::Data(format!("marker `{marker}` not found")))
+}
+
+pub(super) fn run(_fex: &mut Fex) -> Result<()> {
     // SPLASH: registration glue (suite constructor; the Cmm programs are
     // the benchmark *sources*, which the paper also excludes from its 326
     // — it counts build-system/runner/plot glue, not SPLASH's own code).
-    let splash_glue = loc(&block(SPLASH_RS, "pub fn splash()"));
+    let splash_glue = loc(&block(SPLASH_RS, "pub fn splash()")?);
     let splash_total = splash_glue + loc(EX_SPLASH);
 
     // Nginx: the server registration (handler program is the analogue of
     // the paper's makefile + run.py server-side setup) plus the driver.
-    let nginx_glue = loc(&raw_string_item(HANDLERS_RS, "const NGINX_HANDLER"));
+    let nginx_glue = loc(&raw_string_item(HANDLERS_RS, "const NGINX_HANDLER")?);
     let nginx_total = nginx_glue + loc(EX_NGINX);
 
     // RIPE: the security runner plus the driver.
-    let ripe_glue = loc(&block(RUNNER_RS, "impl Runner for SecurityRunner"));
+    let ripe_glue = loc(&block(RUNNER_RS, "impl Runner for SecurityRunner")?);
     let ripe_total = ripe_glue + loc(EX_RIPE);
 
     println!("CASE STUDIES (§IV): end-user integration effort in LoC\n");
@@ -100,5 +106,5 @@ fn main() {
          framework's generic runners and typed registries absorb most of\n\
          the per-suite boilerplate the paper had to write in Bash/Make."
     );
-    write_artifact("case_study_loc.csv", &csv);
+    write_artifact("case_study_loc.csv", &csv)
 }

@@ -2,25 +2,25 @@
 //! SPLASH-3" — normalized runtime of Clang builds w.r.t. native GCC, one
 //! bar per benchmark plus the `All` geometric mean.
 
-use fex_bench::{fex_with_standard_setup, print_frame, write_artifact};
 use fex_core::collect::stats;
 use fex_core::plot::normalize_against;
-use fex_core::{ExperimentConfig, PlotRequest};
+use fex_core::{ExperimentConfig, Fex, PlotRequest, Result};
 use fex_suites::InputSize;
 
-fn main() {
-    let mut fex = fex_with_standard_setup();
+use super::result_csv;
+use crate::{print_frame, write_artifact};
+
+pub(super) fn run(fex: &mut Fex) -> Result<()> {
     // `fex.py run -n splash -t gcc_native clang_native`
     let config = ExperimentConfig::new("splash")
         .types(vec!["gcc_native", "clang_native"])
         .input(InputSize::Native)
         .repetitions(3);
-    let frame = fex.run(&config).expect("splash experiment runs").clone();
+    let frame = fex.run(&config)?.clone();
 
     println!("FIG 6: SPLASH-3 normalized runtime (w.r.t. native GCC)\n");
-    let norm = normalize_against(&frame, "benchmark", "type", "time", "gcc_native")
-        .expect("normalisation");
-    let clang = norm.filter_eq("type", "clang_native").expect("clang rows");
+    let norm = normalize_against(&frame, "benchmark", "type", "time", "gcc_native")?;
+    let clang = norm.filter_eq("type", "clang_native")?;
     print_frame(&clang);
     let ratios: Vec<f64> = clang.iter().filter_map(|r| r[2].as_num()).collect();
     println!(
@@ -29,8 +29,8 @@ fn main() {
         stats::geomean(&ratios)
     );
 
-    let plot = fex.plot("splash", PlotRequest::Perf).expect("perf plot");
+    let plot = fex.plot("splash", PlotRequest::Perf)?;
     println!("\n{}", plot.to_ascii());
-    write_artifact("fig6_splash.svg", &plot.to_svg());
-    write_artifact("fig6_splash.csv", &fex.result_csv("splash").expect("csv stored"));
+    write_artifact("fig6_splash.svg", &plot.to_svg())?;
+    write_artifact("fig6_splash.csv", &result_csv(fex, "splash")?)
 }

@@ -4,18 +4,20 @@
 //! Docker image would swell to approx. 17GB if all dependencies would be
 //! built-in").
 
-use fex_bench::write_artifact;
 use fex_container::{Image, PackageRegistry};
 use fex_core::registry::table_one;
+use fex_core::{Fex, Result};
+
+use crate::write_artifact;
 
 const MIB: f64 = 1024.0 * 1024.0;
 const GIB: f64 = 1024.0 * MIB;
 
-fn main() {
+pub(super) fn run(_fex: &mut Fex) -> Result<()> {
     println!("TABLE I: currently supported experiments\n");
     let t1 = table_one();
     println!("{t1}");
-    write_artifact("table1_support_matrix.txt", &t1);
+    write_artifact("table1_support_matrix.txt", &t1)?;
 
     println!("\nS1: container image size accounting (§II-A footnote)\n");
     let image = Image::fex_shipping_image();
@@ -35,5 +37,5 @@ fn main() {
     );
     csv.push_str(&format!("total,{}\n", image.size()));
     csv.push_str(&format!("all_dependencies_baked_in,{all_in}\n"));
-    write_artifact("image_size.csv", &csv);
+    write_artifact("image_size.csv", &csv)
 }

@@ -4,11 +4,13 @@
 //! Paper values (on Ubuntu 16.04, ASLR off, canaries off, executable
 //! stack): GCC 64/786, Clang 38/812 of 850 attacks.
 
-use fex_bench::write_artifact;
 use fex_cc::BuildOptions;
+use fex_core::{Fex, Result};
 use fex_ripe::{run_testbed, TestbedConfig};
 
-fn main() {
+use crate::write_artifact;
+
+pub(super) fn run(_fex: &mut Fex) -> Result<()> {
     println!(
         "TABLE II: RIPE security benchmark results ({} attacks)\n",
         fex_ripe::all_attacks().len()
@@ -37,5 +39,5 @@ fn main() {
          attack — \"Clang prevents indirect attacks via buffers in BSS and\n\
          Data segments due to a smarter layout of objects\" (§IV-C)."
     );
-    write_artifact("table2_ripe.csv", &csv);
+    write_artifact("table2_ripe.csv", &csv)
 }

@@ -9,10 +9,9 @@
 //! fex report
 //! ```
 
-use fex_suites::InputSize;
-use fex_vm::{MeasureTool, PassMask};
+use fex_vm::PassMask;
 
-use crate::config::{ExperimentConfig, Repetitions};
+use crate::config::{input_from_name, tool_from_name, ExperimentConfig, Repetitions};
 use crate::error::{FexError, Result};
 use crate::workflow::PlotRequest;
 
@@ -578,29 +577,13 @@ pub fn parse(args: &[String]) -> Result<Action> {
                     "-i" => {
                         let v =
                             it.next().ok_or_else(|| FexError::Config("-i needs a size".into()))?;
-                        cfg.input = match v.as_str() {
-                            "test" => InputSize::Test,
-                            "small" => InputSize::Small,
-                            "native" => InputSize::Native,
-                            other => {
-                                return Err(FexError::Config(format!(
-                                    "unknown input size `{other}`"
-                                )))
-                            }
-                        };
+                        cfg.input = input_from_name(v)?;
                     }
                     "--tool" => {
                         let v = it
                             .next()
                             .ok_or_else(|| FexError::Config("--tool needs a name".into()))?;
-                        cfg.tool = match v.as_str() {
-                            "perf-stat" => MeasureTool::PerfStat,
-                            "perf-stat-mem" => MeasureTool::PerfStatMemory,
-                            "time" => MeasureTool::Time,
-                            other => {
-                                return Err(FexError::Config(format!("unknown tool `{other}`")))
-                            }
-                        };
+                        cfg.tool = tool_from_name(v)?;
                     }
                     "-v" => cfg.verbose = true,
                     "-d" => cfg.debug = true,
@@ -700,6 +683,8 @@ fn take_values(
 
 #[cfg(test)]
 mod tests {
+    use fex_vm::MeasureTool;
+
     use super::*;
 
     fn argv(s: &str) -> Vec<String> {

@@ -460,9 +460,39 @@ pub fn input_name(input: InputSize) -> &'static str {
     }
 }
 
+/// The input size called `name`: the inverse of [`input_name`].
+pub fn input_from_name(name: &str) -> Result<InputSize> {
+    [InputSize::Test, InputSize::Small, InputSize::Native]
+        .into_iter()
+        .find(|&i| input_name(i) == name)
+        .ok_or_else(|| FexError::Config(format!("unknown input size `{name}`")))
+}
+
+/// The measurement tool called `name`: the inverse of [`MeasureTool::name`].
+pub fn tool_from_name(name: &str) -> Result<MeasureTool> {
+    MeasureTool::all()
+        .into_iter()
+        .find(|t| t.name() == name)
+        .ok_or_else(|| FexError::Config(format!("unknown tool `{name}`")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn input_and_tool_names_parse_back() {
+        for input in [InputSize::Test, InputSize::Small, InputSize::Native] {
+            assert_eq!(input_from_name(input_name(input)).unwrap(), input);
+        }
+        for tool in MeasureTool::all() {
+            assert_eq!(tool_from_name(tool.name()).unwrap(), tool);
+        }
+        let err = input_from_name("huge").unwrap_err().to_string();
+        assert_eq!(err, "invalid configuration: unknown input size `huge`");
+        let err = tool_from_name("perf").unwrap_err().to_string();
+        assert_eq!(err, "invalid configuration: unknown tool `perf`");
+    }
 
     #[test]
     fn builder_defaults_and_validation() {

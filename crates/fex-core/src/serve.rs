@@ -62,7 +62,7 @@ use fex_container::DigestBuilder;
 use fex_suites::{BenchProgram, InputSize, Suite};
 use fex_vm::MeasureTool;
 
-use crate::config::{ExperimentConfig, Repetitions};
+use crate::config::{input_from_name, tool_from_name, ExperimentConfig, Repetitions};
 use crate::distributed::DistributedRun;
 use crate::error::{FexError, Result};
 use crate::journal::{self, Journal, JournalEvent, Json, JsonLine};
@@ -277,8 +277,8 @@ impl Submission {
             // the submission ever reaches the queue.
             registered_suite(&sub.suite)?;
         }
-        sub.input_size()?;
-        sub.measure_tool()?;
+        input_from_name(&sub.input)?;
+        tool_from_name(&sub.tool)?;
         Ok(sub)
     }
 
@@ -321,8 +321,8 @@ impl Submission {
             .threads(self.threads.clone())
             .seed(self.seed)
             .jobs(self.jobs)
-            .input(self.input_size().unwrap_or(InputSize::Test))
-            .tool(self.measure_tool().unwrap_or(MeasureTool::PerfStat));
+            .input(input_from_name(&self.input).unwrap_or(InputSize::Test))
+            .tool(tool_from_name(&self.tool).unwrap_or(MeasureTool::PerfStat));
         cfg.repetitions = if self.precision_permille > 0 {
             Repetitions::Adaptive {
                 min: self.reps,
@@ -379,22 +379,6 @@ impl Submission {
             });
         }
         registered_suite(&self.suite)
-    }
-
-    fn input_size(&self) -> Result<InputSize> {
-        match self.input.as_str() {
-            "test" => Ok(InputSize::Test),
-            "small" => Ok(InputSize::Small),
-            "native" => Ok(InputSize::Native),
-            other => Err(FexError::Config(format!("unknown input size `{other}`"))),
-        }
-    }
-
-    fn measure_tool(&self) -> Result<MeasureTool> {
-        MeasureTool::all()
-            .into_iter()
-            .find(|t| t.name() == self.tool)
-            .ok_or_else(|| FexError::Config(format!("unknown tool `{}`", self.tool)))
     }
 }
 

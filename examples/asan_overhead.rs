@@ -6,7 +6,10 @@
 //! >> fex.py run -n phoenix -t gcc_native gcc_asan
 //! ```
 //!
-//! Run with: `cargo run --release --example asan_overhead`
+//! Run with: `cargo run --release --example asan_overhead`. It writes
+//! `target/fex-results/asan_overhead_example.svg`, beside the paper
+//! plan's X1 artifact (`asan_memory_overhead.svg`, native inputs, 3
+//! repetitions) rather than over it.
 
 use fex_core::collect::stats;
 use fex_core::plot::normalize_against;
@@ -53,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plot = fex.plot("phoenix", PlotRequest::Memory)?;
     let out = std::path::Path::new("target/fex-results");
     std::fs::create_dir_all(out)?;
-    std::fs::write(out.join("asan_memory_overhead.svg"), plot.to_svg())?;
-    println!("\nwrote target/fex-results/asan_memory_overhead.svg");
+    std::fs::write(out.join("asan_overhead_example.svg"), plot.to_svg())?;
+    println!("\nwrote target/fex-results/asan_overhead_example.svg");
     Ok(())
 }
