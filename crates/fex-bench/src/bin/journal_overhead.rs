@@ -14,7 +14,7 @@
 //! variant.
 
 use fex_bench::write_artifact;
-use fex_core::build::{BuildSystem, MakefileSet};
+use fex_core::build::MakefileSet;
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::{ExperimentConfig, JournalEvent, Metrics, RunPolicy};
 use fex_suites::InputSize;
@@ -42,17 +42,15 @@ fn matrix_config(input: InputSize, reps: usize, journal: bool) -> ExperimentConf
         .journal(journal)
 }
 
-/// One timed pass over the matrix. The build system is shared across a
-/// configuration's passes: after the first (warm-up) pass every build is
-/// a cache hit, so the timed window measures the run phase the journal
-/// actually instruments, not recompilation noise. Returns (run-phase CPU
+/// One timed pass over the matrix: builds plus the run phase the journal
+/// instruments; both configurations pay the same builds. Returns (CPU
 /// seconds, results CSV, failures CSV, events).
 fn run_matrix(
     config: &ExperimentConfig,
-    build: &mut BuildSystem,
+    makefiles: &MakefileSet,
 ) -> (f64, String, String, Vec<JournalEvent>) {
     let mut log = Vec::new();
-    let mut ctx = RunContext::new(config, build, &mut log);
+    let mut ctx = RunContext::new(config, makefiles, &mut log);
     let mut runner = SuiteRunner::new(fex_suites::micro(), config);
     let start = cpu_seconds();
     let df = runner.run(&mut ctx).expect("matrix runs");
@@ -72,13 +70,11 @@ fn main() {
 
     let on_config = matrix_config(input, reps, true);
     let off_config = matrix_config(input, reps, false);
-    let mut on_build = BuildSystem::new(MakefileSet::standard());
-    let mut off_build = BuildSystem::new(MakefileSet::standard());
+    let makefiles = MakefileSet::standard();
 
-    // Warm both build systems (compile + decode caches) so the timed
-    // passes below measure the run phase, not recompilation.
-    run_matrix(&on_config, &mut on_build);
-    run_matrix(&off_config, &mut off_build);
+    // One untimed warm-up pass per configuration.
+    run_matrix(&on_config, &makefiles);
+    run_matrix(&off_config, &makefiles);
 
     // Interleave on/off passes so host speed drift cancels; keep the
     // best (least-disturbed) pass of each configuration.
@@ -88,8 +84,8 @@ fn main() {
     let mut journaled: Option<(String, String, Vec<JournalEvent>)> = None;
     let mut bare: Option<(String, String)> = None;
     for pass in 0..passes {
-        let (on_secs, on_csv, on_failures, events) = run_matrix(&on_config, &mut on_build);
-        let (off_secs, off_csv, off_failures, off_events) = run_matrix(&off_config, &mut off_build);
+        let (on_secs, on_csv, on_failures, events) = run_matrix(&on_config, &makefiles);
+        let (off_secs, off_csv, off_failures, off_events) = run_matrix(&off_config, &makefiles);
         assert!(off_events.is_empty(), "--no-journal recorded events");
         best_on = best_on.min(on_secs);
         best_off = best_off.min(off_secs);

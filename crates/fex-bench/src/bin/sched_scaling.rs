@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use fex_bench::write_artifact;
 use fex_cc::{compile, BuildOptions};
-use fex_core::build::{BuildSystem, MakefileSet};
+use fex_core::build::MakefileSet;
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::{ExperimentConfig, RunPolicy};
 use fex_suites::InputSize;
@@ -32,9 +32,9 @@ fn run_matrix(reps: usize, jobs: usize, chunk: usize) -> (f64, String, usize) {
         .resilience(RunPolicy::default())
         .jobs(jobs)
         .chunk(chunk);
-    let mut build = BuildSystem::new(MakefileSet::standard());
+    let makefiles = MakefileSet::standard();
     let mut log = Vec::new();
-    let mut ctx = RunContext::new(&config, &mut build, &mut log);
+    let mut ctx = RunContext::new(&config, &makefiles, &mut log);
     let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
     let start = Instant::now();
     let df = runner.run(&mut ctx).expect("matrix runs");

@@ -22,7 +22,7 @@
 
 use fex_bench::write_artifact;
 use fex_cc::{compile, BuildOptions};
-use fex_core::build::{BuildSystem, MakefileSet};
+use fex_core::build::MakefileSet;
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::{ExperimentConfig, RunPolicy};
 use fex_suites::InputSize;
@@ -60,10 +60,10 @@ fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) ->
 /// run units driven, experiment log).
 fn run_matrix(
     config: &ExperimentConfig,
-    build: &mut BuildSystem,
+    makefiles: &MakefileSet,
 ) -> (f64, String, usize, Vec<String>) {
     let mut log = Vec::new();
-    let mut ctx = RunContext::new(config, build, &mut log);
+    let mut ctx = RunContext::new(config, makefiles, &mut log);
     let mut runner = SuiteRunner::new(fex_suites::micro(), config);
     let start = cpu_seconds();
     let df = runner.run(&mut ctx).expect("matrix runs");
@@ -220,12 +220,10 @@ fn main() {
     // The full experiment pipeline must produce byte-identical CSVs with
     // the toggles on and off (repetitions and both thread counts
     // included); the differential property test covers fault injection.
-    let mut on_build = BuildSystem::new(MakefileSet::standard());
-    let (_, on_csv, _, _) =
-        run_matrix(&matrix_config(InputSize::Small, reps, 1, true), &mut on_build);
-    let mut off_build = BuildSystem::new(MakefileSet::standard());
+    let makefiles = MakefileSet::standard();
+    let (_, on_csv, _, _) = run_matrix(&matrix_config(InputSize::Small, reps, 1, true), &makefiles);
     let (_, off_csv, _, _) =
-        run_matrix(&matrix_config(InputSize::Small, reps, 1, false), &mut off_build);
+        run_matrix(&matrix_config(InputSize::Small, reps, 1, false), &makefiles);
     assert_eq!(on_csv, off_csv, "toggles changed the experiment results CSV");
     println!("  full-pipeline CSVs: byte-identical on vs off");
 
@@ -285,12 +283,8 @@ fn main() {
     // 3. Decoded-artifact cache hit rate on a --jobs 8 matrix — always
     // 6 reps at the test input (12 decodes serving 144 units), checked
     // byte-for-byte against a sequential run of the same matrix.
-    let mut cache_build = BuildSystem::new(MakefileSet::standard());
-    let (_, csv, _, log) =
-        run_matrix(&matrix_config(InputSize::Test, 6, 8, true), &mut cache_build);
-    let mut seq_build = BuildSystem::new(MakefileSet::standard());
-    let (_, seq_csv, _, _) =
-        run_matrix(&matrix_config(InputSize::Test, 6, 1, true), &mut seq_build);
+    let (_, csv, _, log) = run_matrix(&matrix_config(InputSize::Test, 6, 8, true), &makefiles);
+    let (_, seq_csv, _, _) = run_matrix(&matrix_config(InputSize::Test, 6, 1, true), &makefiles);
     assert_eq!(seq_csv, csv, "--jobs 8 changed the results CSV");
     let (decodes, served) = parse_cache_line(&log);
     let hit_rate = 100.0 * (served - decodes) as f64 / served as f64;

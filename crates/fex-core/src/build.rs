@@ -11,15 +11,16 @@
 //!
 //! Any application can be built with any configuration because the layers
 //! compose independently — the paper's central build-system claim. The
-//! resolved variable set is translated into [`fex_cc::BuildOptions`] and
-//! compiled; binaries land in a content-keyed cache and the container's
-//! `build/` tree, and are rebuilt for every experiment unless
-//! `--no-build` is given (§II-A).
+//! resolved variable set is translated into [`fex_cc::BuildOptions`],
+//! compiled and decoded by [`MakefileSet::build`], one stateless step
+//! that every experiment calls afresh: binaries are rebuilt for every
+//! experiment (§II-A). Reuse across experiments comes from the lab's
+//! artifact graph, which keys run units by [`Artifact::digest`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use fex_cc::{BackendProfile, BuildOptions};
+use fex_cc::{BackendProfile, BuildOptions, CompileError};
 use fex_container::Digest;
 use fex_vm::{decode_program_passes, CostModel, DecodedProgram, PassMask, Program};
 
@@ -173,6 +174,48 @@ impl MakefileSet {
         let opt_level = if debug || cflags.contains("-O0") { 0 } else { 2 };
         Ok(BuildOptions { backend, asan, opt_level, debug })
     }
+
+    /// Builds `source` as `benchmark` with the given type: resolves the
+    /// layers, compiles, and decodes with the `passes` subset under the
+    /// default cost model. Every call compiles afresh — the paper
+    /// rebuilds everything at the start of each experiment "otherwise a
+    /// mix of old and new compilation flags and/or libraries could skew
+    /// the results" (§II-A).
+    ///
+    /// # Errors
+    ///
+    /// [`FexError::Build`] wrapping the compiler diagnostic or naming an
+    /// undecodable program, or the resolution errors of
+    /// [`MakefileSet::build_options`].
+    pub fn build(
+        &self,
+        benchmark: &str,
+        source: &str,
+        type_name: &str,
+        debug: bool,
+        passes: PassMask,
+    ) -> Result<Artifact> {
+        let opts = self.build_options(type_name, debug)?;
+        let fail = |e| FexError::Build {
+            benchmark: benchmark.to_string(),
+            build_type: type_name.to_string(),
+            source: e,
+        };
+        let program = fex_cc::compile(source, &opts).map_err(fail)?;
+        // Decode once, at build time, under the default cost model — the
+        // one every experiment-loop machine runs with. A machine whose
+        // config diverges falls back to a fresh decode at load.
+        let decoded =
+            decode_program_passes(&program, &CostModel::default(), passes).map_err(|e| {
+                fail(CompileError::general(format!("compiler emitted an undecodable program: {e}")))
+            })?;
+        Ok(Artifact {
+            program: Arc::new(program),
+            decoded: Arc::new(decoded),
+            digest: artifact_digest(benchmark, source, &opts, passes),
+            build_info: opts.build_info(),
+        })
+    }
 }
 
 /// A built binary plus provenance.
@@ -185,156 +228,30 @@ pub struct Artifact {
     /// executes this artifact — the decoded-artifact cache.
     pub decoded: Arc<DecodedProgram>,
     /// Content digest of (benchmark, source, resolved compiler options,
-    /// decode pass subset, cost-model fingerprint): the cache key, equal
-    /// to the artifact graph's decoded-node key for this build.
+    /// decode pass subset, cost-model fingerprint): the artifact graph's
+    /// decoded-node key for this build.
     pub digest: Digest,
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Build type name.
-    pub build_type: String,
     /// `cc`-style invocation string.
     pub build_info: String,
 }
 
-/// The build subsystem: layer resolution + compilation + cache.
-#[derive(Debug)]
-pub struct BuildSystem {
-    makefiles: MakefileSet,
-    /// Content-keyed cache: the [`Digest`] is computed from borrowed
-    /// inputs (no per-lookup allocation) and entries are `Arc`-shared,
-    /// so a hit costs a hash and a refcount bump.
-    cache: HashMap<Digest, Arc<Artifact>>,
-    builds_performed: usize,
-    decodes_performed: usize,
-    /// The peephole pass subset artifacts are decoded with.
-    passes: PassMask,
-}
-
-impl BuildSystem {
-    /// Creates a build system over a makefile set.
-    pub fn new(makefiles: MakefileSet) -> Self {
-        BuildSystem {
-            makefiles,
-            cache: HashMap::new(),
-            builds_performed: 0,
-            decodes_performed: 0,
-            passes: PassMask::all(),
-        }
-    }
-
-    /// The makefile layers (for registration of new types).
-    pub fn makefiles_mut(&mut self) -> &mut MakefileSet {
-        &mut self.makefiles
-    }
-
-    /// The makefile layers.
-    pub fn makefiles(&self) -> &MakefileSet {
-        &self.makefiles
-    }
-
-    /// Number of actual compilations performed (rebuild accounting).
-    pub fn builds_performed(&self) -> usize {
-        self.builds_performed
-    }
-
-    /// Number of decode passes performed; every run unit beyond this
-    /// count was served from the decoded-artifact cache.
-    pub fn decodes_performed(&self) -> usize {
-        self.decodes_performed
-    }
-
-    /// Snapshot of `(builds_performed, decodes_performed)` in one call,
-    /// for observability layers that track deltas across an experiment
-    /// (a build whose count does not move was a cache hit).
-    pub fn work_performed(&self) -> (usize, usize) {
-        (self.builds_performed, self.decodes_performed)
-    }
-
-    /// Sets the peephole pass subset artifacts are decoded with
-    /// (`--passes`/`--no-pass`). The subset is part of the cache key, so
-    /// changing it can never serve a stale decoded form.
-    pub fn set_passes(&mut self, passes: PassMask) {
-        self.passes = passes;
-    }
-
-    /// Drops all cached binaries — the paper rebuilds everything at the
-    /// start of each experiment "otherwise a mix of old and new
-    /// compilation flags and/or libraries could skew the results".
-    pub fn clean(&mut self) {
-        self.cache.clear();
-    }
-
-    /// The content digest an artifact build would be cached under: the
-    /// artifact graph's *decoded*-level key, derived source → compiled →
-    /// decoded so every layer of configuration dirties exactly its own
-    /// subtree (see [`crate::graph`]). Computed entirely from borrowed
-    /// inputs — no per-lookup allocation.
-    fn artifact_digest(
-        benchmark: &str,
-        source: &str,
-        opts: &BuildOptions,
-        passes: PassMask,
-    ) -> Digest {
-        let source_key = fex_cc::source_digest(benchmark, source);
-        let compiled = crate::graph::compiled_key(
-            source_key,
-            opts.backend.name,
-            opts.backend.version,
-            opts.opt_level,
-            opts.asan,
-            opts.debug,
-        );
-        // Artifacts are decoded under the default cost model (below), so
-        // its fingerprint is the one baked into the key.
-        crate::graph::decoded_key(compiled, passes.bits(), CostModel::default().fingerprint())
-    }
-
-    /// Builds `source` as `benchmark` with the given type. With
-    /// `no_build`, a cached binary is reused when present (`--no-build`);
-    /// otherwise every call recompiles.
-    ///
-    /// # Errors
-    ///
-    /// [`FexError::Build`] wrapping the compiler diagnostic, or the
-    /// resolution errors of [`MakefileSet::build_options`].
-    pub fn build(
-        &mut self,
-        benchmark: &str,
-        source: &str,
-        type_name: &str,
-        debug: bool,
-        no_build: bool,
-    ) -> Result<Arc<Artifact>> {
-        let opts = self.makefiles.build_options(type_name, debug)?;
-        let digest = Self::artifact_digest(benchmark, source, &opts, self.passes);
-        if no_build {
-            if let Some(a) = self.cache.get(&digest) {
-                return Ok(Arc::clone(a));
-            }
-        }
-        let program = fex_cc::compile(source, &opts).map_err(|source| FexError::Build {
-            benchmark: benchmark.to_string(),
-            build_type: type_name.to_string(),
-            source,
-        })?;
-        self.builds_performed += 1;
-        // Decode once, at build time, under the default cost model — the
-        // one every experiment-loop machine runs with. A machine whose
-        // config diverges falls back to a fresh decode at load.
-        let decoded = decode_program_passes(&program, &CostModel::default(), self.passes)
-            .unwrap_or_else(|e| panic!("compiler emitted an undecodable program: {e}"));
-        self.decodes_performed += 1;
-        let artifact = Arc::new(Artifact {
-            program: Arc::new(program),
-            decoded: Arc::new(decoded),
-            digest,
-            benchmark: benchmark.to_string(),
-            build_type: type_name.to_string(),
-            build_info: opts.build_info(),
-        });
-        self.cache.insert(digest, Arc::clone(&artifact));
-        Ok(artifact)
-    }
+/// The artifact graph's *decoded*-level key for one build, derived
+/// source → compiled → decoded so every layer of configuration dirties
+/// exactly its own subtree (see [`crate::graph`]).
+fn artifact_digest(benchmark: &str, source: &str, opts: &BuildOptions, passes: PassMask) -> Digest {
+    let source_key = fex_cc::source_digest(benchmark, source);
+    let compiled = crate::graph::compiled_key(
+        source_key,
+        opts.backend.name,
+        opts.backend.version,
+        opts.opt_level,
+        opts.asan,
+        opts.debug,
+    );
+    // Artifacts are decoded under the default cost model
+    // ([`MakefileSet::build`]), so its fingerprint is the one baked into
+    // the key.
+    crate::graph::decoded_key(compiled, passes.bits(), CostModel::default().fingerprint())
 }
 
 #[cfg(test)]
@@ -395,42 +312,23 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_semantics_and_no_build_flag() {
-        let mut b = BuildSystem::new(MakefileSet::standard());
-        let src = "fn main() -> int { return 1; }";
-        b.build("t", src, "gcc_native", false, false).unwrap();
-        b.build("t", src, "gcc_native", false, false).unwrap();
-        assert_eq!(b.builds_performed(), 2, "experiments rebuild by default");
-        b.build("t", src, "gcc_native", false, true).unwrap();
-        assert_eq!(b.builds_performed(), 2, "--no-build reuses the cache");
-        b.clean();
-        b.build("t", src, "gcc_native", false, true).unwrap();
-        assert_eq!(b.builds_performed(), 3, "cache cleaned, must rebuild");
-    }
-
-    #[test]
     fn decoded_artifacts_are_arc_shared_and_counted() {
-        let mut b = BuildSystem::new(MakefileSet::standard());
+        let s = MakefileSet::standard();
         let src = "fn main() -> int { return 1; }";
-        let a = b.build("t", src, "gcc_native", false, false).unwrap();
-        assert_eq!(b.decodes_performed(), 1);
+        let all = PassMask::all();
+        let a = s.build("t", src, "gcc_native", false, all).unwrap();
         assert_eq!(a.decoded.passes, PassMask::all());
-        let cached = b.build("t", src, "gcc_native", false, true).unwrap();
-        assert!(Arc::ptr_eq(&a, &cached), "--no-build returns the shared entry");
-        assert_eq!(b.decodes_performed(), 1, "no re-decode on a cache hit");
-        // Source, build type and pass subset all key the cache.
-        let other =
-            b.build("t", "fn main() -> int { return 2; }", "gcc_native", false, false).unwrap();
-        assert_ne!(a.digest, other.digest);
-        let clang = b.build("t", src, "clang_native", false, false).unwrap();
+        // Source, build type and pass subset all key the digest.
+        let other = s.build("t", "fn main() -> int { return 2; }", "gcc_native", false, all);
+        assert_ne!(a.digest, other.unwrap().digest);
+        let clang = s.build("t", src, "clang_native", false, all).unwrap();
         assert_ne!(a.digest, clang.digest);
-        b.set_passes(PassMask::none());
-        let unfused = b.build("t", src, "gcc_native", false, false).unwrap();
+        let unfused = s.build("t", src, "gcc_native", false, PassMask::none()).unwrap();
         assert_ne!(a.digest, unfused.digest);
         assert_eq!(unfused.decoded.passes, PassMask::none());
         // A strict subset keys differently from both all and none.
-        b.set_passes(PassMask::all().without("fuse").unwrap());
-        let subset = b.build("t", src, "gcc_native", false, false).unwrap();
+        let subset_mask = PassMask::all().without("fuse").unwrap();
+        let subset = s.build("t", src, "gcc_native", false, subset_mask).unwrap();
         assert_ne!(subset.digest, a.digest);
         assert_ne!(subset.digest, unfused.digest);
         assert!(!subset.decoded.passes.enables("fuse"));
@@ -438,10 +336,10 @@ mod tests {
 
     #[test]
     fn artifact_digest_is_the_layered_graph_key() {
-        let mut b = BuildSystem::new(MakefileSet::standard());
+        let s = MakefileSet::standard();
         let src = "fn main() -> int { return 1; }";
-        let a = b.build("t", src, "gcc_asan", false, false).unwrap();
-        let opts = MakefileSet::standard().build_options("gcc_asan", false).unwrap();
+        let a = s.build("t", src, "gcc_asan", false, PassMask::all()).unwrap();
+        let opts = s.build_options("gcc_asan", false).unwrap();
         let expected = crate::graph::decoded_key(
             crate::graph::compiled_key(
                 fex_cc::source_digest("t", src),
@@ -459,8 +357,8 @@ mod tests {
 
     #[test]
     fn build_errors_carry_context() {
-        let mut b = BuildSystem::new(MakefileSet::standard());
-        let err = b.build("bad", "fn main( {", "gcc_native", false, false).unwrap_err();
+        let s = MakefileSet::standard();
+        let err = s.build("bad", "fn main( {", "gcc_native", false, PassMask::all()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("bad"));
         assert!(msg.contains("gcc_native"));

@@ -3,7 +3,7 @@
 //! ```text
 //! fex install -n gcc-6.1
 //! fex run -n phoenix -t gcc_native gcc_asan [-b histogram] [-m 1 2 4]
-//!         [-r 10] [-i test] [-v] [-d] [--no-build] [--tool time]
+//!         [-r 10] [-i test] [-v] [-d] [--tool time]
 //! fex plot -n phoenix -t perf
 //! fex list
 //! fex report
@@ -176,8 +176,6 @@ run options:
   --tool <t>     perf-stat | perf-stat-mem | time (default perf-stat)
   -v             verbose
   -d             debug builds
-  --no-build     reuse cached binaries (each `fex run` starts with an
-                 empty cache, so this only helps library embeddings)
   --jobs <n>     parallel run-unit workers; 0 = auto
                  (default: available cores, capped at 16)
   --chunk <n>    units each worker claims per grab; 0 = auto
@@ -587,7 +585,6 @@ pub fn parse(args: &[String]) -> Result<Action> {
                     }
                     "-v" => cfg.verbose = true,
                     "-d" => cfg.debug = true,
-                    "--no-build" => cfg.no_build = true,
                     "--jobs" => {
                         let v = it
                             .next()
@@ -723,7 +720,7 @@ mod tests {
     #[test]
     fn parses_all_run_flags() {
         let Action::Run(cfg) = parse(&argv(
-            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --no-build --tool time --jobs 4 --passes none --no-mru --no-decode-cache",
+            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --tool time --jobs 4 --passes none --no-mru --no-decode-cache",
         ))
         .unwrap() else {
             panic!("expected run");
@@ -731,12 +728,15 @@ mod tests {
         assert_eq!(cfg.benchmark.as_deref(), Some("histogram"));
         assert_eq!(cfg.threads, vec![1, 2, 4]);
         assert_eq!(cfg.repetitions, Repetitions::Fixed(10));
-        assert!(cfg.verbose && cfg.debug && cfg.no_build);
+        assert!(cfg.verbose && cfg.debug);
         assert_eq!(cfg.tool, MeasureTool::Time);
         assert_eq!(cfg.jobs, 4);
         assert_eq!(cfg.passes, PassMask::none());
         assert!(!cfg.mru_fast_path && !cfg.decode_cache);
         assert_eq!(cfg.lab, None, "runs stay ephemeral unless --lab is given");
+        // Every experiment rebuilds; there is no flag to skip it.
+        let err = parse(&argv("run -n micro --no-build")).unwrap_err();
+        assert!(err.to_string().contains("unknown run flag `--no-build`"), "{err}");
     }
 
     #[test]

@@ -147,11 +147,6 @@ pub struct ExperimentConfig {
     pub verbose: bool,
     /// Debug builds and debug environment (`-d`).
     pub debug: bool,
-    /// Skip rebuilding when a cached binary exists (`--no-build`). The
-    /// cache lives in one `Fex`'s `BuildSystem`, and every `fex run` is a
-    /// fresh process, so only embeddings that run several experiments on
-    /// one `Fex` ever reuse anything.
-    pub no_build: bool,
     /// Measurement tool.
     pub tool: MeasureTool,
     /// Seed for deterministic machines and workloads.
@@ -200,7 +195,6 @@ impl ExperimentConfig {
             input: InputSize::Native,
             verbose: false,
             debug: false,
-            no_build: false,
             tool: MeasureTool::PerfStat,
             seed: 42,
             fault: None,

@@ -21,7 +21,7 @@
 use fex_netsim::fleet::FleetHost;
 use fex_suites::Suite;
 
-use crate::build::BuildSystem;
+use crate::build::MakefileSet;
 use crate::collect::{run_sample, DataFrame};
 use crate::config::{input_name, ExperimentConfig};
 use crate::error::{FexError, Result};
@@ -133,7 +133,7 @@ impl DistributedRun {
     ///
     /// Build failures, unknown benchmarks, and the first unit (in matrix
     /// order) that still fails after its retries.
-    pub fn execute(&self, build: &mut BuildSystem, config: &ExperimentConfig) -> Result<DataFrame> {
+    pub fn execute(&self, makefiles: &MakefileSet, config: &ExperimentConfig) -> Result<DataFrame> {
         config.validate()?;
         let placement: Vec<(&FleetHost, &str, bool)> = self
             .effective_partition()?
@@ -147,8 +147,6 @@ impl DistributedRun {
                 .ok_or_else(|| FexError::UnknownName { kind: "benchmark", name: name.clone() })?],
             None => self.suite.programs.iter().collect(),
         };
-        // Artifacts must be decoded the way the units' machines run them.
-        build.set_passes(config.passes);
         let mut units = Vec::new();
         let mut placed = Vec::new();
         for ty in &config.build_types {
@@ -157,8 +155,9 @@ impl DistributedRun {
                     .iter()
                     .find(|(_, b, _)| *b == prog.name)
                     .expect("every suite benchmark is placed on a survivor");
+                // Decoded the way the units' machines run them.
                 let artifact =
-                    build.build(prog.name, prog.source, ty, config.debug, config.no_build)?;
+                    makefiles.build(prog.name, prog.source, ty, config.debug, config.passes)?;
                 for rep in 0..config.repetitions.min_reps() {
                     let mut mc =
                         config.unit_machine_config(prog.name, ty, host.cores, Some(rep), 0);
@@ -210,7 +209,6 @@ impl DistributedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::MakefileSet;
     use fex_suites::InputSize;
 
     fn hosts() -> Vec<FleetHost> {
@@ -230,12 +228,11 @@ mod tests {
     #[test]
     fn executes_across_heterogeneous_hosts() {
         let run = DistributedRun::new(fex_suites::micro(), hosts()).unwrap();
-        let mut build = BuildSystem::new(MakefileSet::standard());
         let config = ExperimentConfig::new("micro")
             .types(vec!["gcc_native"])
             .input(InputSize::Test)
             .repetitions(2);
-        let df = run.execute(&mut build, &config).unwrap();
+        let df = run.execute(&MakefileSet::standard(), &config).unwrap();
         // 4 benchmarks × 1 type × 2 reps.
         assert_eq!(df.len(), 8);
         assert_eq!(df.distinct("host").unwrap(), vec!["node-a", "node-b"]);
@@ -282,10 +279,9 @@ mod tests {
             ]
         );
 
-        let mut build = BuildSystem::new(MakefileSet::standard());
         let config =
             ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
-        let df = run.execute(&mut build, &config).unwrap();
+        let df = run.execute(&MakefileSet::standard(), &config).unwrap();
         // No work is lost: all 4 benchmarks still execute.
         assert_eq!(df.len(), 4);
         assert_eq!(df.distinct("host").unwrap(), vec!["node-a"]);
@@ -302,18 +298,16 @@ mod tests {
             .kill_host("node-a")
             .kill_host("node-b");
         assert!(matches!(run.effective_partition(), Err(FexError::Config(_))));
-        let mut build = BuildSystem::new(MakefileSet::standard());
         let config = ExperimentConfig::new("micro").input(InputSize::Test);
-        assert!(run.execute(&mut build, &config).is_err());
+        assert!(run.execute(&MakefileSet::standard(), &config).is_err());
     }
 
     #[test]
     fn healthy_clusters_report_no_rescheduling() {
         let run = DistributedRun::new(fex_suites::micro(), hosts()).unwrap();
-        let mut build = BuildSystem::new(MakefileSet::standard());
         let config =
             ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
-        let df = run.execute(&mut build, &config).unwrap();
+        let df = run.execute(&MakefileSet::standard(), &config).unwrap();
         let ri = df.col("rescheduled").unwrap();
         assert!(df.iter().all(|r| r[ri].as_num() == Some(0.0)));
     }

@@ -166,8 +166,9 @@ journal_schema! {
             build_type: String,
             /// Content digest of the artifact (cache key).
             digest: String,
-            /// Whether the artifact came out of the build cache
-            /// (`--no-build`) instead of a fresh compile.
+            /// Whether the artifact was reused instead of compiled
+            /// afresh; `MakefileSet::build` always compiles, so runners
+            /// emit `false`.
             cache_hit: bool,
             /// Wall time of the build step.
             [volatile] wall_ns: u64,

@@ -13,7 +13,6 @@
 //! loops of their own for the throughput-latency and RIPE experiments.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use fex_cc::BuildOptions;
 use fex_netsim::{ServerBuild, ServerKind, Simulation, Workload};
@@ -23,7 +22,7 @@ use fex_vm::RunResult;
 
 use fex_container::Digest;
 
-use crate::build::{Artifact, BuildSystem};
+use crate::build::{Artifact, MakefileSet};
 use crate::collect::{Collector, DataFrame};
 use crate::config::{input_name, ExperimentConfig};
 use crate::env::environment_for;
@@ -37,8 +36,8 @@ use crate::sched::{execute_units, RunUnit, UnitOutcome, UnitWork};
 pub struct RunContext<'a> {
     /// The experiment configuration.
     pub config: &'a ExperimentConfig,
-    /// The build subsystem.
-    pub build: &'a mut BuildSystem,
+    /// The makefile layers every build resolves against.
+    pub makefiles: &'a MakefileSet,
     /// Experiment log lines (environment details, progress).
     pub log: &'a mut Vec<String>,
     /// Failure and retry accounting for this experiment.
@@ -60,12 +59,12 @@ impl<'a> RunContext<'a> {
     /// Creates a context with clean failure accounting.
     pub fn new(
         config: &'a ExperimentConfig,
-        build: &'a mut BuildSystem,
+        makefiles: &'a MakefileSet,
         log: &'a mut Vec<String>,
     ) -> Self {
         RunContext {
             config,
-            build,
+            makefiles,
             log,
             failures: FailureReport::default(),
             journal: Journal::new(config.journal),
@@ -265,7 +264,7 @@ pub trait Runner {
 pub struct SuiteRunner {
     suite: Suite,
     collector: Collector,
-    artifacts: HashMap<(String, String), Arc<Artifact>>,
+    artifacts: HashMap<(String, String), Artifact>,
     /// This experiment's clean first-attempt results by execution key
     /// (see [`SuiteRunner::unit_exec_key`]): a unit whose key is here is
     /// served that result instead of running the VM again.
@@ -313,17 +312,15 @@ impl SuiteRunner {
         for bench in self.benchmarks(ctx.config) {
             let prog = self.program(&bench)?;
             let started = std::time::Instant::now();
-            let (builds_before, _) = ctx.build.work_performed();
-            let artifact =
-                ctx.build.build(&bench, prog.source, ty, ctx.config.debug, ctx.config.no_build)?;
+            let (debug, passes) = (ctx.config.debug, ctx.config.passes);
+            let artifact = ctx.makefiles.build(&bench, prog.source, ty, debug, passes)?;
             ctx.log(format!("built `{bench}` [{}]", artifact.build_info));
             if ctx.journal.enabled() {
-                let (builds_after, _) = ctx.build.work_performed();
                 ctx.journal.emit(JournalEvent::Build {
                     benchmark: bench.clone(),
                     build_type: ty.to_string(),
                     digest: artifact.digest.to_string(),
-                    cache_hit: builds_after == builds_before,
+                    cache_hit: false,
                     wall_ns: started.elapsed().as_nanos() as u64,
                 });
             }
@@ -334,7 +331,7 @@ impl SuiteRunner {
             // same keys and skip the writes.
             let graph_on = ctx.config.graph;
             if let Some(g) = ctx.graph.as_mut().filter(|_| graph_on) {
-                let opts = ctx.build.makefiles().build_options(ty, ctx.config.debug)?;
+                let opts = ctx.makefiles.build_options(ty, ctx.config.debug)?;
                 let source_key = fex_cc::source_digest(&bench, prog.source);
                 let compiled_key = crate::graph::compiled_key(
                     source_key,
@@ -360,7 +357,7 @@ impl SuiteRunner {
     }
 
     /// One run unit of the matrix with its executable payload: the
-    /// [`Arc`]-shared program out of the build cache plus the unit's
+    /// `Arc`-shared program of this experiment's artifact plus the unit's
     /// derived machine configuration (attempt 0; the worker re-salts per
     /// retry). Repetitions record their result; the per-benchmark unit
     /// (`rep` `None`) does not.
@@ -736,7 +733,8 @@ impl SuiteRunner {
             round += 1;
         }
         if executed_with_decode > 0 {
-            let decodes = ctx.build.decodes_performed();
+            // Phase 1 built, and so decoded, every benchmark once per type.
+            let decodes = types.len() * self.benchmarks(ctx.config).len();
             let reuses = executed_with_decode.saturating_sub(decodes);
             ctx.log(format!(
                 "decoded-artifact cache: {decodes} decodes served {executed_with_decode} run \
@@ -822,13 +820,6 @@ impl Runner for SuiteRunner {
                 self.suite.name
             )));
         }
-        // Fresh experiment: drop stale binaries unless --no-build.
-        if !ctx.config.no_build {
-            ctx.build.clean();
-        }
-        // Artifacts must be decoded the way this experiment's machines
-        // will run them, or every load falls back to a fresh decode.
-        ctx.build.set_passes(ctx.config.passes);
         self.twin_runs.clear();
         (self.run_units, self.vm_executions) = (0, 0);
         ctx.log(format!("experiment `{}` setup complete", self.suite.name));
@@ -890,16 +881,17 @@ impl Runner for VariableInputRunner {
 /// (the paper's Nginx study, §IV-B).
 pub struct ServerRunner {
     kind: ServerKind,
-    sweep_points: usize,
     frame: DataFrame,
 }
+
+/// Offered-load points per throughput-latency curve.
+const SWEEP_POINTS: usize = 10;
 
 impl ServerRunner {
     /// Creates a server runner.
     pub fn new(kind: ServerKind) -> Self {
         ServerRunner {
             kind,
-            sweep_points: 10,
             frame: DataFrame::new(vec![
                 "benchmark",
                 "type",
@@ -913,12 +905,6 @@ impl ServerRunner {
             ]),
         }
     }
-
-    /// Sets the number of load points per curve.
-    pub fn with_sweep_points(mut self, points: usize) -> Self {
-        self.sweep_points = points.max(2);
-        self
-    }
 }
 
 impl Runner for ServerRunner {
@@ -931,7 +917,7 @@ impl Runner for ServerRunner {
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
         let types = ctx.config.build_types.clone();
         for ty in &types {
-            let opts: BuildOptions = ctx.build.makefiles().build_options(ty, ctx.config.debug)?;
+            let opts: BuildOptions = ctx.makefiles.build_options(ty, ctx.config.debug)?;
             let build =
                 ServerBuild::compile(self.kind, &opts).map_err(|source| FexError::Build {
                     benchmark: self.kind.name().to_string(),
@@ -945,7 +931,7 @@ impl Runner for ServerRunner {
             ));
             let workload = Workload { seed: ctx.config.seed, ..Workload::default() };
             let sim = Simulation::new(&build, workload);
-            for point in sim.sweep(self.sweep_points) {
+            for point in sim.sweep(SWEEP_POINTS) {
                 let m = &point.metrics;
                 self.frame.push(vec![
                     self.kind.name().into(),
@@ -974,23 +960,16 @@ impl Runner for ServerRunner {
 
 /// The RIPE security experiment (§IV-C, Table II).
 pub struct SecurityRunner {
-    config: TestbedConfig,
     frame: DataFrame,
 }
 
 impl SecurityRunner {
-    /// Creates the runner with the paper's insecure machine configuration.
+    /// Creates the runner; the testbed runs on the paper's insecure
+    /// machine configuration.
     pub fn new() -> Self {
         SecurityRunner {
-            config: TestbedConfig::paper(),
             frame: DataFrame::new(vec!["type", "total", "successful", "failed", "detected"]),
         }
-    }
-
-    /// Uses a custom machine configuration (mitigation studies).
-    pub fn with_config(mut self, config: TestbedConfig) -> Self {
-        self.config = config;
-        self
     }
 }
 
@@ -1008,9 +987,9 @@ impl Runner for SecurityRunner {
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
         let types = ctx.config.build_types.clone();
         for ty in &types {
-            let opts = ctx.build.makefiles().build_options(ty, ctx.config.debug)?;
+            let opts = ctx.makefiles.build_options(ty, ctx.config.debug)?;
             ctx.log(format!("ripe testbed for `{ty}` ({} attacks)", fex_ripe::all_attacks().len()));
-            let summary = run_testbed(&opts, &self.config);
+            let summary = run_testbed(&opts, &TestbedConfig::paper());
             ctx.log(format!(
                 "  {}: {} successful / {} failed",
                 ty, summary.successful, summary.failed
@@ -1034,22 +1013,21 @@ impl Runner for SecurityRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::MakefileSet;
     use fex_vm::MeasureTool;
 
-    fn ctx_parts() -> (ExperimentConfig, BuildSystem, Vec<String>) {
+    fn ctx_parts() -> (ExperimentConfig, MakefileSet, Vec<String>) {
         let config = ExperimentConfig::new("micro")
             .types(vec!["gcc_native", "clang_native"])
             .input(InputSize::Test)
             .repetitions(2)
             .tool(MeasureTool::PerfStat);
-        (config, BuildSystem::new(MakefileSet::standard()), Vec::new())
+        (config, MakefileSet::standard(), Vec::new())
     }
 
     #[test]
     fn suite_runner_walks_the_fig4_loop() {
-        let (config, mut build, mut log) = ctx_parts();
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let (config, makefiles, mut log) = ctx_parts();
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         let df = runner.run(&mut ctx).unwrap();
         // 4 benchmarks × 2 types × 1 thread × 2 reps.
@@ -1060,9 +1038,9 @@ mod tests {
 
     #[test]
     fn benchmark_filter_limits_the_loop() {
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.benchmark("arrayread");
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         let df = runner.run(&mut ctx).unwrap();
         assert_eq!(df.distinct("benchmark").unwrap(), vec!["arrayread"]);
@@ -1071,9 +1049,9 @@ mod tests {
 
     #[test]
     fn unknown_benchmark_is_reported() {
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.benchmark("does_not_exist");
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         assert!(matches!(
             runner.run(&mut ctx),
@@ -1083,17 +1061,17 @@ mod tests {
 
     #[test]
     fn proprietary_suites_refuse_to_run() {
-        let (config, mut build, mut log) = ctx_parts();
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let (config, makefiles, mut log) = ctx_parts();
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::spec_cpu2006(), &config);
         assert!(matches!(runner.run(&mut ctx), Err(FexError::Config(_))));
     }
 
     #[test]
     fn variable_input_runner_adds_the_size_dimension() {
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.benchmark("arrayread").types(vec!["gcc_native"]);
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = VariableInputRunner::new(
             fex_suites::micro(),
             &config,
@@ -1106,9 +1084,9 @@ mod tests {
 
     #[test]
     fn dry_runs_do_not_pollute_the_frame() {
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.benchmark("histogram").types(vec!["gcc_native"]).repetitions(1);
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::phoenix(), &config);
         let df = runner.run(&mut ctx).unwrap();
         // Dry run happened (logged) but only the measured rep is recorded.
@@ -1121,12 +1099,12 @@ mod tests {
         use crate::config::FaultInjection;
         use fex_vm::{FaultKind, FaultPlan};
 
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.fault(FaultInjection::for_benchmark(
             "ptrchase",
             FaultPlan::persistent(FaultKind::Trap),
         ));
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         let df = runner.run(&mut ctx).unwrap();
 
@@ -1161,11 +1139,11 @@ mod tests {
         // seed; a generous retry budget makes exhausting all attempts
         // (probability 2^-11 per unit at seed 4) practically impossible,
         // so every troubled run recovers.
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config
             .fault(FaultInjection::everywhere(FaultPlan::spurious(0.5, FaultKind::Trap, 4)))
             .resilience(RunPolicy::default().retries(10));
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         let df = runner.run(&mut ctx).unwrap();
 
@@ -1185,7 +1163,7 @@ mod tests {
         use crate::resilience::RunPolicy;
         use fex_vm::{FaultKind, FaultPlan};
 
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config
             .types(vec!["gcc_native"])
             .benchmark("branches")
@@ -1194,7 +1172,7 @@ mod tests {
                 FaultPlan::persistent(FaultKind::Hang),
             ))
             .resilience(RunPolicy::default().budget(50_000));
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         let df = runner.run(&mut ctx).unwrap();
 
@@ -1210,9 +1188,9 @@ mod tests {
         use crate::config::FaultInjection;
         use fex_vm::FaultPlan;
 
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.fault(FaultInjection::everywhere(FaultPlan::none()));
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         let df = runner.run(&mut ctx).unwrap();
         assert_eq!(df.len(), 16);
@@ -1225,12 +1203,12 @@ mod tests {
         use crate::config::FaultInjection;
         use fex_vm::{FaultKind, FaultPlan};
 
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.types(vec!["gcc_native"]).fault(FaultInjection::for_benchmark(
             "arrayread",
             FaultPlan::persistent(FaultKind::Trap),
         ));
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = VariableInputRunner::new(
             fex_suites::micro(),
             &config,
@@ -1244,9 +1222,9 @@ mod tests {
     }
 
     fn run_micro_with_jobs(config: &ExperimentConfig) -> (String, String, Vec<String>) {
-        let mut build = BuildSystem::new(MakefileSet::standard());
+        let makefiles = MakefileSet::standard();
         let mut log = Vec::new();
-        let mut ctx = RunContext::new(config, &mut build, &mut log);
+        let mut ctx = RunContext::new(config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), config);
         let df = runner.run(&mut ctx).unwrap();
         (df.to_csv(), ctx.failures.to_csv(), log)
@@ -1297,9 +1275,9 @@ mod tests {
 
     #[test]
     fn adaptive_repetitions_respect_floor_and_budget() {
-        let (config, mut build, mut log) = ctx_parts();
+        let (config, makefiles, mut log) = ctx_parts();
         let config = config.types(vec!["gcc_native"]).adaptive_repetitions(2, 4, 0.25);
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(fex_suites::micro(), &config);
         let df = runner.run(&mut ctx).unwrap();
         for bench in df.distinct("benchmark").unwrap() {
@@ -1331,9 +1309,9 @@ mod tests {
         let mut outputs = Vec::new();
         for jobs in [1, 8] {
             let config = config.clone().jobs(jobs);
-            let mut build = BuildSystem::new(MakefileSet::standard());
+            let makefiles = MakefileSet::standard();
             let mut log = Vec::new();
-            let mut ctx = RunContext::new(&config, &mut build, &mut log);
+            let mut ctx = RunContext::new(&config, &makefiles, &mut log);
             let mut runner = VariableInputRunner::new(
                 fex_suites::micro(),
                 &config,
@@ -1348,8 +1326,8 @@ mod tests {
 
     #[test]
     fn security_runner_emits_table_two_rows() {
-        let (config, mut build, mut log) = ctx_parts();
-        let mut ctx = RunContext::new(&config, &mut build, &mut log);
+        let (config, makefiles, mut log) = ctx_parts();
+        let mut ctx = RunContext::new(&config, &makefiles, &mut log);
         // Keep it cheap in unit tests: both types still run the full
         // matrix, which takes a few seconds in debug.
         let mut runner = SecurityRunner::new();

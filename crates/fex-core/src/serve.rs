@@ -62,6 +62,7 @@ use fex_container::DigestBuilder;
 use fex_suites::{BenchProgram, InputSize, Suite};
 use fex_vm::MeasureTool;
 
+use crate::build::MakefileSet;
 use crate::config::{input_from_name, tool_from_name, ExperimentConfig, Repetitions};
 use crate::distributed::DistributedRun;
 use crate::error::{FexError, Result};
@@ -625,8 +626,7 @@ impl Inner {
                 run = run.kill_host(name);
             }
         }
-        let mut fex = Fex::new();
-        let df = run.execute(fex.build_system_mut(), &cfg)?;
+        let df = run.execute(&MakefileSet::standard(), &cfg)?;
         let results_csv = canonical_fleet_csv(&df.to_csv());
         Ok(Executed {
             store_hit: false,

@@ -1,6 +1,6 @@
 //! The `Fex` orchestrator: the paper's `fex.py` entry point.
 //!
-//! Owns the container, the build system and the results store, and
+//! Owns the container, the makefile layers and the results store, and
 //! dispatches the `install` / `run` / `plot` / `list` / `report` actions.
 //! All experiments execute "inside" the simulated container; results are
 //! written to its filesystem as CSV (`/fex/results/<name>.csv`) along with
@@ -13,8 +13,9 @@ use std::collections::HashMap;
 use fex_container::{Container, Image, PackageRegistry};
 use fex_netsim::ServerKind;
 use fex_suites::InputSize;
+use fex_vm::PassMask;
 
-use crate::build::{BuildSystem, MakefileSet};
+use crate::build::MakefileSet;
 use crate::collect::DataFrame;
 use crate::config::ExperimentConfig;
 use crate::error::{FexError, Result};
@@ -63,7 +64,7 @@ impl PlotRequest {
 pub struct Fex {
     container: Container,
     registry: PackageRegistry,
-    build: BuildSystem,
+    makefiles: MakefileSet,
     results: HashMap<String, DataFrame>,
     failure_reports: HashMap<String, FailureReport>,
     log: Vec<String>,
@@ -75,7 +76,7 @@ impl Fex {
         Fex {
             container: Container::start(&Image::fex_shipping_image()),
             registry: PackageRegistry::standard(),
-            build: BuildSystem::new(MakefileSet::standard()),
+            makefiles: MakefileSet::standard(),
             results: HashMap::new(),
             failure_reports: HashMap::new(),
             log: Vec::new(),
@@ -87,10 +88,10 @@ impl Fex {
         &self.container
     }
 
-    /// The build system (for registering custom makefile layers —
+    /// The makefile layers (for registering custom build types —
     /// extension point).
-    pub fn build_system_mut(&mut self) -> &mut BuildSystem {
-        &mut self.build
+    pub fn makefiles_mut(&mut self) -> &mut MakefileSet {
+        &mut self.makefiles
     }
 
     /// The experiment log so far.
@@ -193,9 +194,8 @@ impl Fex {
         self.log.push(format!("environment digest: {}", self.container.environment_digest()));
 
         let experiment_started = std::time::Instant::now();
-        let (_, decodes_before) = self.build.work_performed();
         let (frame, failures, mut journal, graph) = {
-            let mut ctx = RunContext::new(config, &mut self.build, &mut self.log);
+            let mut ctx = RunContext::new(config, &self.makefiles, &mut self.log);
             // Attach the artifact graph when a lab directory is active
             // and `--no-graph` was not given: run units whose whole
             // derivation is unchanged are served from the node cache.
@@ -239,18 +239,18 @@ impl Fex {
         }
         if journal.enabled() {
             // Decoded-artifact cache accounting for the whole experiment:
-            // decodes happened at build time; every successful execution
-            // with the cache on was served a pre-decoded program.
-            let (_, decodes_after) = self.build.work_performed();
+            // every build decoded once; every successful execution with
+            // the cache on was served a pre-decoded program.
+            let count = |pred: fn(&JournalEvent) -> bool| {
+                journal.events().iter().filter(|e| pred(e)).count()
+            };
+            let decodes = count(|e| matches!(e, JournalEvent::Build { .. }));
             let served = if config.decode_cache {
-                journal.events().iter().filter(|e| matches!(e, JournalEvent::VmExec { .. })).count()
+                count(|e| matches!(e, JournalEvent::VmExec { .. }))
             } else {
                 0
             };
-            journal.emit(JournalEvent::DecodeCache {
-                decodes: decodes_after - decodes_before,
-                served,
-            });
+            journal.emit(JournalEvent::DecodeCache { decodes, served });
         }
         // Persist the CSV and the logs into the container's filesystem,
         // like the paper's collect stage. The failure report rides along
@@ -513,7 +513,7 @@ impl Fex {
     ///
     /// Build or run failures; [`FexError::Data`] listing benchmarks whose
     /// builds disagree.
-    pub fn selftest(&mut self, suite_name: &str) -> Result<String> {
+    pub fn selftest(&self, suite_name: &str) -> Result<String> {
         let suite = suite_by_name(suite_name)?;
         if suite.proprietary {
             return Err(FexError::Config(format!("suite `{suite_name}` is proprietary")));
@@ -524,7 +524,8 @@ impl Fex {
         for prog in &suite.programs {
             let mut exits = Vec::new();
             for ty in types {
-                let artifact = self.build.build(prog.name, prog.source, ty, false, false)?;
+                let artifact =
+                    self.makefiles.build(prog.name, prog.source, ty, false, PassMask::all())?;
                 let machine = fex_vm::Machine::new(fex_vm::MachineConfig::with_cores(2));
                 let run = machine
                     .load(&artifact.program)
@@ -605,6 +606,19 @@ mod tests {
     }
 
     #[test]
+    fn decode_log_counts_each_experiments_own_decodes() {
+        let mut fex = fex_with_compilers();
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test).repetitions(2);
+        fex.run(&cfg).unwrap();
+        fex.run(&cfg).unwrap();
+        let line = fex.log().iter().rev().find(|l| l.starts_with("decoded-artifact cache:"));
+        assert_eq!(
+            line.map(String::as_str),
+            Some("decoded-artifact cache: 4 decodes served 8 run units (4 reuses, 50.0% hit rate)")
+        );
+    }
+
+    #[test]
     fn run_requires_setup_stage() {
         let mut fex = Fex::new();
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
@@ -663,7 +677,7 @@ mod tests {
 
     #[test]
     fn selftest_validates_a_suite_across_types() {
-        let mut fex = fex_with_compilers();
+        let fex = fex_with_compilers();
         let report = fex.selftest("micro").unwrap();
         assert_eq!(report.matches(" ok ").count(), 4, "{report}");
         assert!(fex.selftest("spec_cpu2006").is_err());

@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run --release --example custom_experiment`
 
-use fex_core::build::{Assign, BuildSystem, MakeLayer, MakefileSet};
+use fex_core::build::{Assign, MakeLayer, MakefileSet};
 use fex_core::collect::{stats, DataFrame};
 use fex_core::plot::{barplot_from_frame, normalize_against};
-use fex_vm::{Machine, MachineConfig, MeasureTool, Measurement};
+use fex_vm::{Machine, MachineConfig, MeasureTool, Measurement, PassMask};
 
 /// (1) The new benchmark: a string-reversal microbenchmark.
 const REVERSE: &str = r#"
@@ -51,13 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         include: Some("gcc_native".into()),
         vars: vec![("CFLAGS".into(), Assign::Set, "-O0".into())],
     });
-    let mut build = BuildSystem::new(makefiles);
 
     // (3) A hand-rolled experiment loop over the new benchmark.
     let mut df = DataFrame::new(vec!["benchmark", "type", "time"]);
     for ty in ["gcc_native", "gcc_o0", "clang_native"] {
         let debug = ty.ends_with("_o0");
-        let artifact = build.build("reverse", REVERSE, ty, debug, false)?;
+        let artifact = makefiles.build("reverse", REVERSE, ty, debug, PassMask::all())?;
         for _rep in 0..3 {
             let machine = Machine::new(MachineConfig::default());
             let run = machine.load(&artifact.program).run_entry(&[20_000])?;

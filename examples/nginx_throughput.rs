@@ -6,7 +6,9 @@
 //! >> fex.py run -n nginx -t gcc_native clang_native
 //! ```
 //!
-//! Run with: `cargo run --release --example nginx_throughput`
+//! Run with: `cargo run --release --example nginx_throughput`. It writes
+//! `target/fex-results/nginx_throughput_example.svg`, beside the paper
+//! plan's Fig 7 artifact (`fig7_nginx.svg`) rather than over it.
 
 use fex_core::{ExperimentConfig, Fex, PlotRequest};
 
@@ -37,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{}", plot.to_ascii());
     let out = std::path::Path::new("target/fex-results");
     std::fs::create_dir_all(out)?;
-    std::fs::write(out.join("fig7_nginx.svg"), plot.to_svg())?;
-    println!("wrote target/fex-results/fig7_nginx.svg");
+    std::fs::write(out.join("nginx_throughput_example.svg"), plot.to_svg())?;
+    println!("wrote target/fex-results/nginx_throughput_example.svg");
     Ok(())
 }

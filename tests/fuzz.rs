@@ -34,7 +34,7 @@ fn small_opts(tag: &str) -> FuzzOptions {
 /// stack directly (no oracle overhead) so 200 seeds stay cheap.
 #[test]
 fn two_hundred_seeds_of_generated_programs_compile_and_terminate() {
-    use fex_core::build::{BuildSystem, MakefileSet};
+    use fex_core::build::MakefileSet;
     use fex_core::runner::{RunContext, Runner, SuiteRunner};
 
     for index in 0..200 {
@@ -47,9 +47,9 @@ fn two_hundred_seeds_of_generated_programs_compile_and_terminate() {
         }
         // All four build types, not just the scenario's sample.
         let cfg = scenario.config().types(gen_all_types()).jobs(1).fault_cleared().repetitions(1);
-        let mut build = BuildSystem::new(MakefileSet::standard());
+        let makefiles = MakefileSet::standard();
         let mut log = Vec::new();
-        let mut ctx = RunContext::new(&cfg, &mut build, &mut log);
+        let mut ctx = RunContext::new(&cfg, &makefiles, &mut log);
         let mut runner = SuiteRunner::new(scenario.suite(), &cfg);
         let df = runner
             .run(&mut ctx)

@@ -17,7 +17,7 @@ use std::path::Path;
 
 use proptest::prelude::*;
 
-use fex_core::build::{BuildSystem, MakefileSet};
+use fex_core::build::MakefileSet;
 use fex_core::config::FaultInjection;
 use fex_core::lab::{fsck, IssueKind, RunStore};
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
@@ -32,9 +32,9 @@ fn run_graphed(
     suite: Suite,
     lab: &Path,
 ) -> (String, String, Vec<JournalEvent>, (u64, u64)) {
-    let mut build = BuildSystem::new(MakefileSet::standard());
+    let makefiles = MakefileSet::standard();
     let mut log = Vec::new();
-    let mut ctx = RunContext::new(config, &mut build, &mut log);
+    let mut ctx = RunContext::new(config, &makefiles, &mut log);
     ctx.graph = Some(ArtifactGraph::open(lab).unwrap());
     let mut runner = SuiteRunner::new(suite, config);
     let df = runner.run(&mut ctx).unwrap();

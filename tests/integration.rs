@@ -282,15 +282,15 @@ fn parsec_suite_runs_through_the_framework() {
 fn runtime_faults_surface_as_run_errors() {
     // A benchmark that traps (division by zero) must produce a
     // FexError::Run with the benchmark named, not a panic.
-    use fex_core::build::{BuildSystem, MakefileSet};
-    let mut build = BuildSystem::new(MakefileSet::standard());
-    let artifact = build
+    use fex_core::build::MakefileSet;
+    let makefiles = MakefileSet::standard();
+    let artifact = makefiles
         .build(
             "crasher",
             "fn main() -> int { var z = 0; return 1 / z; }",
             "gcc_native",
             false,
-            false,
+            fex_vm::PassMask::all(),
         )
         .unwrap();
     let machine = fex_vm::Machine::new(fex_vm::MachineConfig::default());
@@ -300,7 +300,7 @@ fn runtime_faults_surface_as_run_errors() {
 
 #[test]
 fn distributed_future_work_splits_suites_across_hosts() {
-    use fex_core::build::{BuildSystem, MakefileSet};
+    use fex_core::build::MakefileSet;
     use fex_core::distributed::DistributedRun;
     use fex_netsim::fleet::FleetHost;
     let run = DistributedRun::new(
@@ -308,9 +308,9 @@ fn distributed_future_work_splits_suites_across_hosts() {
         vec![FleetHost::new("fast", 8, 4.0e9), FleetHost::new("slow", 1, 1.0e9)],
     )
     .unwrap();
-    let mut build = BuildSystem::new(MakefileSet::standard());
+    let makefiles = MakefileSet::standard();
     let config = ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
-    let df = run.execute(&mut build, &config).unwrap();
+    let df = run.execute(&makefiles, &config).unwrap();
     assert_eq!(df.distinct("host").unwrap(), vec!["fast", "slow"]);
     // Identical benchmarks would run ~4x slower on the 1 GHz host; the
     // partition gives each host different benchmarks, so just check both

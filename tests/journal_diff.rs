@@ -25,12 +25,12 @@ use fex_vm::{FaultKind, FaultPlan};
 /// Runs the micro suite through the real build system and runner, and
 /// returns the observable artifacts plus the captured journal.
 fn run_micro(config: &ExperimentConfig) -> (String, String, Vec<JournalEvent>) {
-    use fex_core::build::{BuildSystem, MakefileSet};
+    use fex_core::build::MakefileSet;
     use fex_core::runner::{RunContext, Runner, SuiteRunner};
 
-    let mut build = BuildSystem::new(MakefileSet::standard());
+    let makefiles = MakefileSet::standard();
     let mut log = Vec::new();
-    let mut ctx = RunContext::new(config, &mut build, &mut log);
+    let mut ctx = RunContext::new(config, &makefiles, &mut log);
     let mut runner = SuiteRunner::new(fex_suites::micro(), config);
     let df = runner.run(&mut ctx).unwrap();
     (df.to_csv(), ctx.failures.to_csv(), ctx.journal.events().to_vec())

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use fex_core::serve::{self, canonical_fleet_csv, Submission};
-use fex_core::{Fex, ServeOptions, ServeOutcome, Server};
+use fex_core::{ServeOptions, ServeOutcome, Server};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fex-serve-it-{}-{tag}", std::process::id()));
@@ -294,8 +294,7 @@ fn fleet_campaign(hosts: usize, kills: &[usize]) -> String {
         .types(vec!["gcc_native"])
         .input(fex_suites::InputSize::Test)
         .repetitions(2);
-    let mut fex = Fex::new();
-    let df = run.execute(fex.build_system_mut(), &cfg).unwrap();
+    let df = run.execute(&fex_core::build::MakefileSet::standard(), &cfg).unwrap();
     canonical_fleet_csv(&df.to_csv())
 }
 

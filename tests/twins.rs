@@ -14,7 +14,7 @@
 //!    plan armed never shares an execution.
 
 use fex_cc::{compile, BuildOptions};
-use fex_core::build::{BuildSystem, MakefileSet};
+use fex_core::build::MakefileSet;
 use fex_core::config::FaultInjection;
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::ExperimentConfig;
@@ -166,9 +166,9 @@ fn config() -> ExperimentConfig {
 /// Results CSV, failures CSV, the sorted normalized journal and the run
 /// log's execution line.
 fn run_matrix(config: &ExperimentConfig) -> (String, String, Vec<String>, String) {
-    let mut build = BuildSystem::new(MakefileSet::standard());
+    let makefiles = MakefileSet::standard();
     let mut log = Vec::new();
-    let mut ctx = RunContext::new(config, &mut build, &mut log);
+    let mut ctx = RunContext::new(config, &makefiles, &mut log);
     let mut runner = SuiteRunner::new(two_benchmarks(), config);
     let df = runner.run(&mut ctx).unwrap();
     let failures = ctx.failures.to_csv();
