@@ -12,7 +12,7 @@
 //!    under each toggle combination, with per-pass attribution rows:
 //!    all-on, leave-one-out for every registered decode pass
 //!    (`no_pass:trace`, `no_pass:fuse`), the whole pipeline off
-//!    (`no_passes`, i.e. `--passes none`), `no_mru` and `all_off` —
+//!    (`no_passes`, i.e. `PassMask::none()`), `no_mru` and `all_off` —
 //!    identical counters asserted across every configuration.
 //! 3. **decode_cache** — decoded-artifact cache hit rate on a
 //!    `--jobs 8` matrix, parsed from the runner's own accounting line.

@@ -6,6 +6,9 @@ use fex_core::cli::{parse, Action, LabCommand, USAGE};
 use fex_core::lab::{Comparison, RunStore};
 use fex_core::{Fex, FexError};
 
+/// Where `fex run` leaves its results CSV, journal and metrics.
+const RESULTS_DIR: &str = "target/fex-results";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -61,16 +64,19 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
                 fex.install(script)?;
             }
             let frame = fex.run(&config)?;
+            let csv = frame.to_csv();
             println!("collected {} rows for `{}`:", frame.len(), config.name);
-            print!("{}", frame.to_csv());
+            print!("{csv}");
             for line in fex.log().iter().filter(|l| l.contains("stored run")) {
                 eprintln!("{line}");
             }
-            // Surface the run journal on the host filesystem so
-            // `fex report <path>` works across processes.
+            // Surface the results CSV and the run journal on the host
+            // filesystem so `fex plot` and `fex report <path>` work
+            // across processes.
+            let dir = std::path::Path::new(RESULTS_DIR);
+            let _ = std::fs::create_dir_all(dir);
+            let _ = std::fs::write(dir.join(format!("{}.csv", config.name)), csv);
             if let Some(jsonl) = fex.journal_jsonl(&config.name) {
-                let dir = std::path::Path::new("target/fex-results");
-                let _ = std::fs::create_dir_all(dir);
                 let journal_path = dir.join(format!("{}.journal.jsonl", config.name));
                 if std::fs::write(&journal_path, jsonl).is_ok() {
                     eprintln!("journal: {}", journal_path.display());
@@ -82,22 +88,19 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
             }
         }
         Action::Plot { name, request } => {
-            // Re-running the experiment in a fresh process would be
-            // expensive; the plot action in this standalone binary renders
-            // from the most recent run in this invocation, so guide users.
-            match fex.plot(&name, request) {
-                Ok(plot) => {
-                    println!("{}", plot.to_ascii());
-                    println!("--- svg ---");
-                    println!("{}", plot.to_svg());
-                }
-                Err(e) => {
-                    return Err(FexError::Data(format!(
-                        "{e}; in this standalone binary, use `fex run` piped to a file, or \
-                         drive the library API (see examples/) for run-then-plot workflows"
-                    )));
-                }
-            }
+            // Each invocation is a fresh process: plot the CSV the last
+            // `fex run -n <name>` in this directory wrote.
+            let path = std::path::Path::new(RESULTS_DIR).join(format!("{name}.csv"));
+            let csv = std::fs::read_to_string(&path).map_err(|e| {
+                FexError::Data(format!(
+                    "cannot read `{}` ({e}); `fex run -n {name}` writes it",
+                    path.display()
+                ))
+            })?;
+            let plot = request.render(&name, &fex_core::collect::DataFrame::from_csv(&csv)?)?;
+            println!("{}", plot.to_ascii());
+            println!("--- svg ---");
+            println!("{}", plot.to_svg());
         }
         Action::Lab { cmd, dir } => {
             let store = RunStore::open(&dir)?;
@@ -122,6 +125,7 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
                     println!("removed {removed} stored runs (kept {keep} per experiment key)");
                 }
                 LabCommand::Fsck { quarantine } => {
+                    let _lock = fex_core::lab::lock(store.root())?;
                     let report = if quarantine {
                         fex_core::lab::fsck::fsck(&store, true)?
                     } else {

@@ -112,11 +112,6 @@ impl MakefileSet {
         self.layers.insert(layer.name.clone(), layer);
     }
 
-    /// Registered type names.
-    pub fn type_names(&self) -> Vec<&str> {
-        self.layers.keys().map(String::as_str).collect()
-    }
-
     /// Resolves a build type into its flat variable map by walking the
     /// include chain root-first.
     ///

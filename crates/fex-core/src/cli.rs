@@ -8,11 +8,21 @@
 //! fex list
 //! fex report
 //! ```
+//!
+//! Every action reads its arguments through one [`Flags`] cursor, so a
+//! missing value (`{flag} needs {what}`) and a malformed number
+//! (``bad {noun} `{value}` ``) are spelled once. The CLI carries only
+//! what a workload sets; the VM's debug switches (pass subsets, the MRU
+//! fast path, the decoded-program cache) and the scheduler's claim size
+//! are [`ExperimentConfig`] builders for the code that measures them.
 
-use fex_vm::PassMask;
+use std::iter::Peekable;
+use std::slice::Iter;
+use std::str::FromStr;
 
 use crate::config::{input_from_name, tool_from_name, ExperimentConfig, Repetitions};
 use crate::error::{FexError, Result};
+use crate::lab::RunStore;
 use crate::workflow::PlotRequest;
 
 /// A parsed CLI action.
@@ -178,8 +188,6 @@ run options:
   -d             debug builds
   --jobs <n>     parallel run-unit workers; 0 = auto
                  (default: available cores, capped at 16)
-  --chunk <n>    units each worker claims per grab; 0 = auto
-                 (tuned from the matrix width)
   --no-journal   skip the structured run journal (journal.jsonl +
                  metrics.json); result CSVs are identical either way
   --lab [dir]    archive results into the run store (default .fex-lab)
@@ -220,13 +228,6 @@ diag options:
 
 compare selectors are CSV paths, archived run-id prefixes, `latest`, or
 `prev` (the two newest store entries).
-
-debug escape hatches (measured results are identical either way):
-  --passes <list>    decode pass pipeline subset, comma-separated in
-                     pipeline order (trace,fuse), or all/none
-  --no-pass <name>   drop one pass from the pipeline (repeatable)
-  --no-mru           disable the cache simulator's MRU fast path
-  --no-decode-cache  re-decode programs on every run unit
 ";
 
 /// Parses `args` (without the program name).
@@ -236,95 +237,70 @@ debug escape hatches (measured results are identical either way):
 /// [`FexError::Config`] with a message suitable for printing alongside
 /// [`USAGE`].
 pub fn parse(args: &[String]) -> Result<Action> {
-    let mut it = args.iter().peekable();
-    let action = it.next().ok_or_else(|| FexError::Config("missing action".into()))?;
-    match action.as_str() {
+    let mut flags = Flags(args.iter().peekable());
+    let action = flags.next().ok_or_else(|| config("missing action"))?;
+    match action {
         "list" => Ok(Action::List),
         "test" => {
             let mut name = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "-n" => name = it.next().cloned(),
-                    other => return Err(FexError::Config(format!("unknown test flag `{other}`"))),
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "-n" => name = flags.next().map(String::from),
+                    other => return Err(unknown("test", other)),
                 }
             }
-            let name = name.ok_or_else(|| FexError::Config("test needs -n <suite>".into()))?;
-            Ok(Action::SelfTest { name })
+            Ok(Action::SelfTest { name: name.ok_or_else(|| config("test needs -n <suite>"))? })
         }
         "report" => {
-            let journal = it.next().cloned();
-            if let Some(extra) = it.next() {
-                return Err(FexError::Config(format!("unexpected report argument `{extra}`")));
+            let journal = flags.next().map(String::from);
+            if let Some(extra) = flags.next() {
+                return Err(config(format!("unexpected report argument `{extra}`")));
             }
             Ok(Action::Report { journal })
         }
         "lab" => {
-            let sub = it.next().cloned().ok_or_else(|| {
-                FexError::Config("lab needs a subcommand: list | show | gc | fsck".into())
-            })?;
-            let mut dir = String::from(".fex-lab");
-            let mut keep: Option<usize> = None;
-            let mut quarantine = false;
-            let mut json = false;
+            let sub = flags
+                .next()
+                .ok_or_else(|| config("lab needs a subcommand: list | show | gc | fsck"))?;
+            let mut dir = String::from(RunStore::DEFAULT_DIR);
+            let (mut keep, mut quarantine, mut json) = (1, false, false);
             let mut positional: Vec<String> = Vec::new();
-            while let Some(tok) = it.next() {
-                match tok.as_str() {
+            while let Some(tok) = flags.next() {
+                match tok {
                     "--quarantine" => quarantine = true,
                     "--json" => json = true,
-                    "--lab" => {
-                        dir = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| FexError::Config("--lab needs a directory".into()))?;
-                    }
-                    "--keep" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--keep needs a count".into()))?;
-                        keep = Some(
-                            v.parse()
-                                .map_err(|_| FexError::Config(format!("bad keep count `{v}`")))?,
-                        );
-                    }
+                    "--lab" => dir = flags.value(tok, "a directory")?,
+                    "--keep" => keep = flags.num(tok, "a count", "keep count")?,
                     other if !other.starts_with('-') => positional.push(other.to_string()),
-                    other => return Err(FexError::Config(format!("unknown lab flag `{other}`"))),
+                    other => return Err(unknown("lab", other)),
                 }
             }
-            let cmd = match sub.as_str() {
+            let cmd = match sub {
                 "list" => LabCommand::List { json },
-                "show" => {
-                    let selector = positional
+                "show" => LabCommand::Show {
+                    selector: positional
                         .pop()
-                        .ok_or_else(|| FexError::Config("lab show needs a run selector".into()))?;
-                    LabCommand::Show { selector }
-                }
-                "gc" => LabCommand::Gc { keep: keep.unwrap_or(1) },
+                        .ok_or_else(|| config("lab show needs a run selector"))?,
+                },
+                "gc" => LabCommand::Gc { keep },
                 "fsck" => LabCommand::Fsck { quarantine },
-                other => return Err(FexError::Config(format!("unknown lab subcommand `{other}`"))),
+                other => return Err(config(format!("unknown lab subcommand `{other}`"))),
             };
-            if !positional.is_empty() {
-                return Err(FexError::Config(format!("unexpected `{}`", positional[0])));
+            if let Some(extra) = positional.first() {
+                return Err(config(format!("unexpected `{extra}`")));
             }
             Ok(Action::Lab { cmd, dir })
         }
         "graph" => {
-            let sub = it
-                .next()
-                .cloned()
-                .ok_or_else(|| FexError::Config("graph needs a subcommand: stats".into()))?;
+            let sub = flags.next().ok_or_else(|| config("graph needs a subcommand: stats"))?;
             if sub != "stats" {
-                return Err(FexError::Config(format!("unknown graph subcommand `{sub}`")));
+                return Err(config(format!("unknown graph subcommand `{sub}`")));
             }
-            let mut dir = String::from(".fex-lab");
-            while let Some(tok) = it.next() {
-                match tok.as_str() {
-                    "--lab" => {
-                        dir = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| FexError::Config("--lab needs a directory".into()))?;
-                    }
-                    other => return Err(FexError::Config(format!("unknown graph flag `{other}`"))),
+            let mut dir = String::from(RunStore::DEFAULT_DIR);
+            while let Some(tok) = flags.next() {
+                match tok {
+                    "--lab" => dir = flags.value(tok, "a directory")?,
+                    other => return Err(unknown("graph", other)),
                 }
             }
             Ok(Action::Graph { dir })
@@ -332,67 +308,31 @@ pub fn parse(args: &[String]) -> Result<Action> {
         "fuzz" => {
             let mut opts = crate::fuzz::FuzzOptions::default();
             let mut regressions = None;
-            while let Some(tok) = it.next() {
-                let value = |it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-                             flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| FexError::Config(format!("{flag} needs a value")))
-                };
-                match tok.as_str() {
-                    "--seed" => {
-                        let v = value(&mut it, "--seed")?;
-                        opts.seed =
-                            v.parse().map_err(|_| FexError::Config(format!("bad seed `{v}`")))?;
-                    }
-                    "--cases" => {
-                        let v = value(&mut it, "--cases")?;
-                        opts.cases = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad case count `{v}`")))?;
-                    }
-                    "--bundle" => opts.bundle_dir = value(&mut it, "--bundle")?.into(),
-                    "--max-shrink" => {
-                        let v = value(&mut it, "--max-shrink")?;
-                        opts.max_shrink = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad shrink cap `{v}`")))?;
-                    }
-                    "--regressions" => regressions = Some(value(&mut it, "--regressions")?),
-                    other => return Err(FexError::Config(format!("unknown fuzz flag `{other}`"))),
+            while let Some(tok) = flags.next() {
+                match tok {
+                    "--seed" => opts.seed = flags.num(tok, "a value", "seed")?,
+                    "--cases" => opts.cases = flags.num(tok, "a value", "case count")?,
+                    "--bundle" => opts.bundle_dir = flags.value(tok, "a value")?.into(),
+                    "--max-shrink" => opts.max_shrink = flags.num(tok, "a value", "shrink cap")?,
+                    "--regressions" => regressions = Some(flags.value(tok, "a value")?),
+                    other => return Err(unknown("fuzz", other)),
                 }
             }
             Ok(Action::Fuzz { opts, regressions })
         }
         "serve" => {
             let mut opts = crate::serve::ServeOptions::default();
-            while let Some(tok) = it.next() {
-                let value = |it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-                             flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| FexError::Config(format!("{flag} needs a value")))
-                };
-                match tok.as_str() {
-                    "--socket" => opts.socket = value(&mut it, "--socket")?.into(),
-                    "--lab" => opts.lab = value(&mut it, "--lab")?,
-                    "--workers" => {
-                        let v = value(&mut it, "--workers")?;
-                        opts.workers = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad worker count `{v}`")))?;
-                    }
-                    "--queue" => {
-                        let v = value(&mut it, "--queue")?;
-                        opts.queue_cap = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad queue capacity `{v}`")))?;
-                    }
-                    other => return Err(FexError::Config(format!("unknown serve flag `{other}`"))),
+            while let Some(tok) = flags.next() {
+                match tok {
+                    "--socket" => opts.socket = flags.value(tok, "a value")?.into(),
+                    "--lab" => opts.lab = flags.value(tok, "a value")?,
+                    "--workers" => opts.workers = flags.num(tok, "a value", "worker count")?,
+                    "--queue" => opts.queue_cap = flags.num(tok, "a value", "queue capacity")?,
+                    other => return Err(unknown("serve", other)),
                 }
             }
             if opts.queue_cap == 0 {
-                return Err(FexError::Config("--queue must be at least 1".into()));
+                return Err(config("--queue must be at least 1"));
             }
             Ok(Action::Serve { opts })
         }
@@ -402,285 +342,207 @@ pub fn parse(args: &[String]) -> Result<Action> {
             let mut format = crate::diag::DiagFormat::Human;
             let mut rules: Vec<String> = Vec::new();
             let mut deny: Vec<String> = Vec::new();
-            // A restriction that names no rule is a mistake, not "all rules".
-            let ids = |flag: &str, list: Option<&String>| -> Result<Vec<String>> {
-                let ids: Vec<String> = list
-                    .into_iter()
-                    .flat_map(|l| l.split(','))
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect();
-                if ids.is_empty() {
-                    return Err(FexError::Config(format!("{flag} needs rule ids")));
-                }
-                Ok(ids)
-            };
-            while let Some(tok) = it.next() {
-                match tok.as_str() {
-                    "--lab" => {
-                        lab = Some(match it.peek() {
-                            Some(v) if !v.starts_with('-') => it.next().expect("peeked").clone(),
-                            _ => String::from(".fex-lab"),
-                        });
-                    }
+            while let Some(tok) = flags.next() {
+                match tok {
+                    "--lab" => lab = Some(flags.optional_lab()),
                     "--format" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--format needs a name".into()))?;
-                        format = crate::diag::DiagFormat::parse(v)?;
+                        format = crate::diag::DiagFormat::parse(&flags.value(tok, "a name")?)?;
                     }
-                    "--rules" => rules.extend(ids("--rules", it.next())?),
-                    "--deny" => deny.extend(ids("--deny", it.next())?),
+                    "--rules" => rules.extend(rule_ids(tok, flags.next())?),
+                    "--deny" => deny.extend(rule_ids(tok, flags.next())?),
                     other if !other.starts_with('-') => {
                         if journal.replace(other.to_string()).is_some() {
-                            return Err(FexError::Config(format!(
+                            return Err(config(format!(
                                 "diag takes one journal path; unexpected `{other}`"
                             )));
                         }
                     }
-                    other => return Err(FexError::Config(format!("unknown diag flag `{other}`"))),
+                    other => return Err(unknown("diag", other)),
                 }
             }
             if journal.is_none() && lab.is_none() {
-                return Err(FexError::Config(
-                    "diag needs a journal path and/or --lab <dir>".into(),
-                ));
+                return Err(config("diag needs a journal path and/or --lab <dir>"));
             }
             Ok(Action::Diag { journal, lab, format, rules, deny })
         }
         "compare" => {
-            let mut dir = String::from(".fex-lab");
+            let mut dir = String::from(RunStore::DEFAULT_DIR);
             let mut metric = String::from("time");
             let mut svg: Option<String> = None;
             let mut positional: Vec<String> = Vec::new();
-            while let Some(tok) = it.next() {
-                match tok.as_str() {
-                    "--lab" => {
-                        dir = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| FexError::Config("--lab needs a directory".into()))?;
-                    }
-                    "--metric" => {
-                        metric = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| FexError::Config("--metric needs a name".into()))?;
-                    }
-                    "--svg" => {
-                        svg = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| FexError::Config("--svg needs a path".into()))?,
-                        );
-                    }
+            while let Some(tok) = flags.next() {
+                match tok {
+                    "--lab" => dir = flags.value(tok, "a directory")?,
+                    "--metric" => metric = flags.value(tok, "a name")?,
+                    "--svg" => svg = Some(flags.value(tok, "a path")?),
                     other if !other.starts_with('-') => positional.push(other.to_string()),
-                    other => {
-                        return Err(FexError::Config(format!("unknown compare flag `{other}`")))
-                    }
+                    other => return Err(unknown("compare", other)),
                 }
             }
-            if positional.len() != 2 {
-                return Err(FexError::Config("compare needs <baseline> <candidate>".into()));
-            }
-            let candidate = positional.pop().expect("length checked");
-            let baseline = positional.pop().expect("length checked");
+            let [baseline, candidate] = <[String; 2]>::try_from(positional)
+                .map_err(|_| config("compare needs <baseline> <candidate>"))?;
             Ok(Action::Compare { baseline, candidate, dir, metric, svg })
         }
         "install" => {
-            let names = take_values(&mut it, "-n")?;
+            let mut names = Vec::new();
+            while let Some(tok) = flags.next() {
+                match tok {
+                    "-n" => names.extend(flags.bare()),
+                    other => return Err(config(format!("unexpected `{other}`"))),
+                }
+            }
             if names.is_empty() {
-                return Err(FexError::Config("install needs -n <script>".into()));
+                return Err(config("install needs -n <script>"));
             }
             Ok(Action::Install { names })
         }
         "plot" => {
-            let mut name = None;
-            let mut kind = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "-n" => name = it.next().cloned(),
-                    "-t" => kind = it.next().cloned(),
-                    other => return Err(FexError::Config(format!("unknown plot flag `{other}`"))),
+            let (mut name, mut kind) = (None, None);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "-n" => name = flags.next().map(String::from),
+                    "-t" => kind = flags.next(),
+                    other => return Err(unknown("plot", other)),
                 }
             }
-            let name = name.ok_or_else(|| FexError::Config("plot needs -n <name>".into()))?;
-            let kind = kind.ok_or_else(|| FexError::Config("plot needs -t <kind>".into()))?;
-            let request = PlotRequest::parse(&kind)
-                .ok_or_else(|| FexError::Config(format!("unknown plot kind `{kind}`")))?;
+            let name = name.ok_or_else(|| config("plot needs -n <name>"))?;
+            let kind = kind.ok_or_else(|| config("plot needs -t <kind>"))?;
+            let request = PlotRequest::parse(kind)
+                .ok_or_else(|| config(format!("unknown plot kind `{kind}`")))?;
             Ok(Action::Plot { name, request })
         }
-        "run" => {
-            let mut name: Option<String> = None;
-            let mut config_types: Vec<String> = Vec::new();
-            let mut threads: Vec<usize> = Vec::new();
-            let mut reps: Option<usize> = None;
-            let mut adaptive_pct: Option<f64> = None;
-            let mut max_reps: Option<usize> = None;
-            let mut cfg = ExperimentConfig::new("");
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "-n" => name = it.next().cloned(),
-                    "-t" => config_types = collect_bare(&mut it),
-                    "-m" => {
-                        threads = collect_bare(&mut it)
-                            .iter()
-                            .map(|s| {
-                                s.parse::<usize>().map_err(|_| {
-                                    FexError::Config(format!("bad thread count `{s}`"))
-                                })
-                            })
-                            .collect::<Result<_>>()?;
-                    }
-                    "-b" => {
-                        cfg.benchmark = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| FexError::Config("-b needs a benchmark".into()))?,
-                        )
-                    }
-                    "-r" => {
-                        let v =
-                            it.next().ok_or_else(|| FexError::Config("-r needs a count".into()))?;
-                        reps = Some(
-                            v.parse()
-                                .map_err(|_| FexError::Config(format!("bad repetitions `{v}`")))?,
-                        );
-                    }
-                    "--adaptive" => {
-                        let v = it.next().ok_or_else(|| {
-                            FexError::Config("--adaptive needs a precision percentage".into())
-                        })?;
-                        adaptive_pct = Some(
-                            v.parse::<f64>()
-                                .map_err(|_| FexError::Config(format!("bad precision `{v}`")))?,
-                        );
-                    }
-                    "--max-reps" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--max-reps needs a count".into()))?;
-                        max_reps = Some(
-                            v.parse()
-                                .map_err(|_| FexError::Config(format!("bad rep budget `{v}`")))?,
-                        );
-                    }
-                    "--lab" => {
-                        cfg.lab = Some(match it.peek() {
-                            Some(v) if !v.starts_with('-') => it.next().expect("peeked").clone(),
-                            _ => String::from(".fex-lab"),
-                        });
-                    }
-                    "-i" => {
-                        let v =
-                            it.next().ok_or_else(|| FexError::Config("-i needs a size".into()))?;
-                        cfg.input = input_from_name(v)?;
-                    }
-                    "--tool" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--tool needs a name".into()))?;
-                        cfg.tool = tool_from_name(v)?;
-                    }
-                    "-v" => cfg.verbose = true,
-                    "-d" => cfg.debug = true,
-                    "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--jobs needs a count".into()))?;
-                        cfg.jobs = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad job count `{v}`")))?;
-                    }
-                    "--chunk" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--chunk needs a size".into()))?;
-                        cfg.chunk = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad chunk size `{v}`")))?;
-                    }
-                    "--passes" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--passes needs a list".into()))?;
-                        let names: Vec<&str> =
-                            v.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
-                        cfg.passes = PassMask::from_names(names)
-                            .map_err(|e| FexError::Config(e.to_string()))?;
-                    }
-                    "--no-pass" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--no-pass needs a name".into()))?;
-                        cfg.passes =
-                            cfg.passes.without(v).map_err(|e| FexError::Config(e.to_string()))?;
-                    }
-                    "--no-mru" => cfg.mru_fast_path = false,
-                    "--no-decode-cache" => cfg.decode_cache = false,
-                    "--no-journal" => cfg.journal = false,
-                    "--no-graph" => cfg.graph = false,
-                    other => return Err(FexError::Config(format!("unknown run flag `{other}`"))),
-                }
-            }
-            cfg.name = name.ok_or_else(|| FexError::Config("run needs -n <experiment>".into()))?;
-            if !config_types.is_empty() {
-                cfg.build_types = config_types;
-            }
-            if !threads.is_empty() {
-                cfg.threads = threads;
-            }
-            cfg.repetitions = match adaptive_pct {
-                Some(pct) => Repetitions::Adaptive {
-                    // `-r` is the floor under --adaptive; variance needs
-                    // at least 2 samples.
-                    min: reps.unwrap_or(2).max(2),
-                    max: max_reps.unwrap_or(16),
-                    rel_precision: pct / 100.0,
-                },
-                None if max_reps.is_some() => {
-                    return Err(FexError::Config("--max-reps needs --adaptive".into()));
-                }
-                None => Repetitions::Fixed(reps.unwrap_or(1)),
-            };
-            cfg.validate()?;
-            Ok(Action::Run(Box::new(cfg)))
-        }
-        other => Err(FexError::Config(format!("unknown action `{other}`"))),
+        "run" => parse_run(flags),
+        other => Err(config(format!("unknown action `{other}`"))),
     }
 }
 
-/// Collects the values following a flag until the next `-`-prefixed token.
-fn collect_bare(it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>) -> Vec<String> {
-    let mut out = Vec::new();
-    while let Some(next) = it.peek() {
-        if next.starts_with('-') {
-            break;
+/// `fex run …`: the flags map onto an [`ExperimentConfig`], which then
+/// validates itself.
+fn parse_run(mut flags: Flags<'_>) -> Result<Action> {
+    let mut name: Option<String> = None;
+    let mut types: Vec<String> = Vec::new();
+    let mut threads: Vec<usize> = Vec::new();
+    let mut reps: Option<usize> = None;
+    let mut adaptive_pct: Option<f64> = None;
+    let mut max_reps: Option<usize> = None;
+    let mut cfg = ExperimentConfig::new("");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "-n" => name = flags.next().map(String::from),
+            "-t" => types = flags.bare(),
+            "-m" => {
+                threads = flags
+                    .bare()
+                    .iter()
+                    .map(|s| number(s, "thread count"))
+                    .collect::<Result<_>>()?;
+            }
+            "-b" => cfg.benchmark = Some(flags.value(flag, "a benchmark")?),
+            "-r" => reps = Some(flags.num(flag, "a count", "repetitions")?),
+            "--adaptive" => {
+                adaptive_pct = Some(flags.num(flag, "a precision percentage", "precision")?);
+            }
+            "--max-reps" => max_reps = Some(flags.num(flag, "a count", "rep budget")?),
+            "--lab" => cfg.lab = Some(flags.optional_lab()),
+            "-i" => cfg.input = input_from_name(&flags.value(flag, "a size")?)?,
+            "--tool" => cfg.tool = tool_from_name(&flags.value(flag, "a name")?)?,
+            "-v" => cfg.verbose = true,
+            "-d" => cfg.debug = true,
+            "--jobs" => cfg.jobs = flags.num(flag, "a count", "job count")?,
+            "--no-journal" => cfg.journal = false,
+            "--no-graph" => cfg.graph = false,
+            other => return Err(unknown("run", other)),
         }
-        out.push(it.next().expect("peeked").clone());
     }
-    out
+    cfg.name = name.ok_or_else(|| config("run needs -n <experiment>"))?;
+    if !types.is_empty() {
+        cfg.build_types = types;
+    }
+    if !threads.is_empty() {
+        cfg.threads = threads;
+    }
+    cfg.repetitions = match adaptive_pct {
+        Some(pct) => Repetitions::Adaptive {
+            // `-r` is the floor under --adaptive; variance needs at
+            // least 2 samples.
+            min: reps.unwrap_or(2).max(2),
+            max: max_reps.unwrap_or(16),
+            rel_precision: pct / 100.0,
+        },
+        None if max_reps.is_some() => return Err(config("--max-reps needs --adaptive")),
+        None => Repetitions::Fixed(reps.unwrap_or(1)),
+    };
+    cfg.validate()?;
+    Ok(Action::Run(Box::new(cfg)))
 }
 
-fn take_values(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-    flag: &str,
-) -> Result<Vec<String>> {
-    let mut out = Vec::new();
-    while let Some(next) = it.next() {
-        if next == flag {
-            out.extend(collect_bare(it));
-        } else {
-            return Err(FexError::Config(format!("unexpected `{next}`")));
-        }
+/// A cursor over one action's arguments.
+struct Flags<'a>(Peekable<Iter<'a, String>>);
+
+impl<'a> Flags<'a> {
+    /// The next token, whatever it is.
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
     }
-    Ok(out)
+
+    /// The value `flag` requires: `{flag} needs {what}` when the
+    /// arguments end first.
+    fn value(&mut self, flag: &str, what: &str) -> Result<String> {
+        self.next().map(String::from).ok_or_else(|| config(format!("{flag} needs {what}")))
+    }
+
+    /// [`Flags::value`] parsed as a number named `noun` in its error.
+    fn num<T: FromStr>(&mut self, flag: &str, what: &str, noun: &str) -> Result<T> {
+        number(&self.value(flag, what)?, noun)
+    }
+
+    /// The directory of `--lab [dir]`: the next token unless it is a
+    /// flag, else the default lab.
+    fn optional_lab(&mut self) -> String {
+        self.bare_one().unwrap_or_else(|| RunStore::DEFAULT_DIR.into())
+    }
+
+    /// The values up to the next `-`-prefixed token.
+    fn bare(&mut self) -> Vec<String> {
+        std::iter::from_fn(|| self.bare_one()).collect()
+    }
+
+    fn bare_one(&mut self) -> Option<String> {
+        self.0.next_if(|v| !v.starts_with('-')).cloned()
+    }
+}
+
+fn number<T: FromStr>(value: &str, noun: &str) -> Result<T> {
+    value.parse().map_err(|_| config(format!("bad {noun} `{value}`")))
+}
+
+/// The ids of a comma-separated `--rules`/`--deny` list. A restriction
+/// that names no rule is a mistake, not "all rules".
+fn rule_ids(flag: &str, list: Option<&str>) -> Result<Vec<String>> {
+    let ids: Vec<String> = list
+        .into_iter()
+        .flat_map(|l| l.split(','))
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect();
+    if ids.is_empty() {
+        return Err(config(format!("{flag} needs rule ids")));
+    }
+    Ok(ids)
+}
+
+fn unknown(action: &str, flag: &str) -> FexError {
+    config(format!("unknown {action} flag `{flag}`"))
+}
+
+fn config(msg: impl Into<String>) -> FexError {
+    FexError::Config(msg.into())
 }
 
 #[cfg(test)]
 mod tests {
-    use fex_vm::MeasureTool;
+    use fex_vm::{MeasureTool, PassMask};
 
     use super::*;
 
@@ -720,7 +582,7 @@ mod tests {
     #[test]
     fn parses_all_run_flags() {
         let Action::Run(cfg) = parse(&argv(
-            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --tool time --jobs 4 --passes none --no-mru --no-decode-cache",
+            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --tool time --jobs 4",
         ))
         .unwrap() else {
             panic!("expected run");
@@ -731,54 +593,22 @@ mod tests {
         assert!(cfg.verbose && cfg.debug);
         assert_eq!(cfg.tool, MeasureTool::Time);
         assert_eq!(cfg.jobs, 4);
-        assert_eq!(cfg.passes, PassMask::none());
-        assert!(!cfg.mru_fast_path && !cfg.decode_cache);
         assert_eq!(cfg.lab, None, "runs stay ephemeral unless --lab is given");
-        // Every experiment rebuilds; there is no flag to skip it.
-        let err = parse(&argv("run -n micro --no-build")).unwrap_err();
-        assert!(err.to_string().contains("unknown run flag `--no-build`"), "{err}");
-    }
-
-    #[test]
-    fn pass_pipeline_flags_select_subsets() {
-        let Action::Run(cfg) = parse(&argv("run -n micro --passes trace")).unwrap() else {
-            panic!("expected run");
-        };
-        assert!(cfg.passes.enables("trace"));
-        assert!(!cfg.passes.enables("fuse"));
-        let Action::Run(cfg) = parse(&argv("run -n micro --no-pass fuse")).unwrap() else {
-            panic!("expected run");
-        };
-        assert!(!cfg.passes.enables("fuse"));
-        assert!(cfg.passes.enables("trace"));
-        let Action::Run(cfg) = parse(&argv("run -n micro --passes none")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(cfg.passes, PassMask::none());
-        let Action::Run(cfg) = parse(&argv("run -n micro --chunk 8")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(cfg.chunk, 8);
-    }
-
-    #[test]
-    fn pass_pipeline_flags_reject_malformed_selections() {
-        let err = parse(&argv("run -n micro --passes bogus")).unwrap_err();
-        assert!(err.to_string().contains("unknown pass `bogus`"), "{err}");
-        let err = parse(&argv("run -n micro --passes fuse,fuse")).unwrap_err();
-        assert!(err.to_string().contains("duplicate pass"), "{err}");
-        let err = parse(&argv("run -n micro --passes fuse,trace")).unwrap_err();
-        assert!(err.to_string().contains("out of pipeline order"), "{err}");
-        for flags in ["--passes immfold", "--no-pass immfold"] {
-            let err = parse(&argv(&format!("run -n micro {flags}"))).unwrap_err();
-            assert!(err.to_string().contains("unknown pass `immfold`"), "{err}");
+        // Every experiment rebuilds; there is no flag to skip it. The VM
+        // debug switches and the claim size are library settings only.
+        for removed in [
+            "--no-build",
+            "--no-fusion",
+            "--passes none",
+            "--no-pass fuse",
+            "--no-mru",
+            "--no-decode-cache",
+            "--chunk 8",
+        ] {
+            let err = parse(&argv(&format!("run -n micro {removed}"))).unwrap_err();
+            let flag = removed.split(' ').next().unwrap();
+            assert!(err.to_string().contains(&format!("unknown run flag `{flag}`")), "{err}");
         }
-        let err = parse(&argv("run -n micro --no-fusion")).unwrap_err();
-        assert!(err.to_string().contains("unknown run flag `--no-fusion`"), "{err}");
-        assert!(parse(&argv("run -n micro --no-pass bogus")).is_err());
-        assert!(parse(&argv("run -n micro --passes")).is_err());
-        assert!(parse(&argv("run -n micro --chunk many")).is_err());
-        assert!(parse(&argv("run -n micro --chunk")).is_err());
     }
 
     #[test]
@@ -1063,6 +893,107 @@ mod tests {
         assert!(parse(&argv("serve --workers many")).is_err());
         assert!(parse(&argv("serve --queue 0")).is_err(), "a zero-capacity queue serves nobody");
         assert!(parse(&argv("serve --socket")).is_err(), "--socket needs a value");
+    }
+
+    /// The exact message of every missing, malformed or stray value, per
+    /// action: each row is an argument line and the `FexError::Config`
+    /// text it must produce.
+    #[test]
+    fn every_flag_error_message_is_pinned() {
+        let table = [
+            ("", "missing action"),
+            ("frobnicate", "unknown action `frobnicate`"),
+            // test
+            ("test", "test needs -n <suite>"),
+            ("test -n", "test needs -n <suite>"),
+            ("test -x", "unknown test flag `-x`"),
+            // report
+            ("report a b", "unexpected report argument `b`"),
+            // install
+            ("install", "install needs -n <script>"),
+            ("install -n", "install needs -n <script>"),
+            ("install gcc", "unexpected `gcc`"),
+            ("install -n gcc -x", "unexpected `-x`"),
+            // plot
+            ("plot -t perf", "plot needs -n <name>"),
+            ("plot -t perf -n", "plot needs -n <name>"),
+            ("plot -n micro", "plot needs -t <kind>"),
+            ("plot -n micro -t", "plot needs -t <kind>"),
+            ("plot -n micro -t pie", "unknown plot kind `pie`"),
+            ("plot -x", "unknown plot flag `-x`"),
+            // lab
+            ("lab", "lab needs a subcommand: list | show | gc | fsck"),
+            ("lab list --lab", "--lab needs a directory"),
+            ("lab gc --keep", "--keep needs a count"),
+            ("lab gc --keep x", "bad keep count `x`"),
+            ("lab show", "lab show needs a run selector"),
+            ("lab prune", "unknown lab subcommand `prune`"),
+            ("lab list extra", "unexpected `extra`"),
+            ("lab list -x", "unknown lab flag `-x`"),
+            // graph
+            ("graph", "graph needs a subcommand: stats"),
+            ("graph prune", "unknown graph subcommand `prune`"),
+            ("graph stats --lab", "--lab needs a directory"),
+            ("graph stats -x", "unknown graph flag `-x`"),
+            // fuzz
+            ("fuzz --seed", "--seed needs a value"),
+            ("fuzz --seed x", "bad seed `x`"),
+            ("fuzz --cases", "--cases needs a value"),
+            ("fuzz --cases x", "bad case count `x`"),
+            ("fuzz --bundle", "--bundle needs a value"),
+            ("fuzz --max-shrink", "--max-shrink needs a value"),
+            ("fuzz --max-shrink x", "bad shrink cap `x`"),
+            ("fuzz --regressions", "--regressions needs a value"),
+            ("fuzz -x", "unknown fuzz flag `-x`"),
+            // serve
+            ("serve --socket", "--socket needs a value"),
+            ("serve --lab", "--lab needs a value"),
+            ("serve --workers", "--workers needs a value"),
+            ("serve --workers x", "bad worker count `x`"),
+            ("serve --queue", "--queue needs a value"),
+            ("serve --queue x", "bad queue capacity `x`"),
+            ("serve --queue 0", "--queue must be at least 1"),
+            ("serve -x", "unknown serve flag `-x`"),
+            // diag
+            ("diag", "diag needs a journal path and/or --lab <dir>"),
+            ("diag j --format", "--format needs a name"),
+            ("diag j --format xml", "unknown diag format `xml` (expected human, sarif or github)"),
+            ("diag j --rules", "--rules needs rule ids"),
+            ("diag j --deny", "--deny needs rule ids"),
+            ("diag j k", "diag takes one journal path; unexpected `k`"),
+            ("diag j -x", "unknown diag flag `-x`"),
+            // compare
+            ("compare a b --lab", "--lab needs a directory"),
+            ("compare a b --metric", "--metric needs a name"),
+            ("compare a b --svg", "--svg needs a path"),
+            ("compare a", "compare needs <baseline> <candidate>"),
+            ("compare a b -x", "unknown compare flag `-x`"),
+            // run
+            ("run", "run needs -n <experiment>"),
+            ("run -n", "run needs -n <experiment>"),
+            ("run -n micro -b", "-b needs a benchmark"),
+            ("run -n micro -r", "-r needs a count"),
+            ("run -n micro -r x", "bad repetitions `x`"),
+            ("run -n micro -m 1 x", "bad thread count `x`"),
+            ("run -n micro --adaptive", "--adaptive needs a precision percentage"),
+            ("run -n micro --adaptive x", "bad precision `x`"),
+            ("run -n micro --max-reps", "--max-reps needs a count"),
+            ("run -n micro --max-reps x", "bad rep budget `x`"),
+            ("run -n micro --max-reps 8", "--max-reps needs --adaptive"),
+            ("run -n micro -i", "-i needs a size"),
+            ("run -n micro -i huge", "unknown input size `huge`"),
+            ("run -n micro --tool", "--tool needs a name"),
+            ("run -n micro --tool x", "unknown tool `x`"),
+            ("run -n micro --jobs", "--jobs needs a count"),
+            ("run -n micro --jobs x", "bad job count `x`"),
+            ("run -n micro -x", "unknown run flag `-x`"),
+        ];
+        for (line, want) in table {
+            match parse(&argv(line)) {
+                Err(FexError::Config(got)) => assert_eq!(got, want, "`fex {line}`"),
+                other => panic!("`fex {line}`: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

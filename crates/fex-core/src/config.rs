@@ -158,18 +158,19 @@ pub struct ExperimentConfig {
     /// Worker threads for the run-unit scheduler (`--jobs`); `0` means
     /// auto — available parallelism capped at [`MAX_AUTO_JOBS`].
     pub jobs: usize,
-    /// Units each scheduler worker claims per grab (`--chunk`); `0`
-    /// means auto — tuned from the matrix width and worker count.
+    /// Units each scheduler worker claims per grab ([`Self::chunk`]);
+    /// `0` means auto — tuned from the matrix width and worker count.
     pub chunk: usize,
     /// The peephole pass subset run over the VM's decoded stream
-    /// (`--passes`/`--no-pass` select it; `--passes none` clears it;
-    /// measured results are identical for any subset).
+    /// ([`Self::passes`] selects it; measured results are identical for
+    /// any subset).
     pub passes: PassMask,
-    /// MRU line fast path in the cache simulator (`--no-mru` clears it;
-    /// measured results are identical).
+    /// MRU line fast path in the cache simulator ([`Self::mru`] clears
+    /// it; measured results are identical).
     pub mru_fast_path: bool,
     /// Share each artifact's decoded form across all its run units
-    /// (`--no-decode-cache` clears it; measured results are identical).
+    /// ([`Self::decode_cache`] clears it; measured results are
+    /// identical).
     pub decode_cache: bool,
     /// Record the structured run journal (`--no-journal` clears it;
     /// results and failure CSVs are byte-identical either way).
@@ -290,26 +291,26 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the peephole pass subset (`--passes`/`--no-pass`).
+    /// Selects the peephole pass subset (a library setting for the
+    /// equivalence checks and benches; no CLI flag).
     pub fn passes(mut self, passes: PassMask) -> Self {
         self.passes = passes;
         self
     }
 
-    /// Sets the scheduler chunk size (`--chunk`); `0` means auto.
+    /// Sets the scheduler chunk size; `0` means auto.
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
         self
     }
 
-    /// Enables or disables the MRU cache fast path (`--no-mru`).
+    /// Enables or disables the MRU cache fast path.
     pub fn mru(mut self, on: bool) -> Self {
         self.mru_fast_path = on;
         self
     }
 
-    /// Enables or disables the decoded-artifact cache
-    /// (`--no-decode-cache`).
+    /// Enables or disables the decoded-artifact cache.
     pub fn decode_cache(mut self, on: bool) -> Self {
         self.decode_cache = on;
         self

@@ -12,7 +12,8 @@
 //!
 //! | oracle     | invariant                                                       |
 //! |------------|-----------------------------------------------------------------|
-//! | `toggles`  | `--passes none --no-mru --no-decode-cache` → identical CSVs     |
+//! | `toggles`  | `.passes(PassMask::none()).mru(false).decode_cache(false)`      |
+//! |            | → identical CSVs                                                |
 //! | `jobs`     | `--jobs N` vs `--jobs 1` → identical CSVs and journal streams   |
 //! | `metrics`  | journal roll-up jobs-invariant and consistent with CSV totals   |
 //! | `store`    | write→read lossless, identical reruns share a run id, no false  |

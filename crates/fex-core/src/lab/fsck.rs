@@ -14,6 +14,7 @@
 //! deterministically so both the unit tests here and the `fex fuzz`
 //! recovery oracle can drive the checker against every failure mode.
 
+use std::collections::btree_map::Entry;
 use std::fmt;
 use std::fs;
 
@@ -40,6 +41,9 @@ pub enum IssueKind {
     CorruptRecord,
     /// A `runs/` directory no surviving index entry references.
     OrphanRunDir,
+    /// An index line whose `seq` an earlier line already holds (two
+    /// writers raced without the lab lock).
+    DuplicateSeq,
     /// A graph index line that does not parse (torn append).
     CorruptGraphIndexLine,
     /// A graph index entry whose payload range runs past the pack's end.
@@ -77,6 +81,7 @@ impl fmt::Display for IssueKind {
             IssueKind::CountMismatch => "count-mismatch",
             IssueKind::CorruptRecord => "corrupt-record",
             IssueKind::OrphanRunDir => "orphan-run-dir",
+            IssueKind::DuplicateSeq => "duplicate-seq",
             IssueKind::CorruptGraphIndexLine => "corrupt-graph-index-line",
             IssueKind::MissingGraphNode => "missing-graph-node",
             IssueKind::GraphDigestMismatch => "graph-digest-mismatch",
@@ -147,6 +152,19 @@ pub fn check(store: &RunStore) -> FsckReport {
     push_index_line_issues(IssueKind::CorruptIndexLine, &warnings, &mut report);
     for entry in &entries {
         check_entry(store, entry, &mut report);
+    }
+    let mut holders = std::collections::BTreeMap::new();
+    for entry in &entries {
+        match holders.entry(entry.seq) {
+            Entry::Vacant(slot) => {
+                slot.insert(&entry.run_id);
+            }
+            Entry::Occupied(first) => report.issues.push(FsckIssue {
+                kind: IssueKind::DuplicateSeq,
+                subject: entry.run_id.clone(),
+                detail: format!("seq {} is also held by {}", entry.seq, first.get()),
+            }),
+        }
     }
     // Orphans: artifact directories no parseable entry references.
     let referenced: std::collections::BTreeSet<String> =
@@ -293,7 +311,8 @@ fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
 
 /// Checks the store and, when `quarantine` is set, moves every corrupt
 /// run directory (and orphan) under `<root>/quarantine/` and rewrites the
-/// index to the clean entries. Returns the final report.
+/// index to the clean entries, giving each line whose seq an earlier one
+/// holds the next free seq. Returns the final report.
 ///
 /// # Errors
 ///
@@ -309,7 +328,10 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
     let bad_runs: std::collections::BTreeSet<&str> = report
         .issues
         .iter()
-        .filter(|i| i.kind != IssueKind::CorruptIndexLine && !i.kind.is_graph())
+        .filter(|i| {
+            !matches!(i.kind, IssueKind::CorruptIndexLine | IssueKind::DuplicateSeq)
+                && !i.kind.is_graph()
+        })
         .map(|i| i.subject.as_str())
         .collect();
     for run_id in &bad_runs {
@@ -322,12 +344,21 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
         }
         report.quarantined.push((*run_id).to_string());
     }
-    // Rewriting the index drops corrupt lines and bad entries in one go.
+    // Rewriting the index drops corrupt lines and bad entries in one go,
+    // and renumbers a repeated seq past every seq in use.
     let (entries, _) = store.scan();
+    let mut next_free = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
+    let mut taken = std::collections::BTreeSet::new();
     let survivors: String = entries
-        .iter()
+        .into_iter()
         .filter(|e| !bad_runs.contains(e.run_id.as_str()))
-        .map(|e| e.to_json() + "\n")
+        .map(|mut e| {
+            if !taken.insert(e.seq) {
+                e.seq = next_free;
+                next_free += 1;
+            }
+            e.to_json() + "\n"
+        })
         .collect();
     fs::write(store.index_path(), survivors)
         .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
@@ -392,18 +423,22 @@ pub enum Corruption {
     TornRecord,
     /// Delete the newest journaled run's `metrics.json`.
     MissingMetrics,
+    /// Append the newest index line a second time, seq included (two
+    /// identical runs saved without the lab lock).
+    DuplicateSeq,
 }
 
 impl Corruption {
     /// Every injectable corruption, in a stable order (the fuzzer indexes
     /// into this with its seeded dice).
-    pub const ALL: [Corruption; 6] = [
+    pub const ALL: [Corruption; 7] = [
         Corruption::TruncatedIndex,
         Corruption::GarbageIndexLine,
         Corruption::MissingResultsCsv,
         Corruption::MissingRunDir,
         Corruption::TornRecord,
         Corruption::MissingMetrics,
+        Corruption::DuplicateSeq,
     ];
 }
 
@@ -416,6 +451,7 @@ impl fmt::Display for Corruption {
             Corruption::MissingRunDir => "missing-run-dir",
             Corruption::TornRecord => "torn-record",
             Corruption::MissingMetrics => "missing-metrics",
+            Corruption::DuplicateSeq => "duplicate-seq",
         })
     }
 }
@@ -453,13 +489,17 @@ pub fn inject(store: &RunStore, corruption: Corruption) -> Result<()> {
         Corruption::MissingMetrics => {
             fs::remove_file(dir.join("metrics.json")).map_err(io)?;
         }
+        Corruption::DuplicateSeq => {
+            super::append_index_line(&store.index_path(), &latest.to_json()).map_err(io)?;
+        }
     }
     Ok(())
 }
 
 /// A deterministic artifact-graph corruption. Kept separate from
-/// [`Corruption`] — the fuzzer's seeded dice index into
-/// [`Corruption::ALL`] by position, so that array must never grow.
+/// [`Corruption`]: the fuzz `recovery` oracle's seeded dice pick from
+/// [`Corruption::ALL`] by position, so that array only ever grows at its
+/// end, and only by store damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphCorruption {
     /// Tear the final graph index append mid-record.
@@ -602,6 +642,7 @@ mod tests {
                 Corruption::MissingRunDir => IssueKind::MissingRunDir,
                 Corruption::TornRecord => IssueKind::CorruptRecord,
                 Corruption::MissingMetrics => IssueKind::MissingArtifact,
+                Corruption::DuplicateSeq => IssueKind::DuplicateSeq,
             };
             assert!(
                 report.issues.iter().any(|i| i.kind == expected),
@@ -639,6 +680,34 @@ mod tests {
         let after = check(&store);
         assert!(after.clean(), "{}", after.render());
         assert_eq!(after.entries_checked, 1, "the intact run survived");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_duplicate_seq_names_both_runs_and_quarantine_renumbers_the_later() {
+        let store = populated("dup-seq");
+        let first = store.resolve("prev").unwrap();
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test).seed(7);
+        let art = RunArtifacts {
+            results_csv: "h\n3\n",
+            failures_csv: "benchmark,type,threads,rep,error,attempts,outcome\n",
+            metrics_json: None,
+            journal_digest: None,
+        };
+        // A writer that raced the first save derived the same seq.
+        let late = store.save_as(&cfg, &art, first.seq).unwrap();
+        let report = check(&store);
+        let dup: Vec<&FsckIssue> =
+            report.issues.iter().filter(|i| i.kind == IssueKind::DuplicateSeq).collect();
+        assert_eq!(dup.len(), 1, "{}", report.render());
+        assert_eq!(dup[0].subject, late.run_id);
+        assert!(dup[0].detail.contains(&first.run_id), "{}", dup[0].detail);
+        let fixed = fsck(&store, true).unwrap();
+        assert!(fixed.quarantined.is_empty(), "no run is dropped");
+        let after = check(&store);
+        assert!(after.clean(), "{}", after.render());
+        let seqs: Vec<u64> = store.list().unwrap().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2], "the later line took the next free seq");
         let _ = fs::remove_dir_all(store.root());
     }
 

@@ -21,7 +21,9 @@
 //!   Welch's t-test, relative delta, Cohen's d effect size and a
 //!   four-way [`Verdict`],
 //! * [`fsck`] — `fex lab fsck`: integrity checking, quarantine, and the
-//!   deterministic disk-corruption injector that exercises both.
+//!   deterministic disk-corruption injector that exercises both,
+//! * [`lock`] — the lab's one write lock (`<lab>/lock`), which every
+//!   writer of the run store and the artifact graph holds.
 
 pub mod compare;
 pub mod fsck;
@@ -35,7 +37,34 @@ use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::error::Result;
+use crate::error::{FexError, Result};
+
+/// Takes the write lock of the lab at `dir`: an exclusive advisory lock
+/// on `<dir>/lock`, held until the returned file is dropped. Blocks
+/// while another holder has it. Index seqs and pack offsets are derived
+/// from what is on disk, so each write section (a run from the graph
+/// open through the store save, `gc`, `fsck`) holds it throughout. Each
+/// call opens its own file description, so the lock serializes threads
+/// of one process as well as processes; a thread that already holds it
+/// must not take it again, or it waits on itself.
+///
+/// # Errors
+///
+/// [`FexError::Data`] when the lock file cannot be created or locked.
+pub fn lock(dir: impl AsRef<Path>) -> Result<fs::File> {
+    let dir = dir.as_ref();
+    let io =
+        |e: std::io::Error| FexError::Data(format!("cannot lock lab `{}`: {e}", dir.display()));
+    fs::create_dir_all(dir).map_err(io)?;
+    let file = fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(dir.join("lock"))
+        .map_err(io)?;
+    file.lock().map_err(io)?;
+    Ok(file)
+}
 
 /// Reads an append-only flat-JSON index (the run store's or the artifact
 /// graph's) with per-line fault isolation: every line `parse` accepts,

@@ -147,16 +147,29 @@ impl RunStore {
         d.finish().to_string()
     }
 
-    /// Archives one completed run: writes its artifact directory and
-    /// appends an index line. Returns the new entry.
+    /// Archives one completed run under the lab lock: writes its artifact
+    /// directory and appends an index line with the next free seq.
+    /// Returns the new entry.
     ///
     /// # Errors
     ///
     /// [`FexError::Data`] on filesystem failures or a corrupt index.
     pub fn save(&self, config: &ExperimentConfig, art: &RunArtifacts<'_>) -> Result<IndexEntry> {
+        let _lock = super::lock(&self.root)?;
+        self.save_as(config, art, self.next_seq()?)
+    }
+
+    /// [`RunStore::save`] at a given `seq`, for a caller that already
+    /// holds the lab lock and derived the seq under it.
+    pub(crate) fn save_as(
+        &self,
+        config: &ExperimentConfig,
+        art: &RunArtifacts<'_>,
+        seq: u64,
+    ) -> Result<IndexEntry> {
         let run_id = Self::run_id(config, art);
         let entry = IndexEntry {
-            seq: self.next_seq()?,
+            seq,
             run_id: run_id.clone(),
             experiment: config.name.clone(),
             key: Self::experiment_key(config),
@@ -267,15 +280,16 @@ impl RunStore {
         })
     }
 
-    /// Garbage-collects the store: per experiment key, keeps the newest
-    /// `keep` entries and deletes the rest (index lines and, when no
-    /// surviving entry references them, artifact directories). Returns
-    /// the number of index entries removed.
+    /// Garbage-collects the store under the lab lock: per experiment key,
+    /// keeps the newest `keep` entries and deletes the rest (index lines
+    /// and, when no surviving entry references them, artifact
+    /// directories). Returns the number of index entries removed.
     ///
     /// # Errors
     ///
     /// [`FexError::Data`] on filesystem failures or a corrupt index.
     pub fn gc(&self, keep: usize) -> Result<usize> {
+        let _lock = super::lock(&self.root)?;
         let entries = self.list()?;
         let mut kept: Vec<&IndexEntry> = Vec::new();
         // Walk newest-first so "the newest `keep` per key" is a simple

@@ -55,15 +55,6 @@ impl Default for RunPolicy {
 }
 
 impl RunPolicy {
-    /// A policy that never retries and never quarantines: the loop then
-    /// behaves exactly like the paper's original Fig 4 loop for run
-    /// faults too (first failure is recorded, the benchmark quarantines
-    /// immediately at threshold 1 — use [`RunPolicy::strict`] to abort
-    /// instead).
-    pub fn no_retries() -> Self {
-        RunPolicy { max_retries: 0, ..RunPolicy::default() }
-    }
-
     /// Sets the retry count.
     pub fn retries(mut self, n: usize) -> Self {
         self.max_retries = n;

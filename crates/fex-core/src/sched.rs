@@ -26,7 +26,7 @@
 //!    is auto-tuned from the matrix width and worker count — wide
 //!    matrices amortise the claim/channel overhead over many units while
 //!    keeping enough chunks in flight for load balance — and is
-//!    overridable with `--chunk`.
+//!    overridable with `ExperimentConfig::chunk`.
 //! 3. **Merge** — the runner walks the outcomes back in matrix order and
 //!    only *then* applies quarantine: failures count against a benchmark
 //!    in deterministic order, and every unit that falls after its
@@ -76,8 +76,9 @@ pub struct UnitWork {
     /// The compiled program, shared with the build cache.
     pub program: Arc<Program>,
     /// Pre-decoded form of `program` out of the decoded-artifact cache,
-    /// shared lock-free across workers; `None` (the `--no-decode-cache`
-    /// escape hatch) makes every load decode afresh.
+    /// shared lock-free across workers; `None` (the
+    /// `ExperimentConfig::decode_cache(false)` escape hatch) makes every
+    /// load decode afresh.
     pub decoded: Option<Arc<DecodedProgram>>,
     /// Entry arguments for the chosen input size.
     pub args: Vec<i64>,
@@ -145,8 +146,8 @@ fn run_unit(unit: &RunUnit, policy: &RunPolicy, journal: bool, worker: usize) ->
     UnitOutcome { log, result, events }
 }
 
-/// The chunk size workers claim per grab: the `--chunk` override when
-/// nonzero, otherwise auto-tuned so each worker sees about four chunks —
+/// The chunk size workers claim per grab: the `ExperimentConfig::chunk`
+/// override when nonzero, otherwise auto-tuned so each worker sees about four chunks —
 /// wide matrices amortise claim/channel overhead over many units, narrow
 /// ones still hand every worker work — capped so one slow chunk cannot
 /// serialise the tail.
@@ -164,7 +165,7 @@ fn effective_chunk(chunk: usize, units: usize, jobs: usize) -> usize {
 /// skipped entirely and units run inline, in order — the `--jobs 1`
 /// fast path. With more, a scoped worker pool self-schedules over a
 /// shared claim counter, grabbing `chunk` contiguous units per claim
-/// (`0` auto-tunes from the matrix width; see `--chunk`): each chunk's
+/// (`0` auto-tunes from the matrix width): each chunk's
 /// outcomes — journal events buffered per unit — come home as one
 /// channel message and are scattered into their slots by index, so the
 /// merged order is the matrix order regardless of worker count or chunk

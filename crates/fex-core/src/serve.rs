@@ -24,16 +24,13 @@
 //!   journaled per tenant (`serve_stream` carries the hit accounting).
 //! * **Worker fleet** — a pool of real worker threads drains the queue.
 //!   The content-addressed [`RunStore`](crate::lab::RunStore) and
-//!   artifact graph are single-writer: an index append is one
-//!   `O_APPEND` write, but `RunStore::save` derives the next `seq` from
-//!   a scan of the index and each graph handle holds its own index
-//!   snapshot, so concurrent writers would duplicate seqs and nodes.
-//!   The graph's pack offsets depend on it too: a store records the
-//!   offset its payload was appended at, and an append from a second
-//!   handle between that seek and write would misplace the range. The
-//!   daemon serializes lab access across workers with one gate while
-//!   each submission still fans its run units out over `--jobs` workers
-//!   inside the pipeline.
+//!   artifact graph derive seqs and pack offsets from what is on disk,
+//!   so each pipeline run holds the lab's write lock
+//!   ([`crate::lab::lock`]) from the graph open through the store save.
+//!   The lock is a file lock on its own file description per run, so it
+//!   serializes the daemon's workers exactly as it serializes a daemon
+//!   and a CLI run sharing the lab, while each submission still fans its
+//!   run units out over `--jobs` workers inside the pipeline.
 //! * **Fleet mode** — a submission with `fleet > 0` shards its
 //!   benchmarks across a simulated homogeneous host fleet via
 //!   [`DistributedRun`](crate::distributed::DistributedRun), with host
@@ -538,10 +535,6 @@ struct Inner {
     completed: AtomicU64,
     store_hits: AtomicU64,
     evictions: AtomicU64,
-    /// Serializes lab access: `RunStore::save` derives `seq` from an
-    /// index scan and each graph handle holds its own index snapshot, so
-    /// concurrent writers would duplicate seqs and nodes.
-    lab_gate: Mutex<()>,
 }
 
 impl Inner {
@@ -574,7 +567,6 @@ impl Inner {
     /// shared lab, so the artifact graph serves every unchanged unit and
     /// the store archives the aggregate.
     fn execute_local(&self, sub: &Submission) -> Result<Executed> {
-        let _lab = self.lab_gate.lock().expect("lab gate");
         let cfg = sub.config(Some(&self.opts.lab));
         let suite = sub.suite()?;
         let mut fex = Fex::new();
@@ -758,7 +750,6 @@ impl Server {
             completed: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            lab_gate: Mutex::new(()),
         });
         let worker_handles = (0..workers)
             .map(|i| {

@@ -58,6 +58,106 @@ impl PlotRequest {
             _ => return None,
         })
     }
+
+    /// Renders this plot of experiment `name`'s result frame `df` (the
+    /// frame `fex run` prints and writes to `<name>.csv`).
+    ///
+    /// # Errors
+    ///
+    /// [`FexError::Data`] when the frame lacks the needed columns.
+    pub fn render(self, name: &str, df: &DataFrame) -> Result<Plot> {
+        match self {
+            Self::Perf => {
+                let baseline = df
+                    .distinct("type")?
+                    .first()
+                    .cloned()
+                    .ok_or_else(|| FexError::Data("no build types in results".into()))?;
+                let norm = normalize_against(df, "benchmark", "type", "time", &baseline)?;
+                let mut plot = barplot_from_frame(
+                    &norm,
+                    "benchmark",
+                    "type",
+                    "normalized_time",
+                    &format!("{name}: normalized runtime (w.r.t. {baseline})"),
+                )?;
+                plot.ylabel = format!("Normalized runtime (w.r.t. {baseline})");
+                plot.hline = Some(1.0);
+                Ok(plot)
+            }
+            Self::ThroughputLatency => {
+                let mut plot =
+                    Plot::new(PlotKind::ScatterLine, format!("{name}: throughput vs latency"));
+                plot.xlabel = "Throughput (msg/s)".into();
+                plot.ylabel = "Latency (ms)".into();
+                for ty in df.distinct("type")? {
+                    let sub = df.filter_eq("type", &ty)?;
+                    let ti = sub.col("throughput")?;
+                    let li = sub.col("mean_ms")?;
+                    let pts: Vec<(f64, f64)> = sub
+                        .iter()
+                        .map(|r| (r[ti].as_num().unwrap_or(0.0), r[li].as_num().unwrap_or(0.0)))
+                        .collect();
+                    plot.series.push(Series::line(ty, pts));
+                }
+                Ok(plot)
+            }
+            Self::Scaling => {
+                lineplot_from_frame(df, "threads", "type", "time", &format!("{name}: scaling"))
+            }
+            Self::CacheStats => {
+                // Stacked-grouped: stack = miss level, group = build type.
+                let mut plot = Plot::new(
+                    PlotKind::StackedGroupedBar,
+                    format!("{name}: cache misses by level"),
+                );
+                plot.categories = df.distinct("benchmark")?;
+                plot.ylabel = "misses".into();
+                for ty in df.distinct("type")? {
+                    for level in ["l1_misses", "l2_misses", "llc_misses"] {
+                        let sub = df.filter_eq("type", &ty)?;
+                        let agg =
+                            sub.group_agg(&["benchmark"], level, crate::collect::stats::mean)?;
+                        let mut values = Vec::new();
+                        for cat in &plot.categories {
+                            let v = agg
+                                .filter_eq("benchmark", cat)?
+                                .iter()
+                                .next()
+                                .and_then(|r| r[1].as_num())
+                                .unwrap_or(0.0);
+                            values.push(v);
+                        }
+                        plot.series.push(Series {
+                            name: format!("{ty}:{level}"),
+                            values,
+                            xs: None,
+                            stack: Some(ty.clone()),
+                            whiskers: None,
+                        });
+                    }
+                }
+                Ok(plot)
+            }
+            Self::Memory => {
+                let baseline = df
+                    .distinct("type")?
+                    .first()
+                    .cloned()
+                    .ok_or_else(|| FexError::Data("no build types in results".into()))?;
+                let norm = normalize_against(df, "benchmark", "type", "maxrss_bytes", &baseline)?;
+                let mut plot = barplot_from_frame(
+                    &norm,
+                    "benchmark",
+                    "type",
+                    "normalized_maxrss_bytes",
+                    &format!("{name}: normalized memory (w.r.t. {baseline})"),
+                )?;
+                plot.hline = Some(1.0);
+                Ok(plot)
+            }
+        }
+    }
 }
 
 /// The framework instance.
@@ -194,6 +294,10 @@ impl Fex {
         self.log.push(format!("environment digest: {}", self.container.environment_digest()));
 
         let experiment_started = std::time::Instant::now();
+        // The graph's seqs and pack offsets and the store's seq all derive
+        // from what is on disk, so a run holds the lab lock from the graph
+        // open through its last write.
+        let lab_lock = config.lab.as_ref().map(crate::lab::lock).transpose()?;
         let (frame, failures, mut journal, graph) = {
             let mut ctx = RunContext::new(config, &self.makefiles, &mut self.log);
             // Attach the artifact graph when a lab directory is active
@@ -270,10 +374,14 @@ impl Fex {
         // stream (in the container and in the store) accounts for the
         // archive itself.
         let lab_store = match &config.lab {
-            Some(dir) => Some(crate::lab::RunStore::open(dir)?),
+            Some(dir) => {
+                let store = crate::lab::RunStore::open(dir)?;
+                let seq = store.next_seq()?;
+                Some((store, seq))
+            }
             None => None,
         };
-        if let Some(store) = &lab_store {
+        if let Some((_, seq)) = &lab_store {
             if journal.enabled() {
                 let art = crate::lab::RunArtifacts {
                     results_csv: &results_csv,
@@ -284,7 +392,7 @@ impl Fex {
                 journal.emit(JournalEvent::StoreWrite {
                     experiment: config.name.clone(),
                     run_id: crate::lab::RunStore::run_id(config, &art),
-                    seq: store.next_seq()?,
+                    seq: *seq,
                 });
             }
         }
@@ -294,7 +402,7 @@ impl Fex {
         } else {
             (None, None)
         };
-        if let Some(store) = &lab_store {
+        if let Some((store, seq)) = &lab_store {
             let digest = journal_jsonl
                 .as_deref()
                 .map(|j| fex_container::digest_bytes(j.as_bytes()).to_string());
@@ -304,7 +412,7 @@ impl Fex {
                 metrics_json: metrics_json.as_deref(),
                 journal_digest: digest.as_deref(),
             };
-            let entry = store.save(config, &art)?;
+            let entry = store.save_as(config, &art, *seq)?;
             self.log.push(format!(
                 "stored run {} (seq {}) in `{}`",
                 entry.run_id,
@@ -330,6 +438,7 @@ impl Fex {
                 g.store_node(crate::graph::NodeKind::Aggregate, &key, &w.finish())?;
             }
         }
+        drop(lab_lock);
         self.container
             .fs_mut()
             .write(format!("/fex/results/{}.csv", config.name), results_csv.into_bytes());
@@ -401,8 +510,8 @@ impl Fex {
             .map(|b| String::from_utf8_lossy(b).into_owned())
     }
 
-    /// `fex plot -n <name> -t <kind>` — builds the requested plot from a
-    /// stored result.
+    /// `fex plot -n <name> -t <kind>` — builds the requested plot from the
+    /// experiment's result in this process.
     ///
     /// # Errors
     ///
@@ -412,97 +521,7 @@ impl Fex {
         let df = self.results.get(name).ok_or_else(|| {
             FexError::Data(format!("experiment `{name}` has no results; run it first"))
         })?;
-        match request {
-            PlotRequest::Perf => {
-                let baseline = df
-                    .distinct("type")?
-                    .first()
-                    .cloned()
-                    .ok_or_else(|| FexError::Data("no build types in results".into()))?;
-                let norm = normalize_against(df, "benchmark", "type", "time", &baseline)?;
-                let mut plot = barplot_from_frame(
-                    &norm,
-                    "benchmark",
-                    "type",
-                    "normalized_time",
-                    &format!("{name}: normalized runtime (w.r.t. {baseline})"),
-                )?;
-                plot.ylabel = format!("Normalized runtime (w.r.t. {baseline})");
-                plot.hline = Some(1.0);
-                Ok(plot)
-            }
-            PlotRequest::ThroughputLatency => {
-                let mut plot =
-                    Plot::new(PlotKind::ScatterLine, format!("{name}: throughput vs latency"));
-                plot.xlabel = "Throughput (msg/s)".into();
-                plot.ylabel = "Latency (ms)".into();
-                for ty in df.distinct("type")? {
-                    let sub = df.filter_eq("type", &ty)?;
-                    let ti = sub.col("throughput")?;
-                    let li = sub.col("mean_ms")?;
-                    let pts: Vec<(f64, f64)> = sub
-                        .iter()
-                        .map(|r| (r[ti].as_num().unwrap_or(0.0), r[li].as_num().unwrap_or(0.0)))
-                        .collect();
-                    plot.series.push(Series::line(ty, pts));
-                }
-                Ok(plot)
-            }
-            PlotRequest::Scaling => {
-                lineplot_from_frame(df, "threads", "type", "time", &format!("{name}: scaling"))
-            }
-            PlotRequest::CacheStats => {
-                // Stacked-grouped: stack = miss level, group = build type.
-                let mut plot = Plot::new(
-                    PlotKind::StackedGroupedBar,
-                    format!("{name}: cache misses by level"),
-                );
-                plot.categories = df.distinct("benchmark")?;
-                plot.ylabel = "misses".into();
-                for ty in df.distinct("type")? {
-                    for level in ["l1_misses", "l2_misses", "llc_misses"] {
-                        let sub = df.filter_eq("type", &ty)?;
-                        let agg =
-                            sub.group_agg(&["benchmark"], level, crate::collect::stats::mean)?;
-                        let mut values = Vec::new();
-                        for cat in &plot.categories {
-                            let v = agg
-                                .filter_eq("benchmark", cat)?
-                                .iter()
-                                .next()
-                                .and_then(|r| r[1].as_num())
-                                .unwrap_or(0.0);
-                            values.push(v);
-                        }
-                        plot.series.push(Series {
-                            name: format!("{ty}:{level}"),
-                            values,
-                            xs: None,
-                            stack: Some(ty.clone()),
-                            whiskers: None,
-                        });
-                    }
-                }
-                Ok(plot)
-            }
-            PlotRequest::Memory => {
-                let baseline = df
-                    .distinct("type")?
-                    .first()
-                    .cloned()
-                    .ok_or_else(|| FexError::Data("no build types in results".into()))?;
-                let norm = normalize_against(df, "benchmark", "type", "maxrss_bytes", &baseline)?;
-                let mut plot = barplot_from_frame(
-                    &norm,
-                    "benchmark",
-                    "type",
-                    "normalized_maxrss_bytes",
-                    &format!("{name}: normalized memory (w.r.t. {baseline})"),
-                )?;
-                plot.hline = Some(1.0);
-                Ok(plot)
-            }
-        }
+        request.render(name, df)
     }
 
     /// `fex test -n <suite>` (§III-A): short runs with tiny inputs that

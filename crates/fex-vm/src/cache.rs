@@ -109,8 +109,9 @@ pub struct Cache {
     /// line touched in its own set too, i.e. it sits at way 0: re-touching
     /// it cannot change LRU order, so the set walk can be skipped.
     mru: Option<u64>,
-    /// Whether the MRU memo short-circuit is taken (`--no-mru` disables
-    /// it for debugging; results are identical either way).
+    /// Whether the MRU memo short-circuit is taken (off only in the
+    /// equivalence checks and benches; results are identical either
+    /// way).
     fast_path: bool,
 }
 

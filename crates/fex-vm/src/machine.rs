@@ -75,12 +75,12 @@ pub struct MachineConfig {
     pub max_instructions: u64,
     /// Deterministic fault injection (disabled by default).
     pub fault_plan: FaultPlan,
-    /// The peephole pass subset run over the decoded stream
-    /// (`--passes`/`--no-pass` select it; `--passes none` empties it for
-    /// debugging; measured results are identical for any subset).
+    /// The peephole pass subset run over the decoded stream (the
+    /// equivalence checks and benches select subsets; measured results
+    /// are identical for any subset).
     pub passes: PassMask,
-    /// MRU line memo in the cache simulator (`--no-mru` disables it;
-    /// measured results are identical).
+    /// MRU line memo in the cache simulator (measured results are
+    /// identical with it off).
     pub mru_fast_path: bool,
 }
 

@@ -11,8 +11,8 @@
 //! invariants in [`crate::decode`]).
 //!
 //! Passes are registered by name in [`PASSES`], in canonical pipeline
-//! order, and selected with a [`PassMask`] (`--passes` / `--no-pass` on
-//! the CLI; `--passes none` switches everything off):
+//! order, and selected with a [`PassMask`] ([`PassMask::from_names`],
+//! [`PassMask::without`]; [`PassMask::none`] switches everything off):
 //!
 //! | name | rewrites |
 //! |---|---|
@@ -37,7 +37,7 @@ use crate::decode::DecodedInstr;
 /// Registry entry for one peephole pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassInfo {
-    /// Registry name (`--passes` / `--no-pass` operand).
+    /// Registry name (the [`PassMask::from_names`] operand).
     pub name: &'static str,
     /// The pass's bit in a [`PassMask`].
     pub bit: u8,
@@ -97,7 +97,7 @@ impl PassMask {
     }
 
     /// The empty pipeline: structural decode only, no rewrites
-    /// (`--passes none`).
+    /// (`none` in [`PassMask::from_names`]).
     pub fn none() -> Self {
         PassMask(0)
     }
@@ -127,7 +127,7 @@ impl PassMask {
         Ok(PassMask(self.0 | lookup(name)?.bit))
     }
 
-    /// This mask with the named pass disabled (`--no-pass <name>`).
+    /// This mask with the named pass disabled.
     ///
     /// # Errors
     ///
@@ -136,7 +136,7 @@ impl PassMask {
         Ok(PassMask(self.0 & !lookup(name)?.bit))
     }
 
-    /// Parses an explicit `--passes` list: pass names in pipeline order,
+    /// Parses an explicit pass list: pass names in pipeline order,
     /// or the literal `all` / `none`.
     ///
     /// # Errors

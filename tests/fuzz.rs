@@ -237,26 +237,24 @@ fn fuzz_binary_smoke_is_clean_and_break_mode_fails_with_bundle() {
     let _ = std::fs::remove_dir_all(&bundle);
 }
 
-/// A bad pass selection is a clean configuration error: exit code 1, a
-/// message naming the offending pass, no panic, no partial run.
+/// The VM debug switches and the claim size are library settings, not
+/// `fex run` flags: each is a clean configuration error (exit code 1, a
+/// message naming the flag, no panic, no partial run).
 #[test]
-fn bad_pass_selections_exit_one_with_a_clean_message() {
-    let cases: [(&[&str], &str); 4] = [
-        (&["run", "-n", "micro", "--passes", "bogus"], "unknown pass `bogus`"),
-        (&["run", "-n", "micro", "--passes", "trace,trace"], "duplicate pass `trace`"),
-        (&["run", "-n", "micro", "--passes", "fuse,trace"], "out of pipeline order"),
-        (&["run", "-n", "micro", "--no-pass", "bogus"], "unknown pass `bogus`"),
+fn removed_debug_flags_exit_one_with_a_clean_message() {
+    let cases: [&[&str]; 5] = [
+        &["--passes", "none"],
+        &["--no-pass", "fuse"],
+        &["--no-mru"],
+        &["--no-decode-cache"],
+        &["--chunk", "8"],
     ];
-    for (args, needle) in cases {
-        let out = fex_bin().args(args).output().unwrap();
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{args:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+    for flag in cases {
+        let out = fex_bin().args(["run", "-n", "micro"]).args(flag).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(needle), "{args:?} stderr missing `{needle}`:\n{stderr}");
+        assert_eq!(out.status.code(), Some(1), "{flag:?}: {stderr}");
+        let needle = format!("unknown run flag `{}`", flag[0]);
+        assert!(stderr.contains(&needle), "{flag:?} stderr missing `{needle}`:\n{stderr}");
     }
 }
 

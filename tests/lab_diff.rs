@@ -170,6 +170,73 @@ fn lab_and_compare_on_missing_stores_exit_nonzero_with_message() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `fex run -n <argv…>` configuration, run in process on a fresh
+/// `Fex` with the setup the binary performs implicitly.
+fn run_in_process(args: &str) -> Fex {
+    let argv: Vec<String> = args.split_whitespace().map(String::from).collect();
+    let fex_core::cli::Action::Run(config) = fex_core::cli::parse(&argv).unwrap() else {
+        panic!("`{args}` is not a run");
+    };
+    let mut fex = Fex::new();
+    for script in fex_core::install::required_scripts(&config.name, &config.build_types) {
+        fex.install(script).unwrap();
+    }
+    fex.run(&config).unwrap();
+    fex
+}
+
+/// `fex run` then `fex plot` works across processes (the paper's
+/// `fex.py run` + `fex.py plot`), and the plot equals the in-process one.
+#[test]
+fn plot_after_run_renders_the_same_svg_as_in_process() {
+    let dir = temp_dir("plot");
+    let out = fex_bin().current_dir(&dir).args(["plot", "-n", "micro", "-t", "perf"]).output();
+    let out = out.unwrap();
+    assert_eq!(out.status.code(), Some(1), "nothing to plot before a run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("micro.csv") && stderr.contains("`fex run -n micro`"), "{stderr}");
+    assert_eq!(stderr.matches("data error").count(), 1, "{stderr}");
+
+    let run = "run -n micro -i test -r 2";
+    let out = fex_bin().current_dir(&dir).args(run.split(' ')).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = fex_bin().current_dir(&dir).args(["plot", "-n", "micro", "-t", "perf"]).output();
+    let out = out.unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (_, svg) = stdout.split_once("--- svg ---\n").expect("svg section");
+
+    let fex = run_in_process(run);
+    let want = fex.plot("micro", fex_core::PlotRequest::Perf).unwrap().to_svg();
+    assert_eq!(svg.trim_end(), want.trim_end());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Concurrent writers into one lab, each through its own `Fex`: the lab
+/// lock keeps every seq distinct and the lab clean.
+#[test]
+fn concurrent_runs_into_one_lab_keep_distinct_seqs() {
+    let dir = temp_dir("race");
+    let lab = dir.join("lab").to_string_lossy().into_owned();
+    let args = format!("run -n micro -i test --jobs 1 --lab {lab}");
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                start.wait();
+                run_in_process(&args)
+            });
+        }
+    });
+    let store = RunStore::open(&lab).unwrap();
+    let report = fex_core::lab::fsck::check(&store);
+    assert!(report.clean(), "{}", report.render());
+    let mut seqs: Vec<u64> = store.list().unwrap().iter().map(|e| e.seq).collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compare_exit_codes_gate_on_regression() {
     let dir = temp_dir("gate");
