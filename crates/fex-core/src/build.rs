@@ -15,7 +15,10 @@
 //! compiled and decoded by [`MakefileSet::build`], one stateless step
 //! that every experiment calls afresh: binaries are rebuilt for every
 //! experiment (§II-A). Reuse across experiments comes from the lab's
-//! artifact graph, which keys run units by [`Artifact::digest`].
+//! artifact graph, which keys run units by the artifact digest.
+//! [`MakefileSet::artifact_digest`] derives that digest without
+//! compiling, so a lab run builds only the pairs whose units the graph
+//! cannot serve.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -168,6 +171,25 @@ impl MakefileSet {
         let asan = cflags.contains("-fsanitize=address");
         let opt_level = if debug || cflags.contains("-O0") { 0 } else { 2 };
         Ok(BuildOptions { backend, asan, opt_level, debug })
+    }
+
+    /// The digest [`MakefileSet::build`] would give this build's
+    /// [`Artifact`], derived from the source text, the resolved options
+    /// and the pass subset alone — nothing is compiled.
+    ///
+    /// # Errors
+    ///
+    /// The resolution errors of [`MakefileSet::build_options`].
+    pub fn artifact_digest(
+        &self,
+        benchmark: &str,
+        source: &str,
+        type_name: &str,
+        debug: bool,
+        passes: PassMask,
+    ) -> Result<Digest> {
+        let opts = self.build_options(type_name, debug)?;
+        Ok(artifact_digest(benchmark, source, &opts, passes))
     }
 
     /// Builds `source` as `benchmark` with the given type: resolves the
@@ -334,6 +356,10 @@ mod tests {
         let s = MakefileSet::standard();
         let src = "fn main() -> int { return 1; }";
         let a = s.build("t", src, "gcc_asan", false, PassMask::all()).unwrap();
+        assert_eq!(
+            s.artifact_digest("t", src, "gcc_asan", false, PassMask::all()).unwrap(),
+            a.digest
+        );
         let opts = s.build_options("gcc_asan", false).unwrap();
         let expected = crate::graph::decoded_key(
             crate::graph::compiled_key(

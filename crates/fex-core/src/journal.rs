@@ -158,7 +158,8 @@ journal_schema! {
             /// Journal schema version ([`JOURNAL_VERSION`]).
             version: u64,
         },
-        /// One benchmark × type compilation finished.
+        /// One benchmark × type artifact was resolved: compiled, or left
+        /// unbuilt because the artifact graph served every unit.
         Build = "build" {
             /// Benchmark name.
             benchmark: String,
@@ -166,9 +167,9 @@ journal_schema! {
             build_type: String,
             /// Content digest of the artifact (cache key).
             digest: String,
-            /// Whether the artifact was reused instead of compiled
-            /// afresh; `MakefileSet::build` always compiles, so runners
-            /// emit `false`.
+            /// Whether the pair was left unbuilt because the artifact
+            /// graph served every one of its units (only with `--lab`);
+            /// `false` when it compiled. Normalizes to `false`.
             cache_hit: bool,
             /// Wall time of the build step.
             [volatile] wall_ns: u64,
@@ -279,7 +280,8 @@ journal_schema! {
         },
         /// Decoded-artifact cache accounting for the whole experiment.
         DecodeCache = "decode_cache" {
-            /// Decode passes performed.
+            /// Artifacts resolved, one per `build` event; metrics.json's
+            /// `build_cache_hits` says how many the graph served.
             decodes: usize,
             /// Run units served a pre-decoded program (their `vm_exec`
             /// events, execution twins included).
@@ -407,16 +409,21 @@ impl JournalEvent {
     pub fn normalize(&mut self) {
         self.reset_volatile();
         // Hit-vs-miss is artifact-cache state, not run behaviour: a warm
-        // run that serves a unit from the graph is observationally
-        // identical to the cold run that computed it, so normalized
-        // streams erase the distinction.
-        if let JournalEvent::GraphHit { benchmark, build_type, threads, rep } = self {
-            *self = JournalEvent::GraphMiss {
-                benchmark: std::mem::take(benchmark),
-                build_type: std::mem::take(build_type),
-                threads: *threads,
-                rep: *rep,
-            };
+        // run that serves a unit from the graph, or leaves a pair it
+        // fully serves unbuilt, is observationally identical to the cold
+        // run that computed it, so normalized streams erase the
+        // distinction.
+        match self {
+            JournalEvent::GraphHit { benchmark, build_type, threads, rep } => {
+                *self = JournalEvent::GraphMiss {
+                    benchmark: std::mem::take(benchmark),
+                    build_type: std::mem::take(build_type),
+                    threads: *threads,
+                    rep: *rep,
+                };
+            }
+            JournalEvent::Build { cache_hit, .. } => *cache_hit = false,
+            _ => {}
         }
     }
 }
@@ -569,11 +576,12 @@ pub struct Metrics {
     pub collect_wall_ns: u64,
     /// Whole-experiment wall time.
     pub experiment_wall_ns: u64,
-    /// Builds performed / build-cache hits.
+    /// Artifacts resolved (`build` events).
     pub builds: usize,
-    /// Build-cache hits among them.
+    /// Those left unbuilt because the artifact graph served every unit.
     pub build_cache_hits: usize,
-    /// Decode passes performed.
+    /// Artifacts resolved, one per `build` event (`decode_cache`);
+    /// `build_cache_hits` says how many the graph served.
     pub decodes: usize,
     /// Run units served a pre-decoded program.
     pub decode_served: usize,
@@ -1539,6 +1547,24 @@ mod tests {
         let mut miss_normalized = miss.clone();
         miss_normalized.normalize();
         assert_eq!(miss_normalized, miss);
+    }
+
+    #[test]
+    fn an_unbuilt_pair_normalizes_to_a_compiled_one() {
+        let build = |cache_hit, wall_ns| JournalEvent::Build {
+            benchmark: "fft".into(),
+            build_type: "gcc_native".into(),
+            digest: "fex256:00ff".into(),
+            cache_hit,
+            wall_ns,
+        };
+        let skipped = build(true, 40);
+        assert_eq!(parse_line(&skipped.to_json()).unwrap(), skipped);
+        let mut normalized = skipped.clone();
+        normalized.normalize();
+        assert_eq!(normalized, build(false, 0));
+        let m = Metrics::from_journal(&[skipped, build(false, 1200)]);
+        assert_eq!((m.builds, m.build_cache_hits), (2, 1));
     }
 
     fn serve_events() -> Vec<JournalEvent> {

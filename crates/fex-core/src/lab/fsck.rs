@@ -345,23 +345,41 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
         report.quarantined.push((*run_id).to_string());
     }
     // Rewriting the index drops corrupt lines and bad entries in one go,
-    // and renumbers a repeated seq past every seq in use.
+    // and renumbers a repeated seq past every seq in use. `record.json`
+    // repeats its id's first index line, so renumbering that line
+    // rewrites the record too.
     let (entries, _) = store.scan();
     let mut next_free = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
     let mut taken = std::collections::BTreeSet::new();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut renumbered_records = Vec::new();
     let survivors: String = entries
         .into_iter()
         .filter(|e| !bad_runs.contains(e.run_id.as_str()))
         .map(|mut e| {
+            let first_of_id = seen.insert(e.run_id.clone());
             if !taken.insert(e.seq) {
                 e.seq = next_free;
                 next_free += 1;
+                if first_of_id {
+                    renumbered_records.push(e.clone());
+                }
             }
             e.to_json() + "\n"
         })
         .collect();
-    fs::write(store.index_path(), survivors)
-        .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
+    let write_err = |e: std::io::Error| FexError::Data(format!("store write failed: {e}"));
+    fs::write(store.index_path(), survivors).map_err(write_err)?;
+    for entry in renumbered_records {
+        let path = store.run_dir(&entry.run_id).join("record.json");
+        let record = fs::read_to_string(&path)
+            .map_err(|e| FexError::Data(format!("cannot read `{}`: {e}", path.display())))?;
+        let journal_digest = journal::parse_flat_object(record.trim())
+            .ok()
+            .and_then(|map| journal::get::<String>(&map, "journal_digest").ok())
+            .unwrap_or_default();
+        store.write_record(&entry, &journal_digest).map_err(write_err)?;
+    }
     // The graph gets the same treatment: the readable bytes of each bad
     // range are kept as `quarantine/graph-<digest>`, a leftover
     // `graph/nodes/` tree moves to `quarantine/graph-nodes`, and the graph
@@ -708,6 +726,8 @@ mod tests {
         assert!(after.clean(), "{}", after.render());
         let seqs: Vec<u64> = store.list().unwrap().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "the later line took the next free seq");
+        let record = fs::read_to_string(store.run_dir(&late.run_id).join("record.json")).unwrap();
+        assert!(record.contains("\"seq\": 2,"), "the record follows its renumbered line: {record}");
         let _ = fs::remove_dir_all(store.root());
     }
 

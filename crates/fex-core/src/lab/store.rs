@@ -8,7 +8,7 @@
 //!   runs/<digest>/results.csv  # the collected frame
 //!   runs/<digest>/failures.csv # the failure report
 //!   runs/<digest>/metrics.json # journal metrics roll-up (when journaled)
-//!   runs/<digest>/record.json  # the index line again, self-describing
+//!   runs/<digest>/record.json  # the id's first index line again, self-describing
 //! ```
 //!
 //! Runs are **content addressed**: the run id is a digest over the
@@ -19,10 +19,14 @@
 //! timestamps, so stored artifacts stay byte-reproducible. Duplicate run
 //! ids are allowed (two identical runs are two index lines), which is
 //! exactly what a "compare the same commit twice, expect unchanged" CI
-//! smoke test needs.
+//! smoke test needs. Like an artifact-graph node, a run directory is
+//! written once: the first save of an id writes it, and a later save of
+//! the same id appends only its index line, so `record.json` keeps the
+//! first save's seq and `metrics.json` the first save's roll-up.
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use fex_container::DigestBuilder;
@@ -160,7 +164,9 @@ impl RunStore {
     }
 
     /// [`RunStore::save`] at a given `seq`, for a caller that already
-    /// holds the lab lock and derived the seq under it.
+    /// holds the lab lock and derived the seq under it. The run directory
+    /// is written only if no earlier save of the id completed it
+    /// (`record.json`, written last, is present).
     pub(crate) fn save_as(
         &self,
         config: &ExperimentConfig,
@@ -178,23 +184,31 @@ impl RunStore {
         };
         let dir = self.run_dir(&run_id);
         let io = |e: std::io::Error| FexError::Data(format!("store write failed: {e}"));
-        fs::create_dir_all(&dir).map_err(io)?;
-        fs::write(dir.join("results.csv"), art.results_csv).map_err(io)?;
-        fs::write(dir.join("failures.csv"), art.failures_csv).map_err(io)?;
-        if let Some(m) = art.metrics_json {
-            fs::write(dir.join("metrics.json"), m).map_err(io)?;
+        if !dir.join("record.json").is_file() {
+            fs::create_dir_all(&dir).map_err(io)?;
+            fs::write(dir.join("results.csv"), art.results_csv).map_err(io)?;
+            fs::write(dir.join("failures.csv"), art.failures_csv).map_err(io)?;
+            if let Some(m) = art.metrics_json {
+                fs::write(dir.join("metrics.json"), m).map_err(io)?;
+            }
+            self.write_record(&entry, art.journal_digest.unwrap_or("")).map_err(io)?;
         }
-        let mut record = JsonLine::object("run_id", &run_id);
+        super::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
+        Ok(entry)
+    }
+
+    /// Writes `entry`'s `record.json`: its index line plus the digest of
+    /// its journal (empty when the run was not journaled).
+    pub(crate) fn write_record(&self, entry: &IndexEntry, journal_digest: &str) -> io::Result<()> {
+        let mut record = JsonLine::object("run_id", &entry.run_id);
         record
             .field("seq", &entry.seq)
             .str("experiment", &entry.experiment)
             .str("key", &entry.key)
             .field("rows", &entry.rows)
             .field("failures", &entry.failures)
-            .str("journal_digest", art.journal_digest.unwrap_or(""));
-        fs::write(dir.join("record.json"), record.finish() + "\n").map_err(io)?;
-        super::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
-        Ok(entry)
+            .str("journal_digest", journal_digest);
+        fs::write(self.run_dir(&entry.run_id).join("record.json"), record.finish() + "\n")
     }
 
     /// All index entries in insertion order.
@@ -448,11 +462,18 @@ mod tests {
         let store = temp_store("dup");
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
         let a = store.save(&cfg, &art("h\n1\n")).unwrap();
-        let b = store.save(&cfg, &art("h\n1\n")).unwrap();
+        let rerun = RunArtifacts { metrics_json: Some("{\"rerun\": 1}"), ..art("h\n1\n") };
+        let b = store.save(&cfg, &rerun).unwrap();
         assert_eq!(a.run_id, b.run_id);
         assert_eq!(store.list().unwrap().len(), 2);
         // A shared id resolves to the duplicate, not an ambiguity error.
         assert_eq!(store.resolve(&a.run_id).unwrap().run_id, a.run_id);
+        // The first save wrote the run directory; the rerun only appended
+        // its index line.
+        let dir = store.run_dir(&a.run_id);
+        assert_eq!(fs::read_to_string(dir.join("metrics.json")).unwrap(), "{}");
+        let record = fs::read_to_string(dir.join("record.json")).unwrap();
+        assert!(record.contains("\"seq\": 0,"), "{record}");
         let _ = fs::remove_dir_all(store.root());
     }
 

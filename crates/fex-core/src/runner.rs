@@ -2,12 +2,14 @@
 //!
 //! [`Runner`] is the paper's `Runner` abstract class: setup, an
 //! experiment loop and the frame it collects. [`SuiteRunner`] runs the
-//! benchmark suites through one loop, the run-unit pipeline: it builds
-//! every benchmark per build type, expands Fig 4's nesting — build type →
-//! benchmark → thread count → repetition, with Phoenix's dry run as each
-//! benchmark's first unit — into [`RunUnit`]s in matrix order, executes
-//! them with [`execute_units`] (inline at `--jobs 1`, on a worker pool
-//! above) and merges the outcomes back in matrix order.
+//! benchmark suites through one loop, the run-unit pipeline: it expands
+//! Fig 4's nesting — build type → benchmark → thread count → repetition,
+//! with Phoenix's dry run as each benchmark's first unit — into
+//! [`RunUnit`]s in matrix order, serves what the lab's artifact graph
+//! holds, builds every benchmark per build type that has a unit left
+//! (all of them without a graph), executes those units with
+//! [`execute_units`] (inline at `--jobs 1`, on a worker pool above) and
+//! merges the outcomes back in matrix order.
 //! [`VariableInputRunner`] adds the paper's input-size dimension between
 //! benchmark and thread count; [`ServerRunner`] and [`SecurityRunner`] have
 //! loops of their own for the throughput-latency and RIPE experiments.
@@ -264,6 +266,11 @@ pub trait Runner {
 pub struct SuiteRunner {
     suite: Suite,
     collector: Collector,
+    /// Every (type, benchmark) pair's artifact digest, derived without
+    /// compiling: all a unit's graph key needs.
+    digests: HashMap<(String, String), Digest>,
+    /// The pairs this experiment compiled and decoded, each once: those
+    /// with a unit the artifact graph did not serve.
     artifacts: HashMap<(String, String), Artifact>,
     /// This experiment's clean first-attempt results by execution key
     /// (see [`SuiteRunner::unit_exec_key`]): a unit whose key is here is
@@ -281,6 +288,7 @@ impl SuiteRunner {
         SuiteRunner {
             suite,
             collector: Collector::new(config.tool),
+            digests: HashMap::new(),
             artifacts: HashMap::new(),
             twin_runs: HashMap::new(),
             run_units: 0,
@@ -302,80 +310,95 @@ impl SuiteRunner {
         }
     }
 
-    /// The build stage: builds every benchmark for one type (the paper
-    /// rebuilds all benchmarks per experiment type).
-    fn build_type(&mut self, ctx: &mut RunContext<'_>, ty: &str) -> Result<()> {
-        // Environment for this type, resolved and logged.
-        let env = environment_for(ty);
-        let vars = env.spec().resolve(ctx.config.debug);
-        ctx.log(format!("type `{ty}` environment ({}): {vars:?}", env.name()));
-        for bench in self.benchmarks(ctx.config) {
-            let prog = self.program(&bench)?;
-            let started = std::time::Instant::now();
-            let (debug, passes) = (ctx.config.debug, ctx.config.passes);
-            let artifact = ctx.makefiles.build(&bench, prog.source, ty, debug, passes)?;
-            ctx.log(format!("built `{bench}` [{}]", artifact.build_info));
-            if ctx.journal.enabled() {
-                ctx.journal.emit(JournalEvent::Build {
-                    benchmark: bench.clone(),
-                    build_type: ty.to_string(),
-                    digest: artifact.digest.to_string(),
-                    cache_hit: false,
-                    wall_ns: started.elapsed().as_nanos() as u64,
-                });
+    /// The build stage of one (type, benchmark) pair. With `compile` —
+    /// a unit of the pair was not served by the artifact graph — or
+    /// without a derived digest, the pair is compiled and decoded into
+    /// [`SuiteRunner::artifacts`]. Otherwise every unit's graph key
+    /// already pins the whole derivation, so the pair is left unbuilt.
+    /// Either way it emits one `build` event with its digest and records
+    /// its provenance chain as graph nodes.
+    fn build_pair(
+        &mut self,
+        ctx: &mut RunContext<'_>,
+        ty: &str,
+        bench: &str,
+        compile: bool,
+    ) -> Result<()> {
+        let pair = (ty.to_string(), bench.to_string());
+        let source = self.program(bench)?.source;
+        let started = std::time::Instant::now();
+        let (debug, passes) = (ctx.config.debug, ctx.config.passes);
+        let opts = ctx.makefiles.build_options(ty, debug)?;
+        let skipped = self.digests.get(&pair).copied().filter(|_| !compile);
+        let digest = match skipped {
+            Some(digest) => {
+                ctx.log(format!(
+                    "not rebuilt `{bench}` [{}]: the artifact graph serves every unit",
+                    opts.build_info()
+                ));
+                digest
             }
-            // Record the artifact's provenance chain as graph nodes —
-            // source → compiled → decoded — so `fex graph stats` and
-            // `fex lab fsck` see the whole derivation, not just run
-            // units. Stores are idempotent: warm re-runs re-derive the
-            // same keys and skip the writes.
-            let graph_on = ctx.config.graph;
-            if let Some(g) = ctx.graph.as_mut().filter(|_| graph_on) {
-                let opts = ctx.makefiles.build_options(ty, ctx.config.debug)?;
-                let source_key = fex_cc::source_digest(&bench, prog.source);
-                let compiled_key = crate::graph::compiled_key(
-                    source_key,
-                    opts.backend.name,
-                    opts.backend.version,
-                    opts.opt_level,
-                    opts.asan,
-                    opts.debug,
-                );
-                let mut src = JsonLine::object("node", "source");
-                src.str("benchmark", &bench);
-                g.store_node(NodeKind::Source, &source_key, &src.finish())?;
-                let mut comp = JsonLine::object("node", "compiled");
-                comp.str("benchmark", &bench).str("build_info", &artifact.build_info);
-                g.store_node(NodeKind::Compiled, &compiled_key, &comp.finish())?;
-                let mut dec = JsonLine::object("node", "decoded");
-                dec.str("benchmark", &bench).str("build_type", ty);
-                g.store_node(NodeKind::Decoded, &artifact.digest, &dec.finish())?;
+            None => {
+                let artifact = ctx.makefiles.build(bench, source, ty, debug, passes)?;
+                ctx.log(format!("built `{bench}` [{}]", artifact.build_info));
+                let digest = artifact.digest;
+                self.artifacts.insert(pair, artifact);
+                digest
             }
-            self.artifacts.insert((ty.to_string(), bench), artifact);
+        };
+        if ctx.journal.enabled() {
+            ctx.journal.emit(JournalEvent::Build {
+                benchmark: bench.to_string(),
+                build_type: ty.to_string(),
+                digest: digest.to_string(),
+                cache_hit: skipped.is_some(),
+                wall_ns: started.elapsed().as_nanos() as u64,
+            });
+        }
+        // Record the artifact's provenance chain as graph nodes —
+        // source → compiled → decoded — so `fex graph stats` and
+        // `fex lab fsck` see the whole derivation, not just run units.
+        // Stores are idempotent: warm re-runs re-derive the same keys and
+        // skip the writes.
+        let graph_on = ctx.config.graph;
+        if let Some(g) = ctx.graph.as_mut().filter(|_| graph_on) {
+            let source_key = fex_cc::source_digest(bench, source);
+            let compiled_key = crate::graph::compiled_key(
+                source_key,
+                opts.backend.name,
+                opts.backend.version,
+                opts.opt_level,
+                opts.asan,
+                opts.debug,
+            );
+            let mut src = JsonLine::object("node", "source");
+            src.str("benchmark", bench);
+            g.store_node(NodeKind::Source, &source_key, &src.finish())?;
+            let mut comp = JsonLine::object("node", "compiled");
+            comp.str("benchmark", bench).str("build_info", &opts.build_info());
+            g.store_node(NodeKind::Compiled, &compiled_key, &comp.finish())?;
+            let mut dec = JsonLine::object("node", "decoded");
+            dec.str("benchmark", bench).str("build_type", ty);
+            g.store_node(NodeKind::Decoded, &digest, &dec.finish())?;
         }
         Ok(())
     }
 
-    /// One run unit of the matrix with its executable payload: the
-    /// `Arc`-shared program of this experiment's artifact plus the unit's
-    /// derived machine configuration (attempt 0; the worker re-salts per
-    /// retry). Repetitions record their result; the per-benchmark unit
-    /// (`rep` `None`) does not.
+    /// One run unit of the matrix and its entry arguments, without an
+    /// executable payload: [`SuiteRunner::unit_work`] attaches one only
+    /// when the artifact graph does not serve the unit. Repetitions
+    /// record their result; the per-benchmark unit (`rep` `None`) does
+    /// not.
     fn new_unit(
         &self,
-        config: &ExperimentConfig,
         ty: &str,
         bench: &str,
         threads: usize,
         rep: Option<usize>,
         input: InputSize,
-    ) -> Result<RunUnit> {
+    ) -> Result<(RunUnit, Vec<i64>)> {
         let args: Vec<i64> = self.program(bench)?.args(input).to_vec();
-        let artifact = self
-            .artifacts
-            .get(&(ty.to_string(), bench.to_string()))
-            .ok_or_else(|| FexError::Config(format!("`{bench}` was not built for `{ty}`")))?;
-        Ok(RunUnit {
+        let unit = RunUnit {
             ty: ty.to_string(),
             bench: bench.to_string(),
             threads,
@@ -383,12 +406,31 @@ impl SuiteRunner {
             input: input_name(input),
             record: rep.is_some(),
             line: None,
-            work: Some(UnitWork {
-                program: artifact.program.clone(),
-                decoded: config.decode_cache.then(|| artifact.decoded.clone()),
-                args,
-                config: config.unit_machine_config(bench, ty, threads, rep, 0),
-            }),
+            work: None,
+        };
+        Ok((unit, args))
+    }
+
+    /// The executable payload of a unit bound for the worker pool: the
+    /// `Arc`-shared program of this experiment's artifact plus the unit's
+    /// derived machine configuration (attempt 0; the worker re-salts per
+    /// retry).
+    fn unit_work(
+        &self,
+        config: &ExperimentConfig,
+        unit: &RunUnit,
+        args: Vec<i64>,
+    ) -> Result<UnitWork> {
+        let (ty, bench) = (&unit.ty, &unit.bench);
+        let artifact = self
+            .artifacts
+            .get(&(ty.clone(), bench.clone()))
+            .ok_or_else(|| FexError::Config(format!("`{bench}` was not built for `{ty}`")))?;
+        Ok(UnitWork {
+            program: artifact.program.clone(),
+            decoded: config.decode_cache.then(|| artifact.decoded.clone()),
+            args,
+            config: config.unit_machine_config(bench, ty, unit.threads, unit.rep, 0),
         })
     }
 
@@ -396,70 +438,58 @@ impl SuiteRunner {
     /// the unit is not cacheable: benchmarks with a fault plan armed
     /// bypass the graph entirely (their retry and quarantine behaviour
     /// must replay identically on warm runs), as do units whose artifact
-    /// is missing (the build step will error first anyway).
-    #[allow(clippy::too_many_arguments)] // one parameter per matrix coordinate
+    /// digest did not derive (their build reports why). Needs no build.
     fn unit_graph_key(
         &self,
         config: &ExperimentConfig,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: Option<usize>,
-        input: &str,
+        unit: &RunUnit,
         args: &[i64],
     ) -> Option<Digest> {
-        self.unit_digest(config, ty, bench, threads, rep, input, args, true)
+        self.unit_digest(config, unit, args, true)
     }
 
     /// The execution key of one run unit: the graph key's inputs with the
     /// seed and the rep dropped when the unit's machine cannot observe its
-    /// seed ([`MachineConfig::seed_observable`]). Units that share an
-    /// execution key ("twins") have identical results, so an experiment
-    /// executes each key once. `None` exactly when the graph key is.
-    #[allow(clippy::too_many_arguments)] // one parameter per matrix coordinate
+    /// seed ([`MachineConfig::seed_observable`]), which reads the built
+    /// program. Units that share an execution key ("twins") have
+    /// identical results, so an experiment executes each key once. `None`
+    /// exactly when the graph key is, once the unit's pair is built.
     fn unit_exec_key(
         &self,
         config: &ExperimentConfig,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: Option<usize>,
-        input: &str,
+        unit: &RunUnit,
         args: &[i64],
     ) -> Option<Digest> {
-        self.unit_digest(config, ty, bench, threads, rep, input, args, false)
+        self.unit_digest(config, unit, args, false)
     }
 
     /// [`crate::graph::unit_key`] of one run unit; `seeded` keeps the seed
     /// and the rep even when the run cannot observe them.
-    #[allow(clippy::too_many_arguments)] // one parameter per matrix coordinate
     fn unit_digest(
         &self,
         config: &ExperimentConfig,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: Option<usize>,
-        input: &str,
+        unit: &RunUnit,
         args: &[i64],
         seeded: bool,
     ) -> Option<Digest> {
+        let (ty, bench, threads, rep) = (&unit.ty, &unit.bench, unit.threads, unit.rep);
         if config.fault_plan_for(bench).is_some() {
             return None;
         }
-        let artifact = self.artifacts.get(&(ty.to_string(), bench.to_string()))?;
+        let pair = (ty.clone(), bench.clone());
+        let digest = *self.digests.get(&pair)?;
         let seeded = seeded
             || config
                 .unit_machine_config(bench, ty, threads, rep, 0)
-                .seed_observable(&artifact.program);
+                .seed_observable(&self.artifacts.get(&pair)?.program);
         let (seed, rep) =
             if seeded { (config.unit_seed(bench, ty, threads, rep), rep) } else { (0, None) };
         Some(crate::graph::unit_key(
-            artifact.digest,
+            digest,
             seed,
             threads,
             rep,
-            input,
+            unit.input,
             args,
             config.resilience.run_budget,
         ))
@@ -475,13 +505,15 @@ impl SuiteRunner {
         }
     }
 
-    /// The experiment loop at every `--jobs`: builds everything up
-    /// front, expands the matrix into [`RunUnit`]s in matrix order,
-    /// executes each distinct execution among them once through
-    /// [`execute_units`] (graph hits and execution twins are served), and
-    /// merges the outcomes back in matrix order — applying quarantine
-    /// decisions only at merge time, so results, failure records and
-    /// quarantine choices do not depend on the worker count.
+    /// The experiment loop at every `--jobs`: derives every pair's
+    /// artifact digest, expands the matrix into [`RunUnit`]s in matrix
+    /// order, serves the units the artifact graph holds, builds only the
+    /// (type, benchmark) pairs with a unit left over, executes each
+    /// distinct execution among those once through [`execute_units`]
+    /// (execution twins are served), and merges the outcomes back in
+    /// matrix order — applying quarantine decisions only at merge time,
+    /// so results, failure records and quarantine choices do not depend
+    /// on the worker count.
     ///
     /// `sizes` adds the [`VariableInputRunner`] input-size dimension
     /// between benchmark and thread count; `None` runs the plain Fig 4
@@ -493,10 +525,19 @@ impl SuiteRunner {
         let policy = ctx.config.resilience.clone();
         let jobs = ctx.config.effective_jobs();
 
-        // Phase 1: builds, front-loaded (each bench × type compiles
-        // exactly once).
+        // Phase 1: every (type, benchmark) pair's artifact digest, derived
+        // without compiling. A pair whose options do not resolve gets no
+        // digest, so its units miss and its build reports the error in
+        // (type, benchmark) order.
         for ty in &types {
-            self.build_type(ctx, ty)?;
+            for bench in self.benchmarks(ctx.config) {
+                let source = self.program(&bench)?.source;
+                let (debug, passes) = (ctx.config.debug, ctx.config.passes);
+                if let Ok(digest) = ctx.makefiles.artifact_digest(&bench, source, ty, debug, passes)
+                {
+                    self.digests.insert((ty.clone(), bench), digest);
+                }
+            }
         }
 
         // Phase 2: expand the matrix into per-(type, benchmark) groups
@@ -564,19 +605,20 @@ impl SuiteRunner {
             Dry(usize),
             Rep(usize),
         }
+        let journal_on = ctx.journal.enabled();
+        let graph_on = ctx.graph.is_some() && ctx.config.graph;
         let mut round = 0usize;
         let mut executed_with_decode = 0usize;
         loop {
-            let mut batch: Vec<RunUnit> = Vec::new();
+            // Each unit with its entry arguments; `None` for bookkeeping.
+            let mut batch: Vec<(RunUnit, Option<Vec<i64>>)> = Vec::new();
             let mut origins: Vec<Origin> = Vec::new();
             for (g, group) in groups.iter().enumerate() {
                 if round == 0 {
                     let (ty, bench) = (&group.ty, &group.bench);
-                    let mut dry =
-                        self.new_unit(ctx.config, ty, bench, 1, None, ctx.config.input)?;
+                    let (mut dry, args) = self.new_unit(ty, bench, 1, None, ctx.config.input)?;
                     dry.line = group.dry_run.then(|| format!("dry run for `{bench}`"));
-                    dry.work = dry.work.filter(|_| group.dry_run);
-                    batch.push(dry);
+                    batch.push((dry, group.dry_run.then_some(args)));
                     origins.push(Origin::Dry(g));
                 }
                 for ci in group.cells.clone() {
@@ -588,71 +630,92 @@ impl SuiteRunner {
                     };
                     for rep in cell.done..cell.done + wanted {
                         let (ty, bench, m) = (&cell.ty, &cell.bench, cell.threads);
-                        batch.push(self.new_unit(
-                            ctx.config,
-                            ty,
-                            bench,
-                            m,
-                            Some(rep),
-                            cell.input,
-                        )?);
+                        let (unit, args) = self.new_unit(ty, bench, m, Some(rep), cell.input)?;
+                        batch.push((unit, Some(args)));
                         origins.push(Origin::Rep(ci));
                     }
                 }
             }
-            if round == 0 {
-                ctx.log(format!("scheduler: {} run units across {jobs} workers", batch.len()));
-            } else if batch.is_empty() {
-                break;
-            } else {
-                ctx.log(format!("scheduler: adaptive round {round}: {} run units", batch.len()));
-            }
-            // Artifact-graph partition: serve cached clean units without
-            // executing them. Of the rest, only the first unit of each
-            // execution key goes to the worker pool; its twins take its
-            // result, or execute themselves when it did not run clean on
-            // its first attempt. Served outcomes synthesize the event
-            // shape the worker would emit, so the merged journal is the
-            // same cold and warm, with and without twins.
-            let journal_on = ctx.journal.enabled();
-            let graph_on = ctx.graph.is_some() && ctx.config.graph;
             let n = batch.len();
+            if round > 0 {
+                if n == 0 {
+                    break;
+                }
+                ctx.log(format!("scheduler: adaptive round {round}: {n} run units"));
+            }
+            // Artifact-graph partition, ahead of any build: serve cached
+            // clean units without executing them. Served outcomes
+            // synthesize the event shape the worker would emit, so the
+            // merged journal is the same cold and warm.
             let mut slots: Vec<Option<(RunUnit, UnitOutcome)>> = (0..n).map(|_| None).collect();
             let mut graph_keys: Vec<Option<Digest>> = vec![None; n];
             let mut hits = vec![false; n];
-            let mut leaders: Vec<RunUnit> = Vec::new();
-            let mut leader_slots: Vec<(usize, Option<Digest>)> = Vec::new();
-            let mut pending: HashSet<Digest> = HashSet::new();
-            let mut twins: Vec<(usize, RunUnit, Digest)> = Vec::new();
-            for (i, unit) in batch.into_iter().enumerate() {
-                let Some(work) = &unit.work else {
+            let mut unserved: Vec<(usize, RunUnit, Vec<i64>)> = Vec::new();
+            for (i, (unit, args)) in batch.into_iter().enumerate() {
+                let Some(args) = args else {
                     // Bookkeeping units settle as one clean attempt.
                     let outcome =
                         UnitOutcome { log: clean_log(), result: None, events: Vec::new() };
                     slots[i] = Some((unit, outcome));
                     continue;
                 };
-                let (ty, bench, input) = (&unit.ty, &unit.bench, unit.input);
-                let (threads, rep, args) = (unit.threads, unit.rep, &work.args);
-                if graph_on {
-                    graph_keys[i] =
-                        self.unit_graph_key(ctx.config, ty, bench, threads, rep, input, args);
-                }
                 self.run_units += 1;
+                if graph_on {
+                    graph_keys[i] = self.unit_graph_key(ctx.config, &unit, &args);
+                }
                 let cached = match (&graph_keys[i], ctx.graph.as_mut()) {
                     (Some(key), Some(g)) => g.lookup_run(key),
                     _ => None,
                 };
-                if let Some(run) = cached {
-                    hits[i] = true;
-                    let outcome = served_outcome(&unit, run, journal_on);
-                    slots[i] = Some((unit, outcome));
-                    continue;
+                match cached {
+                    Some(run) => {
+                        hits[i] = true;
+                        let outcome = served_outcome(&unit, run, journal_on);
+                        slots[i] = Some((unit, outcome));
+                    }
+                    None => unserved.push((i, unit, args)),
                 }
+            }
+            // The build stage, in (type, benchmark) order before any unit
+            // executes: a pair compiles only when one of its units was not
+            // served — a miss, an uncacheable unit, or any unit at all with
+            // the graph off. Round 0 resolves every pair; a later adaptive
+            // round builds a pair round 0 left unbuilt when one of its new
+            // units misses.
+            if round == 0 {
+                let needed: HashSet<(&str, &str)> =
+                    unserved.iter().map(|(_, u, _)| (u.ty.as_str(), u.bench.as_str())).collect();
+                for ty in &types {
+                    let env = environment_for(ty);
+                    let vars = env.spec().resolve(ctx.config.debug);
+                    ctx.log(format!("type `{ty}` environment ({}): {vars:?}", env.name()));
+                    for bench in self.benchmarks(ctx.config) {
+                        let compile = !graph_on || needed.contains(&(ty.as_str(), bench.as_str()));
+                        self.build_pair(ctx, ty, &bench, compile)?;
+                    }
+                }
+                ctx.log(format!("scheduler: {n} run units across {jobs} workers"));
+            } else {
+                for (_, unit, _) in &unserved {
+                    if !self.artifacts.contains_key(&(unit.ty.clone(), unit.bench.clone())) {
+                        self.build_pair(ctx, &unit.ty, &unit.bench, true)?;
+                    }
+                }
+            }
+            // Of the units left, only the first of each execution key goes
+            // to the worker pool; its twins take its result, or execute
+            // themselves when it did not run clean on its first attempt.
+            let mut leaders: Vec<RunUnit> = Vec::new();
+            let mut leader_slots: Vec<(usize, Option<Digest>)> = Vec::new();
+            let mut pending: HashSet<Digest> = HashSet::new();
+            let mut twins: Vec<(usize, RunUnit, Digest)> = Vec::new();
+            for (i, mut unit, args) in unserved {
+                let work = self.unit_work(ctx.config, &unit, args)?;
                 if work.decoded.is_some() {
                     executed_with_decode += 1;
                 }
-                let exec_key = self.unit_exec_key(ctx.config, ty, bench, threads, rep, input, args);
+                let exec_key = self.unit_exec_key(ctx.config, &unit, &work.args);
+                unit.work = Some(work);
                 if let Some(key) = exec_key {
                     if let Some(run) = self.twin_runs.get(&key) {
                         let outcome = served_outcome(&unit, run.clone(), journal_on);
@@ -733,8 +796,8 @@ impl SuiteRunner {
             round += 1;
         }
         if executed_with_decode > 0 {
-            // Phase 1 built, and so decoded, every benchmark once per type.
-            let decodes = types.len() * self.benchmarks(ctx.config).len();
+            // Every pair this experiment built decoded once.
+            let decodes = self.artifacts.len();
             let reuses = executed_with_decode.saturating_sub(decodes);
             ctx.log(format!(
                 "decoded-artifact cache: {decodes} decodes served {executed_with_decode} run \
@@ -820,6 +883,8 @@ impl Runner for SuiteRunner {
                 self.suite.name
             )));
         }
+        self.digests.clear();
+        self.artifacts.clear();
         self.twin_runs.clear();
         (self.run_units, self.vm_executions) = (0, 0);
         ctx.log(format!("experiment `{}` setup complete", self.suite.name));

@@ -11,9 +11,9 @@
 //! The design keeps determinism by splitting execution from judgement:
 //!
 //! 1. **Expand** — the runner flattens its loop into a [`RunUnit`] list
-//!    in matrix order. Each unit carries an
-//!    [`Arc`]-shared program out of the build cache (each bench × type
-//!    compiles exactly once) and a fully-derived
+//!    in matrix order. Each unit the artifact graph does not serve
+//!    carries an [`Arc`]-shared program out of the build cache (each
+//!    bench × type compiles at most once) and a fully-derived
 //!    [`MachineConfig`](fex_vm::MachineConfig).
 //! 2. **Execute** — [`execute_units`] runs the units inline on the
 //!    calling thread at `--jobs 1`; above that it dispatches them over a

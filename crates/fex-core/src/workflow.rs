@@ -343,8 +343,10 @@ impl Fex {
         }
         if journal.enabled() {
             // Decoded-artifact cache accounting for the whole experiment:
-            // every build decoded once; every successful execution with
-            // the cache on was served a pre-decoded program.
+            // one artifact resolved per `build` event, compiled and
+            // decoded unless the graph served the pair (`cache_hit`);
+            // every successful execution with the cache on was served a
+            // pre-decoded program.
             let count = |pred: fn(&JournalEvent) -> bool| {
                 journal.events().iter().filter(|e| pred(e)).count()
             };
@@ -635,6 +637,22 @@ mod tests {
             line.map(String::as_str),
             Some("decoded-artifact cache: 4 decodes served 8 run units (4 reuses, 50.0% hit rate)")
         );
+        // A warm `--lab` rerun builds and decodes nothing: each pair logs
+        // that the graph served it instead.
+        let lab = std::env::temp_dir().join(format!("fex-decode-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&lab);
+        let labbed = cfg.lab(lab.to_string_lossy());
+        fex.run(&labbed).unwrap();
+        let from = fex.log().len();
+        fex.run(&labbed).unwrap();
+        let warm = &fex.log()[from..];
+        let unbuilt = warm.iter().filter(|l| l.starts_with("not rebuilt `")).count();
+        assert_eq!(unbuilt, 4, "{warm:#?}");
+        assert!(
+            !warm.iter().any(|l| l.starts_with("built `") || l.starts_with("decoded-artifact")),
+            "{warm:#?}"
+        );
+        let _ = std::fs::remove_dir_all(&lab);
     }
 
     #[test]

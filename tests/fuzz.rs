@@ -206,10 +206,19 @@ fn fsck_detects_and_recovers_from_every_injected_corruption() {
 
 // --- binary exit codes and messages ---
 
+/// The `fex` binary, run in a fresh temp directory unless the test sets
+/// its own, so what a command writes under `target/fex-results/` stays
+/// out of the source tree and out of the other tests' way.
 fn fex_bin() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fex"));
-    cmd.env_remove("FEX_FUZZ_BREAK");
+    cmd.env_remove("FEX_FUZZ_BREAK").current_dir(fresh_dir());
     cmd
+}
+
+/// A new empty directory per call.
+fn fresh_dir() -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    temp_dir(&format!("cwd-{}", NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)))
 }
 
 #[test]

@@ -12,6 +12,10 @@
 //! 2. **Precise invalidation** — changing one derivation input (a
 //!    cost-model knob, the pass subset) dirties exactly the dependent
 //!    node layers and nothing upstream.
+//! 3. **Demand-driven builds** — a (benchmark, type) pair compiles only
+//!    when one of its units is not served by the graph; every pair still
+//!    emits its `build` event, with `cache_hit` set when it was left
+//!    unbuilt.
 
 use std::path::Path;
 
@@ -19,7 +23,7 @@ use proptest::prelude::*;
 
 use fex_core::build::MakefileSet;
 use fex_core::config::FaultInjection;
-use fex_core::lab::{fsck, IssueKind, RunStore};
+use fex_core::lab::{fsck, GraphCorruption, IssueKind, RunStore};
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::{ArtifactGraph, ExperimentConfig, JournalEvent, Metrics, NodeKind};
 use fex_suites::{InputSize, Suite};
@@ -70,6 +74,26 @@ fn normalized_metrics(events: &[JournalEvent]) -> String {
         })
         .collect();
     Metrics::from_journal(&normalized).to_json()
+}
+
+/// The `(benchmark, build type)` pairs whose `build` event says they
+/// compiled (`cache_hit` false), in emission order.
+fn compiled_pairs(events: &[JournalEvent]) -> Vec<(String, String)> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            JournalEvent::Build { benchmark, build_type, cache_hit: false, .. } => {
+                Some((benchmark.clone(), build_type.clone()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// `(builds, build_cache_hits)` of the metrics roll-up.
+fn build_counts(events: &[JournalEvent]) -> (usize, usize) {
+    let m = Metrics::from_journal(events);
+    (m.builds, m.build_cache_hits)
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -160,15 +184,113 @@ fn phoenix_matrix_warm_and_dirty_reruns_are_served_from_the_graph() {
         normalized_stream(&cold_events),
         "normalized journal streams must be byte-identical"
     );
+    assert_eq!(compiled_pairs(&cold_events).len(), 28, "a cold run compiles every pair");
+    assert_eq!(build_counts(&cold_events), (28, 0));
+    assert!(compiled_pairs(&warm_events).is_empty(), "a fully served pair is not rebuilt");
+    assert_eq!(build_counts(&warm_events), (28, 28), "every pair still reports its build");
 
     // A trailing newline is semantically neutral, but it re-keys the
     // source digest and every node downstream of it.
     let mut dirty = fex_suites::phoenix();
     let prog = dirty.programs.iter_mut().find(|p| p.name == "histogram").unwrap();
     prog.source = Box::leak(format!("{}\n", prog.source).into_boxed_str());
-    let (dirty_csv, _, _, dirty_session) = run_graphed(&config, dirty, &lab);
+    let (dirty_csv, _, dirty_events, dirty_session) = run_graphed(&config, dirty, &lab);
     assert_eq!(dirty_session, (72, 12), "only histogram's units recompute");
     assert_eq!(dirty_csv, cold_csv, "the dirty re-run's results CSV must match cold");
+    let histogram: Vec<(String, String)> = ["gcc_native", "clang_native", "gcc_asan", "clang_asan"]
+        .iter()
+        .map(|ty| ("histogram".to_string(), ty.to_string()))
+        .collect();
+    assert_eq!(compiled_pairs(&dirty_events), histogram, "only histogram's pairs compile");
+    assert_eq!(build_counts(&dirty_events), (28, 24));
+    let _ = std::fs::remove_dir_all(&lab);
+}
+
+/// A run unit whose pack range was torn after the cold run is a miss: its
+/// pair compiles, the unit re-executes, and the results match cold.
+#[test]
+fn a_torn_unit_rebuilds_only_its_pair() {
+    let config = ExperimentConfig::new("micro")
+        .types(vec!["gcc_native", "clang_native"])
+        .input(InputSize::Test)
+        .repetitions(2);
+    let lab = temp_dir("torn-unit");
+    let (cold_csv, cold_fail, cold_events, (_, units)) =
+        run_graphed(&config, fex_suites::micro(), &lab);
+    // The newest node is the last run unit the cold run stored.
+    let store = RunStore::open(&lab).unwrap();
+    fsck::inject_graph(&store, GraphCorruption::EditedNodePayload).unwrap();
+    let (warm_csv, warm_fail, warm_events, session) =
+        run_graphed(&config, fex_suites::micro(), &lab);
+    assert_eq!(session, (units - 1, 1), "only the torn unit misses");
+    let missed: Vec<(String, String)> = warm_events
+        .iter()
+        .filter_map(|e| match e {
+            JournalEvent::GraphMiss { benchmark, build_type, .. } => {
+                Some((benchmark.clone(), build_type.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(compiled_pairs(&warm_events), missed, "the torn unit's pair, and only it, compiles");
+    let (builds, _) = build_counts(&cold_events);
+    assert_eq!(build_counts(&warm_events), (builds, builds - 1));
+    assert_eq!(warm_csv, cold_csv, "the re-executed unit reproduces the cold results");
+    assert_eq!(warm_fail, cold_fail);
+    assert_eq!(normalized_stream(&warm_events), normalized_stream(&cold_events));
+    let _ = std::fs::remove_dir_all(&lab);
+}
+
+/// One program whose run length its seed picks (through `rand`), so an
+/// adaptive policy's samples vary and its later rounds run.
+fn noisy_suite() -> Suite {
+    let mut suite = fex_suites::micro();
+    suite.programs.truncate(1);
+    suite.programs[0].name = "noisy";
+    suite.programs[0].source = r#"
+fn main(n) -> int {
+  var k = n + rand(n * 4);
+  var s = 0;
+  var i = 0;
+  while (i < k) { s += i; i += 1; }
+  return s % 1000000007;
+}
+"#;
+    suite
+}
+
+/// An adaptive rerun over a lab that holds only the first reps: round 0
+/// is served, so no pair compiles up front; a later round misses, and
+/// its pair compiles then, with a second `build` event. The results
+/// equal a cold run of the adaptive configuration.
+#[test]
+fn a_later_adaptive_round_builds_its_pair_on_demand() {
+    let fixed = ExperimentConfig::new("micro")
+        .types(vec!["gcc_native", "clang_native"])
+        .input(InputSize::Test)
+        .repetitions(2);
+    let adaptive = fixed.clone().adaptive_repetitions(2, 4, 1e-9);
+    let cold_lab = temp_dir("adaptive-cold");
+    let (cold_csv, cold_fail, cold_events, _) = run_graphed(&adaptive, noisy_suite(), &cold_lab);
+    assert!(cold_csv.lines().count() > 5, "the samples vary, so later rounds run:\n{cold_csv}");
+    let lab = temp_dir("adaptive-warm");
+    run_graphed(&fixed, noisy_suite(), &lab);
+    let (warm_csv, warm_fail, warm_events, (_, misses)) =
+        run_graphed(&adaptive, noisy_suite(), &lab);
+    assert!(misses > 0, "the later rounds must miss for this test to mean anything");
+    assert_eq!(warm_csv, cold_csv, "on-demand builds reproduce the cold results");
+    assert_eq!(warm_fail, cold_fail);
+    let pairs = ["gcc_native", "clang_native"].map(|ty| ("noisy".to_string(), ty.to_string()));
+    assert_eq!(build_counts(&cold_events), (2, 0));
+    let compiled = compiled_pairs(&warm_events);
+    assert_eq!(compiled, pairs, "each pair builds once, when its first rep misses");
+    assert_eq!(build_counts(&warm_events), (4, 2));
+    // The round-0 events come first, one per pair, all unbuilt; each
+    // on-demand build follows them.
+    let builds: Vec<&JournalEvent> =
+        warm_events.iter().filter(|e| matches!(e, JournalEvent::Build { .. })).collect();
+    assert!(builds[..2].iter().all(|e| matches!(e, JournalEvent::Build { cache_hit: true, .. })));
+    let _ = std::fs::remove_dir_all(&cold_lab);
     let _ = std::fs::remove_dir_all(&lab);
 }
 
@@ -183,7 +305,7 @@ fn fault_armed_benchmarks_bypass_the_graph() {
         .repetitions(2)
         .fault(FaultInjection::for_benchmark("ptrchase", FaultPlan::persistent(FaultKind::Trap)));
     let lab = temp_dir("fault-bypass");
-    let (_, cold_fail, _, _) = run_graphed(&config, fex_suites::micro(), &lab);
+    let (_, cold_fail, cold_events, _) = run_graphed(&config, fex_suites::micro(), &lab);
     let (_, warm_fail, warm_events, (hits, misses)) =
         run_graphed(&config, fex_suites::micro(), &lab);
     assert!(!cold_fail.lines().skip(1).collect::<Vec<_>>().is_empty(), "fault plan must fire");
@@ -198,6 +320,13 @@ fn fault_armed_benchmarks_bypass_the_graph() {
         )
     });
     assert!(!faulty_graph_events, "fault-armed units emit no graph events");
+    // Uncacheable units need their program, so the armed pair compiles
+    // on every run while the healthy pairs are left unbuilt.
+    let (builds, _) = build_counts(&cold_events);
+    assert_eq!(compiled_pairs(&cold_events).len(), builds);
+    let ptrchase = [("ptrchase".to_string(), "gcc_native".to_string())];
+    assert_eq!(compiled_pairs(&warm_events), ptrchase, "the armed pair compiles warm too");
+    assert_eq!(build_counts(&warm_events), (builds, builds - 1));
     let _ = std::fs::remove_dir_all(&lab);
 }
 
@@ -274,7 +403,9 @@ fn pass_subset_change_dirties_decoded_and_run_layers_only() {
 }
 
 /// `--no-graph` disables lookups and stores even with the graph
-/// attached, and the CSVs are byte-identical either way.
+/// attached, and the CSVs are byte-identical either way. Without the
+/// graph — `--no-graph`, or no lab at all — every pair compiles, the
+/// paper's rebuild-everything rule, even over a populated graph.
 #[test]
 fn no_graph_escape_hatch_is_byte_invisible() {
     let on = ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
@@ -287,6 +418,15 @@ fn no_graph_escape_hatch_is_byte_invisible() {
     assert_eq!(fail_on, fail_off);
     assert_eq!((hits, misses), (0, 0), "--no-graph must not consult the cache");
     assert!(ArtifactGraph::open(&lab_off).unwrap().is_empty(), "--no-graph must not store");
+    let (_, _, off_events, _) = run_graphed(&off, fex_suites::micro(), &lab_on);
+    let (builds, hits) = build_counts(&off_events);
+    assert!(builds > 0);
+    assert_eq!(hits, 0, "--no-graph never leaves a pair unbuilt");
+    let makefiles = MakefileSet::standard();
+    let mut log = Vec::new();
+    let mut ctx = RunContext::new(&on, &makefiles, &mut log);
+    SuiteRunner::new(fex_suites::micro(), &on).run(&mut ctx).unwrap();
+    assert_eq!(build_counts(ctx.journal.events()), (builds, 0), "no lab, no unbuilt pair");
     let _ = std::fs::remove_dir_all(&lab_on);
     let _ = std::fs::remove_dir_all(&lab_off);
 }

@@ -135,10 +135,56 @@ fn store_save_is_idempotent_on_content() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A warm `--lab` rerun shares the cold run's id, and the run directory
+/// keeps what the first save wrote: `record.json` names seq 0 and
+/// `metrics.json` the cold run's 28 compiled pairs, while the warm run's
+/// own metrics (every pair left unbuilt) stay in its results directory.
+#[test]
+fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
+    let dir = temp_dir("write-once");
+    let mut fex = Fex::new();
+    for script in ["gcc-6.1", "clang-3.8", "phoenix_inputs"] {
+        fex.install(script).unwrap();
+    }
+    let cfg = ExperimentConfig::new("phoenix")
+        .types(vec!["gcc_native", "clang_native", "gcc_asan", "clang_asan"])
+        .input(InputSize::Test)
+        .lab(dir.to_string_lossy());
+    fex.run(&cfg).unwrap();
+    fex.run(&cfg).unwrap();
+    let warm_metrics = fex.metrics_json("phoenix").unwrap();
+    assert!(warm_metrics.contains("\"build_cache_hits\": 28,"), "{warm_metrics}");
+
+    let store = RunStore::open(&dir).unwrap();
+    let entries = store.list().unwrap();
+    assert_eq!(entries.len(), 2);
+    assert_eq!(entries[0].run_id, entries[1].run_id, "cold and warm share an id");
+    let run_dir = dir.join("runs").join(entries[0].run_id.trim_start_matches("fex256:"));
+    let record = std::fs::read_to_string(run_dir.join("record.json")).unwrap();
+    assert!(record.contains("\"seq\": 0,"), "{record}");
+    let stored = std::fs::read_to_string(run_dir.join("metrics.json")).unwrap();
+    assert!(stored.contains("\"builds\": 28,"), "{stored}");
+    assert!(stored.contains("\"build_cache_hits\": 0,"), "{stored}");
+    let report = fex_core::lab::fsck::check(&store);
+    assert!(report.clean(), "{}", report.render());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // --- binary error paths and exit codes ---
 
+/// The `fex` binary, run in a fresh temp directory unless the test sets
+/// its own, so what a command writes under `target/fex-results/` stays
+/// out of the source tree and out of the other tests' way.
 fn fex_bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_fex"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fex"));
+    cmd.current_dir(fresh_dir());
+    cmd
+}
+
+/// A new empty directory per call.
+fn fresh_dir() -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    temp_dir(&format!("cwd-{}", NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)))
 }
 
 #[test]
