@@ -197,7 +197,8 @@ impl MakefileSet {
     /// default cost model. Every call compiles afresh — the paper
     /// rebuilds everything at the start of each experiment "otherwise a
     /// mix of old and new compilation flags and/or libraries could skew
-    /// the results" (§II-A).
+    /// the results" (§II-A). Under `--lab` the runner calls it only for
+    /// pairs whose units the artifact graph cannot serve.
     ///
     /// # Errors
     ///
