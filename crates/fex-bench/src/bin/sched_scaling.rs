@@ -21,17 +21,15 @@ use fex_core::{ExperimentConfig, RunPolicy};
 use fex_suites::InputSize;
 use fex_vm::{Machine, MachineConfig};
 
-/// One timed pass over the experiment matrix at the given worker count
-/// and claim-chunk size (0 = auto). Returns (seconds, result CSV, run
-/// units driven).
-fn run_matrix(reps: usize, jobs: usize, chunk: usize) -> (f64, String, usize) {
+/// One timed pass over the experiment matrix at the given worker count.
+/// Returns (seconds, result CSV, run units driven).
+fn run_matrix(reps: usize, jobs: usize) -> (f64, String, usize) {
     let config = ExperimentConfig::new("micro")
         .types(vec!["gcc_native", "clang_native", "gcc_asan"])
         .input(InputSize::Test)
         .repetitions(reps)
         .resilience(RunPolicy::default())
-        .jobs(jobs)
-        .chunk(chunk);
+        .jobs(jobs);
     let makefiles = MakefileSet::standard();
     let mut log = Vec::new();
     let mut ctx = RunContext::new(&config, &makefiles, &mut log);
@@ -78,7 +76,7 @@ fn main() {
     let mut baseline_secs = 0.0;
     let mut jobs2_speedup = None;
     for &jobs in jobs_axis {
-        let (seconds, csv, units) = run_matrix(reps, jobs, 0);
+        let (seconds, csv, units) = run_matrix(reps, jobs);
         match &baseline_csv {
             None => {
                 baseline_csv = Some(csv);
@@ -104,18 +102,7 @@ fn main() {
              \"advisory\": {advisory}}}"
         ));
     }
-    // Explicit chunk overrides must not change results either: re-run the
-    // widest worker count with forced small and large claim chunks.
-    let max_jobs = *jobs_axis.last().unwrap();
-    for chunk in [1usize, 8] {
-        let (_, csv, _) = run_matrix(reps, max_jobs, chunk);
-        assert_eq!(
-            baseline_csv.as_ref().unwrap(),
-            &csv,
-            "jobs={max_jobs} chunk={chunk} diverged from jobs=1"
-        );
-    }
-    println!("  (all job counts and chunk overrides produced byte-identical CSVs)");
+    println!("  (all job counts produced byte-identical CSVs)");
     if host_cores >= 2 {
         let speedup = jobs2_speedup.expect("jobs axis includes 2");
         assert!(

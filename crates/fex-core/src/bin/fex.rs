@@ -25,6 +25,21 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<ExitCode, FexError> {
     let action = parse(args)?;
+    // Only `fex run --lab` creates a lab. A command that reads one refuses
+    // a missing directory, so a mistyped `--lab` cannot pass as an empty,
+    // clean lab (`fex compare` needs one only to resolve a selector).
+    let read_lab = match &action {
+        Action::Lab { dir, .. } | Action::Graph { dir } => Some(dir.as_str()),
+        Action::Diag { lab, .. } => lab.as_deref(),
+        Action::Compare { baseline, candidate, dir, .. } => {
+            let is_selector = |side: &String| !std::path::Path::new(side).is_file();
+            [baseline, candidate].into_iter().any(is_selector).then_some(dir.as_str())
+        }
+        _ => None,
+    };
+    if let Some(dir) = read_lab.filter(|dir| !std::path::Path::new(dir).is_dir()) {
+        return Err(FexError::Data(format!("no lab at `{dir}`: the directory does not exist")));
+    }
     let mut fex = Fex::new();
     match action {
         Action::List => print!("{}", fex.list()),
@@ -182,9 +197,8 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
             }
         }
         Action::Compare { baseline, candidate, dir, metric, svg } => {
-            let store = RunStore::open(&dir)?;
-            let (base_label, base_csv) = load_side(&store, &baseline)?;
-            let (cand_label, cand_csv) = load_side(&store, &candidate)?;
+            let (base_label, base_csv) = load_side(&dir, &baseline)?;
+            let (cand_label, cand_csv) = load_side(&dir, &candidate)?;
             let base = fex_core::collect::DataFrame::from_csv(&base_csv)?;
             let cand = fex_core::collect::DataFrame::from_csv(&cand_csv)?;
             let cmp = Comparison::compare(&base, &cand, &metric, base_label, cand_label)?;
@@ -235,14 +249,15 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
 }
 
 /// Resolves one side of a comparison: an on-disk CSV path wins, anything
-/// else is a store selector (`latest`, `prev`, or a run-id prefix).
-fn load_side(store: &RunStore, selector: &str) -> Result<(String, String), FexError> {
-    let path = std::path::Path::new(selector);
-    if path.is_file() {
-        let csv = std::fs::read_to_string(path)
+/// else is a selector (`latest`, `prev`, or a run-id prefix) in the store
+/// at `lab`.
+fn load_side(lab: &str, selector: &str) -> Result<(String, String), FexError> {
+    if std::path::Path::new(selector).is_file() {
+        let csv = std::fs::read_to_string(selector)
             .map_err(|e| FexError::Data(format!("cannot read `{selector}`: {e}")))?;
         return Ok((selector.to_string(), csv));
     }
+    let store = RunStore::open(lab)?;
     let entry = store.resolve(selector)?;
     let short = entry.run_id.trim_start_matches("fex256:");
     let label = format!("{selector} ({}…)", &short[..12.min(short.len())]);

@@ -158,9 +158,6 @@ pub struct ExperimentConfig {
     /// Worker threads for the run-unit scheduler (`--jobs`); `0` means
     /// auto — available parallelism capped at [`MAX_AUTO_JOBS`].
     pub jobs: usize,
-    /// Units each scheduler worker claims per grab ([`Self::chunk`]);
-    /// `0` means auto — tuned from the matrix width and worker count.
-    pub chunk: usize,
     /// The peephole pass subset run over the VM's decoded stream
     /// ([`Self::passes`] selects it; measured results are identical for
     /// any subset).
@@ -201,7 +198,6 @@ impl ExperimentConfig {
             fault: None,
             resilience: RunPolicy::default(),
             jobs: 0,
-            chunk: 0,
             passes: PassMask::all(),
             mru_fast_path: true,
             decode_cache: true,
@@ -295,12 +291,6 @@ impl ExperimentConfig {
     /// equivalence checks and benches; no CLI flag).
     pub fn passes(mut self, passes: PassMask) -> Self {
         self.passes = passes;
-        self
-    }
-
-    /// Sets the scheduler chunk size; `0` means auto.
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk;
         self
     }
 

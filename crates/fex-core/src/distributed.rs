@@ -181,8 +181,7 @@ impl DistributedRun {
                 }
             }
         }
-        let outcomes =
-            execute_units(&units, &config.resilience, config.effective_jobs(), false, config.chunk);
+        let outcomes = execute_units(&units, &config.resilience, config.effective_jobs(), false, 0);
         // `rescheduled` comes last so positional consumers of the
         // original schema keep working.
         let columns = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled";

@@ -134,8 +134,6 @@ pub struct Scenario {
     /// Decode pass subset of the base run (any of the 8 combinations;
     /// the toggles oracle compares against an everything-off rerun).
     pub passes: PassMask,
-    /// Scheduler claim-chunk size (0 = auto-tuned).
-    pub chunk: usize,
     /// Whether the `warm` oracle also replays a dirtied suite (one
     /// program's source gets a semantically neutral trailing newline)
     /// against the populated artifact graph.
@@ -194,7 +192,9 @@ impl Scenario {
         // the range predates the two-pass pipeline (`from_bits` drops the
         // bits no pass owns), so it stays 8 to keep pinned seeds stable.
         let passes = PassMask::from_bits(r.below(8) as u8);
-        let chunk = r.below(5) as usize;
+        // The retired claim-chunk axis: still drawn, so the draws after
+        // it, and every pinned seed, stay where they were.
+        let _ = r.below(5);
         let dirty_rerun = r.chance(1, 3);
         let serve = r.chance(1, 4);
 
@@ -209,7 +209,6 @@ impl Scenario {
             fault,
             experiment_seed,
             passes,
-            chunk,
             dirty_rerun,
             serve,
         }
@@ -226,7 +225,6 @@ impl Scenario {
             .seed(self.experiment_seed)
             .jobs(self.jobs)
             .passes(self.passes)
-            .chunk(self.chunk)
             .resilience(RunPolicy::default().budget(FUZZ_INSTRUCTION_BUDGET));
         cfg.repetitions = self.repetitions;
         if let Some(f) = &self.fault {
@@ -266,7 +264,7 @@ impl Scenario {
     pub fn describe(&self) -> String {
         let mut s = format!(
             "case seed {:#018x}: {} program(s), types {:?}, threads {:?}, reps {:?}, \
-             jobs {}, chunk {}, passes {}, tool {}, experiment seed {}, dirty rerun {}, \
+             jobs {}, passes {}, tool {}, experiment seed {}, dirty rerun {}, \
              serve {}\n",
             self.case_seed,
             self.programs.len(),
@@ -274,7 +272,6 @@ impl Scenario {
             self.threads,
             self.repetitions,
             self.jobs,
-            self.chunk,
             self.passes,
             self.tool,
             self.experiment_seed,
@@ -714,15 +711,13 @@ mod tests {
     }
 
     #[test]
-    fn generator_exercises_pass_and_chunk_axes() {
+    fn generator_exercises_pass_dirty_and_serve_axes() {
         let scenarios: Vec<Scenario> = (0..40).map(|i| Scenario::generate(42, i)).collect();
         assert!(scenarios.iter().any(|s| s.passes == PassMask::all()));
         assert!(scenarios.iter().any(|s| s.passes == PassMask::none()));
         assert!(scenarios
             .iter()
             .any(|s| s.passes != PassMask::all() && s.passes != PassMask::none()));
-        assert!(scenarios.iter().any(|s| s.chunk == 0));
-        assert!(scenarios.iter().any(|s| s.chunk > 0));
         assert!(scenarios.iter().any(|s| s.dirty_rerun));
         assert!(scenarios.iter().any(|s| !s.dirty_rerun));
         assert!(scenarios.iter().any(|s| s.serve));

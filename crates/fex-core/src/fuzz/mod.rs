@@ -747,12 +747,6 @@ fn shrink_candidates(s: &Scenario) -> Vec<Scenario> {
         c.passes = PassMask::all();
         out.push(c);
     }
-    // Restore auto chunk sizing.
-    if s.chunk != 0 {
-        let mut c = s.clone();
-        c.chunk = 0;
-        out.push(c);
-    }
     // Skip the dirty rerun.
     if s.dirty_rerun {
         let mut c = s.clone();

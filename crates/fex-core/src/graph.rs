@@ -1,20 +1,22 @@
 //! The content-addressed artifact graph: incremental evaluation's
 //! memoization table.
 //!
-//! Every artifact the pipeline produces — a benchmark's source, its
-//! compiled program, the decoded form, one run unit's measured result,
-//! the aggregate frame — is a *node* keyed by a `fex256` digest over the
-//! digests of its inputs plus exactly the configuration bits that affect
-//! it. The key derivation is layered so a change dirties precisely its
-//! own subtree and nothing else:
+//! Each run unit's measured result is a *node* keyed by a `fex256`
+//! digest over the digests of its inputs plus exactly the configuration
+//! bits that affect it. The key derivation is layered so a change dirties
+//! precisely its own subtree and nothing else:
 //!
-//! | node kind  | key = digest over                                        |
+//! | layer      | key = digest over                                        |
 //! |------------|----------------------------------------------------------|
-//! | `source`   | benchmark name, Cmm source bytes ([`fex_cc::source_digest`]) |
-//! | `compiled` | source key, backend name+version, `-O` level, asan, debug |
-//! | `decoded`  | compiled key, pass mask bits, cost-model fingerprint      |
+//! | source     | benchmark name, Cmm source bytes ([`fex_cc::source_digest`]) |
+//! | compiled   | source key, backend name+version, `-O` level, asan, debug |
+//! | decoded    | compiled key, pass mask bits, cost-model fingerprint      |
 //! | `run_unit` | decoded key, unit seed, threads, rep, input, args, budget |
-//! | `aggregate`| the lab run id: experiment key, results and failures CSVs |
+//!
+//! Only `run_unit` nodes are stored. The layers above them are keys, not
+//! nodes: the decoded key is the artifact digest each `build` journal
+//! event carries, so the derivation is on record without a node of its
+//! own.
 //!
 //! The graph lives under `<lab>/graph/` with the same append-only
 //! flat-JSON index discipline as [`lab::store`](crate::lab::store): one
@@ -48,18 +50,23 @@ use crate::error::{FexError, Result};
 use crate::journal::{self, JsonLine};
 
 /// What a graph node is, and therefore what its payload holds.
+///
+/// The pipeline stores only [`NodeKind::RunUnit`], the one kind a lookup
+/// reads. The other four are retired provenance kinds: they still parse,
+/// because labs written before their retirement hold them and the
+/// benchmark's trace replay still writes them, and `fex graph stats`
+/// counts them as `retired`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeKind {
-    /// A benchmark's source bytes (provenance only; sources live in the
-    /// suite).
+    /// A benchmark's source bytes (retired).
     Source,
-    /// A compiled program for one build type.
+    /// A compiled program for one build type (retired).
     Compiled,
-    /// A decoded program for one pass mask and cost model.
+    /// A decoded program for one pass mask and cost model (retired).
     Decoded,
     /// One run unit's measured [`RunResult`].
     RunUnit,
-    /// One experiment's aggregate results frame.
+    /// One experiment's aggregate results frame (retired).
     Aggregate,
 }
 
@@ -396,10 +403,10 @@ impl ArtifactGraph {
         self.store_node(NodeKind::RunUnit, digest, &run_to_json(run))
     }
 
-    /// Stores an arbitrary node payload (source/compiled/decoded
-    /// provenance, aggregate frames). Idempotent like [`store_run`]. The
-    /// payload and its newline go to the pack's end in one write, then
-    /// the index line that names their range.
+    /// Stores a node payload of any kind. Idempotent like [`store_run`],
+    /// its only caller in the pipeline. The payload and its newline go to
+    /// the pack's end in one write, then the index line that names their
+    /// range.
     ///
     /// [`store_run`]: ArtifactGraph::store_run
     ///
@@ -439,16 +446,17 @@ impl ArtifactGraph {
         counts
     }
 
-    /// Renders `fex graph stats` output.
+    /// Renders `fex graph stats` output: run units, the nodes of every
+    /// retired kind (see [`NodeKind`]) as one count, and the total.
     pub fn render_stats(&self) -> String {
         let mut s = format!("artifact graph at `{}`\n", self.root.display());
-        let counts = self.node_counts();
+        let units = self.index.values().filter(|n| n.kind == NodeKind::RunUnit).count();
         let _ = writeln!(s, "{:<10} {:>6}", "kind", "nodes");
-        for kind in NodeKind::ALL {
-            let _ =
-                writeln!(s, "{:<10} {:>6}", kind.as_str(), counts.get(&kind).copied().unwrap_or(0));
+        for (label, nodes) in
+            [("run_unit", units), ("retired", self.len() - units), ("total", self.len())]
+        {
+            let _ = writeln!(s, "{label:<10} {nodes:>6}");
         }
-        let _ = writeln!(s, "{:<10} {:>6}", "total", self.len());
         for w in &self.warnings {
             let _ = writeln!(s, "warning: {w}");
         }

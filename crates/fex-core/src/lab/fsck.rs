@@ -150,8 +150,10 @@ pub fn check(store: &RunStore) -> FsckReport {
     let (entries, warnings) = store.scan();
     report.entries_checked = entries.len();
     push_index_line_issues(IssueKind::CorruptIndexLine, &warnings, &mut report);
+    let mut seen = std::collections::BTreeSet::new();
     for entry in &entries {
-        check_entry(store, entry, &mut report);
+        let first_of_id = seen.insert(entry.run_id.as_str());
+        check_entry(store, entry, first_of_id, &mut report);
     }
     let mut holders = std::collections::BTreeMap::new();
     for entry in &entries {
@@ -246,7 +248,13 @@ fn range_bytes(pack: Option<&fs::File>, entry: &graph::GraphIndexEntry) -> Vec<u
     pack.and_then(|p| graph::read_range(p, entry.offset, entry.len).ok()).unwrap_or_default()
 }
 
-fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
+/// How the detail of a `corrupt-record` finding starts when only the
+/// record's seq is wrong, which `--quarantine` repairs in place.
+const STALE_SEQ: &str = "stale seq:";
+
+/// Checks one index line's run. `record.json` repeats the first line of
+/// its id, so only that line (`first_of_id`) checks the record's seq.
+fn check_entry(store: &RunStore, entry: &IndexEntry, first_of_id: bool, report: &mut FsckReport) {
     let dir = store.run_dir(&entry.run_id);
     let mut issue = |kind, detail: String| {
         report.issues.push(FsckIssue { kind, subject: entry.run_id.clone(), detail });
@@ -295,6 +303,17 @@ fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
                         format!("record run_id {other:?} disagrees with the index"),
                     ),
                 }
+                let seq = journal::get::<u64>(&map, "seq").ok();
+                if first_of_id && seq != Some(entry.seq) {
+                    let held = seq.map_or_else(|| "none".to_string(), |s| s.to_string());
+                    issue(
+                        IssueKind::CorruptRecord,
+                        format!(
+                            "{STALE_SEQ} record says {held}, the id's first index line {}",
+                            entry.seq
+                        ),
+                    );
+                }
                 // A journaled run must keep its metrics roll-up.
                 if matches!(map.get("journal_digest"), Some(Json::Str(d)) if !d.is_empty())
                     && !dir.join("metrics.json").is_file()
@@ -312,7 +331,9 @@ fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
 /// Checks the store and, when `quarantine` is set, moves every corrupt
 /// run directory (and orphan) under `<root>/quarantine/` and rewrites the
 /// index to the clean entries, giving each line whose seq an earlier one
-/// holds the next free seq. Returns the final report.
+/// holds the next free seq. A run whose only damage is a stale record
+/// seq stays, and its `record.json` is rewritten. Returns the final
+/// report.
 ///
 /// # Errors
 ///
@@ -325,12 +346,17 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
     let qdir = store.root().join("quarantine");
     fs::create_dir_all(&qdir)
         .map_err(|e| FexError::Data(format!("cannot create `{}`: {e}", qdir.display())))?;
+    let stale_seq =
+        |i: &FsckIssue| i.kind == IssueKind::CorruptRecord && i.detail.starts_with(STALE_SEQ);
+    let stale_records: std::collections::BTreeSet<&str> =
+        report.issues.iter().filter(|i| stale_seq(i)).map(|i| i.subject.as_str()).collect();
     let bad_runs: std::collections::BTreeSet<&str> = report
         .issues
         .iter()
         .filter(|i| {
             !matches!(i.kind, IssueKind::CorruptIndexLine | IssueKind::DuplicateSeq)
                 && !i.kind.is_graph()
+                && !stale_seq(i)
         })
         .map(|i| i.subject.as_str())
         .collect();
@@ -346,39 +372,33 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
     }
     // Rewriting the index drops corrupt lines and bad entries in one go,
     // and renumbers a repeated seq past every seq in use. `record.json`
-    // repeats its id's first index line, so renumbering that line
-    // rewrites the record too.
+    // repeats its id's first index line, so a stale record, or one whose
+    // line is renumbered, is rewritten from that line.
     let (entries, _) = store.scan();
     let mut next_free = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
     let mut taken = std::collections::BTreeSet::new();
     let mut seen = std::collections::BTreeSet::new();
-    let mut renumbered_records = Vec::new();
+    let mut records = Vec::new();
     let survivors: String = entries
         .into_iter()
         .filter(|e| !bad_runs.contains(e.run_id.as_str()))
         .map(|mut e| {
             let first_of_id = seen.insert(e.run_id.clone());
-            if !taken.insert(e.seq) {
+            let renumbered = !taken.insert(e.seq);
+            if renumbered {
                 e.seq = next_free;
                 next_free += 1;
-                if first_of_id {
-                    renumbered_records.push(e.clone());
-                }
+            }
+            if first_of_id && (renumbered || stale_records.contains(e.run_id.as_str())) {
+                records.push(e.clone());
             }
             e.to_json() + "\n"
         })
         .collect();
-    let write_err = |e: std::io::Error| FexError::Data(format!("store write failed: {e}"));
-    fs::write(store.index_path(), survivors).map_err(write_err)?;
-    for entry in renumbered_records {
-        let path = store.run_dir(&entry.run_id).join("record.json");
-        let record = fs::read_to_string(&path)
-            .map_err(|e| FexError::Data(format!("cannot read `{}`: {e}", path.display())))?;
-        let journal_digest = journal::parse_flat_object(record.trim())
-            .ok()
-            .and_then(|map| journal::get::<String>(&map, "journal_digest").ok())
-            .unwrap_or_default();
-        store.write_record(&entry, &journal_digest).map_err(write_err)?;
+    fs::write(store.index_path(), survivors)
+        .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
+    for entry in &records {
+        store.rewrite_record(entry)?;
     }
     // The graph gets the same treatment: the readable bytes of each bad
     // range are kept as `quarantine/graph-<digest>`, a leftover
@@ -728,6 +748,43 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2], "the later line took the next free seq");
         let record = fs::read_to_string(store.run_dir(&late.run_id).join("record.json")).unwrap();
         assert!(record.contains("\"seq\": 2,"), "the record follows its renumbered line: {record}");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_stale_record_seq_is_found_and_rewritten_in_place() {
+        let store = populated("stale-seq");
+        let first = store.resolve("prev").unwrap();
+        // A second save of the same run, as a lab written before run
+        // directories became write-once left it: the record names the
+        // later save's seq.
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        let art = RunArtifacts {
+            results_csv: "h\n1\n",
+            failures_csv: "benchmark,type,threads,rep,error,attempts,outcome\n",
+            metrics_json: Some("{}"),
+            journal_digest: Some("fex256:00000000000000000000000000000abc"),
+        };
+        let later = store.save(&cfg, &art).unwrap();
+        assert_eq!(later.run_id, first.run_id);
+        store.write_record(&later, "fex256:00000000000000000000000000000abc").unwrap();
+        let report = check(&store);
+        assert_eq!(report.issues.len(), 1, "{}", report.render());
+        let issue = &report.issues[0];
+        assert_eq!(
+            (issue.kind, issue.subject.as_str()),
+            (IssueKind::CorruptRecord, &*first.run_id)
+        );
+        assert!(issue.detail.contains("record says 2, the id's first index line 0"), "{issue:?}");
+
+        let fixed = fsck(&store, true).unwrap();
+        assert!(fixed.quarantined.is_empty(), "a stale seq drops no run");
+        let after = check(&store);
+        assert!(after.clean(), "{}", after.render());
+        assert_eq!(after.entries_checked, 3);
+        let record = fs::read_to_string(store.run_dir(&first.run_id).join("record.json")).unwrap();
+        assert!(record.contains("\"seq\": 0,"), "{record}");
+        assert!(record.contains("00000000000000000000000000000abc"), "digest kept: {record}");
         let _ = fs::remove_dir_all(store.root());
     }
 

@@ -211,6 +211,20 @@ impl RunStore {
         fs::write(self.run_dir(&entry.run_id).join("record.json"), record.finish() + "\n")
     }
 
+    /// Rewrites `entry`'s `record.json` to describe `entry`, keeping the
+    /// journal digest the record holds (empty when it holds none).
+    pub(crate) fn rewrite_record(&self, entry: &IndexEntry) -> Result<()> {
+        let path = self.run_dir(&entry.run_id).join("record.json");
+        let record = fs::read_to_string(&path)
+            .map_err(|e| FexError::Data(format!("cannot read `{}`: {e}", path.display())))?;
+        let journal_digest = journal::parse_flat_object(record.trim())
+            .ok()
+            .and_then(|map| journal::get::<String>(&map, "journal_digest").ok())
+            .unwrap_or_default();
+        self.write_record(entry, &journal_digest)
+            .map_err(|e| FexError::Data(format!("store write failed: {e}")))
+    }
+
     /// All index entries in insertion order.
     ///
     /// Corrupt lines are skipped (see [`RunStore::scan`]); an interrupted
@@ -297,7 +311,9 @@ impl RunStore {
     /// Garbage-collects the store under the lab lock: per experiment key,
     /// keeps the newest `keep` entries and deletes the rest (index lines
     /// and, when no surviving entry references them, artifact
-    /// directories). Returns the number of index entries removed.
+    /// directories). A kept id whose first index line went has its
+    /// `record.json` rewritten to its first kept line. Returns the number
+    /// of index entries removed.
     ///
     /// # Errors
     ///
@@ -328,6 +344,15 @@ impl RunStore {
         let index: String = kept.iter().map(|e| e.to_json() + "\n").collect();
         fs::write(self.index_path(), index)
             .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
+        let mut first_seq = std::collections::BTreeMap::new();
+        for e in &entries {
+            first_seq.entry(e.run_id.as_str()).or_insert(e.seq);
+        }
+        for e in kept {
+            if first_seq.remove(e.run_id.as_str()).is_some_and(|seq| seq != e.seq) {
+                self.rewrite_record(e)?;
+            }
+        }
         Ok(removed)
     }
 
@@ -493,6 +518,24 @@ mod tests {
         for e in &left {
             assert!(store.results_csv(e).is_ok());
         }
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn gc_moves_a_record_to_its_first_kept_line() {
+        let store = temp_store("gc-record");
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        store.save(&cfg, &art("h\n1\n")).unwrap();
+        let newest = store.save(&cfg, &art("h\n1\n")).unwrap();
+        assert_eq!(store.gc(1).unwrap(), 1);
+        assert_eq!(store.list().unwrap(), vec![newest.clone()]);
+        let record = fs::read_to_string(store.run_dir(&newest.run_id).join("record.json")).unwrap();
+        assert!(record.contains("\"seq\": 1,"), "{record}");
+        assert!(
+            record.contains("00000000000000000000000000000abc"),
+            "journal digest kept: {record}"
+        );
+        assert!(super::super::fsck::check(&store).clean());
         let _ = fs::remove_dir_all(store.root());
     }
 

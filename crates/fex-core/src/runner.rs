@@ -29,8 +29,8 @@ use crate::collect::{Collector, DataFrame};
 use crate::config::{input_name, ExperimentConfig};
 use crate::env::environment_for;
 use crate::error::{FexError, Result};
-use crate::graph::{ArtifactGraph, NodeKind};
-use crate::journal::{Journal, JournalEvent, JsonLine};
+use crate::graph::ArtifactGraph;
+use crate::journal::{Journal, JournalEvent};
 use crate::resilience::{AttemptLog, FailureRecord, FailureReport, QuarantineBook, RunOutcome};
 use crate::sched::{execute_units, RunUnit, UnitOutcome, UnitWork};
 
@@ -315,8 +315,7 @@ impl SuiteRunner {
     /// without a derived digest, the pair is compiled and decoded into
     /// [`SuiteRunner::artifacts`]. Otherwise every unit's graph key
     /// already pins the whole derivation, so the pair is left unbuilt.
-    /// Either way it emits one `build` event with its digest and records
-    /// its provenance chain as graph nodes.
+    /// Either way it emits one `build` event with its digest.
     fn build_pair(
         &mut self,
         ctx: &mut RunContext<'_>,
@@ -328,10 +327,10 @@ impl SuiteRunner {
         let source = self.program(bench)?.source;
         let started = std::time::Instant::now();
         let (debug, passes) = (ctx.config.debug, ctx.config.passes);
-        let opts = ctx.makefiles.build_options(ty, debug)?;
         let skipped = self.digests.get(&pair).copied().filter(|_| !compile);
         let digest = match skipped {
             Some(digest) => {
+                let opts = ctx.makefiles.build_options(ty, debug)?;
                 ctx.log(format!(
                     "not rebuilt `{bench}` [{}]: the artifact graph serves every unit",
                     opts.build_info()
@@ -354,32 +353,6 @@ impl SuiteRunner {
                 cache_hit: skipped.is_some(),
                 wall_ns: started.elapsed().as_nanos() as u64,
             });
-        }
-        // Record the artifact's provenance chain as graph nodes —
-        // source → compiled → decoded — so `fex graph stats` and
-        // `fex lab fsck` see the whole derivation, not just run units.
-        // Stores are idempotent: warm re-runs re-derive the same keys and
-        // skip the writes.
-        let graph_on = ctx.config.graph;
-        if let Some(g) = ctx.graph.as_mut().filter(|_| graph_on) {
-            let source_key = fex_cc::source_digest(bench, source);
-            let compiled_key = crate::graph::compiled_key(
-                source_key,
-                opts.backend.name,
-                opts.backend.version,
-                opts.opt_level,
-                opts.asan,
-                opts.debug,
-            );
-            let mut src = JsonLine::object("node", "source");
-            src.str("benchmark", bench);
-            g.store_node(NodeKind::Source, &source_key, &src.finish())?;
-            let mut comp = JsonLine::object("node", "compiled");
-            comp.str("benchmark", bench).str("build_info", &opts.build_info());
-            g.store_node(NodeKind::Compiled, &compiled_key, &comp.finish())?;
-            let mut dec = JsonLine::object("node", "decoded");
-            dec.str("benchmark", bench).str("build_type", ty);
-            g.store_node(NodeKind::Decoded, &digest, &dec.finish())?;
         }
         Ok(())
     }
@@ -730,8 +703,7 @@ impl SuiteRunner {
                 leader_slots.push((i, exec_key));
                 leaders.push(unit);
             }
-            let chunk = ctx.config.chunk;
-            let outcomes = execute_units(&leaders, &policy, jobs, journal_on, chunk);
+            let outcomes = execute_units(&leaders, &policy, jobs, journal_on, 0);
             self.vm_executions += leaders.len();
             for ((unit, outcome), (i, exec_key)) in
                 leaders.into_iter().zip(outcomes).zip(leader_slots)
@@ -758,7 +730,7 @@ impl SuiteRunner {
                     }
                 }
             }
-            let retried = execute_units(&unserved, &policy, jobs, journal_on, chunk);
+            let retried = execute_units(&unserved, &policy, jobs, journal_on, 0);
             self.vm_executions += unserved.len();
             for ((unit, outcome), i) in unserved.into_iter().zip(retried).zip(unserved_slots) {
                 slots[i] = Some((unit, outcome));

@@ -25,8 +25,8 @@
 //!    `(start, outcomes)` batch per chunk on a channel. The chunk size
 //!    is auto-tuned from the matrix width and worker count — wide
 //!    matrices amortise the claim/channel overhead over many units while
-//!    keeping enough chunks in flight for load balance — and is
-//!    overridable with `ExperimentConfig::chunk`.
+//!    keeping enough chunks in flight for load balance — unless the
+//!    caller of [`execute_units`] passes a size of its own.
 //! 3. **Merge** — the runner walks the outcomes back in matrix order and
 //!    only *then* applies quarantine: failures count against a benchmark
 //!    in deterministic order, and every unit that falls after its
@@ -146,8 +146,8 @@ fn run_unit(unit: &RunUnit, policy: &RunPolicy, journal: bool, worker: usize) ->
     UnitOutcome { log, result, events }
 }
 
-/// The chunk size workers claim per grab: the `ExperimentConfig::chunk`
-/// override when nonzero, otherwise auto-tuned so each worker sees about four chunks —
+/// The chunk size workers claim per grab: the caller's `chunk` when
+/// nonzero, otherwise auto-tuned so each worker sees about four chunks —
 /// wide matrices amortise claim/channel overhead over many units, narrow
 /// ones still hand every worker work — capped so one slow chunk cannot
 /// serialise the tail.

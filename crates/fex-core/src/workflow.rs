@@ -422,24 +422,6 @@ impl Fex {
                 store.root().display()
             ));
         }
-        if let Some(mut g) = graph {
-            // The aggregate node closes the derivation chain: keyed by
-            // the same content digest as the lab store's run id, so one
-            // aggregate node exists per distinct result set. Idempotent
-            // on warm re-runs.
-            let art = crate::lab::RunArtifacts {
-                results_csv: &results_csv,
-                failures_csv: &failures_csv,
-                metrics_json: None,
-                journal_digest: None,
-            };
-            let run_id = crate::lab::RunStore::run_id(config, &art);
-            if let Some(key) = crate::graph::parse_digest(&run_id) {
-                let mut w = crate::journal::JsonLine::object("node", "aggregate");
-                w.str("experiment", &config.name).field("rows", &frame.len());
-                g.store_node(crate::graph::NodeKind::Aggregate, &key, &w.finish())?;
-            }
-        }
         drop(lab_lock);
         self.container
             .fs_mut()

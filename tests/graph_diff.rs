@@ -331,9 +331,9 @@ fn fault_armed_benchmarks_bypass_the_graph() {
 }
 
 /// A cost-model knob change re-keys the decoded layer and everything
-/// downstream of it — and nothing upstream: source and compiled nodes
-/// keep their digests, so a warm re-run after a cost change rebuilds
-/// only decode and run cells.
+/// downstream of it — and nothing upstream: source and compiled keys
+/// keep their digests, so a warm re-run after a cost change re-executes
+/// only the run cells below the new decoded key.
 #[test]
 fn cost_knob_change_dirties_exactly_the_dependent_nodes() {
     use fex_core::graph::{compiled_key, decoded_key, unit_key};
@@ -355,17 +355,16 @@ fn cost_knob_change_dirties_exactly_the_dependent_nodes() {
     assert_ne!(unit_base, unit_tweaked, "run units downstream must be dirtied");
 
     // Upstream layers are untouched: the same source and compiled keys
-    // are derived regardless of the cost model, so a warm re-run reuses
-    // their nodes as-is.
+    // are derived regardless of the cost model.
     let source_again = fex_cc::source_digest("fft", "int main() { return fft(); }");
     let compiled_again = compiled_key(source_again, "gcc", "6.1.0", 2, false, false);
     assert_eq!(source, source_again);
     assert_eq!(compiled, compiled_again);
 }
 
-/// Changing the pass subset between runs adds new decoded and run-unit
-/// nodes but reuses the source and compiled layers, and re-running
-/// either configuration afterwards is fully warm.
+/// Changing the pass subset between runs re-keys the decoded layer, so
+/// every run unit is stored again under the new subset and nothing else
+/// is stored; re-running either configuration afterwards is fully warm.
 #[test]
 fn pass_subset_change_dirties_decoded_and_run_layers_only() {
     let base = ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
@@ -380,20 +379,12 @@ fn pass_subset_change_dirties_decoded_and_run_layers_only() {
     assert_eq!(m1, m2, "same unit count under both subsets");
 
     let graph = ArtifactGraph::open(&lab).unwrap();
-    let counts = graph.node_counts();
     let micro_benches = m1 as usize;
-    assert_eq!(counts.get(&NodeKind::Source).copied().unwrap_or(0), micro_benches);
     assert_eq!(
-        counts.get(&NodeKind::Compiled).copied().unwrap_or(0),
-        micro_benches,
-        "compiled nodes are shared across pass subsets"
+        graph.node_counts(),
+        [(NodeKind::RunUnit, 2 * micro_benches)].into(),
+        "the lab holds run units only, one per unit under each pass subset"
     );
-    assert_eq!(
-        counts.get(&NodeKind::Decoded).copied().unwrap_or(0),
-        2 * micro_benches,
-        "each pass subset has its own decoded layer"
-    );
-    assert_eq!(counts.get(&NodeKind::RunUnit).copied().unwrap_or(0), 2 * micro_benches);
 
     let (_, _, _, (h3, m3)) = run_graphed(&all, fex_suites::micro(), &lab);
     let (_, _, _, (h4, m4)) = run_graphed(&none, fex_suites::micro(), &lab);
@@ -500,4 +491,111 @@ fn pre_pack_labs_re_store_their_units_and_fsck_cleans_them() {
     assert_eq!(repaired, (units, 0), "quarantine keeps every packed node");
     let _ = fs::remove_dir_all(&donor);
     let _ = fs::remove_dir_all(&lab);
+}
+
+/// A lab written while the graph also stored provenance — a `source`,
+/// `compiled` and `decoded` node per pair, written at build time, and an
+/// `aggregate` node per result set — opens without warnings, passes
+/// fsck clean and serves every unit warm without storing anything new.
+/// `fex graph stats` counts the four old kinds as `retired`.
+#[test]
+fn a_lab_holding_retired_node_kinds_opens_clean_and_serves_warm() {
+    use fex_container::Digest;
+    use fex_core::graph::compiled_key;
+    use fex_core::lab::RunArtifacts;
+
+    let config = ExperimentConfig::new("micro")
+        .types(vec!["gcc_native", "gcc_asan"])
+        .input(InputSize::Test)
+        .repetitions(2);
+    let lab = temp_dir("retired-kinds");
+    let makefiles = MakefileSet::standard();
+    let programs = fex_suites::micro().programs;
+    let mut graph = ArtifactGraph::open(&lab).unwrap();
+    for ty in &config.build_types {
+        let opts = makefiles.build_options(ty, false).unwrap();
+        for p in &programs {
+            let (b, backend) = (p.name, &opts.backend);
+            let source = fex_cc::source_digest(b, p.source);
+            let compiled = compiled_key(
+                source,
+                backend.name,
+                backend.version,
+                opts.opt_level,
+                opts.asan,
+                opts.debug,
+            );
+            let decoded = makefiles.artifact_digest(b, p.source, ty, false, config.passes).unwrap();
+            let info = opts.build_info();
+            for (kind, key, payload) in [
+                (NodeKind::Source, source, format!(r#"{{"node": "source", "benchmark": "{b}"}}"#)),
+                (
+                    NodeKind::Compiled,
+                    compiled,
+                    format!(
+                        r#"{{"node": "compiled", "benchmark": "{b}", "build_info": "{info}"}}"#
+                    ),
+                ),
+                (
+                    NodeKind::Decoded,
+                    decoded,
+                    format!(r#"{{"node": "decoded", "benchmark": "{b}", "build_type": "{ty}"}}"#),
+                ),
+            ] {
+                graph.store_node(kind, &key, &payload).unwrap();
+            }
+        }
+    }
+    drop(graph);
+    let (cold_csv, cold_fail, _, (_, units)) = run_graphed(&config, fex_suites::micro(), &lab);
+    let art = RunArtifacts {
+        results_csv: &cold_csv,
+        failures_csv: &cold_fail,
+        metrics_json: None,
+        journal_digest: None,
+    };
+    let run_id = RunStore::run_id(&config, &art);
+    let aggregate = Digest(u128::from_str_radix(run_id.trim_start_matches("fex256:"), 16).unwrap());
+    let payload = format!(r#"{{"node": "aggregate", "experiment": "micro", "rows": {units}}}"#);
+    let mut graph = ArtifactGraph::open(&lab).unwrap();
+    graph.store_node(NodeKind::Aggregate, &aggregate, &payload).unwrap();
+    drop(graph);
+
+    let graph = ArtifactGraph::open(&lab).unwrap();
+    assert!(graph.warnings().is_empty(), "{:?}", graph.warnings());
+    let (benches, pairs, units) = (programs.len(), 2 * programs.len(), units as usize);
+    assert_eq!(
+        graph.node_counts(),
+        [
+            (NodeKind::Source, benches),
+            (NodeKind::Compiled, pairs),
+            (NodeKind::Decoded, pairs),
+            (NodeKind::RunUnit, units),
+            (NodeKind::Aggregate, 1),
+        ]
+        .into()
+    );
+    let retired = benches + 2 * pairs + 1;
+    let stats = graph.render_stats();
+    let rows: Vec<&str> = stats.lines().skip(1).collect();
+    assert_eq!(
+        rows,
+        [
+            "kind        nodes".to_string(),
+            format!("run_unit   {units:>6}"),
+            format!("retired    {retired:>6}"),
+            format!("total      {:>6}", units + retired),
+        ]
+    );
+    drop(graph);
+
+    let report = fsck::check(&RunStore::open(&lab).unwrap());
+    assert!(report.clean(), "{}", report.render());
+    assert_eq!(report.graph_nodes_checked, units + retired);
+    let (warm_csv, warm_fail, warm_events, warm) = run_graphed(&config, fex_suites::micro(), &lab);
+    assert_eq!(warm, (units as u64, 0), "every unit is served warm");
+    assert_eq!((warm_csv, warm_fail), (cold_csv, cold_fail));
+    assert_eq!(build_counts(&warm_events), (pairs, pairs), "no pair is rebuilt");
+    assert_eq!(ArtifactGraph::open(&lab).unwrap().len(), units + retired, "nothing new stored");
+    let _ = std::fs::remove_dir_all(&lab);
 }

@@ -111,15 +111,12 @@ fn journal_event_counts_are_invariant_across_worker_counts() {
 fn normalized_journal_streams_are_identical_across_worker_counts() {
     let base = faulty_config();
     let (_, _, seq_events) = run_micro(&base.clone().jobs(1));
-    for chunk in [0, 1, 3] {
-        let (_, _, par_events) = run_micro(&base.clone().jobs(8).chunk(chunk));
-        assert_eq!(
-            normalized_stream(&seq_events),
-            normalized_stream(&par_events),
-            "after zeroing worker/wall-time/jobs, the streams must match event for event \
-             (chunk={chunk})"
-        );
-    }
+    let (_, _, par_events) = run_micro(&base.jobs(8));
+    assert_eq!(
+        normalized_stream(&seq_events),
+        normalized_stream(&par_events),
+        "after zeroing worker/wall-time/jobs, the streams must match event for event"
+    );
 }
 
 proptest! {
@@ -138,7 +135,6 @@ proptest! {
         fault_seed in 0u64..1000,
         retries in 0usize..4,
         experiment_seed in 0u64..1000,
-        chunk in 0usize..5,
     ) {
         let types = match types_pick {
             0 => vec!["gcc_native"],
@@ -160,7 +156,7 @@ proptest! {
         }
 
         let (seq_csv, seq_failures, seq_events) = run_micro(&base.clone().jobs(1));
-        let (par_csv, par_failures, par_events) = run_micro(&base.clone().jobs(8).chunk(chunk));
+        let (par_csv, par_failures, par_events) = run_micro(&base.clone().jobs(8));
         let (off_csv, off_failures, off_events) = run_micro(&base.jobs(1).journal(false));
 
         prop_assert_eq!(&seq_csv, &par_csv);

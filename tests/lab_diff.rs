@@ -216,6 +216,45 @@ fn lab_and_compare_on_missing_stores_exit_nonzero_with_message() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Commands that only read a lab refuse a missing `--lab` directory,
+/// name it and create nothing; `fex run --lab` still creates its lab.
+#[test]
+fn read_only_commands_refuse_a_missing_lab_and_create_nothing() {
+    let cwd = fresh_dir();
+    let fex = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_fex")).current_dir(&cwd).args(args).output().unwrap()
+    };
+    let read_only: [&[&str]; 8] = [
+        &["lab", "fsck", "--lab", "typo"],
+        &["lab", "fsck", "--quarantine", "--lab", "typo"],
+        &["lab", "list", "--lab", "typo"],
+        &["lab", "show", "latest", "--lab", "typo"],
+        &["lab", "gc", "--keep", "1", "--lab", "typo"],
+        &["graph", "stats", "--lab", "typo"],
+        &["compare", "prev", "latest", "--lab", "typo"],
+        &["diag", "--lab", "typo"],
+    ];
+    for args in read_only {
+        let out = fex(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("`typo`"), "{args:?} must name the path: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed {}", String::from_utf8_lossy(&out.stdout));
+    }
+    let out = fex(&["lab", "fsck"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`.fex-lab`"), "the default is named");
+    let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert!(left.is_empty(), "a read-only command created {left:?}");
+
+    let out = fex(&["run", "-n", "micro", "-i", "test", "-t", "gcc_native", "--lab", "typo"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = fex(&["lab", "fsck", "--lab", "typo"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("store is clean"));
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
 /// The `fex run -n <argv…>` configuration, run in process on a fresh
 /// `Fex` with the setup the binary performs implicitly.
 fn run_in_process(args: &str) -> Fex {

@@ -554,7 +554,7 @@ proptest! {
 
     /// `--jobs 8` produces byte-identical results and failures CSVs to
     /// `--jobs 1`, with and without fault injection, whatever the
-    /// transient-fault rate, seed, retry budget and claim-chunk size.
+    /// transient-fault rate, seed and retry budget.
     #[test]
     fn parallel_runs_are_byte_identical_to_sequential(
         types_pick in 0usize..3,
@@ -564,7 +564,6 @@ proptest! {
         fault_seed in 0u64..1000,
         retries in 0usize..4,
         experiment_seed in 0u64..1000,
-        chunk in 0usize..5,
     ) {
         use fex_core::config::FaultInjection;
         use fex_core::{ExperimentConfig, RunPolicy};
@@ -590,7 +589,7 @@ proptest! {
             )));
         }
         let (seq_csv, seq_failures) = run_micro_with_failures(&base.clone().jobs(1));
-        let (par_csv, par_failures) = run_micro_with_failures(&base.jobs(8).chunk(chunk));
+        let (par_csv, par_failures) = run_micro_with_failures(&base.jobs(8));
         prop_assert_eq!(seq_csv, par_csv);
         prop_assert_eq!(seq_failures, par_failures);
     }
@@ -610,8 +609,7 @@ proptest! {
     /// Any decode pass subset (plus the MRU and decoded-artifact caches
     /// off) vs all hot-path optimisations ON: the suite matrix must
     /// produce byte-identical results and failures CSVs, with and
-    /// without fault injection, sequentially and with `--jobs 8`, at any
-    /// claim-chunk size.
+    /// without fault injection, sequentially and with `--jobs 8`.
     #[test]
     fn hot_path_optimisations_never_change_measured_numbers(
         types_pick in 0usize..3,
@@ -623,7 +621,6 @@ proptest! {
         experiment_seed in 0u64..1000,
         jobs_pick in 0usize..2,
         mask_bits in 0u8..8,
-        chunk in 0usize..5,
     ) {
         use fex_core::config::FaultInjection;
         use fex_core::{ExperimentConfig, RunPolicy};
@@ -653,7 +650,6 @@ proptest! {
         let (off_csv, off_failures) = run_micro_with_failures(
             &base
                 .passes(PassMask::from_bits(mask_bits))
-                .chunk(chunk)
                 .mru(false)
                 .decode_cache(false),
         );
