@@ -26,8 +26,9 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<ExitCode, FexError> {
     let action = parse(args)?;
     // Only `fex run --lab` creates a lab. A command that reads one refuses
-    // a missing directory, so a mistyped `--lab` cannot pass as an empty,
-    // clean lab (`fex compare` needs one only to resolve a selector).
+    // a directory without a store or graph index, so a mistyped `--lab`
+    // cannot pass as an empty, clean lab (`fex compare` needs one only to
+    // resolve a selector).
     let read_lab = match &action {
         Action::Lab { dir, .. } | Action::Graph { dir } => Some(dir.as_str()),
         Action::Diag { lab, .. } => lab.as_deref(),
@@ -37,8 +38,16 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
         }
         _ => None,
     };
-    if let Some(dir) = read_lab.filter(|dir| !std::path::Path::new(dir).is_dir()) {
-        return Err(FexError::Data(format!("no lab at `{dir}`: the directory does not exist")));
+    if let Some(dir) = read_lab.map(std::path::Path::new) {
+        let indexed = |p: &std::path::Path| p.join("index.json").is_file();
+        if !indexed(dir) && !indexed(&dir.join(fex_core::ArtifactGraph::SUBDIR)) {
+            let why = if dir.is_dir() {
+                "no run store or artifact graph index"
+            } else {
+                "the directory does not exist"
+            };
+            return Err(FexError::Data(format!("no lab at `{}`: {why}", dir.display())));
+        }
     }
     let mut fex = Fex::new();
     match action {
@@ -140,12 +149,8 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
                     println!("removed {removed} stored runs (kept {keep} per experiment key)");
                 }
                 LabCommand::Fsck { quarantine } => {
-                    let _lock = fex_core::lab::lock(store.root())?;
-                    let report = if quarantine {
-                        fex_core::lab::fsck::fsck(&store, true)?
-                    } else {
-                        fex_core::lab::fsck::check(&store)
-                    };
+                    let lab = fex_core::lab::Lab::open(&dir, false)?;
+                    let report = fex_core::lab::fsck::fsck(lab.store(), quarantine)?;
                     print!("{}", report.render());
                     if !report.clean() && !quarantine {
                         eprintln!("fex: run `fex lab fsck --quarantine` to repair");

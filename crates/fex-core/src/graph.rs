@@ -257,8 +257,8 @@ struct PackedNode {
 pub struct ArtifactGraph {
     root: PathBuf,
     /// The payload pack, open for reads and appends while the handle
-    /// lives.
-    pack: File,
+    /// lives; `None` until the first store creates it.
+    pack: Option<File>,
     /// digest value → indexed node, for O(1) lookups that verify what
     /// they serve.
     index: HashMap<u128, PackedNode>,
@@ -274,27 +274,23 @@ impl ArtifactGraph {
     /// The payload pack's file name under the graph root.
     pub const PACK: &'static str = "pack";
 
-    /// Opens (creating if necessary) the graph under the lab rooted at
-    /// `lab_root`. Corrupt index lines are skipped with a warning, the
-    /// same per-line fault isolation as the run store; lines written
-    /// before the pack layout are skipped with one summary warning.
+    /// Opens the graph under the lab rooted at `lab_root`. Nothing is
+    /// created: the first store creates `graph/` and the pack. Corrupt
+    /// index lines are skipped with a warning, the same per-line fault
+    /// isolation as the run store; lines written before the pack layout
+    /// are skipped with one summary warning.
     ///
     /// # Errors
     ///
-    /// [`FexError::Data`] when the directory or the pack cannot be
-    /// created.
+    /// [`FexError::Data`] when an existing pack cannot be opened.
     pub fn open(lab_root: impl AsRef<Path>) -> Result<Self> {
         let root = lab_root.as_ref().join(Self::SUBDIR);
-        let cannot = |e: io::Error| {
-            FexError::Data(format!("cannot create graph at `{}`: {e}", root.display()))
+        let pack = match Self::open_pack(&root, false) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            pack => Some(pack.map_err(|e| {
+                FexError::Data(format!("cannot open graph at `{}`: {e}", root.display()))
+            })?),
         };
-        fs::create_dir_all(&root).map_err(cannot)?;
-        let pack = fs::OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(root.join(Self::PACK))
-            .map_err(cannot)?;
         let (entries, mut warnings) = Self::scan_at(&root);
         let scanned = warnings.len();
         warnings.retain(|w| !w.ends_with(PRE_PACK));
@@ -319,6 +315,15 @@ impl ArtifactGraph {
             })
             .collect();
         Ok(ArtifactGraph { root, pack, index, next_seq, warnings, hits: 0, misses: 0 })
+    }
+
+    /// Opens the pack under `root` for reads and appends, creating it
+    /// (and `root`) when `create` is set.
+    fn open_pack(root: &Path, create: bool) -> io::Result<File> {
+        if create {
+            fs::create_dir_all(root)?;
+        }
+        fs::OpenOptions::new().read(true).append(true).create(create).open(root.join(Self::PACK))
     }
 
     /// The graph's root directory (`<lab>/graph`).
@@ -369,15 +374,15 @@ impl ArtifactGraph {
     /// never an error.
     pub fn lookup_run(&mut self, digest: &Digest) -> Option<RunResult> {
         let served = match self.index.get(&digest.0) {
-            Some(node) if node.kind == NodeKind::RunUnit => {
-                read_range(&self.pack, node.offset, node.len)
-                    .ok()
-                    .filter(|bytes| {
-                        bytes.len() as u64 == node.len && Some(digest_bytes(bytes)) == node.payload
-                    })
-                    .and_then(|bytes| String::from_utf8(bytes).ok())
-                    .and_then(|text| run_from_json(&text))
-            }
+            Some(node) if node.kind == NodeKind::RunUnit => self
+                .pack
+                .as_ref()
+                .and_then(|pack| read_range(pack, node.offset, node.len).ok())
+                .filter(|bytes| {
+                    bytes.len() as u64 == node.len && Some(digest_bytes(bytes)) == node.payload
+                })
+                .and_then(|bytes| String::from_utf8(bytes).ok())
+                .and_then(|text| run_from_json(&text)),
             _ => None,
         };
         match served {
@@ -418,8 +423,12 @@ impl ArtifactGraph {
             return Ok(());
         }
         let io = |e: io::Error| FexError::Data(format!("graph write failed: {e}"));
-        let offset = self.pack.seek(SeekFrom::End(0)).map_err(io)?;
-        self.pack.write_all(format!("{payload}\n").as_bytes()).map_err(io)?;
+        let pack = match &mut self.pack {
+            Some(pack) => pack,
+            none => none.insert(Self::open_pack(&self.root, true).map_err(io)?),
+        };
+        let offset = pack.seek(SeekFrom::End(0)).map_err(io)?;
+        pack.write_all(format!("{payload}\n").as_bytes()).map_err(io)?;
         let payload_digest = digest_bytes(payload.as_bytes());
         let len = payload.len() as u64;
         let entry = GraphIndexEntry {

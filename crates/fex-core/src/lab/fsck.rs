@@ -37,7 +37,7 @@ pub enum IssueKind {
     DigestMismatch,
     /// Row/failure counts in the index disagreeing with the stored CSVs.
     CountMismatch,
-    /// An unreadable, unparseable or contradictory `record.json`.
+    /// An unreadable or unparseable `record.json`.
     CorruptRecord,
     /// A `runs/` directory no surviving index entry references.
     OrphanRunDir,
@@ -150,10 +150,8 @@ pub fn check(store: &RunStore) -> FsckReport {
     let (entries, warnings) = store.scan();
     report.entries_checked = entries.len();
     push_index_line_issues(IssueKind::CorruptIndexLine, &warnings, &mut report);
-    let mut seen = std::collections::BTreeSet::new();
     for entry in &entries {
-        let first_of_id = seen.insert(entry.run_id.as_str());
-        check_entry(store, entry, first_of_id, &mut report);
+        check_entry(store, entry, &mut report);
     }
     let mut holders = std::collections::BTreeMap::new();
     for entry in &entries {
@@ -248,13 +246,8 @@ fn range_bytes(pack: Option<&fs::File>, entry: &graph::GraphIndexEntry) -> Vec<u
     pack.and_then(|p| graph::read_range(p, entry.offset, entry.len).ok()).unwrap_or_default()
 }
 
-/// How the detail of a `corrupt-record` finding starts when only the
-/// record's seq is wrong, which `--quarantine` repairs in place.
-const STALE_SEQ: &str = "stale seq:";
-
-/// Checks one index line's run. `record.json` repeats the first line of
-/// its id, so only that line (`first_of_id`) checks the record's seq.
-fn check_entry(store: &RunStore, entry: &IndexEntry, first_of_id: bool, report: &mut FsckReport) {
+/// Checks one index line's run.
+fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
     let dir = store.run_dir(&entry.run_id);
     let mut issue = |kind, detail: String| {
         report.issues.push(FsckIssue { kind, subject: entry.run_id.clone(), detail });
@@ -295,26 +288,8 @@ fn check_entry(store: &RunStore, entry: &IndexEntry, first_of_id: bool, report: 
         Err(e) => issue(IssueKind::CorruptRecord, format!("cannot read `record.json`: {e}")),
         Ok(text) => match journal::parse_flat_object(text.trim()) {
             Err(e) => issue(IssueKind::CorruptRecord, format!("unparseable: {e}")),
+            // A journaled run must keep its metrics roll-up.
             Ok(map) => {
-                match map.get("run_id") {
-                    Some(Json::Str(id)) if *id == entry.run_id => {}
-                    other => issue(
-                        IssueKind::CorruptRecord,
-                        format!("record run_id {other:?} disagrees with the index"),
-                    ),
-                }
-                let seq = journal::get::<u64>(&map, "seq").ok();
-                if first_of_id && seq != Some(entry.seq) {
-                    let held = seq.map_or_else(|| "none".to_string(), |s| s.to_string());
-                    issue(
-                        IssueKind::CorruptRecord,
-                        format!(
-                            "{STALE_SEQ} record says {held}, the id's first index line {}",
-                            entry.seq
-                        ),
-                    );
-                }
-                // A journaled run must keep its metrics roll-up.
                 if matches!(map.get("journal_digest"), Some(Json::Str(d)) if !d.is_empty())
                     && !dir.join("metrics.json").is_file()
                 {
@@ -331,9 +306,7 @@ fn check_entry(store: &RunStore, entry: &IndexEntry, first_of_id: bool, report: 
 /// Checks the store and, when `quarantine` is set, moves every corrupt
 /// run directory (and orphan) under `<root>/quarantine/` and rewrites the
 /// index to the clean entries, giving each line whose seq an earlier one
-/// holds the next free seq. A run whose only damage is a stale record
-/// seq stays, and its `record.json` is rewritten. Returns the final
-/// report.
+/// holds the next free seq. Returns the final report.
 ///
 /// # Errors
 ///
@@ -346,17 +319,12 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
     let qdir = store.root().join("quarantine");
     fs::create_dir_all(&qdir)
         .map_err(|e| FexError::Data(format!("cannot create `{}`: {e}", qdir.display())))?;
-    let stale_seq =
-        |i: &FsckIssue| i.kind == IssueKind::CorruptRecord && i.detail.starts_with(STALE_SEQ);
-    let stale_records: std::collections::BTreeSet<&str> =
-        report.issues.iter().filter(|i| stale_seq(i)).map(|i| i.subject.as_str()).collect();
     let bad_runs: std::collections::BTreeSet<&str> = report
         .issues
         .iter()
         .filter(|i| {
             !matches!(i.kind, IssueKind::CorruptIndexLine | IssueKind::DuplicateSeq)
                 && !i.kind.is_graph()
-                && !stale_seq(i)
         })
         .map(|i| i.subject.as_str())
         .collect();
@@ -371,35 +339,23 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
         report.quarantined.push((*run_id).to_string());
     }
     // Rewriting the index drops corrupt lines and bad entries in one go,
-    // and renumbers a repeated seq past every seq in use. `record.json`
-    // repeats its id's first index line, so a stale record, or one whose
-    // line is renumbered, is rewritten from that line.
+    // and renumbers a repeated seq past every seq in use.
     let (entries, _) = store.scan();
     let mut next_free = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
     let mut taken = std::collections::BTreeSet::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut records = Vec::new();
     let survivors: String = entries
         .into_iter()
         .filter(|e| !bad_runs.contains(e.run_id.as_str()))
         .map(|mut e| {
-            let first_of_id = seen.insert(e.run_id.clone());
-            let renumbered = !taken.insert(e.seq);
-            if renumbered {
+            if !taken.insert(e.seq) {
                 e.seq = next_free;
                 next_free += 1;
-            }
-            if first_of_id && (renumbered || stale_records.contains(e.run_id.as_str())) {
-                records.push(e.clone());
             }
             e.to_json() + "\n"
         })
         .collect();
     fs::write(store.index_path(), survivors)
         .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
-    for entry in &records {
-        store.rewrite_record(entry)?;
-    }
     // The graph gets the same treatment: the readable bytes of each bad
     // range are kept as `quarantine/graph-<digest>`, a leftover
     // `graph/nodes/` tree moves to `quarantine/graph-nodes`, and the graph
@@ -733,7 +689,10 @@ mod tests {
             journal_digest: None,
         };
         // A writer that raced the first save derived the same seq.
-        let late = store.save_as(&cfg, &art, first.seq).unwrap();
+        let late = IndexEntry { seq: first.seq, ..store.save(&cfg, &art).unwrap() };
+        let index = fs::read_to_string(store.index_path()).unwrap();
+        let kept = index.lines().take(2).map(|l| l.to_string() + "\n").collect::<String>();
+        fs::write(store.index_path(), kept + &late.to_json() + "\n").unwrap();
         let report = check(&store);
         let dup: Vec<&FsckIssue> =
             report.issues.iter().filter(|i| i.kind == IssueKind::DuplicateSeq).collect();
@@ -746,45 +705,28 @@ mod tests {
         assert!(after.clean(), "{}", after.render());
         let seqs: Vec<u64> = store.list().unwrap().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "the later line took the next free seq");
-        let record = fs::read_to_string(store.run_dir(&late.run_id).join("record.json")).unwrap();
-        assert!(record.contains("\"seq\": 2,"), "the record follows its renumbered line: {record}");
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
-    fn a_stale_record_seq_is_found_and_rewritten_in_place() {
-        let store = populated("stale-seq");
+    fn a_record_from_an_older_lab_passes_fsck() {
+        let store = populated("old-record");
         let first = store.resolve("prev").unwrap();
-        // A second save of the same run, as a lab written before run
-        // directories became write-once left it: the record names the
-        // later save's seq.
-        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
-        let art = RunArtifacts {
-            results_csv: "h\n1\n",
-            failures_csv: "benchmark,type,threads,rep,error,attempts,outcome\n",
-            metrics_json: Some("{}"),
-            journal_digest: Some("fex256:00000000000000000000000000000abc"),
-        };
-        let later = store.save(&cfg, &art).unwrap();
-        assert_eq!(later.run_id, first.run_id);
-        store.write_record(&later, "fex256:00000000000000000000000000000abc").unwrap();
-        let report = check(&store);
-        assert_eq!(report.issues.len(), 1, "{}", report.render());
-        let issue = &report.issues[0];
-        assert_eq!(
-            (issue.kind, issue.subject.as_str()),
-            (IssueKind::CorruptRecord, &*first.run_id)
-        );
-        assert!(issue.detail.contains("record says 2, the id's first index line 0"), "{issue:?}");
-
-        let fixed = fsck(&store, true).unwrap();
-        assert!(fixed.quarantined.is_empty(), "a stale seq drops no run");
-        let after = check(&store);
-        assert!(after.clean(), "{}", after.render());
-        assert_eq!(after.entries_checked, 3);
-        let record = fs::read_to_string(store.run_dir(&first.run_id).join("record.json")).unwrap();
-        assert!(record.contains("\"seq\": 0,"), "{record}");
-        assert!(record.contains("00000000000000000000000000000abc"), "digest kept: {record}");
+        // Older builds repeated the id's index line in `record.json`, and a
+        // second save of the id could leave a later seq there. Only the
+        // journal digest is read, so such a record is clean.
+        let record = "{\"run_id\": \"fex256:0\", \"seq\": 9, \"experiment\": \"micro\", \
+                      \"key\": \"k\", \"rows\": 1, \"failures\": 0, \
+                      \"journal_digest\": \"fex256:00000000000000000000000000000abc\"}\n";
+        let path = store.run_dir(&first.run_id).join("record.json");
+        fs::write(&path, record).unwrap();
+        let report = fsck(&store, true).unwrap();
+        assert!(report.clean(), "{}", report.render());
+        assert_eq!(fs::read_to_string(&path).unwrap(), record, "fsck leaves the record alone");
+        assert!(store.render_show(&first).unwrap().contains("journal:    fex256:"));
+        fs::remove_file(store.run_dir(&first.run_id).join("metrics.json")).unwrap();
+        let kinds: Vec<IssueKind> = check(&store).issues.iter().map(|i| i.kind).collect();
+        assert_eq!(kinds, vec![IssueKind::MissingArtifact], "its digest still marks it journaled");
         let _ = fs::remove_dir_all(store.root());
     }
 

@@ -22,8 +22,8 @@
 //!   four-way [`Verdict`],
 //! * [`fsck`] — `fex lab fsck`: integrity checking, quarantine, and the
 //!   deterministic disk-corruption injector that exercises both,
-//! * [`lock`] — the lab's one write lock (`<lab>/lock`), which every
-//!   writer of the run store and the artifact graph holds.
+//! * [`Lab`] — the lab's one writer: the write lock (`<lab>/lock`), the
+//!   run store's next seq and the artifact graph, held together.
 
 pub mod compare;
 pub mod fsck;
@@ -37,22 +37,103 @@ use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+use crate::config::ExperimentConfig;
 use crate::error::{FexError, Result};
+use crate::graph::ArtifactGraph;
+use crate::journal::JsonLine;
 
-/// Takes the write lock of the lab at `dir`: an exclusive advisory lock
-/// on `<dir>/lock`, held until the returned file is dropped. Blocks
-/// while another holder has it. Index seqs and pack offsets are derived
-/// from what is on disk, so each write section (a run from the graph
-/// open through the store save, `gc`, `fsck`) holds it throughout. Each
-/// call opens its own file description, so the lock serializes threads
-/// of one process as well as processes; a thread that already holds it
-/// must not take it again, or it waits on itself.
-///
-/// # Errors
-///
-/// [`FexError::Data`] when the lock file cannot be created or locked.
-pub fn lock(dir: impl AsRef<Path>) -> Result<fs::File> {
-    let dir = dir.as_ref();
+/// The lab's one writer. Index seqs and pack offsets derive from what is
+/// on disk, so every writer (a run, `gc`, `fsck`, the serve daemon for
+/// its lifetime) holds a `Lab`: the write lock on `<dir>/lock`, the run
+/// store with its next seq, and the artifact graph when asked for.
+#[derive(Debug)]
+pub struct Lab {
+    store: RunStore,
+    graph: Option<ArtifactGraph>,
+    next_seq: u64,
+    _lock: fs::File,
+}
+
+impl Lab {
+    /// Opens the lab at `dir` for writing, creating the directory: takes
+    /// the write lock (saying so on stderr if it has to wait), opens the
+    /// store, scanning its index once for the next seq, and, when
+    /// `graph` is set, the graph. Each lock is a file description of its
+    /// own, so it serializes threads as well as processes: a thread
+    /// holding a `Lab` must not open a second one on the same directory.
+    ///
+    /// # Errors
+    ///
+    /// [`FexError::Data`] when the lock cannot be taken or the graph
+    /// cannot be opened.
+    pub fn open(dir: impl AsRef<Path>, graph: bool) -> Result<Lab> {
+        let dir = dir.as_ref();
+        let lock = lock(dir)?;
+        let store = RunStore::open(dir)?;
+        let next_seq = store.scan().0.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
+        let graph = graph.then(|| ArtifactGraph::open(dir)).transpose()?;
+        Ok(Lab { store, graph, next_seq, _lock: lock })
+    }
+
+    /// The run store.
+    pub fn store(&self) -> &RunStore {
+        &self.store
+    }
+
+    /// The artifact graph, when the lab was opened with one.
+    pub(crate) fn graph_mut(&mut self) -> Option<&mut ArtifactGraph> {
+        self.graph.as_mut()
+    }
+
+    /// The seq the next [`Lab::save`] archives at.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Archives one completed run at the next seq: writes its artifact
+    /// directory, unless an earlier save of the id completed it
+    /// (`record.json`, written last, is present), and appends its index
+    /// line. Returns the new entry.
+    ///
+    /// # Errors
+    ///
+    /// [`FexError::Data`] on filesystem failures.
+    pub fn save(
+        &mut self,
+        config: &ExperimentConfig,
+        art: &RunArtifacts<'_>,
+    ) -> Result<IndexEntry> {
+        let run_id = RunStore::run_id(config, art);
+        let entry = IndexEntry {
+            seq: self.next_seq,
+            run_id: run_id.clone(),
+            experiment: config.name.clone(),
+            key: RunStore::experiment_key(config),
+            rows: art.results_csv.lines().count().saturating_sub(1),
+            failures: art.failures_csv.lines().count().saturating_sub(1),
+        };
+        let dir = self.store.run_dir(&run_id);
+        let io = |e: std::io::Error| FexError::Data(format!("store write failed: {e}"));
+        if !dir.join("record.json").is_file() {
+            fs::create_dir_all(&dir).map_err(io)?;
+            fs::write(dir.join("results.csv"), art.results_csv).map_err(io)?;
+            fs::write(dir.join("failures.csv"), art.failures_csv).map_err(io)?;
+            if let Some(m) = art.metrics_json {
+                fs::write(dir.join("metrics.json"), m).map_err(io)?;
+            }
+            let record = JsonLine::object("journal_digest", art.journal_digest.unwrap_or(""));
+            fs::write(dir.join("record.json"), record.finish() + "\n").map_err(io)?;
+        }
+        append_index_line(&self.store.index_path(), &entry.to_json()).map_err(io)?;
+        self.next_seq += 1;
+        Ok(entry)
+    }
+}
+
+/// Takes the exclusive advisory lock on `<dir>/lock`, held until the
+/// returned file drops. When another holder has it, prints one line to
+/// stderr and blocks.
+fn lock(dir: &Path) -> Result<fs::File> {
     let io =
         |e: std::io::Error| FexError::Data(format!("cannot lock lab `{}`: {e}", dir.display()));
     fs::create_dir_all(dir).map_err(io)?;
@@ -62,7 +143,14 @@ pub fn lock(dir: impl AsRef<Path>) -> Result<fs::File> {
         .write(true)
         .open(dir.join("lock"))
         .map_err(io)?;
-    file.lock().map_err(io)?;
+    match file.try_lock() {
+        Ok(()) => {}
+        Err(fs::TryLockError::WouldBlock) => {
+            eprintln!("waiting for the lab lock on {}", dir.display());
+            file.lock().map_err(io)?;
+        }
+        Err(fs::TryLockError::Error(e)) => return Err(io(e)),
+    }
     Ok(file)
 }
 

@@ -8,7 +8,7 @@
 //!   runs/<digest>/results.csv  # the collected frame
 //!   runs/<digest>/failures.csv # the failure report
 //!   runs/<digest>/metrics.json # journal metrics roll-up (when journaled)
-//!   runs/<digest>/record.json  # the id's first index line again, self-describing
+//!   runs/<digest>/record.json  # the journal digest; written last, it marks the run complete
 //! ```
 //!
 //! Runs are **content addressed**: the run id is a digest over the
@@ -22,11 +22,11 @@
 //! smoke test needs. Like an artifact-graph node, a run directory is
 //! written once: the first save of an id writes it, and a later save of
 //! the same id appends only its index line, so `record.json` keeps the
-//! first save's seq and `metrics.json` the first save's roll-up.
+//! first save's journal digest and `metrics.json` its roll-up. Every
+//! write goes through a [`Lab`](super::Lab), which holds the lab lock.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
 
 use fex_container::DigestBuilder;
@@ -100,17 +100,14 @@ impl RunStore {
     /// Default store directory, relative to the working directory.
     pub const DEFAULT_DIR: &'static str = ".fex-lab";
 
-    /// Opens (creating if necessary) a store rooted at `dir`.
+    /// Opens the store rooted at `dir`. Nothing is created: the first
+    /// save creates the directory, `index.json` and `runs/`.
     ///
     /// # Errors
     ///
-    /// [`FexError::Data`] when the directory cannot be created.
+    /// Kept for API stability; opening reads nothing and never fails.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
-        let root = dir.into();
-        fs::create_dir_all(root.join("runs")).map_err(|e| {
-            FexError::Data(format!("cannot create store at `{}`: {e}", root.display()))
-        })?;
-        Ok(RunStore { root })
+        Ok(RunStore { root: dir.into() })
     }
 
     /// The store's root directory.
@@ -151,78 +148,15 @@ impl RunStore {
         d.finish().to_string()
     }
 
-    /// Archives one completed run under the lab lock: writes its artifact
-    /// directory and appends an index line with the next free seq.
-    /// Returns the new entry.
+    /// Archives one completed run through a [`Lab`](super::Lab) opened
+    /// for this save alone: takes the lab lock, then writes the run at
+    /// the next free seq. Returns the new entry.
     ///
     /// # Errors
     ///
-    /// [`FexError::Data`] on filesystem failures or a corrupt index.
+    /// [`FexError::Data`] on filesystem failures.
     pub fn save(&self, config: &ExperimentConfig, art: &RunArtifacts<'_>) -> Result<IndexEntry> {
-        let _lock = super::lock(&self.root)?;
-        self.save_as(config, art, self.next_seq()?)
-    }
-
-    /// [`RunStore::save`] at a given `seq`, for a caller that already
-    /// holds the lab lock and derived the seq under it. The run directory
-    /// is written only if no earlier save of the id completed it
-    /// (`record.json`, written last, is present).
-    pub(crate) fn save_as(
-        &self,
-        config: &ExperimentConfig,
-        art: &RunArtifacts<'_>,
-        seq: u64,
-    ) -> Result<IndexEntry> {
-        let run_id = Self::run_id(config, art);
-        let entry = IndexEntry {
-            seq,
-            run_id: run_id.clone(),
-            experiment: config.name.clone(),
-            key: Self::experiment_key(config),
-            rows: art.results_csv.lines().count().saturating_sub(1),
-            failures: art.failures_csv.lines().count().saturating_sub(1),
-        };
-        let dir = self.run_dir(&run_id);
-        let io = |e: std::io::Error| FexError::Data(format!("store write failed: {e}"));
-        if !dir.join("record.json").is_file() {
-            fs::create_dir_all(&dir).map_err(io)?;
-            fs::write(dir.join("results.csv"), art.results_csv).map_err(io)?;
-            fs::write(dir.join("failures.csv"), art.failures_csv).map_err(io)?;
-            if let Some(m) = art.metrics_json {
-                fs::write(dir.join("metrics.json"), m).map_err(io)?;
-            }
-            self.write_record(&entry, art.journal_digest.unwrap_or("")).map_err(io)?;
-        }
-        super::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
-        Ok(entry)
-    }
-
-    /// Writes `entry`'s `record.json`: its index line plus the digest of
-    /// its journal (empty when the run was not journaled).
-    pub(crate) fn write_record(&self, entry: &IndexEntry, journal_digest: &str) -> io::Result<()> {
-        let mut record = JsonLine::object("run_id", &entry.run_id);
-        record
-            .field("seq", &entry.seq)
-            .str("experiment", &entry.experiment)
-            .str("key", &entry.key)
-            .field("rows", &entry.rows)
-            .field("failures", &entry.failures)
-            .str("journal_digest", journal_digest);
-        fs::write(self.run_dir(&entry.run_id).join("record.json"), record.finish() + "\n")
-    }
-
-    /// Rewrites `entry`'s `record.json` to describe `entry`, keeping the
-    /// journal digest the record holds (empty when it holds none).
-    pub(crate) fn rewrite_record(&self, entry: &IndexEntry) -> Result<()> {
-        let path = self.run_dir(&entry.run_id).join("record.json");
-        let record = fs::read_to_string(&path)
-            .map_err(|e| FexError::Data(format!("cannot read `{}`: {e}", path.display())))?;
-        let journal_digest = journal::parse_flat_object(record.trim())
-            .ok()
-            .and_then(|map| journal::get::<String>(&map, "journal_digest").ok())
-            .unwrap_or_default();
-        self.write_record(entry, &journal_digest)
-            .map_err(|e| FexError::Data(format!("store write failed: {e}")))
+        super::Lab::open(&self.root, false)?.save(config, art)
     }
 
     /// All index entries in insertion order.
@@ -311,15 +245,13 @@ impl RunStore {
     /// Garbage-collects the store under the lab lock: per experiment key,
     /// keeps the newest `keep` entries and deletes the rest (index lines
     /// and, when no surviving entry references them, artifact
-    /// directories). A kept id whose first index line went has its
-    /// `record.json` rewritten to its first kept line. Returns the number
-    /// of index entries removed.
+    /// directories). Returns the number of index entries removed.
     ///
     /// # Errors
     ///
     /// [`FexError::Data`] on filesystem failures or a corrupt index.
     pub fn gc(&self, keep: usize) -> Result<usize> {
-        let _lock = super::lock(&self.root)?;
+        let _lab = super::Lab::open(&self.root, false)?;
         let entries = self.list()?;
         let mut kept: Vec<&IndexEntry> = Vec::new();
         // Walk newest-first so "the newest `keep` per key" is a simple
@@ -344,15 +276,6 @@ impl RunStore {
         let index: String = kept.iter().map(|e| e.to_json() + "\n").collect();
         fs::write(self.index_path(), index)
             .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
-        let mut first_seq = std::collections::BTreeMap::new();
-        for e in &entries {
-            first_seq.entry(e.run_id.as_str()).or_insert(e.seq);
-        }
-        for e in kept {
-            if first_seq.remove(e.run_id.as_str()).is_some_and(|seq| seq != e.seq) {
-                self.rewrite_record(e)?;
-            }
-        }
         Ok(removed)
     }
 
@@ -434,10 +357,6 @@ impl RunStore {
     pub(crate) fn run_dir(&self, run_id: &str) -> PathBuf {
         self.root.join("runs").join(run_id.trim_start_matches("fex256:"))
     }
-
-    pub(crate) fn next_seq(&self) -> Result<u64> {
-        Ok(self.list()?.iter().map(|e| e.seq).max().map_or(0, |m| m + 1))
-    }
 }
 
 #[cfg(test)]
@@ -494,11 +413,11 @@ mod tests {
         // A shared id resolves to the duplicate, not an ambiguity error.
         assert_eq!(store.resolve(&a.run_id).unwrap().run_id, a.run_id);
         // The first save wrote the run directory; the rerun only appended
-        // its index line.
+        // its index line. The record holds the journal digest alone.
         let dir = store.run_dir(&a.run_id);
         assert_eq!(fs::read_to_string(dir.join("metrics.json")).unwrap(), "{}");
         let record = fs::read_to_string(dir.join("record.json")).unwrap();
-        assert!(record.contains("\"seq\": 0,"), "{record}");
+        assert_eq!(record, "{\"journal_digest\": \"fex256:00000000000000000000000000000abc\"}\n");
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -522,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_moves_a_record_to_its_first_kept_line() {
+    fn gc_keeps_the_record_of_an_id_whose_first_line_goes() {
         let store = temp_store("gc-record");
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
         store.save(&cfg, &art("h\n1\n")).unwrap();
@@ -530,7 +449,6 @@ mod tests {
         assert_eq!(store.gc(1).unwrap(), 1);
         assert_eq!(store.list().unwrap(), vec![newest.clone()]);
         let record = fs::read_to_string(store.run_dir(&newest.run_id).join("record.json")).unwrap();
-        assert!(record.contains("\"seq\": 1,"), "{record}");
         assert!(
             record.contains("00000000000000000000000000000abc"),
             "journal digest kept: {record}"
@@ -558,8 +476,8 @@ mod tests {
         // Every reader path stays functional on the torn store.
         assert_eq!(store.list().unwrap(), vec![a.clone()]);
         assert_eq!(store.resolve("latest").unwrap(), a);
-        assert_eq!(store.next_seq().unwrap(), b.seq, "torn seq is reusable");
         let c = store.save(&cfg.clone().seed(7), &art("h\n3\n")).unwrap();
+        assert_eq!(c.seq, b.seq, "torn seq is reusable");
         assert_eq!(store.list().unwrap(), vec![a, c], "appends still work");
         let _ = fs::remove_dir_all(store.root());
     }

@@ -50,11 +50,11 @@ pub struct RunContext<'a> {
     /// outcome — and the runner never reads it back, so CSVs are
     /// byte-identical with it on or off.
     pub journal: Journal,
-    /// The artifact graph serving cached clean run units, attached by the
-    /// workflow when `--lab` is active and `--no-graph` was not given.
-    /// `None` keeps every lookup and store a no-op, so graph-less runs
-    /// are untouched.
-    pub graph: Option<ArtifactGraph>,
+    /// The artifact graph serving cached clean run units, borrowed from
+    /// the run's lab when `--lab` is active and `--no-graph` was not
+    /// given. `None` keeps every lookup and store a no-op, so graph-less
+    /// runs are untouched.
+    pub graph: Option<&'a mut ArtifactGraph>,
 }
 
 impl<'a> RunContext<'a> {

@@ -23,14 +23,14 @@
 //!   the shared `.fex-lab/graph/` artifact graph. Both layers are
 //!   journaled per tenant (`serve_stream` carries the hit accounting).
 //! * **Worker fleet** — a pool of real worker threads drains the queue.
-//!   The content-addressed [`RunStore`](crate::lab::RunStore) and
-//!   artifact graph derive seqs and pack offsets from what is on disk,
-//!   so each pipeline run holds the lab's write lock
-//!   ([`crate::lab::lock`]) from the graph open through the store save.
-//!   The lock is a file lock on its own file description per run, so it
-//!   serializes the daemon's workers exactly as it serializes a daemon
-//!   and a CLI run sharing the lab, while each submission still fans its
-//!   run units out over `--jobs` workers inside the pipeline.
+//!   Local submissions run against one [`Lab`]: the daemon opens it on
+//!   its first local submission (not at start, so a lab restored into an
+//!   idle daemon's directory is what it serves) and holds it, with the
+//!   lab's write lock, until it exits. Workers take turns on the lab, so
+//!   no submission reopens the graph or rescans the store index, while
+//!   each still fans its run units out over `--jobs` workers inside the
+//!   pipeline. A CLI writer on the same lab waits for the daemon to
+//!   exit.
 //! * **Fleet mode** — a submission with `fleet > 0` shards its
 //!   benchmarks across a simulated homogeneous host fleet via
 //!   [`DistributedRun`](crate::distributed::DistributedRun), with host
@@ -52,7 +52,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use fex_container::DigestBuilder;
@@ -64,6 +64,7 @@ use crate::config::{input_from_name, tool_from_name, ExperimentConfig, Repetitio
 use crate::distributed::DistributedRun;
 use crate::error::{FexError, Result};
 use crate::journal::{self, Journal, JournalEvent, Json, JsonLine};
+use crate::lab::Lab;
 use crate::resilience::RunPolicy;
 use crate::workflow::Fex;
 
@@ -527,6 +528,11 @@ struct Inner {
     /// journal lines: a duplicate streams nothing).
     served: Mutex<HashMap<String, Arc<Executed>>>,
     tenants: Mutex<BTreeMap<String, TenantStats>>,
+    /// The lab local submissions run against: opened by the first one,
+    /// then held, with its write lock, until the daemon exits. A run that
+    /// panicked leaves it valid (a save bumps the seq only after its
+    /// index line is appended), so a poisoned lock is taken over.
+    lab: Mutex<Option<Lab>>,
     /// Live connections: each handler thread with a clone of its stream,
     /// so drain can EOF clients idling between requests without cutting
     /// in-flight result writes. Finished entries are dropped on accept.
@@ -564,13 +570,20 @@ impl Inner {
     }
 
     /// The local path: the full build–run–collect pipeline against the
-    /// shared lab, so the artifact graph serves every unchanged unit and
+    /// daemon's lab, so the artifact graph serves every unchanged unit and
     /// the store archives the aggregate.
     fn execute_local(&self, sub: &Submission) -> Result<Executed> {
         let cfg = sub.config(Some(&self.opts.lab));
         let suite = sub.suite()?;
         let mut fex = Fex::new();
-        fex.run_suite(&cfg, suite)?;
+        {
+            let mut held = self.lab.lock().unwrap_or_else(PoisonError::into_inner);
+            let lab = match &mut *held {
+                Some(lab) => lab,
+                none => none.insert(Lab::open(&self.opts.lab, true)?),
+            };
+            fex.run_suite_in(&cfg, suite, lab)?;
+        }
         let results_csv = fex.result_csv(&cfg.name).unwrap_or_default();
         let failures_csv = fex.failure_csv(&cfg.name).unwrap_or_default();
         let jsonl = fex.journal_jsonl(&cfg.name).unwrap_or_default();
@@ -701,6 +714,8 @@ impl ServerHandle {
             let _ = conn.join();
         }
         let _ = std::fs::remove_file(&self.inner.opts.socket);
+        // Every worker has finished, so the lab and its lock can go.
+        drop(self.inner.lab.lock().unwrap_or_else(PoisonError::into_inner).take());
         let journal = std::mem::take(&mut *self.inner.journal.lock().expect("journal lock"));
         let jsonl = journal.to_jsonl();
         let path = Path::new(&self.inner.opts.lab).join("serve.journal.jsonl");
@@ -745,6 +760,7 @@ impl Server {
             journal: Mutex::new(Journal::new(true)),
             served: Mutex::new(HashMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
+            lab: Mutex::new(None),
             conns: Mutex::new(Vec::new()),
             next_submission: AtomicU64::new(0),
             completed: AtomicU64::new(0),

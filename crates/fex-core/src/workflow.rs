@@ -21,6 +21,7 @@ use crate::config::ExperimentConfig;
 use crate::error::{FexError, Result};
 use crate::install::{required_scripts, run_script};
 use crate::journal::{JournalEvent, Metrics, JOURNAL_VERSION};
+use crate::lab::Lab;
 use crate::plot::{
     barplot_from_frame, lineplot_from_frame, normalize_against, Plot, PlotKind, Series,
 };
@@ -250,7 +251,8 @@ impl Fex {
             ExperimentKind::Server => Box::new(ServerRunner::new(server_kind(&config.name)?)),
             ExperimentKind::Security => Box::new(SecurityRunner::new()),
         };
-        self.run_pipeline(config, runner)
+        let mut lab = config.lab.as_ref().map(|dir| Lab::open(dir, config.graph)).transpose()?;
+        self.run_pipeline(config, runner, lab.as_mut())
     }
 
     /// Runs an ad-hoc [`Suite`](fex_suites::Suite) through the exact
@@ -271,17 +273,33 @@ impl Fex {
         suite: fex_suites::Suite,
     ) -> Result<&DataFrame> {
         config.validate()?;
-        let runner: Box<dyn Runner> = Box::new(SuiteRunner::new(suite, config));
-        self.run_pipeline(config, runner)
+        let mut lab = config.lab.as_ref().map(|dir| Lab::open(dir, config.graph)).transpose()?;
+        self.run_pipeline(config, Box::new(SuiteRunner::new(suite, config)), lab.as_mut())
+    }
+
+    /// [`Fex::run_suite`] against a lab the caller holds open, so a
+    /// long-lived caller (the serve daemon) neither reopens the graph nor
+    /// rescans the store index per run. `config.graph` still decides
+    /// whether the run consults the lab's graph.
+    pub(crate) fn run_suite_in(
+        &mut self,
+        config: &ExperimentConfig,
+        suite: fex_suites::Suite,
+        lab: &mut Lab,
+    ) -> Result<&DataFrame> {
+        config.validate()?;
+        self.run_pipeline(config, Box::new(SuiteRunner::new(suite, config)), Some(lab))
     }
 
     /// The shared tail of every experiment: environment recording, the
-    /// journalled run phase, collection, store archival and container
+    /// journalled run phase, collection, store archival into `lab` (the
+    /// run's own, opened per run by `run` and `run_suite`) and container
     /// filesystem writes.
     fn run_pipeline(
         &mut self,
         config: &ExperimentConfig,
         mut runner: Box<dyn Runner>,
+        mut lab: Option<&mut Lab>,
     ) -> Result<&DataFrame> {
         // Record environment details in the log (reproducibility, §VI).
         for ty in &config.build_types {
@@ -294,20 +312,15 @@ impl Fex {
         self.log.push(format!("environment digest: {}", self.container.environment_digest()));
 
         let experiment_started = std::time::Instant::now();
-        // The graph's seqs and pack offsets and the store's seq all derive
-        // from what is on disk, so a run holds the lab lock from the graph
-        // open through its last write.
-        let lab_lock = config.lab.as_ref().map(crate::lab::lock).transpose()?;
-        let (frame, failures, mut journal, graph) = {
+        // Attach the lab's artifact graph unless `--no-graph` was given:
+        // run units whose whole derivation is unchanged are served from
+        // the node cache. A resident graph counts every run's lookups, so
+        // this run's share is the difference.
+        let mut graph = lab.as_deref_mut().and_then(Lab::graph_mut).filter(|_| config.graph);
+        let counted = graph.as_ref().map(|g| (g.hits(), g.misses()));
+        let (frame, failures, mut journal) = {
             let mut ctx = RunContext::new(config, &self.makefiles, &mut self.log);
-            // Attach the artifact graph when a lab directory is active
-            // and `--no-graph` was not given: run units whose whole
-            // derivation is unchanged are served from the node cache.
-            if config.graph {
-                if let Some(dir) = &config.lab {
-                    ctx.graph = Some(crate::graph::ArtifactGraph::open(dir)?);
-                }
-            }
+            ctx.graph = graph.as_deref_mut();
             ctx.journal.emit(JournalEvent::ExperimentStart {
                 name: config.name.clone(),
                 jobs: config.effective_jobs(),
@@ -317,24 +330,17 @@ impl Fex {
             ctx.journal.phase_start("run");
             let frame = runner.run(&mut ctx)?;
             ctx.journal.phase_end("run");
-            (
-                frame,
-                std::mem::take(&mut ctx.failures),
-                std::mem::take(&mut ctx.journal),
-                ctx.graph.take(),
-            )
+            (frame, std::mem::take(&mut ctx.failures), std::mem::take(&mut ctx.journal))
         };
-        if let Some(g) = &graph {
+        if let (Some(g), Some((hits_before, misses_before))) = (&graph, counted) {
             for warning in g.warnings() {
                 self.log.push(format!("artifact graph: {warning}"));
             }
-            let lookups = g.hits() + g.misses();
-            if lookups > 0 {
+            let (hits, misses) = (g.hits() - hits_before, g.misses() - misses_before);
+            if hits + misses > 0 {
                 self.log.push(format!(
-                    "artifact graph: {} hits / {} misses ({:.1}% unit hit rate)",
-                    g.hits(),
-                    g.misses(),
-                    100.0 * g.hits() as f64 / lookups as f64
+                    "artifact graph: {hits} hits / {misses} misses ({:.1}% unit hit rate)",
+                    100.0 * hits as f64 / (hits + misses) as f64
                 ));
             }
         }
@@ -375,15 +381,7 @@ impl Fex {
         // is emitted before the journal is serialized so the recorded
         // stream (in the container and in the store) accounts for the
         // archive itself.
-        let lab_store = match &config.lab {
-            Some(dir) => {
-                let store = crate::lab::RunStore::open(dir)?;
-                let seq = store.next_seq()?;
-                Some((store, seq))
-            }
-            None => None,
-        };
-        if let Some((_, seq)) = &lab_store {
+        if let Some(lab) = &lab {
             if journal.enabled() {
                 let art = crate::lab::RunArtifacts {
                     results_csv: &results_csv,
@@ -394,7 +392,7 @@ impl Fex {
                 journal.emit(JournalEvent::StoreWrite {
                     experiment: config.name.clone(),
                     run_id: crate::lab::RunStore::run_id(config, &art),
-                    seq: *seq,
+                    seq: lab.next_seq(),
                 });
             }
         }
@@ -404,7 +402,7 @@ impl Fex {
         } else {
             (None, None)
         };
-        if let Some((store, seq)) = &lab_store {
+        if let Some(lab) = lab {
             let digest = journal_jsonl
                 .as_deref()
                 .map(|j| fex_container::digest_bytes(j.as_bytes()).to_string());
@@ -414,15 +412,14 @@ impl Fex {
                 metrics_json: metrics_json.as_deref(),
                 journal_digest: digest.as_deref(),
             };
-            let entry = store.save_as(config, &art, *seq)?;
+            let entry = lab.save(config, &art)?;
             self.log.push(format!(
                 "stored run {} (seq {}) in `{}`",
                 entry.run_id,
                 entry.seq,
-                store.root().display()
+                lab.store().root().display()
             ));
         }
-        drop(lab_lock);
         self.container
             .fs_mut()
             .write(format!("/fex/results/{}.csv", config.name), results_csv.into_bytes());
@@ -606,6 +603,33 @@ mod tests {
         fex.install("gcc-6.1").unwrap();
         fex.install("clang-3.8").unwrap();
         fex
+    }
+
+    /// Runs against one held lab share its graph, whose counters cover
+    /// every run; each run's log line still counts only its own lookups,
+    /// and each save takes the next seq without a rescan.
+    #[test]
+    fn runs_in_a_held_lab_log_their_own_graph_lookups() {
+        let dir = std::env::temp_dir().join(format!("fex-held-lab-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test).lab(dir.to_string_lossy());
+        let mut lab = Lab::open(&dir, true).unwrap();
+        let mut lines = Vec::new();
+        for _ in 0..2 {
+            let mut fex = Fex::new();
+            fex.run_suite_in(&cfg, fex_suites::micro(), &mut lab).unwrap();
+            let graph = fex.log().iter().filter(|l| l.contains(" hits / ")).cloned().collect();
+            let stored = fex.log().iter().filter(|l| l.starts_with("stored run")).count();
+            lines.push((graph, stored));
+        }
+        let line = |hits, misses, rate| {
+            vec![format!("artifact graph: {hits} hits / {misses} misses ({rate}% unit hit rate)")]
+        };
+        assert_eq!(lines, vec![(line(0, 4, "0.0"), 1), (line(4, 0, "100.0"), 1)]);
+        let seqs: Vec<u64> = lab.store().list().unwrap().iter().map(|e| e.seq).collect();
+        assert_eq!((seqs, lab.next_seq()), (vec![0, 1], 2));
+        drop(lab);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

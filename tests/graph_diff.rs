@@ -38,8 +38,9 @@ fn run_graphed(
 ) -> (String, String, Vec<JournalEvent>, (u64, u64)) {
     let makefiles = MakefileSet::standard();
     let mut log = Vec::new();
+    let mut graph = ArtifactGraph::open(lab).unwrap();
     let mut ctx = RunContext::new(config, &makefiles, &mut log);
-    ctx.graph = Some(ArtifactGraph::open(lab).unwrap());
+    ctx.graph = Some(&mut graph);
     let mut runner = SuiteRunner::new(suite, config);
     let df = runner.run(&mut ctx).unwrap();
     let graph = ctx.graph.take().unwrap();

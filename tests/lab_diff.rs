@@ -136,9 +136,10 @@ fn store_save_is_idempotent_on_content() {
 }
 
 /// A warm `--lab` rerun shares the cold run's id, and the run directory
-/// keeps what the first save wrote: `record.json` names seq 0 and
-/// `metrics.json` the cold run's 28 compiled pairs, while the warm run's
-/// own metrics (every pair left unbuilt) stay in its results directory.
+/// keeps what the first save wrote: `record.json` holds the cold run's
+/// journal digest alone and `metrics.json` the cold run's 28 compiled
+/// pairs, while the warm run's own metrics (every pair left unbuilt)
+/// stay in its results directory.
 #[test]
 fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
     let dir = temp_dir("write-once");
@@ -151,7 +152,9 @@ fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
         .input(InputSize::Test)
         .lab(dir.to_string_lossy());
     fex.run(&cfg).unwrap();
+    let cold_journal = fex.journal_jsonl("phoenix").unwrap();
     fex.run(&cfg).unwrap();
+    assert_ne!(fex.journal_jsonl("phoenix").unwrap(), cold_journal, "warm runs journal hits");
     let warm_metrics = fex.metrics_json("phoenix").unwrap();
     assert!(warm_metrics.contains("\"build_cache_hits\": 28,"), "{warm_metrics}");
 
@@ -161,7 +164,8 @@ fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
     assert_eq!(entries[0].run_id, entries[1].run_id, "cold and warm share an id");
     let run_dir = dir.join("runs").join(entries[0].run_id.trim_start_matches("fex256:"));
     let record = std::fs::read_to_string(run_dir.join("record.json")).unwrap();
-    assert!(record.contains("\"seq\": 0,"), "{record}");
+    let digest = fex_container::digest_bytes(cold_journal.as_bytes());
+    assert_eq!(record, format!("{{\"journal_digest\": \"{digest}\"}}\n"));
     let stored = std::fs::read_to_string(run_dir.join("metrics.json")).unwrap();
     assert!(stored.contains("\"builds\": 28,"), "{stored}");
     assert!(stored.contains("\"build_cache_hits\": 0,"), "{stored}");
@@ -199,6 +203,8 @@ fn report_with_missing_journal_exits_nonzero_with_message() {
 fn lab_and_compare_on_missing_stores_exit_nonzero_with_message() {
     let dir = temp_dir("missing");
     let lab = dir.to_string_lossy().to_string();
+    // A lab whose store holds no run yet.
+    std::fs::write(dir.join("index.json"), "").unwrap();
 
     let out = fex_bin().args(["lab", "show", "latest", "--lab", &lab]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
@@ -216,8 +222,9 @@ fn lab_and_compare_on_missing_stores_exit_nonzero_with_message() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Commands that only read a lab refuse a missing `--lab` directory,
-/// name it and create nothing; `fex run --lab` still creates its lab.
+/// Commands that only read a lab refuse a missing `--lab` directory, or
+/// one with neither a store nor a graph index, name it and create
+/// nothing; `fex run --lab` still creates its lab.
 #[test]
 fn read_only_commands_refuse_a_missing_lab_and_create_nothing() {
     let cwd = fresh_dir();
@@ -246,12 +253,49 @@ fn read_only_commands_refuse_a_missing_lab_and_create_nothing() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("`.fex-lab`"), "the default is named");
     let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
     assert!(left.is_empty(), "a read-only command created {left:?}");
+    let plain = cwd.join("plain");
+    std::fs::create_dir(&plain).unwrap();
+    for args in read_only {
+        let args: Vec<&str> = args.iter().map(|a| if *a == "typo" { "plain" } else { a }).collect();
+        let out = fex(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("no lab at `plain`: no run store or artifact graph index"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let left: Vec<_> = std::fs::read_dir(&plain).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert!(left.is_empty(), "a read-only command wrote {left:?} into a plain directory");
 
     let out = fex(&["run", "-n", "micro", "-i", "test", "-t", "gcc_native", "--lab", "typo"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let out = fex(&["lab", "fsck", "--lab", "typo"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("store is clean"));
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+/// `fex graph stats` on a lab written only by `--no-graph` runs prints
+/// zero counts and creates nothing: the graph's first store creates
+/// `graph/`.
+#[test]
+fn graph_stats_on_a_graphless_lab_creates_no_graph() {
+    let cwd = fresh_dir();
+    let fex = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_fex")).current_dir(&cwd).args(args).output().unwrap()
+    };
+    let run = ["run", "-n", "micro", "-i", "test", "-t", "gcc_native", "--no-graph", "--lab", "L"];
+    let out = fex(&run);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = fex(&["graph", "stats", "--lab", "L"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("total           0"), "{stdout}");
+    assert!(!cwd.join("L").join("graph").exists(), "graph stats created the graph");
+    let out = fex(&["lab", "fsck", "--lab", "L"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!cwd.join("L").join("graph").exists(), "fsck created the graph");
     let _ = std::fs::remove_dir_all(&cwd);
 }
 

@@ -278,6 +278,171 @@ fn concurrent_duplicates_are_store_served_without_evictions() {
 }
 
 // ---------------------------------------------------------------------
+// The daemon's lab
+// ---------------------------------------------------------------------
+
+/// Starts an in-process daemon with `workers` workers over `<dir>/lab`.
+fn start_daemon(dir: &Path, workers: usize) -> (fex_core::ServerHandle, PathBuf) {
+    let handle = Server::start(ServeOptions {
+        socket: dir.join("serve.sock"),
+        lab: dir.join("lab").to_string_lossy().into_owned(),
+        workers,
+        queue_cap: 64,
+    })
+    .unwrap();
+    let socket = handle.socket().to_path_buf();
+    (handle, socket)
+}
+
+/// Tries to take `<lab>/lock` the way a second writer would.
+fn try_lab_lock(lab: &Path) -> Result<(), std::fs::TryLockError> {
+    std::fs::create_dir_all(lab).unwrap();
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(lab.join("lock"))
+        .unwrap();
+    file.try_lock()
+}
+
+/// The daemon opens its lab on the first local submission and holds the
+/// lab lock from then until it exits, so no other writer can interleave
+/// with it.
+#[test]
+fn the_daemon_holds_the_lab_lock_from_its_first_local_submission_until_it_exits() {
+    let dir = temp_dir("lab-lock");
+    let lab = dir.join("lab");
+    let (handle, socket) = start_daemon(&dir, 1);
+    assert!(try_lab_lock(&lab).is_ok(), "an idle daemon holds no lock");
+    let outcome = serve::submit(&socket, &micro_sub("t")).unwrap();
+    assert!(!outcome.store_hit && outcome.rows > 0);
+    assert!(
+        matches!(try_lab_lock(&lab), Err(std::fs::TryLockError::WouldBlock)),
+        "the daemon holds the lab lock after its first local submission"
+    );
+    serve::shutdown(&socket).unwrap();
+    handle.wait().unwrap();
+    assert!(try_lab_lock(&lab).is_ok(), "the lock goes with the daemon");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two clients send 40 distinct warm and dirty submissions to one
+/// daemon. Its lab counts seqs from one index scan, so the store ends
+/// with every seq from 0 taken exactly once, and fsck finds it clean.
+#[test]
+fn concurrent_submissions_take_every_store_seq_once() {
+    const BENCHES: [&str; 4] = ["arrayread", "arraywrite", "ptrchase", "branches"];
+    let types: [&[&str]; 4] = [
+        &["gcc_native"],
+        &["clang_native"],
+        &["gcc_native", "clang_native"],
+        &["clang_native", "gcc_native"],
+    ];
+    let dir = temp_dir("seqs");
+    let (handle, socket) = start_daemon(&dir, 2);
+    let mut populate = Submission::new("p", "micro");
+    populate.build_types = vec!["gcc_native".into(), "clang_native".into()];
+    populate.reps = 2;
+    populate.stream = false;
+    serve::submit(&socket, &populate).unwrap();
+    let subs: Vec<Submission> = (0..40)
+        .map(|i| {
+            let mut sub = if i % 3 == 2 {
+                let mut sub = Submission::new("c", "inline");
+                let source = format!("fn main() -> int {{\n  return {i};\n}}\n");
+                sub.programs = vec![(format!("dirty{i}"), source)];
+                sub
+            } else {
+                let mut sub = populate.clone();
+                sub.benchmark = Some(BENCHES[i % 4].into());
+                sub.build_types = types[i / 4 % 4].iter().map(|t| t.to_string()).collect();
+                sub.reps = 1 + i / 16 % 2;
+                // Fixed repetitions ignore `max_reps`, so it only makes
+                // the key distinct.
+                sub.max_reps = 16 + i;
+                sub
+            };
+            sub.tenant = format!("client{}", i % 2);
+            sub.stream = false;
+            sub
+        })
+        .collect();
+    let outcomes: Vec<(usize, ServeOutcome)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|c| {
+                let (socket, subs) = (&socket, &subs);
+                scope.spawn(move || {
+                    (c..subs.len())
+                        .step_by(2)
+                        .map(|i| (i, serve::submit(socket, &subs[i]).unwrap()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+    serve::shutdown(&socket).unwrap();
+    handle.wait().unwrap();
+    for (i, outcome) in &outcomes {
+        assert!(!outcome.store_hit, "submission {i} is distinct");
+        if subs[*i].suite == "micro" {
+            assert_eq!(outcome.graph_misses, 0, "warm submission {i} is served from the graph");
+        }
+    }
+    let store = fex_core::RunStore::open(dir.join("lab")).unwrap();
+    let mut seqs: Vec<u64> = store.list().unwrap().iter().map(|e| e.seq).collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..41).collect::<Vec<u64>>(), "each seq exactly once");
+    let report = fex_core::lab::fsck::check(&store);
+    assert!(report.clean(), "{}", report.render());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Copies the directory tree at `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// A populated lab copied into a started daemon's lab directory before
+/// its first submission is the lab it serves: the daemon opens its lab
+/// lazily, so every unit of warm work is a graph hit.
+#[test]
+fn a_lab_restored_into_an_idle_daemon_serves_warm_work_from_its_graph() {
+    let dir = temp_dir("restored");
+    let mut sub = Submission::new("t", "micro");
+    sub.build_types = vec!["gcc_native".into(), "clang_native".into()];
+    sub.stream = false;
+    let populated = dir.join("populated");
+    let config = sub.config(Some(&populated.to_string_lossy()));
+    fex_core::Fex::new().run_suite(&config, sub.suite().unwrap()).unwrap();
+
+    let (handle, socket) = start_daemon(&dir, 1);
+    copy_tree(&populated, &dir.join("lab"));
+    let mut narrower = sub.clone();
+    narrower.benchmark = Some("ptrchase".into());
+    let outcomes = [serve::submit(&socket, &sub), serve::submit(&socket, &narrower)];
+    serve::shutdown(&socket).unwrap();
+    handle.wait().unwrap();
+    for outcome in outcomes {
+        let outcome = outcome.unwrap();
+        assert!(!outcome.store_hit, "the daemon has served nothing yet");
+        assert!(outcome.graph_hits > 0);
+        assert_eq!(outcome.graph_misses, 0, "every unit is served from the restored graph");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
 // Fleet fault tolerance
 // ---------------------------------------------------------------------
 
