@@ -1,8 +1,9 @@
-//! Measurement hot-path bench: run-phase throughput with the three
-//! zero-recompute optimisations — superinstruction fusion, the MRU cache
-//! fast path and the decoded-artifact cache — on vs off.
+//! Measurement hot-path bench: run-phase throughput with the two
+//! zero-recompute optimisations — superinstruction fusion and the
+//! decoded-artifact cache — on vs off, and the cost of loading an
+//! instance.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! 1. **matrix** — single-thread run-phase CPU time over every micro
 //!    benchmark × build type, all optimisations on vs all off; the
@@ -12,13 +13,17 @@
 //!    under each toggle combination, with per-pass attribution rows:
 //!    all-on, leave-one-out for every registered decode pass
 //!    (`no_pass:trace`, `no_pass:fuse`), the whole pipeline off
-//!    (`no_passes`, i.e. `PassMask::none()`), `no_mru` and `all_off` —
-//!    identical counters asserted across every configuration.
+//!    (`no_passes`, i.e. `PassMask::none()`) — identical counters
+//!    asserted across every configuration.
 //! 3. **decode_cache** — decoded-artifact cache hit rate on a
 //!    `--jobs 8` matrix, parsed from the runner's own accounting line.
+//! 4. **load** — CPU time of one `Machine::load` (memory, shadow, caches
+//!    and decode) for a native and an ASan build of one Phoenix program.
 //!
 //! Writes `target/fex-results/BENCH_vm.json`. Pass `--smoke` for the
 //! CI-sized variant.
+
+use std::sync::Arc;
 
 use fex_bench::write_artifact;
 use fex_cc::{compile, BuildOptions};
@@ -52,7 +57,6 @@ fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) ->
         .resilience(RunPolicy::default())
         .jobs(jobs)
         .passes(if optimised { PassMask::all() } else { PassMask::none() })
-        .mru(optimised)
         .decode_cache(optimised)
 }
 
@@ -106,7 +110,6 @@ impl UnitSweep {
     fn pass(&self, optimised: bool) -> (Vec<f64>, Vec<u64>) {
         let config = MachineConfig {
             passes: if optimised { PassMask::all() } else { PassMask::none() },
-            mru_fast_path: optimised,
             ..MachineConfig::default()
         };
         let mut seconds = Vec::with_capacity(self.programs.len());
@@ -140,11 +143,36 @@ fn dispatch_kernel(iters: i64) -> fex_vm::Program {
     compile(&src, &BuildOptions::gcc()).expect("kernel compiles")
 }
 
-fn dispatch_bench(program: &fex_vm::Program, passes: PassMask, mru: bool) -> (u64, i64, f64) {
-    let config = MachineConfig { passes, mru_fast_path: mru, ..MachineConfig::default() };
+fn dispatch_bench(program: &fex_vm::Program, passes: PassMask) -> (u64, i64, f64) {
+    let config = MachineConfig { passes, ..MachineConfig::default() };
     let start = cpu_seconds();
     let run = Machine::new(config).run(program, &[]).expect("kernel runs");
     (run.counters.instructions, run.exit, cpu_seconds() - start)
+}
+
+/// The Phoenix program whose instance load the `load` rows time.
+const LOAD_PROGRAM: &str = "kmeans";
+
+/// `(build, program, decoded form)` for a native and an ASan build of
+/// [`LOAD_PROGRAM`].
+fn load_programs() -> Vec<(&'static str, fex_vm::Program, Arc<fex_vm::DecodedProgram>)> {
+    let suite = fex_suites::phoenix();
+    let bench = suite
+        .programs
+        .iter()
+        .find(|b| b.name == LOAD_PROGRAM)
+        .expect("the load program is a Phoenix benchmark");
+    [("native", BuildOptions::gcc()), ("asan", BuildOptions::gcc().with_asan())]
+        .into_iter()
+        .map(|(build, opts)| {
+            let program = compile(bench.source, &opts).expect("Phoenix benchmark compiles");
+            let decoded = Arc::new(
+                fex_vm::decode_program(&program, &MachineConfig::default().cost)
+                    .expect("program decodes"),
+            );
+            (build, program, decoded)
+        })
+        .collect()
 }
 
 /// Pulls `(decodes, served)` out of the runner's decoded-artifact cache
@@ -234,23 +262,20 @@ fn main() {
     // configurations cancels; best-of-N per configuration.
     let kernel = dispatch_kernel(dispatch_iters);
     let all = PassMask::all();
-    let mut configs: Vec<(String, PassMask, bool)> = vec![("all_on".into(), all, true)];
+    let mut configs: Vec<(String, PassMask)> = vec![("all_on".into(), all)];
     for info in fex_vm::PASSES {
         configs.push((
             format!("no_pass:{}", info.name),
             all.without(info.name).expect("registry name"),
-            true,
         ));
     }
-    configs.push(("no_passes".into(), PassMask::none(), true));
-    configs.push(("no_mru".into(), all, false));
-    configs.push(("all_off".into(), PassMask::none(), false));
+    configs.push(("no_passes".into(), PassMask::none()));
     let mut best = vec![f64::INFINITY; configs.len()];
     let mut pinned: Option<(u64, i64)> = None;
     let mut instructions = 0;
     for _ in 0..passes {
-        for (slot, (name, mask, mru)) in configs.iter().enumerate() {
-            let (i, e, s) = dispatch_bench(&kernel, *mask, *mru);
+        for (slot, (name, mask)) in configs.iter().enumerate() {
+            let (i, e, s) = dispatch_bench(&kernel, *mask);
             match &pinned {
                 None => pinned = Some((i, e)),
                 Some(p) => {
@@ -263,7 +288,7 @@ fn main() {
     }
     let all_on_mips = instructions as f64 / best[0] / 1e6;
     let mut dispatch_rows = Vec::new();
-    for (slot, (name, mask, _)) in configs.iter().enumerate() {
+    for (slot, (name, mask)) in configs.iter().enumerate() {
         let seconds = best[slot];
         let mips = instructions as f64 / seconds / 1e6;
         // A leave-one-out row's delta is what the missing pass buys the
@@ -291,14 +316,39 @@ fn main() {
     println!("  decode cache: {decodes} decodes served {served} units ({hit_rate:.1}% hit rate)");
     assert!(hit_rate > 90.0, "decode-cache hit rate {hit_rate:.1}% must exceed 90%");
 
+    // 4. Load cost: repeated `Machine::load`s of one program, reusing its
+    // decoded form as the runner does, so the rows time what every run
+    // unit pays before its first instruction. Best of N per build.
+    let loads = if smoke { 200 } else { 2000 };
+    let mut load_rows = Vec::new();
+    for (build, program, decoded) in load_programs() {
+        let machine = Machine::new(MachineConfig::default());
+        let mut best = f64::INFINITY;
+        for _ in 0..passes {
+            let start = cpu_seconds();
+            for _ in 0..loads {
+                std::hint::black_box(machine.load_with(&program, &decoded));
+            }
+            best = best.min(cpu_seconds() - start);
+        }
+        let us = best / loads as f64 * 1e6;
+        println!("  load [{build}] {LOAD_PROGRAM}: {us:.1} us per load (best of {passes})");
+        load_rows.push(format!(
+            "    {{\"build\": \"{build}\", \"program\": \"{LOAD_PROGRAM}\", \
+             \"loads\": {loads}, \"us_per_load\": {us:.3}}}"
+        ));
+    }
+
     let json = format!(
         "{{\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \
          \"matrix\": {{\"units\": {units}, \"all_on_seconds\": {on_secs:.6}, \
          \"all_off_seconds\": {off_secs:.6}, \"speedup\": {speedup:.4}}},\n  \
          \"dispatch\": [\n{}\n  ],\n  \
          \"decode_cache\": {{\"decodes\": {decodes}, \"served\": {served}, \
-         \"hit_rate_pct\": {hit_rate:.2}}}\n}}\n",
-        dispatch_rows.join(",\n")
+         \"hit_rate_pct\": {hit_rate:.2}}},\n  \
+         \"load\": [\n{}\n  ]\n}}\n",
+        dispatch_rows.join(",\n"),
+        load_rows.join(",\n")
     );
     write_artifact("BENCH_vm.json", &json).expect("can write artifact");
 }

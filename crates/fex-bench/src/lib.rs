@@ -23,7 +23,7 @@
 //! | `all_experiments` | the paper plan, writes `target/fex-results/` |
 //! | `ablation`        | per-pass attribution of the GCC/Clang gap (A1) |
 //! | `sched_scaling`   | `--jobs` matrix throughput + interpreter dispatch rate |
-//! | `vm_hotpath`      | run-phase throughput with fusion, MRU and decode cache on vs off |
+//! | `vm_hotpath`      | run-phase throughput with fusion and decode cache on vs off; instance load cost |
 //! | `journal_overhead` | run-phase cost of the structured journal, on vs off |
 //! | `fuzz_throughput` | `fex fuzz` oracle cases per second |
 //!

@@ -12,9 +12,9 @@
 //! Every action reads its arguments through one [`Flags`] cursor, so a
 //! missing value (`{flag} needs {what}`) and a malformed number
 //! (``bad {noun} `{value}` ``) are spelled once. The CLI carries only
-//! what a workload sets; the VM's debug switches (pass subsets, the MRU
-//! fast path, the decoded-program cache) and the scheduler's claim size
-//! are [`ExperimentConfig`] builders for the code that measures them.
+//! what a workload sets; the VM's debug switches (pass subsets, the
+//! decoded-program cache) and the scheduler's claim size are
+//! [`ExperimentConfig`] builders for the code that measures them.
 
 use std::iter::Peekable;
 use std::slice::Iter;
@@ -826,7 +826,7 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(cfg.passes, PassMask::all());
-        assert!(cfg.mru_fast_path && cfg.decode_cache);
+        assert!(cfg.decode_cache);
     }
 
     #[test]

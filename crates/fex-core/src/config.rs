@@ -162,9 +162,6 @@ pub struct ExperimentConfig {
     /// ([`Self::passes`] selects it; measured results are identical for
     /// any subset).
     pub passes: PassMask,
-    /// MRU line fast path in the cache simulator ([`Self::mru`] clears
-    /// it; measured results are identical).
-    pub mru_fast_path: bool,
     /// Share each artifact's decoded form across all its run units
     /// ([`Self::decode_cache`] clears it; measured results are
     /// identical).
@@ -199,7 +196,6 @@ impl ExperimentConfig {
             resilience: RunPolicy::default(),
             jobs: 0,
             passes: PassMask::all(),
-            mru_fast_path: true,
             decode_cache: true,
             journal: true,
             graph: true,
@@ -294,12 +290,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enables or disables the MRU cache fast path.
-    pub fn mru(mut self, on: bool) -> Self {
-        self.mru_fast_path = on;
-        self
-    }
-
     /// Enables or disables the decoded-artifact cache.
     pub fn decode_cache(mut self, on: bool) -> Self {
         self.decode_cache = on;
@@ -370,7 +360,6 @@ impl ExperimentConfig {
             cores: threads.max(1),
             seed,
             passes: self.passes,
-            mru_fast_path: self.mru_fast_path,
             ..MachineConfig::default()
         };
         if let Some(plan) = self.fault_plan_for(bench) {

@@ -12,7 +12,7 @@
 //!
 //! | oracle     | invariant                                                       |
 //! |------------|-----------------------------------------------------------------|
-//! | `toggles`  | `.passes(PassMask::none()).mru(false).decode_cache(false)`      |
+//! | `toggles`  | `.passes(PassMask::none()).decode_cache(false)`                 |
 //! |            | → identical CSVs                                                |
 //! | `jobs`     | `--jobs N` vs `--jobs 1` → identical CSVs and journal streams   |
 //! | `metrics`  | journal roll-up jobs-invariant and consistent with CSV totals   |
@@ -325,13 +325,10 @@ pub fn check_case(
 
     let base = run_scenario(&suite, base_cfg.clone())?;
 
-    // Oracle `toggles`: the decode passes, the MRU fast path and the
-    // decode cache are performance-only — disabling all three must not
-    // move a byte.
-    let mut toggles = run_scenario(
-        &suite,
-        base_cfg.clone().passes(PassMask::none()).mru(false).decode_cache(false),
-    )?;
+    // Oracle `toggles`: the decode passes and the decode cache are
+    // performance-only — disabling both must not move a byte.
+    let mut toggles =
+        run_scenario(&suite, base_cfg.clone().passes(PassMask::none()).decode_cache(false))?;
     if break_mode == Some(BreakMode::Fusion) {
         toggles.results.push_str("tampered,row,by,FEX_FUZZ_BREAK,0,0,0\n");
     }

@@ -146,8 +146,8 @@ pub fn decoded_key(compiled: Digest, pass_bits: u8, cost_fingerprint: u64) -> Di
 /// resilience instruction budget (the only policy knob that can change a
 /// clean run's outcome).
 ///
-/// Deliberately excluded: `--jobs`, the chunk size, the MRU fast path and the
-/// decode cache (all proven result-neutral by the differential suites),
+/// Deliberately excluded: `--jobs`, the chunk size and the decode cache
+/// (all proven result-neutral by the differential suites),
 /// the measurement tool (extraction happens at collect time from the same
 /// [`RunResult`]), and the retry attempt (only first attempts are
 /// cached).

@@ -79,10 +79,12 @@ impl CacheStats {
     }
 }
 
-/// Sentinel marking an invalid (never filled or flushed) cache way. No
-/// real line can carry it: a tag is `addr / line`, and an address high
-/// enough to produce `u64::MAX` is not representable.
-const INVALID_TAG: u64 = u64::MAX;
+/// A way holds the bitwise complement of its line's tag, so that an
+/// invalid (never filled or flushed) way is zero and a fresh tag array
+/// is a zeroed allocation the host maps lazily. No real line has tag
+/// `u64::MAX`: a tag is `addr / line`, and an address high enough to
+/// produce it is not representable.
+const INVALID_WAY: u64 = 0;
 
 /// One set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
@@ -99,20 +101,11 @@ pub struct Cache {
     /// `sets - 1` when the set count is a power of two: set selection
     /// becomes a mask.
     set_mask: Option<u64>,
-    /// `sets × ways` tags in one flat row-major allocation;
-    /// [`INVALID_TAG`] = invalid line. Within each set's row, index 0 is
+    /// `sets × ways` complemented tags in one flat row-major allocation;
+    /// [`INVALID_WAY`] = invalid line. Within each set's row, index 0 is
     /// the most recently used way.
     tags: Vec<u64>,
     stats: CacheStats,
-    /// Tag of the most recently accessed line, if any. Because *every*
-    /// access updates this memo, the memoized line is always the last
-    /// line touched in its own set too, i.e. it sits at way 0: re-touching
-    /// it cannot change LRU order, so the set walk can be skipped.
-    mru: Option<u64>,
-    /// Whether the MRU memo short-circuit is taken (off only in the
-    /// equivalence checks and benches; results are identical either
-    /// way).
-    fast_path: bool,
 }
 
 impl Cache {
@@ -130,19 +123,8 @@ impl Cache {
             sets_count,
             line_shift: config.line.is_power_of_two().then(|| config.line.trailing_zeros()),
             set_mask: sets_count.is_power_of_two().then(|| sets_count - 1),
-            tags: vec![INVALID_TAG; sets_count as usize * ways],
+            tags: vec![INVALID_WAY; sets_count as usize * ways],
             stats: CacheStats::default(),
-            mru: None,
-            fast_path: true,
-        }
-    }
-
-    /// Enables or disables the MRU fast path. Disabling also drops the
-    /// memo so the slow path is exercised from the next access on.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-        if !on {
-            self.mru = None;
         }
     }
 
@@ -157,35 +139,45 @@ impl Cache {
     }
 
     /// Looks up `addr`; on miss the line is filled. Returns `true` on hit.
+    ///
+    /// Way 0 of a set holds its most recently used line, and a re-touch
+    /// of that line leaves the LRU order as it is, so the common repeat
+    /// hit is one compare; every other access takes [`Cache::walk`].
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let tag = match self.line_shift {
             Some(s) => addr >> s,
             None => addr / self.config.line,
         };
-        if self.fast_path && self.mru == Some(tag) {
-            // The memoized line is already at way 0 of its set; moving it
-            // to the MRU position would be a no-op. Identical stats, no walk.
-            self.stats.hits += 1;
-            return true;
-        }
         let set_idx = match self.set_mask {
             Some(m) => (tag & m) as usize,
             None => (tag % self.sets_count) as usize,
         };
         let base = set_idx * self.ways;
-        let set = &mut self.tags[base..base + self.ways];
-        if let Some(pos) = set.iter().position(|t| *t == tag) {
-            // Move to MRU position, preserving the order of the rest.
-            set[..=pos].rotate_right(1);
+        let way = !tag;
+        if self.tags[base] == way {
             self.stats.hits += 1;
-            self.mru = Some(tag);
+            return true;
+        }
+        self.walk(base, way)
+    }
+
+    /// The LRU walk of the set starting at `base` for a line (stored form
+    /// `way`) that is not in way 0: a hit moves the line to way 0, a miss
+    /// evicts the last way and fills way 0.
+    #[inline(never)]
+    fn walk(&mut self, base: usize, way: u64) -> bool {
+        let set = &mut self.tags[base..base + self.ways];
+        if let Some(pos) = set[1..].iter().position(|t| *t == way) {
+            // Move to MRU position, preserving the order of the rest.
+            set[..=pos + 1].rotate_right(1);
+            self.stats.hits += 1;
             true
         } else {
             // Evict the LRU way: shift everything down, fill way 0.
             set.rotate_right(1);
-            set[0] = tag;
-            self.mru = Some(tag);
+            set[0] = way;
             false
         }
     }
@@ -193,8 +185,7 @@ impl Cache {
     /// Invalidates all lines and keeps statistics (used between parfor
     /// chunks to model cold per-core caches).
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID_TAG);
-        self.mru = None;
+        self.tags.fill(INVALID_WAY);
     }
 
     /// Resets statistics to zero.
@@ -209,7 +200,22 @@ pub struct CacheHierarchy {
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     llc: Cache,
+    /// Per-core count of accesses served from memory (the shared LLC's
+    /// own statistics do not say which core missed).
+    llc_misses: Vec<u64>,
     mem_latency: u64,
+}
+
+/// One core's view of the hierarchy: its private levels' statistics and
+/// its misses in the shared LLC.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreCacheStats {
+    /// This core's L1 statistics; every access reaches L1.
+    pub l1: CacheStats,
+    /// This core's L2 statistics.
+    pub l2: CacheStats,
+    /// This core's accesses that missed the LLC too.
+    pub llc_misses: u64,
 }
 
 /// Default L1D: 32 KiB, 8-way, 64 B lines, 4-cycle hit.
@@ -236,6 +242,7 @@ impl CacheHierarchy {
             l1: (0..cores).map(|_| Cache::new(l1)).collect(),
             l2: (0..cores).map(|_| Cache::new(l2)).collect(),
             llc: Cache::new(llc),
+            llc_misses: vec![0; cores],
             mem_latency,
         }
     }
@@ -265,7 +272,21 @@ impl CacheHierarchy {
         if self.llc.access(addr) {
             return (HitLevel::Llc, self.llc.config.latency);
         }
+        self.llc_misses[core] += 1;
         (HitLevel::Memory, self.mem_latency)
+    }
+
+    /// Statistics of `core`'s private levels and its LLC misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn core_stats(&self, core: usize) -> CoreCacheStats {
+        CoreCacheStats {
+            l1: self.l1[core].stats(),
+            l2: self.l2[core].stats(),
+            llc_misses: self.llc_misses[core],
+        }
     }
 
     /// Statistics for one level; per-core levels are summed across cores.
@@ -282,14 +303,6 @@ impl CacheHierarchy {
         self.l1[core].flush();
         self.l2[core].flush();
     }
-
-    /// Enables or disables the MRU fast path on every level.
-    pub fn set_fast_path(&mut self, on: bool) {
-        for c in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            c.set_fast_path(on);
-        }
-        self.llc.set_fast_path(on);
-    }
 }
 
 fn sum_stats(caches: &[Cache]) -> CacheStats {
@@ -303,6 +316,8 @@ fn sum_stats(caches: &[Cache]) -> CacheStats {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     fn tiny() -> Cache {
@@ -369,61 +384,154 @@ mod tests {
         assert_eq!(h.stats(CacheLevel::Llc).hits, 1);
     }
 
-    /// A pseudo-random but deterministic address stream with enough
-    /// locality to exercise both the MRU memo and the set walk.
-    fn address_stream(n: usize) -> Vec<u64> {
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut addrs = Vec::with_capacity(n);
-        let mut last = 0u64;
-        for i in 0..n {
+    /// The reference model: one `VecDeque` of lines per set, most recent
+    /// first, searched and reordered naively.
+    struct RefCache {
+        config: CacheConfig,
+        sets: Vec<VecDeque<u64>>,
+        stats: CacheStats,
+    }
+
+    impl RefCache {
+        fn new(config: CacheConfig) -> Self {
+            RefCache {
+                config,
+                sets: vec![VecDeque::new(); config.sets() as usize],
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.stats.accesses += 1;
+            let line = addr / self.config.line;
+            let set = &mut self.sets[(line % self.config.sets()) as usize];
+            let hit = match set.iter().position(|l| *l == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    true
+                }
+                None => {
+                    if set.len() as u64 == self.config.ways {
+                        set.pop_back();
+                    }
+                    false
+                }
+            };
+            set.push_front(line);
+            self.stats.hits += u64::from(hit);
+            hit
+        }
+
+        fn flush(&mut self) {
+            self.sets.iter_mut().for_each(VecDeque::clear);
+        }
+    }
+
+    struct RefHierarchy {
+        l1: Vec<RefCache>,
+        l2: Vec<RefCache>,
+        llc: RefCache,
+        llc_misses: Vec<u64>,
+        mem_latency: u64,
+    }
+
+    impl RefHierarchy {
+        fn new(cores: usize, l1: CacheConfig, l2: CacheConfig, llc: CacheConfig) -> Self {
+            RefHierarchy {
+                l1: (0..cores).map(|_| RefCache::new(l1)).collect(),
+                l2: (0..cores).map(|_| RefCache::new(l2)).collect(),
+                llc: RefCache::new(llc),
+                llc_misses: vec![0; cores],
+                mem_latency: 100,
+            }
+        }
+
+        fn access(&mut self, core: usize, addr: u64) -> (HitLevel, u64) {
+            if self.l1[core].access(addr) {
+                (HitLevel::L1, self.l1[core].config.latency)
+            } else if self.l2[core].access(addr) {
+                (HitLevel::L2, self.l2[core].config.latency)
+            } else if self.llc.access(addr) {
+                (HitLevel::Llc, self.llc.config.latency)
+            } else {
+                self.llc_misses[core] += 1;
+                (HitLevel::Memory, self.mem_latency)
+            }
+        }
+
+        fn core_stats(&self, core: usize) -> CoreCacheStats {
+            CoreCacheStats {
+                l1: self.l1[core].stats,
+                l2: self.l2[core].stats,
+                llc_misses: self.llc_misses[core],
+            }
+        }
+    }
+
+    fn geometry(sets: u64, ways: u64, line: u64, latency: u64) -> CacheConfig {
+        CacheConfig { size: sets * ways * line, ways, line, latency }
+    }
+
+    /// Drives `CacheHierarchy` and the reference model with one seeded
+    /// stream on two cores: repeats of the last address, hops within a
+    /// window a few times the L1's size, and far jumps, with a
+    /// `flush_core` now and then.
+    fn check_against_reference(l1: CacheConfig, l2: CacheConfig, llc: CacheConfig, seed: u64) {
+        const CORES: usize = 2;
+        let mut model = RefHierarchy::new(CORES, l1, l2, llc);
+        let mut real = CacheHierarchy::new(CORES, l1, l2, llc, model.mem_latency);
+        let mut state = seed;
+        let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            // Every other access re-touches the previous line (the MRU
-            // case); the rest jump within a 16 KiB window.
-            last = if i % 2 == 1 { last } else { (state >> 33) % (16 * 1024) };
-            addrs.push(last);
+            state >> 33
+        };
+        let window = 4 * l1.size;
+        let mut last = [0u64; CORES];
+        for i in 0..20_000 {
+            let core = (next() % CORES as u64) as usize;
+            let addr = match next() % 8 {
+                0..=2 => last[core],
+                3..=6 => next() % window,
+                _ => next() % (64 * llc.size),
+            };
+            last[core] = addr;
+            assert_eq!(real.access(core, addr), model.access(core, addr), "access {i} at {addr}");
+            if next() % 1000 == 0 {
+                let core = (next() % CORES as u64) as usize;
+                real.flush_core(core);
+                model.l1[core].flush();
+                model.l2[core].flush();
+            }
         }
-        addrs
+        for core in 0..CORES {
+            assert_eq!(real.core_stats(core), model.core_stats(core), "core {core}");
+        }
+        let sum = |caches: &[RefCache]| CacheStats {
+            accesses: caches.iter().map(|c| c.stats.accesses).sum(),
+            hits: caches.iter().map(|c| c.stats.hits).sum(),
+        };
+        assert_eq!(real.stats(CacheLevel::L1), sum(&model.l1));
+        assert_eq!(real.stats(CacheLevel::L2), sum(&model.l2));
+        assert_eq!(real.stats(CacheLevel::Llc), model.llc.stats);
     }
 
     #[test]
-    fn mru_fast_path_is_observationally_identical() {
-        let mut fast = tiny();
-        let mut slow = tiny();
-        slow.set_fast_path(false);
-        for a in address_stream(4096) {
-            assert_eq!(fast.access(a), slow.access(a), "hit/miss diverged at addr {a}");
+    fn hierarchy_matches_a_naive_lru_model() {
+        let geometries = [
+            // The default machine's shape, scaled down so evictions happen.
+            (geometry(8, 8, 64, 4), geometry(16, 8, 64, 12), geometry(64, 16, 64, 40)),
+            // Direct-mapped L1: every hit is a way-0 hit.
+            (geometry(4, 1, 64, 4), geometry(8, 2, 64, 12), geometry(32, 4, 64, 40)),
+            // Set counts that are not powers of two.
+            (geometry(3, 2, 64, 4), geometry(5, 4, 64, 12), geometry(7, 4, 64, 40)),
+            // A line size that is not a power of two.
+            (geometry(4, 2, 48, 4), geometry(6, 4, 48, 12), geometry(10, 8, 48, 40)),
+        ];
+        for (i, (l1, l2, llc)) in geometries.into_iter().enumerate() {
+            for seed in [1, 42, 0x9e37_79b9] {
+                check_against_reference(l1, l2, llc, seed + i as u64);
+            }
         }
-        assert_eq!(fast.stats(), slow.stats());
-        // The internal line state must match too: drain both caches with
-        // a fresh probe pass and compare every outcome.
-        fast.set_fast_path(false);
-        for a in (0..4096).step_by(64) {
-            assert_eq!(fast.access(a), slow.access(a), "line state diverged at addr {a}");
-        }
-    }
-
-    #[test]
-    fn mru_hierarchy_matches_slow_hierarchy() {
-        let mut fast = CacheHierarchy::with_defaults(2);
-        let mut slow = CacheHierarchy::with_defaults(2);
-        slow.set_fast_path(false);
-        for (i, a) in address_stream(4096).into_iter().enumerate() {
-            let core = i % 2;
-            assert_eq!(fast.access(core, a), slow.access(core, a));
-        }
-        for lvl in [CacheLevel::L1, CacheLevel::L2, CacheLevel::Llc] {
-            assert_eq!(fast.stats(lvl), slow.stats(lvl));
-        }
-    }
-
-    #[test]
-    fn flush_drops_the_mru_memo() {
-        let mut c = tiny();
-        c.access(0);
-        assert!(c.access(0), "second touch is the memoized hit");
-        c.flush();
-        // A stale memo would report a hit on invalidated lines.
-        assert!(!c.access(0), "flushed line must miss");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::branch::BranchPredictor;
 use crate::bytecode::{
     code_addr, decode_code_addr, BinOp, FBinOp, FCmpOp, FuncId, Program, Reg, SysCall, UnOp, Width,
 };
-use crate::cache::{CacheHierarchy, CacheLevel, CacheStats, HitLevel};
+use crate::cache::{CacheHierarchy, CacheLevel, CacheStats};
 use crate::counters::PerfCounters;
 use crate::decode::{decode_program_passes, DecodedInstr, DecodedProgram};
 use crate::heap::{Heap, HeapStats};
@@ -235,9 +235,8 @@ impl<'p> Instance<'p> {
             }
         }
 
-        let mut caches =
+        let caches =
             CacheHierarchy::new(config.cores, config.l1, config.l2, config.llc, config.mem_latency);
-        caches.set_fast_path(config.mru_fast_path);
         let heap = Heap::new(bases.heap, config.heap_size);
         let canary = splitmix(&mut seed) as i64 | 0x0100; // never a plausible code addr
         let cores = config.cores;
@@ -350,6 +349,7 @@ impl<'p> Instance<'p> {
             });
         }
         // Snapshot counters so `call` reports per-call deltas.
+        self.sync_cache_counters();
         let before: Vec<PerfCounters> = self.per_core.clone();
         let timeline_before = self.timeline_cycles;
         let stdout_before = self.stdout.len();
@@ -359,6 +359,7 @@ impl<'p> Instance<'p> {
         let sentinel = code_addr(FuncId(u32::MAX), 0);
         let root = self.push_frame(id, args, None, sentinel)?;
         let exit = self.exec(vec![root])?;
+        self.sync_cache_counters();
 
         let mut per_core: Vec<PerfCounters> = Vec::with_capacity(self.per_core.len());
         for (now, then) in self.per_core.iter().zip(&before) {
@@ -451,44 +452,44 @@ impl<'p> Instance<'p> {
         Ok(())
     }
 
-    fn cache_access(&mut self, addr: u64, is_write: bool) {
-        let (level, lat) = self.caches.access(self.core, addr);
-        let c = &mut self.per_core[self.core];
-        c.l1_accesses += 1;
-        if is_write {
-            c.stores += 1;
-        } else {
-            c.loads += 1;
-        }
-        match level {
-            HitLevel::L1 => {}
-            HitLevel::L2 => c.l1_misses += 1,
-            HitLevel::Llc => {
-                c.l1_misses += 1;
-                c.l2_misses += 1;
-            }
-            HitLevel::Memory => {
-                c.l1_misses += 1;
-                c.l2_misses += 1;
-                c.llc_misses += 1;
-            }
-        }
+    /// Sends one access through the core's caches and charges its
+    /// latency. The hierarchy counts it; [`Self::sync_cache_counters`]
+    /// turns those counts into the per-core cache counters.
+    fn cache_access(&mut self, addr: u64) {
+        let (_, lat) = self.caches.access(self.core, addr);
         self.charge(lat);
     }
 
+    /// Copies each core's cache counts from the hierarchy into its
+    /// counters: every access reaches L1 and is a store or a load (ASan
+    /// shadow reads are loads), L2 sees exactly L1's misses, and the
+    /// hierarchy keeps each core's LLC misses. Called at `call_id`'s
+    /// boundaries, where the per-call deltas are taken.
+    fn sync_cache_counters(&mut self) {
+        for (core, c) in self.per_core.iter_mut().enumerate() {
+            let s = self.caches.core_stats(core);
+            c.l1_accesses = s.l1.accesses;
+            c.loads = s.l1.accesses - c.stores;
+            c.l1_misses = s.l1.misses();
+            c.l2_misses = s.l2.misses();
+            c.llc_misses = s.llc_misses;
+        }
+    }
+
     fn mem_load(&mut self, addr: u64, width: Width) -> Result<i64, Trap> {
-        self.cache_access(addr, false);
+        self.cache_access(addr);
         self.mem.load(addr, width)
     }
 
     fn mem_store(&mut self, addr: u64, val: i64, width: Width) -> Result<(), Trap> {
-        self.cache_access(addr, true);
+        self.per_core[self.core].stores += 1;
+        self.cache_access(addr);
         self.mem.store(addr, val, width)
     }
 
     fn shadow_touch(&mut self, app_addr: u64) {
         // The shadow byte itself travels through the cache hierarchy.
-        self.cache_access(ShadowMemory::shadow_addr(app_addr), false);
+        self.cache_access(ShadowMemory::shadow_addr(app_addr));
     }
 
     // ------------------------------------------------------------------
@@ -1780,6 +1781,81 @@ mod tests {
         // Second call should be comparable, not cumulative.
         assert!(r2.counters.instructions <= r1.counters.instructions * 2);
         assert!(r2.counters.instructions > 0);
+    }
+
+    /// `sweep(n)` stores to and reloads `n` lines of a global array, one
+    /// 64-byte line apart.
+    fn sweep_program(asan: bool) -> Program {
+        let mut p = Program::new();
+        p.asan = asan;
+        p.globals.push(GlobalDef {
+            name: "a".into(),
+            size: 1024 * 64,
+            init: vec![],
+            is_code_ptr: false,
+            redzone: if asan { 32 } else { 0 },
+        });
+        let code = vec![
+            Instr::GlobalAddr { dst: Reg(1), index: 0 },
+            Instr::Imm { dst: Reg(2), val: 0 },
+            Instr::Imm { dst: Reg(3), val: 64 },
+            Instr::Imm { dst: Reg(7), val: 1 },
+            Instr::Bin { op: BinOp::Lt, dst: Reg(4), a: Reg(2), b: Reg(0) },
+            Instr::BrZero { cond: Reg(4), target: 12 },
+            Instr::Bin { op: BinOp::Mul, dst: Reg(5), a: Reg(2), b: Reg(3) },
+            Instr::Bin { op: BinOp::Add, dst: Reg(5), a: Reg(5), b: Reg(1) },
+            Instr::Store { src: Reg(2), addr: Reg(5), off: 0, width: Width::B8 },
+            Instr::Load { dst: Reg(6), addr: Reg(5), off: 0, width: Width::B8 },
+            Instr::Bin { op: BinOp::Add, dst: Reg(2), a: Reg(2), b: Reg(7) },
+            Instr::Jmp { target: 4 },
+            Instr::Ret { src: None },
+        ];
+        p.push_function(simple_fn("sweep", 1, 8, code));
+        p
+    }
+
+    #[test]
+    fn each_call_reports_only_its_own_cache_counters() {
+        let p = sweep_program(false);
+        let m = machine();
+        let mut inst = m.load(&p);
+        let first = inst.call("sweep", &[4]).unwrap().counters;
+        let second = inst.call("sweep", &[2]).unwrap().counters;
+        // Each call also stores its return address and saved frame
+        // pointer (one stack line) and reloads the return address.
+        assert_eq!((first.loads, first.stores), (4 + 1, 4 + 2));
+        assert_eq!((second.loads, second.stores), (2 + 1, 2 + 2));
+        for c in [first, second] {
+            assert_eq!(c.l1_accesses, c.loads + c.stores);
+        }
+        // The first call misses on four array lines and the stack line,
+        // all the way to memory; the second finds them all in L1.
+        assert_eq!((first.l1_misses, first.l2_misses, first.llc_misses), (5, 5, 5));
+        assert_eq!((second.l1_misses, second.l2_misses, second.llc_misses), (0, 0, 0));
+        // The cumulative per-level statistics cover both calls.
+        let run = inst.call("sweep", &[0]).unwrap();
+        assert_eq!(run.l1.accesses, first.l1_accesses + second.l1_accesses + 3);
+        assert_eq!(run.counters.l1_misses, 0);
+        // 640 lines overflow the 32 KiB L1 but fit in L2. The first sweep
+        // misses to memory on the 636 new lines (the stack line's reload
+        // misses only L1); a repeat misses L1 on every access and L2 on
+        // none.
+        let cold = inst.call("sweep", &[640]).unwrap().counters;
+        let warm = inst.call("sweep", &[640]).unwrap().counters;
+        assert_eq!((cold.l1_misses, cold.l2_misses, cold.llc_misses), (637, 636, 636));
+        assert_eq!((warm.l1_misses, warm.l2_misses, warm.llc_misses), (641, 0, 0));
+        assert_eq!(warm.l1_accesses, warm.loads + warm.stores);
+    }
+
+    #[test]
+    fn a_native_instance_holds_no_shadow() {
+        let native = sweep_program(false);
+        let mut inst = machine().load(&native);
+        inst.call("sweep", &[64]).unwrap();
+        assert_eq!(inst.shadow.resident_bytes(), 0);
+        // The ASan build's global redzones are poisoned at load time.
+        let asan = sweep_program(true);
+        assert!(machine().load(&asan).shadow.resident_bytes() > 0);
     }
 
     #[test]

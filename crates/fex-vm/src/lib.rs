@@ -62,7 +62,9 @@ pub use bytecode::{
     code_addr, decode_code_addr, BinOp, FBinOp, FCmpOp, FuncId, Function, GlobalDef, Instr,
     Program, Reg, StackSlot, SysCall, UnOp, Width,
 };
-pub use cache::{Cache, CacheConfig, CacheHierarchy, CacheLevel, CacheStats, HitLevel};
+pub use cache::{
+    Cache, CacheConfig, CacheHierarchy, CacheLevel, CacheStats, CoreCacheStats, HitLevel,
+};
 pub use cost::CostModel;
 pub use counters::PerfCounters;
 pub use decode::{

@@ -79,9 +79,6 @@ pub struct MachineConfig {
     /// equivalence checks and benches select subsets; measured results
     /// are identical for any subset).
     pub passes: PassMask,
-    /// MRU line memo in the cache simulator (measured results are
-    /// identical with it off).
-    pub mru_fast_path: bool,
 }
 
 impl Default for MachineConfig {
@@ -101,7 +98,6 @@ impl Default for MachineConfig {
             max_instructions: 20_000_000_000,
             fault_plan: FaultPlan::default(),
             passes: PassMask::all(),
-            mru_fast_path: true,
         }
     }
 }

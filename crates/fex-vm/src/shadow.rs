@@ -8,6 +8,16 @@
 //! shadow-byte access through the cache hierarchy, so instrumented builds
 //! pay a realistic extra memory-traffic cost, not just extra ALU work.
 //!
+//! Shadow bytes exist only where something was poisoned: the map is a
+//! table of 4 KiB shadow pages (each covering 32 KiB of application
+//! memory), and a page is allocated by the first poison that lands in
+//! it. A granule without a page reads as clean, and unpoisoning one
+//! allocates nothing, so an uninstrumented program, which never poisons,
+//! holds no shadow at all. Granules are aligned to absolute addresses, as
+//! in real ASan; with heap and stack sizes that are multiples of 16 (the
+//! defaults are), the loader's segments start and end on 16-byte
+//! boundaries, so each granule lies in one segment.
+//!
 //! [`Instr::AsanCheck`]: crate::Instr::AsanCheck
 
 use crate::memory::Memory;
@@ -65,47 +75,39 @@ fn decode(b: u8) -> Option<PoisonKind> {
     }
 }
 
-/// The shadow map, mirroring the application memory's segment layout.
+/// Shadow bytes per shadow page.
+const PAGE_GRANULES: u64 = 4096;
+
+/// The shadow map over the application memory's mapped segments.
 #[derive(Debug, Clone, Default)]
 pub struct ShadowMemory {
-    /// `(app base, shadow bytes)` per mirrored segment, sorted by base.
-    regions: Vec<(u64, Vec<u8>)>,
+    /// `[base, end)` of every mapped segment, sorted; poison outside them
+    /// is dropped.
+    mapped: Vec<(u64, u64)>,
+    /// Page `i` holds the shadow bytes of granules
+    /// `[i * PAGE_GRANULES, (i + 1) * PAGE_GRANULES)`. The table grows
+    /// only as far as the highest poisoned page, and a missing page is
+    /// all clean.
+    pages: Vec<Option<Box<[u8]>>>,
 }
 
 impl ShadowMemory {
-    /// Builds a fully-unpoisoned shadow map mirroring `memory`'s segments.
+    /// Builds a fully-unpoisoned shadow map over `memory`'s segments. It
+    /// holds no shadow bytes until the first [`poison`](Self::poison).
     pub fn mirroring(memory: &Memory) -> Self {
-        let regions = memory
-            .segments()
-            .iter()
-            .map(|s| {
-                let granules = (s.data.len() as u64).div_ceil(GRANULE) as usize;
-                (s.base, vec![0u8; granules])
-            })
-            .collect();
-        ShadowMemory { regions }
-    }
-
-    fn locate(&self, addr: u64) -> Option<(usize, usize)> {
-        let idx = self
-            .regions
-            .binary_search_by(|(base, bytes)| {
-                if addr < *base {
-                    std::cmp::Ordering::Greater
-                } else if addr >= *base + bytes.len() as u64 * GRANULE {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .ok()?;
-        let (base, _) = self.regions[idx];
-        Some((idx, ((addr - base) / GRANULE) as usize))
+        let mapped = memory.segments().iter().map(|s| (s.base, s.end())).collect();
+        ShadowMemory { mapped, pages: Vec::new() }
     }
 
     /// Shadow-byte address for an application address (for cache modelling).
     pub fn shadow_addr(addr: u64) -> u64 {
         SHADOW_BASE + addr / GRANULE
+    }
+
+    /// Bytes of shadow allocated so far (whole pages).
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.pages.iter().flatten().map(|p| p.len()).sum()
     }
 
     /// Poisons `[addr, addr+len)` with `kind`. Unmapped parts are ignored
@@ -124,26 +126,57 @@ impl ShadowMemory {
         if len == 0 {
             return;
         }
-        let mut a = addr;
         let end = addr + len;
-        while a < end {
-            if let Some((ri, gi)) = self.locate(a) {
-                self.regions[ri].1[gi] = code;
+        for i in 0..self.mapped.len() {
+            let (base, seg_end) = self.mapped[i];
+            let (lo, hi) = (addr.max(base), end.min(seg_end));
+            if lo < hi {
+                self.fill(lo / GRANULE, (hi - 1) / GRANULE + 1, code);
             }
-            a += GRANULE - (a % GRANULE);
+        }
+    }
+
+    /// Sets granules `[first, end)` to `code`, page by page. Clearing
+    /// skips pages that do not exist: they are clean already.
+    fn fill(&mut self, first: u64, end: u64, code: u8) {
+        let mut g = first;
+        while g < end {
+            let page = (g / PAGE_GRANULES) as usize;
+            let off = (g % PAGE_GRANULES) as usize;
+            let n = (PAGE_GRANULES - g % PAGE_GRANULES).min(end - g) as usize;
+            if code != 0 {
+                if self.pages.len() <= page {
+                    self.pages.resize_with(page + 1, || None);
+                }
+                let bytes = self.pages[page]
+                    .get_or_insert_with(|| vec![0u8; PAGE_GRANULES as usize].into_boxed_slice());
+                bytes[off..off + n].fill(code);
+            } else if let Some(Some(bytes)) = self.pages.get_mut(page) {
+                bytes[off..off + n].fill(0);
+            }
+            g += n as u64;
+        }
+    }
+
+    /// The shadow byte of the granule holding `addr`.
+    #[inline]
+    fn byte(&self, addr: u64) -> u8 {
+        let g = addr / GRANULE;
+        match self.pages.get((g / PAGE_GRANULES) as usize) {
+            Some(Some(bytes)) => bytes[(g % PAGE_GRANULES) as usize],
+            _ => 0,
         }
     }
 
     /// Checks an access of `width` bytes at `addr`; returns the poison kind
     /// if any touched granule is poisoned.
+    #[inline]
     pub fn check(&self, addr: u64, width: u64) -> Option<PoisonKind> {
         let mut a = addr;
         let end = addr + width.max(1);
         while a < end {
-            if let Some((ri, gi)) = self.locate(a) {
-                if let Some(kind) = decode(self.regions[ri].1[gi]) {
-                    return Some(kind);
-                }
+            if let Some(kind) = decode(self.byte(a)) {
+                return Some(kind);
             }
             a += GRANULE - (a % GRANULE);
         }
@@ -193,6 +226,72 @@ mod tests {
     fn shadow_addresses_are_distinct_per_granule() {
         assert_ne!(ShadowMemory::shadow_addr(0x1000), ShadowMemory::shadow_addr(0x1008));
         assert_eq!(ShadowMemory::shadow_addr(0x1000), ShadowMemory::shadow_addr(0x1007));
+    }
+
+    /// A map over one default-sized 64 MiB heap segment.
+    fn heap_shadow() -> (ShadowMemory, u64, u64) {
+        let (base, size) = (0x0100_0000, 64 * 1024 * 1024);
+        let mut m = Memory::new();
+        m.map(base, size, Perm::RW, SegmentKind::Heap);
+        (ShadowMemory::mirroring(&m), base, size)
+    }
+
+    #[test]
+    fn a_fresh_map_holds_no_shadow_bytes() {
+        let (s, base, size) = heap_shadow();
+        assert_eq!(s.resident_bytes(), 0);
+        assert_eq!(s.check(base, 8), None);
+        assert_eq!(s.check(base + size - 8, 8), None);
+    }
+
+    #[test]
+    fn a_poison_at_the_far_end_of_the_heap_is_caught() {
+        let (mut s, base, size) = heap_shadow();
+        let end = base + size;
+        s.poison(end - 32, 32, PoisonKind::HeapRedzone);
+        assert_eq!(s.check(end - 8, 8), Some(PoisonKind::HeapRedzone));
+        assert_eq!(s.check(end - 40, 16), Some(PoisonKind::HeapRedzone));
+        assert_eq!(s.check(end - 40, 8), None);
+        // One shadow page, not a shadow byte per granule below it.
+        assert_eq!(s.resident_bytes(), PAGE_GRANULES as usize);
+    }
+
+    #[test]
+    fn checks_beyond_the_existing_shadow_read_clean() {
+        let (mut s, base, size) = heap_shadow();
+        s.poison(base, 16, PoisonKind::HeapRedzone);
+        assert_eq!(s.check(base + 8, 8), Some(PoisonKind::HeapRedzone));
+        for addr in [base + 16, base + size / 2, base + size - 8, base + size, u64::MAX - 64] {
+            assert_eq!(s.check(addr, 8), None, "{addr:#x}");
+        }
+    }
+
+    #[test]
+    fn unpoisoning_past_the_existing_shadow_creates_nothing() {
+        let (mut s, base, size) = heap_shadow();
+        s.unpoison(base, size);
+        assert_eq!(s.resident_bytes(), 0);
+        s.poison(base, 8, PoisonKind::HeapFreed);
+        s.unpoison(base + 8 * PAGE_GRANULES, size - 8 * PAGE_GRANULES);
+        assert_eq!(s.resident_bytes(), PAGE_GRANULES as usize);
+        s.unpoison(base, 8);
+        assert_eq!(s.check(base, 8), None);
+    }
+
+    #[test]
+    fn poison_spanning_pages_and_segments_stays_inside_the_segments() {
+        let mut m = Memory::new();
+        m.map(0x1000, 0x10000, Perm::RW, SegmentKind::Heap);
+        m.map(0x12000, 0x1000, Perm::RW, SegmentKind::Stack(0));
+        let mut s = ShadowMemory::mirroring(&m);
+        // Covers the end of the first segment, the gap and the second.
+        s.poison(0x0800, 0x13000, PoisonKind::StackRedzone);
+        assert_eq!(s.check(0x1000, 1), Some(PoisonKind::StackRedzone));
+        assert_eq!(s.check(0x8ff8, 8), Some(PoisonKind::StackRedzone));
+        assert_eq!(s.check(0x10ff8, 8), Some(PoisonKind::StackRedzone));
+        assert_eq!(s.check(0x11000, 8), None, "the gap is unmapped");
+        assert_eq!(s.check(0x0ff8, 8), None, "below the first segment");
+        assert_eq!(s.check(0x12ff8, 8), Some(PoisonKind::StackRedzone));
     }
 
     #[test]

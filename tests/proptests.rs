@@ -596,8 +596,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Measurement hot path: superinstruction fusion, the MRU cache fast path
-// and the decoded-artifact cache are pure speed — every observable
+// Measurement hot path: superinstruction fusion and the decoded-artifact
+// cache are pure speed — every observable
 // artifact (results CSV, failures CSV, clean/quarantine status) must be
 // byte-identical with the optimisations on and off, under fault
 // injection, at any worker count.
@@ -606,8 +606,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any decode pass subset (plus the MRU and decoded-artifact caches
-    /// off) vs all hot-path optimisations ON: the suite matrix must
+    /// Any decode pass subset (plus the decoded-artifact cache off) vs
+    /// all hot-path optimisations ON: the suite matrix must
     /// produce byte-identical results and failures CSVs, with and
     /// without fault injection, sequentially and with `--jobs 8`.
     #[test]
@@ -648,10 +648,7 @@ proptest! {
         }
         let (on_csv, on_failures) = run_micro_with_failures(&base.clone());
         let (off_csv, off_failures) = run_micro_with_failures(
-            &base
-                .passes(PassMask::from_bits(mask_bits))
-                .mru(false)
-                .decode_cache(false),
+            &base.passes(PassMask::from_bits(mask_bits)).decode_cache(false),
         );
         prop_assert_eq!(on_csv, off_csv);
         prop_assert_eq!(on_failures, off_failures);
