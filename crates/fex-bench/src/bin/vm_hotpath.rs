@@ -20,6 +20,10 @@
 //! 4. **load** — CPU time of one `Machine::load` (memory, shadow, caches
 //!    and decode) for a native and an ASan build of one Phoenix program.
 //!
+//! Every timed window repeats its work until it holds at least 200 ms of
+//! on-CPU time, and the rows report per-run (per-load) figures. The bench
+//! exits non-zero if any time or rate comes out zero or not finite.
+//!
 //! Writes `target/fex-results/BENCH_vm.json`. Pass `--smoke` for the
 //! CI-sized variant.
 
@@ -34,18 +38,54 @@ use fex_suites::InputSize;
 use fex_vm::{Machine, MachineConfig, PassMask};
 
 /// On-CPU seconds for the calling thread, from `/proc/self/schedstat`
-/// (`sum_exec_runtime`, nanosecond resolution). On a small shared host,
-/// wall clocks see hypervisor steal and co-tenant noise an order of
-/// magnitude larger than the effects measured here; on-CPU time does
-/// not, and unlike `/proc/self/stat` it is not quantised to 10 ms
-/// scheduler ticks. Every timed window in this bench runs on the main
-/// thread, so per-thread accounting is exactly what we want.
+/// (`sum_exec_runtime`, in nanoseconds). On a small shared host, wall
+/// clocks see hypervisor steal and co-tenant noise an order of magnitude
+/// larger than the effects measured here; on-CPU time does not. The
+/// kernel advances the running thread's sum only at scheduler events
+/// (ticks, switches), so a reading lags by up to one tick: [`timed`]
+/// keeps every window long enough for that lag not to matter. Every
+/// timed window in this bench runs on the main thread, so per-thread
+/// accounting is exactly what we want.
 fn cpu_seconds() -> f64 {
     let stat =
         std::fs::read_to_string("/proc/self/schedstat").expect("/proc/self/schedstat is readable");
     let ns: u64 =
         stat.split_whitespace().next().expect("schedstat has fields").parse().expect("ns parses");
     ns as f64 / 1e9
+}
+
+/// The least on-CPU time one timed window holds: two orders of magnitude
+/// above a scheduler tick, so [`cpu_seconds`]' lag stays below 2%.
+const MIN_WINDOW_SECONDS: f64 = 0.2;
+
+/// Runs `f` back to back until the window holds at least
+/// [`MIN_WINDOW_SECONDS`] of on-CPU time. Returns the on-CPU seconds per
+/// call, the number of calls and the last call's result.
+fn timed<T>(mut f: impl FnMut() -> T) -> (f64, u64, T) {
+    let start = cpu_seconds();
+    let mut calls = 0;
+    loop {
+        let out = f();
+        calls += 1;
+        let elapsed = cpu_seconds() - start;
+        if elapsed >= MIN_WINDOW_SECONDS {
+            return (elapsed / calls as f64, calls, out);
+        }
+    }
+}
+
+/// Exits non-zero unless every timed figure is finite and positive: a
+/// zero or infinite time or rate means a window measured nothing.
+fn check_figures(figures: &[(String, f64)]) {
+    let bad: Vec<String> = figures
+        .iter()
+        .filter(|(_, v)| !(v.is_finite() && *v > 0.0))
+        .map(|(name, v)| format!("{name} = {v}"))
+        .collect();
+    if !bad.is_empty() {
+        eprintln!("vm_hotpath: timed figures that measured nothing: {}", bad.join(", "));
+        std::process::exit(1);
+    }
 }
 
 fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) -> ExperimentConfig {
@@ -60,20 +100,13 @@ fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) ->
         .decode_cache(optimised)
 }
 
-/// One timed pass over the experiment matrix. Returns (seconds, CSV,
-/// run units driven, experiment log).
-fn run_matrix(
-    config: &ExperimentConfig,
-    makefiles: &MakefileSet,
-) -> (f64, String, usize, Vec<String>) {
+/// One pass over the experiment matrix. Returns (CSV, experiment log).
+fn run_matrix(config: &ExperimentConfig, makefiles: &MakefileSet) -> (String, Vec<String>) {
     let mut log = Vec::new();
     let mut ctx = RunContext::new(config, makefiles, &mut log);
     let mut runner = SuiteRunner::new(fex_suites::micro(), config);
-    let start = cpu_seconds();
     let df = runner.run(&mut ctx).expect("matrix runs");
-    let seconds = cpu_seconds() - start;
-    let units = ctx.failures.total_runs;
-    (seconds, df.to_csv(), units, log)
+    (df.to_csv(), log)
 }
 
 /// The single-thread run-phase sweep: every micro benchmark × build
@@ -104,9 +137,9 @@ impl UnitSweep {
         UnitSweep { labels, programs }
     }
 
-    /// Runs every unit once under the given toggles; returns per-unit
-    /// CPU seconds and the per-unit instruction counters (which must be
-    /// identical under every toggle combination).
+    /// Times every unit under the given toggles; returns per-unit CPU
+    /// seconds per run and the per-unit instruction counters (which must
+    /// be identical under every toggle combination).
     fn pass(&self, optimised: bool) -> (Vec<f64>, Vec<u64>) {
         let config = MachineConfig {
             passes: if optimised { PassMask::all() } else { PassMask::none() },
@@ -115,9 +148,9 @@ impl UnitSweep {
         let mut seconds = Vec::with_capacity(self.programs.len());
         let mut counters = Vec::with_capacity(self.programs.len());
         for (program, args) in &self.programs {
-            let start = cpu_seconds();
-            let run = Machine::new(config.clone()).run(program, args).expect("unit runs");
-            seconds.push(cpu_seconds() - start);
+            let (per_run, _, run) =
+                timed(|| Machine::new(config.clone()).run(program, args).expect("unit runs"));
+            seconds.push(per_run);
             counters.push(run.counters.instructions);
         }
         (seconds, counters)
@@ -145,9 +178,9 @@ fn dispatch_kernel(iters: i64) -> fex_vm::Program {
 
 fn dispatch_bench(program: &fex_vm::Program, passes: PassMask) -> (u64, i64, f64) {
     let config = MachineConfig { passes, ..MachineConfig::default() };
-    let start = cpu_seconds();
-    let run = Machine::new(config).run(program, &[]).expect("kernel runs");
-    (run.counters.instructions, run.exit, cpu_seconds() - start)
+    let (per_run, _, run) =
+        timed(|| Machine::new(config.clone()).run(program, &[]).expect("kernel runs"));
+    (run.counters.instructions, run.exit, per_run)
 }
 
 /// The Phoenix program whose instance load the `load` rows time.
@@ -233,6 +266,12 @@ fn main() {
     let on_secs: f64 = best_on.iter().sum();
     let off_secs: f64 = best_off.iter().sum();
     let speedup = off_secs / on_secs;
+    // Every timed figure, checked before the artifact is written.
+    let mut figures: Vec<(String, f64)> = vec![
+        ("matrix all_on_seconds".into(), on_secs),
+        ("matrix all_off_seconds".into(), off_secs),
+        ("matrix speedup".into(), speedup),
+    ];
     for (i, label) in sweep.labels.iter().enumerate() {
         println!(
             "  unit {label:18} on {:.3}s  off {:.3}s  ({:.2}x)",
@@ -249,9 +288,8 @@ fn main() {
     // the toggles on and off (repetitions and both thread counts
     // included); the differential property test covers fault injection.
     let makefiles = MakefileSet::standard();
-    let (_, on_csv, _, _) = run_matrix(&matrix_config(InputSize::Small, reps, 1, true), &makefiles);
-    let (_, off_csv, _, _) =
-        run_matrix(&matrix_config(InputSize::Small, reps, 1, false), &makefiles);
+    let (on_csv, _) = run_matrix(&matrix_config(InputSize::Small, reps, 1, true), &makefiles);
+    let (off_csv, _) = run_matrix(&matrix_config(InputSize::Small, reps, 1, false), &makefiles);
     assert_eq!(on_csv, off_csv, "toggles changed the experiment results CSV");
     println!("  full-pipeline CSVs: byte-identical on vs off");
 
@@ -294,6 +332,8 @@ fn main() {
         // A leave-one-out row's delta is what the missing pass buys the
         // all-on configuration; informational for the other rows.
         let delta = all_on_mips - mips;
+        figures.push((format!("dispatch [{name}] seconds"), seconds));
+        figures.push((format!("dispatch [{name}] minstr_per_sec"), mips));
         println!(
             "  dispatch [{name}]: {instructions} instr in {seconds:.3}s  ({mips:.1} Minstr/s, \
              passes {mask}, delta vs all_on {delta:+.1})"
@@ -308,8 +348,8 @@ fn main() {
     // 3. Decoded-artifact cache hit rate on a --jobs 8 matrix — always
     // 6 reps at the test input (12 decodes serving 144 units), checked
     // byte-for-byte against a sequential run of the same matrix.
-    let (_, csv, _, log) = run_matrix(&matrix_config(InputSize::Test, 6, 8, true), &makefiles);
-    let (_, seq_csv, _, _) = run_matrix(&matrix_config(InputSize::Test, 6, 1, true), &makefiles);
+    let (csv, log) = run_matrix(&matrix_config(InputSize::Test, 6, 8, true), &makefiles);
+    let (seq_csv, _) = run_matrix(&matrix_config(InputSize::Test, 6, 1, true), &makefiles);
     assert_eq!(seq_csv, csv, "--jobs 8 changed the results CSV");
     let (decodes, served) = parse_cache_line(&log);
     let hit_rate = 100.0 * (served - decodes) as f64 / served as f64;
@@ -319,19 +359,19 @@ fn main() {
     // 4. Load cost: repeated `Machine::load`s of one program, reusing its
     // decoded form as the runner does, so the rows time what every run
     // unit pays before its first instruction. Best of N per build.
-    let loads = if smoke { 200 } else { 2000 };
     let mut load_rows = Vec::new();
     for (build, program, decoded) in load_programs() {
         let machine = Machine::new(MachineConfig::default());
         let mut best = f64::INFINITY;
+        let mut loads = 0;
         for _ in 0..passes {
-            let start = cpu_seconds();
-            for _ in 0..loads {
-                std::hint::black_box(machine.load_with(&program, &decoded));
-            }
-            best = best.min(cpu_seconds() - start);
+            let (per_load, calls, _) =
+                timed(|| drop(std::hint::black_box(machine.load_with(&program, &decoded))));
+            best = best.min(per_load);
+            loads = calls;
         }
-        let us = best / loads as f64 * 1e6;
+        let us = best * 1e6;
+        figures.push((format!("load [{build}] us_per_load"), us));
         println!("  load [{build}] {LOAD_PROGRAM}: {us:.1} us per load (best of {passes})");
         load_rows.push(format!(
             "    {{\"build\": \"{build}\", \"program\": \"{LOAD_PROGRAM}\", \
@@ -350,5 +390,6 @@ fn main() {
         dispatch_rows.join(",\n"),
         load_rows.join(",\n")
     );
+    check_figures(&figures);
     write_artifact("BENCH_vm.json", &json).expect("can write artifact");
 }

@@ -18,15 +18,18 @@
 //! 2. **Execute** — [`execute_units`] runs the units inline on the
 //!    calling thread at `--jobs 1`; above that it dispatches them over a
 //!    self-scheduling worker pool: workers claim the next unclaimed
-//!    **contiguous chunk** of indices from a shared atomic counter (work
-//!    stealing degenerates to this with a single shared deque), drive
-//!    each unit through the full retry/backoff policy with its journal
-//!    events buffered in the unit's outcome, and post one
-//!    `(start, outcomes)` batch per chunk on a channel. The chunk size
-//!    is auto-tuned from the matrix width and worker count — wide
-//!    matrices amortise the claim/channel overhead over many units while
-//!    keeping enough chunks in flight for load balance — unless the
-//!    caller of [`execute_units`] passes a size of its own.
+//!    index from a shared atomic counter (work stealing degenerates to
+//!    this with a single shared deque), drive each unit through the full
+//!    retry/backoff policy with its journal events buffered in the
+//!    unit's outcome, and post one `(start, outcomes)` batch per claim
+//!    on a channel. A claim is **one unit** unless the caller of
+//!    [`execute_units`] passes a larger size. Units run for milliseconds
+//!    (4–75 ms for Phoenix and SPLASH at `-i small`), so a claim's one
+//!    atomic add and one channel send are lost in the noise, while a
+//!    multi-unit claim leaves a worker idle at the tail: on two workers,
+//!    claims of 3 and 6 units over the 28 Phoenix and 48 SPLASH distinct
+//!    executions of a four-build-type `-r 3` matrix made those stages
+//!    take 283 and 627 ms where perfect balance needs 257 and 545 ms.
 //! 3. **Merge** — the runner walks the outcomes back in matrix order and
 //!    only *then* applies quarantine: failures count against a benchmark
 //!    in deterministic order, and every unit that falls after its
@@ -146,16 +149,11 @@ fn run_unit(unit: &RunUnit, policy: &RunPolicy, journal: bool, worker: usize) ->
     UnitOutcome { log, result, events }
 }
 
-/// The chunk size workers claim per grab: the caller's `chunk` when
-/// nonzero, otherwise auto-tuned so each worker sees about four chunks —
-/// wide matrices amortise claim/channel overhead over many units, narrow
-/// ones still hand every worker work — capped so one slow chunk cannot
-/// serialise the tail.
-fn effective_chunk(chunk: usize, units: usize, jobs: usize) -> usize {
-    if chunk != 0 {
-        return chunk;
-    }
-    (units / (jobs * 4)).clamp(1, 32)
+/// The number of units a worker claims per grab: the caller's `chunk`
+/// when nonzero, otherwise one, which leaves at most one unit of tail
+/// imbalance (the module doc has the measurements).
+fn effective_chunk(chunk: usize) -> usize {
+    chunk.max(1)
 }
 
 /// Executes every unit and returns the outcomes **in unit order**,
@@ -165,7 +163,7 @@ fn effective_chunk(chunk: usize, units: usize, jobs: usize) -> usize {
 /// skipped entirely and units run inline, in order — the `--jobs 1`
 /// fast path. With more, a scoped worker pool self-schedules over a
 /// shared claim counter, grabbing `chunk` contiguous units per claim
-/// (`0` auto-tunes from the matrix width): each chunk's
+/// (`0` claims one unit at a time): each chunk's
 /// outcomes — journal events buffered per unit — come home as one
 /// channel message and are scattered into their slots by index, so the
 /// merged order is the matrix order regardless of worker count or chunk
@@ -181,7 +179,7 @@ pub fn execute_units(
     if jobs == 1 {
         return units.iter().map(|u| run_unit(u, policy, journal, 0)).collect();
     }
-    let chunk = effective_chunk(chunk, units.len(), jobs);
+    let chunk = effective_chunk(chunk);
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Vec<UnitOutcome>)>();
     std::thread::scope(|scope| {
@@ -316,15 +314,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_chunk_scales_with_matrix_width() {
-        // Explicit override wins untouched.
-        assert_eq!(effective_chunk(7, 100, 4), 7);
-        // Narrow matrices keep per-unit claims for load balance.
-        assert_eq!(effective_chunk(0, 12, 8), 1);
-        // Wide matrices amortise: ~4 chunks per worker.
-        assert_eq!(effective_chunk(0, 160, 4), 10);
-        // Capped so one chunk cannot serialise a huge tail.
-        assert_eq!(effective_chunk(0, 10_000, 2), 32);
+    fn auto_chunk_claims_one_unit_and_explicit_sizes_win() {
+        // The auto size claims one unit, however wide the matrix.
+        assert_eq!(effective_chunk(0), 1);
+        // An explicit size wins untouched.
+        assert_eq!(effective_chunk(1), 1);
+        assert_eq!(effective_chunk(7), 7);
+        assert_eq!(effective_chunk(10_000), 10_000);
     }
 
     #[test]

@@ -595,112 +595,63 @@ impl<'p> Instance<'p> {
 
     fn exec(&mut self, mut frames: Vec<Frame>) -> Result<i64, Trap> {
         // A second owner of the decoded program, so instruction borrows
-        // stay independent of the `&mut self` the step handlers need.
+        // stay independent of the `&mut self` the handlers need.
         let decoded = Arc::clone(&self.decoded);
         loop {
-            let frame = frames.last_mut().expect("exec frame stack never empty");
-            let func = &decoded.functions[frame.func.0 as usize];
-            let pc = frame.pc;
-            if pc >= func.code.len() {
-                // Fell off the end: implicit `return 0`.
-                let flow = self.do_ret(&mut frames, None)?;
-                match flow {
-                    Flow::Continue => continue,
-                    Flow::Exit(v) => return Ok(v),
+            // Borrow the top frame and its code once, and run it in place
+            // until an instruction needs the frame stack or the code ends.
+            let fr = frames.last_mut().expect("exec frame stack never empty");
+            let func = &decoded.functions[fr.func.0 as usize];
+            let code = &func.code[..];
+            let accrual = &func.accrual[..code.len()];
+            let stack_instr = loop {
+                let pc = fr.pc;
+                let Some(instr) = code.get(pc) else { break None };
+                fr.pc = pc + 1;
+                // Entering a basic block: accrue its whole static cost at
+                // once. Non-leader pcs carry a zero accrual.
+                let (instrs, cycles) = accrual[pc];
+                if instrs != 0 {
+                    self.count_instr(u64::from(instrs))?;
+                    self.charge(cycles);
                 }
-            }
-            frame.pc = pc + 1;
-            // Entering a basic block: accrue its whole static cost at
-            // once. Non-leader pcs carry a zero accrual.
-            let (instrs, cycles) = func.accrual[pc];
-            if instrs != 0 {
-                self.count_instr(u64::from(instrs))?;
-                self.charge(cycles);
-            }
-            match self.step(&func.code[pc], &mut frames)? {
-                Flow::Continue => {}
-                Flow::Exit(v) => return Ok(v),
+                if !self.exec_local(instr, fr)? {
+                    break Some(instr);
+                }
+            };
+            let flow = match stack_instr {
+                Some(instr) => self.step(instr, &mut frames)?,
+                // Fell off the end: implicit `return 0`.
+                None => self.do_ret(&mut frames, None)?,
+            };
+            if let Flow::Exit(v) = flow {
+                return Ok(v);
             }
         }
     }
 
-    /// Executes one straight-line (non-control) instruction against a
-    /// pre-borrowed frame. The [`DecodedInstr::TraceRun`] handler loops
-    /// over its constituents through this, hoisting the frame lookup
-    /// that [`Interp::step`]'s register macro performs per access out of
-    /// the run entirely. Each arm mirrors the corresponding `step` arm
-    /// exactly.
+    /// Executes one instruction against the current frame. Returns
+    /// `false`, having done nothing, for the three instructions that
+    /// change the frame stack (`Call`, `CallInd`, `Ret`): [`Self::step`]
+    /// runs those.
     #[inline]
-    fn exec_straight(&mut self, instr: &DecodedInstr, fr: &mut Frame) -> Result<(), Trap> {
+    fn exec_local(&mut self, instr: &DecodedInstr, fr: &mut Frame) -> Result<bool, Trap> {
         macro_rules! r {
             ($reg:expr) => {
                 fr.regs[$reg.0 as usize]
             };
         }
         match instr {
-            DecodedInstr::Imm { dst, val } => r!(dst) = *val,
-            DecodedInstr::FImm { dst, val } => r!(dst) = val.to_bits() as i64,
-            DecodedInstr::Mov { dst, src } => {
-                let v = r!(src);
-                r!(dst) = v;
-            }
-            DecodedInstr::Un { op, dst, a } => {
-                let x = r!(a);
-                r!(dst) = un_op(*op, x);
-            }
-            DecodedInstr::Bin { op, dst, a, b } => {
-                let (x, y) = (r!(a), r!(b));
-                r!(dst) = int_bin(*op, x, y)?;
-            }
-            DecodedInstr::Load { dst, addr, off, width } => {
-                let a = (r!(addr)).wrapping_add(*off) as u64;
-                let v = self.mem_load(a, *width)?;
-                r!(dst) = v;
-            }
-            DecodedInstr::Store { src, addr, off, width } => {
-                let a = (r!(addr)).wrapping_add(*off) as u64;
-                let v = r!(src);
-                self.mem_store(a, v, *width)?;
-            }
-            DecodedInstr::FrameAddr { dst, index } => {
-                let a = fr.slot_addrs[*index];
-                r!(dst) = a as i64;
-            }
-            DecodedInstr::GlobalAddr { dst, index } => {
-                let a = self.global_addrs[*index];
-                r!(dst) = a as i64;
-            }
-            DecodedInstr::RodataAddr { dst, offset } => {
-                let a = self.bases.rodata + offset;
-                r!(dst) = a as i64;
-            }
-            other => unreachable!("non-straight-line instruction in a trace run: {other:?}"),
-        }
-        Ok(())
-    }
-
-    fn step(&mut self, instr: &DecodedInstr, frames: &mut Vec<Frame>) -> Result<Flow, Trap> {
-        macro_rules! frame {
-            () => {
-                frames.last_mut().expect("frame stack nonempty")
-            };
-        }
-        macro_rules! r {
-            ($reg:expr) => {
-                frame!().regs[$reg.0 as usize]
-            };
-        }
-        match instr {
-            DecodedInstr::Imm { dst, val } => r!(dst) = *val,
-            DecodedInstr::FImm { dst, val } => r!(dst) = val.to_bits() as i64,
-            DecodedInstr::Mov { dst, src } => {
-                let v = r!(src);
-                r!(dst) = v;
-            }
-            DecodedInstr::Bin { op, dst, a, b } => {
-                let (x, y) = (r!(a), r!(b));
-                r!(dst) = int_bin(*op, x, y)?;
-            }
+            DecodedInstr::Imm { .. }
+            | DecodedInstr::FImm { .. }
+            | DecodedInstr::Mov { .. }
+            | DecodedInstr::Un { .. }
+            | DecodedInstr::Bin { .. }
+            | DecodedInstr::Load { .. }
+            | DecodedInstr::Store { .. }
+            | DecodedInstr::FrameAddr { .. }
+            | DecodedInstr::GlobalAddr { .. }
+            | DecodedInstr::RodataAddr { .. } => self.exec_straight(instr, fr)?,
             DecodedInstr::FBin { op, dst, a, b } => {
                 let (x, y) = (f64::from_bits(r!(a) as u64), f64::from_bits(r!(b) as u64));
                 let v = match op {
@@ -746,61 +697,33 @@ impl<'p> Instance<'p> {
                 };
                 r!(dst) = v as i64;
             }
-            DecodedInstr::Un { op, dst, a } => {
-                let x = r!(a);
-                r!(dst) = un_op(*op, x);
-            }
-            DecodedInstr::Load { dst, addr, off, width } => {
-                let a = (r!(addr)).wrapping_add(*off) as u64;
-                let v = self.mem_load(a, *width)?;
-                r!(dst) = v;
-            }
-            DecodedInstr::Store { src, addr, off, width } => {
-                let a = (r!(addr)).wrapping_add(*off) as u64;
-                let v = r!(src);
-                self.mem_store(a, v, *width)?;
-            }
             DecodedInstr::AsanCheck { addr, off, width, is_write } => {
                 let a = (r!(addr)).wrapping_add(*off) as u64;
                 self.asan_check(a, *width, *is_write)?;
             }
-            DecodedInstr::Jmp { target } => frame!().pc = *target as usize,
+            DecodedInstr::Jmp { target } => fr.pc = *target as usize,
+            // `pc` was already advanced past a branch; -1 is its site.
             DecodedInstr::BrZero { cond, target } => {
                 let taken = r!(cond) == 0;
-                self.observe_branch(frames, taken);
+                self.observe_branch_at(fr.func, fr.pc - 1, taken);
                 if taken {
-                    frame!().pc = *target as usize;
+                    fr.pc = *target as usize;
                 }
             }
             DecodedInstr::BrNonZero { cond, target } => {
                 let taken = r!(cond) != 0;
-                self.observe_branch(frames, taken);
+                self.observe_branch_at(fr.func, fr.pc - 1, taken);
                 if taken {
-                    frame!().pc = *target as usize;
+                    fr.pc = *target as usize;
                 }
             }
-            DecodedInstr::Call { func, args, dst } => {
-                let argv: Vec<i64> = args.iter().map(|a| r!(a)).collect();
-                let caller = frame!().func;
-                let ret_pc = frame!().pc;
-                let new = self.push_frame(*func, &argv, *dst, code_addr(caller, ret_pc))?;
-                frames.push(new);
-            }
-            DecodedInstr::CallInd { addr, args, dst } => {
-                let target = r!(addr);
-                let argv: Vec<i64> = args.iter().map(|a| r!(a)).collect();
-                let caller = frame!().func;
-                let ret_pc = frame!().pc;
-                return self.transfer_to(target, &argv, *dst, code_addr(caller, ret_pc), frames);
+            DecodedInstr::Call { .. } | DecodedInstr::CallInd { .. } | DecodedInstr::Ret { .. } => {
+                return Ok(false)
             }
             DecodedInstr::ParFor { func, lo, hi, args } => {
                 let (lo, hi) = (r!(lo), r!(hi));
                 let argv: Vec<i64> = args.iter().map(|a| r!(a)).collect();
                 self.par_for(*func, lo, hi, &argv)?;
-            }
-            DecodedInstr::Ret { src } => {
-                let v = src.map(|s| r!(s));
-                return self.do_ret(frames, v);
             }
             DecodedInstr::Syscall { code, args, dst } => {
                 let argv: Vec<i64> = args.iter().map(|a| r!(a)).collect();
@@ -808,18 +731,6 @@ impl<'p> Instance<'p> {
                 if let (Some(d), Some(v)) = (dst, out) {
                     r!(d) = v;
                 }
-            }
-            DecodedInstr::FrameAddr { dst, index } => {
-                let a = frame!().slot_addrs[*index];
-                r!(dst) = a as i64;
-            }
-            DecodedInstr::GlobalAddr { dst, index } => {
-                let a = self.global_addrs[*index];
-                r!(dst) = a as i64;
-            }
-            DecodedInstr::RodataAddr { dst, offset } => {
-                let a = self.bases.rodata + offset;
-                r!(dst) = a as i64;
             }
             DecodedInstr::Nop => {}
             // Fused superinstructions: both constituents execute in
@@ -831,15 +742,13 @@ impl<'p> Instance<'p> {
                 let v = int_bin(*op, x, y)?;
                 r!(dst) = v;
                 let taken = if *neg { v == 0 } else { v != 0 };
-                let func = frame!().func;
                 // The predictor site is the *original branch* pc, so a
                 // fused and an unfused run train identical tables.
-                self.observe_branch_at(func, *site as usize, taken);
-                let f = frame!();
+                self.observe_branch_at(fr.func, *site as usize, taken);
                 if taken {
-                    f.pc = *target as usize;
+                    fr.pc = *target as usize;
                 } else {
-                    f.pc += 1; // step over the shadow slot
+                    fr.pc += 1; // step over the shadow slot
                 }
             }
             DecodedInstr::LoadBin { ld, addr, off, width, op, dst, a, b } => {
@@ -848,14 +757,14 @@ impl<'p> Instance<'p> {
                 r!(ld) = v;
                 let (x, y) = (r!(a), r!(b));
                 r!(dst) = int_bin(*op, x, y)?;
-                frame!().pc += 1;
+                fr.pc += 1;
             }
             DecodedInstr::BinBin { op1, dst1, a1, b1, op2, dst2, a2, b2 } => {
                 let (x, y) = (r!(a1), r!(b1));
                 r!(dst1) = int_bin(*op1, x, y)?;
                 let (x, y) = (r!(a2), r!(b2));
                 r!(dst2) = int_bin(*op2, x, y)?;
-                frame!().pc += 1;
+                fr.pc += 1;
             }
             DecodedInstr::ChkLoad { dst, addr, off, width } => {
                 // The check never writes a register, so the shared
@@ -864,7 +773,7 @@ impl<'p> Instance<'p> {
                 self.asan_check(a, *width, false)?;
                 let v = self.mem_load(a, *width)?;
                 r!(dst) = v;
-                frame!().pc += 1;
+                fr.pc += 1;
             }
             DecodedInstr::BinMovJmp { op, dst, a, b, mdst, msrc, target } => {
                 let (x, y) = (r!(a), r!(b));
@@ -874,14 +783,9 @@ impl<'p> Instance<'p> {
                 // the binop's dst).
                 let v = r!(msrc);
                 r!(mdst) = v;
-                frame!().pc = *target as usize;
+                fr.pc = *target as usize;
             }
             DecodedInstr::TraceRun { run } => {
-                // `run` is borrowed from the exec loop's own owner of the
-                // decoded program, so the constituent borrows stay
-                // independent of `&mut self`; the frame borrow is hoisted
-                // out of the whole run.
-                let fr = frames.last_mut().expect("frame stack nonempty");
                 for constituent in run.iter() {
                     self.exec_straight(constituent, fr)?;
                 }
@@ -890,16 +794,86 @@ impl<'p> Instance<'p> {
                 fr.pc += run.len() - 1;
             }
         }
-        Ok(Flow::Continue)
+        Ok(true)
     }
 
-    /// Runs a conditional branch through the core's predictor, charging
-    /// the flush penalty on mispredicts.
-    fn observe_branch(&mut self, frames: &[Frame], taken: bool) {
-        let frame = frames.last().expect("branch inside a frame");
-        // `pc` was already advanced past the branch; -1 is the site.
-        let (func, site_pc) = (frame.func, frame.pc.saturating_sub(1));
-        self.observe_branch_at(func, site_pc, taken);
+    /// Executes one straight-line (non-control) instruction: the
+    /// instructions a [`DecodedInstr::TraceRun`] carries. Both
+    /// [`Self::exec_local`] and its `TraceRun` arm dispatch them here, so
+    /// each has one implementation.
+    #[inline(always)]
+    fn exec_straight(&mut self, instr: &DecodedInstr, fr: &mut Frame) -> Result<(), Trap> {
+        macro_rules! r {
+            ($reg:expr) => {
+                fr.regs[$reg.0 as usize]
+            };
+        }
+        match instr {
+            DecodedInstr::Imm { dst, val } => r!(dst) = *val,
+            DecodedInstr::FImm { dst, val } => r!(dst) = val.to_bits() as i64,
+            DecodedInstr::Mov { dst, src } => {
+                let v = r!(src);
+                r!(dst) = v;
+            }
+            DecodedInstr::Un { op, dst, a } => {
+                let x = r!(a);
+                r!(dst) = un_op(*op, x);
+            }
+            DecodedInstr::Bin { op, dst, a, b } => {
+                let (x, y) = (r!(a), r!(b));
+                r!(dst) = int_bin(*op, x, y)?;
+            }
+            DecodedInstr::Load { dst, addr, off, width } => {
+                let a = (r!(addr)).wrapping_add(*off) as u64;
+                let v = self.mem_load(a, *width)?;
+                r!(dst) = v;
+            }
+            DecodedInstr::Store { src, addr, off, width } => {
+                let a = (r!(addr)).wrapping_add(*off) as u64;
+                let v = r!(src);
+                self.mem_store(a, v, *width)?;
+            }
+            DecodedInstr::FrameAddr { dst, index } => {
+                let a = fr.slot_addrs[*index];
+                r!(dst) = a as i64;
+            }
+            DecodedInstr::GlobalAddr { dst, index } => {
+                let a = self.global_addrs[*index];
+                r!(dst) = a as i64;
+            }
+            DecodedInstr::RodataAddr { dst, offset } => {
+                let a = self.bases.rodata + offset;
+                r!(dst) = a as i64;
+            }
+            other => unreachable!("non-straight-line instruction: {other:?}"),
+        }
+        Ok(())
+    }
+
+    /// Executes one of the instructions that change the frame stack:
+    /// `Call`, `CallInd` and `Ret`.
+    fn step(&mut self, instr: &DecodedInstr, frames: &mut Vec<Frame>) -> Result<Flow, Trap> {
+        let fr = frames.last_mut().expect("frame stack nonempty");
+        let argv =
+            |args: &[Reg]| -> Vec<i64> { args.iter().map(|a| fr.regs[a.0 as usize]).collect() };
+        match instr {
+            DecodedInstr::Call { func, args, dst } => {
+                let ret = code_addr(fr.func, fr.pc);
+                let new = self.push_frame(*func, &argv(args), *dst, ret)?;
+                frames.push(new);
+                Ok(Flow::Continue)
+            }
+            DecodedInstr::CallInd { addr, args, dst } => {
+                let target = fr.regs[addr.0 as usize];
+                let ret = code_addr(fr.func, fr.pc);
+                self.transfer_to(target, &argv(args), *dst, ret, frames)
+            }
+            DecodedInstr::Ret { src } => {
+                let v = src.map(|s| fr.regs[s.0 as usize]);
+                self.do_ret(frames, v)
+            }
+            other => unreachable!("frame-local instruction outside the frame loop: {other:?}"),
+        }
     }
 
     /// The ASan shadow check on a resolved address: accounting, the
@@ -921,7 +895,8 @@ impl<'p> Instance<'p> {
         Ok(())
     }
 
-    /// [`Instance::observe_branch`] with an explicit site pc — fused
+    /// Runs a conditional branch at `site_pc` through the core's
+    /// predictor, charging the flush penalty on mispredicts. Fused
     /// branches pass the original branch index.
     fn observe_branch_at(&mut self, func: FuncId, site_pc: usize, taken: bool) {
         let site = code_addr(func, site_pc);

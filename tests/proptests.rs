@@ -1,6 +1,7 @@
 //! Property-based tests on the core invariants: compiler correctness
 //! against a reference evaluator, environment layering, the cache model,
-//! the data frame and the heap allocator.
+//! the data frame, the heap allocator, and decode passes that leave
+//! every run's result unchanged.
 
 use proptest::prelude::*;
 
@@ -666,6 +667,152 @@ impl CellSeed {
         match self {
             CellSeed::Str(s) => s.as_str().into(),
             CellSeed::Int(v) => (*v).into(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pass equivalence at the `RunResult` level
+//
+// The decode passes change how the interpreter dispatches, never what a
+// run observes: under every pass subset, on one and two cores, a
+// program's whole `RunResult` (exit, stdout, every counter, the cache
+// and heap statistics, attack events, hijacks) or its trap must equal
+// the pipeline-off run's.
+// ---------------------------------------------------------------------
+
+/// The four standard build profiles: native and ASan, gcc and clang.
+fn build_profiles() -> [(&'static str, BuildOptions); 4] {
+    [
+        ("gcc_native", BuildOptions::gcc()),
+        ("clang_native", BuildOptions::clang()),
+        ("gcc_asan", BuildOptions::gcc().with_asan()),
+        ("clang_asan", BuildOptions::clang().with_asan()),
+    ]
+}
+
+/// Runs `program` under every decode pass subset on one and two cores
+/// and checks each outcome against the pipeline-off run on the same core
+/// count. Returns the pipeline-off outcomes, one per core count.
+fn assert_pass_equivalent(
+    label: &str,
+    program: &fex_vm::Program,
+    args: &[i64],
+) -> Vec<Result<fex_vm::RunResult, fex_vm::VmError>> {
+    use fex_vm::PassMask;
+
+    let mut baselines = Vec::new();
+    for cores in [1, 2] {
+        let run = |passes: PassMask| {
+            let config = MachineConfig { cores, passes, ..MachineConfig::default() };
+            Machine::new(config).run(program, args)
+        };
+        let baseline = run(PassMask::none());
+        for bits in 1..1u8 << fex_vm::PASSES.len() {
+            let passes = PassMask::from_bits(bits);
+            assert_eq!(run(passes), baseline, "{label}, {cores} core(s), passes {passes}");
+        }
+        baselines.push(baseline);
+    }
+    baselines
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Fuzz-generated programs (helper calls, loops, parfor workers,
+    /// global and heap traffic) in every build profile.
+    #[test]
+    fn pass_subsets_leave_every_run_result_unchanged(seed in 0u64..1_000_000) {
+        let scenario = fex_core::fuzz::Scenario::generate(seed, 0);
+        for gen in &scenario.programs {
+            let source = gen.source();
+            for (build, opts) in build_profiles() {
+                let program = compile(&source, &opts).expect("generated programs compile");
+                assert_pass_equivalent(&format!("seed {seed} {} {build}", gen.name), &program, &[]);
+            }
+        }
+    }
+}
+
+/// A program whose hot path leaves the frame-local dispatch loop in every
+/// way it can: nested and recursive calls, an indirect call, a `parfor`
+/// whose worker calls further functions, a return past the end of a
+/// function's code (`bump` loses its final `ret` below) and a return
+/// whose address the callee overwrote (`smash`, given the distance from
+/// its buffer to its return slot).
+const EXITS_SOURCE: &str = r#"
+global acc[8];
+
+fn leaf(x) -> int { return x * 3 + 1; }
+fn fib(n) -> int {
+  if (n < 2) { return n; }
+  return fib(n - 1) + fib(n - 2);
+}
+fn twice(x) -> int { return leaf(leaf(x)); }
+fn bump(x) { acc[0] = acc[0] + x; }
+fn landing() { acc[1] = acc[1] + 1000; }
+fn smash(d) -> int {
+  local buf[2];
+  buf[0] = 7;
+  store(&buf + d, @landing);
+  return 0;
+}
+fn worker(i, base) { acc[2 + i % 4] += twice(i + base) + fib(i % 7); }
+fn main(n, d) -> int {
+  var f = @leaf;
+  var s = 0;
+  for (i = 0; i < n; i += 1) {
+    s += icall(f, i) + fib(i % 9);
+    bump(i);
+  }
+  parfor worker(0, 8, n);
+  smash(d);
+  print_int(s);
+  return s + acc[0] + acc[1] + acc[2] + acc[3] + acc[4] + acc[5];
+}
+"#;
+
+#[test]
+fn pass_subsets_agree_on_every_way_out_of_a_frame() {
+    for (build, opts) in build_profiles() {
+        let mut program = compile(EXITS_SOURCE, &opts).expect("the exits program compiles");
+        let bump = program.function_by_name("bump").expect("bump is defined");
+        let code = &mut program.functions[bump.0 as usize].code;
+        assert!(
+            matches!(code.pop(), Some(fex_vm::Instr::Ret { src: None })),
+            "{build}: bump ends in a plain ret"
+        );
+        // The 16-byte buffer, its right redzone and the saved frame
+        // pointer lie between the buffer and the return slot.
+        let redzone = if opts.asan { fex_cc::asan::REDZONE as i64 } else { 0 };
+        for outcome in assert_pass_equivalent(build, &program, &[12, 16 + redzone + 8]) {
+            let run = outcome.unwrap_or_else(|e| panic!("{build}: the exits program runs: {e}"));
+            assert!(run.counters.calls > 100, "{build}: {} calls", run.counters.calls);
+            assert_eq!(run.hijacks.len(), 1, "{build}: hijacks");
+        }
+    }
+}
+
+/// A loop over 400 `if`s: enough branch sites that many share a counter
+/// in the predictor's 4096-entry table, so a branch recorded at the
+/// wrong site changes which branches alias and moves the mispredict
+/// count. (With few sites, shifting every site by the same amount is
+/// invisible.)
+#[test]
+fn pass_subsets_agree_on_a_branch_dense_loop() {
+    let mut source = String::from("fn main(n) -> int {\n  var s = 0;\n");
+    source.push_str("  for (i = 0; i < n; i += 1) {\n");
+    for k in 0..400 {
+        let (m, r) = (2 + k % 7, k % 3);
+        source.push_str(&format!("    if (i % {m} == {r}) {{ s += {k}; }}\n"));
+    }
+    source.push_str("  }\n  return s;\n}\n");
+    for (build, opts) in build_profiles() {
+        let program = compile(&source, &opts).expect("the branch-dense program compiles");
+        for outcome in assert_pass_equivalent(build, &program, &[40]) {
+            let run = outcome.unwrap_or_else(|e| panic!("{build}: the loop runs: {e}"));
+            assert!(run.counters.branches > 16_000, "{build}: {} branches", run.counters.branches);
         }
     }
 }
