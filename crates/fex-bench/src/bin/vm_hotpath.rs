@@ -3,7 +3,7 @@
 //! decoded-artifact cache — on vs off, and the cost of loading an
 //! instance.
 //!
-//! Four sections:
+//! Five sections:
 //!
 //! 1. **matrix** — single-thread run-phase CPU time over every micro
 //!    benchmark × build type, all optimisations on vs all off; the
@@ -19,10 +19,17 @@
 //!    `--jobs 8` matrix, parsed from the runner's own accounting line.
 //! 4. **load** — CPU time of one `Machine::load` (memory, shadow, caches
 //!    and decode) for a native and an ASan build of one Phoenix program.
+//! 5. **suites** — single-thread CPU time and Minstr/s of one pass over
+//!    the distinct executions of Phoenix + SPLASH in the four build types,
+//!    under all passes, each leave-one-out mask and none (identical
+//!    `RunResult`s asserted across masks): what the passes buy real
+//!    programs rather than the dispatch kernel.
 //!
-//! Every timed window repeats its work until it holds at least 200 ms of
-//! on-CPU time, and the rows report per-run (per-load) figures. The bench
-//! exits non-zero if any time or rate comes out zero or not finite.
+//! Every timed window of sections 1, 2 and 4 repeats its work until it
+//! holds at least 200 ms of on-CPU time, and the rows report per-run
+//! (per-load) figures; section 5 sums per-execution readings (see there).
+//! The bench exits non-zero if any time or rate comes out zero or not
+//! finite.
 //!
 //! Writes `target/fex-results/BENCH_vm.json`. Pass `--smoke` for the
 //! CI-sized variant.
@@ -31,11 +38,11 @@ use std::sync::Arc;
 
 use fex_bench::write_artifact;
 use fex_cc::{compile, BuildOptions};
-use fex_core::build::MakefileSet;
+use fex_core::build::{Artifact, MakefileSet};
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
 use fex_core::{ExperimentConfig, RunPolicy};
 use fex_suites::InputSize;
-use fex_vm::{Machine, MachineConfig, PassMask};
+use fex_vm::{Machine, MachineConfig, PassMask, RunResult};
 
 /// On-CPU seconds for the calling thread, from `/proc/self/schedstat`
 /// (`sum_exec_runtime`, in nanoseconds). On a small shared host, wall
@@ -183,6 +190,52 @@ fn dispatch_bench(program: &fex_vm::Program, passes: PassMask) -> (u64, i64, f64
     (run.counters.instructions, run.exit, per_run)
 }
 
+/// The build types the `suites` rows sweep.
+const SUITE_TYPES: [&str; 4] = ["gcc_native", "clang_native", "gcc_asan", "clang_asan"];
+
+/// The distinct executions of a Phoenix + SPLASH matrix (one thread):
+/// every benchmark × build type, built under one pass mask and run under
+/// its run unit's machine config. Repetitions and dry runs add no
+/// executions of their own (the runner serves them from execution twins).
+struct SuiteSweep {
+    units: Vec<(Artifact, MachineConfig, Vec<i64>)>,
+}
+
+impl SuiteSweep {
+    fn new(input: InputSize, passes: PassMask, makefiles: &MakefileSet) -> Self {
+        let mut units = Vec::new();
+        for suite in [fex_suites::phoenix(), fex_suites::splash()] {
+            let config = ExperimentConfig::new(suite.name).passes(passes);
+            for bench in &suite.programs {
+                for ty in SUITE_TYPES {
+                    let artifact = makefiles
+                        .build(bench.name, bench.source, ty, false, passes)
+                        .expect("suite benchmark builds");
+                    let machine = config.unit_machine_config(bench.name, ty, 1, Some(0), 0);
+                    units.push((artifact, machine, bench.args(input).to_vec()));
+                }
+            }
+        }
+        SuiteSweep { units }
+    }
+
+    /// Runs execution `unit` once.
+    fn run(&self, unit: usize) -> RunResult {
+        let (artifact, machine, args) = &self.units[unit];
+        Machine::new(machine.clone())
+            .load_with(&artifact.program, &artifact.decoded)
+            .run_entry(args)
+            .expect("suite execution runs")
+    }
+}
+
+/// The median of `samples` (upper median for an even count).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
 /// The Phoenix program whose instance load the `load` rows time.
 const LOAD_PROGRAM: &str = "kmeans";
 
@@ -299,6 +352,8 @@ fn main() {
     // configurations (like section 1) so host speed drift between
     // configurations cancels; best-of-N per configuration.
     let kernel = dispatch_kernel(dispatch_iters);
+    // Sections 2 and 5 share these masks: all passes, leave-one-out for
+    // every registered pass, none.
     let all = PassMask::all();
     let mut configs: Vec<(String, PassMask)> = vec![("all_on".into(), all)];
     for info in fex_vm::PASSES {
@@ -379,6 +434,66 @@ fn main() {
         ));
     }
 
+    // 5. The suites: per round, one pass over Phoenix + SPLASH's distinct
+    // executions per mask; each row reports the median over the rounds.
+    // The masks take turns on each execution, not on whole passes: on a
+    // shared host, whole-pass windows of the same mask spread by a third
+    // within one round, which buries the passes' effects. A mask's pass
+    // time sums its executions' on-CPU readings; each reading lags by up
+    // to a scheduler tick at both ends, an error that averages out over
+    // a pass's 76 executions rather than accumulating.
+    let (suite_input, input_name) =
+        if smoke { (InputSize::Test, "test") } else { (InputSize::Small, "small") };
+    let sweeps: Vec<SuiteSweep> =
+        configs.iter().map(|(_, mask)| SuiteSweep::new(suite_input, *mask, &makefiles)).collect();
+    let executions = sweeps[0].units.len();
+    let mut samples = vec![Vec::new(); configs.len()];
+    let mut suite_instructions = 0;
+    for _ in 0..passes {
+        let mut pass_seconds = vec![0.0; configs.len()];
+        suite_instructions = 0;
+        for unit in 0..executions {
+            let mut pinned: Option<RunResult> = None;
+            for (slot, sweep) in sweeps.iter().enumerate() {
+                let start = cpu_seconds();
+                let result = sweep.run(unit);
+                pass_seconds[slot] += cpu_seconds() - start;
+                match &pinned {
+                    None => pinned = Some(result),
+                    Some(p) => assert!(
+                        &result == p,
+                        "{} changed a suite execution's RunResult",
+                        configs[slot].0
+                    ),
+                }
+            }
+            suite_instructions += pinned.expect("at least one mask").counters.instructions;
+        }
+        for (slot, seconds) in pass_seconds.into_iter().enumerate() {
+            samples[slot].push(seconds);
+        }
+    }
+    let suite_mips = |seconds: f64| suite_instructions as f64 / seconds / 1e6;
+    let all_on_suite_mips = suite_mips(median(&samples[0]));
+    let mut suite_rows = Vec::new();
+    for (slot, (name, mask)) in configs.iter().enumerate() {
+        let seconds = median(&samples[slot]);
+        let mips = suite_mips(seconds);
+        let delta = all_on_suite_mips - mips;
+        figures.push((format!("suites [{name}] seconds"), seconds));
+        figures.push((format!("suites [{name}] minstr_per_sec"), mips));
+        println!(
+            "  suites [{name}]: {executions} executions, {suite_instructions} instr in \
+             {seconds:.3}s  ({mips:.1} Minstr/s, passes {mask}, delta vs all_on {delta:+.1}, \
+             median of {passes})"
+        );
+        suite_rows.push(format!(
+            "    {{\"config\": \"{name}\", \"passes\": \"{mask}\", \
+             \"instructions\": {suite_instructions}, \"seconds\": {seconds:.6}, \
+             \"minstr_per_sec\": {mips:.3}, \"delta_vs_all_on\": {delta:.3}}}"
+        ));
+    }
+
     let json = format!(
         "{{\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \
          \"matrix\": {{\"units\": {units}, \"all_on_seconds\": {on_secs:.6}, \
@@ -386,9 +501,12 @@ fn main() {
          \"dispatch\": [\n{}\n  ],\n  \
          \"decode_cache\": {{\"decodes\": {decodes}, \"served\": {served}, \
          \"hit_rate_pct\": {hit_rate:.2}}},\n  \
-         \"load\": [\n{}\n  ]\n}}\n",
+         \"load\": [\n{}\n  ],\n  \
+         \"suites\": {{\"suites\": \"phoenix,splash\", \"input\": \"{input_name}\", \
+         \"executions\": {executions}, \"rounds\": {passes}, \"rows\": [\n{}\n  ]}}\n}}\n",
         dispatch_rows.join(",\n"),
-        load_rows.join(",\n")
+        load_rows.join(",\n"),
+        suite_rows.join(",\n")
     );
     check_figures(&figures);
     write_artifact("BENCH_vm.json", &json).expect("can write artifact");

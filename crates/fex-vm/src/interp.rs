@@ -103,7 +103,10 @@ struct Frame {
 }
 
 enum Flow {
+    /// Keep running the top frame.
     Continue,
+    /// Push this callee frame and run it.
+    Call(Frame),
     Exit(i64),
 }
 
@@ -130,6 +133,11 @@ pub struct Instance<'p> {
     stdout: String,
     per_core: Vec<PerfCounters>,
     timeline_cycles: u64,
+    /// Cycles and instructions the running core has accrued since the
+    /// last [`Self::flush`], which folds them into `per_core[core]` (and
+    /// the cycles into `timeline_cycles` outside a `parfor`).
+    acc_cycles: u64,
+    acc_instrs: u64,
     core: usize,
     in_parfor: bool,
     rng: u64,
@@ -139,6 +147,9 @@ pub struct Instance<'p> {
     sp: Vec<u64>,
     stack_floor: Vec<u64>,
     instr_budget_used: u64,
+    /// `min(max_instructions + 1, pending fault's instruction)`: the
+    /// budget at which [`Self::count_instr`] leaves its fast path.
+    instr_threshold: u64,
     /// Pending fault from the config's `FaultPlan`, decided at load time
     /// and fired at most once.
     fault: Option<crate::fault::FaultDecision>,
@@ -248,7 +259,7 @@ impl<'p> Instance<'p> {
                     .unwrap_or_else(|e| panic!("program does not decode: {e}")),
             ),
         };
-        Instance {
+        let mut instance = Instance {
             program,
             decoded,
             config,
@@ -261,6 +272,8 @@ impl<'p> Instance<'p> {
             stdout: String::new(),
             per_core: vec![PerfCounters::default(); cores],
             timeline_cycles: 0,
+            acc_cycles: 0,
+            acc_instrs: 0,
             core: 0,
             in_parfor: false,
             rng: seed,
@@ -270,11 +283,14 @@ impl<'p> Instance<'p> {
             sp,
             stack_floor,
             instr_budget_used: 0,
+            instr_threshold: 0,
             fault,
             quarantine: std::collections::VecDeque::new(),
             quarantine_bytes: 0,
             predictors: vec![BranchPredictor::new(); cores],
-        }
+        };
+        instance.instr_threshold = instance.next_instr_threshold();
+        instance
     }
 
     /// The load bases chosen for this instance (differs from
@@ -349,6 +365,7 @@ impl<'p> Instance<'p> {
             });
         }
         // Snapshot counters so `call` reports per-call deltas.
+        self.flush();
         self.sync_cache_counters();
         let before: Vec<PerfCounters> = self.per_core.clone();
         let timeline_before = self.timeline_cycles;
@@ -357,8 +374,13 @@ impl<'p> Instance<'p> {
         let hijacks_before = self.hijacks.len();
 
         let sentinel = code_addr(FuncId(u32::MAX), 0);
-        let root = self.push_frame(id, args, None, sentinel)?;
-        let exit = self.exec(vec![root])?;
+        let exit = self
+            .push_frame(id, args.iter().copied(), None, sentinel)
+            .and_then(|root| self.exec(&mut vec![root]));
+        // A trapping call's accruals count too: the next call's snapshot
+        // must include them.
+        self.flush();
+        let exit = exit?;
         self.sync_cache_counters();
 
         let mut per_core: Vec<PerfCounters> = Vec::with_capacity(self.per_core.len());
@@ -421,21 +443,51 @@ impl<'p> Instance<'p> {
     // ------------------------------------------------------------------
 
     fn charge(&mut self, cycles: u64) {
-        self.per_core[self.core].cycles += cycles;
+        self.acc_cycles += cycles;
+    }
+
+    /// Folds the running core's accrued cycles and instructions into its
+    /// counters, and the cycles into the main timeline outside a
+    /// `parfor`. Runs wherever counters are read or the core changes.
+    fn flush(&mut self) {
+        let c = &mut self.per_core[self.core];
+        c.cycles += self.acc_cycles;
+        c.instructions += self.acc_instrs;
         if !self.in_parfor {
-            self.timeline_cycles += cycles;
+            self.timeline_cycles += self.acc_cycles;
         }
+        self.acc_cycles = 0;
+        self.acc_instrs = 0;
     }
 
     fn count_instr(&mut self, n: u64) -> Result<(), Trap> {
-        self.per_core[self.core].instructions += n;
+        self.acc_instrs += n;
         self.instr_budget_used += n;
+        if self.instr_budget_used >= self.instr_threshold {
+            return self.instr_threshold_reached();
+        }
+        Ok(())
+    }
+
+    /// The budget at which the instruction limit or the pending fault
+    /// fires first.
+    fn next_instr_threshold(&self) -> u64 {
+        let limit = self.config.max_instructions.saturating_add(1);
+        self.fault.map_or(limit, |d| limit.min(d.at_instruction))
+    }
+
+    /// `count_instr`'s slow path: the exact limit and fault checks. Only a
+    /// fired fault moves the threshold (to the limit alone).
+    #[cold]
+    #[inline(never)]
+    fn instr_threshold_reached(&mut self) -> Result<(), Trap> {
         if self.instr_budget_used > self.config.max_instructions {
             return Err(Trap::InstructionLimit { limit: self.config.max_instructions });
         }
         if let Some(d) = self.fault {
             if self.instr_budget_used >= d.at_instruction {
                 self.fault = None;
+                self.instr_threshold = self.next_instr_threshold();
                 return Err(match d.kind {
                     crate::fault::FaultKind::Trap => {
                         Trap::Injected { attempt: self.config.fault_plan.attempt }
@@ -496,14 +548,18 @@ impl<'p> Instance<'p> {
     // Frames
     // ------------------------------------------------------------------
 
+    /// Pushes a frame for `id` with `args` in its first registers (missing
+    /// arguments read as 0, extra ones are dropped).
     fn push_frame(
         &mut self,
         id: FuncId,
-        args: &[i64],
+        args: impl IntoIterator<Item = i64>,
         ret_dst: Option<Reg>,
         ret_code_addr: i64,
     ) -> Result<Frame, Trap> {
-        let f = &self.program.functions[id.0 as usize];
+        // Through a copy of the `&'p Program`, so `f` does not borrow `self`.
+        let program = self.program;
+        let f = &program.functions[id.0 as usize];
         let body = f.frame_array_bytes();
         let canary_sz: u64 = if self.config.mitigations.canaries { 8 } else { 0 };
         let sp_old = self.sp[self.core];
@@ -522,15 +578,15 @@ impl<'p> Instance<'p> {
         let asan = self.program.asan;
         let mut slot_addrs = Vec::with_capacity(f.stack_slots.len());
         let mut cur = arrays_start;
-        let slots = f.stack_slots.clone();
-        for s in &slots {
+        let slots = &f.stack_slots;
+        for s in slots {
             cur += s.redzone;
             slot_addrs.push(cur);
             cur += s.size + s.redzone;
         }
         if asan {
             let mut cur = arrays_start;
-            for s in &slots {
+            for s in slots {
                 if s.redzone > 0 {
                     self.shadow.poison(cur, s.redzone, PoisonKind::StackRedzone);
                     self.shadow.unpoison(cur + s.redzone, s.size);
@@ -564,7 +620,9 @@ impl<'p> Instance<'p> {
         self.sp[self.core] = new_sp;
 
         let mut regs = vec![0i64; f.reg_count.max(f.param_count) as usize];
-        regs[..args.len()].copy_from_slice(args);
+        for (r, a) in regs.iter_mut().zip(args) {
+            *r = a;
+        }
         Ok(Frame {
             func: id,
             pc: 0,
@@ -593,7 +651,7 @@ impl<'p> Instance<'p> {
     // Main loop
     // ------------------------------------------------------------------
 
-    fn exec(&mut self, mut frames: Vec<Frame>) -> Result<i64, Trap> {
+    fn exec(&mut self, frames: &mut Vec<Frame>) -> Result<i64, Trap> {
         // A second owner of the decoded program, so instruction borrows
         // stay independent of the `&mut self` the handlers need.
         let decoded = Arc::clone(&self.decoded);
@@ -620,12 +678,14 @@ impl<'p> Instance<'p> {
                 }
             };
             let flow = match stack_instr {
-                Some(instr) => self.step(instr, &mut frames)?,
+                Some(instr) => self.step(instr, frames)?,
                 // Fell off the end: implicit `return 0`.
-                None => self.do_ret(&mut frames, None)?,
+                None => self.do_ret(frames, None)?,
             };
-            if let Flow::Exit(v) = flow {
-                return Ok(v);
+            match flow {
+                Flow::Continue => {}
+                Flow::Call(callee) => frames.push(callee),
+                Flow::Exit(v) => return Ok(v),
             }
         }
     }
@@ -722,12 +782,10 @@ impl<'p> Instance<'p> {
             }
             DecodedInstr::ParFor { func, lo, hi, args } => {
                 let (lo, hi) = (r!(lo), r!(hi));
-                let argv: Vec<i64> = args.iter().map(|a| r!(a)).collect();
-                self.par_for(*func, lo, hi, &argv)?;
+                self.par_for(*func, lo, hi, args, &fr.regs)?;
             }
             DecodedInstr::Syscall { code, args, dst } => {
-                let argv: Vec<i64> = args.iter().map(|a| r!(a)).collect();
-                let out = self.syscall(*code, &argv)?;
+                let out = self.syscall(*code, args, &fr.regs)?;
                 if let (Some(d), Some(v)) = (dst, out) {
                     r!(d) = v;
                 }
@@ -853,23 +911,21 @@ impl<'p> Instance<'p> {
     /// Executes one of the instructions that change the frame stack:
     /// `Call`, `CallInd` and `Ret`.
     fn step(&mut self, instr: &DecodedInstr, frames: &mut Vec<Frame>) -> Result<Flow, Trap> {
-        let fr = frames.last_mut().expect("frame stack nonempty");
-        let argv =
-            |args: &[Reg]| -> Vec<i64> { args.iter().map(|a| fr.regs[a.0 as usize]).collect() };
+        let fr = frames.last().expect("frame stack nonempty");
+        let regs = &fr.regs;
         match instr {
             DecodedInstr::Call { func, args, dst } => {
                 let ret = code_addr(fr.func, fr.pc);
-                let new = self.push_frame(*func, &argv(args), *dst, ret)?;
-                frames.push(new);
-                Ok(Flow::Continue)
+                let argv = args.iter().map(|a| regs[a.0 as usize]);
+                Ok(Flow::Call(self.push_frame(*func, argv, *dst, ret)?))
             }
             DecodedInstr::CallInd { addr, args, dst } => {
-                let target = fr.regs[addr.0 as usize];
+                let target = regs[addr.0 as usize];
                 let ret = code_addr(fr.func, fr.pc);
-                self.transfer_to(target, &argv(args), *dst, ret, frames)
+                self.transfer_to(target, args.iter().map(|a| regs[a.0 as usize]), *dst, ret)
             }
             DecodedInstr::Ret { src } => {
-                let v = src.map(|s| fr.regs[s.0 as usize]);
+                let v = src.map(|s| regs[s.0 as usize]);
                 self.do_ret(frames, v)
             }
             other => unreachable!("frame-local instruction outside the frame loop: {other:?}"),
@@ -946,7 +1002,7 @@ impl<'p> Instance<'p> {
                 }
             }
         }
-        self.transfer_to(ret_val, &argv, None, code_addr(FuncId(u32::MAX), 1), frames)
+        self.transfer_to(ret_val, argv, None, code_addr(FuncId(u32::MAX), 1))
     }
 
     /// Transfers control to an arbitrary address: a valid function entry, a
@@ -954,10 +1010,9 @@ impl<'p> Instance<'p> {
     fn transfer_to(
         &mut self,
         target: i64,
-        args: &[i64],
+        args: impl IntoIterator<Item = i64>,
         dst: Option<Reg>,
         ret_code_addr: i64,
-        frames: &mut Vec<Frame>,
     ) -> Result<Flow, Trap> {
         if let Some((f, pc)) = decode_code_addr(target) {
             let Some(func) = self.program.functions.get(f.0 as usize) else {
@@ -967,12 +1022,8 @@ impl<'p> Instance<'p> {
                 // Mid-function gadget jumps are out of scope for the model.
                 return Err(Trap::BadCodeAddress { addr: target as u64 });
             }
-            let argv: Vec<i64> = args.iter().copied().take(func.param_count as usize).collect();
-            let mut argv = argv;
-            argv.resize(func.param_count as usize, 0);
-            let new = self.push_frame(f, &argv, dst, ret_code_addr)?;
-            frames.push(new);
-            return Ok(Flow::Continue);
+            let args = args.into_iter().take(func.param_count as usize);
+            return Ok(Flow::Call(self.push_frame(f, args, dst, ret_code_addr)?));
         }
         // Data address: executable only if the segment allows it.
         let addr = target as u64;
@@ -993,7 +1044,16 @@ impl<'p> Instance<'p> {
         }
     }
 
-    fn par_for(&mut self, func: FuncId, lo: i64, hi: i64, args: &[i64]) -> Result<(), Trap> {
+    /// Runs `func(i, args...)` for `i` in `lo..hi`, split into one chunk
+    /// per core; `args` are registers of `regs`, the caller's frame.
+    fn par_for(
+        &mut self,
+        func: FuncId,
+        lo: i64,
+        hi: i64,
+        args: &[Reg],
+        regs: &[i64],
+    ) -> Result<(), Trap> {
         if self.in_parfor {
             return Err(Trap::NestedParFor);
         }
@@ -1002,11 +1062,14 @@ impl<'p> Instance<'p> {
         if total == 0 {
             return Ok(());
         }
+        // The serial cycles so far belong to the timeline.
+        self.flush();
         self.in_parfor = true;
         let saved_core = self.core;
         let mut max_delta = 0u64;
         let chunk = total.div_ceil(cores as u64);
         let mut result = Ok(());
+        let mut frames = Vec::new();
         for c in 0..cores {
             let start = lo + (c as u64 * chunk) as i64;
             let end = (start + chunk as i64).min(hi);
@@ -1018,22 +1081,24 @@ impl<'p> Instance<'p> {
             self.predictors[c].flush();
             let before = self.per_core[c].cycles;
             for i in start..end {
-                let mut argv = Vec::with_capacity(args.len() + 1);
-                argv.push(i);
-                argv.extend_from_slice(args);
+                let argv = std::iter::once(i).chain(args.iter().map(|a| regs[a.0 as usize]));
                 let sentinel = code_addr(FuncId(u32::MAX), 2 + c);
-                let frame = match self.push_frame(func, &argv, None, sentinel) {
+                let frame = match self.push_frame(func, argv, None, sentinel) {
                     Ok(f) => f,
                     Err(t) => {
                         result = Err(t);
                         break;
                     }
                 };
-                if let Err(t) = self.exec(vec![frame]) {
+                frames.clear();
+                frames.push(frame);
+                if let Err(t) = self.exec(&mut frames) {
                     result = Err(t);
                     break;
                 }
             }
+            // This core's chunk is done: its cycles are read just below.
+            self.flush();
             let delta = self.per_core[c].cycles - before;
             max_delta = max_delta.max(delta);
             if result.is_err() {
@@ -1051,9 +1116,11 @@ impl<'p> Instance<'p> {
     // Syscalls
     // ------------------------------------------------------------------
 
-    fn syscall(&mut self, code: SysCall, args: &[i64]) -> Result<Option<i64>, Trap> {
+    /// Runs syscall `code` with `args`, registers of `regs` (the
+    /// caller's frame); a missing argument reads as 0.
+    fn syscall(&mut self, code: SysCall, args: &[Reg], regs: &[i64]) -> Result<Option<i64>, Trap> {
         use std::fmt::Write as _;
-        let arg = |i: usize| -> i64 { args.get(i).copied().unwrap_or(0) };
+        let arg = |i: usize| -> i64 { args.get(i).map_or(0, |a| regs[a.0 as usize]) };
         match code {
             SysCall::PrintI64 => {
                 let _ = writeln!(self.stdout, "{}", arg(0));
@@ -1208,7 +1275,10 @@ impl<'p> Instance<'p> {
                 Ok(Some(0))
             }
             SysCall::Abort => Err(Trap::Abort { code: arg(0) }),
-            SysCall::Cycles => Ok(Some(self.per_core[self.core].cycles as i64)),
+            SysCall::Cycles => {
+                self.flush();
+                Ok(Some(self.per_core[self.core].cycles as i64))
+            }
             SysCall::NumCores => Ok(Some(self.config.cores as i64)),
         }
     }
@@ -1878,6 +1948,227 @@ mod tests {
             "alternating branch should defeat the bimodal predictor ({})",
             r2.counters.branch_mispredicts
         );
+    }
+
+    /// ASan build: `main` stores 7 to global `g`, checks it and loads it
+    /// back. One block of six instructions, so the run counts 1 (the
+    /// call) + 6 (the block) + 2 (the check) = 9 instructions.
+    fn checked_store_program() -> Program {
+        let mut p = Program::new();
+        p.asan = true;
+        p.globals.push(GlobalDef {
+            name: "g".into(),
+            size: 8,
+            init: vec![],
+            is_code_ptr: false,
+            redzone: 32,
+        });
+        p.push_function(simple_fn(
+            "main",
+            0,
+            3,
+            vec![
+                Instr::GlobalAddr { dst: Reg(0), index: 0 },
+                Instr::Imm { dst: Reg(1), val: 7 },
+                Instr::Store { src: Reg(1), addr: Reg(0), off: 0, width: Width::B8 },
+                Instr::AsanCheck { addr: Reg(0), off: 0, width: Width::B8, is_write: false },
+                Instr::Load { dst: Reg(2), addr: Reg(0), off: 0, width: Width::B8 },
+                Instr::Ret { src: Some(Reg(2)) },
+            ],
+        ));
+        p
+    }
+
+    /// ASan build: `main` calls `f`, whose two stack arrays have
+    /// redzones. `f`'s frame push counts 5 then 12 instructions for
+    /// poisoning the two arrays and 1 for the call; with `main`'s call
+    /// (1), `main`'s block (2) and `f`'s block (1) the run counts 22.
+    fn poisoned_frame_program() -> Program {
+        let mut f = simple_fn("f", 0, 1, vec![Instr::Ret { src: None }]);
+        f.stack_slots.push(StackSlot { size: 8, redzone: 16 });
+        f.stack_slots.push(StackSlot { size: 32, redzone: 32 });
+        let main = simple_fn(
+            "main",
+            0,
+            1,
+            vec![
+                Instr::Call { func: FuncId(0), args: vec![], dst: None },
+                Instr::Ret { src: None },
+            ],
+        );
+        let mut p = Program::new();
+        p.asan = true;
+        p.push_function(f);
+        p.push_function(main);
+        p
+    }
+
+    fn fault_config(kind: crate::FaultKind, at: u64) -> MachineConfig {
+        let plan =
+            crate::FaultPlan::persistent(kind).at(crate::fault::FaultSite::AfterInstructions(at));
+        MachineConfig { fault_plan: plan, ..MachineConfig::default() }
+    }
+
+    /// Core 0's top `len` stack bytes as `(poisoned granules, nonzero
+    /// words)`: how far the frame pushes got.
+    fn stack_top_state(inst: &Instance<'_>, len: u64) -> (usize, usize) {
+        let top = inst.bases.stack + inst.config.stack_size;
+        let granules: Vec<u64> = (top - len..top).step_by(8).collect();
+        let poisoned = granules.iter().filter(|a| inst.shadow.check(**a, 8).is_some()).count();
+        let nonzero = granules.iter().filter(|a| inst.mem.load(**a, Width::B8) != Ok(0)).count();
+        (poisoned, nonzero)
+    }
+
+    #[test]
+    fn instruction_limit_admits_exactly_the_programs_count() {
+        for p in [checked_store_program(), poisoned_frame_program()] {
+            let n = run(&p, &[]).counters.instructions;
+            let at = |max| MachineConfig { max_instructions: max, ..MachineConfig::default() };
+            assert_eq!(Machine::new(at(n)).run(&p, &[]).unwrap(), run(&p, &[]));
+            assert_eq!(
+                Machine::new(at(n - 1)).run(&p, &[]).unwrap_err(),
+                VmError::Trap(Trap::InstructionLimit { limit: n - 1 })
+            );
+        }
+        assert_eq!(run(&checked_store_program(), &[]).counters.instructions, 9);
+        assert_eq!(run(&poisoned_frame_program(), &[]).counters.instructions, 22);
+    }
+
+    #[test]
+    fn a_fault_inside_an_asan_check_fires_at_the_check() {
+        let p = checked_store_program();
+        let g = |inst: &Instance<'_>| inst.mem.load(inst.global_addr(0), Width::B8).unwrap();
+        for kind in [crate::FaultKind::Trap, crate::FaultKind::Hang] {
+            let trap = match kind {
+                crate::FaultKind::Trap => Trap::Injected { attempt: 0 },
+                crate::FaultKind::Hang => {
+                    Trap::InstructionLimit { limit: MachineConfig::default().max_instructions }
+                }
+            };
+            for at in 1..=10 {
+                let m = Machine::new(fault_config(kind, at));
+                let mut inst = m.load(&p);
+                let out = inst.run_entry(&[]);
+                // 1: the call; 2..=7: the block, before the store; 8..=9:
+                // the check's two instructions, after the store.
+                let expected_g = if at >= 8 { 7 } else { 0 };
+                if at <= 9 {
+                    assert_eq!(out.unwrap_err(), VmError::Trap(trap.clone()), "{kind} at {at}");
+                } else {
+                    assert_eq!(out.unwrap().exit, 7, "{kind} at {at}");
+                }
+                assert_eq!(g(&inst), expected_g, "{kind} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_inside_a_frame_push_fires_where_it_lands() {
+        let p = poisoned_frame_program();
+        for kind in [crate::FaultKind::Trap, crate::FaultKind::Hang] {
+            for at in 1..=23 {
+                let m = Machine::new(fault_config(kind, at));
+                let mut inst = m.load(&p);
+                let out = inst.run_entry(&[]);
+                // `main`'s frame words are stored before its call counts
+                // (at 1); `f`'s first array is poisoned before its 5
+                // (4..=8), the second before its 12 (9..=20), and `f`'s
+                // frame words before its call counts (21).
+                let expected = match at {
+                    1..=3 => (0, 2),
+                    4..=8 => (4, 2),
+                    9..=20 => (12, 2),
+                    _ => (12, 4),
+                };
+                assert_eq!(out.is_err(), at <= 22, "{kind} at {at}");
+                if at <= 22 {
+                    assert_eq!(stack_top_state(&inst, 512), expected, "{kind} at {at}");
+                }
+            }
+        }
+    }
+
+    /// `main` reads `cycles`, loads a cold global (its latency accrues
+    /// after the read) and runs a four-iteration `parfor`, then reads
+    /// `cycles` again and prints both readings. `worker(i)` spins `i`
+    /// times, so on two cores the second core's chunk is the longer one,
+    /// and prints its core's `cycles`.
+    fn cycles_around_parfor_program() -> Program {
+        let worker = simple_fn(
+            "worker",
+            1,
+            5,
+            vec![
+                Instr::Imm { dst: Reg(1), val: 0 },
+                Instr::Imm { dst: Reg(2), val: 1 },
+                Instr::Bin { op: BinOp::Lt, dst: Reg(3), a: Reg(1), b: Reg(0) },
+                Instr::BrZero { cond: Reg(3), target: 6 },
+                Instr::Bin { op: BinOp::Add, dst: Reg(1), a: Reg(1), b: Reg(2) },
+                Instr::Jmp { target: 2 },
+                Instr::Syscall { code: SysCall::Cycles, args: vec![], dst: Some(Reg(4)) },
+                Instr::Syscall { code: SysCall::PrintI64, args: vec![Reg(4)], dst: None },
+                Instr::Ret { src: None },
+            ],
+        );
+        let main = simple_fn(
+            "main",
+            0,
+            7,
+            vec![
+                Instr::Syscall { code: SysCall::Cycles, args: vec![], dst: Some(Reg(0)) },
+                Instr::GlobalAddr { dst: Reg(5), index: 0 },
+                Instr::Load { dst: Reg(6), addr: Reg(5), off: 0, width: Width::B8 },
+                Instr::Imm { dst: Reg(1), val: 0 },
+                Instr::Imm { dst: Reg(2), val: 4 },
+                Instr::ParFor { func: FuncId(0), lo: Reg(1), hi: Reg(2), args: vec![] },
+                Instr::Syscall { code: SysCall::Cycles, args: vec![], dst: Some(Reg(3)) },
+                Instr::Syscall { code: SysCall::PrintI64, args: vec![Reg(0)], dst: None },
+                Instr::Syscall { code: SysCall::PrintI64, args: vec![Reg(3)], dst: None },
+                Instr::Bin { op: BinOp::Sub, dst: Reg(4), a: Reg(3), b: Reg(0) },
+                Instr::Ret { src: Some(Reg(4)) },
+            ],
+        );
+        let mut p = Program::new();
+        p.globals.push(GlobalDef {
+            name: "g".into(),
+            size: 8,
+            init: vec![],
+            is_code_ptr: false,
+            redzone: 0,
+        });
+        p.push_function(worker);
+        p.push_function(main);
+        p
+    }
+
+    #[test]
+    fn cycles_read_around_a_parfor_match_the_timeline() {
+        let p = cycles_around_parfor_program();
+        let check = |cores, exit, stdout: &str, elapsed, per_core: &[(u64, u64)]| {
+            let r = Machine::new(MachineConfig::with_cores(cores)).run(&p, &[]).unwrap();
+            assert_eq!((r.exit, r.stdout.as_str()), (exit, stdout), "{cores} cores");
+            assert_eq!((r.elapsed_cycles, r.counters.cycles), (elapsed, elapsed), "{cores} cores");
+            let got: Vec<(u64, u64)> =
+                r.per_core.iter().map(|c| (c.cycles, c.instructions)).collect();
+            assert_eq!(got, per_core, "{cores} cores");
+        };
+        // Per core: (cycles, instructions).
+        check(1, 652, "659\n767\n879\n983\n335\n987\n", 1051, &[(991, 68)]);
+        check(2, 436, "659\n767\n292\n396\n335\n771\n", 1059, &[(775, 32), (400, 36)]);
+    }
+
+    #[test]
+    fn a_call_after_a_trapping_call_reports_only_its_own_counters() {
+        let p = checked_store_program();
+        // The first call traps inside its ASan check, after the store.
+        let m = Machine::new(fault_config(crate::FaultKind::Trap, 8));
+        let mut inst = m.load(&p);
+        assert_eq!(inst.run_entry(&[]).unwrap_err(), VmError::Trap(Trap::Injected { attempt: 0 }));
+        let r = inst.run_entry(&[]).unwrap();
+        let c = r.per_core[0];
+        assert_eq!(r.exit, 7);
+        assert_eq!((c.instructions, c.cycles, r.elapsed_cycles), (9, 230, 230));
+        assert_eq!((c.loads, c.stores, c.asan_checks), (3, 3, 1));
     }
 
     #[test]

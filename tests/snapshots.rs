@@ -11,7 +11,10 @@
 //! non-deterministic bytes). A second experiment pins the results and
 //! failure CSVs of a `phoenix_var` sweep: the input-size dimension, a dry
 //! run, adaptive repetitions and transient faults whose quarantine lands
-//! in the middle of the matrix.
+//! in the middle of the matrix. A third pins the SPLASH suite at the
+//! `test` input, four build types and one and two threads, under both
+//! `perf stat` event sets: the floating-point kernels and the two-core
+//! `parfor` path that the first two never reach.
 //!
 //! Regenerating after an intentional output change:
 //!
@@ -125,6 +128,31 @@ fn variable_input_adaptive_transient_csvs_match_goldens() {
     let failures = fex.failure_csv("phoenix_var").expect("failures stored");
     assert_golden("phoenix_var.results.csv", &results);
     assert_golden("phoenix_var.failures.csv", &failures);
+}
+
+/// The third pinned experiment: every SPLASH benchmark in all four build
+/// types on one and two threads, measured with `tool`.
+fn splash_config(tool: MeasureTool) -> ExperimentConfig {
+    ExperimentConfig::new("splash")
+        .types(vec!["gcc_native", "clang_native", "gcc_asan", "clang_asan"])
+        .threads(vec![1, 2])
+        .input(InputSize::Test)
+        .repetitions(1)
+        .jobs(1)
+        .tool(tool)
+}
+
+#[test]
+fn splash_csvs_match_goldens_under_both_event_sets() {
+    for (tool, golden) in [
+        (MeasureTool::PerfStat, "splash_test.results.csv"),
+        (MeasureTool::PerfStatMemory, "splash_test.mem.results.csv"),
+    ] {
+        let mut fex = golden_fex();
+        fex.install("splash_inputs").expect("install SPLASH inputs");
+        fex.run(&splash_config(tool)).expect("SPLASH experiment runs");
+        assert_golden(golden, &fex.result_csv("splash").expect("results stored"));
+    }
 }
 
 #[test]
