@@ -1,5 +1,5 @@
 //! Measurement hot-path bench: run-phase throughput with the two
-//! zero-recompute optimisations — superinstruction fusion and the
+//! zero-recompute optimisations — decode's `fuse` stage and the
 //! decoded-artifact cache — on vs off, and the cost of loading an
 //! instance.
 //!
@@ -10,24 +10,22 @@
 //!    speedup is the headline number. A full experiment-pipeline pass
 //!    additionally asserts byte-identical CSVs on vs off.
 //! 2. **dispatch** — interpreter dispatch rate on a branchy loop kernel
-//!    under each toggle combination, with per-pass attribution rows:
-//!    all-on, leave-one-out for every registered decode pass
-//!    (`no_pass:trace`, `no_pass:fuse`), the whole pipeline off
-//!    (`no_passes`, i.e. `PassMask::none()`) — identical counters
-//!    asserted across every configuration.
+//!    with `fuse` on (`all_on`) and off (`no_passes`, i.e.
+//!    `PassMask::none()`), the two masks taking turns on each kernel
+//!    run — identical counters asserted.
 //! 3. **decode_cache** — decoded-artifact cache hit rate on a
 //!    `--jobs 8` matrix, parsed from the runner's own accounting line.
 //! 4. **load** — CPU time of one `Machine::load` (memory, shadow, caches
 //!    and decode) for a native and an ASan build of one Phoenix program.
 //! 5. **suites** — single-thread CPU time and Minstr/s of one pass over
 //!    the distinct executions of Phoenix + SPLASH in the four build types,
-//!    under all passes, each leave-one-out mask and none (identical
-//!    `RunResult`s asserted across masks): what the passes buy real
-//!    programs rather than the dispatch kernel.
+//!    with `fuse` on and off (identical `RunResult`s asserted): what
+//!    `fuse` buys real programs rather than the dispatch kernel.
 //!
-//! Every timed window of sections 1, 2 and 4 repeats its work until it
-//! holds at least 200 ms of on-CPU time, and the rows report per-run
-//! (per-load) figures; section 5 sums per-execution readings (see there).
+//! Every timed window of sections 1 and 4, and each mask's share of a
+//! section 2 round, holds at least 200 ms of on-CPU time, and the rows
+//! report per-run (per-load) figures; sections 2 and 5 sum per-run
+//! readings with the masks taking turns (see there).
 //! The bench exits non-zero if any time or rate comes out zero or not
 //! finite.
 //!
@@ -165,7 +163,7 @@ impl UnitSweep {
 }
 
 /// Interpreter dispatch rate on a branchy loop kernel (loads, stores,
-/// compares, branches and back-edges — `TraceRun`, `CmpBr` and the
+/// compares, branches and back-edges — `LoadBin`, `CmpBr` and the
 /// `BinMovJmp` loop latch fire).
 fn dispatch_kernel(iters: i64) -> fex_vm::Program {
     let src = format!(
@@ -181,13 +179,6 @@ fn dispatch_kernel(iters: i64) -> fex_vm::Program {
          }}"
     );
     compile(&src, &BuildOptions::gcc()).expect("kernel compiles")
-}
-
-fn dispatch_bench(program: &fex_vm::Program, passes: PassMask) -> (u64, i64, f64) {
-    let config = MachineConfig { passes, ..MachineConfig::default() };
-    let (per_run, _, run) =
-        timed(|| Machine::new(config.clone()).run(program, &[]).expect("kernel runs"));
-    (run.counters.instructions, run.exit, per_run)
 }
 
 /// The build types the `suites` rows sweep.
@@ -346,52 +337,51 @@ fn main() {
     assert_eq!(on_csv, off_csv, "toggles changed the experiment results CSV");
     println!("  full-pipeline CSVs: byte-identical on vs off");
 
-    // 2. Dispatch rate under each toggle combination, with per-pass
-    // attribution: leave-one-out rows isolate each decode pass's
-    // contribution to the all-on rate. Passes interleave the
-    // configurations (like section 1) so host speed drift between
-    // configurations cancels; best-of-N per configuration.
+    // 2. Dispatch rate with `fuse` on and off. The masks take turns on
+    // each kernel run, as in section 5, until each mask's share of the
+    // round holds MIN_WINDOW_SECONDS; a row reports the median over the
+    // rounds of its per-run time.
     let kernel = dispatch_kernel(dispatch_iters);
-    // Sections 2 and 5 share these masks: all passes, leave-one-out for
-    // every registered pass, none.
-    let all = PassMask::all();
-    let mut configs: Vec<(String, PassMask)> = vec![("all_on".into(), all)];
-    for info in fex_vm::PASSES {
-        configs.push((
-            format!("no_pass:{}", info.name),
-            all.without(info.name).expect("registry name"),
-        ));
-    }
-    configs.push(("no_passes".into(), PassMask::none()));
-    let mut best = vec![f64::INFINITY; configs.len()];
+    // Sections 2 and 5 share these masks.
+    let configs = [("all_on", PassMask::all()), ("no_passes", PassMask::none())];
+    let mut samples = vec![Vec::new(); configs.len()];
     let mut pinned: Option<(u64, i64)> = None;
-    let mut instructions = 0;
     for _ in 0..passes {
-        for (slot, (name, mask)) in configs.iter().enumerate() {
-            let (i, e, s) = dispatch_bench(&kernel, *mask);
-            match &pinned {
-                None => pinned = Some((i, e)),
-                Some(p) => {
-                    assert_eq!((i, e), *p, "{name} changed the kernel's counters or result")
+        let mut round_seconds = vec![0.0; configs.len()];
+        let mut runs = 0;
+        while round_seconds.iter().any(|&s| s < MIN_WINDOW_SECONDS) {
+            for (slot, (name, mask)) in configs.iter().enumerate() {
+                let config = MachineConfig { passes: *mask, ..MachineConfig::default() };
+                let start = cpu_seconds();
+                let run = Machine::new(config).run(&kernel, &[]).expect("kernel runs");
+                round_seconds[slot] += cpu_seconds() - start;
+                let outcome = (run.counters.instructions, run.exit);
+                match &pinned {
+                    None => pinned = Some(outcome),
+                    Some(p) => {
+                        assert_eq!(outcome, *p, "{name} changed the kernel's counters or result")
+                    }
                 }
             }
-            instructions = i;
-            best[slot] = best[slot].min(s);
+            runs += 1;
+        }
+        for (slot, seconds) in round_seconds.into_iter().enumerate() {
+            samples[slot].push(seconds / f64::from(runs));
         }
     }
-    let all_on_mips = instructions as f64 / best[0] / 1e6;
+    let instructions = pinned.expect("the kernel ran").0;
+    let mips = |seconds: f64| instructions as f64 / seconds / 1e6;
+    let all_on_mips = mips(median(&samples[0]));
     let mut dispatch_rows = Vec::new();
     for (slot, (name, mask)) in configs.iter().enumerate() {
-        let seconds = best[slot];
-        let mips = instructions as f64 / seconds / 1e6;
-        // A leave-one-out row's delta is what the missing pass buys the
-        // all-on configuration; informational for the other rows.
+        let seconds = median(&samples[slot]);
+        let mips = mips(seconds);
         let delta = all_on_mips - mips;
         figures.push((format!("dispatch [{name}] seconds"), seconds));
         figures.push((format!("dispatch [{name}] minstr_per_sec"), mips));
         println!(
             "  dispatch [{name}]: {instructions} instr in {seconds:.3}s  ({mips:.1} Minstr/s, \
-             passes {mask}, delta vs all_on {delta:+.1})"
+             passes {mask}, delta vs all_on {delta:+.1}, median of {passes})"
         );
         dispatch_rows.push(format!(
             "    {{\"config\": \"{name}\", \"passes\": \"{mask}\", \
@@ -438,7 +428,7 @@ fn main() {
     // executions per mask; each row reports the median over the rounds.
     // The masks take turns on each execution, not on whole passes: on a
     // shared host, whole-pass windows of the same mask spread by a third
-    // within one round, which buries the passes' effects. A mask's pass
+    // within one round, which buries `fuse`'s effect. A mask's pass
     // time sums its executions' on-CPU readings; each reading lags by up
     // to a scheduler tick at both ends, an error that averages out over
     // a pass's 76 executions rather than accumulating.

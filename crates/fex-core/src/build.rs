@@ -344,12 +344,6 @@ mod tests {
         let unfused = s.build("t", src, "gcc_native", false, PassMask::none()).unwrap();
         assert_ne!(a.digest, unfused.digest);
         assert_eq!(unfused.decoded.passes, PassMask::none());
-        // A strict subset keys differently from both all and none.
-        let subset_mask = PassMask::all().without("fuse").unwrap();
-        let subset = s.build("t", src, "gcc_native", false, subset_mask).unwrap();
-        assert_ne!(subset.digest, a.digest);
-        assert_ne!(subset.digest, unfused.digest);
-        assert!(!subset.decoded.passes.enables("fuse"));
     }
 
     #[test]

@@ -22,21 +22,19 @@
 //! exact. A branch target equal to the code length is legal — it is the
 //! "fall off the end" implicit return.
 //!
-//! # The peephole pass pipeline
+//! # The `fuse` stage
 //!
-//! After translation and accrual, an ordered pipeline of optional
-//! peephole passes ([`crate::passes`], selected by a
-//! [`PassMask`]) rewrites dispatch-dominant windows into single fused
-//! variants: the `trace` pass collapses straight-line runs of ≥ 3
-//! non-control instructions ([`DecodedInstr::TraceRun`]); the `fuse`
-//! pass fuses the classic pairs/triples — integer compare + conditional
-//! branch ([`DecodedInstr::CmpBr`]), load + integer binop
+//! Decoding's last stage is one optional peephole, `fuse` (on unless a
+//! [`PassMask`] switches it off). It rewrites dispatch-dominant pairs
+//! and one triple into single fused variants: integer compare +
+//! conditional branch ([`DecodedInstr::CmpBr`]), load + integer binop
 //! ([`DecodedInstr::LoadBin`]), back-to-back integer binops
 //! ([`DecodedInstr::BinBin`]), ASan shadow check + the load it guards
-//! ([`DecodedInstr::ChkLoad`]), and one three-wide window — integer
-//! binop + register copy + jump ([`DecodedInstr::BinMovJmp`]), the
-//! canonical loop latch.
-//! Every pass is a pure dispatch-count optimisation — measured numbers
+//! ([`DecodedInstr::ChkLoad`]), and integer binop + register copy + jump
+//! ([`DecodedInstr::BinMovJmp`]), the canonical loop latch. Each carries
+//! 2–18% of the dispatches of the micro, Phoenix, SPLASH and PARSEC
+//! suites (DESIGN.md §12.1 has the table).
+//! Fusion is a pure dispatch-count optimisation — measured numbers
 //! cannot change:
 //!
 //! * instruction and cycle accrual stays pre-summed **from the source
@@ -45,12 +43,12 @@
 //!   before;
 //! * the fused variant carries every constituent's payload and lives at
 //!   the first constituent's index; each later constituent keeps its
-//!   ordinary decoded form at its own index as a *shadow slot* (`pc +
-//!   1` through `pc + run.len() - 1` for a trace run). The fused handler
-//!   steps over them (or branches away), and no control flow can enter
-//!   one: fusion never crosses a block-leader boundary, passes claim
-//!   non-overlapping windows through a shared bitmap, and calls —
-//!   whose return lands at `call_pc + 1` — are never a constituent;
+//!   ordinary decoded form at its own index as a *shadow slot*. The
+//!   fused handler steps over them (or branches away), and no control
+//!   flow can enter one: a window never has a block leader inside it,
+//!   the greedy left-to-right walk never revisits a fused slot, so
+//!   windows never overlap, and calls — whose return lands at
+//!   `call_pc + 1` — are never a constituent;
 //! * [`DecodedInstr::undecode`] of a fused variant reconstructs the
 //!   first constituent, and each shadow slot undecodes to its own
 //!   constituent, so per-index round-tripping still holds for the whole
@@ -69,7 +67,6 @@ use crate::bytecode::{
     BinOp, FBinOp, FCmpOp, FuncId, Function, Instr, Program, Reg, SysCall, UnOp, Width,
 };
 use crate::cost::CostModel;
-use crate::passes::{self, PassCtx, PassMask};
 
 /// A decoding failure: a control-transfer target outside the function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,18 +168,6 @@ pub enum DecodedInstr {
     /// (`tmp = i + 1; i = tmp; jmp header`) or a diamond arm's exit.
     /// Two shadow slots follow.
     BinMovJmp { op: BinOp, dst: Reg, a: Reg, b: Reg, mdst: Reg, msrc: Reg, target: u32 },
-    /// A trace-length straight-line superinstruction (`trace` pass): a
-    /// run of ≥ 3 consecutive non-control instructions (register ALU
-    /// ops, immediates, moves, address materialisation, loads and
-    /// stores) executed under a single dispatch with the frame borrow
-    /// hoisted out of the per-instruction loop. `run` holds the plain
-    /// decoded form of every constituent in a contiguous boxed slice
-    /// (head included), so execution never re-touches the function body;
-    /// the `run.len() - 1` shadow slots after the head keep their
-    /// ordinary forms for `undecode`. Execution is strictly in program
-    /// order with early-out, so traps and aliasing behave exactly as
-    /// unfused.
-    TraceRun { run: Box<[DecodedInstr]> },
 }
 
 impl DecodedInstr {
@@ -238,7 +223,6 @@ impl DecodedInstr {
                 Instr::AsanCheck { addr, off, width, is_write: false }
             }
             DecodedInstr::BinMovJmp { op, dst, a, b, .. } => Instr::Bin { op, dst, a, b },
-            DecodedInstr::TraceRun { run } => run[0].undecode(),
         }
     }
 }
@@ -278,13 +262,56 @@ pub struct DecodedProgram {
     /// decoded program is only reusable by an instance whose config
     /// carries the same model.
     pub cost: CostModel,
-    /// The peephole pass subset that ran over the bodies (part of the
+    /// Whether the `fuse` stage ran over the bodies (part of the
     /// decode-cache key, like `cost`).
     pub passes: PassMask,
 }
 
-/// Lowers `program` for execution under `cost` with every peephole pass
-/// enabled (the standard pipeline).
+/// `fuse`'s bit in a [`PassMask`]. Bit 0 belonged to a retired `trace`
+/// pass; `fuse` keeps `1 << 1`, so `from_bits` of an old mask still
+/// reads the `fuse` setting it carried.
+const FUSE: u8 = 1 << 1;
+
+/// Whether decoding runs its `fuse` stage: [`PassMask::all`] (the
+/// default) or [`PassMask::none`] (the plain one-to-one translation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PassMask(u8);
+
+impl PassMask {
+    /// `fuse` on (the standard decode).
+    pub fn all() -> Self {
+        PassMask(FUSE)
+    }
+
+    /// `fuse` off: structural decode only, no rewrites.
+    pub fn none() -> Self {
+        PassMask(0)
+    }
+
+    /// The raw bitset (used as a cache-key byte).
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// A mask from raw bits; every bit but `fuse`'s is dropped.
+    pub fn from_bits(bits: u8) -> Self {
+        PassMask(bits & FUSE)
+    }
+}
+
+impl Default for PassMask {
+    fn default() -> Self {
+        Self::all()
+    }
+}
+
+impl std::fmt::Display for PassMask {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if *self == Self::all() { "fuse" } else { "none" })
+    }
+}
+
+/// Lowers `program` for execution under `cost` with the `fuse` stage on.
 ///
 /// # Errors
 ///
@@ -295,10 +322,10 @@ pub fn decode_program(program: &Program, cost: &CostModel) -> Result<DecodedProg
     decode_program_passes(program, cost, PassMask::all())
 }
 
-/// Lowers `program` for execution under `cost`, running exactly the
-/// peephole passes enabled in `mask` (in registry order). Structural
-/// decoding — translation, jump-target validation, block accrual — is
-/// unconditional; an empty mask yields the plain unfused stream.
+/// Lowers `program` for execution under `cost`, running the `fuse`
+/// stage if `mask` enables it. Structural decoding — translation,
+/// jump-target validation, block accrual — is unconditional;
+/// [`PassMask::none`] yields the plain unfused stream.
 ///
 /// # Errors
 ///
@@ -364,13 +391,118 @@ fn decode_function(
     for b in &blocks {
         accrual[b.start as usize] = (b.instrs, b.cycles);
     }
-    // Pass 3: the peephole pipeline (window fusion; see crate::passes).
-    let mut claimed = vec![false; len];
-    passes::run_pipeline(
-        mask,
-        &mut PassCtx { src: &f.code, code: &mut code, leader: &leader, claimed: &mut claimed },
-    );
+    // Pass 3: window fusion.
+    if mask == PassMask::all() {
+        fuse(&f.code, &mut code, &leader);
+    }
     Ok(DecodedFunction { code, blocks, accrual })
+}
+
+/// The `fuse` stage: rewrites windows of `src` into fused variants in
+/// `code`, greedily left to right, trying the three-wide latch before a
+/// pair at each pc. A window never has a block leader inside it (its
+/// head may be one: entering a window at its head is the normal case),
+/// and the walk resumes after each fused window, so windows never
+/// overlap.
+fn fuse(src: &[Instr], code: &mut [DecodedInstr], leader: &[bool]) {
+    let fits =
+        |pc: usize, len: usize| pc + len <= src.len() && !leader[pc + 1..pc + len].contains(&true);
+    let mut pc = 0;
+    while pc + 1 < src.len() {
+        let mut window = None;
+        if fits(pc, 3) {
+            window = fuse_triple(&src[pc], &src[pc + 1], &src[pc + 2]).map(|f| (f, 3));
+        }
+        if window.is_none() && fits(pc, 2) {
+            window = fuse_pair(&src[pc], &src[pc + 1], pc).map(|f| (f, 2));
+        }
+        match window {
+            Some((fused, len)) => {
+                code[pc] = fused;
+                pc += len;
+            }
+            None => pc += 1,
+        }
+    }
+}
+
+/// Integer binops that cannot trap (everything but `Div`/`Rem`): safe as
+/// an earlier constituent of a window whose last constituent transfers
+/// control. Windows that end in a plain register/memory write need no
+/// such guard — they execute in order and a trap simply surfaces
+/// mid-window, exactly as the unfused sequence would.
+fn trap_free(op: BinOp) -> bool {
+    !matches!(op, BinOp::Div | BinOp::Rem)
+}
+
+/// Three-wide fusion: `tmp = i op k; i = tmp; jmp target` — the
+/// canonical loop latch when the jump is a backedge, a diamond arm's
+/// exit when it is forward. The binop must be trap-free because the
+/// handler ends in a control transfer (`Mov` cannot trap at all).
+fn fuse_triple(first: &Instr, second: &Instr, third: &Instr) -> Option<DecodedInstr> {
+    match (first, second, third) {
+        (
+            &Instr::Bin { op, dst, a, b },
+            &Instr::Mov { dst: mdst, src: msrc },
+            &Instr::Jmp { target },
+        ) if trap_free(op) => {
+            Some(DecodedInstr::BinMovJmp { op, dst, a, b, mdst, msrc, target: target as u32 })
+        }
+        _ => None,
+    }
+}
+
+fn fuse_pair(first: &Instr, second: &Instr, pc: usize) -> Option<DecodedInstr> {
+    match (first, second) {
+        // Compare (or any trap-free binop) + conditional branch on its
+        // result: the dominant loop-header pattern.
+        (&Instr::Bin { op, dst, a, b }, &Instr::BrZero { cond, target })
+            if cond == dst && trap_free(op) =>
+        {
+            Some(DecodedInstr::CmpBr {
+                op,
+                dst,
+                a,
+                b,
+                neg: true,
+                target: target as u32,
+                site: (pc + 1) as u32,
+            })
+        }
+        (&Instr::Bin { op, dst, a, b }, &Instr::BrNonZero { cond, target })
+            if cond == dst && trap_free(op) =>
+        {
+            Some(DecodedInstr::CmpBr {
+                op,
+                dst,
+                a,
+                b,
+                neg: false,
+                target: target as u32,
+                site: (pc + 1) as u32,
+            })
+        }
+        // Load + integer binop (usually consuming the loaded value).
+        (&Instr::Load { dst: ld, addr, off, width }, &Instr::Bin { op, dst, a, b }) => {
+            Some(DecodedInstr::LoadBin { ld, addr, off, width, op, dst, a, b })
+        }
+        // Binop + binop: straight-line ALU chains.
+        (
+            &Instr::Bin { op: op1, dst: dst1, a: a1, b: b1 },
+            &Instr::Bin { op: op2, dst: dst2, a: a2, b: b2 },
+        ) => Some(DecodedInstr::BinBin { op1, dst1, a1, b1, op2, dst2, a2, b2 }),
+        // ASan shadow check + the access it guards: the instrumented
+        // memory-access pattern. The check never writes a register, so
+        // the shared address operands evaluate identically in both
+        // halves; fusing only when they match keeps that trivially true.
+        (
+            &Instr::AsanCheck { addr: caddr, off: coff, width: cwidth, is_write: false },
+            &Instr::Load { dst, addr, off, width },
+        ) if caddr == addr && coff == off && cwidth == width => {
+            Some(DecodedInstr::ChkLoad { dst, addr, off, width })
+        }
+        _ => None,
+    }
 }
 
 fn decode_instr(instr: &Instr) -> DecodedInstr {
@@ -449,6 +581,18 @@ mod tests {
             Instr::RodataAddr { dst: r, offset: 96 },
             Instr::Nop,
         ]
+    }
+
+    #[test]
+    fn mask_roundtrips_names_and_bits() {
+        let all = PassMask::all();
+        assert_eq!(all.to_string(), "fuse");
+        assert_eq!(PassMask::none().to_string(), "none");
+        assert_eq!(PassMask::from_bits(all.bits()), all);
+        // Unknown bits are dropped.
+        assert_eq!(PassMask::from_bits(0xFF), all);
+        assert_eq!(PassMask::from_bits(1), PassMask::none());
+        assert_eq!(PassMask::default(), all);
     }
 
     #[test]
@@ -590,11 +734,8 @@ mod tests {
         let original = fusable_code();
         let mut p = Program::new();
         p.push_function(func(original.clone()));
-        // Pin the `fuse` pass's own patterns: with the whole pipeline on,
-        // `trace` claims the straight-line windows first.
-        let fuse_only = PassMask::from_names(["fuse"]).unwrap();
-        let d = decode_program_passes(&p, &CostModel::default(), fuse_only).expect("decodes");
-        assert_eq!(d.passes, fuse_only);
+        let d = decode_program(&p, &CostModel::default()).expect("decodes");
+        assert_eq!(d.passes, PassMask::all());
         assert_eq!(d.cost, CostModel::default());
         let code = &d.functions[0].code;
         assert!(matches!(code[1], DecodedInstr::LoadBin { .. }), "{:?}", code[1]);
@@ -624,7 +765,6 @@ mod tests {
                 | DecodedInstr::BinBin { .. }
                 | DecodedInstr::ChkLoad { .. }
                 | DecodedInstr::BinMovJmp { .. }
-                | DecodedInstr::TraceRun { .. }
         )
     }
 
@@ -635,15 +775,15 @@ mod tests {
         let d = decode_program_passes(&p, &CostModel::default(), PassMask::none()).unwrap();
         assert_eq!(d.passes, PassMask::none());
         assert!(!d.functions[0].code.iter().any(is_fused));
-        // The full pipeline does fuse the same body.
+        // The `fuse` stage does fuse the same body.
         let all = decode_program(&p, &CostModel::default()).unwrap();
         assert!(all.functions[0].code.iter().any(is_fused));
     }
 
     #[test]
     fn empty_pipeline_is_the_plain_translation() {
-        // With no pass enabled every slot holds its own instruction's
-        // decoded form, and blocks and accrual match the full pipeline.
+        // With `fuse` off every slot holds its own instruction's decoded
+        // form, and blocks and accrual match the fused decode.
         let mut p = Program::new();
         p.push_function(func(fusable_code()));
         p.push_function(func(every_variant()));
@@ -658,7 +798,7 @@ mod tests {
 
     /// The `a[k] = a[k] op x` shape: address calc, load, modify, store —
     /// plus a trailing read-modify-write without the address binop.
-    fn trace_code() -> Vec<Instr> {
+    fn read_modify_write_code() -> Vec<Instr> {
         vec![
             Instr::Bin { op: BinOp::Add, dst: Reg(1), a: Reg(0), b: Reg(2) },
             Instr::Load { dst: Reg(3), addr: Reg(1), off: 0, width: Width::B8 },
@@ -669,100 +809,6 @@ mod tests {
             Instr::Store { src: Reg(6), addr: Reg(2), off: 8, width: Width::B1 },
             Instr::Ret { src: None },
         ]
-    }
-
-    #[test]
-    fn trace_windows_fuse_four_and_three_wide() {
-        // The four-wide indexed update and the three-wide read-modify-
-        // write both fall inside one generic straight-line run.
-        let original = trace_code();
-        let mut p = Program::new();
-        p.push_function(func(original.clone()));
-        let d = decode_program(&p, &CostModel::default()).expect("decodes");
-        let code = &d.functions[0].code;
-        assert!(
-            matches!(&code[0], DecodedInstr::TraceRun { run } if run.len() == 7),
-            "{:?}",
-            code[0]
-        );
-        // The shadow slots keep their ordinary decoded forms.
-        assert!(matches!(code[1], DecodedInstr::Load { .. }), "{:?}", code[1]);
-        assert!(matches!(code[2], DecodedInstr::Bin { .. }), "{:?}", code[2]);
-        assert!(matches!(code[3], DecodedInstr::Store { .. }), "{:?}", code[3]);
-        assert!(matches!(code[4], DecodedInstr::Load { .. }), "{:?}", code[4]);
-        let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
-        assert_eq!(back, original);
-        // Accrual is pass-independent.
-        let none = decode_program_passes(&p, &CostModel::default(), PassMask::none()).unwrap();
-        assert_eq!(d.functions[0].blocks, none.functions[0].blocks);
-        assert_eq!(d.functions[0].accrual, none.functions[0].accrual);
-    }
-
-    #[test]
-    fn trace_outranks_fuse_on_shared_windows() {
-        // With only `fuse`, the same body collapses into pairs; with the
-        // full pipeline the trace run wins because `trace` runs first and
-        // claims the slots.
-        let mut p = Program::new();
-        p.push_function(func(trace_code()));
-        let only_fuse = PassMask::from_names(["fuse"]).unwrap();
-        let d = decode_program_passes(&p, &CostModel::default(), only_fuse).expect("decodes");
-        let code = &d.functions[0].code;
-        assert!(matches!(code[1], DecodedInstr::LoadBin { .. }), "{:?}", code[1]);
-        assert!(matches!(code[4], DecodedInstr::LoadBin { .. }), "{:?}", code[4]);
-        let d = decode_program(&p, &CostModel::default()).expect("decodes");
-        let code = &d.functions[0].code;
-        assert!(matches!(code[0], DecodedInstr::TraceRun { .. }), "{:?}", code[0]);
-        assert!(!code.iter().any(|i| matches!(i, DecodedInstr::LoadBin { .. })));
-    }
-
-    #[test]
-    fn straight_line_runs_fuse_into_trace_runs() {
-        // Three-plus consecutive straight-line instructions collapse into
-        // one TraceRun head whose shadows keep their plain decoded forms;
-        // a control transfer ends the run and stays unfused.
-        let original = vec![
-            Instr::Imm { dst: Reg(1), val: 2 },
-            Instr::Bin { op: BinOp::Add, dst: Reg(2), a: Reg(0), b: Reg(1) },
-            Instr::Mov { dst: Reg(3), src: Reg(2) },
-            Instr::Un { op: UnOp::Neg, dst: Reg(4), a: Reg(3) },
-            Instr::Jmp { target: 5 },
-            Instr::Ret { src: Some(Reg(4)) },
-        ];
-        let mut p = Program::new();
-        p.push_function(func(original.clone()));
-        let only_trace = PassMask::from_names(["trace"]).unwrap();
-        let d = decode_program_passes(&p, &CostModel::default(), only_trace).expect("decodes");
-        let code = &d.functions[0].code;
-        assert!(
-            matches!(&code[0], DecodedInstr::TraceRun { run } if run.len() == 4),
-            "{:?}",
-            code[0]
-        );
-        assert!(matches!(code[1], DecodedInstr::Bin { .. }), "{:?}", code[1]);
-        assert!(matches!(code[3], DecodedInstr::Un { .. }), "{:?}", code[3]);
-        assert!(matches!(code[4], DecodedInstr::Jmp { .. }), "{:?}", code[4]);
-        let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
-        assert_eq!(back, original);
-    }
-
-    #[test]
-    fn single_pass_subsets_produce_only_their_variants() {
-        // One body with a window for each pass; each singleton mask must
-        // rewrite its own pattern and nothing else.
-        let mut p = Program::new();
-        p.push_function(func(trace_code()));
-        let cost = CostModel::default();
-        let decode = |names: &[&str]| {
-            let mask = PassMask::from_names(names.iter().copied()).unwrap();
-            decode_program_passes(&p, &cost, mask).expect("decodes").functions[0].code.clone()
-        };
-        let trace = decode(&["trace"]);
-        assert!(trace.iter().any(|i| matches!(i, DecodedInstr::TraceRun { .. })));
-        assert!(!trace.iter().any(|i| is_fused(i) && !matches!(i, DecodedInstr::TraceRun { .. })));
-        let fuse = decode(&["fuse"]);
-        assert!(fuse.iter().any(|i| matches!(i, DecodedInstr::LoadBin { .. })));
-        assert!(!fuse.iter().any(|i| matches!(i, DecodedInstr::TraceRun { .. })));
     }
 
     #[test]
@@ -780,17 +826,21 @@ mod tests {
         ];
         let mut p = Program::new();
         p.push_function(func(original.clone()));
-        // Pin the `fuse` pass's own patterns: with the whole pipeline on,
-        // `trace` claims the straight-line window first.
-        let fuse_only = PassMask::from_names(["fuse"]).unwrap();
-        let d = decode_program_passes(&p, &CostModel::default(), fuse_only).expect("decodes");
+        p.push_function(func(read_modify_write_code()));
+        let d = decode_program(&p, &CostModel::default()).expect("decodes");
         let code = &d.functions[0].code;
         assert!(matches!(code[0], DecodedInstr::Bin { .. }), "{:?}", code[0]);
         assert!(matches!(code[1], DecodedInstr::LoadBin { .. }), "{:?}", code[1]);
         assert!(matches!(code[4], DecodedInstr::BinBin { .. }), "{:?}", code[4]);
-        // Shadow slots still make the body round-trip index for index.
-        let back: Vec<Instr> = code.iter().map(|i| i.undecode()).collect();
-        assert_eq!(back, original);
+        // Both read-modify-writes fuse their load with the binop.
+        let rmw = &d.functions[1].code;
+        assert!(matches!(rmw[1], DecodedInstr::LoadBin { .. }), "{:?}", rmw[1]);
+        assert!(matches!(rmw[4], DecodedInstr::LoadBin { .. }), "{:?}", rmw[4]);
+        // Shadow slots still make the bodies round-trip index for index.
+        for (f, decoded) in p.functions.iter().zip(&d.functions) {
+            let back: Vec<Instr> = decoded.code.iter().map(|i| i.undecode()).collect();
+            assert_eq!(back, f.code);
+        }
     }
 
     #[test]

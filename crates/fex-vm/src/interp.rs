@@ -374,9 +374,12 @@ impl<'p> Instance<'p> {
         let hijacks_before = self.hijacks.len();
 
         let sentinel = code_addr(FuncId(u32::MAX), 0);
-        let exit = self
-            .push_frame(id, args.iter().copied(), None, sentinel)
-            .and_then(|root| self.exec(&mut vec![root]));
+        let mut frames = Vec::new();
+        let exit = self.push_frame(id, args.iter().copied(), None, sentinel).and_then(|root| {
+            frames.push(root);
+            self.exec(&mut frames)
+        });
+        self.unwind(&mut frames);
         // A trapping call's accruals count too: the next call's snapshot
         // must include them.
         self.flush();
@@ -647,6 +650,17 @@ impl<'p> Instance<'p> {
         self.sp[self.core] = frame.prev_sp;
     }
 
+    /// Pops every frame left on `frames`, top first. A trap leaves its
+    /// frames there (and a shellcode exit the frames below it); popping
+    /// them gives the running core back its stack pointer from before
+    /// the call and unpoisons the frames' arrays, so a later call on the
+    /// same instance starts from a clean stack.
+    fn unwind(&mut self, frames: &mut Vec<Frame>) {
+        while let Some(frame) = frames.pop() {
+            self.pop_frame_cleanup(&frame);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Main loop
     // ------------------------------------------------------------------
@@ -702,16 +716,42 @@ impl<'p> Instance<'p> {
             };
         }
         match instr {
-            DecodedInstr::Imm { .. }
-            | DecodedInstr::FImm { .. }
-            | DecodedInstr::Mov { .. }
-            | DecodedInstr::Un { .. }
-            | DecodedInstr::Bin { .. }
-            | DecodedInstr::Load { .. }
-            | DecodedInstr::Store { .. }
-            | DecodedInstr::FrameAddr { .. }
-            | DecodedInstr::GlobalAddr { .. }
-            | DecodedInstr::RodataAddr { .. } => self.exec_straight(instr, fr)?,
+            DecodedInstr::Imm { dst, val } => r!(dst) = *val,
+            DecodedInstr::FImm { dst, val } => r!(dst) = val.to_bits() as i64,
+            DecodedInstr::Mov { dst, src } => {
+                let v = r!(src);
+                r!(dst) = v;
+            }
+            DecodedInstr::Un { op, dst, a } => {
+                let x = r!(a);
+                r!(dst) = un_op(*op, x);
+            }
+            DecodedInstr::Bin { op, dst, a, b } => {
+                let (x, y) = (r!(a), r!(b));
+                r!(dst) = int_bin(*op, x, y)?;
+            }
+            DecodedInstr::Load { dst, addr, off, width } => {
+                let a = (r!(addr)).wrapping_add(*off) as u64;
+                let v = self.mem_load(a, *width)?;
+                r!(dst) = v;
+            }
+            DecodedInstr::Store { src, addr, off, width } => {
+                let a = (r!(addr)).wrapping_add(*off) as u64;
+                let v = r!(src);
+                self.mem_store(a, v, *width)?;
+            }
+            DecodedInstr::FrameAddr { dst, index } => {
+                let a = fr.slot_addrs[*index];
+                r!(dst) = a as i64;
+            }
+            DecodedInstr::GlobalAddr { dst, index } => {
+                let a = self.global_addrs[*index];
+                r!(dst) = a as i64;
+            }
+            DecodedInstr::RodataAddr { dst, offset } => {
+                let a = self.bases.rodata + offset;
+                r!(dst) = a as i64;
+            }
             DecodedInstr::FBin { op, dst, a, b } => {
                 let (x, y) = (f64::from_bits(r!(a) as u64), f64::from_bits(r!(b) as u64));
                 let v = match op {
@@ -843,69 +883,8 @@ impl<'p> Instance<'p> {
                 r!(mdst) = v;
                 fr.pc = *target as usize;
             }
-            DecodedInstr::TraceRun { run } => {
-                for constituent in run.iter() {
-                    self.exec_straight(constituent, fr)?;
-                }
-                // `pc` was already advanced past the head; skip the
-                // `run.len() - 1` shadow slots.
-                fr.pc += run.len() - 1;
-            }
         }
         Ok(true)
-    }
-
-    /// Executes one straight-line (non-control) instruction: the
-    /// instructions a [`DecodedInstr::TraceRun`] carries. Both
-    /// [`Self::exec_local`] and its `TraceRun` arm dispatch them here, so
-    /// each has one implementation.
-    #[inline(always)]
-    fn exec_straight(&mut self, instr: &DecodedInstr, fr: &mut Frame) -> Result<(), Trap> {
-        macro_rules! r {
-            ($reg:expr) => {
-                fr.regs[$reg.0 as usize]
-            };
-        }
-        match instr {
-            DecodedInstr::Imm { dst, val } => r!(dst) = *val,
-            DecodedInstr::FImm { dst, val } => r!(dst) = val.to_bits() as i64,
-            DecodedInstr::Mov { dst, src } => {
-                let v = r!(src);
-                r!(dst) = v;
-            }
-            DecodedInstr::Un { op, dst, a } => {
-                let x = r!(a);
-                r!(dst) = un_op(*op, x);
-            }
-            DecodedInstr::Bin { op, dst, a, b } => {
-                let (x, y) = (r!(a), r!(b));
-                r!(dst) = int_bin(*op, x, y)?;
-            }
-            DecodedInstr::Load { dst, addr, off, width } => {
-                let a = (r!(addr)).wrapping_add(*off) as u64;
-                let v = self.mem_load(a, *width)?;
-                r!(dst) = v;
-            }
-            DecodedInstr::Store { src, addr, off, width } => {
-                let a = (r!(addr)).wrapping_add(*off) as u64;
-                let v = r!(src);
-                self.mem_store(a, v, *width)?;
-            }
-            DecodedInstr::FrameAddr { dst, index } => {
-                let a = fr.slot_addrs[*index];
-                r!(dst) = a as i64;
-            }
-            DecodedInstr::GlobalAddr { dst, index } => {
-                let a = self.global_addrs[*index];
-                r!(dst) = a as i64;
-            }
-            DecodedInstr::RodataAddr { dst, offset } => {
-                let a = self.bases.rodata + offset;
-                r!(dst) = a as i64;
-            }
-            other => unreachable!("non-straight-line instruction: {other:?}"),
-        }
-        Ok(())
     }
 
     /// Executes one of the instructions that change the frame stack:
@@ -1090,9 +1069,12 @@ impl<'p> Instance<'p> {
                         break;
                     }
                 };
-                frames.clear();
                 frames.push(frame);
-                if let Err(t) = self.exec(&mut frames) {
+                let out = self.exec(&mut frames);
+                // On this core, before the next iteration or the core
+                // switch below.
+                self.unwind(&mut frames);
+                if let Err(t) = out {
                     result = Err(t);
                     break;
                 }
@@ -2073,12 +2055,15 @@ mod tests {
                 // `main`'s frame words are stored before its call counts
                 // (at 1); `f`'s first array is poisoned before its 5
                 // (4..=8), the second before its 12 (9..=20), and `f`'s
-                // frame words before its call counts (21).
+                // frame words before its call counts (21). A push that
+                // traps leaves what it poisoned; at 22 `f`'s frame is
+                // pushed, so the trap pops it and unpoisons its arrays.
                 let expected = match at {
                     1..=3 => (0, 2),
                     4..=8 => (4, 2),
                     9..=20 => (12, 2),
-                    _ => (12, 4),
+                    21 => (12, 4),
+                    _ => (0, 4),
                 };
                 assert_eq!(out.is_err(), at <= 22, "{kind} at {at}");
                 if at <= 22 {
@@ -2169,6 +2154,101 @@ mod tests {
         assert_eq!(r.exit, 7);
         assert_eq!((c.instructions, c.cycles, r.elapsed_cycles), (9, 230, 230));
         assert_eq!((c.loads, c.stores, c.asan_checks), (3, 3, 1));
+    }
+
+    /// ASan build. `leaf(x)` holds a 1 KiB stack array and returns
+    /// `1 / (1 - x)`, so `leaf(1)` traps with its frame pushed; `mid(x)`
+    /// holds an array too and returns `leaf(x)`; `par` runs `leaf(i)` for
+    /// `i` in `0..2`, so on two cores the worker on core 1 traps.
+    fn trapping_frames_program() -> Program {
+        let mut leaf = simple_fn(
+            "leaf",
+            1,
+            4,
+            vec![
+                Instr::Imm { dst: Reg(1), val: 1 },
+                Instr::Bin { op: BinOp::Sub, dst: Reg(2), a: Reg(1), b: Reg(0) },
+                Instr::Bin { op: BinOp::Div, dst: Reg(3), a: Reg(1), b: Reg(2) },
+                Instr::Ret { src: Some(Reg(3)) },
+            ],
+        );
+        leaf.stack_slots.push(StackSlot { size: 1024, redzone: 32 });
+        let mut mid = simple_fn(
+            "mid",
+            1,
+            2,
+            vec![
+                Instr::Call { func: FuncId(0), args: vec![Reg(0)], dst: Some(Reg(1)) },
+                Instr::Ret { src: Some(Reg(1)) },
+            ],
+        );
+        mid.stack_slots.push(StackSlot { size: 8, redzone: 16 });
+        let par = simple_fn(
+            "par",
+            0,
+            2,
+            vec![
+                Instr::Imm { dst: Reg(0), val: 0 },
+                Instr::Imm { dst: Reg(1), val: 2 },
+                Instr::ParFor { func: FuncId(0), lo: Reg(0), hi: Reg(1), args: vec![] },
+                Instr::Ret { src: None },
+            ],
+        );
+        let mut p = Program::new();
+        p.asan = true;
+        p.push_function(leaf);
+        p.push_function(mid);
+        p.push_function(par);
+        p
+    }
+
+    /// Asserts that every core's stack pointer equals `sp`'s, and that no
+    /// granule of the 4 KiB below it is poisoned.
+    fn assert_stacks_restored(inst: &Instance<'_>, sp: &[u64]) {
+        assert_eq!(inst.sp, sp, "stack pointers");
+        for (core, &top) in sp.iter().enumerate() {
+            let poisoned =
+                (top - 4096..top).step_by(8).filter(|&a| inst.shadow.check(a, 8).is_some()).count();
+            assert_eq!(poisoned, 0, "poisoned granules on core {core}'s stack");
+        }
+    }
+
+    #[test]
+    fn a_trapping_call_pops_its_frames() {
+        let p = trapping_frames_program();
+        // One frame (`leaf`), then a trap two calls deep (`mid`, `leaf`).
+        for entry in ["leaf", "mid"] {
+            let mut inst = machine().load(&p);
+            let sp = inst.sp.clone();
+            assert_eq!(inst.call(entry, &[1]).unwrap_err(), VmError::Trap(Trap::DivByZero));
+            assert_stacks_restored(&inst, &sp);
+            assert_eq!(inst.call(entry, &[0]).unwrap().exit, 1, "{entry}");
+            assert_stacks_restored(&inst, &sp);
+        }
+    }
+
+    #[test]
+    fn a_trap_in_a_parfor_worker_pops_the_workers_frames() {
+        let p = trapping_frames_program();
+        let mut inst = Machine::new(MachineConfig::with_cores(2)).load(&p);
+        let sp = inst.sp.clone();
+        assert_eq!(inst.call("par", &[]).unwrap_err(), VmError::Trap(Trap::DivByZero));
+        assert_stacks_restored(&inst, &sp);
+        assert_eq!((inst.core, inst.in_parfor), (0, false));
+    }
+
+    #[test]
+    fn back_to_back_trapping_calls_never_overflow_the_stack() {
+        // Each `leaf` frame takes over 1 KiB of the 1 MiB stack, so 1,000
+        // frames left behind would overflow it.
+        let p = trapping_frames_program();
+        let mut inst = machine().load(&p);
+        let sp = inst.sp.clone();
+        for i in 0..1000 {
+            let err = inst.call("leaf", &[1]).unwrap_err();
+            assert_eq!(err, VmError::Trap(Trap::DivByZero), "call {i}");
+        }
+        assert_stacks_restored(&inst, &sp);
     }
 
     #[test]

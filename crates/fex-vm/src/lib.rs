@@ -52,7 +52,6 @@ mod heap;
 mod interp;
 mod machine;
 mod memory;
-mod passes;
 mod perf;
 mod shadow;
 mod trap;
@@ -69,14 +68,13 @@ pub use cost::CostModel;
 pub use counters::PerfCounters;
 pub use decode::{
     decode_program, decode_program_passes, BasicBlock, DecodeError, DecodedFunction, DecodedInstr,
-    DecodedProgram,
+    DecodedProgram, PassMask,
 };
 pub use fault::{FaultDecision, FaultKind, FaultPlan, FaultSite};
 pub use heap::{Heap, HeapStats};
 pub use interp::{AttackEvent, Instance, RunResult, SHELLCODE};
 pub use machine::{global_offsets, LoadBases, Machine, MachineConfig, Mitigations};
 pub use memory::{layout, Memory, Perm, SegmentKind};
-pub use passes::{Pass, PassCtx, PassError, PassInfo, PassMask, PASSES};
 pub use perf::{MeasureTool, Measurement, UnitCounters};
 pub use shadow::{PoisonKind, ShadowMemory, GRANULE as SHADOW_GRANULE};
 pub use trap::{Trap, VmError};

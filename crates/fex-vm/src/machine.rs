@@ -5,11 +5,10 @@ use std::sync::Arc;
 use crate::bytecode::{GlobalDef, Instr, Program, SysCall};
 use crate::cache::{CacheConfig, DEFAULT_L1, DEFAULT_L2, DEFAULT_LLC, DEFAULT_MEM_LATENCY};
 use crate::cost::CostModel;
-use crate::decode::DecodedProgram;
+use crate::decode::{DecodedProgram, PassMask};
 use crate::fault::FaultPlan;
 use crate::interp::{Instance, RunResult};
 use crate::memory::layout;
-use crate::passes::PassMask;
 use crate::trap::VmError;
 
 /// Exploit mitigations, matching the knobs the paper's RIPE experiment
@@ -75,9 +74,9 @@ pub struct MachineConfig {
     pub max_instructions: u64,
     /// Deterministic fault injection (disabled by default).
     pub fault_plan: FaultPlan,
-    /// The peephole pass subset run over the decoded stream (the
-    /// equivalence checks and benches select subsets; measured results
-    /// are identical for any subset).
+    /// Whether decoding runs its `fuse` stage (the equivalence checks
+    /// and benches switch it off; measured results are identical
+    /// either way).
     pub passes: PassMask,
 }
 

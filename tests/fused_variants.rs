@@ -12,7 +12,7 @@ use fex_vm::{decode_program, CostModel, DecodedInstr};
 const TYPES: [&str; 4] = ["gcc_native", "clang_native", "gcc_asan", "clang_asan"];
 
 /// Every fused variant's name. [`fused_name`] returns only these.
-const FUSED: [&str; 6] = ["CmpBr", "LoadBin", "BinBin", "ChkLoad", "BinMovJmp", "TraceRun"];
+const FUSED: [&str; 5] = ["CmpBr", "LoadBin", "BinBin", "ChkLoad", "BinMovJmp"];
 
 /// The variant's name if it is a fused superinstruction, `None` for a
 /// plain one-to-one translation of an `Instr`.
@@ -48,7 +48,6 @@ fn fused_name(i: &DecodedInstr) -> Option<&'static str> {
         DecodedInstr::BinBin { .. } => Some("BinBin"),
         DecodedInstr::ChkLoad { .. } => Some("ChkLoad"),
         DecodedInstr::BinMovJmp { .. } => Some("BinMovJmp"),
-        DecodedInstr::TraceRun { .. } => Some("TraceRun"),
     }
 }
 
