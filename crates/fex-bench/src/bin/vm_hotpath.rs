@@ -6,9 +6,10 @@
 //! Five sections:
 //!
 //! 1. **matrix** — single-thread run-phase CPU time over every micro
-//!    benchmark × build type, all optimisations on vs all off; the
-//!    speedup is the headline number. A full experiment-pipeline pass
-//!    additionally asserts byte-identical CSVs on vs off.
+//!    benchmark × build type, all optimisations on vs all off, each
+//!    unit timed on and off back to back; the speedup is the headline
+//!    number. A full experiment-pipeline pass additionally asserts
+//!    byte-identical CSVs on vs off.
 //! 2. **dispatch** — interpreter dispatch rate on a branchy loop kernel
 //!    with `fuse` on (`all_on`) and off (`no_passes`, i.e.
 //!    `PassMask::none()`), the two masks taking turns on each kernel
@@ -142,23 +143,18 @@ impl UnitSweep {
         UnitSweep { labels, programs }
     }
 
-    /// Times every unit under the given toggles; returns per-unit CPU
-    /// seconds per run and the per-unit instruction counters (which must
-    /// be identical under every toggle combination).
-    fn pass(&self, optimised: bool) -> (Vec<f64>, Vec<u64>) {
+    /// Times one unit under the given toggles; returns its CPU seconds
+    /// per run and its instruction counter (which must be identical under
+    /// every toggle combination).
+    fn time(&self, unit: usize, optimised: bool) -> (f64, u64) {
         let config = MachineConfig {
             passes: if optimised { PassMask::all() } else { PassMask::none() },
             ..MachineConfig::default()
         };
-        let mut seconds = Vec::with_capacity(self.programs.len());
-        let mut counters = Vec::with_capacity(self.programs.len());
-        for (program, args) in &self.programs {
-            let (per_run, _, run) =
-                timed(|| Machine::new(config.clone()).run(program, args).expect("unit runs"));
-            seconds.push(per_run);
-            counters.push(run.counters.instructions);
-        }
-        (seconds, counters)
+        let (program, args) = &self.programs[unit];
+        let (per_run, _, run) =
+            timed(|| Machine::new(config.clone()).run(program, args).expect("unit runs"));
+        (per_run, run.counters.instructions)
     }
 }
 
@@ -278,11 +274,12 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     // 1. Single-thread run-phase throughput: every micro benchmark ×
-    // build type straight through the VM, all-on vs all-off. Passes
-    // interleave the two configurations so host speed drift cancels;
-    // the headline sums *per-unit* best-of-N times, which filters a
-    // transient noise burst out of each unit independently instead of
-    // discarding a whole pass.
+    // build type straight through the VM, all-on vs all-off. Each round
+    // times every unit on and off back to back, with the first
+    // configuration alternating between rounds, so host speed drift
+    // lands on both halves of a unit's pair; the headline sums
+    // *per-unit* best-of-N times, which filters a transient noise burst
+    // out of each unit independently instead of discarding a whole pass.
     println!(
         "VM HOT PATH: micro sweep, best of {passes}, host cores: {host_cores}{}",
         if smoke { " (smoke)" } else { "" }
@@ -291,19 +288,20 @@ fn main() {
     let units = sweep.programs.len();
     let mut best_on = vec![f64::INFINITY; units];
     let mut best_off = vec![f64::INFINITY; units];
-    let mut pinned_counters: Option<Vec<u64>> = None;
-    for _ in 0..passes {
-        for optimised in [true, false] {
-            let (seconds, counters) = sweep.pass(optimised);
-            match &pinned_counters {
-                None => pinned_counters = Some(counters),
-                Some(p) => {
-                    assert_eq!(&counters, p, "toggles changed a unit's instruction counters")
-                }
-            }
-            let best = if optimised { &mut best_on } else { &mut best_off };
-            for (b, s) in best.iter_mut().zip(&seconds) {
-                *b = b.min(*s);
+    let mut pinned_counters = vec![None; units];
+    for round in 0..passes {
+        let order = if round % 2 == 0 { [true, false] } else { [false, true] };
+        for unit in 0..units {
+            for optimised in order {
+                let (seconds, instructions) = sweep.time(unit, optimised);
+                assert_eq!(
+                    *pinned_counters[unit].get_or_insert(instructions),
+                    instructions,
+                    "toggles changed {}'s instruction counters",
+                    sweep.labels[unit]
+                );
+                let best = if optimised { &mut best_on[unit] } else { &mut best_off[unit] };
+                *best = best.min(seconds);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! AST → Cmm source emitter: the inverse of [`parser::parse`].
+//! AST → Cmm source emitter: the inverse of [`parser::parse`](crate::parser::parse).
 //!
 //! Renders a [`Unit`] back into concrete syntax the parser accepts. The
 //! output is canonical — binary and unary expressions are fully

@@ -9,7 +9,7 @@
 //! fex report
 //! ```
 //!
-//! Every action reads its arguments through one [`Flags`] cursor, so a
+//! Every action reads its arguments through one `Flags` cursor, so a
 //! missing value (`{flag} needs {what}`) and a malformed number
 //! (``bad {noun} `{value}` ``) are spelled once. The CLI carries only
 //! what a workload sets; the VM's debug switches (pass subsets, the

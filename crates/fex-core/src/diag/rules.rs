@@ -3,7 +3,7 @@
 //! Every rule reuses existing machinery rather than re-deriving it: the
 //! regression rule drives [`lab::compare`](crate::lab::compare), the
 //! flakiness rule reads the journal's
-//! [`Metrics`](crate::journal::Metrics) roll-up, the variance rule runs
+//! [`Metrics`] roll-up, the variance rule runs
 //! on the journal's `vm_exec` counters through
 //! [`collect::stats`](crate::collect::stats), and the cache rule reads
 //! the `metrics.json` roll-ups archived by the run store.

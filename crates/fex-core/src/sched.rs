@@ -14,7 +14,7 @@
 //!    in matrix order. Each unit the artifact graph does not serve
 //!    carries an [`Arc`]-shared program out of the build cache (each
 //!    bench × type compiles at most once) and a fully-derived
-//!    [`MachineConfig`](fex_vm::MachineConfig).
+//!    [`MachineConfig`].
 //! 2. **Execute** — [`execute_units`] runs the units inline on the
 //!    calling thread at `--jobs 1`; above that it dispatches them over a
 //!    self-scheduling worker pool: workers claim the next unclaimed

@@ -9,7 +9,8 @@
 //!   replies stream back over the same connection. The grammar is the
 //!   journal's flat-object subset: string / integer / bool / null values
 //!   only, so lists travel as comma-separated strings and the adaptive
-//!   precision as a permille integer.
+//!   precision as a permille integer. A `submit` line carrying a key
+//!   that is not a submission field is rejected by name.
 //! * **Tenancy & queueing** — every submission gets a daemon-assigned
 //!   submission id and carries a client-chosen tenant. Submissions wait
 //!   in a *bounded* priority queue (higher [`Submission::priority`]
@@ -22,25 +23,15 @@
 //!   anything, and partially-overlapping work is served per run unit by
 //!   the shared `.fex-lab/graph/` artifact graph. Both layers are
 //!   journaled per tenant (`serve_stream` carries the hit accounting).
-//! * **Worker fleet** — a pool of real worker threads drains the queue.
-//!   Local submissions run against one [`Lab`]: the daemon opens it on
-//!   its first local submission (not at start, so a lab restored into an
-//!   idle daemon's directory is what it serves) and holds it, with the
-//!   lab's write lock, until it exits. Workers take turns on the lab, so
-//!   no submission reopens the graph or rescans the store index, while
-//!   each still fans its run units out over `--jobs` workers inside the
-//!   pipeline. A CLI writer on the same lab waits for the daemon to
-//!   exit.
-//! * **Fleet mode** — a submission with `fleet > 0` shards its
-//!   benchmarks across a simulated homogeneous host fleet via
-//!   [`DistributedRun`](crate::distributed::DistributedRun), with host
-//!   losses injected either explicitly (`fleet_kill`) or from
-//!   [`fex_netsim::fleet`]'s seeded discrete-event failure timeline.
-//!   Fleet run units go through the shared execute stage and come back
-//!   in matrix order. Because unit results are pure functions of their
-//!   coordinates and the fleet is homogeneous, a campaign that loses
-//!   hosts mid-flight and re-distributes work yields
-//!   [`canonical_fleet_csv`] output byte-identical to an undisturbed run.
+//! * **Worker pool** — real worker threads drain the queue. Every
+//!   submission runs the full pipeline against one [`Lab`]: the daemon
+//!   opens it on its first submission (not at start, so a lab restored
+//!   into an idle daemon's directory is what it serves) and holds it,
+//!   with the lab's write lock, until it exits. Workers take turns on the
+//!   lab, so no submission reopens the graph or rescans the store index,
+//!   while each still fans its run units out over `--jobs` workers
+//!   inside the pipeline. A CLI writer on the same lab waits for the
+//!   daemon to exit.
 //!
 //! Clean shutdown (`{"op": "shutdown"}`) stops intake, drains every
 //! queued submission to its client, then exits; the daemon's own journal
@@ -59,22 +50,12 @@ use fex_container::DigestBuilder;
 use fex_suites::{BenchProgram, InputSize, Suite};
 use fex_vm::MeasureTool;
 
-use crate::build::MakefileSet;
 use crate::config::{input_from_name, tool_from_name, ExperimentConfig, Repetitions};
-use crate::distributed::DistributedRun;
 use crate::error::{FexError, Result};
 use crate::journal::{self, Journal, JournalEvent, Json, JsonLine};
 use crate::lab::Lab;
 use crate::resilience::RunPolicy;
 use crate::workflow::Fex;
-
-/// Cores per simulated fleet host. Homogeneous shapes are what make
-/// re-distributed campaigns byte-identical to undisturbed ones.
-const FLEET_CORES: usize = 2;
-/// Clock of every simulated fleet host.
-const FLEET_FREQ_HZ: f64 = 3.0e9;
-/// Horizon (in ticks) the fleet failure timeline is played over.
-const FLEET_HORIZON: u64 = 1_000_000;
 
 /// Daemon configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +81,28 @@ impl Default for ServeOptions {
         }
     }
 }
+
+/// The keys a `submit` line may carry besides `program.<name>`. Any other
+/// key is rejected by name, so a misspelt or retired field fails instead
+/// of silently running with the default.
+const SUBMIT_FIELDS: [&str; 16] = [
+    "op",
+    "tenant",
+    "suite",
+    "benchmark",
+    "types",
+    "threads",
+    "reps",
+    "max_reps",
+    "precision_permille",
+    "seed",
+    "jobs",
+    "budget",
+    "input",
+    "tool",
+    "priority",
+    "stream",
+];
 
 /// One experiment submission, as carried by the wire protocol.
 ///
@@ -146,14 +149,6 @@ pub struct Submission {
     pub priority: i64,
     /// Whether journal events stream back live before the result.
     pub stream: bool,
-    /// Simulated fleet size; `0` runs locally through the full pipeline.
-    pub fleet: usize,
-    /// Hosts to kill explicitly mid-campaign (`node0`, …).
-    pub fleet_kill: Vec<String>,
-    /// Mean ticks between simulated host failures (`0` = none).
-    pub fleet_mtbf: u64,
-    /// Seed of the simulated failure timeline.
-    pub fleet_seed: u64,
 }
 
 impl Submission {
@@ -176,10 +171,6 @@ impl Submission {
             tool: "perf-stat".into(),
             priority: 0,
             stream: true,
-            fleet: 0,
-            fleet_kill: Vec::new(),
-            fleet_mtbf: 0,
-            fleet_seed: 0,
         }
     }
 
@@ -200,11 +191,7 @@ impl Submission {
             .str("input", &self.input)
             .str("tool", &self.tool)
             .field("priority", &self.priority)
-            .field("stream", &self.stream)
-            .field("fleet", &self.fleet)
-            .str("fleet_kill", &self.fleet_kill.join(","))
-            .field("fleet_mtbf", &self.fleet_mtbf)
-            .field("fleet_seed", &self.fleet_seed);
+            .field("stream", &self.stream);
         for (name, source) in &self.programs {
             w.str(&format!("program.{name}"), source);
         }
@@ -245,12 +232,6 @@ impl Submission {
         sub.tool = journal::get_or(map, "tool", sub.tool)?;
         sub.priority = journal::get_or(map, "priority", sub.priority)?;
         sub.stream = journal::get_or(map, "stream", sub.stream)?;
-        sub.fleet = journal::get_or(map, "fleet", sub.fleet)?;
-        if let Some(k) = non_empty("fleet_kill")? {
-            sub.fleet_kill = k.split(',').map(str::to_string).collect();
-        }
-        sub.fleet_mtbf = journal::get_or(map, "fleet_mtbf", sub.fleet_mtbf)?;
-        sub.fleet_seed = journal::get_or(map, "fleet_seed", sub.fleet_seed)?;
         for (k, v) in map {
             if let Some(name) = k.strip_prefix("program.") {
                 match v {
@@ -259,6 +240,8 @@ impl Submission {
                         return Err(FexError::Config(format!("field `{k}` is not a string")));
                     }
                 }
+            } else if !SUBMIT_FIELDS.contains(&k.as_str()) {
+                return Err(FexError::Config(format!("unknown submission field `{k}`")));
             }
         }
         sub.programs.sort();
@@ -304,16 +287,12 @@ impl Submission {
         d.update(&self.budget.to_le_bytes());
         d.update_str(&self.input);
         d.update_str(&self.tool);
-        d.update(&(self.fleet as u64).to_le_bytes());
-        d.update_str(&self.fleet_kill.join(","));
-        d.update(&self.fleet_mtbf.to_le_bytes());
-        d.update(&self.fleet_seed.to_le_bytes());
         d.finish().to_string()
     }
 
     /// The experiment configuration this submission runs under. `lab`
     /// attaches the daemon's shared store + graph; `None` keeps the run
-    /// ephemeral (the fleet path, and direct differential reruns).
+    /// ephemeral (direct differential reruns).
     pub fn config(&self, lab: Option<&str>) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::new(format!("serve-{}", self.suite))
             .types(self.build_types.clone())
@@ -404,16 +383,15 @@ pub struct Executed {
     pub graph_hits: usize,
     /// Run units that executed on the VM.
     pub graph_misses: usize,
-    /// Content-addressed run id of the archived run (empty for fleet
-    /// runs, which have their own frame schema and skip the store).
+    /// Content-addressed run id of the archived run.
     pub run_id: String,
     /// Rows in the result frame.
     pub rows: usize,
     /// Failure-report records.
     pub failures: usize,
-    /// Result CSV (canonicalized for fleet runs).
+    /// Result CSV.
     pub results_csv: String,
-    /// Failure CSV (empty for fleet runs).
+    /// Failure CSV.
     pub failures_csv: String,
     /// The run's journal lines, streamed to the client when requested.
     pub journal_lines: Vec<String>,
@@ -446,7 +424,7 @@ pub struct ServeOutcome {
     pub graph_hits: usize,
     /// Artifact-graph unit misses.
     pub graph_misses: usize,
-    /// Archived run id (empty for fleet runs).
+    /// Archived run id.
     pub run_id: String,
     /// Result rows.
     pub rows: usize,
@@ -528,8 +506,8 @@ struct Inner {
     /// journal lines: a duplicate streams nothing).
     served: Mutex<HashMap<String, Arc<Executed>>>,
     tenants: Mutex<BTreeMap<String, TenantStats>>,
-    /// The lab local submissions run against: opened by the first one,
-    /// then held, with its write lock, until the daemon exits. A run that
+    /// The lab submissions run against: opened by the first one, then
+    /// held, with its write lock, until the daemon exits. A run that
     /// panicked leaves it valid (a save bumps the seq only after its
     /// index line is appended), so a poisoned lock is taken over.
     lab: Mutex<Option<Lab>>,
@@ -563,15 +541,14 @@ impl Inner {
             self.store_hits.fetch_add(1, Ordering::SeqCst);
             return Ok(Arc::clone(hit));
         }
-        let executed =
-            if sub.fleet > 0 { self.execute_fleet(sub)? } else { self.execute_local(sub)? };
+        let executed = self.execute_local(sub)?;
         self.served.lock().expect("served lock").insert(key, Arc::new(executed.served()));
         Ok(Arc::new(executed))
     }
 
-    /// The local path: the full build–run–collect pipeline against the
-    /// daemon's lab, so the artifact graph serves every unchanged unit and
-    /// the store archives the aggregate.
+    /// Runs the full build–run–collect pipeline against the daemon's lab,
+    /// so the artifact graph serves every unchanged unit and the store
+    /// archives the aggregate.
     fn execute_local(&self, sub: &Submission) -> Result<Executed> {
         let cfg = sub.config(Some(&self.opts.lab));
         let suite = sub.suite()?;
@@ -611,41 +588,6 @@ impl Inner {
         })
     }
 
-    /// The fleet path: benchmarks shard across a homogeneous simulated
-    /// cluster, explicit + simulated host losses re-distribute work, and
-    /// the frame is canonicalized so placement is invisible.
-    fn execute_fleet(&self, sub: &Submission) -> Result<Executed> {
-        let cfg = sub.config(None);
-        let fleet = fex_netsim::fleet::Fleet::homogeneous(sub.fleet, FLEET_CORES, FLEET_FREQ_HZ);
-        let mut run = DistributedRun::new(sub.suite()?, fleet.hosts.clone())?;
-        for name in &sub.fleet_kill {
-            run = run.kill_host(name.clone());
-        }
-        if sub.fleet_mtbf > 0 {
-            let model = fex_netsim::fleet::FailureModel {
-                mtbf_ticks: sub.fleet_mtbf,
-                seed: sub.fleet_seed,
-            };
-            let timeline = fex_netsim::fleet::simulate(&fleet, &model, FLEET_HORIZON);
-            for name in timeline.downed(&fleet) {
-                run = run.kill_host(name);
-            }
-        }
-        let df = run.execute(&MakefileSet::standard(), &cfg)?;
-        let results_csv = canonical_fleet_csv(&df.to_csv());
-        Ok(Executed {
-            store_hit: false,
-            graph_hits: 0,
-            graph_misses: 0,
-            run_id: String::new(),
-            rows: results_csv.lines().count().saturating_sub(1),
-            failures: 0,
-            results_csv,
-            failures_csv: String::new(),
-            journal_lines: Vec::new(),
-        })
-    }
-
     fn record(&self, tenant: &str, executed: &Executed) {
         let mut tenants = self.tenants.lock().expect("tenants lock");
         let stats = tenants.entry(tenant.to_string()).or_default();
@@ -654,27 +596,6 @@ impl Inner {
         stats.graph_hits += executed.graph_hits as u64;
         stats.graph_misses += executed.graph_misses as u64;
     }
-}
-
-/// Projects a fleet frame onto the placement-independent view by
-/// dropping the `host` and `rescheduled` columns. Fleet frames already
-/// come in matrix order whatever the placement, so a campaign that lost
-/// hosts and re-distributed work is byte-identical to an undisturbed
-/// one.
-pub fn canonical_fleet_csv(csv: &str) -> String {
-    let mut lines = csv.lines();
-    let Some(header) = lines.next() else {
-        return String::new();
-    };
-    let keep: Vec<bool> = header.split(',').map(|c| c != "host" && c != "rescheduled").collect();
-    let mut out = String::new();
-    for line in std::iter::once(header).chain(lines) {
-        let cells: Vec<&str> =
-            line.split(',').zip(&keep).filter(|(_, k)| **k).map(|(c, _)| c).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
 }
 
 /// A running daemon: join it with [`ServerHandle::wait`].
@@ -739,7 +660,7 @@ impl ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Binds the socket and starts the accept loop + worker fleet.
+    /// Binds the socket and starts the accept loop + worker pool.
     ///
     /// # Errors
     ///
@@ -1094,10 +1015,6 @@ mod tests {
         sub.budget = 4_000_000;
         sub.priority = 9;
         sub.tool = "time".into();
-        sub.fleet = 3;
-        sub.fleet_kill = vec!["node1".into()];
-        sub.fleet_mtbf = 50;
-        sub.fleet_seed = u64::MAX;
         let map = journal::parse_flat_object(&sub.to_json()).unwrap();
         assert_eq!(journal::get::<String>(&map, "op").unwrap(), "submit");
         let back = Submission::parse(&map).unwrap();
@@ -1115,8 +1032,8 @@ mod tests {
         c.seed = 43;
         assert_ne!(a.key(), c.key());
         let mut d = micro_sub("alice");
-        d.fleet_kill = vec!["node0".into()];
-        assert_ne!(a.key(), d.key(), "fleet casualties change the executed campaign");
+        d.budget = 10_000;
+        assert_ne!(a.key(), d.key(), "the instruction budget changes the executed campaign");
     }
 
     #[test]
@@ -1149,6 +1066,15 @@ mod tests {
                 "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"spec_cpu2006\"}",
                 "suite `spec_cpu2006` is proprietary and cannot be served",
             ),
+            (
+                "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \"fleet\": 3}",
+                "unknown submission field `fleet`",
+            ),
+            (
+                "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \
+                 \"type\": \"clang_asan\"}",
+                "unknown submission field `type`",
+            ),
         ];
         for (line, field) in cases {
             let map = journal::parse_flat_object(line).unwrap();
@@ -1174,33 +1100,6 @@ mod tests {
         let entries = vec![entry(7, 2), entry(8, 2)];
         assert_eq!(entries[best_index(&entries).unwrap()].submission, 7, "FIFO within a level");
         assert_eq!(best_index(&[]), None);
-    }
-
-    #[test]
-    fn canonical_fleet_csv_is_placement_invariant() {
-        // Same cells in the same (matrix) order, different placement.
-        let a = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
-                 node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n\
-                 node1,micro,arraywrite,gcc_native,test,0,2.5,200,0\n";
-        let b = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
-                 node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n\
-                 node0,micro,arraywrite,gcc_native,test,0,2.5,200,1\n";
-        let expected = "suite,benchmark,type,input,rep,time,cycles\n\
-                        micro,arrayread,gcc_native,test,0,1.5,100\n\
-                        micro,arraywrite,gcc_native,test,0,2.5,200\n";
-        assert_eq!(canonical_fleet_csv(a), expected);
-        assert_eq!(canonical_fleet_csv(b), expected);
-        // Rows keep their order: the projection never re-sorts.
-        let swapped = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
-                       node1,micro,arraywrite,gcc_native,test,0,2.5,200,0\n\
-                       node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n";
-        assert_eq!(
-            canonical_fleet_csv(swapped),
-            "suite,benchmark,type,input,rep,time,cycles\n\
-             micro,arraywrite,gcc_native,test,0,2.5,200\n\
-             micro,arrayread,gcc_native,test,0,1.5,100\n"
-        );
-        assert_eq!(canonical_fleet_csv(""), "");
     }
 
     /// In-process end-to-end smoke: two tenants, identical work, the
@@ -1303,36 +1202,6 @@ mod tests {
         };
         assert_eq!(result_reply(2, 0, &dup), result_reply(2, 0, &expected));
         shutdown(handle.socket()).unwrap();
-        handle.wait().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Killed-fleet campaigns re-distribute work without changing a
-    /// byte of the canonical result.
-    #[test]
-    fn fleet_kill_host_is_invisible_in_canonical_results() {
-        let dir = temp_dir("fleet");
-        let opts = ServeOptions {
-            socket: dir.join("serve.sock"),
-            lab: dir.join("lab").to_string_lossy().into_owned(),
-            workers: 1,
-            queue_cap: 8,
-        };
-        let handle = Server::start(opts).unwrap();
-        let socket = handle.socket().to_path_buf();
-
-        let mut undisturbed = Submission::new("ops", "micro");
-        undisturbed.fleet = 3;
-        let mut killed = undisturbed.clone();
-        killed.fleet_kill = vec!["node1".into()];
-
-        let base = submit(&socket, &undisturbed).unwrap();
-        let survived = submit(&socket, &killed).unwrap();
-        assert!(!base.store_hit && !survived.store_hit, "different keys both execute");
-        assert_eq!(base.results_csv, survived.results_csv, "host loss is byte-invisible");
-        assert!(base.rows > 0);
-
-        shutdown(&socket).unwrap();
         handle.wait().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -142,7 +142,7 @@ impl Cache {
     ///
     /// Way 0 of a set holds its most recently used line, and a re-touch
     /// of that line leaves the LRU order as it is, so the common repeat
-    /// hit is one compare; every other access takes [`Cache::walk`].
+    /// hit is one compare; every other access takes `Cache::walk`.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;

@@ -587,38 +587,49 @@ impl<'p> Instance<'p> {
             slot_addrs.push(cur);
             cur += s.size + s.redzone;
         }
-        if asan {
-            let mut cur = arrays_start;
-            for s in slots {
-                if s.redzone > 0 {
-                    self.shadow.poison(cur, s.redzone, PoisonKind::StackRedzone);
-                    self.shadow.unpoison(cur + s.redzone, s.size);
-                    self.shadow.poison(
-                        cur + s.redzone + s.size,
-                        s.redzone,
-                        PoisonKind::StackRedzone,
-                    );
-                    // Poisoning costs real work: ~1 alu op per granule.
-                    let granules = (2 * s.redzone + s.size) / 8;
-                    self.charge(granules.max(1));
-                    self.count_instr(granules.max(1))?;
-                } else {
-                    self.shadow.unpoison(cur, s.size);
+        // A push that traps after poisoning clears the region it poisoned,
+        // as popping the frame would have.
+        let laid = (|| -> Result<(), Trap> {
+            if asan {
+                let mut cur = arrays_start;
+                for s in slots {
+                    if s.redzone > 0 {
+                        self.shadow.poison(cur, s.redzone, PoisonKind::StackRedzone);
+                        self.shadow.unpoison(cur + s.redzone, s.size);
+                        self.shadow.poison(
+                            cur + s.redzone + s.size,
+                            s.redzone,
+                            PoisonKind::StackRedzone,
+                        );
+                        // Poisoning costs real work: ~1 alu op per granule.
+                        let granules = (2 * s.redzone + s.size) / 8;
+                        self.charge(granules.max(1));
+                        self.count_instr(granules.max(1))?;
+                    } else {
+                        self.shadow.unpoison(cur, s.size);
+                    }
+                    cur += s.size + 2 * s.redzone;
                 }
-                cur += s.size + 2 * s.redzone;
             }
-        }
 
-        // Frame bookkeeping words live in simulated memory.
-        self.mem_store(ret_slot, ret_code_addr, Width::B8)?;
-        self.mem_store(fp_slot, sp_old as i64, Width::B8)?;
-        // Seed reader 2 of 3: the seed-drawn canary lands in simulated
-        // memory, where an out-of-bounds read can see it.
-        if let Some(cs) = canary_slot {
-            self.mem_store(cs, self.canary, Width::B8)?;
+            // Frame bookkeeping words live in simulated memory.
+            self.mem_store(ret_slot, ret_code_addr, Width::B8)?;
+            self.mem_store(fp_slot, sp_old as i64, Width::B8)?;
+            // Seed reader 2 of 3: the seed-drawn canary lands in simulated
+            // memory, where an out-of-bounds read can see it.
+            if let Some(cs) = canary_slot {
+                self.mem_store(cs, self.canary, Width::B8)?;
+            }
+            self.charge(self.config.cost.call);
+            self.count_instr(1)?;
+            Ok(())
+        })();
+        if let Err(trap) = laid {
+            if asan && body > 0 {
+                self.shadow.unpoison(arrays_start, body);
+            }
+            return Err(trap);
         }
-        self.charge(self.config.cost.call);
-        self.count_instr(1)?;
         self.per_core[self.core].calls += 1;
         self.sp[self.core] = new_sp;
 
@@ -2056,18 +2067,15 @@ mod tests {
                 // (at 1); `f`'s first array is poisoned before its 5
                 // (4..=8), the second before its 12 (9..=20), and `f`'s
                 // frame words before its call counts (21). A push that
-                // traps leaves what it poisoned; at 22 `f`'s frame is
+                // traps unpoisons what it poisoned; at 22 `f`'s frame is
                 // pushed, so the trap pops it and unpoisons its arrays.
-                let expected = match at {
-                    1..=3 => (0, 2),
-                    4..=8 => (4, 2),
-                    9..=20 => (12, 2),
-                    21 => (12, 4),
-                    _ => (0, 4),
+                let words = match at {
+                    1..=20 => 2,
+                    _ => 4,
                 };
                 assert_eq!(out.is_err(), at <= 22, "{kind} at {at}");
                 if at <= 22 {
-                    assert_eq!(stack_top_state(&inst, 512), expected, "{kind} at {at}");
+                    assert_eq!(stack_top_state(&inst, 512), (0, words), "{kind} at {at}");
                 }
             }
         }

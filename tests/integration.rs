@@ -299,28 +299,6 @@ fn runtime_faults_surface_as_run_errors() {
 }
 
 #[test]
-fn distributed_future_work_splits_suites_across_hosts() {
-    use fex_core::build::MakefileSet;
-    use fex_core::distributed::DistributedRun;
-    use fex_netsim::fleet::FleetHost;
-    let run = DistributedRun::new(
-        fex_suites::micro(),
-        vec![FleetHost::new("fast", 8, 4.0e9), FleetHost::new("slow", 1, 1.0e9)],
-    )
-    .unwrap();
-    let makefiles = MakefileSet::standard();
-    let config = ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
-    let df = run.execute(&makefiles, &config).unwrap();
-    assert_eq!(df.distinct("host").unwrap(), vec!["fast", "slow"]);
-    // Identical benchmarks would run ~4x slower on the 1 GHz host; the
-    // partition gives each host different benchmarks, so just check both
-    // hosts produced data with positive times.
-    for row in df.iter() {
-        assert!(row[6].as_num().unwrap() > 0.0);
-    }
-}
-
-#[test]
 fn edd_gate_fails_when_comparing_native_against_asan() {
     // The CI story: baseline = native, "new commit" = an asan build (a
     // deliberate big regression); `fex compare`'s Welch test must flag it.

@@ -1,12 +1,9 @@
 //! Service-level integration tests for `fex serve`: the real binary's
 //! daemon lifecycle (submit → stream → result, cross-tenant cache
 //! serving, malformed-submission rejection, drain-on-shutdown), a
-//! concurrent load test against an in-process daemon, plus
-//! differential fault-tolerance tests for the simulated fleet mode —
-//! extending the jobs-invariance idiom of `tests/lab_diff.rs` to host
-//! loss: a campaign that loses hosts mid-flight and re-distributes its
-//! work must produce canonical CSVs byte-identical to an undisturbed
-//! run.
+//! concurrent load test against an in-process daemon, the daemon's
+//! hold on its lab, and in-process submissions that check the budget
+//! and benchmark filter reach the run.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -14,9 +11,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
-
-use fex_core::serve::{self, canonical_fleet_csv, Submission};
+use fex_core::serve::{self, Submission};
 use fex_core::{ServeOptions, ServeOutcome, Server};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -141,6 +136,15 @@ fn malformed_submissions_are_rejected_without_killing_the_daemon() {
         ("{\"op\": \"launch\"}", "unknown op"),
         ("{\"op\": \"submit\", \"suite\": \"micro\"}", "tenant"),
         ("{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"nope\"}", "unknown suite"),
+        (
+            "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \"fleet\": 3}",
+            "unknown submission field `fleet`",
+        ),
+        (
+            "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \
+             \"type\": \"clang_asan\"}",
+            "unknown submission field `type`",
+        ),
     ] {
         stream.write_all(line.as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
@@ -443,36 +447,8 @@ fn a_lab_restored_into_an_idle_daemon_serves_warm_work_from_its_graph() {
 }
 
 // ---------------------------------------------------------------------
-// Fleet fault tolerance
+// Submissions reach the run
 // ---------------------------------------------------------------------
-
-/// Runs the micro suite across a simulated fleet, with `kills` host
-/// indices downed mid-campaign, and returns the canonical CSV.
-fn fleet_campaign(hosts: usize, kills: &[usize]) -> String {
-    use fex_core::distributed::DistributedRun;
-    let fleet = fex_netsim::fleet::Fleet::homogeneous(hosts, 2, 3.0e9);
-    let mut run = DistributedRun::new(fex_suites::micro(), fleet.hosts.clone()).unwrap();
-    for &k in kills {
-        run = run.kill_host(fleet.hosts[k].name.clone());
-    }
-    let cfg = fex_core::ExperimentConfig::new("fleet")
-        .types(vec!["gcc_native"])
-        .input(fex_suites::InputSize::Test)
-        .repetitions(2);
-    let df = run.execute(&fex_core::build::MakefileSet::standard(), &cfg).unwrap();
-    canonical_fleet_csv(&df.to_csv())
-}
-
-/// The micro fleet campaign's canonical CSV is pinned by a golden
-/// generated before fleet partitions ran through the shared unit stage:
-/// both the undisturbed three-host campaign and the one that loses
-/// `node1` match it byte for byte.
-#[test]
-fn fleet_campaigns_match_the_golden() {
-    let golden = include_str!("golden/micro.fleet.csv");
-    assert_eq!(fleet_campaign(3, &[]), golden, "undisturbed campaign");
-    assert_eq!(fleet_campaign(3, &[1]), golden, "campaign that lost node1");
-}
 
 /// Starts an in-process daemon, submits `sub` once, shuts down and
 /// returns the submission's outcome.
@@ -493,11 +469,11 @@ fn submit_once(tag: &str, sub: &Submission) -> fex_core::Result<ServeOutcome> {
     outcome
 }
 
-/// A fleet submission runs under the submission's instruction budget: a
-/// loop that terminates, but only after far more than 10,000
-/// instructions, is cut off by the watchdog.
+/// A submission runs under its instruction budget: a loop that
+/// terminates, but only after far more than 10,000 instructions, is cut
+/// off by the watchdog and quarantined, leaving no result rows.
 #[test]
-fn fleet_submissions_run_under_the_budget() {
+fn submissions_run_under_the_budget() {
     let mut sub = Submission::new("ops", "inline");
     sub.programs = vec![(
         "spin".into(),
@@ -505,81 +481,23 @@ fn fleet_submissions_run_under_the_budget() {
          while (i < 100000) { s += i; i += 1; }\n  return s % 7;\n}\n"
             .into(),
     )];
-    sub.fleet = 2;
     sub.budget = 10_000;
-    let err = submit_once("fleet-budget", &sub).unwrap_err().to_string();
-    assert!(err.contains("instruction limit of 10000 exceeded"), "got: {err}");
+    let outcome = submit_once("budget", &sub).unwrap();
+    assert_eq!(outcome.rows, 0, "results: {}", outcome.results_csv);
+    let failures = &outcome.failures_csv;
+    assert!(failures.contains("instruction limit of 10000 exceeded"), "failures: {failures}");
+    assert!(failures.contains("quarantined"), "failures: {failures}");
 }
 
-/// A fleet submission restricted to one benchmark runs only that
-/// benchmark.
+/// A submission restricted to one benchmark runs only that benchmark.
 #[test]
-fn fleet_submissions_honour_the_benchmark_filter() {
+fn submissions_honour_the_benchmark_filter() {
     let mut sub = Submission::new("ops", "micro");
-    sub.fleet = 3;
     sub.benchmark = Some("arrayread".into());
-    let outcome = submit_once("fleet-bench", &sub).unwrap();
+    let outcome = submit_once("bench", &sub).unwrap();
     assert!(outcome.rows > 0);
     let benches: Vec<&str> =
         outcome.results_csv.lines().skip(1).filter_map(|l| l.split(',').nth(1)).collect();
     assert_eq!(benches.len(), outcome.rows);
     assert!(benches.iter().all(|b| *b == "arrayread"), "rows: {benches:?}");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Differential fault-tolerance: any proper subset of hosts may die
-    /// mid-campaign; the re-distributed campaign's canonical CSV must be
-    /// byte-identical to the undisturbed fleet's.
-    #[test]
-    fn killed_hosts_never_change_canonical_results(
-        hosts in 2usize..5,
-        kill_seed in 0u64..1_000,
-    ) {
-        // Derive a proper casualty subset from the seed: 1..hosts dead.
-        let n_kills = 1 + (kill_seed as usize) % (hosts - 1).max(1);
-        let mut kills: Vec<usize> =
-            (0..hosts).filter(|i| (kill_seed >> i) & 1 == 1).take(n_kills).collect();
-        if kills.is_empty() {
-            kills.push((kill_seed as usize) % hosts); // never vacuous
-        }
-        let undisturbed = fleet_campaign(hosts, &[]);
-        let killed = fleet_campaign(hosts, &kills);
-        prop_assert_eq!(&undisturbed, &killed, "hosts={} kills={:?}", hosts, kills);
-        prop_assert!(undisturbed.lines().count() > 1, "campaign produced rows");
-    }
-
-    /// The netsim failure timeline drives the same invariant end to end
-    /// through the daemon: an mtbf-armed fleet submission (casualties
-    /// chosen by the seeded discrete-event simulation) matches the
-    /// undisturbed fleet byte-for-byte.
-    #[test]
-    fn simulated_failure_timelines_are_byte_invisible(fleet_seed in 0u64..1_000) {
-        let dir = temp_dir(&format!("fleetsim-{fleet_seed}"));
-        let opts = fex_core::ServeOptions {
-            socket: dir.join("serve.sock"),
-            lab: dir.join("lab").to_string_lossy().into_owned(),
-            workers: 1,
-            queue_cap: 8,
-        };
-        let handle = fex_core::Server::start(opts).unwrap();
-        let socket = handle.socket().to_path_buf();
-
-        let mut calm = Submission::new("ops", "micro");
-        calm.fleet = 4;
-        let mut stormy = calm.clone();
-        stormy.fleet_mtbf = 200_000; // a few losses over the horizon
-        stormy.fleet_seed = fleet_seed;
-
-        let base = serve::submit(&socket, &calm).unwrap();
-        let survived = serve::submit(&socket, &stormy).unwrap();
-        serve::shutdown(&socket).unwrap();
-        handle.wait().unwrap();
-
-        prop_assert!(base.rows > 0);
-        prop_assert_eq!(&base.results_csv, &survived.results_csv,
-            "fleet_seed={}", fleet_seed);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
