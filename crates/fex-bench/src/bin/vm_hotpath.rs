@@ -13,7 +13,8 @@
 //! 2. **dispatch** — interpreter dispatch rate on a branchy loop kernel
 //!    with `fuse` on (`all_on`) and off (`no_passes`, i.e.
 //!    `PassMask::none()`), the two masks taking turns on each kernel
-//!    run — identical counters asserted.
+//!    run, the first alternating between rounds — identical counters
+//!    asserted.
 //! 3. **decode_cache** — decoded-artifact cache hit rate on a
 //!    `--jobs 8` matrix, parsed from the runner's own accounting line.
 //! 4. **load** — CPU time of one `Machine::load` (memory, shadow, caches
@@ -21,7 +22,9 @@
 //! 5. **suites** — single-thread CPU time and Minstr/s of one pass over
 //!    the distinct executions of Phoenix + SPLASH in the four build types,
 //!    with `fuse` on and off (identical `RunResult`s asserted): what
-//!    `fuse` buys real programs rather than the dispatch kernel.
+//!    `fuse` buys real programs rather than the dispatch kernel. Each row
+//!    also reports the pass's work totals (instructions, L1 accesses,
+//!    loads, stores), asserted identical across rounds.
 //!
 //! Every timed window of sections 1 and 4, and each mask's share of a
 //! section 2 round, holds at least 200 ms of on-CPU time, and the rows
@@ -216,6 +219,39 @@ impl SuiteSweep {
     }
 }
 
+/// The order in which sections 2 and 5 run their two masks in round
+/// `round`: the first mask alternates between rounds, as in section 1, so
+/// whatever running first costs lands on both masks.
+fn mask_order(round: usize) -> [usize; 2] {
+    if round.is_multiple_of(2) {
+        [0, 1]
+    } else {
+        [1, 0]
+    }
+}
+
+/// Deterministic work totals of one pass over the suites' executions,
+/// summed from their counters: the VM work a pass's time pays for.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct SuiteTotals {
+    instructions: u64,
+    l1_accesses: u64,
+    /// Loads the programs issue (ASan shadow reads, which the `loads`
+    /// counter includes, are left out).
+    app_loads: u64,
+    stores: u64,
+}
+
+impl SuiteTotals {
+    fn add(&mut self, run: &RunResult) {
+        let c = &run.counters;
+        self.instructions += c.instructions;
+        self.l1_accesses += c.l1_accesses;
+        self.app_loads += c.loads - c.asan_checks;
+        self.stores += c.stores;
+    }
+}
+
 /// The median of `samples` (upper median for an even count).
 fn median(samples: &[f64]) -> f64 {
     let mut sorted = samples.to_vec();
@@ -344,11 +380,12 @@ fn main() {
     let configs = [("all_on", PassMask::all()), ("no_passes", PassMask::none())];
     let mut samples = vec![Vec::new(); configs.len()];
     let mut pinned: Option<(u64, i64)> = None;
-    for _ in 0..passes {
+    for round in 0..passes {
         let mut round_seconds = vec![0.0; configs.len()];
         let mut runs = 0;
         while round_seconds.iter().any(|&s| s < MIN_WINDOW_SECONDS) {
-            for (slot, (name, mask)) in configs.iter().enumerate() {
+            for slot in mask_order(round) {
+                let (name, mask) = &configs[slot];
                 let config = MachineConfig { passes: *mask, ..MachineConfig::default() };
                 let start = cpu_seconds();
                 let run = Machine::new(config).run(&kernel, &[]).expect("kernel runs");
@@ -423,10 +460,11 @@ fn main() {
     }
 
     // 5. The suites: per round, one pass over Phoenix + SPLASH's distinct
-    // executions per mask; each row reports the median over the rounds.
-    // The masks take turns on each execution, not on whole passes: on a
-    // shared host, whole-pass windows of the same mask spread by a third
-    // within one round, which buries `fuse`'s effect. A mask's pass
+    // executions per mask; each row reports the median over the rounds,
+    // beside the pass's work totals, which every round must repeat
+    // exactly. The masks take turns on each execution, not on whole
+    // passes: on a shared host, whole-pass windows of the same mask spread
+    // by a third within one round, which buries `fuse`'s effect. A mask's pass
     // time sums its executions' on-CPU readings; each reading lags by up
     // to a scheduler tick at both ends, an error that averages out over
     // a pass's 76 executions rather than accumulating.
@@ -436,15 +474,15 @@ fn main() {
         configs.iter().map(|(_, mask)| SuiteSweep::new(suite_input, *mask, &makefiles)).collect();
     let executions = sweeps[0].units.len();
     let mut samples = vec![Vec::new(); configs.len()];
-    let mut suite_instructions = 0;
-    for _ in 0..passes {
+    let mut pinned_totals: Option<SuiteTotals> = None;
+    for round in 0..passes {
         let mut pass_seconds = vec![0.0; configs.len()];
-        suite_instructions = 0;
+        let mut totals = SuiteTotals::default();
         for unit in 0..executions {
             let mut pinned: Option<RunResult> = None;
-            for (slot, sweep) in sweeps.iter().enumerate() {
+            for slot in mask_order(round) {
                 let start = cpu_seconds();
-                let result = sweep.run(unit);
+                let result = sweeps[slot].run(unit);
                 pass_seconds[slot] += cpu_seconds() - start;
                 match &pinned {
                     None => pinned = Some(result),
@@ -455,12 +493,16 @@ fn main() {
                     ),
                 }
             }
-            suite_instructions += pinned.expect("at least one mask").counters.instructions;
+            totals.add(&pinned.expect("at least one mask"));
         }
+        let first = *pinned_totals.get_or_insert(totals);
+        assert_eq!(totals, first, "round {round} did other work than round 0");
         for (slot, seconds) in pass_seconds.into_iter().enumerate() {
             samples[slot].push(seconds);
         }
     }
+    let totals = pinned_totals.expect("at least one round");
+    let SuiteTotals { instructions: suite_instructions, l1_accesses, app_loads, stores } = totals;
     let suite_mips = |seconds: f64| suite_instructions as f64 / seconds / 1e6;
     let all_on_suite_mips = suite_mips(median(&samples[0]));
     let mut suite_rows = Vec::new();
@@ -471,13 +513,14 @@ fn main() {
         figures.push((format!("suites [{name}] seconds"), seconds));
         figures.push((format!("suites [{name}] minstr_per_sec"), mips));
         println!(
-            "  suites [{name}]: {executions} executions, {suite_instructions} instr in \
-             {seconds:.3}s  ({mips:.1} Minstr/s, passes {mask}, delta vs all_on {delta:+.1}, \
-             median of {passes})"
+            "  suites [{name}]: {executions} executions, {suite_instructions} instr, \
+             {l1_accesses} L1 accesses, {app_loads} loads, {stores} stores in {seconds:.3}s  \
+             ({mips:.1} Minstr/s, passes {mask}, delta vs all_on {delta:+.1}, median of {passes})"
         );
         suite_rows.push(format!(
             "    {{\"config\": \"{name}\", \"passes\": \"{mask}\", \
-             \"instructions\": {suite_instructions}, \"seconds\": {seconds:.6}, \
+             \"instructions\": {suite_instructions}, \"l1_accesses\": {l1_accesses}, \
+             \"app_loads\": {app_loads}, \"stores\": {stores}, \"seconds\": {seconds:.6}, \
              \"minstr_per_sec\": {mips:.3}, \"delta_vs_all_on\": {delta:.3}}}"
         ));
     }

@@ -370,10 +370,30 @@ mod tests {
     use crate::config::ExperimentConfig;
     use crate::lab::store::RunArtifacts;
 
-    fn temp_store(tag: &str) -> RunStore {
-        let dir = std::env::temp_dir().join(format!("fex-diag-mod-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        RunStore::open(dir).unwrap()
+    /// A directory under the system temp directory, removed with
+    /// everything in it when the guard drops, also when the test fails.
+    pub(super) struct TempDir(pub(super) std::path::PathBuf);
+
+    impl TempDir {
+        /// `<temp>/<prefix>-<pid>-<tag>`, removing a leftover of the same
+        /// name first; the directory itself is left for its user to create.
+        pub(super) fn new(prefix: &str, tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{prefix}-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_store(tag: &str) -> (TempDir, RunStore) {
+        let dir = TempDir::new("fex-diag-mod", tag);
+        let store = RunStore::open(dir.0.clone()).unwrap();
+        (dir, store)
     }
 
     const CSV: &str =
@@ -390,7 +410,7 @@ mod tests {
 
     #[test]
     fn repro_score_rewards_readiness_and_outcome() {
-        let store = temp_store("score");
+        let (_dir, store) = temp_store("score");
         let config = ExperimentConfig::new("micro").repetitions(3);
         let metrics = "{\n  \"quarantined\": [],\n}\n";
         let full = RunArtifacts {
@@ -420,7 +440,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_maxes_the_repetition_readiness() {
-        let store = temp_store("adaptive");
+        let (_dir, store) = temp_store("adaptive");
         let config = ExperimentConfig::new("micro").adaptive_repetitions(2, 8, 0.05);
         let art = RunArtifacts {
             results_csv: CSV,

@@ -475,15 +475,15 @@ impl Rule for JournalIntegrity {
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
+    use crate::diag::tests::TempDir;
     use crate::diag::{DiagConfig, JournalSource};
     use crate::lab::store::RunArtifacts;
     use crate::lab::RunStore;
 
-    fn temp_store(tag: &str) -> StoreSource {
-        let dir = std::env::temp_dir().join(format!("fex-diag-rules-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = RunStore::open(&dir).unwrap();
-        StoreSource { store, entries: Vec::new(), index_warnings: Vec::new() }
+    fn temp_store(tag: &str) -> (TempDir, StoreSource) {
+        let dir = TempDir::new("fex-diag-rules", tag);
+        let store = RunStore::open(dir.0.clone()).unwrap();
+        (dir, StoreSource { store, entries: Vec::new(), index_warnings: Vec::new() })
     }
 
     fn rescan(mut source: StoreSource) -> StoreSource {
@@ -572,7 +572,7 @@ mod tests {
 
     #[test]
     fn regression_rule_fires_on_a_slower_latest_run() {
-        let store = temp_store("reg-fire");
+        let (_dir, store) = temp_store("reg-fire");
         let config = ExperimentConfig::new("micro").repetitions(3);
         save(&store, &config, &results_csv(&[("a", &[1.0, 1.01, 0.99])]), None);
         save(&store, &config, &results_csv(&[("a", &[2.0, 2.01, 1.99])]), None);
@@ -586,7 +586,7 @@ mod tests {
 
     #[test]
     fn regression_rule_stays_quiet_on_identical_runs_and_thin_history() {
-        let store = temp_store("reg-quiet");
+        let (_dir, store) = temp_store("reg-quiet");
         let config = ExperimentConfig::new("micro").repetitions(3);
         let csv = results_csv(&[("a", &[1.0, 1.01, 0.99])]);
         save(&store, &config, &csv, None);
@@ -668,7 +668,7 @@ mod tests {
 
     #[test]
     fn cache_rule_fires_when_the_decode_rate_collapses() {
-        let store = temp_store("cache-fire");
+        let (_dir, store) = temp_store("cache-fire");
         let config = ExperimentConfig::new("micro").repetitions(3);
         // Distinct CSVs so the content-addressed saves land in distinct
         // run directories (identical artifacts share one).
@@ -683,7 +683,7 @@ mod tests {
 
     #[test]
     fn cache_rule_stays_quiet_when_rates_hold_or_caches_idle() {
-        let store = temp_store("cache-quiet");
+        let (_dir, store) = temp_store("cache-quiet");
         let config = ExperimentConfig::new("micro").repetitions(3);
         save(&store, &config, &results_csv(&[("a", &[1.0])]), Some(&metrics_with(1, 10, 5, 5)));
         save(&store, &config, &results_csv(&[("a", &[1.01])]), Some(&metrics_with(1, 10, 5, 5)));
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn adaptive_rule_fires_when_a_cell_spends_its_whole_budget() {
-        let store = temp_store("adaptive-fire");
+        let (_dir, store) = temp_store("adaptive-fire");
         let config = ExperimentConfig::new("micro").adaptive_repetitions(2, 4, 0.0001);
         save(&store, &config, &results_csv(&[("a", &[1.0, 3.0, 1.0, 3.0])]), None);
         let ctx = ctx_with_store(store);
@@ -708,12 +708,12 @@ mod tests {
 
     #[test]
     fn adaptive_rule_stays_quiet_on_converged_cells_and_fixed_reps() {
-        let store = temp_store("adaptive-quiet");
+        let (_dir, store) = temp_store("adaptive-quiet");
         let adaptive = ExperimentConfig::new("micro").adaptive_repetitions(2, 4, 0.05);
         save(&store, &adaptive, &results_csv(&[("a", &[1.0, 1.0])]), None);
         let ctx = ctx_with_store(store);
         assert!(AdaptiveNeverConverged.check(&ctx).is_empty(), "2 < 4 reps means it converged");
-        let store = temp_store("adaptive-quiet-fixed");
+        let (_dir, store) = temp_store("adaptive-quiet-fixed");
         let fixed = ExperimentConfig::new("micro").repetitions(4);
         save(&store, &fixed, &results_csv(&[("a", &[1.0, 3.0, 1.0, 3.0])]), None);
         let ctx = ctx_with_store(store);

@@ -105,7 +105,11 @@ pub struct Cache {
     /// [`INVALID_WAY`] = invalid line. Within each set's row, index 0 is
     /// the most recently used way.
     tags: Vec<u64>,
-    stats: CacheStats,
+    /// Lookups so far.
+    accesses: u64,
+    /// Lookups that missed. Only [`Cache::walk`]'s miss arm counts, so a
+    /// way-0 hit touches one counter; [`Cache::stats`] derives the hits.
+    misses: u64,
 }
 
 impl Cache {
@@ -124,7 +128,8 @@ impl Cache {
             line_shift: config.line.is_power_of_two().then(|| config.line.trailing_zeros()),
             set_mask: sets_count.is_power_of_two().then(|| sets_count - 1),
             tags: vec![INVALID_WAY; sets_count as usize * ways],
-            stats: CacheStats::default(),
+            accesses: 0,
+            misses: 0,
         }
     }
 
@@ -135,7 +140,7 @@ impl Cache {
 
     /// Access statistics so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats { accesses: self.accesses, hits: self.accesses - self.misses }
     }
 
     /// Looks up `addr`; on miss the line is filled. Returns `true` on hit.
@@ -143,9 +148,9 @@ impl Cache {
     /// Way 0 of a set holds its most recently used line, and a re-touch
     /// of that line leaves the LRU order as it is, so the common repeat
     /// hit is one compare; every other access takes `Cache::walk`.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.stats.accesses += 1;
+        self.accesses += 1;
         let tag = match self.line_shift {
             Some(s) => addr >> s,
             None => addr / self.config.line,
@@ -157,7 +162,6 @@ impl Cache {
         let base = set_idx * self.ways;
         let way = !tag;
         if self.tags[base] == way {
-            self.stats.hits += 1;
             return true;
         }
         self.walk(base, way)
@@ -168,18 +172,19 @@ impl Cache {
     /// evicts the last way and fills way 0.
     #[inline(never)]
     fn walk(&mut self, base: usize, way: u64) -> bool {
-        let set = &mut self.tags[base..base + self.ways];
-        if let Some(pos) = set[1..].iter().position(|t| *t == way) {
-            // Move to MRU position, preserving the order of the rest.
-            set[..=pos + 1].rotate_right(1);
-            self.stats.hits += 1;
-            true
-        } else {
-            // Evict the LRU way: shift everything down, fill way 0.
-            set.rotate_right(1);
-            set[0] = way;
-            false
+        // Way 0 takes the line, and each way down to the line's own (a
+        // hit) or past the last (a miss, which evicts it) takes its
+        // predecessor's line: one pass, with the order of the rest kept.
+        let mut carry = way;
+        for slot in &mut self.tags[base..base + self.ways] {
+            let old = std::mem::replace(slot, carry);
+            if old == way {
+                return true;
+            }
+            carry = old;
         }
+        self.misses += 1;
+        false
     }
 
     /// Invalidates all lines and keeps statistics (used between parfor
@@ -190,7 +195,7 @@ impl Cache {
 
     /// Resets statistics to zero.
     pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+        (self.accesses, self.misses) = (0, 0);
     }
 }
 
@@ -258,14 +263,24 @@ impl CacheHierarchy {
     }
 
     /// Performs one access from `core` and returns `(where it hit, cycles)`.
+    /// An L1 way-0 hit inlines into the caller; everything past it runs
+    /// out of line.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
+    #[inline(always)]
     pub fn access(&mut self, core: usize, addr: u64) -> (HitLevel, u64) {
-        if self.l1[core].access(addr) {
-            return (HitLevel::L1, self.l1[core].config.latency);
+        let l1 = &mut self.l1[core];
+        if l1.access(addr) {
+            return (HitLevel::L1, l1.config.latency);
         }
+        self.beyond_l1(core, addr)
+    }
+
+    /// The L2 and LLC lookups of an access that missed L1.
+    #[inline(never)]
+    fn beyond_l1(&mut self, core: usize, addr: u64) -> (HitLevel, u64) {
         if self.l2[core].access(addr) {
             return (HitLevel::L2, self.l2[core].config.latency);
         }

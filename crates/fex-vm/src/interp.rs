@@ -510,6 +510,7 @@ impl<'p> Instance<'p> {
     /// Sends one access through the core's caches and charges its
     /// latency. The hierarchy counts it; [`Self::sync_cache_counters`]
     /// turns those counts into the per-core cache counters.
+    #[inline(always)]
     fn cache_access(&mut self, addr: u64) {
         let (_, lat) = self.caches.access(self.core, addr);
         self.charge(lat);
@@ -531,17 +532,20 @@ impl<'p> Instance<'p> {
         }
     }
 
+    #[inline]
     fn mem_load(&mut self, addr: u64, width: Width) -> Result<i64, Trap> {
         self.cache_access(addr);
         self.mem.load(addr, width)
     }
 
+    #[inline]
     fn mem_store(&mut self, addr: u64, val: i64, width: Width) -> Result<(), Trap> {
         self.per_core[self.core].stores += 1;
         self.cache_access(addr);
         self.mem.store(addr, val, width)
     }
 
+    #[inline]
     fn shadow_touch(&mut self, app_addr: u64) {
         // The shadow byte itself travels through the cache hierarchy.
         self.cache_access(ShadowMemory::shadow_addr(app_addr));

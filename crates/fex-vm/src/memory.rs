@@ -92,17 +92,15 @@ impl Segment {
 #[derive(Debug, Clone)]
 pub struct Memory {
     segments: Vec<Segment>,
-    /// Index of the segment that served the last successful lookup — the
-    /// overwhelmingly common case inside a benchmark loop. Pure
-    /// memoisation of a pure lookup, so observable behaviour is
-    /// unchanged; invalidated whenever the segment list changes.
-    last: std::cell::Cell<usize>,
+    /// `segments[i].base`, in the same (ascending) order: the array the
+    /// hot lookup scans.
+    bases: Vec<u64>,
 }
 
 impl Memory {
     /// Creates an empty memory (segments are added by the machine loader).
     pub fn new() -> Self {
-        Memory { segments: Vec::new(), last: std::cell::Cell::new(usize::MAX) }
+        Memory { segments: Vec::new(), bases: Vec::new() }
     }
 
     /// Maps a new segment. Panics if it overlaps an existing one — the
@@ -119,7 +117,7 @@ impl Memory {
         }
         self.segments.push(Segment { base, data: vec![0u8; size as usize], perm, kind });
         self.segments.sort_by_key(|s| s.base);
-        self.last.set(usize::MAX);
+        self.bases = self.segments.iter().map(|s| s.base).collect();
     }
 
     /// All segments, ordered by base address.
@@ -127,28 +125,16 @@ impl Memory {
         &self.segments
     }
 
+    /// The index of the last segment whose base is at or below `addr`:
+    /// the only one that can contain it. A branch-free count over the
+    /// few sorted bases (rodata, globals, heap, one stack per core).
+    #[inline(always)]
+    fn candidate(&self, addr: u64) -> Option<usize> {
+        self.bases.iter().map(|&b| usize::from(b <= addr)).sum::<usize>().checked_sub(1)
+    }
+
     fn seg_index(&self, addr: u64) -> Option<usize> {
-        let memo = self.last.get();
-        if let Some(s) = self.segments.get(memo) {
-            if s.contains(addr) {
-                return Some(memo);
-            }
-        }
-        // Binary search over the (sorted, non-overlapping) segment list.
-        let i = self
-            .segments
-            .binary_search_by(|s| {
-                if addr < s.base {
-                    std::cmp::Ordering::Greater
-                } else if addr >= s.end() {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .ok()?;
-        self.last.set(i);
-        Some(i)
+        self.candidate(addr).filter(|&i| self.segments[i].contains(addr))
     }
 
     /// The segment containing `addr`, if mapped.
@@ -166,21 +152,35 @@ impl Memory {
         self.segment_at(addr).map(|s| s.kind)
     }
 
-    fn check_range(&self, addr: u64, len: u64, write: bool) -> Result<usize, Trap> {
-        let i = self.seg_index(addr).ok_or(Trap::Unmapped { addr, write })?;
-        let s = &self.segments[i];
+    /// The segment index and offset of a `len`-byte access at `addr` that
+    /// lies inside one segment whose permissions allow it; anything else
+    /// takes [`Self::access_trap`].
+    #[inline(always)]
+    fn check_range(&self, addr: u64, len: u64, write: bool) -> Result<(usize, usize), Trap> {
+        if let Some(i) = self.candidate(addr) {
+            let s = &self.segments[i];
+            let (off, size) = (addr - s.base, s.data.len() as u64);
+            if off < size && len <= size - off && if write { s.perm.w } else { s.perm.r } {
+                return Ok((i, off as usize));
+            }
+        }
+        Err(self.access_trap(addr, len, write))
+    }
+
+    /// The trap for an access [`Self::check_range`] refuses.
+    #[cold]
+    #[inline(never)]
+    fn access_trap(&self, addr: u64, len: u64, write: bool) -> Trap {
+        let Some(s) = self.segment_at(addr) else {
+            return Trap::Unmapped { addr, write };
+        };
         if addr + len > s.end() {
             // Accesses may not straddle a segment boundary: the gap beyond
             // is unmapped by construction.
-            return Err(Trap::Unmapped { addr: s.end(), write });
+            Trap::Unmapped { addr: s.end(), write }
+        } else {
+            Trap::PermViolation { addr, write }
         }
-        if write && !s.perm.w {
-            return Err(Trap::PermViolation { addr, write: true });
-        }
-        if !write && !s.perm.r {
-            return Err(Trap::PermViolation { addr, write: false });
-        }
-        Ok(i)
     }
 
     /// Loads an integer of the given width (1-byte loads zero-extend).
@@ -189,10 +189,10 @@ impl Memory {
     ///
     /// Returns [`Trap::Unmapped`] or [`Trap::PermViolation`] on bad
     /// accesses.
+    #[inline(always)]
     pub fn load(&self, addr: u64, width: Width) -> Result<i64, Trap> {
-        let i = self.check_range(addr, width.bytes(), false)?;
+        let (i, off) = self.check_range(addr, width.bytes(), false)?;
         let s = &self.segments[i];
-        let off = (addr - s.base) as usize;
         Ok(match width {
             Width::B1 => s.data[off] as i64,
             Width::B8 => {
@@ -209,10 +209,10 @@ impl Memory {
     ///
     /// Returns [`Trap::Unmapped`] or [`Trap::PermViolation`] on bad
     /// accesses.
+    #[inline(always)]
     pub fn store(&mut self, addr: u64, val: i64, width: Width) -> Result<(), Trap> {
-        let i = self.check_range(addr, width.bytes(), true)?;
+        let (i, off) = self.check_range(addr, width.bytes(), true)?;
         let s = &mut self.segments[i];
-        let off = (addr - s.base) as usize;
         match width {
             Width::B1 => s.data[off] = val as u8,
             Width::B8 => s.data[off..off + 8].copy_from_slice(&val.to_le_bytes()),
@@ -226,10 +226,8 @@ impl Memory {
     ///
     /// Returns a trap if any byte of the range is unmapped or unreadable.
     pub fn read_bytes(&self, addr: u64, len: u64) -> Result<&[u8], Trap> {
-        let i = self.check_range(addr, len, false)?;
-        let s = &self.segments[i];
-        let off = (addr - s.base) as usize;
-        Ok(&s.data[off..off + len as usize])
+        let (i, off) = self.check_range(addr, len, false)?;
+        Ok(&self.segments[i].data[off..off + len as usize])
     }
 
     /// Writes `bytes` starting at `addr`.
@@ -238,10 +236,8 @@ impl Memory {
     ///
     /// Returns a trap if any byte of the range is unmapped or unwritable.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Trap> {
-        let i = self.check_range(addr, bytes.len() as u64, true)?;
-        let s = &mut self.segments[i];
-        let off = (addr - s.base) as usize;
-        s.data[off..off + bytes.len()].copy_from_slice(bytes);
+        let (i, off) = self.check_range(addr, bytes.len() as u64, true)?;
+        self.segments[i].data[off..off + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -348,6 +344,88 @@ mod tests {
     fn overlapping_map_panics() {
         let mut m = mem();
         m.map(0x1800, 0x1000, Perm::RW, SegmentKind::Heap);
+    }
+
+    /// The reference lookup: a linear scan for the segment containing
+    /// `addr`, then the straddle and permission checks in that order.
+    fn naive_check(m: &Memory, addr: u64, len: u64, write: bool) -> Result<(usize, usize), Trap> {
+        let Some(i) = m.segments().iter().position(|s| s.contains(addr)) else {
+            return Err(Trap::Unmapped { addr, write });
+        };
+        let s = &m.segments()[i];
+        if addr + len > s.end() {
+            return Err(Trap::Unmapped { addr: s.end(), write });
+        }
+        if (write && !s.perm.w) || (!write && !s.perm.r) {
+            return Err(Trap::PermViolation { addr, write });
+        }
+        Ok((i, (addr - s.base) as usize))
+    }
+
+    /// A loader-shaped layout: slid rodata (read-only), globals and heap,
+    /// then 1–8 stacks separated by guard gaps.
+    fn seeded_layout(next: &mut impl FnMut() -> u64) -> Memory {
+        let slide = |n: u64| if n.is_multiple_of(4) { 0 } else { (n % 4096) * 16 };
+        let (ro, gl, hp, st) = (slide(next()), slide(next()), slide(next()), slide(next()));
+        let size = |n: u64, max: u64| (n % max + 1) * 16;
+        let data = if next().is_multiple_of(2) { Perm::RW } else { Perm::RWX };
+        let mut m = Memory::new();
+        m.map(layout::RODATA_BASE + ro, size(next(), 64), Perm::R, SegmentKind::Rodata);
+        m.map(layout::GLOBALS_BASE + gl, size(next(), 256), data, SegmentKind::Globals);
+        m.map(layout::HEAP_BASE + hp, size(next(), 1024), data, SegmentKind::Heap);
+        let stack = size(next(), 256);
+        for c in 0..(next() % 8 + 1) as usize {
+            let base = layout::STACK_REGION_BASE + st + c as u64 * (stack + layout::STACK_GUARD);
+            m.map(base, stack, data, SegmentKind::Stack(c));
+        }
+        m
+    }
+
+    fn decode(data: &[u8], width: Width) -> i64 {
+        match width {
+            Width::B1 => i64::from(data[0]),
+            Width::B8 => i64::from_le_bytes(data[..8].try_into().unwrap()),
+        }
+    }
+
+    /// Loads and stores at every segment's edges, in the guard gaps and
+    /// past the last segment give what the reference lookup gives, over
+    /// seeded loader-shaped layouts.
+    #[test]
+    fn segment_resolution_matches_a_linear_scan() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for layout_no in 0..200 {
+            let mut m = seeded_layout(&mut next);
+            let mut probes = vec![0, u64::MAX, u64::MAX - 7];
+            for s in m.segments() {
+                let (base, end) = (s.base, s.end());
+                probes.extend([base - 1, base, base + 1, end - 8, end - 1, end, end + 1]);
+                probes.extend([end + layout::STACK_GUARD / 2, base + next() % (end - base)]);
+            }
+            let last = m.segments().last().unwrap().end();
+            probes.extend([last + 8, last + 0x10_0000]);
+            for addr in probes {
+                for width in [Width::B1, Width::B8] {
+                    let len = width.bytes();
+                    let at = format!("layout {layout_no}, {addr:#x}, {len} bytes");
+                    let want = naive_check(&m, addr, len, false)
+                        .map(|(i, off)| decode(&m.segments()[i].data[off..], width));
+                    assert_eq!(m.load(addr, width), want, "load at {at}");
+                    let val = next() as i64 * 0x1_0001;
+                    let want = naive_check(&m, addr, len, true);
+                    assert_eq!(m.store(addr, val, width), want.clone().map(|_| ()), "at {at}");
+                    if let Ok((i, off)) = want {
+                        let stored = decode(&m.segments()[i].data[off..], width);
+                        let expect = if width == Width::B1 { val & 0xff } else { val };
+                        assert_eq!(stored, expect, "store at {at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

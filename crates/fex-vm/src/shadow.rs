@@ -175,8 +175,10 @@ impl ShadowMemory {
         let mut a = addr;
         let end = addr + width.max(1);
         while a < end {
-            if let Some(kind) = decode(self.byte(a)) {
-                return Some(kind);
+            // A clean granule (the common case) skips the decode.
+            let b = self.byte(a);
+            if b != 0 {
+                return decode(b);
             }
             a += GRANULE - (a % GRANULE);
         }

@@ -5,17 +5,17 @@
 //! diagnostics engine), the `fex report` empty-journal
 //! contract, and `fex lab list` with the repro column and `--json` mode.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Output};
+
+mod common;
+use common::TempDir;
 
 use fex_core::lab::{RunArtifacts, RunStore};
 use fex_core::{ExperimentConfig, JournalEvent};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fex-diag-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new("fex-diag-it", tag)
 }
 
 fn fex(dir: &Path, args: &[&str]) -> Output {
@@ -145,7 +145,7 @@ fn deny_silences_a_rule_and_flips_the_exit_code() {
 // ---------------------------------------------------------------------
 
 /// Builds a context that exercises journal and store rules at once.
-fn mixed_fixture(tag: &str) -> PathBuf {
+fn mixed_fixture(tag: &str) -> TempDir {
     let dir = temp_dir(tag);
     let mut journal = healthy_journal();
     journal.push_str("garbage line one\n");

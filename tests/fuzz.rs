@@ -10,21 +10,23 @@
 //! always a finding.
 
 use std::path::Path;
-use std::process::Command;
+
+mod common;
+use common::{CommandIn, TempDir};
 
 use fex_core::fuzz::{self, BreakMode, FuzzOptions, Scenario};
 use fex_core::lab::{fsck, Corruption, RunArtifacts, RunStore};
 use fex_core::{ExperimentConfig, Repetitions};
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fex-fuzz-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new("fex-fuzz-it", tag)
 }
 
-fn small_opts(tag: &str) -> FuzzOptions {
-    FuzzOptions { bundle_dir: temp_dir(tag), ..FuzzOptions::default() }
+/// Fuzz options whose bundle directory is the returned guard's.
+fn small_opts(tag: &str) -> (TempDir, FuzzOptions) {
+    let dir = temp_dir(tag);
+    let opts = FuzzOptions { bundle_dir: dir.to_path_buf(), ..FuzzOptions::default() };
+    (dir, opts)
 }
 
 // --- satellite: generator coverage across 200 seeds ---
@@ -84,12 +86,12 @@ impl ConfigExt for ExperimentConfig {
 /// identically when run twice (determinism).
 #[test]
 fn seed_42_smoke_cases_pass_all_oracles_deterministically() {
-    let opts = FuzzOptions { cases: 6, ..small_opts("smoke") };
+    let (_dir, opts) = small_opts("smoke");
+    let opts = FuzzOptions { cases: 6, ..opts };
     let a = fuzz::fuzz(&opts).unwrap();
     assert!(a.ok(), "{}", a.render());
     let b = fuzz::fuzz(&opts).unwrap();
     assert_eq!(a.render(), b.render());
-    let _ = std::fs::remove_dir_all(&opts.bundle_dir);
 }
 
 /// An armed break-mode mutation is caught by the matching oracle and
@@ -97,12 +99,9 @@ fn seed_42_smoke_cases_pass_all_oracles_deterministically() {
 /// no thread sweep, fixed single repetition.
 #[test]
 fn break_mode_is_caught_and_shrunk_minimal() {
-    let opts = FuzzOptions {
-        cases: 1,
-        max_shrink: 64,
-        break_mode: Some(BreakMode::Fusion),
-        ..small_opts("break")
-    };
+    let (_dir, opts) = small_opts("break");
+    let opts =
+        FuzzOptions { cases: 1, max_shrink: 64, break_mode: Some(BreakMode::Fusion), ..opts };
     let report = fuzz::fuzz(&opts).unwrap();
     assert_eq!(report.failures.len(), 1, "{}", report.render());
     let failure = &report.failures[0];
@@ -121,29 +120,28 @@ fn break_mode_is_caught_and_shrunk_minimal() {
     assert!(repro.contains("fex fuzz --seed 42"), "{repro}");
     let cmm = bundle.join(format!("{}.cmm", shrunk.programs[0].name));
     assert!(cmm.is_file(), "missing {}", cmm.display());
-    let _ = std::fs::remove_dir_all(&opts.bundle_dir);
 }
 
 /// The jobs break-mode is attributed to the `jobs` oracle, not `toggles`.
 #[test]
 fn jobs_break_mode_hits_the_jobs_oracle() {
+    let (_dir, opts) = small_opts("jobsbreak");
     let opts = FuzzOptions {
         cases: 1,
         max_shrink: 4, // attribution is the point; minimality is covered above
         break_mode: Some(BreakMode::Jobs),
-        ..small_opts("jobsbreak")
+        ..opts
     };
     let report = fuzz::fuzz(&opts).unwrap();
     assert_eq!(report.failures.len(), 1, "{}", report.render());
     assert_eq!(report.failures[0].failure.oracle, "jobs", "{}", report.render());
-    let _ = std::fs::remove_dir_all(&opts.bundle_dir);
 }
 
 /// The committed regression seeds replay clean — fixed bugs stay fixed.
 #[test]
 fn committed_regression_seeds_replay_clean() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_regressions.txt");
-    let opts = small_opts("regress");
+    let (_dir, opts) = small_opts("regress");
     let report = fuzz::replay_regressions(&path, &opts).unwrap();
     assert!(report.cases >= 2, "expected the seeded regression entries");
     assert!(report.ok(), "{}", report.render());
@@ -152,7 +150,6 @@ fn committed_regression_seeds_replay_clean() {
     let bad = opts.bundle_dir.join("bad.txt");
     std::fs::write(&bad, "42 not-a-case\n").unwrap();
     assert!(fuzz::replay_regressions(&bad, &opts).is_err());
-    let _ = std::fs::remove_dir_all(&opts.bundle_dir);
 }
 
 // --- corruption detection / recovery (library level) ---
@@ -200,7 +197,6 @@ fn fsck_detects_and_recovers_from_every_injected_corruption() {
             "{corruption}: store still dirty after quarantine:\n{}",
             after.render()
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -209,14 +205,14 @@ fn fsck_detects_and_recovers_from_every_injected_corruption() {
 /// The `fex` binary, run in a fresh temp directory unless the test sets
 /// its own, so what a command writes under `target/fex-results/` stays
 /// out of the source tree and out of the other tests' way.
-fn fex_bin() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fex"));
-    cmd.env_remove("FEX_FUZZ_BREAK").current_dir(fresh_dir());
+fn fex_bin() -> CommandIn {
+    let mut cmd = CommandIn::new(env!("CARGO_BIN_EXE_fex"), fresh_dir());
+    cmd.env_remove("FEX_FUZZ_BREAK");
     cmd
 }
 
 /// A new empty directory per call.
-fn fresh_dir() -> std::path::PathBuf {
+fn fresh_dir() -> TempDir {
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     temp_dir(&format!("cwd-{}", NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)))
 }
@@ -243,7 +239,6 @@ fn fuzz_binary_smoke_is_clean_and_break_mode_fails_with_bundle() {
     assert!(stdout.contains("FAILED oracle `toggles`"), "{stdout}");
     assert!(stdout.contains("shrunk repro:"), "{stdout}");
     assert!(bundle.join("seed42-case0/repro.txt").is_file(), "{stdout}");
-    let _ = std::fs::remove_dir_all(&bundle);
 }
 
 /// The VM debug switches and the claim size are library settings, not
@@ -293,7 +288,6 @@ fn compare_against_corrupted_store_exits_one_and_names_the_run() {
         "stderr should name the corrupt run id {short}: {stderr}"
     );
     assert!(stderr.contains("fsck"), "stderr should point at fsck: {stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -315,7 +309,6 @@ fn lab_fsck_binary_detects_and_quarantines() {
     let out = fex_bin().args(["lab", "fsck", "--lab", &lab]).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "store should be clean after quarantine");
     assert!(String::from_utf8_lossy(&out.stdout).contains("store is clean"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A corrupted index never breaks `fex lab list` — damaged lines are
@@ -331,5 +324,4 @@ fn lab_list_survives_a_corrupted_index() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stderr).contains("warning"), "warning surfaced");
     assert_eq!(String::from_utf8_lossy(&out.stdout).matches("fex256:").count(), 2);
-    let _ = std::fs::remove_dir_all(&dir);
 }

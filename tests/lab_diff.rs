@@ -11,6 +11,9 @@
 
 use std::process::Command;
 
+mod common;
+use common::{CommandIn, TempDir};
+
 use proptest::prelude::*;
 
 use fex_core::config::FaultInjection;
@@ -47,11 +50,8 @@ fn adaptive_config(faulty: bool, seed: u64, precision: f64) -> ExperimentConfig 
     cfg
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fex-lab-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new("fex-lab-it", tag)
 }
 
 proptest! {
@@ -89,7 +89,7 @@ fn store_and_compare_two_runs_end_to_end() {
     fex.run(&cfg).unwrap();
     fex.run(&cfg).unwrap();
 
-    let store = RunStore::open(&dir).unwrap();
+    let store = RunStore::open(dir.to_path_buf()).unwrap();
     let baseline = store.resolve("prev").unwrap();
     let candidate = store.resolve("latest").unwrap();
     let base =
@@ -112,13 +112,12 @@ fn store_and_compare_two_runs_end_to_end() {
     }
     let slow = Comparison::compare(&base, &slowed, "time", "prev", "slowed").unwrap();
     assert!(slow.has_regression(), "{}", slow.to_table());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn store_save_is_idempotent_on_content() {
     let dir = temp_dir("content");
-    let store = RunStore::open(&dir).unwrap();
+    let store = RunStore::open(dir.to_path_buf()).unwrap();
     let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
     let art = RunArtifacts {
         results_csv:
@@ -132,7 +131,6 @@ fn store_save_is_idempotent_on_content() {
     assert_eq!(a.run_id, b.run_id);
     assert_eq!(b.seq, a.seq + 1);
     assert_eq!(a.rows, 1);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A warm `--lab` rerun shares the cold run's id, and the run directory
@@ -158,7 +156,7 @@ fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
     let warm_metrics = fex.metrics_json("phoenix").unwrap();
     assert!(warm_metrics.contains("\"build_cache_hits\": 28,"), "{warm_metrics}");
 
-    let store = RunStore::open(&dir).unwrap();
+    let store = RunStore::open(dir.to_path_buf()).unwrap();
     let entries = store.list().unwrap();
     assert_eq!(entries.len(), 2);
     assert_eq!(entries[0].run_id, entries[1].run_id, "cold and warm share an id");
@@ -171,7 +169,6 @@ fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
     assert!(stored.contains("\"build_cache_hits\": 0,"), "{stored}");
     let report = fex_core::lab::fsck::check(&store);
     assert!(report.clean(), "{}", report.render());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- binary error paths and exit codes ---
@@ -179,14 +176,12 @@ fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
 /// The `fex` binary, run in a fresh temp directory unless the test sets
 /// its own, so what a command writes under `target/fex-results/` stays
 /// out of the source tree and out of the other tests' way.
-fn fex_bin() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fex"));
-    cmd.current_dir(fresh_dir());
-    cmd
+fn fex_bin() -> CommandIn {
+    CommandIn::new(env!("CARGO_BIN_EXE_fex"), fresh_dir())
 }
 
 /// A new empty directory per call.
-fn fresh_dir() -> std::path::PathBuf {
+fn fresh_dir() -> TempDir {
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     temp_dir(&format!("cwd-{}", NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)))
 }
@@ -219,7 +214,6 @@ fn lab_and_compare_on_missing_stores_exit_nonzero_with_message() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Commands that only read a lab refuse a missing `--lab` directory, or
@@ -273,7 +267,6 @@ fn read_only_commands_refuse_a_missing_lab_and_create_nothing() {
     let out = fex(&["lab", "fsck", "--lab", "typo"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("store is clean"));
-    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 /// `fex graph stats` on a lab written only by `--no-graph` runs prints
@@ -296,7 +289,6 @@ fn graph_stats_on_a_graphless_lab_creates_no_graph() {
     let out = fex(&["lab", "fsck", "--lab", "L"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(!cwd.join("L").join("graph").exists(), "fsck created the graph");
-    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 /// The `fex run -n <argv…>` configuration, run in process on a fresh
@@ -338,7 +330,6 @@ fn plot_after_run_renders_the_same_svg_as_in_process() {
     let fex = run_in_process(run);
     let want = fex.plot("micro", fex_core::PlotRequest::Perf).unwrap().to_svg();
     assert_eq!(svg.trim_end(), want.trim_end());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Concurrent writers into one lab, each through its own `Fex`: the lab
@@ -363,7 +354,6 @@ fn concurrent_runs_into_one_lab_keep_distinct_seqs() {
     let mut seqs: Vec<u64> = store.list().unwrap().iter().map(|e| e.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -404,7 +394,6 @@ fn compare_exit_codes_gate_on_regression() {
     assert!(stdout.contains("REGRESSED"), "{stdout}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("significant regression"));
     assert!(std::fs::read_to_string(&svg).unwrap().starts_with("<svg"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -433,5 +422,4 @@ fn lab_cli_lists_shows_and_gcs_stored_runs() {
 
     let out = fex_bin().args(["lab", "gc", "--keep", "1", "--lab", &lab]).output().unwrap();
     assert!(String::from_utf8_lossy(&out.stdout).contains("removed 1"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
