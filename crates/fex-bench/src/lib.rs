@@ -3,8 +3,8 @@
 //! The paper plan ([`plan::PLAN`]) holds one entry per artifact; the
 //! `all_experiments` binary runs every entry, or the ones it is named,
 //! on one [`Fex`] (`cargo run --release -p fex-bench --bin
-//! all_experiments [-- <entry>...]`). Five more binaries sit beside it:
-//! `ablation` and four layer benches. End-to-end and per-layer pipeline
+//! all_experiments [-- <entry>...]`). Two more binaries sit beside it:
+//! `ablation` and the `layers` bench. End-to-end and per-layer pipeline
 //! timing lives in `fexperf/`.
 //!
 //! | plan entry        | artifact |
@@ -22,13 +22,10 @@
 //! |-------------------|------|
 //! | `all_experiments` | the paper plan, writes `target/fex-results/` |
 //! | `ablation`        | per-pass attribution of the GCC/Clang gap (A1) |
-//! | `sched_scaling`   | `--jobs` matrix throughput + interpreter dispatch rate |
-//! | `vm_hotpath`      | run-phase throughput with fusion and decode cache on vs off; instance load cost |
-//! | `journal_overhead` | run-phase cost of the structured journal, on vs off |
-//! | `fuzz_throughput` | `fex fuzz` oracle cases per second |
+//! | `layers`          | per-layer figures (VM dispatch with `fuse` on vs off, decode cache, instance load, `--jobs` 1 vs 2, journal cost, fuzz throughput) into `BENCH_layers.json` |
 //!
 //! Output convention: each entry and binary prints the paper-style
-//! rows/series to stdout and writes SVG/CSV artifacts under
+//! rows/series to stdout and writes SVG/CSV/JSON artifacts under
 //! `target/fex-results/`.
 
 use std::path::Path;

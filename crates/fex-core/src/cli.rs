@@ -551,6 +551,15 @@ mod tests {
     }
 
     #[test]
+    fn run_rejects_unbounded_jobs_and_threads() {
+        let err = parse(&argv("run -n micro --jobs 100000")).unwrap_err().to_string();
+        assert!(err.contains("`jobs` must be at most"), "{err}");
+        let err = parse(&argv("run -n micro -m 1 100000")).unwrap_err().to_string();
+        assert!(err.contains("`threads` must be at most"), "{err}");
+        assert!(parse(&argv("run -n micro --jobs 256 -m 1 64")).is_ok());
+    }
+
+    #[test]
     fn parses_the_papers_example_invocations() {
         // ">> fex.py run -n phoenix -t gcc_native"
         let Action::Run(cfg) = parse(&argv("run -n phoenix -t gcc_native")).unwrap() else {

@@ -11,6 +11,15 @@ use crate::resilience::RunPolicy;
 /// run units in flight, and memory per in-flight machine is not free.
 pub const MAX_AUTO_JOBS: usize = 16;
 
+/// Largest `--jobs` value [`ExperimentConfig::validate`] accepts: the
+/// scheduler starts one OS thread per worker, so an unbounded value from
+/// a submission would start that many threads in the daemon.
+pub const MAX_JOBS: usize = 256;
+
+/// Largest simulated core count [`ExperimentConfig::validate`] accepts:
+/// every core allocates its own 1 MiB stack and its own caches.
+pub const MAX_THREADS: usize = 64;
+
 /// Fault injection scoped to an experiment: a [`FaultPlan`] applied to
 /// the machines of one benchmark (or all of them).
 ///
@@ -385,6 +394,17 @@ impl ExperimentConfig {
         if self.threads.is_empty() || self.threads.contains(&0) {
             return Err(FexError::Config("thread counts must be positive".into()));
         }
+        if let Some(&m) = self.threads.iter().find(|&&m| m > MAX_THREADS) {
+            return Err(FexError::Config(format!(
+                "`threads` must be at most {MAX_THREADS}, got {m}"
+            )));
+        }
+        if self.jobs > MAX_JOBS {
+            return Err(FexError::Config(format!(
+                "`jobs` must be at most {MAX_JOBS}, got {}",
+                self.jobs
+            )));
+        }
         match self.repetitions {
             Repetitions::Fixed(0) => {
                 return Err(FexError::Config("repetitions must be at least 1".into()));
@@ -466,6 +486,16 @@ mod tests {
         assert_eq!(err, "invalid configuration: unknown input size `huge`");
         let err = tool_from_name("perf").unwrap_err().to_string();
         assert_eq!(err, "invalid configuration: unknown tool `perf`");
+    }
+
+    #[test]
+    fn jobs_and_threads_are_bounded_by_name() {
+        let c = ExperimentConfig::new("x");
+        assert!(c.clone().jobs(MAX_JOBS).threads(vec![1, MAX_THREADS]).validate().is_ok());
+        let err = c.clone().jobs(MAX_JOBS + 1).validate().unwrap_err().to_string();
+        assert!(err.contains("`jobs` must be at most 256, got 257"), "{err}");
+        let err = c.threads(vec![2, MAX_THREADS + 1]).validate().unwrap_err().to_string();
+        assert!(err.contains("`threads` must be at most 64, got 65"), "{err}");
     }
 
     #[test]

@@ -37,7 +37,9 @@ fn render_bars(s: &mut String, plot: &Plot) {
     for (ci, cat) in plot.categories.iter().enumerate() {
         for series in &plot.series {
             let v = series.values.get(ci).copied().unwrap_or(0.0);
-            let n = ((v / max) * BAR_WIDTH as f64).round() as usize;
+            // A bar can outgrow the scale when other values are negative
+            // (a stack's total, the scale, is then below its parts).
+            let n = (((v / max) * BAR_WIDTH as f64).round() as usize).min(BAR_WIDTH);
             let tag = if plot.series.len() > 1 {
                 format!("{cat:label_w$} {:label_w$}", series.name)
             } else {

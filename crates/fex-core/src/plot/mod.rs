@@ -12,7 +12,7 @@
 mod ascii;
 mod svg;
 
-use crate::collect::{stats, DataFrame};
+use crate::collect::{stats, DataFrame, Value};
 use crate::error::{FexError, Result};
 
 /// Plot flavours (Table I row "Plots", plus the Fig 7 scatterline).
@@ -182,12 +182,19 @@ pub fn barplot_from_frame(
     Ok(plot)
 }
 
+/// The x coordinate of a line plot's cell: its number, or a string cell
+/// parsed as one (0 when it is not a number).
+fn x_value(cell: &Value) -> f64 {
+    cell.as_num().unwrap_or_else(|| cell.to_cell_string().parse().unwrap_or(0.0))
+}
+
 /// Builds a line plot (x = `x_col`, one line per `series_col`, y = mean of
 /// `value_col`).
 ///
 /// # Errors
 ///
-/// [`FexError::Data`] for unknown columns or an empty frame.
+/// [`FexError::Data`] for unknown columns, an empty frame, or an `x_col`
+/// cell that is NaN (the error names the column and the 1-based row).
 pub fn lineplot_from_frame(
     df: &DataFrame,
     x_col: &str,
@@ -198,6 +205,15 @@ pub fn lineplot_from_frame(
     if df.is_empty() {
         return Err(FexError::Data("cannot plot an empty frame".into()));
     }
+    let xi = df.col(x_col)?;
+    if let Some((row, cell)) =
+        df.iter().map(|r| &r[xi]).enumerate().find(|(_, c)| x_value(c).is_nan())
+    {
+        return Err(FexError::Data(format!(
+            "column `{x_col}`, row {}: `{cell}` is not a number",
+            row + 1
+        )));
+    }
     let series_names = df.distinct(series_col)?;
     let agg = df.group_agg(&[series_col, x_col], value_col, stats::mean)?;
     let mut plot = Plot::new(PlotKind::Line, title);
@@ -205,15 +221,9 @@ pub fn lineplot_from_frame(
     plot.ylabel = value_col.to_string();
     for sname in &series_names {
         let sub = agg.filter_eq(series_col, sname)?;
-        let mut pts: Vec<(f64, f64)> = sub
-            .iter()
-            .map(|r| {
-                let x =
-                    r[1].as_num().unwrap_or_else(|| r[1].to_cell_string().parse().unwrap_or(0.0));
-                (x, r[2].as_num().unwrap_or(0.0))
-            })
-            .collect();
-        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x values"));
+        let mut pts: Vec<(f64, f64)> =
+            sub.iter().map(|r| (x_value(&r[1]), r[2].as_num().unwrap_or(0.0))).collect();
+        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN x values are rejected above"));
         plot.series.push(Series::line(sname.clone(), pts));
     }
     Ok(plot)

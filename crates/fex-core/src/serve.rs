@@ -1086,6 +1086,30 @@ mod tests {
         assert!(Submission::new("a", "spec_cpu2006").suite().is_err(), "proprietary");
     }
 
+    /// A submission's `jobs` and `threads` are bounded before any worker
+    /// or machine exists: the run's `validate` rejects them by name.
+    #[test]
+    fn oversized_submissions_fail_validation_by_field() {
+        let cases = [
+            (
+                "\"program.r\": \"fn main() -> int { return rand(); }\", \"reps\": 100000, \
+              \"jobs\": 100000",
+                "`jobs`",
+            ),
+            ("\"threads\": \"1,100000\"", "`threads`"),
+        ];
+        for (fields, field) in cases {
+            let line = format!(
+                "{{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"inline\", \
+                 \"program.p\": \"fn main() -> int {{ return 0; }}\", {fields}}}"
+            );
+            let map = journal::parse_flat_object(&line).unwrap();
+            let sub = Submission::parse(&map).unwrap();
+            let err = sub.config(None).validate().unwrap_err().to_string();
+            assert!(err.contains(field), "`{line}` should fail on {field}, got: {err}");
+        }
+    }
+
     #[test]
     fn queue_dispatches_by_priority_then_fifo() {
         let entry = |submission, priority| QueueEntry {

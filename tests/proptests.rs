@@ -815,3 +815,139 @@ fn pass_subsets_agree_on_a_branch_dense_loop() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Plots: any frame that reaches `fex plot` renders or fails with an
+// error, never a panic. Frames may be empty or hold one row, NaN, ±inf,
+// negative and huge numbers, and long or non-ASCII labels; each goes
+// through every plot request and both renderers.
+// ---------------------------------------------------------------------
+
+/// The columns every plot request reads.
+const PLOT_COLUMNS: [&str; 10] = [
+    "benchmark",
+    "type",
+    "threads",
+    "time",
+    "throughput",
+    "mean_ms",
+    "l1_misses",
+    "l2_misses",
+    "llc_misses",
+    "maxrss_bytes",
+];
+
+/// A label without line breaks that no CSV reader takes for a number: it
+/// starts with a letter that begins neither `inf` nor `nan`.
+fn plot_label(rng: &mut TestRng) -> String {
+    const FIRST: &str = "abcdefghjklmopqrstuvwxyzABCDEFGHJKLMOPQRSTUVWXYZéß日";
+    const REST: &str = " !\"#$%&'()*+,-./0123456789:;<=>?@AZaz[\\]^_`{|}~éßü日本語\u{200b}";
+    let first: Vec<char> = FIRST.chars().collect();
+    let rest: Vec<char> = REST.chars().collect();
+    let len = if rng.chance(0.2) { 100 + rng.below(200) } else { rng.below(12) };
+    let mut s = String::from(first[rng.below(first.len() as u64) as usize]);
+    s.extend((0..len).map(|_| rest[rng.below(rest.len() as u64) as usize]));
+    s
+}
+
+/// A plotted number: ordinary, negative, huge, tiny or not finite.
+fn plot_number(rng: &mut TestRng) -> f64 {
+    match rng.below(10) {
+        0 => f64::NAN,
+        1 => [f64::INFINITY, f64::NEG_INFINITY][rng.below(2) as usize],
+        2 => [f64::MAX, -f64::MAX, 1e300, 1e-300][rng.below(4) as usize],
+        3 => -(rng.below(1_000) as f64),
+        4 => 0.0,
+        5 => rng.below(9) as f64,
+        _ => (rng.unit_f64() - 0.2) * 1e6,
+    }
+}
+
+/// A frame over [`PLOT_COLUMNS`]: up to 12 rows over a few benchmarks
+/// and types, so groups and baselines overlap.
+fn arb_plot_frame() -> BoxedStrategy<DataFrame> {
+    BoxedStrategy::from_fn(|rng| {
+        let benches: Vec<String> = (0..1 + rng.below(3)).map(|_| plot_label(rng)).collect();
+        let types: Vec<String> = (0..1 + rng.below(3)).map(|_| plot_label(rng)).collect();
+        let mut df = DataFrame::new(PLOT_COLUMNS.to_vec());
+        for _ in 0..[0, 1, rng.below(13)][rng.below(3) as usize] {
+            let mut row = vec![
+                benches[rng.below(benches.len() as u64) as usize].as_str().into(),
+                types[rng.below(types.len() as u64) as usize].as_str().into(),
+            ];
+            row.extend((2..PLOT_COLUMNS.len()).map(|_| plot_number(rng).into()));
+            df.push(row);
+        }
+        df
+    })
+}
+
+/// Whether every SVG element closes: each `<name ...>` has its
+/// `</name>`, in order, or closes itself (`<name .../>`).
+fn svg_tags_balance(svg: &str) -> bool {
+    let mut open: Vec<&str> = Vec::new();
+    let mut rest = svg;
+    while let Some(start) = rest.find('<') {
+        let Some(len) = rest[start..].find('>') else { return false };
+        let tag = &rest[start + 1..start + len];
+        rest = &rest[start + len + 1..];
+        if let Some(name) = tag.strip_prefix('/') {
+            if open.pop() != Some(name) {
+                return false;
+            }
+        } else if !tag.ends_with('/') {
+            open.push(tag.split_whitespace().next().unwrap_or(""));
+        }
+    }
+    open.is_empty()
+}
+
+/// The plot oracle: `df`'s CSV reads back to the same text, and every
+/// plot request over the parsed frame renders to balanced SVG and to
+/// ASCII, or fails with an error. A panic anywhere fails the test.
+/// Returns each request's outcome.
+fn check_plots(what: &str, df: &DataFrame) -> Vec<Result<String, String>> {
+    use fex_core::PlotRequest;
+    let csv = df.to_csv();
+    let parsed = DataFrame::from_csv(&csv).expect("a frame's own CSV parses");
+    assert_eq!(parsed.to_csv(), csv, "{what}: the CSV is not a fixpoint");
+    ["perf", "tlat", "scaling", "cache", "mem"]
+        .into_iter()
+        .map(|name| {
+            let request = PlotRequest::parse(name).expect("a plot request");
+            let plot = request.render("x", &parsed).map_err(|e| e.to_string())?;
+            let svg = plot.to_svg();
+            assert!(svg_tags_balance(&svg), "{what}: `{name}` SVG tags do not balance:\n{svg}");
+            Ok(plot.to_ascii())
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn plots_never_panic_and_their_svg_balances(df in arb_plot_frame()) {
+        check_plots(&df.to_csv(), &df);
+    }
+}
+
+/// Two frames that panicked `fex plot`: a NaN thread count (the scaling
+/// plot's sort) and a negative miss count (a bar longer than the ASCII
+/// bar width).
+#[test]
+fn plot_regressions_render_or_name_the_bad_cell() {
+    let nan_threads = "benchmark,type,threads,time\nfft,gcc_native,1,2\nfft,gcc_native,nan,1\n";
+    let df = DataFrame::from_csv(nan_threads).unwrap();
+    let scaling = check_plots("nan threads", &df).swap_remove(2);
+    assert_eq!(
+        scaling.unwrap_err(),
+        "data error: column `threads`, row 2: `NaN` is not a number",
+        "the error names the column and the row"
+    );
+
+    let negative_misses = "benchmark,type,l1_misses,l2_misses,llc_misses\nfft,gcc_native,5,-4,0\n";
+    let df = DataFrame::from_csv(negative_misses).unwrap();
+    let cache = check_plots("negative misses", &df).swap_remove(3);
+    assert!(cache.expect("the cache plot renders").contains("fft"));
+}
