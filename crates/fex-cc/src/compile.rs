@@ -98,12 +98,8 @@ pub fn compile(source: &str, opts: &BuildOptions) -> Result<Program, CompileErro
 }
 
 /// Compiles to optimised (and, if requested, instrumented) IR without
-/// emitting bytecode — for tooling and [`pretty`](crate::pretty) dumps.
-///
-/// # Errors
-///
-/// As [`compile`].
-pub fn compile_ir(source: &str, opts: &BuildOptions) -> Result<crate::ir::IrProgram, CompileError> {
+/// emitting bytecode.
+fn compile_ir(source: &str, opts: &BuildOptions) -> Result<crate::ir::IrProgram, CompileError> {
     let mut unit = parser::parse(source)?;
     layout::order_globals(&mut unit, opts.backend.layout);
     let mut ir = lower::lower(&unit)?;

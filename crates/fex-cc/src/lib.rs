@@ -53,10 +53,9 @@ pub mod layout;
 pub mod lower;
 pub mod parser;
 pub mod passes;
-pub mod pretty;
 mod token;
 
 pub use backend::{BackendProfile, LayoutPolicy};
-pub use compile::{compile, compile_ir, source_digest, BuildOptions};
+pub use compile::{compile, source_digest, BuildOptions};
 pub use errors::CompileError;
 pub use token::Pos;

@@ -128,7 +128,7 @@ pub fn const_fold(f: &mut IrFunction, strength_reduction: bool) {
                         let cb = consts.get(&b).copied();
                         clobber(&mut consts, &mut copies, dst);
                         if let (Some(Const::Int(x)), Some(Const::Int(y))) = (ca, cb) {
-                            if let Some(v) = fold_int(op, x, y) {
+                            if let Some(v) = op.eval(x, y) {
                                 consts.insert(dst, Const::Int(v));
                                 out.push(Ir::Op(Instr::Imm { dst, val: v }));
                                 continue;
@@ -314,37 +314,6 @@ fn div_pow2_sequence(dst: Reg, a: Reg, divisor: i64, next_reg: &mut u16, rem: bo
         seq.push(Instr::Bin { op: BinOp::Sub, dst, a, b: scaled });
     }
     seq
-}
-
-fn fold_int(op: BinOp, x: i64, y: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => {
-            if y == 0 {
-                return None; // preserve the runtime trap
-            }
-            x.wrapping_div(y)
-        }
-        BinOp::Rem => {
-            if y == 0 {
-                return None;
-            }
-            x.wrapping_rem(y)
-        }
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32),
-        BinOp::Shr => x.wrapping_shr(y as u32),
-        BinOp::Eq => (x == y) as i64,
-        BinOp::Ne => (x != y) as i64,
-        BinOp::Lt => (x < y) as i64,
-        BinOp::Le => (x <= y) as i64,
-        BinOp::Gt => (x > y) as i64,
-        BinOp::Ge => (x >= y) as i64,
-    })
 }
 
 fn fold_un(op: UnOp, c: Const) -> Option<Const> {

@@ -111,11 +111,6 @@ impl Container {
         self.env.get(key).map(String::as_str)
     }
 
-    /// All environment variables, sorted by key.
-    pub fn env_all(&self) -> &BTreeMap<String, String> {
-        &self.env
-    }
-
     /// Installs a package (and its dependencies, depth-first) from the
     /// registry. Idempotent for same-version re-installs.
     ///
@@ -173,16 +168,6 @@ impl Container {
     /// Whether an exact package version is installed.
     pub fn installed(&self, name: &str, version: &str) -> bool {
         self.installed.get(name).map(|(v, _)| v == version).unwrap_or(false)
-    }
-
-    /// Installed `(name, version)` pairs, sorted by name.
-    pub fn installed_packages(&self) -> Vec<(String, String)> {
-        self.installed.iter().map(|(n, (v, _))| (n.clone(), v.clone())).collect()
-    }
-
-    /// Bytes added by installations.
-    pub fn installed_size(&self) -> u64 {
-        self.installed.values().map(|(_, s)| *s).sum()
     }
 
     /// The install log, in order.

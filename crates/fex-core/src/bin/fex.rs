@@ -26,9 +26,9 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<ExitCode, FexError> {
     let action = parse(args)?;
     // Only `fex run --lab` creates a lab. A command that reads one refuses
-    // a directory without a store or graph index, so a mistyped `--lab`
-    // cannot pass as an empty, clean lab (`fex compare` needs one only to
-    // resolve a selector).
+    // a directory without a lab index, so a mistyped `--lab` cannot pass
+    // as an empty, clean lab (`fex compare` needs one only to resolve a
+    // selector).
     let read_lab = match &action {
         Action::Lab { dir, .. } | Action::Graph { dir } => Some(dir.as_str()),
         Action::Diag { lab, .. } => lab.as_deref(),
@@ -39,8 +39,7 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
         _ => None,
     };
     if let Some(dir) = read_lab.map(std::path::Path::new) {
-        let indexed = |p: &std::path::Path| p.join("index.json").is_file();
-        if !indexed(dir) && !indexed(&dir.join(fex_core::ArtifactGraph::SUBDIR)) {
+        if !RunStore::open(dir)?.index_path().is_file() {
             let why = if dir.is_dir() {
                 "no run store or artifact graph index"
             } else {

@@ -158,6 +158,12 @@ impl StoreSource {
         let (entries, index_warnings) = store.scan();
         Ok(StoreSource { store, entries, index_warnings })
     }
+
+    /// Where a finding about a stored run points: the lab index and the
+    /// run's line in it.
+    pub(crate) fn location(&self, entry: &IndexEntry) -> (String, usize) {
+        (self.store.index_path().display().to_string(), self.store.index_line(entry))
+    }
 }
 
 /// Which rules run: the `--rules` allow-list and the `--deny` list.
@@ -292,7 +298,7 @@ pub fn parse_reps(key: &str) -> Option<RepsSpec> {
     }
 }
 
-/// Extracts the `quarantined` array from a stored `metrics.json`.
+/// Extracts the `quarantined` array from a stored metrics roll-up.
 /// Returns `None` when the text has no such line (corrupt or foreign
 /// file), `Some(true)` when the array is empty.
 fn metrics_quarantine_clean(metrics_json: &str) -> Option<bool> {
@@ -304,19 +310,12 @@ fn metrics_quarantine_clean(metrics_json: &str) -> Option<bool> {
 /// wall clocks, no host state, so `fex lab list` output is
 /// byte-deterministic for a fixed store.
 pub fn repro_score(store: &RunStore, entry: &IndexEntry) -> ReproScore {
-    let run_dir = store.run_dir(&entry.run_id);
-
     // Readiness: what the run recorded about itself.
     let mut readiness = 0;
-    let record = std::fs::read_to_string(run_dir.join("record.json")).unwrap_or_default();
-    let journal_digest = journal::parse_flat_object(record.trim())
-        .ok()
-        .and_then(|map| journal::get::<String>(&map, "journal_digest").ok().map(|d| !d.is_empty()))
-        .unwrap_or(false);
-    if journal_digest {
+    if !entry.journal_digest.is_empty() {
         readiness += 20;
     }
-    let metrics = std::fs::read_to_string(run_dir.join("metrics.json")).ok();
+    let metrics = store.metrics_json(entry);
     if metrics.is_some() {
         readiness += 10;
     }

@@ -86,15 +86,15 @@ impl Rule for SignificantRegression {
         let Ok(cmp) = Comparison::compare(&base, &cand, REGRESSION_METRIC, "prev", "latest") else {
             return Vec::new(); // missing metric column / empty frames
         };
-        let file = store.store.run_dir(&latest.run_id).join("results.csv");
+        let (file, line) = store.location(latest);
         cmp.cells
             .iter()
             .filter(|c| c.verdict == Verdict::Regressed)
             .map(|c| Finding {
                 rule: self.id(),
                 severity: self.severity(),
-                file: file.display().to_string(),
-                line: 1,
+                file: file.clone(),
+                line,
                 message: format!(
                     "{}/{}: {} regressed {:+.1}% vs previous stored run \
                      (t={:.2}, prev mean {:.4}, now {:.4})",
@@ -259,10 +259,9 @@ impl Rule for CacheHitRateDrop {
     fn check(&self, ctx: &DiagCtx) -> Vec<Finding> {
         let Some(store) = &ctx.store else { return Vec::new() };
         let Some((latest, prev)) = latest_with_prev(store) else { return Vec::new() };
-        let read = |e: &IndexEntry| {
-            std::fs::read_to_string(store.store.run_dir(&e.run_id).join("metrics.json")).ok()
-        };
-        let (Some(prev_text), Some(latest_text)) = (read(prev), read(latest)) else {
+        let (Some(prev_text), Some(latest_text)) =
+            (store.store.metrics_json(prev), store.store.metrics_json(latest))
+        else {
             return Vec::new();
         };
         let (Some(p), Some(l)) = (
@@ -271,7 +270,7 @@ impl Rule for CacheHitRateDrop {
         ) else {
             return Vec::new();
         };
-        let file = store.store.run_dir(&latest.run_id).join("metrics.json").display().to_string();
+        let (file, line) = store.location(latest);
         let mut findings = Vec::new();
         let mut drop_check = |cache: &str, prev_rate: f64, latest_rate: f64, active: bool| {
             if active && prev_rate - latest_rate > MAX_HIT_RATE_DROP {
@@ -279,7 +278,7 @@ impl Rule for CacheHitRateDrop {
                     rule: "cache-hit-rate-drop",
                     severity: Severity::Warning,
                     file: file.clone(),
-                    line: 1,
+                    line,
                     message: format!(
                         "{cache} hit rate dropped from {:.1}% to {:.1}% \
                          (threshold: {:.1} points)",
@@ -353,14 +352,14 @@ impl Rule for AdaptiveNeverConverged {
                 ))
                 .or_insert(0) += 1;
         }
-        let file = store.store.run_dir(&latest.run_id).join("results.csv").display().to_string();
+        let (file, line) = store.location(latest);
         reps.into_iter()
             .filter(|(_, n)| *n >= max)
             .map(|((benchmark, build_type, threads), _)| Finding {
                 rule: self.id(),
                 severity: self.severity(),
                 file: file.clone(),
-                line: 1,
+                line,
                 message: format!(
                     "{benchmark}/{build_type} m={threads}: used all {max} repetitions without \
                      reaching the 95%-CI precision target"
@@ -581,7 +580,9 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].severity, Severity::Error);
         assert!(findings[0].message.contains("a/gcc_native"), "{}", findings[0].message);
-        assert!(findings[0].file.ends_with("results.csv"));
+        // The finding points at the newest run's line of the lab index.
+        assert!(findings[0].file.ends_with("index.json"));
+        assert_eq!(findings[0].line, 2);
     }
 
     #[test]
@@ -670,15 +671,15 @@ mod tests {
     fn cache_rule_fires_when_the_decode_rate_collapses() {
         let (_dir, store) = temp_store("cache-fire");
         let config = ExperimentConfig::new("micro").repetitions(3);
-        // Distinct CSVs so the content-addressed saves land in distinct
-        // run directories (identical artifacts share one).
+        // Distinct CSVs so the content-addressed saves store distinct
+        // blobs (identical artifacts share one).
         save(&store, &config, &results_csv(&[("a", &[1.0])]), Some(&metrics_with(1, 10, 5, 5)));
         save(&store, &config, &results_csv(&[("a", &[1.01])]), Some(&metrics_with(10, 10, 5, 5)));
         let ctx = ctx_with_store(store);
         let findings = CacheHitRateDrop.check(&ctx);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("decode-cache"), "{}", findings[0].message);
-        assert!(findings[0].file.ends_with("metrics.json"));
+        assert_eq!((findings[0].file.ends_with("index.json"), findings[0].line), (true, 2));
     }
 
     #[test]

@@ -18,15 +18,11 @@
 //! event carries, so the derivation is on record without a node of its
 //! own.
 //!
-//! The graph lives under `<lab>/graph/` with the same append-only
-//! flat-JSON index discipline as [`lab::store`](crate::lab::store): one
-//! object per line, monotonic `seq`, no wall clocks, torn appends sealed
-//! onto their own line, per-line fault isolation on read. Payloads share
-//! one append-only `pack` file; each index line names its payload's byte
-//! range and digest, and a range is served only if its bytes still hash
-//! to that digest. `fex lab fsck` walks it (ranges past the pack's end,
-//! payload digest mismatches) with the same detect/quarantine treatment
-//! as run dirs.
+//! The graph shares the lab's one log with the run store (see
+//! [`crate::lab`]): each node is a unit line of `<lab>/index.json`
+//! naming its payload's range of `<lab>/pack` and the payload's digest,
+//! and a range is served only if its bytes still hash to that digest.
+//! `fex lab fsck` checks unit lines and run lines alike.
 //!
 //! Only *clean* run units are cached: first-attempt successes of
 //! fault-free units. Fault-armed or failing units bypass the graph
@@ -38,24 +34,23 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::fs::{self, File};
-use std::io::{self, Seek, SeekFrom, Write as _};
-use std::os::unix::fs::FileExt;
+use std::fs::File;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use fex_container::{digest_bytes, Digest, DigestBuilder};
+use fex_container::{Digest, DigestBuilder};
 use fex_vm::{CacheStats, HeapStats, PerfCounters, RunResult};
 
 use crate::error::{FexError, Result};
-use crate::journal::{self, JsonLine};
+use crate::journal::{self, Json, JsonLine};
+use crate::lab::{self, Line, PackRange};
 
 /// What a graph node is, and therefore what its payload holds.
 ///
 /// The pipeline stores only [`NodeKind::RunUnit`], the one kind a lookup
 /// reads. The other four are retired provenance kinds: they still parse,
-/// because labs written before their retirement hold them and the
-/// benchmark's trace replay still writes them, and `fex graph stats`
-/// counts them as `retired`.
+/// because the benchmark's trace replay still writes them, and `fex
+/// graph stats` counts them as `retired`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeKind {
     /// A benchmark's source bytes (retired).
@@ -177,164 +172,95 @@ pub fn unit_key(
 // The on-disk node cache
 // ---------------------------------------------------------------------
 
-/// One line of the graph index.
+/// One unit line of the lab index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphIndexEntry {
-    /// Monotonic sequence number (insertion order).
-    pub seq: u64,
     /// The node's key (`fex256:…`).
     pub digest: String,
     /// What the node is.
     pub kind: NodeKind,
-    /// Digest of the payload bytes as written — lookups and `fex lab
-    /// fsck` recompute it to catch silently-edited or torn payloads.
-    pub payload_digest: String,
-    /// Where the payload starts in the pack.
-    pub offset: u64,
-    /// The payload's length in bytes (its separating newline excluded).
-    pub len: u64,
+    /// The payload's range in the pack and the digest its bytes hash to
+    /// as written — lookups and `fex lab fsck` recompute it to catch
+    /// silently-edited or torn payloads.
+    pub range: PackRange,
 }
-
-/// Why an index line written before payloads moved into the pack (it
-/// has no `offset`/`len`) does not parse.
-const PRE_PACK: &str = "entry predates the pack layout (no offset/len)";
 
 impl GraphIndexEntry {
     pub(crate) fn to_json(&self) -> String {
         let mut w = JsonLine::object("digest", &self.digest);
-        w.field("seq", &self.seq)
-            .str("kind", self.kind.as_str())
-            .str("payload", &self.payload_digest)
-            .field("offset", &self.offset)
-            .field("len", &self.len);
+        w.str("kind", self.kind.as_str());
+        self.range.write(&mut w);
         w.finish()
     }
 
-    pub(crate) fn parse(line: &str) -> Result<GraphIndexEntry> {
-        let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt graph index: {i}"));
-        let map = journal::parse_flat_object(line).map_err(bad)?;
-        let kind_name: String = journal::get(&map, "kind").map_err(bad)?;
+    pub(crate) fn parse(map: &BTreeMap<String, Json>, range: PackRange) -> Result<Self> {
+        let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt lab index: {i}"));
+        let kind_name: String = journal::get(map, "kind").map_err(bad)?;
         let kind = NodeKind::parse(&kind_name).ok_or_else(|| {
-            FexError::Data(format!("corrupt graph index: unknown kind `{kind_name}`"))
+            FexError::Data(format!("corrupt lab index: unknown kind `{kind_name}`"))
         })?;
-        if !map.contains_key("offset") && !map.contains_key("len") {
-            return Err(FexError::Data(PRE_PACK.into()));
-        }
-        Ok(GraphIndexEntry {
-            seq: journal::get(&map, "seq").map_err(bad)?,
-            digest: journal::get(&map, "digest").map_err(bad)?,
-            kind,
-            payload_digest: journal::get(&map, "payload").map_err(bad)?,
-            offset: journal::get(&map, "offset").map_err(bad)?,
-            len: journal::get(&map, "len").map_err(bad)?,
-        })
+        Ok(GraphIndexEntry { digest: journal::get(map, "digest").map_err(bad)?, kind, range })
     }
 }
 
-/// An indexed node: its kind, the digest its payload must hash to, and
-/// the payload's byte range in the pack.
-#[derive(Debug)]
-struct PackedNode {
-    kind: NodeKind,
-    payload: Option<Digest>,
-    offset: u64,
-    len: u64,
-}
-
-/// The artifact graph's node cache, rooted at `<lab>/graph/`.
-///
-/// ```text
-/// <lab>/graph/
-///   index.json   # one flat JSON object per line: seq, digest, kind,
-///                # payload digest, and the payload's offset and len
-///   pack         # every payload, appended in store order, one per line
-/// ```
+/// The artifact graph's node cache: the unit lines of the lab index
+/// under its root, and the payloads they name in the lab's pack.
 ///
 /// The pack is only ever appended to. A store writes its payload first
-/// and its index line second, so a crash between the two leaves bytes no
+/// and its unit line second, so a crash between the two leaves bytes no
 /// line names; the next store lands after them.
 #[derive(Debug)]
 pub struct ArtifactGraph {
     root: PathBuf,
-    /// The payload pack, open for reads and appends while the handle
-    /// lives; `None` until the first store creates it.
+    /// The lab's pack, open for reads and appends while the handle lives;
+    /// `None` until the first store creates it.
     pack: Option<File>,
-    /// digest value → indexed node, for O(1) lookups that verify what
-    /// they serve.
-    index: HashMap<u128, PackedNode>,
-    next_seq: u64,
+    /// digest value → the node's kind and payload range, for O(1)
+    /// lookups that verify what they serve.
+    index: HashMap<u128, (NodeKind, PackRange)>,
     warnings: Vec<String>,
     hits: u64,
     misses: u64,
 }
 
 impl ArtifactGraph {
-    /// The graph's directory name under the lab root.
-    pub const SUBDIR: &'static str = "graph";
-    /// The payload pack's file name under the graph root.
-    pub const PACK: &'static str = "pack";
-
-    /// Opens the graph under the lab rooted at `lab_root`. Nothing is
-    /// created: the first store creates `graph/` and the pack. Corrupt
-    /// index lines are skipped with a warning, the same per-line fault
-    /// isolation as the run store; lines written before the pack layout
-    /// are skipped with one summary warning.
+    /// Opens the graph of the lab rooted at `lab_root`. Nothing is
+    /// created: the first store creates the pack and the index. Run
+    /// lines are skipped; corrupt index lines are skipped with a warning,
+    /// the same per-line fault isolation as the run store.
     ///
     /// # Errors
     ///
-    /// [`FexError::Data`] when an existing pack cannot be opened.
+    /// [`FexError::Data`] when `lab_root` holds an older lab layout or an
+    /// existing pack cannot be opened.
     pub fn open(lab_root: impl AsRef<Path>) -> Result<Self> {
-        let root = lab_root.as_ref().join(Self::SUBDIR);
-        let pack = match Self::open_pack(&root, false) {
+        let root = lab_root.as_ref();
+        lab::refuse_old_layout(root)?;
+        let (lines, warnings) = lab::scan(root);
+        Self::from_scan(root, &lines, warnings)
+    }
+
+    /// The graph over one scan of the lab index at `root`.
+    pub(crate) fn from_scan(root: &Path, lines: &[Line], warnings: Vec<String>) -> Result<Self> {
+        let pack = match lab::open_pack(root, false) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             pack => Some(pack.map_err(|e| {
-                FexError::Data(format!("cannot open graph at `{}`: {e}", root.display()))
+                FexError::Data(format!("cannot open the pack of lab `{}`: {e}", root.display()))
             })?),
         };
-        let (entries, mut warnings) = Self::scan_at(&root);
-        let scanned = warnings.len();
-        warnings.retain(|w| !w.ends_with(PRE_PACK));
-        let pre_pack = scanned - warnings.len();
-        if pre_pack > 0 {
-            warnings.push(format!(
-                "{pre_pack} graph entries predate the pack layout; \
-                 `fex lab fsck --quarantine` drops them"
-            ));
-        }
-        let next_seq = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
-        let index = entries
+        let index = lines
             .iter()
-            .filter_map(|e| {
-                let node = PackedNode {
-                    kind: e.kind,
-                    payload: parse_digest(&e.payload_digest),
-                    offset: e.offset,
-                    len: e.len,
-                };
-                parse_digest(&e.digest).map(|d| (d.0, node))
+            .filter_map(|line| match line {
+                Line::Unit(e) => parse_digest(&e.digest).map(|d| (d.0, (e.kind, e.range))),
+                Line::Run(_) => None,
             })
             .collect();
-        Ok(ArtifactGraph { root, pack, index, next_seq, warnings, hits: 0, misses: 0 })
+        Ok(ArtifactGraph { root: root.to_path_buf(), pack, index, warnings, hits: 0, misses: 0 })
     }
 
-    /// Opens the pack under `root` for reads and appends, creating it
-    /// (and `root`) when `create` is set.
-    fn open_pack(root: &Path, create: bool) -> io::Result<File> {
-        if create {
-            fs::create_dir_all(root)?;
-        }
-        fs::OpenOptions::new().read(true).append(true).create(create).open(root.join(Self::PACK))
-    }
-
-    /// The graph's root directory (`<lab>/graph`).
+    /// The lab's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Reads a graph index with per-line fault isolation: every parseable
-    /// entry plus one warning per skipped line.
-    pub fn scan_at(root: &Path) -> (Vec<GraphIndexEntry>, Vec<String>) {
-        crate::lab::scan_index(&root.join("index.json"), "graph index", GraphIndexEntry::parse)
     }
 
     /// Warnings accumulated while opening (corrupt index lines).
@@ -374,13 +300,10 @@ impl ArtifactGraph {
     /// never an error.
     pub fn lookup_run(&mut self, digest: &Digest) -> Option<RunResult> {
         let served = match self.index.get(&digest.0) {
-            Some(node) if node.kind == NodeKind::RunUnit => self
+            Some((NodeKind::RunUnit, range)) => self
                 .pack
                 .as_ref()
-                .and_then(|pack| read_range(pack, node.offset, node.len).ok())
-                .filter(|bytes| {
-                    bytes.len() as u64 == node.len && Some(digest_bytes(bytes)) == node.payload
-                })
+                .and_then(|pack| range.read_verified(pack))
                 .and_then(|bytes| String::from_utf8(bytes).ok())
                 .and_then(|text| run_from_json(&text)),
             _ => None,
@@ -410,7 +333,7 @@ impl ArtifactGraph {
 
     /// Stores a node payload of any kind. Idempotent like [`store_run`],
     /// its only caller in the pipeline. The payload and its newline go to
-    /// the pack's end in one write, then the index line that names their
+    /// the pack's end in one write, then the unit line that names their
     /// range.
     ///
     /// [`store_run`]: ArtifactGraph::store_run
@@ -425,32 +348,20 @@ impl ArtifactGraph {
         let io = |e: io::Error| FexError::Data(format!("graph write failed: {e}"));
         let pack = match &mut self.pack {
             Some(pack) => pack,
-            none => none.insert(Self::open_pack(&self.root, true).map_err(io)?),
+            none => none.insert(lab::open_pack(&self.root, true).map_err(io)?),
         };
-        let offset = pack.seek(SeekFrom::End(0)).map_err(io)?;
-        pack.write_all(format!("{payload}\n").as_bytes()).map_err(io)?;
-        let payload_digest = digest_bytes(payload.as_bytes());
-        let len = payload.len() as u64;
-        let entry = GraphIndexEntry {
-            seq: self.next_seq,
-            digest: digest.to_string(),
-            kind,
-            payload_digest: payload_digest.to_string(),
-            offset,
-            len,
-        };
-        crate::lab::append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
-        self.index
-            .insert(digest.0, PackedNode { kind, payload: Some(payload_digest), offset, len });
-        self.next_seq += 1;
+        let range = lab::append_pack(pack, payload.as_bytes()).map_err(io)?;
+        let entry = GraphIndexEntry { digest: digest.to_string(), kind, range };
+        lab::append_index_line(&self.root, &entry.to_json()).map_err(io)?;
+        self.index.insert(digest.0, (kind, entry.range));
         Ok(())
     }
 
     /// Node counts per kind, for `fex graph stats`.
     pub fn node_counts(&self) -> BTreeMap<NodeKind, usize> {
         let mut counts = BTreeMap::new();
-        for node in self.index.values() {
-            *counts.entry(node.kind).or_insert(0) += 1;
+        for (kind, _) in self.index.values() {
+            *counts.entry(*kind).or_insert(0) += 1;
         }
         counts
     }
@@ -459,7 +370,7 @@ impl ArtifactGraph {
     /// retired kind (see [`NodeKind`]) as one count, and the total.
     pub fn render_stats(&self) -> String {
         let mut s = format!("artifact graph at `{}`\n", self.root.display());
-        let units = self.index.values().filter(|n| n.kind == NodeKind::RunUnit).count();
+        let units = self.index.values().filter(|(kind, _)| *kind == NodeKind::RunUnit).count();
         let _ = writeln!(s, "{:<10} {:>6}", "kind", "nodes");
         for (label, nodes) in
             [("run_unit", units), ("retired", self.len() - units), ("total", self.len())]
@@ -471,19 +382,6 @@ impl ArtifactGraph {
         }
         s
     }
-
-    pub(crate) fn index_path(&self) -> PathBuf {
-        self.root.join("index.json")
-    }
-}
-
-/// Reads the `len` bytes at `offset` of a pack, or as many of them as
-/// lie before its end: a range past the end reads short (or empty).
-pub(crate) fn read_range(pack: &File, offset: u64, len: u64) -> io::Result<Vec<u8>> {
-    let readable = pack.metadata()?.len().saturating_sub(offset).min(len);
-    let mut bytes = vec![0; readable as usize];
-    pack.read_exact_at(&mut bytes, offset)?;
-    Ok(bytes)
 }
 
 /// Parses a `fex256:<hex>` digest string back into a [`Digest`].
@@ -585,6 +483,8 @@ fn run_from_json(line: &str) -> Option<RunResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::io::Write as _;
 
     fn temp_lab(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fex-graph-test-{}-{tag}", std::process::id()));
@@ -710,7 +610,7 @@ mod tests {
         g.store_run(&key_b, &sample_run()).unwrap();
 
         // Tear the last index append mid-line.
-        let index_path = g.index_path();
+        let index_path = lab.join(lab::INDEX);
         let index = fs::read_to_string(&index_path).unwrap();
         fs::write(&index_path, &index[..index.len() - 9]).unwrap();
 
@@ -724,7 +624,7 @@ mod tests {
 
         // A torn payload is a miss too, never a panic or error: cut the
         // pack inside the newest range (key_b's second copy).
-        let pack = g2.root().join(ArtifactGraph::PACK);
+        let pack = lab.join(lab::PACK);
         let len = fs::metadata(&pack).unwrap().len();
         fs::OpenOptions::new().write(true).open(&pack).unwrap().set_len(len - 20).unwrap();
         let mut g3 = ArtifactGraph::open(&lab).unwrap();
@@ -741,7 +641,7 @@ mod tests {
         g.store_run(&key, &sample_run()).unwrap();
         // Change one digit of the cycle counter: the payload still
         // parses, but no longer hashes to its indexed digest.
-        let pack = g.root().join(ArtifactGraph::PACK);
+        let pack = lab.join(lab::PACK);
         let text = fs::read_to_string(&pack).unwrap();
         let edited = text.replace("\"ctr_cycles\": 2500", "\"ctr_cycles\": 2600");
         assert_ne!(edited, text);
@@ -758,7 +658,7 @@ mod tests {
         let lab = temp_lab("crash");
         let mut g = ArtifactGraph::open(&lab).unwrap();
         g.store_run(&Digest(21), &sample_run()).unwrap();
-        let (pack, index) = (g.root().join(ArtifactGraph::PACK), g.index_path());
+        let pack = lab.join(lab::PACK);
         drop(g);
 
         // A torn store: half a payload reached the pack, its index line
@@ -768,19 +668,20 @@ mod tests {
         file.write_all(&payload.as_bytes()[..payload.len() / 2]).unwrap();
         let torn_end = fs::metadata(&pack).unwrap().len();
         // Two index lines whose ranges run past the pack's end.
-        let past = |seq, key: Digest, offset, len| GraphIndexEntry {
-            seq,
+        let past = |key: Digest, offset, len| GraphIndexEntry {
             digest: key.to_string(),
             kind: NodeKind::RunUnit,
-            payload_digest: digest_bytes(payload.as_bytes()).to_string(),
-            offset,
-            len,
+            range: PackRange {
+                offset,
+                len,
+                digest: fex_container::digest_bytes(payload.as_bytes()),
+            },
         };
         for entry in [
-            past(1, Digest(22), torn_end - 10, payload.len() as u64),
-            past(2, Digest(23), u64::MAX, u64::MAX),
+            past(Digest(22), torn_end - 10, payload.len() as u64),
+            past(Digest(23), u64::MAX, u64::MAX),
         ] {
-            crate::lab::append_index_line(&index, &entry.to_json()).unwrap();
+            lab::append_index_line(&lab, &entry.to_json()).unwrap();
         }
 
         let mut g2 = ArtifactGraph::open(&lab).unwrap();
@@ -793,9 +694,9 @@ mod tests {
         // The next store lands after the torn bytes and is served after a
         // reopen.
         g2.store_run(&Digest(24), &sample_run()).unwrap();
-        let (entries, _) = ArtifactGraph::scan_at(g2.root());
-        let stored = entries.iter().find(|e| e.digest == Digest(24).to_string()).unwrap();
-        assert_eq!(stored.offset, torn_end);
+        let (lines, _) = lab::scan(&lab);
+        let stored = lines.iter().find(|l| l.id() == Digest(24).to_string()).unwrap();
+        assert_eq!(stored.range().offset, torn_end);
         let mut g3 = ArtifactGraph::open(&lab).unwrap();
         assert_eq!(g3.lookup_run(&Digest(24)), Some(sample_run()));
         assert!(g3.lookup_run(&Digest(22)).is_none());
@@ -812,14 +713,14 @@ mod tests {
         }
 
         // One bad byte inside the first line.
-        let index_path = g.index_path();
+        let index_path = lab.join(lab::INDEX);
         let mut index = fs::read(&index_path).unwrap();
         index[5] = 0xFF;
         fs::write(&index_path, &index).unwrap();
 
         let mut g2 = ArtifactGraph::open(&lab).unwrap();
         assert_eq!(g2.warnings().len(), 1, "{:?}", g2.warnings());
-        assert!(g2.warnings()[0].starts_with("skipping graph index line 1: invalid utf-8"));
+        assert!(g2.warnings()[0].starts_with("skipping index line 1: invalid utf-8"));
         assert!(g2.lookup_run(&keys[0]).is_none(), "the damaged line is a miss");
         assert!(g2.lookup_run(&keys[1]).is_some(), "later lines survive the scan");
         assert!(g2.lookup_run(&keys[2]).is_some());
@@ -828,10 +729,9 @@ mod tests {
         g2.store_run(&Digest(4), &sample_run()).unwrap();
         let after = fs::read(&index_path).unwrap();
         assert_eq!(&after[..index.len()], &index[..]);
-        let (entries, warnings) = ArtifactGraph::scan_at(g2.root());
+        let (lines, warnings) = lab::scan(&lab);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
-        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(lines.len(), 3);
         let mut g3 = ArtifactGraph::open(&lab).unwrap();
         for key in keys[1..].iter().chain([&Digest(4)]) {
             assert!(g3.lookup_run(key).is_some());
@@ -839,16 +739,31 @@ mod tests {
         let _ = fs::remove_dir_all(&lab);
     }
 
+    /// Unit lines carry no seq: run seqs count run lines only, however
+    /// many unit lines the graph appends between saves and reopens. A
+    /// graph skips run lines without a warning.
     #[test]
     fn seq_is_monotonic_across_reopens() {
+        use crate::lab::{RunArtifacts, RunStore};
         let lab = temp_lab("seq");
+        let store = RunStore::open(&lab).unwrap();
+        let cfg = crate::config::ExperimentConfig::new("micro");
+        let art = |results| RunArtifacts {
+            results_csv: results,
+            failures_csv: "h\n",
+            metrics_json: None,
+            journal_digest: None,
+        };
         let mut g = ArtifactGraph::open(&lab).unwrap();
         g.store_run(&Digest(10), &sample_run()).unwrap();
+        let a = store.save(&cfg, &art("h\n1\n")).unwrap();
         let mut g2 = ArtifactGraph::open(&lab).unwrap();
+        assert!(g2.warnings().is_empty(), "{:?}", g2.warnings());
         g2.store_run(&Digest(11), &sample_run()).unwrap();
-        let (entries, _) = ArtifactGraph::scan_at(g2.root());
-        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1]);
+        let b = store.save(&cfg, &art("h\n2\n")).unwrap();
+        assert_eq!((a.seq, b.seq), (0, 1));
+        assert_eq!(ArtifactGraph::open(&lab).unwrap().len(), 2);
+        assert_eq!(store.list().unwrap(), vec![a, b]);
         let _ = fs::remove_dir_all(&lab);
     }
 }

@@ -1,91 +1,58 @@
-//! `fex lab fsck` — store integrity checking, quarantine, and the disk
+//! `fex lab fsck` — lab integrity checking, quarantine, and the disk
 //! fault injector that tests it.
 //!
-//! The store is append-only and content-addressed, which makes every
-//! corruption *detectable*: a torn index append, a run directory lost to
-//! a partial `rm`, an artifact edited behind the store's back — each
-//! breaks an invariant this module recomputes from scratch. `check`
-//! reports; `fsck(store, quarantine=true)` additionally moves the broken
-//! runs into `<root>/quarantine/` and rewrites the index to the surviving
-//! entries, restoring a clean store without deleting evidence.
+//! A lab is one append-only, content-addressed log, which makes every
+//! corruption *detectable*: a torn index append, a pack cut short by a
+//! crash, a byte edited behind the lab's back — each breaks an invariant
+//! this module recomputes from scratch in one index scan and one pack
+//! walk. `check` reports; `fsck(store, quarantine=true)` additionally
+//! keeps the readable bytes of every bad line under `<root>/quarantine/`
+//! and rewrites the lab to the surviving lines, restoring a clean lab
+//! without deleting evidence.
 //!
-//! [`Corruption`] is the matching fault injector — the same torn-write
-//! and missing-file shapes the checker must catch, applied
-//! deterministically so both the unit tests here and the `fex fuzz`
-//! recovery oracle can drive the checker against every failure mode.
+//! [`Corruption`] is the matching fault injector — the torn-write and
+//! edited-byte shapes the checker must catch, applied deterministically
+//! so both the unit tests here and the `fex fuzz` recovery oracle can
+//! drive the checker against every failure mode.
 
-use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs;
+use std::fs::{self, File};
 
 use crate::error::{FexError, Result};
-use crate::graph;
-use crate::journal::{self, Json};
 
-use super::store::{IndexEntry, RunStore};
+use super::store::RunStore;
+use super::{Line, INDEX, PACK};
 
 /// What kind of damage an [`FsckIssue`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueKind {
     /// An index line that does not parse (torn append, editor damage).
     CorruptIndexLine,
-    /// An index entry whose artifact directory is gone.
-    MissingRunDir,
-    /// A run directory missing one of its artifact files.
-    MissingArtifact,
-    /// Artifact bytes that no longer hash to the entry's run id.
+    /// An index line whose range runs past the pack's end.
+    RangePastEnd,
+    /// A range whose bytes no longer hash to its line's digest, or a
+    /// run whose CSVs no longer hash to its run id.
     DigestMismatch,
-    /// Row/failure counts in the index disagreeing with the stored CSVs.
+    /// Row/failure counts in a run line disagreeing with its CSVs.
     CountMismatch,
-    /// An unreadable or unparseable `record.json`.
-    CorruptRecord,
-    /// A `runs/` directory no surviving index entry references.
-    OrphanRunDir,
-    /// An index line whose `seq` an earlier line already holds (two
-    /// writers raced without the lab lock).
+    /// A run line whose `seq` an earlier line already holds (two writers
+    /// raced without the lab lock).
     DuplicateSeq,
-    /// A graph index line that does not parse (torn append).
-    CorruptGraphIndexLine,
-    /// A graph index entry whose payload range runs past the pack's end.
-    MissingGraphNode,
-    /// Payload range bytes that no longer hash to the indexed payload
-    /// digest (the pack was edited or torn behind the graph's back).
-    GraphDigestMismatch,
-    /// A leftover `graph/nodes/` tree from before the pack layout, which
-    /// nothing reads.
-    OrphanGraphNode,
-}
-
-impl IssueKind {
-    /// Whether this issue lives in the artifact graph (subjects are node
-    /// digests, or `graph/nodes`) rather than the run store (subjects
-    /// are run ids).
-    fn is_graph(self) -> bool {
-        matches!(
-            self,
-            IssueKind::CorruptGraphIndexLine
-                | IssueKind::MissingGraphNode
-                | IssueKind::GraphDigestMismatch
-                | IssueKind::OrphanGraphNode
-        )
-    }
+    /// Pack bytes no index line names: the torn tail a crashed write
+    /// leaves.
+    UnreferencedPackBytes,
 }
 
 impl fmt::Display for IssueKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             IssueKind::CorruptIndexLine => "corrupt-index-line",
-            IssueKind::MissingRunDir => "missing-run-dir",
-            IssueKind::MissingArtifact => "missing-artifact",
+            IssueKind::RangePastEnd => "range-past-end",
             IssueKind::DigestMismatch => "digest-mismatch",
             IssueKind::CountMismatch => "count-mismatch",
-            IssueKind::CorruptRecord => "corrupt-record",
-            IssueKind::OrphanRunDir => "orphan-run-dir",
             IssueKind::DuplicateSeq => "duplicate-seq",
-            IssueKind::CorruptGraphIndexLine => "corrupt-graph-index-line",
-            IssueKind::MissingGraphNode => "missing-graph-node",
-            IssueKind::GraphDigestMismatch => "graph-digest-mismatch",
-            IssueKind::OrphanGraphNode => "orphan-graph-node",
+            IssueKind::UnreferencedPackBytes => "unreferenced-pack-bytes",
         })
     }
 }
@@ -95,7 +62,8 @@ impl fmt::Display for IssueKind {
 pub struct FsckIssue {
     /// What is wrong.
     pub kind: IssueKind,
-    /// The run id (or `index line N` for index-level damage).
+    /// The run id or node digest, `index line N` for a line that does
+    /// not parse, or `pack bytes A..B`.
     pub subject: String,
     /// Human-readable detail.
     pub detail: String,
@@ -104,18 +72,18 @@ pub struct FsckIssue {
 /// The result of one integrity pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// Index entries examined.
+    /// Run lines examined.
     pub entries_checked: usize,
-    /// Artifact-graph nodes examined (0 when the lab has no graph).
+    /// Unit lines examined (0 when the lab has no graph).
     pub graph_nodes_checked: usize,
     /// Everything found wrong, in detection order.
     pub issues: Vec<FsckIssue>,
-    /// Run ids (and orphan directory names) moved to `quarantine/`.
+    /// Run ids and node digests whose bytes moved to `quarantine/`.
     pub quarantined: Vec<String>,
 }
 
 impl FsckReport {
-    /// Whether the store passed without findings.
+    /// Whether the lab passed without findings.
     pub fn clean(&self) -> bool {
         self.issues.is_empty()
     }
@@ -144,169 +112,102 @@ impl FsckReport {
     }
 }
 
-/// Checks every invariant of the store without touching it.
+/// Checks every invariant of the lab without touching it: one scan of
+/// the index, then one walk over the pack ranges its lines name.
 pub fn check(store: &RunStore) -> FsckReport {
     let mut report = FsckReport::default();
-    let (entries, warnings) = store.scan();
-    report.entries_checked = entries.len();
-    push_index_line_issues(IssueKind::CorruptIndexLine, &warnings, &mut report);
-    for entry in &entries {
-        check_entry(store, entry, &mut report);
-    }
-    let mut holders = std::collections::BTreeMap::new();
-    for entry in &entries {
-        match holders.entry(entry.seq) {
-            Entry::Vacant(slot) => {
-                slot.insert(&entry.run_id);
-            }
-            Entry::Occupied(first) => report.issues.push(FsckIssue {
-                kind: IssueKind::DuplicateSeq,
-                subject: entry.run_id.clone(),
-                detail: format!("seq {} is also held by {}", entry.seq, first.get()),
-            }),
-        }
-    }
-    // Orphans: artifact directories no parseable entry references.
-    let referenced: std::collections::BTreeSet<String> =
-        entries.iter().map(|e| e.run_id.trim_start_matches("fex256:").to_string()).collect();
-    if let Ok(dirs) = fs::read_dir(store.root().join("runs")) {
-        let mut orphans: Vec<String> = dirs
-            .filter_map(|d| d.ok())
-            .map(|d| d.file_name().to_string_lossy().into_owned())
-            .filter(|name| !referenced.contains(name))
-            .collect();
-        orphans.sort();
-        for name in orphans {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::OrphanRunDir,
-                subject: format!("fex256:{name}"),
-                detail: "no index entry references this directory".into(),
-            });
-        }
-    }
-    check_graph(store, &mut report);
-    report
-}
-
-/// One `kind` finding per line [`super::scan_index`] skipped. Its
-/// warnings read `skipping <index> line N: <error>`, so the subject is
-/// `<index> line N` and the detail the error — a line that is not UTF-8
-/// is reported like any other unparseable one.
-fn push_index_line_issues(kind: IssueKind, warnings: &[String], report: &mut FsckReport) {
+    let (lines, warnings) = super::scan(store.root());
+    // A line that does not parse reads `skipping index line N: <error>`.
     for warning in warnings {
-        let rest = warning.strip_prefix("skipping ").unwrap_or(warning);
+        let rest = warning.strip_prefix("skipping ").unwrap_or(&warning);
         let (subject, detail) = rest.split_once(": ").unwrap_or((rest, "unparseable"));
-        report.issues.push(FsckIssue { kind, subject: subject.into(), detail: detail.into() });
+        let (subject, detail) = (subject.into(), detail.into());
+        report.issues.push(FsckIssue { kind: IssueKind::CorruptIndexLine, subject, detail });
     }
-}
-
-/// The artifact-graph pass: same invariants as the run store, applied to
-/// `<root>/graph/`. A lab without a graph (pre-graph labs, `--no-graph`
-/// runs) skips silently.
-fn check_graph(store: &RunStore, report: &mut FsckReport) {
-    let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
-    if !groot.is_dir() {
-        return;
-    }
-    let (entries, warnings) = graph::ArtifactGraph::scan_at(&groot);
-    report.graph_nodes_checked = entries.len();
-    push_index_line_issues(IssueKind::CorruptGraphIndexLine, &warnings, report);
-    let pack = fs::File::open(groot.join(graph::ArtifactGraph::PACK)).ok();
-    for entry in &entries {
-        let bytes = range_bytes(pack.as_ref(), entry);
-        let (kind, detail) = if (bytes.len() as u64) < entry.len {
+    let pack = File::open(store.root().join(PACK)).ok();
+    let mut seqs = BTreeMap::new();
+    for line in &lines {
+        let mut issue = |kind, detail: String| {
+            report.issues.push(FsckIssue { kind, subject: line.id().into(), detail });
+        };
+        if let Line::Run(e) = line {
+            match seqs.get(&e.seq) {
+                Some(first) => {
+                    issue(IssueKind::DuplicateSeq, format!("seq {} is also held by {first}", e.seq))
+                }
+                None => {
+                    seqs.insert(e.seq, e.run_id.as_str());
+                }
+            }
+        }
+        let range = line.range();
+        let bytes = pack.as_ref().and_then(|p| range.read(p).ok()).unwrap_or_default();
+        if (bytes.len() as u64) < range.len {
             let held = bytes.len();
             let detail = format!(
-                "the pack holds {held} of the {} payload bytes at offset {}",
-                entry.len, entry.offset
+                "the pack holds {held} of the {} bytes at offset {}",
+                range.len, range.offset
             );
-            (IssueKind::MissingGraphNode, detail)
-        } else {
-            let recomputed = fex_container::digest_bytes(&bytes).to_string();
-            if recomputed == entry.payload_digest {
-                continue;
-            }
-            let detail = format!("payload hashes to {recomputed}; the node was edited or torn");
-            (IssueKind::GraphDigestMismatch, detail)
-        };
-        report.issues.push(FsckIssue { kind, subject: entry.digest.clone(), detail });
-    }
-    if groot.join("nodes").exists() {
-        report.issues.push(FsckIssue {
-            kind: IssueKind::OrphanGraphNode,
-            subject: "graph/nodes".into(),
-            detail: "per-node payloads from before the pack layout; nothing reads them".into(),
-        });
-    }
-}
-
-/// The readable bytes of an entry's payload range: all of them, or as
-/// many as lie before the pack's end (none when there is no pack).
-fn range_bytes(pack: Option<&fs::File>, entry: &graph::GraphIndexEntry) -> Vec<u8> {
-    pack.and_then(|p| graph::read_range(p, entry.offset, entry.len).ok()).unwrap_or_default()
-}
-
-/// Checks one index line's run.
-fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
-    let dir = store.run_dir(&entry.run_id);
-    let mut issue = |kind, detail: String| {
-        report.issues.push(FsckIssue { kind, subject: entry.run_id.clone(), detail });
-    };
-    if !dir.is_dir() {
-        issue(IssueKind::MissingRunDir, format!("`{}` does not exist", dir.display()));
-        return;
-    }
-    let read = |name: &str| fs::read_to_string(dir.join(name));
-    let results = read("results.csv");
-    let failures = read("failures.csv");
-    for (name, content) in [("results.csv", &results), ("failures.csv", &failures)] {
-        if let Err(e) = content {
-            issue(IssueKind::MissingArtifact, format!("cannot read `{name}`: {e}"));
+            issue(IssueKind::RangePastEnd, detail);
+            continue;
         }
-    }
-    if let (Ok(results), Ok(failures)) = (&results, &failures) {
+        let recomputed = fex_container::digest_bytes(&bytes);
+        if recomputed != range.digest {
+            issue(IssueKind::DigestMismatch, format!("bytes hash to {recomputed}; edited or torn"));
+        }
+        let Line::Run(entry) = line else { continue };
+        let Some((results, failures, _)) = entry.split(&bytes) else {
+            issue(IssueKind::DigestMismatch, "the CSV lengths do not fit the blob".into());
+            continue;
+        };
         let recomputed = RunStore::run_id_from_parts(&entry.key, results, failures);
         if recomputed != entry.run_id {
-            issue(
-                IssueKind::DigestMismatch,
-                format!("artifacts hash to {recomputed}; the run was edited or torn"),
-            );
+            issue(IssueKind::DigestMismatch, format!("the CSVs hash to run id {recomputed}"));
         }
         let rows = results.lines().count().saturating_sub(1);
         let failure_rows = failures.lines().count().saturating_sub(1);
         if rows != entry.rows || failure_rows != entry.failures {
-            issue(
-                IssueKind::CountMismatch,
-                format!(
-                    "index says {} rows / {} failures, artifacts have {rows} / {failure_rows}",
-                    entry.rows, entry.failures
-                ),
+            let detail = format!(
+                "index says {} rows / {} failures, the blob has {rows} / {failure_rows}",
+                entry.rows, entry.failures
             );
+            issue(IssueKind::CountMismatch, detail);
         }
     }
-    match read("record.json") {
-        Err(e) => issue(IssueKind::CorruptRecord, format!("cannot read `record.json`: {e}")),
-        Ok(text) => match journal::parse_flat_object(text.trim()) {
-            Err(e) => issue(IssueKind::CorruptRecord, format!("unparseable: {e}")),
-            // A journaled run must keep its metrics roll-up.
-            Ok(map) => {
-                if matches!(map.get("journal_digest"), Some(Json::Str(d)) if !d.is_empty())
-                    && !dir.join("metrics.json").is_file()
-                {
-                    issue(
-                        IssueKind::MissingArtifact,
-                        "journaled run lost its `metrics.json`".into(),
-                    );
-                }
-            }
-        },
+    report.entries_checked = lines.iter().filter_map(run_seq).count();
+    report.graph_nodes_checked = lines.len() - report.entries_checked;
+    // The pack walk: every byte lies in some line's range or in the
+    // newline after it, or no line names it.
+    let pack_len = pack.and_then(|p| p.metadata().ok()).map_or(0, |m| m.len());
+    let mut spans: Vec<(u64, u64)> = lines
+        .iter()
+        .map(|l| l.range())
+        .map(|r| (r.offset, r.offset.saturating_add(r.len).saturating_add(1)))
+        .collect();
+    spans.sort_unstable();
+    let mut covered = 0;
+    for (start, end) in spans.into_iter().chain([(u64::MAX, u64::MAX)]) {
+        if covered < start.min(pack_len) {
+            let gap = (covered, start.min(pack_len));
+            report.issues.push(FsckIssue {
+                kind: IssueKind::UnreferencedPackBytes,
+                subject: format!("pack bytes {}..{}", gap.0, gap.1),
+                detail: format!("no index line names these {} bytes", gap.1 - gap.0),
+            });
+        }
+        covered = covered.max(end);
     }
+    report
 }
 
-/// Checks the store and, when `quarantine` is set, moves every corrupt
-/// run directory (and orphan) under `<root>/quarantine/` and rewrites the
-/// index to the clean entries, giving each line whose seq an earlier one
-/// holds the next free seq. Returns the final report.
+/// Checks the lab and, when `quarantine` is set, writes the readable
+/// bytes of every line with a bad range to `<root>/quarantine/<hex>`,
+/// named by the digest the line recorded for them (never by a name read
+/// from the index, which could point outside the lab),
+/// gives each run line whose seq an earlier one holds the next free seq,
+/// and rewrites the lab to the surviving lines — which drops corrupt
+/// lines and unreferenced pack bytes too. Returns the report of the
+/// check.
 ///
 /// # Errors
 ///
@@ -316,108 +217,73 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
     if !quarantine || report.clean() {
         return Ok(report);
     }
+    let io = |e: std::io::Error| FexError::Data(format!("cannot quarantine: {e}"));
     let qdir = store.root().join("quarantine");
-    fs::create_dir_all(&qdir)
-        .map_err(|e| FexError::Data(format!("cannot create `{}`: {e}", qdir.display())))?;
-    let bad_runs: std::collections::BTreeSet<&str> = report
+    fs::create_dir_all(&qdir).map_err(io)?;
+    let bad: BTreeSet<String> = report
         .issues
         .iter()
         .filter(|i| {
-            !matches!(i.kind, IssueKind::CorruptIndexLine | IssueKind::DuplicateSeq)
-                && !i.kind.is_graph()
+            matches!(
+                i.kind,
+                IssueKind::RangePastEnd | IssueKind::DigestMismatch | IssueKind::CountMismatch
+            )
         })
-        .map(|i| i.subject.as_str())
+        .map(|i| i.subject.clone())
         .collect();
-    for run_id in &bad_runs {
-        let short = run_id.trim_start_matches("fex256:");
-        let src = store.run_dir(run_id);
-        if src.is_dir() {
-            fs::rename(&src, qdir.join(short)).map_err(|e| {
-                FexError::Data(format!("cannot quarantine `{}`: {e}", src.display()))
-            })?;
+    let (lines, _) = super::scan(store.root());
+    let pack = File::open(store.root().join(PACK)).ok();
+    let mut next_free = lines.iter().filter_map(run_seq).max().map_or(0, |m| m + 1);
+    let mut taken = BTreeSet::new();
+    let mut survivors = Vec::new();
+    for mut line in lines {
+        if bad.contains(line.id()) {
+            if !report.quarantined.iter().any(|q| q == line.id()) {
+                let bytes = pack.as_ref().and_then(|p| line.range().read(p).ok());
+                let name = format!("{:032x}", line.range().digest.0);
+                fs::write(qdir.join(name), bytes.unwrap_or_default()).map_err(io)?;
+                report.quarantined.push(line.id().into());
+            }
+            continue;
         }
-        report.quarantined.push((*run_id).to_string());
-    }
-    // Rewriting the index drops corrupt lines and bad entries in one go,
-    // and renumbers a repeated seq past every seq in use.
-    let (entries, _) = store.scan();
-    let mut next_free = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
-    let mut taken = std::collections::BTreeSet::new();
-    let survivors: String = entries
-        .into_iter()
-        .filter(|e| !bad_runs.contains(e.run_id.as_str()))
-        .map(|mut e| {
+        if let Line::Run(e) = &mut line {
             if !taken.insert(e.seq) {
                 e.seq = next_free;
                 next_free += 1;
             }
-            e.to_json() + "\n"
-        })
-        .collect();
-    fs::write(store.index_path(), survivors)
-        .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
-    // The graph gets the same treatment: the readable bytes of each bad
-    // range are kept as `quarantine/graph-<digest>`, a leftover
-    // `graph/nodes/` tree moves to `quarantine/graph-nodes`, and the graph
-    // index is rewritten to its survivors. The pack is never compacted.
-    let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
-    if groot.is_dir() && report.issues.iter().any(|i| i.kind.is_graph()) {
-        let bad_nodes: std::collections::BTreeSet<&str> = report
-            .issues
-            .iter()
-            .filter(|i| {
-                matches!(i.kind, IssueKind::MissingGraphNode | IssueKind::GraphDigestMismatch)
-            })
-            .map(|i| i.subject.as_str())
-            .collect();
-        let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
-        let pack = fs::File::open(groot.join(graph::ArtifactGraph::PACK)).ok();
-        let (bad, good): (Vec<_>, Vec<_>) =
-            entries.iter().partition(|e| bad_nodes.contains(e.digest.as_str()));
-        for entry in bad {
-            let short = entry.digest.trim_start_matches("fex256:");
-            let evidence = qdir.join(format!("graph-{short}"));
-            fs::write(&evidence, range_bytes(pack.as_ref(), entry)).map_err(|e| {
-                FexError::Data(format!("cannot quarantine `{}`: {e}", evidence.display()))
-            })?;
-            report.quarantined.push(entry.digest.clone());
         }
-        let nodes = groot.join("nodes");
-        if nodes.exists() {
-            fs::rename(&nodes, qdir.join("graph-nodes")).map_err(|e| {
-                FexError::Data(format!("cannot quarantine `{}`: {e}", nodes.display()))
-            })?;
-            report.quarantined.push("graph/nodes".into());
-        }
-        let survivors: String = good.iter().map(|e| e.to_json() + "\n").collect();
-        fs::write(groot.join("index.json"), survivors)
-            .map_err(|e| FexError::Data(format!("graph index write failed: {e}")))?;
+        survivors.push(line);
     }
+    super::rewrite(store.root(), survivors)
+        .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
     Ok(report)
+}
+
+fn run_seq(line: &Line) -> Option<u64> {
+    match line {
+        Line::Run(e) => Some(e.seq),
+        Line::Unit(_) => None,
+    }
 }
 
 // ---------------------------------------------------------------------
 // Disk fault injection
 // ---------------------------------------------------------------------
 
-/// A deterministic store corruption, for tests and the fuzz recovery
-/// oracle. Each variant is one realistic failure shape; [`inject`]
-/// applies it to the newest run.
+/// A deterministic lab corruption, for tests and the fuzz recovery
+/// oracle. Each variant is one realistic failure shape, applied to the
+/// newest write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Corruption {
-    /// Tear the final index append mid-record (crash during `save`).
+    /// Tear the final index append mid-line (crash during a write).
     TruncatedIndex,
     /// Append a non-JSON line to the index (editor/merge damage).
     GarbageIndexLine,
-    /// Delete the newest run's `results.csv`.
-    MissingResultsCsv,
-    /// Delete the newest run's whole artifact directory.
-    MissingRunDir,
-    /// Tear the newest run's `record.json` in half (partial write).
-    TornRecord,
-    /// Delete the newest journaled run's `metrics.json`.
-    MissingMetrics,
-    /// Append the newest index line a second time, seq included (two
+    /// Cut the pack inside its newest range (crash, lost tail).
+    TornPack,
+    /// Flip one byte inside the newest range (silent edit).
+    FlippedPackByte,
+    /// Append the newest run line a second time, seq included (two
     /// identical runs saved without the lab lock).
     DuplicateSeq,
 }
@@ -425,13 +291,11 @@ pub enum Corruption {
 impl Corruption {
     /// Every injectable corruption, in a stable order (the fuzzer indexes
     /// into this with its seeded dice).
-    pub const ALL: [Corruption; 7] = [
+    pub const ALL: [Corruption; 5] = [
         Corruption::TruncatedIndex,
         Corruption::GarbageIndexLine,
-        Corruption::MissingResultsCsv,
-        Corruption::MissingRunDir,
-        Corruption::TornRecord,
-        Corruption::MissingMetrics,
+        Corruption::TornPack,
+        Corruption::FlippedPackByte,
         Corruption::DuplicateSeq,
     ];
 }
@@ -441,145 +305,52 @@ impl fmt::Display for Corruption {
         f.write_str(match self {
             Corruption::TruncatedIndex => "truncated-index",
             Corruption::GarbageIndexLine => "garbage-index-line",
-            Corruption::MissingResultsCsv => "missing-results-csv",
-            Corruption::MissingRunDir => "missing-run-dir",
-            Corruption::TornRecord => "torn-record",
-            Corruption::MissingMetrics => "missing-metrics",
+            Corruption::TornPack => "torn-pack",
+            Corruption::FlippedPackByte => "flipped-pack-byte",
             Corruption::DuplicateSeq => "duplicate-seq",
         })
     }
 }
 
-/// Applies `corruption` to the newest run of `store`.
+/// Applies `corruption` to the newest write of `store`'s lab.
 ///
 /// # Errors
 ///
-/// [`FexError::Data`] when the store is empty or the filesystem refuses.
+/// [`FexError::Data`] when the lab holds no line to damage (no run, for
+/// [`Corruption::DuplicateSeq`]) or the filesystem refuses.
 pub fn inject(store: &RunStore, corruption: Corruption) -> Result<()> {
-    let latest = store.resolve("latest")?;
-    let dir = store.run_dir(&latest.run_id);
+    let (index, pack) = (store.root().join(INDEX), store.root().join(PACK));
     let io = |e: std::io::Error| FexError::Data(format!("fault injection failed: {e}"));
+    let (lines, _) = super::scan(store.root());
+    let newest = lines.iter().map(Line::range).max_by_key(|r| r.offset);
+    let middle = newest.map_or(0, |r| r.offset + r.len / 2);
     match corruption {
         Corruption::TruncatedIndex => {
-            let index = fs::read_to_string(store.index_path()).map_err(io)?;
-            let torn = index.len().saturating_sub(9);
-            fs::write(store.index_path(), &index[..torn]).map_err(io)?;
+            let text = fs::read_to_string(&index).map_err(io)?;
+            fs::write(&index, &text[..text.len().saturating_sub(9)]).map_err(io)?;
         }
         Corruption::GarbageIndexLine => {
-            let mut index = fs::read_to_string(store.index_path()).map_err(io)?;
-            index.push_str("{\"run_id\": 42, definitely not an index line\n");
-            fs::write(store.index_path(), index).map_err(io)?;
+            let mut text = fs::read_to_string(&index).map_err(io)?;
+            text.push_str("{\"run_id\": 42, definitely not an index line\n");
+            fs::write(&index, text).map_err(io)?;
         }
-        Corruption::MissingResultsCsv => {
-            fs::remove_file(dir.join("results.csv")).map_err(io)?;
+        Corruption::TornPack => {
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&pack)
+                .map_err(io)?
+                .set_len(middle)
+                .map_err(io)?;
         }
-        Corruption::MissingRunDir => {
-            fs::remove_dir_all(&dir).map_err(io)?;
-        }
-        Corruption::TornRecord => {
-            let record = fs::read_to_string(dir.join("record.json")).map_err(io)?;
-            fs::write(dir.join("record.json"), &record[..record.len() / 2]).map_err(io)?;
-        }
-        Corruption::MissingMetrics => {
-            fs::remove_file(dir.join("metrics.json")).map_err(io)?;
+        Corruption::FlippedPackByte => {
+            let mut bytes = fs::read(&pack).map_err(io)?;
+            let byte = usize::try_from(middle).ok().and_then(|at| bytes.get_mut(at));
+            *byte.ok_or_else(|| FexError::Data("the newest range is not in the pack".into()))? ^= 1;
+            fs::write(&pack, bytes).map_err(io)?;
         }
         Corruption::DuplicateSeq => {
-            super::append_index_line(&store.index_path(), &latest.to_json()).map_err(io)?;
-        }
-    }
-    Ok(())
-}
-
-/// A deterministic artifact-graph corruption. Kept separate from
-/// [`Corruption`]: the fuzz `recovery` oracle's seeded dice pick from
-/// [`Corruption::ALL`] by position, so that array only ever grows at its
-/// end, and only by store damage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphCorruption {
-    /// Tear the final graph index append mid-record.
-    TruncatedGraphIndex,
-    /// Append a non-JSON line to the graph index.
-    GarbageGraphIndexLine,
-    /// Truncate the pack inside the newest node's payload range.
-    MissingNodePayload,
-    /// Flip one byte inside the newest node's payload range (silent
-    /// edit).
-    EditedNodePayload,
-    /// Plant a leftover `graph/nodes/` tree from before the pack layout.
-    OrphanNodeDir,
-}
-
-impl GraphCorruption {
-    /// Every injectable graph corruption, in a stable order.
-    pub const ALL: [GraphCorruption; 5] = [
-        GraphCorruption::TruncatedGraphIndex,
-        GraphCorruption::GarbageGraphIndexLine,
-        GraphCorruption::MissingNodePayload,
-        GraphCorruption::EditedNodePayload,
-        GraphCorruption::OrphanNodeDir,
-    ];
-}
-
-impl fmt::Display for GraphCorruption {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            GraphCorruption::TruncatedGraphIndex => "truncated-graph-index",
-            GraphCorruption::GarbageGraphIndexLine => "garbage-graph-index-line",
-            GraphCorruption::MissingNodePayload => "missing-node-payload",
-            GraphCorruption::EditedNodePayload => "edited-node-payload",
-            GraphCorruption::OrphanNodeDir => "orphan-node-dir",
-        })
-    }
-}
-
-/// Applies `corruption` to the newest node of `store`'s artifact graph.
-///
-/// # Errors
-///
-/// [`FexError::Data`] when the graph is missing or empty, or the
-/// filesystem refuses.
-pub fn inject_graph(store: &RunStore, corruption: GraphCorruption) -> Result<()> {
-    let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
-    let index_path = groot.join("index.json");
-    let pack_path = groot.join(graph::ArtifactGraph::PACK);
-    let io = |e: std::io::Error| FexError::Data(format!("graph fault injection failed: {e}"));
-    let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
-    let newest = || {
-        entries
-            .iter()
-            .max_by_key(|e| e.seq)
-            .ok_or_else(|| FexError::Data("the artifact graph is empty".into()))
-    };
-    match corruption {
-        GraphCorruption::TruncatedGraphIndex => {
-            let index = fs::read_to_string(&index_path).map_err(io)?;
-            let torn = index.len().saturating_sub(9);
-            fs::write(&index_path, &index[..torn]).map_err(io)?;
-        }
-        GraphCorruption::GarbageGraphIndexLine => {
-            let mut index = fs::read_to_string(&index_path).map_err(io)?;
-            index.push_str("{\"digest\": 42, definitely not a graph entry\n");
-            fs::write(&index_path, index).map_err(io)?;
-        }
-        GraphCorruption::MissingNodePayload => {
-            let entry = newest()?;
-            let pack = fs::OpenOptions::new().write(true).open(&pack_path).map_err(io)?;
-            pack.set_len(entry.offset + entry.len / 2).map_err(io)?;
-        }
-        GraphCorruption::EditedNodePayload => {
-            let entry = newest()?;
-            let mut pack = fs::read(&pack_path).map_err(io)?;
-            let at = usize::try_from(entry.offset + entry.len / 2)
-                .ok()
-                .filter(|&at| at < pack.len())
-                .ok_or_else(|| FexError::Data("the newest payload is not in the pack".into()))?;
-            pack[at] ^= 1;
-            fs::write(&pack_path, pack).map_err(io)?;
-        }
-        GraphCorruption::OrphanNodeDir => {
-            let dir = groot.join("nodes").join("00000000000000000000000000000bad");
-            fs::create_dir_all(&dir).map_err(io)?;
-            fs::write(dir.join("payload.json"), "{\"node\":\"stray\"}\n").map_err(io)?;
+            let latest = store.resolve("latest")?;
+            super::append_index_line(store.root(), &latest.to_json()).map_err(io)?;
         }
     }
     Ok(())
@@ -589,7 +360,8 @@ pub fn inject_graph(store: &RunStore, corruption: GraphCorruption) -> Result<()>
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
-    use crate::lab::RunArtifacts;
+    use crate::graph;
+    use crate::lab::{IndexEntry, PackRange, RunArtifacts};
     use fex_suites::InputSize;
 
     fn temp_store(tag: &str) -> RunStore {
@@ -612,6 +384,21 @@ mod tests {
         store
     }
 
+    /// The kind `check` must report for each injected corruption.
+    fn expected(corruption: Corruption) -> IssueKind {
+        match corruption {
+            Corruption::TruncatedIndex => IssueKind::CorruptIndexLine,
+            Corruption::GarbageIndexLine => IssueKind::CorruptIndexLine,
+            Corruption::TornPack => IssueKind::RangePastEnd,
+            Corruption::FlippedPackByte => IssueKind::DigestMismatch,
+            Corruption::DuplicateSeq => IssueKind::DuplicateSeq,
+        }
+    }
+
+    fn kinds(report: &FsckReport) -> Vec<IssueKind> {
+        report.issues.iter().map(|i| i.kind).collect()
+    }
+
     #[test]
     fn clean_store_passes() {
         let store = populated("clean");
@@ -628,19 +415,10 @@ mod tests {
             let store = populated(&format!("inject-{corruption}"));
             inject(&store, corruption).unwrap();
             let report = check(&store);
-            assert!(!report.clean(), "{corruption} went undetected");
-            let expected = match corruption {
-                Corruption::TruncatedIndex => IssueKind::CorruptIndexLine,
-                Corruption::GarbageIndexLine => IssueKind::CorruptIndexLine,
-                Corruption::MissingResultsCsv => IssueKind::MissingArtifact,
-                Corruption::MissingRunDir => IssueKind::MissingRunDir,
-                Corruption::TornRecord => IssueKind::CorruptRecord,
-                Corruption::MissingMetrics => IssueKind::MissingArtifact,
-                Corruption::DuplicateSeq => IssueKind::DuplicateSeq,
-            };
+            let want = expected(corruption);
             assert!(
-                report.issues.iter().any(|i| i.kind == expected),
-                "{corruption}: wanted {expected}, got {}",
+                kinds(&report).contains(&want),
+                "{corruption}: wanted {want}, got {}",
                 report.render()
             );
             let _ = fs::remove_dir_all(store.root());
@@ -651,29 +429,71 @@ mod tests {
     fn edited_artifacts_fail_the_digest_check() {
         let store = populated("digest");
         let latest = store.resolve("latest").unwrap();
-        let path = store.run_dir(&latest.run_id).join("results.csv");
-        fs::write(&path, "h\n2\n# tampered\n").unwrap();
+        // Append a row to the stored results CSV and re-digest the range,
+        // as an editor that knew the pack format would: the CSVs then no
+        // longer hash to the run id and the counts no longer match.
+        let pack_path = store.root().join(PACK);
+        let mut pack = fs::read(&pack_path).unwrap();
+        let at = (latest.range.offset + latest.results_len) as usize;
+        pack.splice(at..at, b"3\n".iter().copied());
+        fs::write(&pack_path, &pack).unwrap();
+        let start = latest.range.offset as usize;
+        let blob = &pack[start..start + latest.range.len as usize + 2];
+        let edited = IndexEntry {
+            range: PackRange {
+                len: latest.range.len + 2,
+                digest: fex_container::digest_bytes(blob),
+                ..latest.range
+            },
+            results_len: latest.results_len + 2,
+            ..latest.clone()
+        };
+        let index = fs::read_to_string(store.index_path()).unwrap();
+        fs::write(store.index_path(), index.replace(&latest.to_json(), &edited.to_json())).unwrap();
         let report = check(&store);
-        let kinds: Vec<IssueKind> = report.issues.iter().map(|i| i.kind).collect();
-        assert!(kinds.contains(&IssueKind::DigestMismatch), "{}", report.render());
-        assert!(kinds.contains(&IssueKind::CountMismatch), "{}", report.render());
+        assert_eq!(
+            kinds(&report),
+            [IssueKind::DigestMismatch, IssueKind::CountMismatch],
+            "{}",
+            report.render()
+        );
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn quarantine_restores_a_clean_store() {
         let store = populated("quarantine");
-        inject(&store, Corruption::MissingResultsCsv).unwrap();
+        inject(&store, Corruption::FlippedPackByte).unwrap();
+        let victim = store.resolve("latest").unwrap();
         let report = fsck(&store, true).unwrap();
         assert!(!report.clean());
-        assert_eq!(report.quarantined.len(), 1);
-        // The quarantined run's remains are preserved, not deleted.
-        let short = report.quarantined[0].trim_start_matches("fex256:");
-        assert!(store.root().join("quarantine").join(short).is_dir());
+        assert_eq!(report.quarantined, std::slice::from_ref(&victim.run_id));
+        // The quarantined run's bytes are preserved, not deleted.
+        let name = format!("{:032x}", victim.range.digest.0);
+        let kept = fs::read(store.root().join("quarantine").join(name)).unwrap();
+        assert_eq!(kept.len() as u64, victim.range.len);
         // And a second pass finds nothing left to complain about.
         let after = check(&store);
         assert!(after.clean(), "{}", after.render());
         assert_eq!(after.entries_checked, 1, "the intact run survived");
+        assert_eq!(store.results_csv(&store.resolve("latest").unwrap()).unwrap(), "h\n1\n");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    /// A run id read from the index never names a file: evidence of a
+    /// forged line whose id walks out of the lab stays in `quarantine/`.
+    #[test]
+    fn quarantine_names_evidence_by_digest_not_by_index_text() {
+        let store = populated("escape");
+        let latest = store.resolve("latest").unwrap();
+        let forged = IndexEntry { run_id: "fex256:../../escaped".into(), seq: 9, ..latest };
+        super::super::append_index_line(store.root(), &forged.to_json()).unwrap();
+        let report = fsck(&store, true).unwrap();
+        assert_eq!(report.quarantined, [forged.run_id]);
+        let parent = store.root().parent().unwrap();
+        assert!(!parent.join("escaped").exists() && !store.root().join("escaped").exists());
+        assert_eq!(fs::read_dir(store.root().join("quarantine")).unwrap().count(), 1);
+        assert!(check(&store).clean());
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -708,49 +528,28 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
-    #[test]
-    fn a_record_from_an_older_lab_passes_fsck() {
-        let store = populated("old-record");
-        let first = store.resolve("prev").unwrap();
-        // Older builds repeated the id's index line in `record.json`, and a
-        // second save of the id could leave a later seq there. Only the
-        // journal digest is read, so such a record is clean.
-        let record = "{\"run_id\": \"fex256:0\", \"seq\": 9, \"experiment\": \"micro\", \
-                      \"key\": \"k\", \"rows\": 1, \"failures\": 0, \
-                      \"journal_digest\": \"fex256:00000000000000000000000000000abc\"}\n";
-        let path = store.run_dir(&first.run_id).join("record.json");
-        fs::write(&path, record).unwrap();
-        let report = fsck(&store, true).unwrap();
-        assert!(report.clean(), "{}", report.render());
-        assert_eq!(fs::read_to_string(&path).unwrap(), record, "fsck leaves the record alone");
-        assert!(store.render_show(&first).unwrap().contains("journal:    fex256:"));
-        fs::remove_file(store.run_dir(&first.run_id).join("metrics.json")).unwrap();
-        let kinds: Vec<IssueKind> = check(&store).issues.iter().map(|i| i.kind).collect();
-        assert_eq!(kinds, vec![IssueKind::MissingArtifact], "its digest still marks it journaled");
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    /// Overwrites byte 5 (inside line 1) of `path` with `0xFF`, so the
-    /// line is no longer UTF-8.
-    fn break_utf8(path: &std::path::Path) {
-        let mut bytes = fs::read(path).unwrap();
-        bytes[5] = 0xFF;
+    /// Overwrites byte 5 of line `n` (1-based) of the lab index with
+    /// `0xFF`, so the line is no longer UTF-8.
+    fn break_utf8(store: &RunStore, n: usize) {
+        let path = store.index_path();
+        let mut bytes = fs::read(&path).unwrap();
+        let start: usize =
+            bytes.split(|&b| b == b'\n').take(n - 1).map(|line| line.len() + 1).sum();
+        bytes[start + 5] = 0xFF;
         fs::write(path, bytes).unwrap();
     }
 
     #[test]
     fn a_non_utf8_index_line_is_reported_with_its_line_number() {
         let store = populated("non-utf8");
-        break_utf8(&store.index_path());
+        break_utf8(&store, 1);
         let report = check(&store);
-        let corrupt: Vec<&FsckIssue> =
-            report.issues.iter().filter(|i| i.kind == IssueKind::CorruptIndexLine).collect();
-        assert_eq!(corrupt.len(), 1, "{}", report.render());
-        assert_eq!(corrupt[0].subject, "index line 1");
-        assert!(corrupt[0].detail.contains("utf-8"), "{}", corrupt[0].detail);
-        // The run the line described is now an orphan; quarantine repairs
-        // both and keeps the intact run.
-        assert!(report.issues.iter().any(|i| i.kind == IssueKind::OrphanRunDir));
+        assert_eq!(report.issues[0].kind, IssueKind::CorruptIndexLine, "{}", report.render());
+        assert_eq!(report.issues[0].subject, "index line 1");
+        assert!(report.issues[0].detail.contains("utf-8"), "{}", report.issues[0].detail);
+        // The run the line described left its blob unnamed; quarantine
+        // drops both and keeps the intact run.
+        assert_eq!(kinds(&report)[1..], [IssueKind::UnreferencedPackBytes], "{}", report.render());
         fsck(&store, true).unwrap();
         let after = check(&store);
         assert!(after.clean(), "{}", after.render());
@@ -761,30 +560,30 @@ mod tests {
     #[test]
     fn a_non_utf8_graph_index_line_is_reported_with_its_line_number() {
         let store = populated_with_graph("graph-non-utf8");
-        break_utf8(&store.root().join(graph::ArtifactGraph::SUBDIR).join("index.json"));
+        break_utf8(&store, 3);
         let report = check(&store);
         let corrupt: Vec<&FsckIssue> =
-            report.issues.iter().filter(|i| i.kind == IssueKind::CorruptGraphIndexLine).collect();
+            report.issues.iter().filter(|i| i.kind == IssueKind::CorruptIndexLine).collect();
         assert_eq!(corrupt.len(), 1, "{}", report.render());
-        assert_eq!(corrupt[0].subject, "graph index line 1");
+        assert_eq!(corrupt[0].subject, "index line 3");
         assert!(corrupt[0].detail.contains("utf-8"), "{}", corrupt[0].detail);
         fsck(&store, true).unwrap();
         let after = check(&store);
         assert!(after.clean(), "{}", after.render());
-        assert_eq!(after.graph_nodes_checked, 2);
+        assert_eq!((after.entries_checked, after.graph_nodes_checked), (2, 2));
         let _ = fs::remove_dir_all(store.root());
     }
 
-    /// A populated store with a small artifact graph beside it: one node
-    /// per kind layer, stored through the real graph API so index lines
-    /// and payload digests are genuine.
+    /// A populated store with a small artifact graph beside it, stored
+    /// through the real graph API so unit lines and payload digests are
+    /// genuine; the newest write is a unit.
     fn populated_with_graph(tag: &str) -> RunStore {
         use fex_container::Digest;
         let store = populated(tag);
         let mut g = graph::ArtifactGraph::open(store.root()).unwrap();
-        g.store_node(graph::NodeKind::Source, &Digest(1), "{\"node\":\"source\"}\n").unwrap();
-        g.store_node(graph::NodeKind::Compiled, &Digest(2), "{\"node\":\"compiled\"}\n").unwrap();
-        g.store_node(graph::NodeKind::RunUnit, &Digest(3), "{\"node\":\"run\"}\n").unwrap();
+        g.store_node(graph::NodeKind::Source, &Digest(1), "{\"node\":\"source\"}").unwrap();
+        g.store_node(graph::NodeKind::Compiled, &Digest(2), "{\"node\":\"compiled\"}").unwrap();
+        g.store_node(graph::NodeKind::RunUnit, &Digest(3), "{\"node\":\"run\"}").unwrap();
         store
     }
 
@@ -793,28 +592,23 @@ mod tests {
         let store = populated_with_graph("graph-clean");
         let report = check(&store);
         assert!(report.clean(), "{}", report.render());
-        assert_eq!(report.graph_nodes_checked, 3);
+        assert_eq!((report.entries_checked, report.graph_nodes_checked), (2, 3));
         assert!(report.render().contains("checked 3 graph nodes"));
         let _ = fs::remove_dir_all(store.root());
     }
 
+    /// With a unit as the newest write, the pack corruptions land in a
+    /// unit's payload.
     #[test]
     fn every_injected_graph_corruption_is_detected() {
-        for corruption in GraphCorruption::ALL {
+        for corruption in Corruption::ALL {
             let store = populated_with_graph(&format!("graph-inject-{corruption}"));
-            inject_graph(&store, corruption).unwrap();
+            inject(&store, corruption).unwrap();
             let report = check(&store);
-            assert!(!report.clean(), "{corruption} went undetected");
-            let expected = match corruption {
-                GraphCorruption::TruncatedGraphIndex => IssueKind::CorruptGraphIndexLine,
-                GraphCorruption::GarbageGraphIndexLine => IssueKind::CorruptGraphIndexLine,
-                GraphCorruption::MissingNodePayload => IssueKind::MissingGraphNode,
-                GraphCorruption::EditedNodePayload => IssueKind::GraphDigestMismatch,
-                GraphCorruption::OrphanNodeDir => IssueKind::OrphanGraphNode,
-            };
+            let want = expected(corruption);
             assert!(
-                report.issues.iter().any(|i| i.kind == expected),
-                "{corruption}: wanted {expected}, got {}",
+                kinds(&report).contains(&want),
+                "{corruption}: wanted {want}, got {}",
                 report.render()
             );
             let _ = fs::remove_dir_all(store.root());
@@ -823,16 +617,19 @@ mod tests {
 
     #[test]
     fn graph_quarantine_restores_a_clean_store() {
-        for corruption in GraphCorruption::ALL {
+        for corruption in Corruption::ALL {
             let store = populated_with_graph(&format!("graph-quarantine-{corruption}"));
-            inject_graph(&store, corruption).unwrap();
+            inject(&store, corruption).unwrap();
             let report = fsck(&store, true).unwrap();
             assert!(!report.clean(), "{corruption}");
             let after = check(&store);
             assert!(after.clean(), "{corruption}: {}", after.render());
-            // Graph damage must never quarantine run directories: the two
-            // intact runs survive every graph corruption.
-            assert_eq!(after.entries_checked, 2, "{corruption} touched the run store");
+            // Damage to the newest unit never costs a run: the two intact
+            // runs survive every corruption and read back.
+            assert!(after.entries_checked >= 2, "{corruption} dropped a run");
+            for e in store.list().unwrap() {
+                assert!(store.results_csv(&e).is_ok(), "{corruption}");
+            }
             let _ = fs::remove_dir_all(store.root());
         }
     }
@@ -840,28 +637,37 @@ mod tests {
     #[test]
     fn graph_quarantine_preserves_evidence() {
         let store = populated_with_graph("graph-evidence");
-        inject_graph(&store, GraphCorruption::EditedNodePayload).unwrap();
+        inject(&store, Corruption::FlippedPackByte).unwrap();
         let report = fsck(&store, true).unwrap();
-        assert_eq!(report.quarantined.len(), 1);
-        let short = report.quarantined[0].trim_start_matches("fex256:");
-        let moved = store.root().join("quarantine").join(format!("graph-{short}"));
-        let evidence = fs::read(&moved).expect("edited range kept as evidence");
-        assert_eq!(evidence.len(), "{\"node\":\"run\"}\n".len());
-        assert_ne!(evidence, b"{\"node\":\"run\"}\n", "the evidence is the edited bytes");
+        assert_eq!(report.quarantined, [fex_container::Digest(3).to_string()]);
+        let payload = fex_container::digest_bytes(b"{\"node\":\"run\"}");
+        let name = format!("{:032x}", payload.0);
+        let evidence = fs::read(store.root().join("quarantine").join(name)).unwrap();
+        assert_eq!(evidence.len(), "{\"node\":\"run\"}".len());
+        assert_ne!(evidence, b"{\"node\":\"run\"}", "the evidence is the edited bytes");
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
-    fn quarantine_sweeps_orphan_directories() {
-        let store = populated("orphan");
+    fn quarantine_sweeps_unreferenced_pack_bytes() {
+        let store = populated("unreferenced");
+        let pack_len = fs::metadata(store.root().join(PACK)).unwrap().len();
         inject(&store, Corruption::TruncatedIndex).unwrap();
         let report = check(&store);
-        // The torn entry's directory is now unreferenced.
-        assert!(report.issues.iter().any(|i| i.kind == IssueKind::CorruptIndexLine));
-        assert!(report.issues.iter().any(|i| i.kind == IssueKind::OrphanRunDir));
-        let fixed = fsck(&store, true).unwrap();
-        assert!(!fixed.quarantined.is_empty());
+        // The torn line's blob is now named by no line.
+        assert_eq!(
+            kinds(&report),
+            [IssueKind::CorruptIndexLine, IssueKind::UnreferencedPackBytes],
+            "{}",
+            report.render()
+        );
+        let first = store.resolve("latest").unwrap();
+        let tail = format!("pack bytes {}..{pack_len}", first.range.len + 1);
+        assert_eq!(report.issues[1].subject, tail);
+        fsck(&store, true).unwrap();
         assert!(check(&store).clean());
+        let left = fs::metadata(store.root().join(PACK)).unwrap().len();
+        assert_eq!(left, first.range.len + 1, "the torn blob's bytes are gone");
         let _ = fs::remove_dir_all(store.root());
     }
 }

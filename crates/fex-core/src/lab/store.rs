@@ -1,30 +1,26 @@
-//! The on-disk run store.
+//! The run store: the run lines of the lab index and their blobs.
 //!
-//! Layout (everything under the store root, default `.fex-lab/`):
-//!
-//! ```text
-//! .fex-lab/
-//!   index.json                 # one flat JSON object per line, append-only
-//!   runs/<digest>/results.csv  # the collected frame
-//!   runs/<digest>/failures.csv # the failure report
-//!   runs/<digest>/metrics.json # journal metrics roll-up (when journaled)
-//!   runs/<digest>/record.json  # the journal digest; written last, it marks the run complete
-//! ```
+//! A stored run is one line of `<lab>/index.json` naming one range of
+//! `<lab>/pack` (see [`lab`](super)): the results CSV, the failures CSV
+//! and the journal metrics roll-up, back to back. The line carries the
+//! index fields, the journal digest, and the range's offset, length and
+//! digest with the lengths of the two CSVs.
 //!
 //! Runs are **content addressed**: the run id is a digest over the
 //! experiment key (name, build matrix, benchmark filter, thread sweep,
 //! repetition policy, input, seed, tool, debug) *and* the result bytes, so
 //! re-running a deterministic configuration produces the same id. The
-//! index is append-only with a monotonic `seq` per line — no wall-clock
-//! timestamps, so stored artifacts stay byte-reproducible. Duplicate run
-//! ids are allowed (two identical runs are two index lines), which is
-//! exactly what a "compare the same commit twice, expect unchanged" CI
-//! smoke test needs. Like an artifact-graph node, a run directory is
-//! written once: the first save of an id writes it, and a later save of
-//! the same id appends only its index line, so `record.json` keeps the
-//! first save's journal digest and `metrics.json` its roll-up. Every
-//! write goes through a [`Lab`](super::Lab), which holds the lab lock.
+//! index is append-only with a monotonic `seq` per run line — no
+//! wall-clock timestamps, so stored artifacts stay byte-reproducible.
+//! Duplicate run ids are allowed (two identical runs are two index
+//! lines), which is exactly what a "compare the same commit twice, expect
+//! unchanged" CI smoke test needs. Like an artifact-graph node, a run's
+//! blob is written once: the first save of an id appends it, and a later
+//! save of the same id appends only its run line, which names the first
+//! save's blob and journal digest. Every write goes through a
+//! [`Lab`](super::Lab), which holds the lab lock.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,6 +30,8 @@ use fex_container::DigestBuilder;
 use crate::config::ExperimentConfig;
 use crate::error::{FexError, Result};
 use crate::journal::{self, Json, JsonLine};
+
+use super::{Line, PackRange};
 
 /// Artifacts of one completed experiment, borrowed from the workflow.
 #[derive(Debug, Clone, Copy)]
@@ -48,10 +46,10 @@ pub struct RunArtifacts<'a> {
     pub journal_digest: Option<&'a str>,
 }
 
-/// One line of the store index.
+/// One run line of the lab index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexEntry {
-    /// Monotonic sequence number (insertion order).
+    /// Monotonic sequence number (insertion order among run lines).
     pub seq: u64,
     /// Content-addressed run id (`fex256:…`).
     pub run_id: String,
@@ -63,6 +61,15 @@ pub struct IndexEntry {
     pub rows: usize,
     /// Records in the stored failure report.
     pub failures: usize,
+    /// Digest of the run's journal stream; empty when journaling was off.
+    pub journal_digest: String,
+    /// The run's blob in the pack: results CSV, failures CSV, metrics.
+    pub range: PackRange,
+    /// Bytes of the results CSV at the blob's start.
+    pub results_len: u64,
+    /// Bytes of the failures CSV after it; the metrics roll-up, when
+    /// stored, is the rest of the blob.
+    pub failures_len: u64,
 }
 
 impl IndexEntry {
@@ -72,21 +79,39 @@ impl IndexEntry {
             .str("experiment", &self.experiment)
             .str("key", &self.key)
             .field("rows", &self.rows)
-            .field("failures", &self.failures);
+            .field("failures", &self.failures)
+            .str("journal_digest", &self.journal_digest);
+        self.range.write(&mut w);
+        w.field("results_len", &self.results_len).field("failures_len", &self.failures_len);
         w.finish()
     }
 
-    pub(crate) fn parse(line: &str) -> Result<IndexEntry> {
-        let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt store index: {i}"));
-        let map = journal::parse_flat_object(line).map_err(bad)?;
+    pub(crate) fn parse(
+        map: &BTreeMap<String, Json>,
+        range: PackRange,
+    ) -> std::result::Result<IndexEntry, journal::ParseIssue> {
         Ok(IndexEntry {
-            seq: journal::get(&map, "seq").map_err(bad)?,
-            run_id: journal::get(&map, "run_id").map_err(bad)?,
-            experiment: journal::get(&map, "experiment").map_err(bad)?,
-            key: journal::get(&map, "key").map_err(bad)?,
-            rows: journal::get(&map, "rows").map_err(bad)?,
-            failures: journal::get(&map, "failures").map_err(bad)?,
+            seq: journal::get(map, "seq")?,
+            run_id: journal::get(map, "run_id")?,
+            experiment: journal::get(map, "experiment")?,
+            key: journal::get(map, "key")?,
+            rows: journal::get(map, "rows")?,
+            failures: journal::get(map, "failures")?,
+            journal_digest: journal::get(map, "journal_digest")?,
+            range,
+            results_len: journal::get(map, "results_len")?,
+            failures_len: journal::get(map, "failures_len")?,
         })
+    }
+
+    /// Splits the run's blob into its results CSV, failures CSV and
+    /// metrics roll-up (empty when none was stored). `None` when the
+    /// lengths do not fit the bytes or a part is not UTF-8.
+    pub(crate) fn split<'b>(&self, blob: &'b [u8]) -> Option<(&'b str, &'b str, &'b str)> {
+        let results = usize::try_from(self.results_len).ok()?;
+        let failures = results.checked_add(usize::try_from(self.failures_len).ok()?)?;
+        let text = |r: std::ops::Range<usize>| std::str::from_utf8(blob.get(r)?).ok();
+        Some((text(0..results)?, text(results..failures)?, text(failures..blob.len())?))
     }
 }
 
@@ -101,13 +126,16 @@ impl RunStore {
     pub const DEFAULT_DIR: &'static str = ".fex-lab";
 
     /// Opens the store rooted at `dir`. Nothing is created: the first
-    /// save creates the directory, `index.json` and `runs/`.
+    /// save creates the directory, `index.json` and `pack`.
     ///
     /// # Errors
     ///
-    /// Kept for API stability; opening reads nothing and never fails.
+    /// [`FexError::Data`] when `dir` holds the layout of an older fex
+    /// (`runs/` or `graph/`).
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
-        Ok(RunStore { root: dir.into() })
+        let root = dir.into();
+        super::refuse_old_layout(&root)?;
+        Ok(RunStore { root })
     }
 
     /// The store's root directory.
@@ -140,8 +168,8 @@ impl RunStore {
     }
 
     /// The run id recomputed from its stored parts: the experiment key
-    /// (as archived in the index) and the artifact bytes. `fex lab fsck`
-    /// uses this to detect silently-edited artifacts.
+    /// (as archived in the index) and the CSV bytes. `fex lab fsck` uses
+    /// this to detect a run line that no longer matches its blob.
     pub fn run_id_from_parts(key: &str, results_csv: &str, failures_csv: &str) -> String {
         let mut d = DigestBuilder::new();
         d.update_str(key).update_str(results_csv).update_str(failures_csv);
@@ -177,7 +205,15 @@ impl RunStore {
     /// the journal reader. A store whose last append was torn by a crash
     /// stays listable, resolvable and appendable.
     pub fn scan(&self) -> (Vec<IndexEntry>, Vec<String>) {
-        super::scan_index(&self.index_path(), "index", IndexEntry::parse)
+        let (lines, warnings) = super::scan(&self.root);
+        let runs = lines
+            .into_iter()
+            .filter_map(|line| match line {
+                Line::Run(e) => Some(e),
+                Line::Unit(_) => None,
+            })
+            .collect();
+        (runs, warnings)
     }
 
     /// Resolves a selector to an index entry: `latest` (newest entry),
@@ -228,53 +264,76 @@ impl RunStore {
     ///
     /// # Errors
     ///
-    /// [`FexError::Data`] naming the corrupt run when the artifact is
-    /// missing or unreadable (`fex lab fsck` finds and quarantines such
-    /// runs).
+    /// [`FexError::Data`] naming the corrupt run when its blob is not in
+    /// the pack whole or no longer hashes to its digest (`fex lab fsck`
+    /// finds and quarantines such runs).
     pub fn results_csv(&self, entry: &IndexEntry) -> Result<String> {
-        let path = self.run_dir(&entry.run_id).join("results.csv");
-        fs::read_to_string(&path).map_err(|e| {
+        let blob = self.blob(entry);
+        let results = blob.as_deref().and_then(|b| entry.split(b)).map(|(r, _, _)| r.to_string());
+        results.ok_or_else(|| {
             FexError::Data(format!(
-                "run {} is corrupt: cannot read `{}`: {e}; try `fex lab fsck`",
+                "run {} is corrupt: its blob at offset {} of `{}` is missing or damaged; \
+                 try `fex lab fsck`",
                 entry.run_id,
-                path.display()
+                entry.range.offset,
+                self.root.join(super::PACK).display()
             ))
         })
     }
 
+    /// The stored metrics roll-up of an entry, when the run was journaled
+    /// and its blob is intact.
+    pub fn metrics_json(&self, entry: &IndexEntry) -> Option<String> {
+        let blob = self.blob(entry)?;
+        let (_, _, metrics) = entry.split(&blob)?;
+        (!metrics.is_empty()).then(|| metrics.to_string())
+    }
+
+    /// An entry's blob, when the pack holds it whole and it still hashes
+    /// to its digest.
+    fn blob(&self, entry: &IndexEntry) -> Option<Vec<u8>> {
+        entry.range.read_verified(&super::open_pack(&self.root, false).ok()?)
+    }
+
+    /// The 1-based line of `entry`'s run line in the lab index (`fex
+    /// diag` findings point at it); 1 when no line matches.
+    pub fn index_line(&self, entry: &IndexEntry) -> usize {
+        let text = fs::read(self.index_path()).unwrap_or_default();
+        let wanted = entry.to_json();
+        text.split(|&b| b == b'\n').position(|line| line == wanted.as_bytes()).map_or(1, |i| i + 1)
+    }
+
     /// Garbage-collects the store under the lab lock: per experiment key,
-    /// keeps the newest `keep` entries and deletes the rest (index lines
-    /// and, when no surviving entry references them, artifact
-    /// directories). Returns the number of index entries removed.
+    /// keeps the newest `keep` run lines and drops the rest, then
+    /// rewrites the lab so the pack keeps only the blobs and payloads
+    /// that surviving lines name. Returns the number of run lines
+    /// removed.
     ///
     /// # Errors
     ///
-    /// [`FexError::Data`] on filesystem failures or a corrupt index.
+    /// [`FexError::Data`] on filesystem failures.
     pub fn gc(&self, keep: usize) -> Result<usize> {
         let _lab = super::Lab::open(&self.root, false)?;
-        let entries = self.list()?;
-        let mut kept: Vec<&IndexEntry> = Vec::new();
+        let (lines, _) = super::scan(&self.root);
+        let before = lines.len();
         // Walk newest-first so "the newest `keep` per key" is a simple
-        // counter; then restore insertion order.
-        let mut seen: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-        for e in entries.iter().rev() {
-            let n = seen.entry(e.key.as_str()).or_insert(0);
-            if *n < keep {
-                kept.push(e);
-                *n += 1;
-            }
-        }
+        // counter; then restore file order.
+        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+        let mut kept: Vec<Line> = lines
+            .into_iter()
+            .rev()
+            .filter(|line| match line {
+                Line::Run(e) => {
+                    let n = seen.entry(e.key.clone()).or_insert(0);
+                    *n += 1;
+                    *n <= keep
+                }
+                Line::Unit(_) => true,
+            })
+            .collect();
+        let removed = before - kept.len();
         kept.reverse();
-        let removed = entries.len() - kept.len();
-        let live: std::collections::BTreeSet<&str> =
-            kept.iter().map(|e| e.run_id.as_str()).collect();
-        for e in &entries {
-            if !live.contains(e.run_id.as_str()) {
-                let _ = fs::remove_dir_all(self.run_dir(&e.run_id));
-            }
-        }
-        let index: String = kept.iter().map(|e| e.to_json() + "\n").collect();
-        fs::write(self.index_path(), index)
+        super::rewrite(&self.root, kept)
             .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
         Ok(removed)
     }
@@ -337,25 +396,15 @@ impl RunStore {
         let _ = writeln!(s, "key:        {}", entry.key);
         let _ = writeln!(s, "rows:       {}", entry.rows);
         let _ = writeln!(s, "failures:   {}", entry.failures);
-        let record = self.run_dir(&entry.run_id).join("record.json");
-        if let Ok(text) = fs::read_to_string(&record) {
-            if let Ok(map) = journal::parse_flat_object(text.trim()) {
-                if let Some(Json::Str(d)) = map.get("journal_digest") {
-                    if !d.is_empty() {
-                        let _ = writeln!(s, "journal:    {d}");
-                    }
-                }
-            }
+        if !entry.journal_digest.is_empty() {
+            let _ = writeln!(s, "journal:    {}", entry.journal_digest);
         }
         Ok(s)
     }
 
-    pub(crate) fn index_path(&self) -> PathBuf {
-        self.root.join("index.json")
-    }
-
-    pub(crate) fn run_dir(&self, run_id: &str) -> PathBuf {
-        self.root.join("runs").join(run_id.trim_start_matches("fex256:"))
+    /// The lab index the run lines live in.
+    pub fn index_path(&self) -> PathBuf {
+        self.root.join(super::INDEX)
     }
 }
 
@@ -406,18 +455,42 @@ mod tests {
         let store = temp_store("dup");
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
         let a = store.save(&cfg, &art("h\n1\n")).unwrap();
-        let rerun = RunArtifacts { metrics_json: Some("{\"rerun\": 1}"), ..art("h\n1\n") };
+        let rerun = RunArtifacts {
+            metrics_json: Some("{\"rerun\": 1}"),
+            journal_digest: Some("fex256:def"),
+            ..art("h\n1\n")
+        };
         let b = store.save(&cfg, &rerun).unwrap();
         assert_eq!(a.run_id, b.run_id);
         assert_eq!(store.list().unwrap().len(), 2);
         // A shared id resolves to the duplicate, not an ambiguity error.
         assert_eq!(store.resolve(&a.run_id).unwrap().run_id, a.run_id);
-        // The first save wrote the run directory; the rerun only appended
-        // its index line. The record holds the journal digest alone.
-        let dir = store.run_dir(&a.run_id);
-        assert_eq!(fs::read_to_string(dir.join("metrics.json")).unwrap(), "{}");
-        let record = fs::read_to_string(dir.join("record.json")).unwrap();
-        assert_eq!(record, "{\"journal_digest\": \"fex256:00000000000000000000000000000abc\"}\n");
+        // The first save wrote the blob; the rerun only appended its index
+        // line, which names the first blob and journal digest.
+        assert_eq!(b, IndexEntry { seq: 1, ..a.clone() });
+        assert_eq!(store.metrics_json(&b).unwrap(), "{}");
+        assert!(store.render_show(&b).unwrap().contains("fex256:00000000000000000000000000000abc"));
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    /// One save is one pack append (the blob and its newline) followed by
+    /// one index append (the run line); a re-save appends its line only.
+    #[test]
+    fn a_save_is_one_pack_append_then_one_index_append() {
+        let store = temp_store("appends");
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        store.save(&cfg.clone().seed(1), &art("h\n0\n")).unwrap();
+        let read = |name: &str| fs::read(store.root().join(name)).unwrap();
+        let (pack, index) = (read("pack"), read("index.json"));
+        let a = store.save(&cfg, &art("h\n1\n")).unwrap();
+        let blob = "h\n1\nbenchmark,type,threads,rep,error,attempts,outcome\n{}\n";
+        assert_eq!(read("pack"), [&pack[..], blob.as_bytes()].concat());
+        assert_eq!(a.range.offset, pack.len() as u64);
+        assert_eq!(read("index.json"), [&index[..], (a.to_json() + "\n").as_bytes()].concat());
+        let (pack, index) = (read("pack"), read("index.json"));
+        let b = store.save(&cfg, &art("h\n1\n")).unwrap();
+        assert_eq!(read("pack"), pack, "a re-save appends no blob");
+        assert_eq!(read("index.json"), [&index[..], (b.to_json() + "\n").as_bytes()].concat());
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -442,17 +515,21 @@ mod tests {
 
     #[test]
     fn gc_keeps_the_record_of_an_id_whose_first_line_goes() {
-        let store = temp_store("gc-record");
+        let store = temp_store("gc-blob");
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        store.save(&cfg.clone().seed(5), &art("h\n0\n")).unwrap();
         store.save(&cfg, &art("h\n1\n")).unwrap();
         let newest = store.save(&cfg, &art("h\n1\n")).unwrap();
         assert_eq!(store.gc(1).unwrap(), 1);
-        assert_eq!(store.list().unwrap(), vec![newest.clone()]);
-        let record = fs::read_to_string(store.run_dir(&newest.run_id).join("record.json")).unwrap();
-        assert!(
-            record.contains("00000000000000000000000000000abc"),
-            "journal digest kept: {record}"
-        );
+        let left = store.list().unwrap();
+        assert_eq!(left.len(), 2);
+        let moved = &left[1];
+        assert_eq!(moved.run_id, newest.run_id);
+        assert_eq!(moved.journal_digest, "fex256:00000000000000000000000000000abc");
+        assert_eq!(store.results_csv(moved).unwrap(), "h\n1\n");
+        assert_eq!(store.metrics_json(moved).unwrap(), "{}");
+        let pack = fs::metadata(store.root().join("pack")).unwrap().len();
+        assert_eq!(pack, left.iter().map(|e| e.range.len + 1).sum::<u64>(), "gc freed the blob");
         assert!(super::super::fsck::check(&store).clean());
         let _ = fs::remove_dir_all(store.root());
     }
@@ -528,13 +605,15 @@ mod tests {
 
     #[test]
     fn missing_artifact_error_names_the_run() {
-        let store = temp_store("missing-artifact");
+        let store = temp_store("torn-blob");
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
         let a = store.save(&cfg, &art("h\n1\n")).unwrap();
-        fs::remove_file(store.run_dir(&a.run_id).join("results.csv")).unwrap();
+        let pack = fs::OpenOptions::new().write(true).open(store.root().join("pack")).unwrap();
+        pack.set_len(a.range.len / 2).unwrap();
         let err = store.results_csv(&a).unwrap_err().to_string();
         assert!(err.contains(&a.run_id), "{err}");
         assert!(err.contains("fsck"), "{err}");
+        assert_eq!(store.metrics_json(&a), None);
         let _ = fs::remove_dir_all(store.root());
     }
 

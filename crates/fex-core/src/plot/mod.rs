@@ -151,7 +151,8 @@ impl Plot {
 ///
 /// # Errors
 ///
-/// [`FexError::Data`] for unknown columns or an empty frame.
+/// [`FexError::Data`] for unknown columns, an empty frame, or a bar
+/// height that is negative or not finite.
 pub fn barplot_from_frame(
     df: &DataFrame,
     category_col: &str,
@@ -175,11 +176,35 @@ pub fn barplot_from_frame(
         for cat in &categories {
             let cell = agg.filter_eq(category_col, cat)?.filter_eq(series_col, sname)?;
             let v = cell.iter().next().and_then(|r| r[2].as_num()).unwrap_or(0.0);
-            values.push(v);
+            values.push(bar_height(v, cat, sname)?);
         }
         plot.series.push(Series::bars(sname.clone(), values));
     }
     Ok(plot)
+}
+
+/// Refuses a frame whose `col` holds a cell no bar can show — a negative
+/// number, NaN or ±inf — naming the column and the row.
+pub(crate) fn check_bar_cells(df: &DataFrame, col: &str) -> Result<()> {
+    let ci = df.col(col)?;
+    let drawable = |v: f64| v.is_finite() && v >= 0.0;
+    match df.iter().map(|r| &r[ci]).enumerate().find(|(_, c)| !c.as_num().is_none_or(drawable)) {
+        Some((row, cell)) => Err(FexError::Data(format!(
+            "column `{col}`, row {}: `{cell}` cannot be drawn as a bar",
+            row + 1
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// A bar's height, refused when negative or not finite (a mean or ratio
+/// of huge cells can overflow).
+pub(crate) fn bar_height(v: f64, category: &str, series: &str) -> Result<f64> {
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(FexError::Data(format!("the `{series}` bar of `{category}` has height `{v}`")))
+    }
 }
 
 /// The x coordinate of a line plot's cell: its number, or a string cell
@@ -236,8 +261,9 @@ pub fn lineplot_from_frame(
 ///
 /// # Errors
 ///
-/// [`FexError::Data`] if columns are missing or the baseline has no value
-/// for some category.
+/// [`FexError::Data`] if columns are missing, a `value_col` cell cannot
+/// be drawn as a bar (see [`barplot_from_frame`]), or the baseline has no
+/// value for some category.
 pub fn normalize_against(
     df: &DataFrame,
     category_col: &str,
@@ -245,6 +271,7 @@ pub fn normalize_against(
     value_col: &str,
     baseline: &str,
 ) -> Result<DataFrame> {
+    check_bar_cells(df, value_col)?;
     let agg = df.group_agg(&[category_col, series_col], value_col, stats::mean)?;
     let base = agg.filter_eq(series_col, baseline)?;
     let mut base_by_cat = std::collections::BTreeMap::new();

@@ -21,7 +21,7 @@
 //!   axis, but *not* the tenant), so identical work from different
 //!   tenants is served from the daemon's store layer without running
 //!   anything, and partially-overlapping work is served per run unit by
-//!   the shared `.fex-lab/graph/` artifact graph. Both layers are
+//!   the lab's shared artifact graph. Both layers are
 //!   journaled per tenant (`serve_stream` carries the hit accounting).
 //! * **Worker pool** — real worker threads drain the queue. Every
 //!   submission runs the full pipeline against one [`Lab`]: the daemon

@@ -23,7 +23,8 @@ use crate::install::{required_scripts, run_script};
 use crate::journal::{JournalEvent, Metrics, JOURNAL_VERSION};
 use crate::lab::Lab;
 use crate::plot::{
-    barplot_from_frame, lineplot_from_frame, normalize_against, Plot, PlotKind, Series,
+    bar_height, barplot_from_frame, check_bar_cells, lineplot_from_frame, normalize_against, Plot,
+    PlotKind, Series,
 };
 use crate::registry::{experiment, ExperimentKind};
 use crate::resilience::FailureReport;
@@ -114,8 +115,12 @@ impl PlotRequest {
                 );
                 plot.categories = df.distinct("benchmark")?;
                 plot.ylabel = "misses".into();
+                let levels = ["l1_misses", "l2_misses", "llc_misses"];
+                for level in levels {
+                    check_bar_cells(df, level)?;
+                }
                 for ty in df.distinct("type")? {
-                    for level in ["l1_misses", "l2_misses", "llc_misses"] {
+                    for level in levels {
                         let sub = df.filter_eq("type", &ty)?;
                         let agg =
                             sub.group_agg(&["benchmark"], level, crate::collect::stats::mean)?;
@@ -127,7 +132,7 @@ impl PlotRequest {
                                 .next()
                                 .and_then(|r| r[1].as_num())
                                 .unwrap_or(0.0);
-                            values.push(v);
+                            values.push(bar_height(v, cat, &format!("{ty}:{level}"))?);
                         }
                         plot.series.push(Series {
                             name: format!("{ty}:{level}"),
@@ -187,12 +192,6 @@ impl Fex {
     /// The container (environment inspection).
     pub fn container(&self) -> &Container {
         &self.container
-    }
-
-    /// The makefile layers (for registering custom build types —
-    /// extension point).
-    pub fn makefiles_mut(&mut self) -> &mut MakefileSet {
-        &mut self.makefiles
     }
 
     /// The experiment log so far.

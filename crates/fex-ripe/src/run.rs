@@ -113,13 +113,6 @@ pub struct TestbedSummary {
     pub outcomes: Vec<(AttackSpec, AttackOutcome)>,
 }
 
-impl TestbedSummary {
-    /// Renders the Table II row for this build.
-    pub fn table_row(&self) -> String {
-        format!("{:<24} {:>10} {:>10}", self.build_info, self.successful, self.failed)
-    }
-}
-
 /// Runs the full attack matrix for one build.
 pub fn run_testbed(opts: &BuildOptions, config: &TestbedConfig) -> TestbedSummary {
     let mut outcomes = Vec::new();

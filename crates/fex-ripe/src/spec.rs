@@ -66,19 +66,6 @@ impl AttackFunction {
     pub fn bounded(self) -> bool {
         matches!(self, AttackFunction::Strncpy | AttackFunction::Snprintf | AttackFunction::Strncat)
     }
-
-    /// Whether the copy stops at NUL bytes (string semantics).
-    pub fn nul_terminated(self) -> bool {
-        matches!(
-            self,
-            AttackFunction::Strcpy
-                | AttackFunction::Sprintf
-                | AttackFunction::Strcat
-                | AttackFunction::Strncpy
-                | AttackFunction::Strncat
-                | AttackFunction::Snprintf
-        )
-    }
 }
 
 /// What the hijacked control flow should do.

@@ -11,7 +11,6 @@
 //!
 //! [`Memory`]: crate::Memory
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A virtual register index, local to one stack frame.
@@ -86,6 +85,38 @@ pub enum BinOp {
     Le,
     Gt,
     Ge,
+}
+
+impl BinOp {
+    /// Evaluates the operation on two integers: wrapping arithmetic,
+    /// shift counts taken modulo 64, comparisons as 0 or 1. `None` for a
+    /// zero divisor, where execution traps
+    /// [`Trap::DivByZero`](crate::Trap::DivByZero). The interpreter and
+    /// the compiler's constant folder both evaluate through this, so a
+    /// folded expression computes what its execution would.
+    #[inline(always)]
+    pub fn eval(self, x: i64, y: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Div if y == 0 => return None,
+            BinOp::Div => x.wrapping_div(y),
+            BinOp::Rem if y == 0 => return None,
+            BinOp::Rem => x.wrapping_rem(y),
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            BinOp::Xor => x ^ y,
+            BinOp::Shl => x.wrapping_shl(y as u32),
+            BinOp::Shr => x.wrapping_shr(y as u32),
+            BinOp::Eq => (x == y) as i64,
+            BinOp::Ne => (x != y) as i64,
+            BinOp::Lt => (x < y) as i64,
+            BinOp::Le => (x <= y) as i64,
+            BinOp::Gt => (x > y) as i64,
+            BinOp::Ge => (x >= y) as i64,
+        })
+    }
 }
 
 /// Floating-point binary operations (operands are f64 bit patterns).
@@ -363,15 +394,6 @@ impl Program {
     /// Looks up a function by name.
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
         self.functions.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
-    }
-
-    /// Map from function name to id (for linkers / test harnesses).
-    pub fn function_table(&self) -> HashMap<&str, FuncId> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), FuncId(i as u32)))
-            .collect()
     }
 
     /// Total static instruction count across all functions.

@@ -192,11 +192,6 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(INVALID_WAY);
     }
-
-    /// Resets statistics to zero.
-    pub fn reset_stats(&mut self) {
-        (self.accesses, self.misses) = (0, 0);
-    }
 }
 
 /// A full hierarchy: per-core L1 and L2, one shared LLC.

@@ -325,12 +325,6 @@ impl<'p> Instance<'p> {
         &self.hijacks
     }
 
-    /// Direct write access to simulated memory (for harnesses seeding
-    /// inputs). Does not charge cycles.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Runs the program's entry function.
     ///
     /// # Errors
@@ -1297,35 +1291,9 @@ impl<'p> Instance<'p> {
     }
 }
 
+#[inline(always)]
 fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64, Trap> {
-    Ok(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => {
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            x.wrapping_div(y)
-        }
-        BinOp::Rem => {
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            x.wrapping_rem(y)
-        }
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32),
-        BinOp::Shr => x.wrapping_shr(y as u32),
-        BinOp::Eq => (x == y) as i64,
-        BinOp::Ne => (x != y) as i64,
-        BinOp::Lt => (x < y) as i64,
-        BinOp::Le => (x <= y) as i64,
-        BinOp::Gt => (x > y) as i64,
-        BinOp::Ge => (x >= y) as i64,
-    })
+    op.eval(x, y).ok_or(Trap::DivByZero)
 }
 
 fn un_op(op: UnOp, x: i64) -> i64 {

@@ -276,7 +276,7 @@ fn compare_against_corrupted_store_exits_one_and_names_the_run() {
     let dir = temp_dir("cmp-corrupt");
     let store = seeded_store(&dir);
     let victim = store.resolve("latest").unwrap();
-    fsck::inject(&store, Corruption::MissingResultsCsv).unwrap();
+    fsck::inject(&store, Corruption::TornPack).unwrap();
     let lab = dir.to_string_lossy().to_string();
 
     let out = fex_bin().args(["compare", "prev", "latest", "--lab", &lab]).output().unwrap();
@@ -294,13 +294,13 @@ fn compare_against_corrupted_store_exits_one_and_names_the_run() {
 fn lab_fsck_binary_detects_and_quarantines() {
     let dir = temp_dir("fsck-bin");
     let store = seeded_store(&dir);
-    fsck::inject(&store, Corruption::TornRecord).unwrap();
+    fsck::inject(&store, Corruption::FlippedPackByte).unwrap();
     let lab = dir.to_string_lossy().to_string();
 
     let out = fex_bin().args(["lab", "fsck", "--lab", &lab]).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("corrupt-record"), "{stdout}");
+    assert!(stdout.contains("digest-mismatch"), "{stdout}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("--quarantine"));
 
     let out = fex_bin().args(["lab", "fsck", "--quarantine", "--lab", &lab]).output().unwrap();

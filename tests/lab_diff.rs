@@ -133,11 +133,11 @@ fn store_save_is_idempotent_on_content() {
     assert_eq!(a.rows, 1);
 }
 
-/// A warm `--lab` rerun shares the cold run's id, and the run directory
-/// keeps what the first save wrote: `record.json` holds the cold run's
-/// journal digest alone and `metrics.json` the cold run's 28 compiled
-/// pairs, while the warm run's own metrics (every pair left unbuilt)
-/// stay in its results directory.
+/// A warm `--lab` rerun shares the cold run's id, and its run line names
+/// what the first save wrote: the cold run's journal digest and the blob
+/// holding the cold run's metrics (28 compiled pairs), while the warm
+/// run's own metrics (every pair left unbuilt) stay in its results
+/// directory.
 #[test]
 fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
     let dir = temp_dir("write-once");
@@ -160,15 +160,142 @@ fn a_re_saved_run_id_keeps_its_first_record_and_metrics() {
     let entries = store.list().unwrap();
     assert_eq!(entries.len(), 2);
     assert_eq!(entries[0].run_id, entries[1].run_id, "cold and warm share an id");
-    let run_dir = dir.join("runs").join(entries[0].run_id.trim_start_matches("fex256:"));
-    let record = std::fs::read_to_string(run_dir.join("record.json")).unwrap();
+    assert_eq!(entries[1].range, entries[0].range, "the warm line names the cold blob");
     let digest = fex_container::digest_bytes(cold_journal.as_bytes());
-    assert_eq!(record, format!("{{\"journal_digest\": \"{digest}\"}}\n"));
-    let stored = std::fs::read_to_string(run_dir.join("metrics.json")).unwrap();
+    assert_eq!(entries[1].journal_digest, digest.to_string());
+    let stored = store.metrics_json(&entries[1]).unwrap();
     assert!(stored.contains("\"builds\": 28,"), "{stored}");
     assert!(stored.contains("\"build_cache_hits\": 0,"), "{stored}");
     let report = fex_core::lab::fsck::check(&store);
     assert!(report.clean(), "{}", report.render());
+}
+
+/// The `micro` configuration the cut-save test stores, into `lab`.
+fn cut_config(seed: u64, lab: &std::path::Path) -> ExperimentConfig {
+    ExperimentConfig::new("micro")
+        .types(vec!["gcc_native"])
+        .input(InputSize::Test)
+        .seed(seed)
+        .lab(lab.to_string_lossy())
+}
+
+/// Runs `config` on `fex` and returns its results CSV and the run's
+/// artifact-graph misses.
+fn run_counting_misses(fex: &mut Fex, config: &ExperimentConfig) -> (String, u64) {
+    let csv = fex.run(config).unwrap().to_csv();
+    let line = fex.log().iter().rev().find(|l| l.contains(" hits / ")).unwrap().clone();
+    let misses = line.split(" hits / ").nth(1).unwrap().split(' ').next().unwrap();
+    (csv, misses.parse().unwrap())
+}
+
+/// A save cut at any write. Two `micro` runs and their units are stored,
+/// then a third run whose save — one pack append, then one index append —
+/// is cut back to every write boundary and to points inside each write.
+/// At every cut the lab opens; the first two runs read back byte for byte
+/// and their units serve warm; `fsck` reports only the torn tail; a
+/// further save lands and reads back; and `fsck --quarantine` leaves a
+/// lab that checks clean and still serves warm.
+#[test]
+fn a_save_cut_at_any_write_leaves_a_working_lab() {
+    use fex_core::lab::{fsck, IssueKind};
+    use std::fs;
+
+    let dir = temp_dir("cut-save");
+    let full = dir.join("full");
+    let mut fex = Fex::new();
+    fex.install("gcc-6.1").unwrap();
+    let csvs: Vec<String> =
+        (1..=3).map(|seed| fex.run(&cut_config(seed, &full)).unwrap().to_csv()).collect();
+    let pack = fs::read(full.join("pack")).unwrap();
+    let index = fs::read(full.join("index.json")).unwrap();
+    let third = RunStore::open(&full).unwrap().resolve("latest").unwrap();
+    let (p0, p1) = (third.range.offset as usize, pack.len());
+    let i1 = index.len();
+    let i0 = index[..i1 - 1].iter().rposition(|&b| b == b'\n').map_or(0, |at| at + 1);
+    let line = i1 - i0;
+    assert!(String::from_utf8_lossy(&index[i0..]).contains(&third.run_id), "the last line");
+    assert_eq!(p1, p0 + third.range.len as usize + 1, "the third blob is the pack's tail");
+    let tail = |cut: usize| format!("pack bytes {p0}..{cut}");
+    let cuts = [
+        ("before the pack append", p0, i0),
+        ("mid-blob", p0 + third.range.len as usize / 2, i0),
+        ("blob without its newline", p1 - 1, i0),
+        ("after the pack append", p1, i0),
+        ("mid-index-line", p1, i0 + line / 2),
+        ("index line without its newline", p1, i1 - 1),
+        ("after the save", p1, i1),
+    ];
+    for (name, pack_cut, index_cut) in cuts {
+        let lab = dir.join(name.replace(' ', "-"));
+        fs::create_dir_all(&lab).unwrap();
+        fs::write(lab.join("pack"), &pack[..pack_cut]).unwrap();
+        fs::write(lab.join("index.json"), &index[..index_cut]).unwrap();
+        let store = RunStore::open(&lab).unwrap();
+        let stored = store.list().unwrap();
+        for (entry, csv) in stored.iter().zip(&csvs[..2]) {
+            assert_eq!(&store.results_csv(entry).unwrap(), csv, "{name}");
+        }
+        let torn_line = format!("index line {}", bytecount(&index[..i0]) + 1);
+        let mut want: Vec<(IssueKind, String)> = Vec::new();
+        if index_cut > i0 && index_cut < i1 - 1 {
+            want.push((IssueKind::CorruptIndexLine, torn_line));
+        }
+        if pack_cut > p0 && index_cut < i1 - 1 {
+            want.push((IssueKind::UnreferencedPackBytes, tail(pack_cut)));
+        }
+        let found = |store: &RunStore| -> Vec<(IssueKind, String)> {
+            fsck::check(store).issues.into_iter().map(|i| (i.kind, i.subject)).collect()
+        };
+        assert_eq!(found(&store), want, "{name}: fsck reports only the torn tail");
+
+        // The first run's units serve warm, and its further save lands
+        // and reads back; the torn bytes stay the only finding.
+        let (csv, misses) = run_counting_misses(&mut fex, &cut_config(1, &lab));
+        assert_eq!((&csv, misses), (&csvs[0], 0), "{name}");
+        let latest = store.resolve("latest").unwrap();
+        assert_eq!(latest.run_id, stored[0].run_id, "{name}");
+        assert_eq!(store.results_csv(&latest).unwrap(), csvs[0], "{name}");
+        assert_eq!(found(&store), want, "{name}: the further save is clean");
+
+        let repaired = fsck::fsck(&store, true).unwrap();
+        assert_eq!(repaired.clean(), want.is_empty(), "{name}");
+        let after = fsck::check(&store);
+        assert!(after.clean(), "{name}: {}", after.render());
+        for (entry, csv) in store.list().unwrap().iter().zip(&csvs[..2]) {
+            assert_eq!(&store.results_csv(entry).unwrap(), csv, "{name}");
+        }
+        let (csv, misses) = run_counting_misses(&mut fex, &cut_config(2, &lab));
+        assert_eq!((&csv, misses), (&csvs[1], 0), "{name}: quarantine keeps the units");
+    }
+}
+
+/// Lines (newline bytes) in `bytes`.
+fn bytecount(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// The newest stored run's results CSV, read back through the store, is
+/// the same bytes as the CSV `fex run` writes under
+/// `target/fex-results/`, whether the run used the default worker count
+/// or `--jobs 1`.
+#[test]
+fn the_stored_csv_is_the_csv_fex_run_writes() {
+    let cwd = fresh_dir();
+    let mut cold = None;
+    for (lab, jobs) in [(".fex-lab", &[][..]), (".fex-lab-j1", &["--jobs", "1"][..])] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fex"))
+            .current_dir(&cwd)
+            .args(["run", "-n", "micro", "-i", "test", "-r", "3", "--lab", lab])
+            .args(jobs)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let written = std::fs::read(cwd.join("target/fex-results/micro.csv")).unwrap();
+        let cold = cold.get_or_insert(written);
+        let store = RunStore::open(cwd.join(lab)).unwrap();
+        let stored = store.results_csv(&store.resolve("latest").unwrap()).unwrap();
+        assert_eq!(stored.as_bytes(), &cold[..], "{lab}");
+    }
 }
 
 // --- binary error paths and exit codes ---
@@ -217,8 +344,8 @@ fn lab_and_compare_on_missing_stores_exit_nonzero_with_message() {
 }
 
 /// Commands that only read a lab refuse a missing `--lab` directory, or
-/// one with neither a store nor a graph index, name it and create
-/// nothing; `fex run --lab` still creates its lab.
+/// one without a lab index, name it and create nothing; `fex run --lab`
+/// still creates its lab.
 #[test]
 fn read_only_commands_refuse_a_missing_lab_and_create_nothing() {
     let cwd = fresh_dir();
@@ -269,9 +396,44 @@ fn read_only_commands_refuse_a_missing_lab_and_create_nothing() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("store is clean"));
 }
 
-/// `fex graph stats` on a lab written only by `--no-graph` runs prints
-/// zero counts and creates nothing: the graph's first store creates
-/// `graph/`.
+/// A lab directory in the layout of an older fex — runs under `runs/`,
+/// the artifact graph under `graph/` — is refused by readers and writers
+/// alike, with a message that says what to do, and left as it was.
+#[test]
+fn an_old_layout_lab_is_refused_and_left_alone() {
+    let cwd = fresh_dir();
+    for old in ["runs", "graph"] {
+        let lab = cwd.join(format!("lab-{old}"));
+        std::fs::create_dir_all(lab.join(old)).unwrap();
+        std::fs::write(lab.join(old).join("index.json"), "{}\n").unwrap();
+        let lab_arg = lab.to_string_lossy().into_owned();
+        let commands: [&[&str]; 4] = [
+            &["lab", "list"],
+            &["lab", "gc", "--keep", "1"],
+            &["graph", "stats"],
+            &["run", "-n", "micro", "-i", "test", "-t", "gcc_native"],
+        ];
+        for args in commands {
+            let out = Command::new(env!("CARGO_BIN_EXE_fex"))
+                .current_dir(&cwd)
+                .args(args)
+                .args(["--lab", &lab_arg])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(&format!("holds `{old}/`")), "{args:?}: {stderr}");
+            assert!(stderr.contains("re-run its experiments into a new lab"), "{args:?}: {stderr}");
+        }
+        let left: Vec<_> =
+            std::fs::read_dir(&lab).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, [old], "the old lab is left as it was");
+    }
+}
+
+/// `fex graph stats` and `fex lab fsck` on a lab written only by
+/// `--no-graph` runs print zero graph counts and write nothing: the lab
+/// holds its lock, index and pack, and its index has no unit line.
 #[test]
 fn graph_stats_on_a_graphless_lab_creates_no_graph() {
     let cwd = fresh_dir();
@@ -281,14 +443,31 @@ fn graph_stats_on_a_graphless_lab_creates_no_graph() {
     let run = ["run", "-n", "micro", "-i", "test", "-t", "gcc_native", "--no-graph", "--lab", "L"];
     let out = fex(&run);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let lab = cwd.join("L");
+    let snapshot = || {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&lab)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot();
+    let names: Vec<&str> = before.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["index.json", "lock", "pack"]);
+    let index = String::from_utf8(before[0].1.clone()).unwrap();
+    assert!(index.lines().all(|l| l.starts_with("{\"run_id\"")), "{index}");
     let out = fex(&["graph", "stats", "--lab", "L"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("total           0"), "{stdout}");
-    assert!(!cwd.join("L").join("graph").exists(), "graph stats created the graph");
+    assert!(snapshot() == before, "graph stats wrote into the lab");
     let out = fex(&["lab", "fsck", "--lab", "L"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(!cwd.join("L").join("graph").exists(), "fsck created the graph");
+    assert!(snapshot() == before, "fsck wrote into the lab");
 }
 
 /// The `fex run -n <argv…>` configuration, run in process on a fresh

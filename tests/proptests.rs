@@ -8,11 +8,71 @@ use proptest::prelude::*;
 use fex_cc::{compile, BuildOptions};
 use fex_core::collect::{stats, DataFrame};
 use fex_core::env::EnvSpec;
-use fex_vm::{Cache, CacheConfig, Machine, MachineConfig};
+use fex_vm::{BinOp, Cache, CacheConfig, Instr, Machine, MachineConfig};
 
 // ---------------------------------------------------------------------
 // Compiler vs reference evaluator
 // ---------------------------------------------------------------------
+
+/// Every integer operator, as written in source and as the VM's `BinOp`.
+const FOLD_OPS: [(&str, BinOp); 16] = [
+    ("+", BinOp::Add),
+    ("-", BinOp::Sub),
+    ("*", BinOp::Mul),
+    ("/", BinOp::Div),
+    ("%", BinOp::Rem),
+    ("&", BinOp::And),
+    ("|", BinOp::Or),
+    ("^", BinOp::Xor),
+    ("<<", BinOp::Shl),
+    (">>", BinOp::Shr),
+    ("==", BinOp::Eq),
+    ("!=", BinOp::Ne),
+    ("<", BinOp::Lt),
+    ("<=", BinOp::Le),
+    (">", BinOp::Gt),
+    (">=", BinOp::Ge),
+];
+
+/// Operands at the edges of integer arithmetic, shift counts of 64 and
+/// more included.
+const FOLD_OPERANDS: [i64; 9] = [0, 1, -1, i64::MIN, i64::MAX, 63, 64, 65, 200];
+
+/// `v` as a source expression (`i64::MIN` has no literal).
+fn literal(v: i64) -> String {
+    match v {
+        i64::MIN => "(-9223372036854775807 - 1)".into(),
+        v if v < 0 => format!("(-{})", -v),
+        v => v.to_string(),
+    }
+}
+
+/// Constant folding computes what execution computes: for every integer
+/// operator and every pair of edge-case operands (the whole domain, so it
+/// is enumerated rather than sampled), an `-O2` build, which folds the
+/// expression, and an `-O0` build, which executes it, return the same
+/// value or the same trap, and that is what `BinOp::eval` says.
+#[test]
+fn folded_and_executed_operators_agree() {
+    for (token, op) in FOLD_OPS {
+        for (x, y) in FOLD_OPERANDS.iter().flat_map(|&x| FOLD_OPERANDS.map(|y| (x, y))) {
+            let src =
+                format!("fn main() -> int {{ return {} {token} {}; }}", literal(x), literal(y));
+            let run = |opts: &BuildOptions| {
+                let p = compile(&src, opts).expect("the expression compiles");
+                let mut code = p.functions.iter().flat_map(|f| &f.code);
+                let folded = code.all(|i| !matches!(i, Instr::Bin { .. }));
+                let r = Machine::new(MachineConfig::default()).run(&p, &[]).map(|r| r.exit);
+                (r.map_err(|e| e.to_string()), folded)
+            };
+            let (optimised, folded) = run(&BuildOptions::gcc());
+            let (executed, _) = run(&BuildOptions::gcc().with_opt_level(0));
+            assert_eq!(optimised, executed, "`{src}` at -O2 vs -O0");
+            assert_eq!(optimised.as_ref().ok(), op.eval(x, y).as_ref(), "`{src}` vs BinOp::eval");
+            assert_eq!(folded, op.eval(x, y).is_some(), "`{src}`: -O2 folds all but a trap");
+        }
+    }
+}
 
 /// A tiny random expression tree over one integer variable.
 #[derive(Debug, Clone)]
@@ -918,6 +978,10 @@ fn check_plots(what: &str, df: &DataFrame) -> Vec<Result<String, String>> {
             let plot = request.render("x", &parsed).map_err(|e| e.to_string())?;
             let svg = plot.to_svg();
             assert!(svg_tags_balance(&svg), "{what}: `{name}` SVG tags do not balance:\n{svg}");
+            assert!(
+                rects_are_drawable(&svg),
+                "{what}: `{name}` SVG has an undrawable rect:\n{svg}"
+            );
             Ok(plot.to_ascii())
         })
         .collect()
@@ -932,9 +996,21 @@ proptest! {
     }
 }
 
-/// Two frames that panicked `fex plot`: a NaN thread count (the scaling
-/// plot's sort) and a negative miss count (a bar longer than the ASCII
-/// bar width).
+/// Whether every `<rect>` has a finite, non-negative `width` and
+/// `height` (SVG draws no other).
+fn rects_are_drawable(svg: &str) -> bool {
+    svg.split("<rect").skip(1).all(|tag| {
+        ["width", "height"].iter().all(|attr| {
+            let value = tag.split(&format!(" {attr}=\"")).nth(1).and_then(|v| v.split('"').next());
+            value.and_then(|v| v.parse::<f64>().ok()).is_some_and(|v| v.is_finite() && v >= 0.0)
+        })
+    })
+}
+
+/// Frames that broke `fex plot`: a NaN thread count (the scaling plot's
+/// sort) and a negative miss count (a bar longer than the ASCII bar
+/// width, then a negative SVG `height`), and the non-finite cells a bar
+/// cannot show either.
 #[test]
 fn plot_regressions_render_or_name_the_bad_cell() {
     let nan_threads = "benchmark,type,threads,time\nfft,gcc_native,1,2\nfft,gcc_native,nan,1\n";
@@ -949,5 +1025,16 @@ fn plot_regressions_render_or_name_the_bad_cell() {
     let negative_misses = "benchmark,type,l1_misses,l2_misses,llc_misses\nfft,gcc_native,5,-4,0\n";
     let df = DataFrame::from_csv(negative_misses).unwrap();
     let cache = check_plots("negative misses", &df).swap_remove(3);
-    assert!(cache.expect("the cache plot renders").contains("fft"));
+    assert_eq!(
+        cache.unwrap_err(),
+        "data error: column `l2_misses`, row 1: `-4` cannot be drawn as a bar"
+    );
+
+    for (cell, shown) in [("nan", "NaN"), ("inf", "inf"), ("-inf", "-inf")] {
+        let frame = format!("benchmark,type,time\nfft,gcc_native,1\nfft,gcc_native,{cell}\n");
+        let df = DataFrame::from_csv(&frame).unwrap();
+        let perf = check_plots(cell, &df).swap_remove(0);
+        let want = format!("data error: column `time`, row 2: `{shown}` cannot be drawn as a bar");
+        assert_eq!(perf.unwrap_err(), want);
+    }
 }
