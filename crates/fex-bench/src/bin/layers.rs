@@ -24,8 +24,10 @@
 //!    identical; on a host with at least 2 cores, jobs=2 must be faster.
 //! 3. **journal** — the micro matrix at `--jobs 1` with the journal on and
 //!    off, interleaved on-CPU passes: outputs byte-identical, overhead
-//!    below 3% on full runs. Also writes `micro.journal.jsonl` and
-//!    `micro.metrics.json` from one journaled pass.
+//!    below 3% on full runs; then the flat-JSON codec's on-CPU time to
+//!    write that journal and to read it back. Also writes
+//!    `micro.journal.jsonl` and `micro.metrics.json` from one journaled
+//!    pass.
 //! 4. **fuzz** — generated scenarios per second and `fex fuzz` oracle
 //!    cases per second; the bench seed must be clean.
 //!
@@ -508,6 +510,18 @@ fn journal_rows(record: &mut Record, smoke: bool) {
     let overhead = raw_overhead.max(0.0);
     let jsonl: String = events.iter().map(|e| e.to_json() + "\n").collect();
     record.count("journal.events", events.len());
+    // The flat-JSON codec over this journal, on-CPU: writing every event
+    // as a line, and reading every line back.
+    let serialize_secs = timed(|| {
+        std::hint::black_box(events.iter().map(|e| e.to_json() + "\n").collect::<String>());
+    });
+    let parse_secs = timed(|| {
+        let (parsed, issues) = journal::parse_jsonl(&jsonl);
+        assert!(issues.is_empty() && parsed.len() == events.len(), "the journal reads back");
+        std::hint::black_box(parsed);
+    });
+    record.row("journal.serialize_ms", serialize_secs * 1e3, "ms");
+    record.row("journal.parse_ms", parse_secs * 1e3, "ms");
     record.row("journal.kb", jsonl.len() as f64 / 1024.0, "KiB");
     record.row("journal.run_ms[on]", best_on * 1e3, "ms");
     record.row("journal.run_ms[off]", best_off * 1e3, "ms");

@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use crate::error::{FexError, Result};
-use crate::journal::json_str;
+use crate::flatjson::JsonStr;
 
 use super::{rules, DiagReport, Finding, Rule, Severity};
 
@@ -144,16 +144,16 @@ fn render_sarif(report: &DiagReport) -> String {
     for (i, r) in ran.iter().enumerate() {
         let comma = if i + 1 == ran.len() { "" } else { "," };
         let _ = writeln!(out, "            {{");
-        let _ = writeln!(out, "              \"id\": {},", json_str(r.id()));
+        let _ = writeln!(out, "              \"id\": {},", JsonStr(r.id()));
         let _ = writeln!(
             out,
             "              \"shortDescription\": {{ \"text\": {} }},",
-            json_str(r.describe())
+            JsonStr(r.describe())
         );
         let _ = writeln!(
             out,
             "              \"defaultConfiguration\": {{ \"level\": {} }}",
-            json_str(r.severity().sarif_level())
+            JsonStr(r.severity().sarif_level())
         );
         let _ = writeln!(out, "            }}{comma}");
     }
@@ -176,14 +176,14 @@ fn render_sarif(report: &DiagReport) -> String {
 fn sarif_result(f: &Finding) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "        {{");
-    let _ = writeln!(s, "          \"ruleId\": {},", json_str(f.rule));
-    let _ = writeln!(s, "          \"level\": {},", json_str(f.severity.sarif_level()));
-    let _ = writeln!(s, "          \"message\": {{ \"text\": {} }},", json_str(&f.message));
+    let _ = writeln!(s, "          \"ruleId\": {},", JsonStr(f.rule));
+    let _ = writeln!(s, "          \"level\": {},", JsonStr(f.severity.sarif_level()));
+    let _ = writeln!(s, "          \"message\": {{ \"text\": {} }},", JsonStr(&f.message));
     let _ = writeln!(s, "          \"locations\": [");
     let _ = writeln!(s, "            {{");
     let _ = writeln!(s, "              \"physicalLocation\": {{");
     let _ =
-        writeln!(s, "                \"artifactLocation\": {{ \"uri\": {} }},", json_str(&f.file));
+        writeln!(s, "                \"artifactLocation\": {{ \"uri\": {} }},", JsonStr(&f.file));
     let _ = writeln!(s, "                \"region\": {{ \"startLine\": {} }}", f.line);
     let _ = writeln!(s, "              }}");
     let _ = writeln!(s, "            }}");

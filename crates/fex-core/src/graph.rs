@@ -42,7 +42,8 @@ use fex_container::{Digest, DigestBuilder};
 use fex_vm::{CacheStats, HeapStats, PerfCounters, RunResult};
 
 use crate::error::{FexError, Result};
-use crate::journal::{self, Json, JsonLine};
+use crate::flatjson::{self, FlatObject, JsonLine};
+use crate::journal::ParseIssue;
 use crate::lab::{self, Line, PackRange};
 
 /// What a graph node is, and therefore what its payload holds.
@@ -193,13 +194,13 @@ impl GraphIndexEntry {
         w.finish()
     }
 
-    pub(crate) fn parse(map: &BTreeMap<String, Json>, range: PackRange) -> Result<Self> {
-        let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt lab index: {i}"));
-        let kind_name: String = journal::get(map, "kind").map_err(bad)?;
+    pub(crate) fn parse(obj: &FlatObject<'_>, range: PackRange) -> Result<Self> {
+        let bad = |i: ParseIssue| FexError::Data(format!("corrupt lab index: {i}"));
+        let kind_name: String = flatjson::get(obj, "kind").map_err(bad)?;
         let kind = NodeKind::parse(&kind_name).ok_or_else(|| {
             FexError::Data(format!("corrupt lab index: unknown kind `{kind_name}`"))
         })?;
-        Ok(GraphIndexEntry { digest: journal::get(map, "digest").map_err(bad)?, kind, range })
+        Ok(GraphIndexEntry { digest: flatjson::get(obj, "digest").map_err(bad)?, kind, range })
     }
 }
 
@@ -236,7 +237,7 @@ impl ArtifactGraph {
     pub fn open(lab_root: impl AsRef<Path>) -> Result<Self> {
         let root = lab_root.as_ref();
         lab::refuse_old_layout(root)?;
-        let (lines, warnings) = lab::scan(root);
+        let (lines, warnings) = lab::scan(root, true);
         Self::from_scan(root, &lines, warnings)
     }
 
@@ -400,7 +401,7 @@ pub(crate) fn parse_digest(s: &str) -> Option<Digest> {
 /// only fault-free units are cached (the latter two are empty by the
 /// cacheability check) and nothing downstream of the collector reads
 /// per-core counters.
-fn run_to_json(run: &RunResult) -> String {
+pub(crate) fn run_to_json(run: &RunResult) -> String {
     let c = &run.counters;
     let h = &run.heap;
     let mut w = JsonLine::object("node", NodeKind::RunUnit.as_str());
@@ -439,12 +440,12 @@ fn run_to_json(run: &RunResult) -> String {
 
 /// Parses a cached run payload back. `None` on any damage — the caller
 /// treats that as a miss and re-executes.
-fn run_from_json(line: &str) -> Option<RunResult> {
-    let map = journal::parse_flat_object(line).ok()?;
-    let uint = |k: &str| journal::get(&map, k).ok();
+pub(crate) fn run_from_json(line: &str) -> Option<RunResult> {
+    let obj = FlatObject::parse(line).ok()?;
+    let uint = |k: &str| flatjson::get(&obj, k).ok();
     Some(RunResult {
-        exit: journal::get(&map, "exit").ok()?,
-        stdout: journal::get(&map, "stdout").ok()?,
+        exit: flatjson::get(&obj, "exit").ok()?,
+        stdout: flatjson::get(&obj, "stdout").ok()?,
         counters: PerfCounters {
             instructions: uint("ctr_instructions")?,
             cycles: uint("ctr_cycles")?,
@@ -694,7 +695,7 @@ mod tests {
         // The next store lands after the torn bytes and is served after a
         // reopen.
         g2.store_run(&Digest(24), &sample_run()).unwrap();
-        let (lines, _) = lab::scan(&lab);
+        let (lines, _) = lab::scan(&lab, true);
         let stored = lines.iter().find(|l| l.id() == Digest(24).to_string()).unwrap();
         assert_eq!(stored.range().offset, torn_end);
         let mut g3 = ArtifactGraph::open(&lab).unwrap();
@@ -729,7 +730,7 @@ mod tests {
         g2.store_run(&Digest(4), &sample_run()).unwrap();
         let after = fs::read(&index_path).unwrap();
         assert_eq!(&after[..index.len()], &index[..]);
-        let (lines, warnings) = lab::scan(&lab);
+        let (lines, warnings) = lab::scan(&lab, true);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert_eq!(lines.len(), 3);
         let mut g3 = ArtifactGraph::open(&lab).unwrap();

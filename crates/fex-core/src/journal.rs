@@ -32,9 +32,8 @@
 //! which `tests/journal_diff.rs` locks down.
 //!
 //! Events serialize as one flat JSON object per line (`journal.jsonl`).
-//! Serialization is hand-rolled (the workspace builds offline, without
-//! serde); the private parser below understands exactly the flat-object
-//! subset the writer emits.
+//! Both directions go through `crate::flatjson`, the codec every
+//! flat-JSON line of fex shares.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,6 +42,7 @@ use std::time::Instant;
 use fex_vm::{RunResult, UnitCounters};
 
 use crate::error::FexError;
+use crate::flatjson::{get, FlatObject, JsonLine, JsonStr};
 
 /// Journal format version, recorded in the `experiment_start` event so
 /// future readers can dispatch on schema changes.
@@ -122,10 +122,10 @@ macro_rules! journal_schema {
         /// [`ParseIssue::Malformed`] on broken JSON or missing fields,
         /// [`ParseIssue::UnknownEvent`] on an unrecognized `"event"` value.
         pub fn parse_line(line: &str) -> std::result::Result<$name, ParseIssue> {
-            let map = parse_flat_object(line)?;
-            let kind: String = get(&map, "event")?;
+            let obj = FlatObject::parse(line)?;
+            let kind: String = get(&obj, "event")?;
             Ok(match kind.as_str() {
-                $( $wire => $name::$variant { $( $field: get(&map, stringify!($field))?, )* }, )*
+                $( $wire => $name::$variant { $( $field: get(&obj, stringify!($field))?, )* }, )*
                 other => return Err(ParseIssue::UnknownEvent(other.to_string())),
             })
         }
@@ -685,7 +685,7 @@ impl Metrics {
     /// normalize them to 0.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"experiment\": {},", json_str(&self.experiment));
+        let _ = writeln!(s, "  \"experiment\": {},", JsonStr(&self.experiment));
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(s, "  \"seed\": {},", self.seed);
         let _ = writeln!(s, "  \"events\": {},", self.events);
@@ -711,8 +711,11 @@ impl Metrics {
         let _ = writeln!(s, "  \"unit_outcomes\": {{");
         write_map(&mut s, self.unit_outcomes.iter().map(|(k, v)| (k.clone(), v.to_string())));
         let _ = writeln!(s, "  }},");
-        let quarantined: Vec<String> = self.quarantined.iter().map(|b| json_str(b)).collect();
-        let _ = writeln!(s, "  \"quarantined\": [{}],", quarantined.join(", "));
+        s.push_str("  \"quarantined\": [");
+        for (i, b) in self.quarantined.iter().enumerate() {
+            let _ = write!(s, "{}{}", if i == 0 { "" } else { ", " }, JsonStr(b));
+        }
+        s.push_str("],\n");
         let _ = writeln!(s, "  \"per_benchmark_cycles\": {{");
         write_map(
             &mut s,
@@ -774,7 +777,7 @@ fn write_map(s: &mut String, entries: impl Iterator<Item = (String, String)>) {
     let last = entries.len().saturating_sub(1);
     for (i, (k, v)) in entries.iter().enumerate() {
         let comma = if i == last { "" } else { "," };
-        let _ = writeln!(s, "    {}: {}{}", json_str(k), v, comma);
+        let _ = writeln!(s, "    {}: {}{}", JsonStr(k), v, comma);
     }
 }
 
@@ -939,309 +942,10 @@ pub fn render_report(jsonl: &str) -> RenderedReport {
     RenderedReport { report: out, warnings, events: events.len() }
 }
 
-// ---------------------------------------------------------------------
-// Minimal flat-JSON plumbing (the workspace builds offline, no serde)
-// ---------------------------------------------------------------------
-
-/// Escapes a string as a JSON string literal (quotes included).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Builder for one `{"event": "...", ...}` JSON line.
-pub(crate) struct JsonLine {
-    buf: String,
-}
-
-impl JsonLine {
-    pub(crate) fn new(kind: &str) -> Self {
-        JsonLine { buf: format!("{{\"event\": {}", json_str(kind)) }
-    }
-
-    /// Starts an object whose first key is `key` rather than `"event"`.
-    pub(crate) fn object(key: &str, val: &str) -> Self {
-        JsonLine { buf: format!("{{{}: {}", json_str(key), json_str(val)) }
-    }
-
-    pub(crate) fn str(&mut self, key: &str, val: &str) -> &mut Self {
-        let _ = write!(self.buf, ", {}: {}", json_str(key), json_str(val));
-        self
-    }
-
-    /// Appends one typed field.
-    pub(crate) fn field<T: Field>(&mut self, key: &str, val: &T) -> &mut Self {
-        let _ = write!(self.buf, ", {}: ", json_str(key));
-        val.write(&mut self.buf);
-        self
-    }
-
-    pub(crate) fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// A parsed flat JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Str(String),
-    /// An integer in `i64::MIN..=u64::MAX`, so both signed and unsigned
-    /// 64-bit fields round-trip.
-    Int(i128),
-    Bool(bool),
-    Null,
-}
-
-fn malformed(msg: impl Into<String>) -> ParseIssue {
-    ParseIssue::Malformed(msg.into())
-}
-
-/// Parses a single-line flat JSON object (string / integer / bool / null
-/// values only — exactly what the journal writer emits).
-pub(crate) fn parse_flat_object(
-    line: &str,
-) -> std::result::Result<BTreeMap<String, Json>, ParseIssue> {
-    let mut chars = line.trim().chars().peekable();
-    let mut map = BTreeMap::new();
-    if chars.next() != Some('{') {
-        return Err(malformed("expected `{`"));
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return finishing(chars, map);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(malformed(format!("expected `:` after key `{key}`")));
-        }
-        skip_ws(&mut chars);
-        let val = parse_value(&mut chars)?;
-        map.insert(key, val);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => return finishing(chars, map),
-            other => return Err(malformed(format!("expected `,` or `}}`, got {other:?}"))),
-        }
-    }
-}
-
-fn finishing(
-    mut chars: std::iter::Peekable<std::str::Chars<'_>>,
-    map: BTreeMap<String, Json>,
-) -> std::result::Result<BTreeMap<String, Json>, ParseIssue> {
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err(malformed("trailing characters after object"));
-    }
-    Ok(map)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> std::result::Result<String, ParseIssue> {
-    if chars.next() != Some('"') {
-        return Err(malformed("expected string"));
-    }
-    let mut s = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(s),
-            Some('\\') => match chars.next() {
-                Some('"') => s.push('"'),
-                Some('\\') => s.push('\\'),
-                Some('/') => s.push('/'),
-                Some('n') => s.push('\n'),
-                Some('r') => s.push('\r'),
-                Some('t') => s.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| malformed(format!("bad \\u escape `{hex}`")))?;
-                    s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                other => return Err(malformed(format!("bad escape {other:?}"))),
-            },
-            Some(c) => s.push(c),
-            None => return Err(malformed("unterminated string")),
-        }
-    }
-}
-
-fn parse_value(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> std::result::Result<Json, ParseIssue> {
-    match chars.peek() {
-        Some('"') => Ok(Json::Str(parse_string(chars)?)),
-        Some('t') | Some('f') | Some('n') => {
-            let mut word = String::new();
-            while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                word.push(chars.next().expect("peeked"));
-            }
-            match word.as_str() {
-                "true" => Ok(Json::Bool(true)),
-                "false" => Ok(Json::Bool(false)),
-                "null" => Ok(Json::Null),
-                other => Err(malformed(format!("unknown literal `{other}`"))),
-            }
-        }
-        Some(c) if *c == '-' || c.is_ascii_digit() => {
-            let mut num = String::new();
-            while chars.peek().is_some_and(|c| *c == '-' || c.is_ascii_digit()) {
-                num.push(chars.next().expect("peeked"));
-            }
-            match num.parse::<i128>() {
-                Ok(n) if (i128::from(i64::MIN)..=i128::from(u64::MAX)).contains(&n) => {
-                    Ok(Json::Int(n))
-                }
-                _ => Err(malformed(format!("bad number `{num}`"))),
-            }
-        }
-        other => Err(malformed(format!("unexpected value start {other:?}"))),
-    }
-}
-
-/// One field type of the flat-JSON grammar: how a value is written into
-/// a [`JsonLine`] and read back out of a parsed object.
-pub(crate) trait Field: Sized {
-    /// Appends the value's JSON text.
-    fn write(&self, out: &mut String);
-
-    /// Decodes the present value of field `key`.
-    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue>;
-
-    /// The value of an absent field; required fields are malformed.
-    fn absent(key: &str) -> std::result::Result<Self, ParseIssue> {
-        Err(malformed(format!("missing field `{key}`")))
-    }
-}
-
-impl Field for String {
-    fn write(&self, out: &mut String) {
-        out.push_str(&json_str(self));
-    }
-
-    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
-        match value {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(malformed(format!("field `{key}` is not a string"))),
-        }
-    }
-}
-
-impl Field for bool {
-    fn write(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
-    }
-
-    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
-        match value {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(malformed(format!("field `{key}` is not a bool"))),
-        }
-    }
-}
-
-/// Reads an integer field, narrowing it to `T`.
-fn read_int<T: TryFrom<i128>>(value: &Json, key: &str) -> std::result::Result<T, ParseIssue> {
-    match value {
-        Json::Int(n) => T::try_from(*n).map_err(|_| {
-            let why = if *n < 0 { "negative" } else { "out of range" };
-            malformed(format!("field `{key}` is {why}"))
-        }),
-        _ => Err(malformed(format!("field `{key}` is not a number"))),
-    }
-}
-
-macro_rules! int_field {
-    ($($ty:ty),*) => {$(
-        impl Field for $ty {
-            fn write(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
-            }
-
-            fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
-                read_int(value, key)
-            }
-        }
-    )*};
-}
-
-int_field!(u64, u32, usize, i64);
-
-/// `null` or absent reads as `None`.
-impl<T: Field> Field for Option<T> {
-    fn write(&self, out: &mut String) {
-        match self {
-            Some(v) => v.write(out),
-            None => out.push_str("null"),
-        }
-    }
-
-    fn read(value: &Json, key: &str) -> std::result::Result<Self, ParseIssue> {
-        match value {
-            Json::Null => Ok(None),
-            v => T::read(v, key).map(Some),
-        }
-    }
-
-    fn absent(_key: &str) -> std::result::Result<Self, ParseIssue> {
-        Ok(None)
-    }
-}
-
-/// Reads field `key` of a parsed flat object.
-pub(crate) fn get<T: Field>(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-) -> std::result::Result<T, ParseIssue> {
-    match map.get(key) {
-        Some(v) => T::read(v, key),
-        None => T::absent(key),
-    }
-}
-
-/// Reads an optional field: absent or `null` yields `default`.
-pub(crate) fn get_or<T: Field>(
-    map: &BTreeMap<String, Json>,
-    key: &str,
-    default: T,
-) -> std::result::Result<T, ParseIssue> {
-    match map.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => T::read(v, key),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flatjson::Json;
 
     fn sample_events() -> Vec<JournalEvent> {
         vec![
@@ -1383,18 +1087,19 @@ mod tests {
     }
 
     /// Re-emits a parsed flat object without `key`.
-    fn line_without(map: &BTreeMap<String, Json>, key: &str) -> String {
-        let fields: Vec<String> = map
-            .iter()
-            .filter(|(k, _)| k.as_str() != key)
+    fn line_without(obj: &FlatObject<'_>, key: &str) -> String {
+        let fields: Vec<String> = obj
+            .by_key()
+            .into_iter()
+            .filter(|(k, _)| *k != key)
             .map(|(k, v)| {
                 let v = match v {
-                    Json::Str(s) => json_str(s),
+                    Json::Str(s) => JsonStr(s).to_string(),
                     Json::Int(n) => n.to_string(),
                     Json::Bool(b) => b.to_string(),
                     Json::Null => "null".into(),
                 };
-                format!("{}: {v}", json_str(k))
+                format!("{}: {v}", JsonStr(k))
             })
             .collect();
         format!("{{{}}}", fields.join(", "))
@@ -1420,9 +1125,10 @@ mod tests {
         let kinds: std::collections::BTreeSet<&str> = events.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.len(), 18, "every event kind is exercised: {kinds:?}");
         for e in &events {
-            let map = parse_flat_object(&e.to_json()).unwrap();
-            for key in map.keys() {
-                let line = line_without(&map, key);
+            let json = e.to_json();
+            let obj = FlatObject::parse(&json).unwrap();
+            for (key, _) in obj.by_key() {
+                let line = line_without(&obj, key);
                 match parse_line(&line) {
                     // `rep` is the schema's only `Option` field.
                     Ok(back) if key == "rep" => {

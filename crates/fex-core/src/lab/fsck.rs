@@ -116,7 +116,7 @@ impl FsckReport {
 /// the index, then one walk over the pack ranges its lines name.
 pub fn check(store: &RunStore) -> FsckReport {
     let mut report = FsckReport::default();
-    let (lines, warnings) = super::scan(store.root());
+    let (lines, warnings) = super::scan(store.root(), true);
     // A line that does not parse reads `skipping index line N: <error>`.
     for warning in warnings {
         let rest = warning.strip_prefix("skipping ").unwrap_or(&warning);
@@ -231,7 +231,7 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
         })
         .map(|i| i.subject.clone())
         .collect();
-    let (lines, _) = super::scan(store.root());
+    let (lines, _) = super::scan(store.root(), true);
     let pack = File::open(store.root().join(PACK)).ok();
     let mut next_free = lines.iter().filter_map(run_seq).max().map_or(0, |m| m + 1);
     let mut taken = BTreeSet::new();
@@ -321,7 +321,7 @@ impl fmt::Display for Corruption {
 pub fn inject(store: &RunStore, corruption: Corruption) -> Result<()> {
     let (index, pack) = (store.root().join(INDEX), store.root().join(PACK));
     let io = |e: std::io::Error| FexError::Data(format!("fault injection failed: {e}"));
-    let (lines, _) = super::scan(store.root());
+    let (lines, _) = super::scan(store.root(), true);
     let newest = lines.iter().map(Line::range).max_by_key(|r| r.offset);
     let middle = newest.map_or(0, |r| r.offset + r.len / 2);
     match corruption {

@@ -49,7 +49,7 @@ pub use compare::{CellComparison, Comparison, SampleStats, Verdict};
 pub use fsck::{Corruption, FsckIssue, FsckReport, IssueKind};
 pub use store::{IndexEntry, RunArtifacts, RunStore};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -59,8 +59,9 @@ use fex_container::{digest_bytes, Digest};
 
 use crate::config::ExperimentConfig;
 use crate::error::{FexError, Result};
+use crate::flatjson::{self, FlatObject, JsonLine};
 use crate::graph::{ArtifactGraph, GraphIndexEntry};
-use crate::journal::{self, Json, JsonLine};
+use crate::journal::ParseIssue;
 
 /// The index's file name under the lab root.
 pub(crate) const INDEX: &str = "index.json";
@@ -86,7 +87,8 @@ impl Lab {
     /// Opens the lab at `dir` for writing, creating the directory: takes
     /// the write lock (saying so on stderr if it has to wait), scans the
     /// index once for the next seq and the stored runs, and, when `graph`
-    /// is set, builds the graph from the same scan. Each lock is a file
+    /// is set, builds the graph from the same scan. Without `graph` the
+    /// scan skips the unit lines unread. Each lock is a file
     /// description of its own, so it serializes threads as well as
     /// processes: a thread holding a `Lab` must not open a second one on
     /// the same directory.
@@ -99,7 +101,7 @@ impl Lab {
         let dir = dir.as_ref();
         let store = RunStore::open(dir)?;
         let lock = lock(dir)?;
-        let (lines, warnings) = scan(dir);
+        let (lines, warnings) = scan(dir, graph);
         let mut saved = HashMap::new();
         let mut next_seq = 0;
         for line in &lines {
@@ -230,15 +232,15 @@ impl PackRange {
             .field("len", &self.len);
     }
 
-    fn parse(map: &BTreeMap<String, Json>) -> Result<PackRange> {
-        let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt lab index: {i}"));
-        let payload: String = journal::get(map, "payload").map_err(bad)?;
+    fn parse(obj: &FlatObject<'_>) -> Result<PackRange> {
+        let bad = |i: ParseIssue| FexError::Data(format!("corrupt lab index: {i}"));
+        let payload: String = flatjson::get(obj, "payload").map_err(bad)?;
         Ok(PackRange {
             digest: crate::graph::parse_digest(&payload).ok_or_else(|| {
                 FexError::Data(format!("corrupt lab index: bad payload digest `{payload}`"))
             })?,
-            offset: journal::get(map, "offset").map_err(bad)?,
-            len: journal::get(map, "len").map_err(bad)?,
+            offset: flatjson::get(obj, "offset").map_err(bad)?,
+            len: flatjson::get(obj, "len").map_err(bad)?,
         })
     }
 
@@ -270,14 +272,14 @@ pub(crate) enum Line {
 }
 
 impl Line {
-    fn parse(text: &str) -> Result<Line> {
-        let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt lab index: {i}"));
-        let map = journal::parse_flat_object(text).map_err(bad)?;
-        let range = PackRange::parse(&map)?;
-        if map.contains_key("run_id") {
-            IndexEntry::parse(&map, range).map(Line::Run).map_err(bad)
+    pub(crate) fn parse(text: &str) -> Result<Line> {
+        let bad = |i: ParseIssue| FexError::Data(format!("corrupt lab index: {i}"));
+        let obj = FlatObject::parse(text).map_err(bad)?;
+        let range = PackRange::parse(&obj)?;
+        if obj.value("run_id").is_some() {
+            IndexEntry::parse(&obj, range).map(Line::Run).map_err(bad)
         } else {
-            GraphIndexEntry::parse(&map, range).map(Line::Unit)
+            GraphIndexEntry::parse(&obj, range).map(Line::Unit)
         }
     }
 
@@ -311,11 +313,17 @@ impl Line {
     }
 }
 
+/// How every unit line of the index begins: [`GraphIndexEntry`] writes
+/// its `digest` key first, a run line its `run_id`.
+const UNIT_LINE_PREFIX: &[u8] = b"{\"digest\"";
+
 /// Reads the lab index under `root` with per-line fault isolation: every
 /// line that parses, in file order, plus one `skipping index line N: …`
 /// warning per line that does not or is not UTF-8. Blank lines are
-/// skipped silently and a missing index reads as empty.
-pub(crate) fn scan(root: &Path) -> (Vec<Line>, Vec<String>) {
+/// skipped silently and a missing index reads as empty. Without `units`,
+/// lines that begin as unit lines are skipped unread, warnings included:
+/// a reader that needs only the runs pays nothing for the graph.
+pub(crate) fn scan(root: &Path, units: bool) -> (Vec<Line>, Vec<String>) {
     let Ok(bytes) = fs::read(root.join(INDEX)) else {
         return (Vec::new(), Vec::new());
     };
@@ -323,6 +331,9 @@ pub(crate) fn scan(root: &Path) -> (Vec<Line>, Vec<String>) {
     let mut warnings = Vec::new();
     for (i, raw) in bytes.split(|&b| b == b'\n').enumerate() {
         let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+        if !units && raw.starts_with(UNIT_LINE_PREFIX) {
+            continue;
+        }
         let parsed = match std::str::from_utf8(raw) {
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => Line::parse(line).map_err(|e| e.to_string()),

@@ -29,7 +29,8 @@ use fex_container::DigestBuilder;
 
 use crate::config::ExperimentConfig;
 use crate::error::{FexError, Result};
-use crate::journal::{self, Json, JsonLine};
+use crate::flatjson::{get, FlatObject, JsonLine};
+use crate::journal::ParseIssue;
 
 use super::{Line, PackRange};
 
@@ -87,20 +88,20 @@ impl IndexEntry {
     }
 
     pub(crate) fn parse(
-        map: &BTreeMap<String, Json>,
+        obj: &FlatObject<'_>,
         range: PackRange,
-    ) -> std::result::Result<IndexEntry, journal::ParseIssue> {
+    ) -> std::result::Result<IndexEntry, ParseIssue> {
         Ok(IndexEntry {
-            seq: journal::get(map, "seq")?,
-            run_id: journal::get(map, "run_id")?,
-            experiment: journal::get(map, "experiment")?,
-            key: journal::get(map, "key")?,
-            rows: journal::get(map, "rows")?,
-            failures: journal::get(map, "failures")?,
-            journal_digest: journal::get(map, "journal_digest")?,
+            seq: get(obj, "seq")?,
+            run_id: get(obj, "run_id")?,
+            experiment: get(obj, "experiment")?,
+            key: get(obj, "key")?,
+            rows: get(obj, "rows")?,
+            failures: get(obj, "failures")?,
+            journal_digest: get(obj, "journal_digest")?,
             range,
-            results_len: journal::get(map, "results_len")?,
-            failures_len: journal::get(map, "failures_len")?,
+            results_len: get(obj, "results_len")?,
+            failures_len: get(obj, "failures_len")?,
         })
     }
 
@@ -205,7 +206,7 @@ impl RunStore {
     /// the journal reader. A store whose last append was torn by a crash
     /// stays listable, resolvable and appendable.
     pub fn scan(&self) -> (Vec<IndexEntry>, Vec<String>) {
-        let (lines, warnings) = super::scan(&self.root);
+        let (lines, warnings) = super::scan(&self.root, true);
         let runs = lines
             .into_iter()
             .filter_map(|line| match line {
@@ -314,7 +315,7 @@ impl RunStore {
     /// [`FexError::Data`] on filesystem failures.
     pub fn gc(&self, keep: usize) -> Result<usize> {
         let _lab = super::Lab::open(&self.root, false)?;
-        let (lines, _) = super::scan(&self.root);
+        let (lines, _) = super::scan(&self.root, true);
         let before = lines.len();
         // Walk newest-first so "the newest `keep` per key" is a simple
         // counter; then restore file order.
@@ -426,6 +427,50 @@ mod tests {
             metrics_json: Some("{}"),
             journal_digest: Some("fex256:00000000000000000000000000000abc"),
         }
+    }
+
+    /// A save opens the lab without its graph and skips the unit lines
+    /// unread: among thousands of them, a corrupt one changes neither the
+    /// seq the save lands at nor what the index warns, and the graph
+    /// still reads every unit line.
+    #[test]
+    fn saves_skip_unit_lines_without_changing_seqs_or_warnings() {
+        use crate::graph::{ArtifactGraph, GraphIndexEntry};
+        use crate::NodeKind;
+        let store = temp_store("units");
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        store.save(&cfg, &art("h\n1\n")).unwrap();
+        let mut units = String::new();
+        for i in 0..3000u128 {
+            let range = PackRange { offset: 0, len: 1, digest: fex_container::Digest(i) };
+            let unit = GraphIndexEntry {
+                digest: format!("fex256:{i:032x}"),
+                kind: NodeKind::RunUnit,
+                range,
+            };
+            let line = unit.to_json();
+            units.push_str(&if i == 1500 {
+                line.replace("\"len\": 1", "\"len\": -1")
+            } else {
+                line
+            });
+            units.push('\n');
+        }
+        fs::OpenOptions::new()
+            .append(true)
+            .open(store.index_path())
+            .and_then(|mut f| std::io::Write::write_all(&mut f, units.as_bytes()))
+            .unwrap();
+        let before = store.scan().1;
+        assert_eq!(before, ["skipping index line 1502: data error: corrupt lab index: malformed journal line: field `len` is negative"]);
+        let entry = store.save(&cfg.clone().seed(43), &art("h\n3\n")).unwrap();
+        assert_eq!(entry.seq, 1);
+        let (runs, after) = store.scan();
+        assert_eq!(runs.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(after, before);
+        let graph = ArtifactGraph::open(store.root()).unwrap();
+        assert_eq!((graph.len(), graph.warnings()), (2999, &before[..]));
+        let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]

@@ -71,6 +71,7 @@ pub mod config;
 pub mod diag;
 pub mod env;
 mod error;
+mod flatjson;
 pub mod fuzz;
 pub mod graph;
 pub mod install;

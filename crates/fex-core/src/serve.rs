@@ -52,7 +52,8 @@ use fex_vm::MeasureTool;
 
 use crate::config::{input_from_name, tool_from_name, ExperimentConfig, Repetitions};
 use crate::error::{FexError, Result};
-use crate::journal::{self, Journal, JournalEvent, Json, JsonLine};
+use crate::flatjson::{get, get_or, FlatObject, Json, JsonLine};
+use crate::journal::{self, Journal, JournalEvent};
 use crate::lab::Lab;
 use crate::resilience::RunPolicy;
 use crate::workflow::Fex;
@@ -201,16 +202,13 @@ impl Submission {
     /// Parses a submission out of a decoded protocol object. The error
     /// names the offending field — the message is relayed verbatim in
     /// the daemon's `error` reply.
-    pub(crate) fn parse(map: &BTreeMap<String, Json>) -> Result<Submission> {
-        let mut sub = Submission::new(
-            journal::get::<String>(map, "tenant")?,
-            journal::get::<String>(map, "suite")?,
-        );
+    pub(crate) fn parse(obj: &FlatObject<'_>) -> Result<Submission> {
+        let mut sub = Submission::new(get::<String>(obj, "tenant")?, get::<String>(obj, "suite")?);
         if sub.tenant.is_empty() {
             return Err(FexError::Config("submission needs a non-empty tenant".into()));
         }
         let non_empty = |key| -> Result<Option<String>> {
-            Ok(journal::get::<Option<String>>(map, key)?.filter(|s| !s.is_empty()))
+            Ok(get::<Option<String>>(obj, key)?.filter(|s| !s.is_empty()))
         };
         if let Some(b) = non_empty("benchmark")? {
             sub.benchmark = Some(b);
@@ -221,26 +219,27 @@ impl Submission {
         if let Some(t) = non_empty("threads")? {
             sub.threads = split_nums(&t, "threads")?;
         }
-        sub.reps = journal::get_or(map, "reps", sub.reps)?;
-        sub.max_reps = journal::get_or(map, "max_reps", sub.max_reps)?;
-        sub.precision_permille =
-            journal::get_or(map, "precision_permille", sub.precision_permille)?;
-        sub.seed = journal::get_or(map, "seed", sub.seed)?;
-        sub.jobs = journal::get_or(map, "jobs", sub.jobs)?;
-        sub.budget = journal::get_or(map, "budget", sub.budget)?;
-        sub.input = journal::get_or(map, "input", sub.input)?;
-        sub.tool = journal::get_or(map, "tool", sub.tool)?;
-        sub.priority = journal::get_or(map, "priority", sub.priority)?;
-        sub.stream = journal::get_or(map, "stream", sub.stream)?;
-        for (k, v) in map {
+        sub.reps = get_or(obj, "reps", sub.reps)?;
+        sub.max_reps = get_or(obj, "max_reps", sub.max_reps)?;
+        sub.precision_permille = get_or(obj, "precision_permille", sub.precision_permille)?;
+        sub.seed = get_or(obj, "seed", sub.seed)?;
+        sub.jobs = get_or(obj, "jobs", sub.jobs)?;
+        sub.budget = get_or(obj, "budget", sub.budget)?;
+        sub.input = get_or(obj, "input", sub.input)?;
+        sub.tool = get_or(obj, "tool", sub.tool)?;
+        sub.priority = get_or(obj, "priority", sub.priority)?;
+        sub.stream = get_or(obj, "stream", sub.stream)?;
+        // Key order, each repeated key at its last value: the first
+        // unknown field named is the same whatever order the line has.
+        for (k, v) in obj.by_key() {
             if let Some(name) = k.strip_prefix("program.") {
                 match v {
-                    Json::Str(src) => sub.programs.push((name.to_string(), src.clone())),
+                    Json::Str(src) => sub.programs.push((name.to_string(), src.to_string())),
                     _ => {
                         return Err(FexError::Config(format!("field `{k}` is not a string")));
                     }
                 }
-            } else if !SUBMIT_FIELDS.contains(&k.as_str()) {
+            } else if !SUBMIT_FIELDS.contains(&k) {
                 return Err(FexError::Config(format!("unknown submission field `{k}`")));
             }
         }
@@ -782,15 +781,35 @@ fn handle_connection(stream: UnixStream, inner: &Arc<Inner>) {
     }
 }
 
+/// One decoded protocol request.
+#[derive(Debug)]
+pub(crate) enum Request {
+    Submit(Box<Submission>),
+    Stats,
+    Shutdown,
+}
+
+impl Request {
+    /// Decodes one request line; the error is the daemon's `error`
+    /// reply message.
+    pub(crate) fn parse(line: &str) -> Result<Request> {
+        let obj = FlatObject::parse(line)
+            .map_err(|e| FexError::Config(format!("malformed submission: {e}")))?;
+        let op: String = get(&obj, "op")?;
+        match op.as_str() {
+            "submit" => Ok(Request::Submit(Box::new(Submission::parse(&obj)?))),
+            "stats" => Ok(Request::Stats),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(FexError::Config(format!("unknown op `{other}`"))),
+        }
+    }
+}
+
 /// Handles one request line. Returns `Ok(false)` when the connection
 /// should close (after a `shutdown` acknowledgement).
 fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Result<bool> {
-    let map = journal::parse_flat_object(line)
-        .map_err(|e| FexError::Config(format!("malformed submission: {e}")))?;
-    let op: String = journal::get(&map, "op")?;
-    match op.as_str() {
-        "submit" => {
-            let sub = Submission::parse(&map)?;
+    match Request::parse(line)? {
+        Request::Submit(sub) => {
             let submission = inner.next_submission.fetch_add(1, Ordering::SeqCst) + 1;
             inner.emit(JournalEvent::ServeSubmit {
                 tenant: sub.tenant.clone(),
@@ -822,7 +841,7 @@ fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Re
                 q.entries.push(QueueEntry {
                     submission,
                     priority: sub.priority,
-                    sub: sub.clone(),
+                    sub: (*sub).clone(),
                     enqueued: Instant::now(),
                     reply: tx,
                 });
@@ -854,7 +873,7 @@ fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Re
             }
             Ok(true)
         }
-        "stats" => {
+        Request::Stats => {
             let depth = inner.queue.lock().expect("queue lock").entries.len();
             let mut w = JsonLine::object("reply", "stats");
             w.field("submissions", &inner.next_submission.load(Ordering::SeqCst))
@@ -866,14 +885,13 @@ fn handle_request(line: &str, writer: &mut UnixStream, inner: &Arc<Inner>) -> Re
             write_line(writer, &w.finish())?;
             Ok(true)
         }
-        "shutdown" => {
+        Request::Shutdown => {
             inner.begin_drain();
             let mut w = JsonLine::object("reply", "shutdown");
             w.field("draining", &true);
             write_line(writer, &w.finish())?;
             Ok(false)
         }
-        other => Err(FexError::Config(format!("unknown op `{other}`"))),
     }
 }
 
@@ -927,28 +945,28 @@ pub fn submit(socket: &Path, sub: &Submission) -> Result<ServeOutcome> {
     let mut events = Vec::new();
     for line in reader.lines() {
         let line = line.map_err(|e| FexError::Data(format!("serve connection read: {e}")))?;
-        let map = journal::parse_flat_object(&line)
+        let obj = FlatObject::parse(&line)
             .map_err(|e| FexError::Data(format!("bad reply `{line}`: {e}")))?;
-        match journal::get::<String>(&map, "reply")?.as_str() {
-            "accepted" => submission = journal::get_or(&map, "submission", 0)?,
-            "event" => events.push(journal::get(&map, "line")?),
+        match get::<String>(&obj, "reply")?.as_str() {
+            "accepted" => submission = get_or(&obj, "submission", 0)?,
+            "event" => events.push(get(&obj, "line")?),
             "result" => {
                 return Ok(ServeOutcome {
-                    submission: journal::get_or(&map, "submission", submission)?,
-                    wait_ns: journal::get_or(&map, "wait_ns", 0)?,
-                    store_hit: journal::get_or(&map, "store_hit", false)?,
-                    graph_hits: journal::get_or(&map, "graph_hits", 0)?,
-                    graph_misses: journal::get_or(&map, "graph_misses", 0)?,
-                    run_id: journal::get_or(&map, "run_id", String::new())?,
-                    rows: journal::get_or(&map, "rows", 0)?,
-                    failures: journal::get_or(&map, "failures", 0)?,
-                    results_csv: journal::get_or(&map, "results_csv", String::new())?,
-                    failures_csv: journal::get_or(&map, "failures_csv", String::new())?,
+                    submission: get_or(&obj, "submission", submission)?,
+                    wait_ns: get_or(&obj, "wait_ns", 0)?,
+                    store_hit: get_or(&obj, "store_hit", false)?,
+                    graph_hits: get_or(&obj, "graph_hits", 0)?,
+                    graph_misses: get_or(&obj, "graph_misses", 0)?,
+                    run_id: get_or(&obj, "run_id", String::new())?,
+                    rows: get_or(&obj, "rows", 0)?,
+                    failures: get_or(&obj, "failures", 0)?,
+                    results_csv: get_or(&obj, "results_csv", String::new())?,
+                    failures_csv: get_or(&obj, "failures_csv", String::new())?,
                     events,
                 });
             }
             "error" => {
-                let message: String = journal::get_or(&map, "message", String::new())?;
+                let message: String = get_or(&obj, "message", String::new())?;
                 return Err(FexError::Data(format!("serve rejected submission: {message}")));
             }
             other => return Err(FexError::Data(format!("unexpected reply `{other}`"))),
@@ -1015,9 +1033,10 @@ mod tests {
         sub.budget = 4_000_000;
         sub.priority = 9;
         sub.tool = "time".into();
-        let map = journal::parse_flat_object(&sub.to_json()).unwrap();
-        assert_eq!(journal::get::<String>(&map, "op").unwrap(), "submit");
-        let back = Submission::parse(&map).unwrap();
+        let line = sub.to_json();
+        let obj = FlatObject::parse(&line).unwrap();
+        assert_eq!(get::<String>(&obj, "op").unwrap(), "submit");
+        let back = Submission::parse(&obj).unwrap();
         assert_eq!(back, sub);
     }
 
@@ -1077,8 +1096,8 @@ mod tests {
             ),
         ];
         for (line, field) in cases {
-            let map = journal::parse_flat_object(line).unwrap();
-            let err = Submission::parse(&map).unwrap_err().to_string();
+            let obj = FlatObject::parse(line).unwrap();
+            let err = Submission::parse(&obj).unwrap_err().to_string();
             assert!(err.contains(field), "`{line}` should fail on `{field}`, got: {err}");
         }
         // Unknown suites fail at materialisation.
@@ -1103,8 +1122,8 @@ mod tests {
                 "{{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"inline\", \
                  \"program.p\": \"fn main() -> int {{ return 0; }}\", {fields}}}"
             );
-            let map = journal::parse_flat_object(&line).unwrap();
-            let sub = Submission::parse(&map).unwrap();
+            let obj = FlatObject::parse(&line).unwrap();
+            let sub = Submission::parse(&obj).unwrap();
             let err = sub.config(None).validate().unwrap_err().to_string();
             assert!(err.contains(field), "`{line}` should fail on {field}, got: {err}");
         }

@@ -173,7 +173,12 @@ pub struct Fex {
     makefiles: MakefileSet,
     results: HashMap<String, DataFrame>,
     failure_reports: HashMap<String, FailureReport>,
+    /// The current run's log lines, after any install lines logged since
+    /// the previous run.
     log: Vec<String>,
+    /// Whether `log` holds a run's lines: the next install or run starts
+    /// a fresh log.
+    log_holds_run: bool,
 }
 
 impl Fex {
@@ -186,6 +191,7 @@ impl Fex {
             results: HashMap::new(),
             failure_reports: HashMap::new(),
             log: Vec::new(),
+            log_holds_run: false,
         }
     }
 
@@ -194,9 +200,20 @@ impl Fex {
         &self.container
     }
 
-    /// The experiment log so far.
+    /// The log of the latest run: any install lines logged since the
+    /// run before it, then the run's own lines — what the run's
+    /// `/fex/results/<name>.log` holds before the environment report.
+    /// Before the first run, the install lines so far.
     pub fn log(&self) -> &[String] {
         &self.log
+    }
+
+    /// Drops the previous run's lines, so the log never grows with the
+    /// number of runs.
+    fn start_log(&mut self) {
+        if std::mem::take(&mut self.log_holds_run) {
+            self.log.clear();
+        }
     }
 
     /// `fex install -n <name>`.
@@ -206,6 +223,7 @@ impl Fex {
     /// Unknown scripts, unknown packages and version conflicts.
     pub fn install(&mut self, script: &str) -> Result<()> {
         run_script(&mut self.container, &self.registry, script)?;
+        self.start_log();
         self.log.push(format!("installed `{script}`"));
         Ok(())
     }
@@ -300,6 +318,8 @@ impl Fex {
         mut runner: Box<dyn Runner>,
         mut lab: Option<&mut Lab>,
     ) -> Result<&DataFrame> {
+        self.start_log();
+        self.log_holds_run = true;
         // Record environment details in the log (reproducibility, §VI).
         for ty in &config.build_types {
             let env = crate::env::environment_for(ty);
@@ -648,15 +668,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&lab);
         let labbed = cfg.lab(lab.to_string_lossy());
         fex.run(&labbed).unwrap();
-        let from = fex.log().len();
         fex.run(&labbed).unwrap();
-        let warm = &fex.log()[from..];
+        let warm = fex.log();
         let unbuilt = warm.iter().filter(|l| l.starts_with("not rebuilt `")).count();
         assert_eq!(unbuilt, 4, "{warm:#?}");
         assert!(
             !warm.iter().any(|l| l.starts_with("built `") || l.starts_with("decoded-artifact")),
             "{warm:#?}"
         );
+        let _ = std::fs::remove_dir_all(&lab);
+    }
+
+    /// The log holds one run: over 50 warm runs on one `Fex`, `log()` and
+    /// every `<name>.log` keep the first warm run's line count, and each
+    /// `.log` is the run's own lines followed by the environment report.
+    #[test]
+    fn each_run_logs_only_its_own_lines() {
+        let lab = std::env::temp_dir().join(format!("fex-run-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&lab);
+        let mut fex = fex_with_compilers();
+        assert_eq!(fex.log(), ["installed `gcc-6.1`", "installed `clang-3.8`"]);
+        let cfg = ExperimentConfig::new("micro")
+            .input(InputSize::Test)
+            .types(vec!["gcc_native"])
+            .lab(lab.to_string_lossy());
+        fex.run(&cfg).unwrap();
+        assert!(fex.log()[..2].iter().all(|l| l.starts_with("installed")), "{:#?}", fex.log());
+        let mut lengths = Vec::new();
+        for seq in 1..=50 {
+            fex.run(&cfg).unwrap();
+            let log = fex.log();
+            let stored: Vec<&String> = log.iter().filter(|l| l.starts_with("stored run")).collect();
+            assert_eq!(stored.len(), 1, "{log:#?}");
+            assert!(stored[0].contains(&format!("(seq {seq})")), "{log:#?}");
+            assert_eq!(log.iter().filter(|l| l.starts_with("environment digest")).count(), 1);
+            assert!(!log.iter().any(|l| l.starts_with("installed")), "{log:#?}");
+            let file = fex.container().fs().read("/fex/results/micro.log").unwrap();
+            let expected = log.join("\n") + "\n" + &fex.container().environment_report();
+            assert_eq!(String::from_utf8_lossy(file), expected);
+            lengths.push((log.len(), file.split(|&b| b == b'\n').count()));
+        }
+        assert!(lengths.iter().all(|l| *l == lengths[0]), "{lengths:?}");
         let _ = std::fs::remove_dir_all(&lab);
     }
 

@@ -161,6 +161,60 @@ fn malformed_submissions_are_rejected_without_killing_the_daemon() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The daemon reads a request in key order: whatever order a line holds
+/// its fields in, the unknown field it names is the first in key order, a
+/// repeated key reads as its last value, and `program.*` sources are
+/// taken in name order. The replies are pinned byte for byte.
+#[test]
+fn requests_read_in_key_order_with_the_last_of_a_repeated_key() {
+    let dir = temp_dir("key-order");
+    let (handle, socket) = start_daemon(&dir, 1);
+    let mut stream = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut exchange = |line: &str| {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    };
+    let error = |message: &str| {
+        format!(
+            "{{\"reply\": \"error\", \"submission\": 0, \"message\": \
+             \"invalid configuration: {message}\"}}"
+        )
+    };
+    let unknown =
+        r#"{"op": "submit", "zeta": 1, "tenant": "", "suite": "micro", "alpha": 2, "tenant": "a"}"#;
+    assert_eq!(exchange(unknown), error("unknown submission field `alpha`"));
+    let emptied =
+        r#"{"op": "submit", "zeta": 1, "tenant": "a", "suite": "micro", "alpha": 2, "tenant": ""}"#;
+    assert_eq!(exchange(emptied), error("submission needs a non-empty tenant"));
+
+    let source = "fn main() -> int { return 0; }";
+    let programs = format!(
+        "\"program.b\": \"{source}\", \"program.a\": 5, \"stream\": false, \
+         \"program.a\": \"{source}\""
+    );
+    let mut sub = Submission::new("a", "inline");
+    sub.programs = vec![("a".into(), source.into()), ("b".into(), source.into())];
+    sub.stream = false;
+    let accepted = format!(
+        "{{\"reply\": \"accepted\", \"tenant\": \"a\", \"submission\": 1, \"key\": \"{}\"}}",
+        sub.key()
+    );
+    let line =
+        format!("{{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"inline\", {programs}}}");
+    assert_eq!(exchange(&line), accepted);
+    let mut result = String::new();
+    reader.read_line(&mut result).unwrap();
+    assert!(result.starts_with("{\"reply\": \"result\", \"submission\": 1, "), "{result}");
+    assert!(result.contains("\"rows\": 2, \"failures\": 0, "), "{result}");
+    drop((stream, reader));
+    serve::shutdown(&socket).unwrap();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The CLI's own error contract: bad serve flags exit non-zero with the
 /// usage text, without ever binding a socket.
 #[test]
